@@ -5,13 +5,14 @@ path exploits mode orthonormality: each term contributes explicit power laws
 whose radial integrals are evaluated analytically.  The quadrature path
 reduces the horizontal sphere exactly (harmonic orthogonality is structural)
 and integrates the polar angle and the radius numerically on the graded
-grids of `core`.  Derivative identities are checked, never used as shortcuts.
+grids of `core`.  Both paths evaluate a whole radius schedule per call.
+Derivative identities are checked, never used as shortcuts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,92 +27,99 @@ from .synthesis import SeparableSolution
 
 QUAD_RADIAL = 1024
 QUAD_ANGULAR = 2048
+# radii per numpy pass of the quadrature path: a pass holds (radius, term,
+# radial node) arrays, so this bounds its memory on long schedules
+QUAD_RADII_PER_PASS = 16
 
 
 # ---------------------------------------------------------------------------
 # closed-form path
 
 
-def _r_power(coef: float, q: float, r: float) -> float:
-    """coef * r^q / q, guarding nonpositive exponents of active coefficients."""
-    if coef == 0.0:
-        return 0.0
-    if q <= 0.0:
-        raise DomainError(
-            f"radial integral of exponent {q - 1} diverges at 0; "
-            "this synthesis is outside the integrable range"
-        )
-    return coef * r ** q / q
-
-
 @dataclass(frozen=True)
 class _TermPieces:
-    """Closed-form ingredients of one term at a given radius."""
+    """Ingredients of the frequency records, one array entry per radius."""
 
-    ball_grad: float      # int_{B_r^+} t^b (|grad U|^2 + |grad V|^2)
-    ball_uv: float        # int_{B_r^+} t^b U V
-    ball_v_zgrad: float   # int_{B_r^+} t^b V (z . grad U)
-    s_u2: float           # int_{S_r^+} t^b (U^2 + V^2)
-    s_uu: float           # int_{S_r^+} t^b (U U_nu + V V_nu)
-    s_grad: float         # int_{S_r^+} t^b (|grad U|^2 + |grad V|^2)
-    s_nu: float           # int_{S_r^+} t^b (U_nu^2 + V_nu^2)
-    s_uv: float           # int_{S_r^+} t^b U V
+    ball_grad: np.ndarray      # int_{B_r^+} t^b (|grad U|^2 + |grad V|^2)
+    ball_uv: np.ndarray        # int_{B_r^+} t^b U V
+    ball_v_zgrad: np.ndarray   # int_{B_r^+} t^b V (z . grad U)
+    s_u2: np.ndarray           # int_{S_r^+} t^b (U^2 + V^2)
+    s_uu: np.ndarray           # int_{S_r^+} t^b (U U_nu + V V_nu)
+    s_grad: np.ndarray         # int_{S_r^+} t^b (|grad U|^2 + |grad V|^2)
+    s_nu: np.ndarray           # int_{S_r^+} t^b (U_nu^2 + V_nu^2)
+    s_uv: np.ndarray           # int_{S_r^+} t^b U V
+
+    def at(self, i: int) -> "_TermPieces":
+        """The pieces at the i-th radius, as floats."""
+        return _TermPieces(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
-def _term_pieces(term, r: float) -> _TermPieces:
-    p = term.mode.params
+def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
+    """Rows of `_TermPieces` summed over the terms, in one numpy pass over all of them."""
+    p = sol.params
     beta = p.N + p.b
-    s, mu = term.sigma, term.mode.mu
-    c1, e, d1 = term.c1, term.e, term.d1
-    ball_grad = (
-        _r_power(c1 * c1 * (s * s + mu) + d1 * d1 * (s * s + mu), 2 * s + beta - 1, r)
-        + _r_power(2 * c1 * e * (s * (s + 2) + mu), 2 * s + beta + 1, r)
-        + _r_power(e * e * ((s + 2) ** 2 + mu), 2 * s + beta + 3, r)
-    )
-    ball_uv = _r_power(c1 * d1, 2 * s + beta + 1, r) + _r_power(e * d1, 2 * s + beta + 3, r)
-    ball_v_zgrad = (
-        _r_power(c1 * d1 * s, 2 * s + beta + 1, r)
-        + _r_power(e * d1 * (s + 2), 2 * s + beta + 3, r)
-    )
-    phi = term.phi(r)
-    dphi = term.dphi(r)
-    phit = term.phi_tilde(r)
-    dphit = term.dphi_tilde(r)
+    coefs = np.array([(t.sigma, t.mode.mu, t.c1, t.e, t.d1) for t in sol.terms], dtype=float)
+    s, mu, c1, e, d1 = coefs.reshape(-1, 5).T
+    # the ball integrals are sums of C[j, piece, term] r^q / q over the exponents
+    # q = Q[j, term]; the pieces are ball_grad, ball_uv and ball_v_zgrad
+    zero = np.zeros_like(s)
+    C = np.array([
+        [c1 * c1 * (s * s + mu) + d1 * d1 * (s * s + mu), zero, zero],
+        [2 * c1 * e * (s * (s + 2) + mu), c1 * d1, c1 * d1 * s],
+        [e * e * ((s + 2) ** 2 + mu), e * d1, e * d1 * (s + 2)],
+    ])
+    Q = 2 * s + beta + np.array([[-1.0], [1.0], [3.0]])
+    active = (C != 0.0).any(axis=1)
+    divergent = active & (Q <= 0.0)
+    if divergent.any():
+        raise DomainError(
+            f"radial integral of exponent {Q[divergent][0] - 1} diverges at 0; "
+            "this synthesis is outside the integrable range"
+        )
+    Q = np.where(active, Q, 1.0)[:, :, None]
+    ball = np.einsum("jkt,jtn->kn", C, np.where(active[:, :, None], r ** Q / Q, 0.0))
+    # the radial parts on the sphere S_r^+, one row per term
+    s, mu, c1, e, d1 = coefs.reshape(-1, 5, 1).transpose(1, 0, 2)
+    phi = c1 * r ** s + e * r ** (s + 2.0)
+    dphi = c1 * s * r ** (s - 1.0) + e * (s + 2.0) * r ** (s + 1.0)
+    phit = d1 * r ** s
+    dphit = d1 * s * r ** (s - 1.0)
+    u2 = phi * phi + phit * phit
+    du2 = (dphi * dphi + dphit * dphit).sum(axis=0)
     rb = r ** beta
-    s_u2 = rb * (phi * phi + phit * phit)
-    s_uu = rb * (phi * dphi + phit * dphit)
-    s_grad = rb * (dphi * dphi + dphit * dphit + mu * (phi * phi + phit * phit) / r ** 2)
-    s_nu = rb * (dphi * dphi + dphit * dphit)
-    s_uv = rb * phi * phit
-    return _TermPieces(ball_grad, ball_uv, ball_v_zgrad, s_u2, s_uu, s_grad, s_nu, s_uv)
-
-
-def _closed_pieces(sol: SeparableSolution, r: float) -> _TermPieces:
-    acc = np.zeros(8)
-    for term in sol.terms:
-        pieces = _term_pieces(term, r)
-        acc += np.array([
-            pieces.ball_grad, pieces.ball_uv, pieces.ball_v_zgrad, pieces.s_u2,
-            pieces.s_uu, pieces.s_grad, pieces.s_nu, pieces.s_uv,
-        ])
-    return _TermPieces(*acc)
+    return np.vstack([
+        ball,
+        rb * u2.sum(axis=0),
+        rb * (phi * dphi + phit * dphit).sum(axis=0),
+        rb * (du2 + (mu * u2).sum(axis=0) / r ** 2),
+        rb * du2,
+        rb * (phi * phit).sum(axis=0),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # quadrature path
 
 
+def _gram(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted pair integrals G[..., i, j] = sum_n w[..., n] X[..., i, n] Y[..., j, n]."""
+    return (X * w[..., None, :]) @ np.swapaxes(Y, -1, -2)
+
+
+def _form(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear form x_i M_ij y_j for each column of x and y."""
+    return np.sum(x * (M @ y), axis=0)
+
+
 class _QuadContext:
     """Angular pair integrals per block plus a radial rule, built once per call."""
 
     def __init__(self, sol: SeparableSolution, n_radial: int, n_angular: int):
-        self.sol = sol
         p = sol.params
         self.params = p
         self.ball = HalfBallGrid.build(p, n_radial=n_radial, n_angular=n_angular,
                                        R=sol.R)
         grid = self.ball.angular
-        self.grid = grid
         nodes = grid.nodes
         w = grid.weights
         if p.N >= 2:
@@ -122,69 +130,86 @@ class _QuadContext:
             w_pot = None
         self.blocks = []
         for k, terms in sol.blocks().items():
-            pvals = [np.asarray(t.mode.profile(nodes), dtype=float) for t in terms]
-            dvals = [np.asarray(t.mode.profile.deriv(nodes), dtype=float) for t in terms]
-            m = len(terms)
-            A = np.empty((m, m))
-            E = np.empty((m, m))
+            pvals = np.stack([np.asarray(t.mode.profile(nodes), dtype=float) for t in terms])
+            dvals = np.stack([np.asarray(t.mode.profile.deriv(nodes), dtype=float) for t in terms])
             kappa = k * (k + p.N - 2) if p.N >= 2 else 0
-            for i in range(m):
-                for j in range(i, m):
-                    A[i, j] = A[j, i] = float(w @ (pvals[i] * pvals[j]))
-                    energy = float(w @ (dvals[i] * dvals[j]))
-                    if kappa and w_pot is not None:
-                        energy += kappa * float(w_pot @ (pvals[i] * pvals[j]))
-                    E[i, j] = E[j, i] = energy
+            A = _gram(pvals, pvals, w)
+            E = _gram(dvals, dvals, w)
+            if kappa and w_pot is not None:
+                E += kappa * _gram(pvals, pvals, w_pot)
             self.blocks.append((terms, A, E))
 
-    def radial(self, r: float):
-        rho, wr = self.ball.radial_rule(r)
-        if rho[0] == 0.0:     # drop the origin node; its cell mass is negligible
-            rho, wr = rho[1:], wr[1:]
-        return rho, wr
+    def pieces(self, r: np.ndarray) -> np.ndarray:
+        """Rows of `_TermPieces` at every radius of `r`."""
+        acc = np.zeros((8, r.size))
+        for lo in range(0, r.size, QUAD_RADII_PER_PASS):
+            acc[:, lo:lo + QUAD_RADII_PER_PASS] = self._pass(r[lo:lo + QUAD_RADII_PER_PASS])
+        return acc
 
-    def pieces(self, r: float) -> _TermPieces:
-        p = self.params
-        beta = p.N + p.b
-        rho, wr = self.radial(r)
-        acc = np.zeros(8)
+    def _pass(self, r: np.ndarray) -> np.ndarray:
+        """The pieces at a few radii at once, one Gram matrix per block and piece."""
+        beta = self.params.N + self.params.b
+        # the rule at radius r is the base rule scaled by r: one row per radius
+        rho, wr = self.ball.radial_rule(r[:, None])
+        if self.ball.radial_nodes[0] == 0.0:   # drop the origin node; its cell mass is negligible
+            rho, wr = rho[:, 1:], wr[:, 1:]
+        wr_inv2 = wr * rho ** -2.0
+        rb = r ** beta
+        acc = np.zeros((8, r.size))
         for terms, A, E in self.blocks:
-            phi = np.stack([t.phi(rho) for t in terms])
-            dphi = np.stack([t.dphi(rho) for t in terms])
-            phit = np.stack([t.phi_tilde(rho) for t in terms])
-            dphit = np.stack([t.dphi_tilde(rho) for t in terms])
-            inv_rho2 = rho ** -2.0
-            ball_grad = ball_uv = ball_vz = 0.0
-            for i in range(len(terms)):
-                for j in range(len(terms)):
-                    ball_grad += A[i, j] * float(wr @ (dphi[i] * dphi[j] + dphit[i] * dphit[j]))
-                    ball_grad += E[i, j] * float(wr @ ((phi[i] * phi[j] + phit[i] * phit[j]) * inv_rho2))
-                    ball_uv += A[i, j] * float(wr @ (phi[i] * phit[j]))
-                    ball_vz += A[i, j] * float(wr @ (rho * phit[i] * dphi[j]))
-            phi_r = np.array([float(t.phi(r)) for t in terms])
-            dphi_r = np.array([float(t.dphi(r)) for t in terms])
-            phit_r = np.array([float(t.phi_tilde(r)) for t in terms])
-            dphit_r = np.array([float(t.dphi_tilde(r)) for t in terms])
-            rb = r ** beta
-            s_u2 = rb * (phi_r @ A @ phi_r + phit_r @ A @ phit_r)
-            s_uu = rb * (phi_r @ A @ dphi_r + phit_r @ A @ dphit_r)
-            s_grad = rb * (
-                dphi_r @ A @ dphi_r + dphit_r @ A @ dphit_r
-                + (phi_r @ E @ phi_r + phit_r @ E @ phit_r) / r ** 2
-            )
-            s_nu = rb * (dphi_r @ A @ dphi_r + dphit_r @ A @ dphit_r)
-            s_uv = rb * (phi_r @ A @ phit_r)
-            acc += np.array([ball_grad, ball_uv, ball_vz, s_u2, s_uu, s_grad, s_nu, s_uv])
-        return _TermPieces(*acc)
+            # radial parts on the nodes, shaped (radius, term, node)
+            phi = np.stack([t.phi(rho) for t in terms], axis=1)
+            dphi = np.stack([t.dphi(rho) for t in terms], axis=1)
+            phit = np.stack([t.phi_tilde(rho) for t in terms], axis=1)
+            dphit = np.stack([t.dphi_tilde(rho) for t in terms], axis=1)
+            acc[0] += np.sum(A * (_gram(dphi, dphi, wr) + _gram(dphit, dphit, wr))
+                             + E * (_gram(phi, phi, wr_inv2) + _gram(phit, phit, wr_inv2)),
+                             axis=(1, 2))
+            acc[1] += np.sum(A * _gram(phi, phit, wr), axis=(1, 2))
+            acc[2] += np.sum(A * _gram(phit, dphi, wr * rho), axis=(1, 2))
+            # radial parts on the sphere S_r^+, shaped (term, radius)
+            phi_r = np.stack([t.phi(r) for t in terms])
+            dphi_r = np.stack([t.dphi(r) for t in terms])
+            phit_r = np.stack([t.phi_tilde(r) for t in terms])
+            dphit_r = np.stack([t.dphi_tilde(r) for t in terms])
+            acc[3] += rb * (_form(A, phi_r, phi_r) + _form(A, phit_r, phit_r))
+            acc[4] += rb * (_form(A, phi_r, dphi_r) + _form(A, phit_r, dphit_r))
+            acc[5] += rb * (_form(A, dphi_r, dphi_r) + _form(A, dphit_r, dphit_r)
+                            + (_form(E, phi_r, phi_r) + _form(E, phit_r, phit_r)) / r ** 2)
+            acc[6] += rb * (_form(A, dphi_r, dphi_r) + _form(A, dphit_r, dphit_r))
+            acc[7] += rb * _form(A, phi_r, phit_r)
+        return acc
 
 
-def _pieces(sol, r, method, n_radial, n_angular, ctx=None) -> _TermPieces:
-    if method == "closed":
-        return _closed_pieces(sol, r)
-    if method == "quadrature":
-        context = ctx or _QuadContext(sol, n_radial, n_angular)
-        return context.pieces(r)
-    raise DomainError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
+def _pieces(sol, radii, method, n_radial=QUAD_RADIAL, n_angular=QUAD_ANGULAR) -> _TermPieces:
+    """The pieces at every radius of a schedule, in one call of either path."""
+    r = np.asarray(radii, dtype=float)
+    if method not in ("closed", "quadrature"):
+        raise DomainError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        if method == "closed":
+            acc = _closed_pieces(sol, r)
+        else:
+            acc = _QuadContext(sol, n_radial, n_angular).pieces(r)
+    bad = ~np.all(np.isfinite(acc), axis=0)
+    if np.any(bad):
+        raise DomainError(
+            f"frequency pieces are not finite at radius {r[np.argmax(bad)]}; "
+            "the radius or the coefficients are out of range"
+        )
+    return _TermPieces(*acc)
+
+
+def _DH(pc: _TermPieces, r, beta: float):
+    """Scaled energy D and boundary mass H from the pieces."""
+    return r ** (1.0 - beta) * (pc.ball_grad + pc.ball_uv), r ** (-beta) * pc.s_u2
+
+
+def _nu(pc: _TermPieces, r, beta: float):
+    """The two components (nu1, nu2) of N' from the pieces."""
+    nu1 = 2.0 * r * (pc.s_nu * pc.s_u2 - pc.s_uu ** 2) / pc.s_u2 ** 2
+    nu2 = (r * pc.s_uv - 2.0 * pc.ball_v_zgrad - (beta - 1.0) * pc.ball_uv) / pc.s_u2
+    return nu1, nu2
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +224,8 @@ def compute_DH(sol: SeparableSolution, r: float, method: str = "closed",
     if not (0.0 < r <= sol.R * (1 + 1e-12)):
         raise DomainError(f"radius {r} outside (0, {sol.R}]")
     p = sol.params
-    beta = p.N + p.b
-    pieces = _pieces(sol, r, method, n_radial, n_angular)
-    D = r ** (1.0 - beta) * (pieces.ball_grad + pieces.ball_uv)
-    H = r ** (-beta) * pieces.s_u2
+    pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)
+    D, H = _DH(pieces, r, p.N + p.b)
     return float(D), float(H)
 
 
@@ -252,21 +275,12 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed",
     radii = np.asarray(radii, dtype=float)
     p = sol.params
     beta = p.N + p.b
-    ctx = _QuadContext(sol, n_radial, n_angular) if method == "quadrature" else None
-    D = np.empty_like(radii)
-    H = np.empty_like(radii)
-    nu1 = np.empty_like(radii)
-    nu2 = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        pieces = _pieces(sol, r, method, n_radial, n_angular, ctx)
-        D[i] = r ** (1.0 - beta) * (pieces.ball_grad + pieces.ball_uv)
-        H[i] = r ** (-beta) * pieces.s_u2
-        if pieces.s_u2 <= 0.0:
-            raise VanishingDenominatorError(f"H({r}) is not positive")
-        nu1[i] = 2.0 * r * (pieces.s_nu * pieces.s_u2 - pieces.s_uu ** 2) / pieces.s_u2 ** 2
-        nu2[i] = (
-            r * pieces.s_uv - 2.0 * pieces.ball_v_zgrad - (beta - 1.0) * pieces.ball_uv
-        ) / pieces.s_u2
+    pieces = _pieces(sol, radii, method, n_radial, n_angular)
+    vanishing = pieces.s_u2 <= 0.0
+    if np.any(vanishing):
+        raise VanishingDenominatorError(f"H({radii[np.argmax(vanishing)]}) is not positive")
+    D, H = _DH(pieces, radii, beta)
+    nu1, nu2 = _nu(pieces, radii, beta)
     return FrequencyTrace(params=p, r=radii, D=D, H=H, N=D / H, nu1=nu1, nu2=nu2,
                           provenance=method)
 
@@ -277,13 +291,10 @@ def nu_decomposition(sol: SeparableSolution, r: float, method: str = "closed",
     if not (0.0 < r < sol.R):
         raise DomainError(f"radius {r} outside (0, {sol.R})")
     p = sol.params
-    beta = p.N + p.b
-    pieces = _pieces(sol, r, method, n_radial, n_angular)
+    pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)
     if pieces.s_u2 <= 0.0:
         raise VanishingDenominatorError(f"H({r}) is not positive")
-    nu1 = 2.0 * r * (pieces.s_nu * pieces.s_u2 - pieces.s_uu ** 2) / pieces.s_u2 ** 2
-    nu2 = (r * pieces.s_uv - 2.0 * pieces.ball_v_zgrad
-           - (beta - 1.0) * pieces.ball_uv) / pieces.s_u2
+    nu1, nu2 = _nu(pieces, r, p.N + p.b)
     return float(nu1), float(nu2)
 
 
@@ -313,17 +324,17 @@ def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3,
     radii = kw.pop("radii", None)
     if radii is None:
         radii = np.geomspace(sol.R / 2, sol.R / 16, 20)
-    worst = 0.0
-    for r in radii:
-        d = delta_rel * r
-        H_at = {}
-        for j in (-2, -1, 1, 2):
-            _, H_at[j] = compute_DH(sol, r + j * d, method, **kw)
-        D, _ = compute_DH(sol, r, method, **kw)
-        lhs = (-H_at[2] + 8 * H_at[1] - 8 * H_at[-1] + H_at[-2]) / (12.0 * d)
-        rhs = 2.0 * D / r
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return worst
+    r = np.asarray(radii, dtype=float)
+    d = delta_rel * r
+    stencil = r[:, None] + np.arange(-2, 3)[None, :] * d[:, None]
+    if not np.all((stencil > 0.0) & (stencil <= sol.R * (1 + 1e-12))):
+        raise DomainError(f"stencil radii leave (0, {sol.R}]")
+    p = sol.params
+    D, H = _DH(_pieces(sol, stencil.ravel(), method, **kw), stencil.ravel(), p.N + p.b)
+    D, H = D.reshape(stencil.shape), H.reshape(stencil.shape)
+    lhs = (-H[:, 4] + 8 * H[:, 3] - 8 * H[:, 1] + H[:, 0]) / (12.0 * d)
+    rhs = 2.0 * D[:, 2] / r
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), initial=0.0))
 
 
 def check_pohozaev(sol: SeparableSolution, r: float, method: str = "closed",
@@ -335,7 +346,7 @@ def check_pohozaev(sol: SeparableSolution, r: float, method: str = "closed",
         raise DomainError(f"radius {r} outside (0, {sol.R}]")
     p = sol.params
     beta = p.N + p.b
-    pieces = _pieces(sol, r, method, n_radial, n_angular)
+    pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)
     lhs1 = pieces.ball_grad + pieces.ball_uv
     rhs1 = pieces.s_uu
     scale1 = max(abs(lhs1), abs(rhs1), pieces.ball_grad, 1e-300)
@@ -417,7 +428,7 @@ def frequency_limit(target, candidates=None, match_tol: float = 1e-4,
     pool += [(float(c) + 2.0, "sigma_plus_two") for c in candidates]
     kind_value, kind = min(pool, key=lambda cv: abs(gamma - cv[0]))
     gap = abs(gamma - kind_value)
-    if gap > match_tol:
+    if not gap <= match_tol:   # a NaN gap matches nothing
         raise UnmatchedExponentError(
             f"gamma = {gamma:.8f} matches no exponent within {match_tol} "
             f"(closest {kind_value:.8f} [{kind}], gap {gap:.2e})"
@@ -426,7 +437,7 @@ def frequency_limit(target, candidates=None, match_tol: float = 1e-4,
     h_limit, _ = _extrapolate_geometric(tr.r, h_scaled)
     last_decade = h_scaled[tr.r <= tr.r[-1] * 10.0]
     band = (float(last_decade.min() / h_limit), float(last_decade.max() / h_limit))
-    if h_limit <= 0.0:
+    if not h_limit > 0.0:
         raise UnmatchedExponentError(f"limit of r^-2gamma H is {h_limit}; not positive")
     sandwich = float(np.min(tr.H * tr.r ** (-2.0 * kind_value - 0.1)))
     return FrequencyLimitResult(

@@ -72,7 +72,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit_json(cfg: RunConfig, name: str, payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:   # NaN or Infinity: not valid JSON
+        raise DomainError(f"{name} holds a non-finite value: {exc}") from exc
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, name + ".json")
@@ -264,7 +267,7 @@ def _cmd_almgren(args) -> int:
                tr.nu1.tolist(), tr.nu2.tolist())
     _emit_csv(cfg, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
     candidates = sorted({m.sigma_plus for m in modes})
-    limit = almgren_mod.frequency_limit(sol, candidates=candidates)
+    limit = almgren_mod.frequency_limit(tr, candidates=candidates)
     payload = {
         "params": _params_dict(params),
         "gamma": limit.gamma,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,21 +32,24 @@ from .hemisphere import SpectralMode, k_constant, sphere_harmonic_value
 
 @dataclass(frozen=True)
 class Term:
-    """One separable building block (mode, c1, d1) with its radial power laws."""
+    """One separable building block (mode, c1, d1) with its radial power laws.
+
+    sigma, K and e are computed on first use and kept with the term.
+    """
 
     mode: SpectralMode
     c1: float
     d1: float
 
-    @property
+    @cached_property
     def sigma(self) -> float:
         return self.mode.sigma_plus
 
-    @property
+    @cached_property
     def K(self) -> float:
         return k_constant(self.mode.params, self.mode)
 
-    @property
+    @cached_property
     def e(self) -> float:
         """Coefficient of the r^{sigma+2} correction in the U radial part."""
         return self.d1 / self.K if self.d1 != 0.0 else 0.0
@@ -216,7 +220,9 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
 
     `samples` is an iterable of (lambda, phi, phi~) rows covering at least six
     radii spanning a decade.  For each candidate sigma the model is linear in
-    (c1, d1/K); the candidate with minimal relative residual wins.  If every
+    (c1, d1/K); the candidate with minimal relative residual wins.  When
+    phi~ vanishes on every sample, a fit of phi by lam^sigma alone (d1 = 0)
+    is preferred whenever one meets `residual_tol`.  If every
     candidate leaves a relative residual above `residual_tol` a
     ClassificationError reports the failure.
     """
@@ -234,36 +240,43 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     if scale == 0.0:
         raise DomainError("all samples vanish; nothing to classify")
 
-    best = None
-    for sigma in sorted(set(float(s) for s in sigma_candidates)):
+    keep = np.abs(phi) >= 1e-13 * scale
+    keep_v = np.abs(phit) >= 1e-13 * scale
+    total = float(phi @ phi) + float(phit @ phit)
+
+    def fit(sigma, powers):
         K = k_constant(params, sigma * (sigma + params.N + params.b - 1.0))
-        keep = np.abs(phi) >= 1e-13 * scale
-        A = np.column_stack([lam[keep] ** sigma, lam[keep] ** (sigma + 2.0)])
+        A = np.column_stack([lam[keep] ** (sigma + q) for q in powers])
         sol_u, *_ = np.linalg.lstsq(A, phi[keep], rcond=None)
         res_u = phi[keep] - A @ sol_u
-        keep_v = np.abs(phit) >= 1e-13 * scale
+        e_coef = float(sol_u[1]) if len(powers) == 2 else 0.0
         if np.any(keep_v):
             Av = lam[keep_v][:, None] ** sigma
             sol_v, *_ = np.linalg.lstsq(Av, phit[keep_v], rcond=None)
             d1 = float(sol_v[0])
             res_v = phit[keep_v] - Av[:, 0] * d1
         else:
-            d1 = float(sol_u[1]) * K
+            d1 = e_coef * K
             res_v = np.zeros(0)
-        rel = math.sqrt(
-            (float(res_u @ res_u) + float(res_v @ res_v))
-            / (float(phi @ phi) + float(phit @ phit))
-        )
-        if best is None or rel < best[0]:
-            best = (rel, sigma, float(sol_u[0]), float(sol_u[1]), d1, K)
+        rel = math.sqrt((float(res_u @ res_u) + float(res_v @ res_v)) / total)
+        return rel, sigma, float(sol_u[0]), e_coef, d1, K
+
+    sigmas = sorted(set(float(s) for s in sigma_candidates))
+    best = min((fit(sigma, (0.0, 2.0)) for sigma in sigmas), key=lambda f: f[0])
+    if not np.any(keep_v):
+        # phi~ = d1 lam^sigma vanishes on every sample, so d1 = e = 0 whenever
+        # lam^sigma alone explains phi.  Only when no candidate does are the
+        # samples read as the U layer alone, with d1 = e K from the
+        # lam^{sigma+2} coefficient.
+        single = min((fit(sigma, (0.0,)) for sigma in sigmas), key=lambda f: f[0])
+        if single[0] <= residual_tol:
+            best = single
     rel, sigma, c1, e_coef, d1, K = best
-    if rel > residual_tol:
+    if not rel <= residual_tol:
         raise ClassificationError(
             f"no candidate exponent fits the samples; best relative residual {rel:.3e} "
             f"at sigma = {sigma}"
         )
-    if d1 == 0.0 and e_coef != 0.0:
-        d1 = e_coef * K
     lam_ref = float(np.exp(np.mean(np.log(lam))))
     c1_scale = abs(c1) * lam_ref ** sigma
     e_scale = abs(e_coef) * lam_ref ** (sigma + 2.0)

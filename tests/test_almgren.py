@@ -255,3 +255,112 @@ def test_harmonic_syntheses_have_monotone_frequency(p3, rng):
             nu1, nu2 = nu_decomposition(sol, r)
             assert nu2 == 0.0
             assert nu1 >= -1e-14
+
+
+def _multi_block(params):
+    # N >= 2: blocks k = 0 (two terms), k = 1 and k = 2; N = 1: one block of three
+    if params.N == 1:
+        modes = [polynomial_mode(params, s) for s in (0, 1, 2)]
+    else:
+        modes = [polynomial_mode(params, 0), polynomial_mode(params, 1),
+                 polynomial_mode(params, 2), polynomial_mode(params, 2, k=2)]
+    coefs = [(0.7, 1.3), (-0.4, 0.0), (0.5, -0.2), (1.1, 0.6)]
+    return synthesize(params, [(m, c1, d1) for m, (c1, d1) in zip(modes, coefs)])
+
+
+@pytest.mark.parametrize("N, s", [(1, 1.3), (3, 1.25), (4, 1.7)])
+def test_batched_trace_matches_single_radius_traces(N, s):
+    sol = _multi_block(WeightParams(s=s, N=N))
+    # 19 radii: the quadrature path takes them in two passes
+    radii = radius_schedule(1.0, per_decade=6, decades=3.0)
+    for method in ("closed", "quadrature"):
+        whole = trace(sol, radii, method=method)
+        backward = trace(sol, radii[::-1], method=method)
+        singles = [trace(sol, [r], method=method) for r in radii]
+        for name in ("D", "H", "N", "nu1", "nu2"):
+            got = getattr(whole, name)
+            alone = np.array([getattr(t, name)[0] for t in singles])
+            np.testing.assert_allclose(got, alone, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got, getattr(backward, name)[::-1], rtol=1e-13, atol=0.0)
+
+
+def test_gram_quadrature_pieces_match_pair_sums():
+    from almgren_lab.almgren import _QuadContext
+
+    p = WeightParams(s=1.25, N=3)
+    sol = synthesize(p, [(polynomial_mode(p, 0), 0.7, 1.3),
+                         (polynomial_mode(p, 2), 0.4, -0.2),
+                         (polynomial_mode(p, 1), -0.6, 0.9)])
+    ctx = _QuadContext(sol, 64, 128)
+    radii = np.array([0.6, 0.2])
+    got = ctx.pieces(radii)
+    nodes, w = ctx.ball.angular.nodes, ctx.ball.angular.weights
+    off_axis = np.sin(nodes) > 0.0   # the k(k + N - 2)/sin^2 potential skips the pole
+    beta = p.N + p.b
+    for col, r in enumerate(radii):
+        rho, wr = ctx.ball.radial_rule(r)
+        rho, wr = rho[1:], wr[1:]
+        want = np.zeros(8)
+        for k, terms in sol.blocks().items():
+            m = len(terms)
+            A = np.zeros((m, m))
+            E = np.zeros((m, m))
+            for i in range(m):
+                for j in range(m):
+                    pi, pj = terms[i].mode.profile, terms[j].mode.profile
+                    A[i, j] = np.sum(w * pi(nodes) * pj(nodes))
+                    E[i, j] = np.sum(w * pi.deriv(nodes) * pj.deriv(nodes))
+                    x = nodes[off_axis]
+                    E[i, j] += k * (k + 1) * np.sum(w[off_axis] * pi(x) * pj(x) / np.sin(x) ** 2)
+            for i, ti in enumerate(terms):
+                for j, tj in enumerate(terms):
+                    want[0] += A[i, j] * np.sum(wr * (ti.dphi(rho) * tj.dphi(rho)
+                                                      + ti.dphi_tilde(rho) * tj.dphi_tilde(rho)))
+                    want[0] += E[i, j] * np.sum(wr * (ti.phi(rho) * tj.phi(rho)
+                                                      + ti.phi_tilde(rho) * tj.phi_tilde(rho)) / rho ** 2)
+                    want[1] += A[i, j] * np.sum(wr * ti.phi(rho) * tj.phi_tilde(rho))
+                    want[2] += A[i, j] * np.sum(wr * rho * ti.phi_tilde(rho) * tj.dphi(rho))
+                    f, df = ti.phi(r) * tj.phi(r), ti.dphi(r) * tj.dphi(r)
+                    g, dg = ti.phi_tilde(r) * tj.phi_tilde(r), ti.dphi_tilde(r) * tj.dphi_tilde(r)
+                    want[3] += r ** beta * A[i, j] * (f + g)
+                    want[4] += r ** beta * A[i, j] * (ti.phi(r) * tj.dphi(r)
+                                                      + ti.phi_tilde(r) * tj.dphi_tilde(r))
+                    want[5] += r ** beta * (A[i, j] * (df + dg) + E[i, j] * (f + g) / r ** 2)
+                    want[6] += r ** beta * A[i, j] * (df + dg)
+                    want[7] += r ** beta * A[i, j] * ti.phi(r) * tj.phi_tilde(r)
+        np.testing.assert_allclose(got[:, col], want, rtol=1e-12)
+
+
+class _StubMode:
+    """A mode with a prescribed exponent, outside the spectrum on purpose."""
+
+    def __init__(self, params, sigma_plus):
+        self.params, self.sigma_plus, self.mu, self.k = params, sigma_plus, 0.0, 0
+
+    def block_key(self):
+        return 0
+
+
+def test_divergent_exponent_and_vanishing_H_still_raise(p3):
+    from almgren_lab.synthesis import SeparableSolution, Term
+
+    # 2 sigma + N + b - 1 <= 0 with an active c1: the ball integral diverges at 0
+    stub = Term(mode=_StubMode(p3, -1.5), c1=1.0, d1=0.0)
+    divergent = SeparableSolution(params=p3, terms=(stub,), R=1.0)
+    with pytest.raises(DomainError, match="diverges"):
+        trace(divergent, [0.5, 0.1])
+    with pytest.raises(DomainError, match="diverges"):
+        compute_DH(divergent, 0.5)
+    # H = r^{2 sigma} underflows to 0 below 1e-40: the error names the first such radius
+    sol = synthesize(p3, [(polynomial_mode(p3, 2), 1.0, 0.0)])
+    with pytest.raises(VanishingDenominatorError, match=r"H\(1e-50\)"):
+        trace(sol, [0.5, 1e-30, 1e-50, 1e-60])
+    zero = synthesize(p3, [(polynomial_mode(p3, 0), 0.0, 0.0)], allow_zero=True)
+    with pytest.raises(VanishingDenominatorError, match=r"H\(0\.5\)"):
+        trace(zero, [0.5, 0.25])
+
+
+def test_trace_arrays_read_only(mixed):
+    tr = trace(mixed, [0.5, 0.25, 0.125])
+    for arr in (tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2):
+        assert not arr.flags.writeable

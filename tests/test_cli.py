@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import almgren_lab
 from almgren_lab.cli import run
 
 
@@ -150,3 +154,25 @@ def test_selftest(capsys):
     code, out = run_capture(capsys, ["selftest"])
     assert code == 0
     assert "PASS" in out
+
+
+def test_almgren_overflowing_coefficients_exit_2(tmp_path, capsys):
+    # the pieces overflow: the command must fail before it prints any NaN or Infinity
+    spec_path = tmp_path / "huge.json"
+    spec_path.write_text(json.dumps({"params": {"s": 1.25, "N": 3},
+                                     "terms": [{"l": 1, "c1": 1e308, "d1": 1e308}]}))
+    code = run(["almgren", "--spec", str(spec_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip()
+
+
+def test_python_dash_m_selftest():
+    src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "almgren_lab", "selftest"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout[proc.stdout.index("{"):])["ok"] is True

@@ -195,6 +195,20 @@ def test_fit_recovers_synthetic_coefficients(p3):
     assert fit.branch == "sigma_plus" and fit.delta1 == pytest.approx(1.0)
 
 
+
+def test_fit_zero_phi_tilde_reads_d1_zero():
+    # phi~ = 0 on every sample means d1 = 0: phi = 0.9 lam^3 is sigma = 3 with
+    # c1 = 0.9, not sigma = 1 on the sigma + 2 branch with d1 = e K != 0
+    p = WeightParams(s=1.4, N=3)
+    lam = np.geomspace(0.3, 0.02, 10)
+    fit = fit_blowup(np.column_stack([lam, 0.9 * lam ** 3, np.zeros_like(lam)]),
+                     [0.0, 1.0, 2.0, 3.0], p)
+    assert fit.sigma_used == 3.0
+    assert fit.branch == "sigma_plus"
+    assert fit.c1_hat == pytest.approx(0.9, rel=1e-12)
+    assert fit.d1_hat == 0.0
+    assert fit.delta2 is None
+
 def test_fit_degenerate_branch(p3):
     mode = polynomial_mode(p3, 1)
     sol = synthesize(p3, [(mode, 0.0, 1.0)])
