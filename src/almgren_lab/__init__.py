@@ -41,6 +41,7 @@ from .hemisphere import (
     sigma_exponents,
 )
 from .profile import (
+    BesselProfile,
     ProfileSolution,
     build_extension,
     extension_constant,

@@ -216,13 +216,20 @@ def _nu(pc: _TermPieces, r, beta: float):
 # public operations
 
 
+def _check_radii(sol: SeparableSolution, radii) -> None:
+    """Raise for the first radius outside (0, R], allowing R to roundoff."""
+    r = np.asarray(radii, dtype=float)
+    outside = ~((r > 0.0) & (r <= sol.R * (1 + 1e-12)))
+    if np.any(outside):
+        raise DomainError(f"radius {r[np.argmax(outside)]} outside (0, {sol.R}]")
+
+
 def compute_DH(sol: SeparableSolution, r: float, method: str = "closed",
                n_radial: int = QUAD_RADIAL, n_angular: int = QUAD_ANGULAR) -> tuple[float, float]:
     """Scaled energy D(r) and boundary mass H(r) of the solution pair."""
     if sol.is_zero:
         return 0.0, 0.0
-    if not (0.0 < r <= sol.R * (1 + 1e-12)):
-        raise DomainError(f"radius {r} outside (0, {sol.R}]")
+    _check_radii(sol, [r])
     p = sol.params
     pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)
     D, H = _DH(pieces, r, p.N + p.b)
@@ -273,6 +280,7 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed",
     if radii is None:
         radii = radius_schedule(sol.R)
     radii = np.asarray(radii, dtype=float)
+    _check_radii(sol, radii)
     p = sol.params
     beta = p.N + p.b
     pieces = _pieces(sol, radii, method, n_radial, n_angular)
@@ -342,8 +350,7 @@ def check_pohozaev(sol: SeparableSolution, r: float, method: str = "closed",
     """Relative residuals of the two radial-multiplier integral identities."""
     if sol.is_zero:
         return 0.0, 0.0
-    if not (0.0 < r <= sol.R * (1 + 1e-12)):
-        raise DomainError(f"radius {r} outside (0, {sol.R}]")
+    _check_radii(sol, [r])
     p = sol.params
     beta = p.N + p.b
     pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import almgren as almgren_mod
 from . import core, cylinder, hemisphere, inequalities, profile, synthesis
-from .core import AlmgrenLabError, DomainError, WeightParams
+from .core import AlmgrenLabError, DomainError, InputError, WeightParams
 
 SCHEMA = "almgren-lab/1"
 _NUMERIC_FAILURES = (
@@ -210,18 +210,51 @@ def _load_modes(params, cfg, need: int):
     )
 
 
+def _spec_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _read_spec(path: str, cfg: RunConfig):
+    """Parameters and (l, c1, d1) terms of a JSON spec, checked before any eigensolve."""
+    with open(path) as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise InputError("spec must be a JSON object")
+    p = spec.get("params", {})
+    if not isinstance(p, dict):
+        raise InputError("spec params must be a JSON object")
+    params = WeightParams(s=_spec_number(p.get("s", cfg.s), "params.s"),
+                          N=_spec_number(p.get("N", cfg.N), "params.N"),
+                          R=_spec_number(p.get("R", cfg.R), "params.R"))
+    entries = spec.get("terms")
+    if not isinstance(entries, list) or not entries:
+        raise InputError("spec needs a non-empty list of terms")
+    terms = []
+    for i, t in enumerate(entries):
+        if not isinstance(t, dict):
+            raise InputError(f"term {i} must be a JSON object")
+        ell = t.get("l")
+        if isinstance(ell, bool) or not isinstance(ell, int) or ell < 0:
+            raise InputError(f"term {i}: l must be a non-negative integer, got {ell!r}")
+        terms.append((ell, _spec_number(t.get("c1", 0.0), f"term {i}: c1"),
+                      _spec_number(t.get("d1", 0.0), f"term {i}: d1")))
+    return params, terms
+
+
+def _spec_solution(path: str, cfg: RunConfig):
+    """The modes a checked spec indexes and the solution it synthesizes."""
+    params, terms = _read_spec(path, cfg)
+    modes = _load_modes(params, cfg, max(t[0] for t in terms) + 1)
+    return modes, synthesis.synthesize(params, terms, modes=modes)
+
+
 def _cmd_synthesize(args) -> int:
     cfg = _merge_config(args)
-    with open(args.spec) as fh:
-        spec = json.load(fh)
-    p = spec.get("params", {})
-    params = WeightParams(s=p.get("s", cfg.s), N=p.get("N", cfg.N), R=p.get("R", cfg.R))
-    terms = [(t["l"], t.get("c1", 0.0), t.get("d1", 0.0)) for t in spec["terms"]]
-    need = max(t[0] for t in terms) + 1
-    modes = _load_modes(params, cfg, need)
-    sol = synthesis.synthesize(params, terms, modes=modes)
+    _, sol = _spec_solution(args.spec, cfg)
     payload = {
-        "params": _params_dict(params),
+        "params": _params_dict(sol.params),
         "terms": [
             {"l": t.mode.ell, "k": t.mode.k, "mu": t.mode.mu,
              "sigma_plus": t.sigma, "K": t.K if t.d1 else None,
@@ -253,14 +286,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_almgren(args) -> int:
     cfg = _merge_config(args)
-    with open(args.spec) as fh:
-        spec = json.load(fh)
-    p = spec.get("params", {})
-    params = WeightParams(s=p.get("s", cfg.s), N=p.get("N", cfg.N), R=p.get("R", cfg.R))
-    terms = [(t["l"], t.get("c1", 0.0), t.get("d1", 0.0)) for t in spec["terms"]]
-    need = max(t[0] for t in terms) + 1
-    modes = _load_modes(params, cfg, need)
-    sol = synthesis.synthesize(params, terms, modes=modes)
+    modes, sol = _spec_solution(args.spec, cfg)
     radii = almgren_mod.radius_schedule(sol.R)
     tr = almgren_mod.trace(sol, radii)
     rows = zip(tr.r.tolist(), tr.D.tolist(), tr.H.tolist(), tr.N.tolist(),
@@ -269,7 +295,7 @@ def _cmd_almgren(args) -> int:
     candidates = sorted({m.sigma_plus for m in modes})
     limit = almgren_mod.frequency_limit(tr, candidates=candidates)
     payload = {
-        "params": _params_dict(params),
+        "params": _params_dict(sol.params),
         "gamma": limit.gamma,
         "matched_exponent": limit.matched.value,
         "matched_branch": limit.matched.kind,

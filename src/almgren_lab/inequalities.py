@@ -118,6 +118,26 @@ def _chi_second(s):
     return out
 
 
+class QuadraticField:
+    """Quadratic polynomial a0 + a1 q^2 + a2 t^2 (meant to sit under a cutoff)."""
+
+    def __init__(self, a0, a1, a2):
+        self.a = (a0, a1, a2)
+
+    def value(self, q, t):
+        a0, a1, a2 = self.a
+        return a0 + a1 * np.asarray(q, dtype=float) ** 2 + a2 * np.asarray(t, dtype=float) ** 2
+
+    def grad(self, q, t):
+        _, a1, a2 = self.a
+        return 2 * a1 * np.asarray(q, dtype=float), 2 * a2 * np.asarray(t, dtype=float)
+
+    def lap_b(self, q, t, params: WeightParams):
+        _, a1, a2 = self.a
+        shape = np.broadcast(np.asarray(q), np.asarray(t)).shape
+        return np.full(shape, 2 * a1 * params.N + a2 * (2 + 2 * params.b))
+
+
 class CutoffField:
     """Inner field times the smooth radial cutoff chi(|z| / rho0)."""
 
@@ -232,24 +252,7 @@ class TestFamily:
                 sigma = int(rng.choice(sigmas))
                 fld = SeparableModeField(self.params, sigma, c1=rng.uniform(0.5, 2.0))
             elif self.kind == "poly":
-                class _Quad:
-                    def __init__(self, a0, a1, a2):
-                        self.a = (a0, a1, a2)
-
-                    def value(self, q, t):
-                        a0, a1, a2 = self.a
-                        return a0 + a1 * np.asarray(q, dtype=float) ** 2 + a2 * np.asarray(t, dtype=float) ** 2
-
-                    def grad(self, q, t):
-                        _, a1, a2 = self.a
-                        return 2 * a1 * np.asarray(q, dtype=float), 2 * a2 * np.asarray(t, dtype=float)
-
-                    def lap_b(self, q, t, params):
-                        _, a1, a2 = self.a
-                        shape = np.broadcast(np.asarray(q), np.asarray(t)).shape
-                        return np.full(shape, 2 * a1 * params.N + a2 * (2 + 2 * params.b))
-
-                inner = _Quad(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+                inner = QuadraticField(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
                 fld = CutoffField(inner, self.cutoff_radius or 0.8 * self.scale)
             else:
                 raise DomainError(f"unknown family kind {self.kind!r}")

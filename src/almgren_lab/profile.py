@@ -10,6 +10,11 @@ t^{alpha -/+ 1/2} e^{-t}, which removes the boundary-layer pollution a hard
 zero at T_max would cause.  The resulting normal equations are a banded
 symmetric positive-definite system solved by a sparse direct factorization.
 
+The minimizer also has a closed form (R. Yang, arXiv:1302.4413): with
+s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
+`BesselProfile` evaluates it and is the profile the extension uses;
+`solve_profile` stays as the independent finite-volume cross-check.
+
 The extension of a torus sample u is built frequency-wise as
 Uhat(xi, t) = uhat(xi) phi(|xi| t).
 """
@@ -23,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
+from scipy.special import gamma, kv
 
 from .core import (
     DomainError,
@@ -103,9 +109,82 @@ class ProfileSolution:
         return float(coef[0])
 
 
+def _power_bessel(order: float, tau, coef: float, at_zero: float):
+    """coef t^order K_order(t), continued by its limit at 0 and by 0 past underflow.
+
+    Negative t stays NaN.
+    """
+    t = np.asarray(tau, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = coef * t ** order * kv(order, t)
+    out = np.where(np.isfinite(out) | (t < 0.0), out, np.where(t < 1.0, at_zero, 0.0))
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class BesselProfile:
+    """Closed-form profile phi(t) = c t^s K_s(t) with c = 2^{1-s} / Gamma(s).
+
+    zeta = D_b phi - phi = -2c t^{s-1} K_{s-1}(t), so zeta(0+) = -1/(s-1),
+    and J = C_b = 2 pi (s-1) c^2 / sin(pi (s-1)) (Gradshteyn-Ryzhik 6.576.4).
+    Evaluates like a `ProfileSolution` (phi_at, zeta_at, zeta_at_zero, J).
+    """
+
+    b: float
+
+    def __post_init__(self):
+        if not (-1.0 < self.b < 1.0):
+            raise DomainError(f"weight exponent b must lie in (-1, 1), got {self.b}")
+
+    @property
+    def alpha(self) -> float:
+        return (1.0 - self.b) / 2.0
+
+    @property
+    def s(self) -> float:
+        return (3.0 - self.b) / 2.0
+
+    @property
+    def c(self) -> float:
+        return 2.0 ** (1.0 - self.s) / gamma(self.s)
+
+    @property
+    def J(self) -> float:
+        a = self.alpha
+        return 2.0 * math.pi * a * self.c ** 2 / math.sin(math.pi * a)
+
+    def phi_at(self, tau):
+        return _power_bessel(self.s, tau, self.c, 1.0)
+
+    def zeta_at(self, tau):
+        return _power_bessel(self.alpha, tau, -2.0 * self.c, self.zeta_at_zero())
+
+    def zeta_at_zero(self) -> float:
+        return -1.0 / self.alpha
+
+
 def _cell_masses_tb(b: float, faces: np.ndarray) -> np.ndarray:
     prim = faces ** (b + 1.0) / (b + 1.0)
     return np.diff(prim)
+
+
+def _flux_laplacian(a_face: np.ndarray, h: float, masses: np.ndarray) -> sp.csr_matrix:
+    """Tridiagonal flux-form Laplacian; face i + 1/2 (a_face[i + 1]) couples nodes i, i + 1."""
+    hm = h * masses
+    inner = a_face[1:-1]
+    return sp.diags([inner / hm[1:], -(a_face[:-1] + a_face[1:]) / hm, inner / hm[:-1]],
+                    [-1, 0, 1], format="csr")
+
+
+def _constrained_basis(rows: int, free, tail, g1, g2) -> sp.csr_matrix:
+    """Columns: a unit vector per free node, then the tail shapes g1 and g2."""
+    k = free.size
+    return sp.csr_matrix(
+        (np.concatenate([np.ones(k), g1, g2]),
+         (np.concatenate([free, tail, tail]),
+          np.concatenate([np.arange(k), np.full(tail.size, k), np.full(tail.size, k + 1)]))),
+        shape=(rows, k + 2),
+    )
 
 
 def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> ProfileSolution:
@@ -124,15 +203,7 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     a_face = np.zeros(n + 2)
     a_face[1:-1] = (t[:-1] + h / 2.0) ** b  # interior faces; end fluxes are zero
 
-    rows, cols, vals = [], [], []
-    for i in range(n + 1):
-        al, ar = a_face[i], a_face[i + 1]
-        if i > 0:
-            rows.append(i); cols.append(i - 1); vals.append(al / (h * masses[i]))
-        rows.append(i); cols.append(i); vals.append(-(al + ar) / (h * masses[i]))
-        if i < n:
-            rows.append(i); cols.append(i + 1); vals.append(ar / (h * masses[i]))
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+    L = _flux_laplacian(a_face, h, masses)
     D = (L - sp.identity(n + 1, format="csr")).tocsr()
     W = sp.diags(masses)
 
@@ -142,13 +213,7 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     free = np.arange(1, tail[0])
     g1 = (t[tail] / t0) ** (alpha - 0.5) * np.exp(-(t[tail] - t0))
     g2 = (t[tail] / t0) ** (alpha + 0.5) * np.exp(-(t[tail] - t0))
-    ncols = free.size + 2
-    C = sp.lil_matrix((n + 1, ncols))
-    for j, i in enumerate(free):
-        C[i, j] = 1.0
-    C[tail, free.size] = g1[:, None]
-    C[tail, free.size + 1] = g2[:, None]
-    C = C.tocsr()
+    C = _constrained_basis(n + 1, free, tail, g1, g2)
     e0 = np.zeros(n + 1)
     e0[0] = 1.0
 
@@ -195,8 +260,8 @@ def _cached_profile(b: float) -> ProfileSolution:
 
 
 def extension_constant(b: float) -> float:
-    """C_b = J(phi) for the minimizing profile; cached per b."""
-    return _cached_profile(float(b)).J
+    """C_b = J(phi) for the minimizing profile, in closed form."""
+    return BesselProfile(float(b)).J
 
 
 def _frequency_grid(shape: tuple[int, ...], box_length: float) -> np.ndarray:
@@ -228,12 +293,13 @@ def build_extension(
     u: np.ndarray,
     t_levels,
     box_length: float = 2.0 * math.pi,
-    profile: ProfileSolution | None = None,
+    profile: ProfileSolution | BesselProfile | None = None,
 ) -> np.ndarray:
     """Extension levels U(., t) of a real torus sample u, frequency by frequency.
 
     Returns an array of shape (len(t_levels),) + u.shape; the zero frequency
-    is constant in t and U(., 0) = u exactly since phi(0) = 1.
+    is constant in t and U(., 0) = u exactly since phi(0) = 1.  The profile
+    defaults to the closed form `BesselProfile`.
     """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
@@ -241,7 +307,7 @@ def build_extension(
     t_levels = np.asarray(t_levels, dtype=float)
     if np.any(t_levels < 0):
         raise DomainError("t levels must be nonnegative")
-    prof = profile or _cached_profile(params.b)
+    prof = profile or BesselProfile(params.b)
     u_hat = np.fft.fftn(u)
     _check_bandlimit(u_hat, u.shape)
     xi = _frequency_grid(u.shape, box_length)
@@ -256,7 +322,7 @@ def extension_energy_identity(
     params: WeightParams,
     u: np.ndarray,
     box_length: float = 2.0 * math.pi,
-    profile: ProfileSolution | None = None,
+    profile: ProfileSolution | BesselProfile | None = None,
     t_max: float = 30.0,
     n_t: int = 400,
 ) -> tuple[float, float]:
@@ -269,7 +335,7 @@ def extension_energy_identity(
     torus truncation and quadrature error.
     """
     u = np.asarray(u, dtype=float)
-    prof = profile or _cached_profile(params.b)
+    prof = profile or BesselProfile(params.b)
     u_hat = np.fft.fftn(u)
     _check_bandlimit(u_hat, u.shape)
     xi = _frequency_grid(u.shape, box_length)
@@ -303,7 +369,8 @@ def trace_laplacian_check(
     construction is exact.  The limit is taken per frequency by extrapolating
     zeta(|xi| t) from three small positive t levels, so the reported spread
     measures genuine profile-interpolation error.  Raises when the spread
-    exceeds 5%.
+    exceeds 5%.  By default it runs on the finite-volume profile: on the
+    closed form the check would be exact and would measure nothing.
     """
     u = np.asarray(u, dtype=float)
     prof = profile or _cached_profile(params.b)

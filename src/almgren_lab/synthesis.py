@@ -116,6 +116,8 @@ def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False)
         if isinstance(mode, (int, np.integer)):
             if modes is None:
                 raise InputError("integer mode references require the modes list")
+            if not 0 <= mode < len(modes):
+                raise InputError(f"mode index {mode} is out of range for {len(modes)} modes")
             mode = modes[int(mode)]
         if mode.params != params:
             raise InputError("mode parameters do not match the synthesis parameters")

@@ -364,3 +364,18 @@ def test_trace_arrays_read_only(mixed):
     tr = trace(mixed, [0.5, 0.25, 0.125])
     for arr in (tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("radii, bad", [([5.0], "5.0"), ([0.5, 0.0], "0.0"),
+                                        ([-0.5, 0.25], "-0.5"), ([0.5, np.nan], "nan"),
+                                        ([1.0 + 1e-9], "1.000000001")])
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_trace_rejects_radii_outside_the_ball(mixed, radii, bad, method):
+    with pytest.raises(DomainError, match=rf"radius {bad} outside \(0, 1\.0\]"):
+        trace(mixed, radii, method=method)
+
+
+def test_trace_accepts_radius_R(mixed):
+    tr = trace(mixed, [1.0, 0.5])
+    D, H = compute_DH(mixed, 1.0)
+    assert tr.D[0] == pytest.approx(D, rel=1e-14) and tr.H[0] == pytest.approx(H, rel=1e-14)

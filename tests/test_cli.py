@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import almgren_lab
+from almgren_lab import cli
 from almgren_lab.cli import run
 
 
@@ -166,6 +167,57 @@ def test_almgren_overflowing_coefficients_exit_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.strip()
+
+
+_MALFORMED_SPECS = {
+    "terms empty": {"params": {"s": 1.25, "N": 3}, "terms": []},
+    "terms missing": {"params": {"s": 1.25, "N": 3}},
+    "terms not a list": {"params": {"s": 1.25, "N": 3}, "terms": {"l": 1}},
+    "term not an object": {"params": {"s": 1.25, "N": 3}, "terms": [1]},
+    "l missing": {"params": {"s": 1.25, "N": 3}, "terms": [{"c1": 1.0}]},
+    "l negative": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": -1, "c1": 1.0}]},
+    "l float": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1.0, "c1": 1.0}]},
+    "l bool": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": True, "c1": 1.0}]},
+    "l string": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": "1", "c1": 1.0}]},
+    "c1 string": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "c1": "x"}]},
+    "c1 bool": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "c1": False}]},
+    "c1 nan": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "c1": math.nan}]},
+    "d1 inf": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "d1": math.inf}]},
+    "s string": {"params": {"s": "x", "N": 3}, "terms": [{"l": 1, "c1": 1.0}]},
+    "params not an object": {"params": [1.25, 3], "terms": [{"l": 1, "c1": 1.0}]},
+    "spec not an object": [{"l": 1, "c1": 1.0}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SPECS))
+@pytest.mark.parametrize("command", ["synthesize", "almgren"])
+def test_malformed_spec_exits_2_before_any_eigensolve(tmp_path, capsys, monkeypatch,
+                                                      command, case):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("the spec reached the eigensolver")
+
+    monkeypatch.setattr(cli, "_load_modes", no_eigensolve)
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(_MALFORMED_SPECS[case]))
+    code = run([command, "--spec", str(spec_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "almgren"])
+def test_spec_index_past_the_mode_list_exits_2(tmp_path, capsys, monkeypatch, command):
+    load = cli._load_modes
+    monkeypatch.setattr(cli, "_load_modes", lambda *a: load(*a)[:2])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"params": {"s": 1.25, "N": 3},
+                                     "terms": [{"l": 2, "c1": 1.0}]}))
+    code = run([command, "--spec", str(spec_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "out of range for 2 modes" in captured.err
 
 
 def test_python_dash_m_selftest():

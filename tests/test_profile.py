@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
@@ -16,7 +19,13 @@ from almgren_lab import (
     solve_profile,
     trace_laplacian_check,
 )
-from almgren_lab.profile import extension_energy_identity
+from almgren_lab.profile import (
+    BesselProfile,
+    _cached_profile,
+    _constrained_basis,
+    _flux_laplacian,
+    extension_energy_identity,
+)
 
 
 def phi_oracle(b, t):
@@ -153,6 +162,8 @@ def test_weighted_flux_vanishes_at_zero(sol_b0):
 
 def test_extension_constant_cached_and_continuous():
     assert extension_constant(0.0) == pytest.approx(2.0, abs=1e-5)
+    for b in (-0.8, -0.2, 0.5, 0.9):   # the closed form C_b
+        assert extension_constant(b) == pytest.approx(constant_oracle(b), rel=1e-13)
     assert extension_constant(0.0) is extension_constant(0.0) or True  # cached call
     c0 = extension_constant(0.0)
     c1 = extension_constant(0.01)
@@ -247,3 +258,114 @@ def test_trace_spread_guard():
     u = np.exp(-((X - math.pi) ** 2 + (Y - math.pi) ** 2) / 1.2)
     with pytest.raises(TraceProportionalityError):
         trace_laplacian_check(p, u, profile=bad)
+
+
+@pytest.mark.parametrize("b", [-0.8, -0.5, 0.0, 0.4, 0.8])
+def test_closed_form_profile_matches_fv_minimizer(b):
+    closed = BesselProfile(b)
+    sol = solve_profile(b)
+    assert np.max(np.abs(closed.phi_at(sol.t) - sol.phi)) <= 3e-6
+    assert abs(closed.J - sol.J) <= 3e-6 * closed.J
+    assert closed.J == pytest.approx(constant_oracle(b), rel=1e-13)
+    assert_allclose(closed.phi_at(sol.t), phi_oracle(b, sol.t), rtol=1e-13, atol=1e-300)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.floats(min_value=1.05, max_value=1.95, exclude_min=True, exclude_max=True))
+def test_closed_form_profile_matches_fv_minimizer_in_s(s):
+    b = 3.0 - 2.0 * s
+    closed = BesselProfile(b)
+    sol = solve_profile(b)
+    assert np.max(np.abs(closed.phi_at(sol.t) - sol.phi)) <= 3e-6
+    assert abs(closed.J - sol.J) <= 3e-6 * closed.J
+
+
+@pytest.mark.parametrize("b", [-0.8, -0.5, 0.0, 0.4, 0.8])
+def test_closed_form_zeta_at_zero(b):
+    closed = BesselProfile(b)
+    s = (3.0 - b) / 2.0
+    assert closed.zeta_at_zero() == pytest.approx(-1.0 / (s - 1.0), rel=1e-15)
+    assert closed.zeta_at(0.0) == closed.zeta_at_zero()
+    assert closed.phi_at(0.0) == 1.0
+    # zeta(t) - zeta(0) = O(t^{2(s-1)}): a clear approach for s - 1 >= 1/2
+    if s >= 1.5:
+        assert closed.zeta_at(1e-12) == pytest.approx(closed.zeta_at_zero(), rel=1e-11)
+
+
+def test_closed_form_b0_and_far_field():
+    closed = BesselProfile(0.0)
+    t = np.linspace(0.0, 30.0, 61)
+    assert_allclose(closed.phi_at(t), (1.0 + t) * np.exp(-t), rtol=1e-14, atol=1e-300)
+    assert_allclose(closed.zeta_at(t), -2.0 * np.exp(-t), rtol=1e-14, atol=1e-300)
+    assert closed.J == pytest.approx(2.0, rel=1e-15)
+    assert closed.phi_at(1e6) == 0.0 and closed.zeta_at(np.inf) == 0.0
+    assert np.isnan(closed.phi_at(-1.0))
+    with pytest.raises(DomainError):
+        BesselProfile(1.0)
+
+
+def _same_csr(a, b):
+    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+def test_vectorised_assembly_equals_loop_assembly():
+    # the triplet loop and lil assignments the vectorised builders replaced
+    rng = np.random.default_rng(5)
+    n, h = 40, 0.3
+    a_face = np.concatenate([[0.0], rng.uniform(0.5, 2.0, n), [0.0]])
+    masses = rng.uniform(0.1, 1.0, n + 1)
+    rows, cols, vals = [], [], []
+    for i in range(n + 1):
+        al, ar = a_face[i], a_face[i + 1]
+        if i > 0:
+            rows.append(i); cols.append(i - 1); vals.append(al / (h * masses[i]))
+        rows.append(i); cols.append(i); vals.append(-(al + ar) / (h * masses[i]))
+        if i < n:
+            rows.append(i); cols.append(i + 1); vals.append(ar / (h * masses[i]))
+    L_loop = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+    assert _same_csr(_flux_laplacian(a_face, h, masses), L_loop)
+
+    tail = np.arange(33, n + 1)
+    free = np.arange(1, tail[0])
+    g1, g2 = rng.uniform(0.1, 1.0, tail.size), rng.uniform(0.1, 1.0, tail.size)
+    C_loop = sp.lil_matrix((n + 1, free.size + 2))
+    for j, i in enumerate(free):
+        C_loop[i, j] = 1.0
+    C_loop[tail, free.size] = g1[:, None]
+    C_loop[tail, free.size + 1] = g2[:, None]
+    assert _same_csr(_constrained_basis(n + 1, free, tail, g1, g2), C_loop.tocsr())
+
+
+def test_solve_profile_b0_constant_pinned(sol_b0):
+    # the value of the sparse assembly this code replaced: same matrices, same J
+    assert sol_b0.J == pytest.approx(1.9999994635632896, rel=1e-13)
+
+
+@pytest.mark.parametrize("b, N", [(0.0, 1), (-0.5, 2), (0.6, 1)])
+def test_build_extension_defaults_to_closed_form(b, N):
+    p = WeightParams.from_b(b, N)
+    n = 24
+    x = np.arange(n) * 2 * math.pi / n
+    grids = np.meshgrid(*([x] * N), indexing="ij")
+    u = np.exp(sum(np.cos(g) for g in grids)) - 1.5 * np.sin(2 * grids[0])
+    levels = [0.0, 0.3, 1.7]
+    U = build_extension(p, u, levels)
+    axes = [np.fft.fftfreq(n, d=1.0 / n)] * N
+    xi = np.sqrt(sum(m ** 2 for m in np.meshgrid(*axes, indexing="ij")))
+    u_hat = np.fft.fftn(u)
+    for i, tl in enumerate(levels):
+        mult = phi_oracle(b, xi * tl)
+        assert_allclose(U[i], np.real(np.fft.ifftn(u_hat * mult)), rtol=0, atol=1e-13)
+
+
+def test_trace_check_keeps_fv_profile():
+    # criterion 5 measures the finite-volume profile, not the closed form
+    p = WeightParams(s=1.5, N=2)
+    n = 32
+    x = np.arange(n) * 2 * math.pi / n
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    u = np.exp(-((X - math.pi) ** 2 + (Y - math.pi) ** 2) / 1.2)
+    assert trace_laplacian_check(p, u) == trace_laplacian_check(p, u, profile=_cached_profile(0.0))
+    kappa, _ = trace_laplacian_check(p, u)
+    assert kappa != 2.0

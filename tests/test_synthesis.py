@@ -7,6 +7,7 @@ from almgren_lab import (
     AngularGrid1D,
     ClassificationError,
     DomainError,
+    InputError,
     WeightParams,
     eval_solution,
     fit_blowup,
@@ -102,6 +103,13 @@ def test_zero_solution_requires_flag(p3):
         synthesize(p3, [(mode, 0.0, 0.0)])
     sol = synthesize(p3, [(mode, 0.0, 0.0)], allow_zero=True)
     assert sol.is_zero
+
+
+@pytest.mark.parametrize("index", [2, 7, -1])
+def test_integer_mode_index_out_of_range(p3, index):
+    modes = [polynomial_mode(p3, 0), polynomial_mode(p3, 1)]
+    with pytest.raises(InputError, match="out of range for 2 modes"):
+        synthesize(p3, [(index, 1.0, 0.0)], modes=modes)
 
 
 def test_duplicate_modes_merge(p3):
