@@ -308,7 +308,8 @@ def _cmd_almgren(args) -> int:
 def _cmd_check_inequalities(args) -> int:
     cfg = _merge_config(args)
     params = cfg.params()
-    margins = []
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     if args.which == "hardy":
         family = inequalities.TestFamily(params=params, kind="bumps",
                                          count=args.count, seed=cfg.seed)

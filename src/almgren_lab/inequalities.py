@@ -18,14 +18,22 @@ import numpy as np
 from .core import (
     AngularGrid1D,
     DomainError,
+    InputError,
     RegimeError,
     WeightParams,
     angle_to_xt,
+    gauss_jacobi,
     graded_breaks,
     power_rule,
     unit_sphere_area,
 )
 from .hemisphere import polynomial_mode
+
+# Gauss-Jacobi node counts per axis.  Both axes doubled move every family's
+# margin by <= 4e-9 of its leading side (N = 1..4); the radial count is set by
+# the smooth cut-off, whose flat edge converges slowest.
+DEFAULT_RADIAL_NODES = 192
+DEFAULT_ANGULAR_NODES = 32
 
 
 class GaussianBumps:
@@ -269,68 +277,104 @@ def critical_exponent(params: WeightParams) -> float:
     return 2.0 * params.N / denom
 
 
-def _ball_integral(params, sampler, r, extra_power: float,
-                   n_radial: int, n_angular: int) -> float:
-    """int_0^r rho^{N+b+extra} [bare-angular integral of sampler] drho."""
-    ang = AngularGrid1D.for_params(params, n_angular)
-    breaks = graded_breaks(1.0, n_radial, grade_start=True)
-    p = params.N + params.b + extra_power
-    if p <= -1.0:
-        raise DomainError(f"radial exponent {p} is not integrable at 0")
-    nodes, weights = power_rule(breaks, p)
-    rho = nodes * r
-    wr = weights * r ** (p + 1.0)
-    q, t = angle_to_xt(params, rho[:, None], ang.nodes[None, :])
-    vals = sampler(q, t)
-    inner = vals @ ang.weights
-    return float(ang.area_factor * (wr @ inner))
+def _check_radius(radius: float) -> None:
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"radius must be positive and finite, got {radius}")
+
+
+class _Rules:
+    """Gauss-Jacobi rules of one margin call, built once and shared by its integrals.
+
+    The radial rule carries rho^{N+b+extra} on [0, 1]; the angular rule is
+    `AngularGrid1D.gauss`.  Both reject node counts below 1 with `DomainError`.
+    """
+
+    def __init__(self, params: WeightParams, extra_power: float,
+                 n_radial: int, n_angular: int):
+        self.params = params
+        self.p = params.N + params.b + extra_power
+        self.radial = gauss_jacobi(n_radial, self.p)
+        self.angular = AngularGrid1D.gauss(params.N, params.b, n_angular)
+
+    def ball(self, sampler, r: float, rho_power: int = 0) -> float:
+        """int_{B_r^+} t^b rho^{extra + rho_power} sampler dz."""
+        x, w = self.radial
+        rho = (x * r)[:, None]
+        q, t = angle_to_xt(self.params, rho, self.angular.nodes[None, :])
+        vals = _finite(sampler(q, t))
+        if rho_power:
+            vals = vals * rho ** rho_power
+        inner = vals @ self.angular.weights
+        return float(self.angular.area_factor * r ** (self.p + 1.0) * (w @ inner))
+
+    def sphere(self, sampler, r: float) -> float:
+        """int_{S_r^+} t^b sampler dS."""
+        ang = self.angular
+        q, t = angle_to_xt(self.params, r, ang.nodes)
+        vals = _finite(sampler(q, t))
+        return float(r ** (self.params.N + self.params.b) * ang.area_factor * (ang.weights @ vals))
+
+
+def _finite(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise InputError("non-finite field sample")
+    return values
+
+
+def _grad2(field):
+    def sampler(q, t):
+        gq, gt = field.grad(q, t)
+        return gq ** 2 + gt ** 2
+    return sampler
+
+
+def _value2(field):
+    return lambda q, t: field.value(q, t) ** 2
 
 
 def check_hardy_trace(params: WeightParams, field, r: float,
-                      n_radial: int = 256, n_angular: int = 512) -> float:
+                      n_radial: int = DEFAULT_RADIAL_NODES,
+                      n_angular: int = DEFAULT_ANGULAR_NODES) -> float:
     """Margin (RHS - LHS) of the boundary Hardy inequality on B_r^+.
 
     LHS = ((N+b-1)/(2r))^2 int t^b U^2, RHS = int t^b |grad U|^2 +
     (N+b-1)/(2r) int_{S_r^+} t^b U^2.  A nonnegative margin (up to roundoff)
-    verifies the inequality for this field.
+    verifies the inequality for this field.  `n_radial` and `n_angular` are
+    Gauss-Jacobi node counts per axis.
     """
-    beta1 = params.N + params.b - 1.0
-    i_u2 = _ball_integral(params, lambda q, t: field.value(q, t) ** 2, r, 0.0,
-                          n_radial, n_angular)
-    def grad2(q, t):
-        gq, gt = field.grad(q, t)
-        return gq ** 2 + gt ** 2
-    i_grad = _ball_integral(params, grad2, r, 0.0, n_radial, n_angular)
-    ang = AngularGrid1D.for_params(params, n_angular)
-    q, t = angle_to_xt(params, r, ang.nodes)
-    surf = float(ang.area_factor * (ang.weights @ (field.value(q, t) ** 2)))
-    i_surf = r ** (params.N + params.b) * surf
-    return i_grad + beta1 / (2.0 * r) * i_surf - (beta1 / (2.0 * r)) ** 2 * i_u2
+    _check_radius(r)
+    k = (params.N + params.b - 1.0) / (2.0 * r)
+    rules = _Rules(params, 0.0, n_radial, n_angular)
+    i_u2 = rules.ball(_value2(field), r)
+    i_grad = rules.ball(_grad2(field), r)
+    i_surf = rules.sphere(_value2(field), r)
+    return i_grad + k * i_surf - k ** 2 * i_u2
 
 
 def check_hardy_rellich(params: WeightParams, field, support_radius: float,
-                        n_radial: int = 256, n_angular: int = 512) -> float:
+                        n_radial: int = DEFAULT_RADIAL_NODES,
+                        n_angular: int = DEFAULT_ANGULAR_NODES) -> float:
     """Margin of the second-order Hardy-Rellich inequality for a compact field.
 
     Requires the regime N > 2s and a field with lap_b coded; the field must
-    vanish near |z| = support_radius (use a cutoff).
+    vanish near |z| = support_radius (use a cutoff).  All three integrals share
+    one radial rule for rho^{N+b-4}; rho^4 and rho^2 go into the samplers.
     """
     if not params.paper_regime:
         raise RegimeError(f"Hardy-Rellich requires N > 2s (N = {params.N}, s = {params.s})")
+    _check_radius(support_radius)
     gap = params.N - 2.0 * params.s
-    i_lap = _ball_integral(params, lambda q, t: field.lap_b(q, t, params) ** 2,
-                           support_radius, 0.0, n_radial, n_angular)
-    i_u2w = _ball_integral(params, lambda q, t: field.value(q, t) ** 2,
-                           support_radius, -4.0, n_radial, n_angular)
-    def grad2(q, t):
-        gq, gt = field.grad(q, t)
-        return gq ** 2 + gt ** 2
-    i_gradw = _ball_integral(params, grad2, support_radius, -2.0, n_radial, n_angular)
+    rules = _Rules(params, -4.0, n_radial, n_angular)
+    i_lap = rules.ball(lambda q, t: field.lap_b(q, t, params) ** 2, support_radius, 4)
+    i_u2w = rules.ball(_value2(field), support_radius)
+    i_gradw = rules.ball(_grad2(field), support_radius, 2)
     return i_lap - gap ** 2 * i_u2w - 2.0 * gap * i_gradw
 
 
 def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r: float,
-                                    n_radial: int = 256, n_angular: int = 512,
+                                    n_radial: int = DEFAULT_RADIAL_NODES,
+                                    n_angular: int = DEFAULT_ANGULAR_NODES,
                                     n_trace: int = 512) -> float:
     """Empirical lower-bound candidate for the Sobolev trace constant.
 
@@ -339,28 +383,24 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     read off by one-sided quadratic extrapolation from the three smallest
     t-levels.  Never the sharp constant, only a certified candidate.
     """
+    _check_radius(r)
     qstar = critical_exponent(params)
-    beta1 = params.N + params.b - 1.0
+    k = (params.N + params.b - 1.0) / (2.0 * r)
     eps = 1e-3 * r
     best = math.inf
     skipped = 0
+    rules = _Rules(params, 0.0, n_radial, n_angular)
+    # |u|^{q*} has a kink wherever u changes sign, which caps a Gauss rule at
+    # low order, so the trace keeps the graded second-order rule.
     breaks = graded_breaks(r, n_trace, grade_start=False, grade_end=True)
     xq, xw = power_rule(breaks, float(params.N - 1))
     for field in family.fields():
-        def grad2(q, t):
-            gq, gt = field.grad(q, t)
-            return gq ** 2 + gt ** 2
-        i_grad = _ball_integral(params, grad2, r, 0.0, n_radial, n_angular)
-        ang = AngularGrid1D.for_params(params, n_angular)
-        q, t = angle_to_xt(params, r, ang.nodes)
-        i_surf = r ** (params.N + params.b) * float(
-            ang.area_factor * (ang.weights @ (field.value(q, t) ** 2)))
-        numerator = i_grad + beta1 / (2.0 * r) * i_surf
+        numerator = rules.ball(_grad2(field), r) + k * rules.sphere(_value2(field), r)
         # quadratic extrapolation of U to the t = 0 slice
         v1 = field.value(xq, np.full_like(xq, eps))
         v2 = field.value(xq, np.full_like(xq, 2 * eps))
         v3 = field.value(xq, np.full_like(xq, 3 * eps))
-        u = 3.0 * v1 - 3.0 * v2 + v3
+        u = _finite(3.0 * v1 - 3.0 * v2 + v3)
         mass = float(xw @ np.abs(u) ** qstar)
         if params.N == 1:
             mass *= 2.0  # even coverage of (-r, r) by the axisymmetric family

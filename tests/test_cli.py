@@ -133,6 +133,27 @@ def test_check_inequalities_command(capsys):
     assert payload["min_margin"] > -1e-12
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_inequalities_rejects_empty_count(capsys, count):
+    code = run(["check-inequalities", "--which", "hardy", "--count", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--count" in captured.err
+
+
+def test_spec_with_underflowing_sector_exits_2(tmp_path, capsys):
+    # l = 28 asks for 29 sectors; the k = 29 solve at resolution 1024 underflows
+    spec_path = tmp_path / "high.json"
+    spec_path.write_text(json.dumps({"params": {"s": 1.25, "N": 3},
+                                     "terms": [{"l": 28, "c1": 1.0}]}))
+    code = run(["synthesize", "--spec", str(spec_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "underflow" in captured.err
+
+
 def test_determinism_given_seed(capsys):
     argv = ["check-inequalities", "--which", "hardy", "--s", "1.25", "--N", "3",
             "--count", "4", "--seed", "7"]

@@ -14,7 +14,7 @@ from almgren_lab import (
     integrate_halfball,
     integrate_halfsphere,
 )
-from almgren_lab.core import graded_breaks, power_rule
+from almgren_lab.core import gauss_jacobi, graded_breaks, power_rule, weighted_angular_moment
 
 ONE = lambda rho, ang: np.ones(np.broadcast(rho, ang).shape)
 
@@ -148,3 +148,49 @@ def test_normalized_hemisphere_eigenfunction_cross_check(params_n3, modes_n3):
     )
     want = p.R ** (p.N + p.b + 1) / (p.N + p.b + 1)
     assert_allclose(got, want, rtol=2e-6)
+
+
+@pytest.mark.parametrize("p", [-0.8, 0.4, 4.8])
+def test_gauss_jacobi_exact_on_monomials(p):
+    n = 12
+    x, w = gauss_jacobi(n, p)
+    assert np.all((x > 0) & (x < 1)) and np.all(w > 0)
+    for k in range(2 * n):
+        assert w @ x ** k == pytest.approx(1.0 / (p + k + 1), rel=1e-12), k
+
+
+def test_gauss_jacobi_near_singular_exponent_keeps_moments():
+    # p near -1 is where scipy's roots_jacobi weights lose digits
+    x, w = gauss_jacobi(192, -0.9)
+    for k in (0, 1, 2, 5):
+        assert w @ x ** k == pytest.approx(1.0 / (k + 0.1), rel=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_gauss_angular_grid_matches_closed_moments(N):
+    b = -0.6 if N % 2 else 0.35
+    g = AngularGrid1D.gauss(N, b, 24)
+    for e, c in [(0, 0), (2, 0), (0, 2), (3, 4)]:
+        got = g.integrate_bare(np.sin(g.nodes) ** e * np.cos(g.nodes) ** c)
+        if N == 1:  # int_0^pi sin^{b+e} cos^c: two mirrored quarter periods
+            want = 2.0 * weighted_angular_moment(b + e, c)
+        else:
+            want = weighted_angular_moment(N - 1 + e, b + c)
+        assert got == pytest.approx(want, rel=1e-13)
+    assert np.all(np.diff(g.nodes) > 0)
+
+
+def test_gauss_rules_are_read_only():
+    x, w = gauss_jacobi(8, 0.4)
+    g = AngularGrid1D.gauss(3, 0.4, 8)
+    for arr in (x, w, g.nodes, g.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("n,p", [(0, 0.4), (-3, 0.4), (2.0, 0.4), (True, 0.4),
+                                 (8, -1.0), (8, -2.5), (8, math.nan)])
+def test_gauss_jacobi_rejects(n, p):
+    with pytest.raises(DomainError):
+        gauss_jacobi(n, p)

@@ -219,6 +219,12 @@ def test_resolution_guard(params_n3):
         hemisphere_eigs(params_n3, per_k=40, resolution=64)
 
 
+def test_high_sector_underflow_is_a_resolution_error(params_n3):
+    # sin^{2k+N-1}(psi) drives the products of neighbouring cell masses to 0
+    with pytest.raises(ResolutionError, match="underflow"):
+        _sector_eigs(params_n3, 29, 1024, 4)
+
+
 def test_harmonic_multiplicity_values():
     assert harmonic_multiplicity(1, 5) == 1
     assert harmonic_multiplicity(2, 0) == 1

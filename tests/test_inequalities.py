@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from almgren_lab import (
     DomainError,
+    InputError,
     RegimeError,
     WeightParams,
     integrate_halfball,
@@ -230,3 +233,108 @@ def test_mode_and_poly_families(p3):
         margins = [check_hardy_trace(p3, f, 1.0) for f in fam.fields()]
         scale = max(abs(m) for m in margins)
         assert min(margins) >= -1e-12 * scale
+
+
+def _hardy_mode_closed_form(p, sigma, c1, r):
+    """Margin and leading side of U = c1 rho^sigma P(psi), P normalized on the half sphere.
+
+    With beta = N + b, A the area factor and mu = sigma (sigma + beta - 1):
+    I_ball = c1^2 A r^{2 sigma + beta + 1} / (2 sigma + beta + 1),
+    I_surf = c1^2 A r^{2 sigma + beta},
+    I_grad = c1^2 A (sigma^2 + mu) r^{2 sigma + beta - 1} / (2 sigma + beta - 1).
+    """
+    beta = p.N + p.b
+    area = 1.0 if p.N == 1 else 2.0 * math.pi ** (p.N / 2.0) / math.gamma(p.N / 2.0)
+    amp = c1 * c1 * area
+    mu = sigma * (sigma + beta - 1.0)
+    i_ball = amp * r ** (2 * sigma + beta + 1) / (2 * sigma + beta + 1)
+    i_surf = amp * r ** (2 * sigma + beta)
+    i_grad = 0.0 if sigma == 0 else (
+        amp * (sigma ** 2 + mu) * r ** (2 * sigma + beta - 1) / (2 * sigma + beta - 1))
+    k = (beta - 1.0) / (2.0 * r)
+    return i_grad + k * i_surf - k * k * i_ball, i_grad + abs(k) * i_surf + k * k * i_ball
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1.3, 1.85])
+def test_separable_mode_margin_matches_closed_form(N, s):
+    p = WeightParams(s=s, N=N)
+    for sigma in ([0, 1, 2] if N == 1 else [0, 2]):
+        field = SeparableModeField(p, sigma, c1=1.7)
+        for r in (1.0, 0.6):
+            want, scale = _hardy_mode_closed_form(p, sigma, 1.7, r)
+            got = check_hardy_trace(p, field, r)
+            assert abs(got - want) <= 1e-10 * scale, (sigma, r, got, want)
+
+
+@pytest.fixture(scope="module")
+def bump():
+    return GaussianBumps([(1.0, 0.3, 0.2)])
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_hardy_rejects_bad_radius(p3, bump, r):
+    with pytest.raises(DomainError):
+        check_hardy_trace(p3, bump, r)
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, math.nan, math.inf])
+def test_rellich_rejects_bad_support_radius(p4, r):
+    fld = CutoffField(GaussianBumps([(1.0, 0.25, 0.18)], mirrored=True), 0.8)
+    with pytest.raises(DomainError):
+        check_hardy_rellich(p4, fld, r)
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, math.nan, math.inf])
+def test_sobolev_rejects_bad_radius(p3, r):
+    fam = TestFamily(params=p3, kind="bumps", count=2, seed=2)
+    with pytest.raises(DomainError):
+        estimate_sobolev_trace_constant(p3, fam, r)
+
+
+@pytest.mark.parametrize("counts", [{"n_radial": 0}, {"n_angular": 0}, {"n_radial": -4},
+                                    {"n_angular": 2.5}, {"n_radial": True}])
+def test_margins_reject_bad_node_counts(p3, p4, bump, counts):
+    with pytest.raises(DomainError):
+        check_hardy_trace(p3, bump, 1.0, **counts)
+    fld = CutoffField(GaussianBumps([(1.0, 0.25, 0.18)], mirrored=True), 0.8)
+    with pytest.raises(DomainError):
+        check_hardy_rellich(p4, fld, 1.0, **counts)
+    fam = TestFamily(params=p3, kind="bumps", count=2, seed=2)
+    with pytest.raises(DomainError):
+        estimate_sobolev_trace_constant(p3, fam, 1.0, **counts)
+
+
+def test_sobolev_rejects_bad_trace_count(p3):
+    fam = TestFamily(params=p3, kind="bumps", count=2, seed=2)
+    with pytest.raises(DomainError):
+        estimate_sobolev_trace_constant(p3, fam, 1.0, n_trace=0)
+
+
+class NanField:
+    """A field whose samples go non-finite away from the origin."""
+
+    def value(self, q, t):
+        rho = np.hypot(q, t)
+        return np.where(rho > 0.5, np.nan, 1.0)
+
+    def grad(self, q, t):
+        z = np.zeros(np.broadcast(np.asarray(q), np.asarray(t)).shape)
+        return z, z
+
+    def lap_b(self, q, t, params):
+        return self.value(q, t)
+
+
+def test_margins_reject_non_finite_samples(p3, p4):
+    with pytest.raises(InputError):
+        check_hardy_trace(p3, NanField(), 1.0)
+    with pytest.raises(InputError):
+        check_hardy_rellich(p4, NanField(), 1.0)
+
+    class Fam:
+        def fields(self):
+            yield NanField()
+
+    with pytest.raises(InputError):
+        estimate_sobolev_trace_constant(p3, Fam(), 1.0)
