@@ -36,6 +36,7 @@ from .cylinder import CylinderMode, DirichletSpectrum, cylinder_mode, dirichlet_
 from .hemisphere import (
     SpectralMode,
     hemisphere_eigs,
+    hemisphere_modes,
     k_constant,
     polynomial_mode,
     sigma_exponents,

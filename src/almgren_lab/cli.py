@@ -111,14 +111,7 @@ def _cmd_spectrum(args) -> int:
     cfg = _merge_config(args)
     params = cfg.params()
     if args.which == "hemisphere":
-        count = args.count
-        modes = hemisphere.hemisphere_eigs(
-            params,
-            k_max=args.k_max if args.k_max is not None else max(4, count),
-            per_k=max(2, count),
-            resolution=cfg.resolution or 512,
-            refinements=args.refinements,
-        )[:count]
+        modes = hemisphere.hemisphere_modes(params, args.count, k_max=args.k_max)
         payload = {
             "params": _params_dict(params),
             "modes": [
@@ -204,10 +197,8 @@ def _cmd_extend(args) -> int:
 
 
 def _load_modes(params, cfg, need: int):
-    return hemisphere.hemisphere_eigs(
-        params, k_max=max(4, need), per_k=max(4, need),
-        resolution=cfg.resolution or 512,
-    )
+    """The first `need` closed-form modes: a spec's "l" is a position in this list."""
+    return hemisphere.hemisphere_modes(params, need)
 
 
 def _spec_number(value, what: str) -> float:
@@ -238,6 +229,9 @@ def _read_spec(path: str, cfg: RunConfig):
         ell = t.get("l")
         if isinstance(ell, bool) or not isinstance(ell, int) or ell < 0:
             raise InputError(f"term {i}: l must be a non-negative integer, got {ell!r}")
+        if ell >= hemisphere.MAX_MODES:
+            raise InputError(f"term {i}: l = {ell} is past the last mode position "
+                             f"{hemisphere.MAX_MODES - 1}")
         terms.append((ell, _spec_number(t.get("c1", 0.0), f"term {i}: c1"),
                       _spec_number(t.get("d1", 0.0), f"term {i}: d1")))
     return params, terms
@@ -292,7 +286,13 @@ def _cmd_almgren(args) -> int:
     rows = zip(tr.r.tolist(), tr.D.tolist(), tr.H.tolist(), tr.N.tolist(),
                tr.nu1.tolist(), tr.nu2.tolist())
     _emit_csv(cfg, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
-    candidates = sorted({m.sigma_plus for m in modes})
+    # gamma is matched against the sigma+ of every degree up to 3 n - 2
+    # (N >= 2) or n - 1 (N = 1), n = max(4, modes the spec indexes), so a
+    # limit that misses the spec's own degrees still finds its nearest rival
+    need = max(4, len(modes))
+    top = need - 1 if sol.params.N == 1 else 3 * need - 2
+    candidates = sorted({hemisphere.sigma_exponents(
+        sol.params, hemisphere.exact_mu(sol.params, sigma))[0] for sigma in range(top + 1)})
     limit = almgren_mod.frequency_limit(tr, candidates=candidates)
     payload = {
         "params": _params_dict(sol.params),
@@ -389,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue listings")
     p.add_argument("which", choices=["cylinder", "hemisphere"])
     p.add_argument("--count", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--refinements", type=int, default=1)
+    p.add_argument("--k-max", type=int, default=None,
+                   help="list only the sectors k <= K_MAX (hemisphere)")
     common(p)
     p.set_defaults(func=_cmd_spectrum)
 

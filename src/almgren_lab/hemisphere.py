@@ -1,7 +1,18 @@
 """Weighted Laplace-Beltrami eigenpairs on the half sphere and exponent maps.
 
 The eigenproblem on S^N_+ with weight theta_{N+1}^b and weighted-Neumann
-condition at the equator separates into azimuthal sectors.  For wavenumber
+condition at the equator has the explicit spectrum mu = sigma (sigma + N +
+b - 1), sigma = 0, 1, 2, ...: its eigenfunctions are the h-harmonics for the
+weight |t|^b (Dunkl & Xu, Orthogonal Polynomials of Several Variables,
+ch. 7).  For N >= 2 they separate into azimuthal sectors k = sigma,
+sigma - 2, ..., >= 0, with angular profile sin^k(psi) P_j^{(k+(N-2)/2,
+(b-1)/2)}(cos 2 psi), sigma = k + 2j; for N = 1 the profile on the arc
+(0, pi) is P_sigma^{(a,a)}(cos phi), a = (b-1)/2.  `polynomial_mode` builds
+one such mode with its exact norm (DLMF Table 18.3.1) and derivative, and
+`hemisphere_modes` lists them in (sigma, k) order; this is the production
+eigenbasis of the command line.
+
+`hemisphere_eigs` is the independent numerical cross-check.  For wavenumber
 k >= 1 the angular profile factors as P = sin^k(psi) Q, which turns the
 singular-potential reduction into a regular Sturm-Liouville problem for Q
 with weight sin^{2k+N-1}(psi) cos^b(psi), natural boundary conditions at both
@@ -9,17 +20,15 @@ ends, and eigenvalue shift k (k + N + b - 1).  Each sector is discretized by
 conservative (flux-form) second-order finite volumes on a uniform grid and
 solved as a symmetric tridiagonal eigenproblem (bisection + inverse
 iteration); cell masses integrate the degenerate factor in closed form, so
-the weight is never evaluated at the equator.
-
-For N = 1 the problem lives on the full arc (0, pi) with weight sin^b and
-weighted-Neumann conditions at both endpoints.
+the weight is never evaluated at the equator.  For N = 1 the problem lives on
+the full arc (0, pi) with weight sin^b and weighted-Neumann conditions at
+both endpoints.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +40,17 @@ from .core import (
     AngularGrid1D,
     DegenerateResonanceError,
     DomainError,
+    InputError,
     ResolutionError,
     WeightParams,
     unit_sphere_area,
-    weighted_angular_moment,
 )
 
 MERGE_RTOL = 1e-8
+# Longest closed-form mode list (and so the largest spec position + 1): the
+# profiles stay orthonormal to ~1e-12 at this degree.
+MAX_MODES = 512
+_LN2 = math.log(2.0)
 
 
 def sigma_exponents(params: WeightParams, mu: float) -> tuple[float, float]:
@@ -104,19 +117,25 @@ def sphere_harmonic_value(N: int, k: int, chi=0.0):
 
 
 class AngularProfile:
-    """Sampled (or exact) angular eigenfunction profile on the polar interval."""
+    """Angular eigenfunction profile on the polar interval, exact or sampled.
 
-    def __init__(self, psi, values, *, exact=None, exact_deriv=None,
+    An exact profile evaluates its closed form `exact` and `exact_deriv`; a
+    sampled one (the finite-volume cross-check) interpolates `values` at
+    `psi` with a cubic spline.
+    """
+
+    def __init__(self, psi=None, values=None, *, exact=None, exact_deriv=None,
                  solver_centers=None, solver_q=None, solver_masses=None):
-        self.psi = np.asarray(psi, dtype=float)
-        self.values = np.asarray(values, dtype=float)
         self.exact = exact
         self.exact_deriv = exact_deriv
         self.solver_centers = solver_centers
         self.solver_q = solver_q
         self.solver_masses = solver_masses
-        self._spline = CubicSpline(self.psi, self.values)
-        self._dspline = self._spline.derivative()
+        if exact is None:
+            self.psi = np.asarray(psi, dtype=float)
+            self.values = np.asarray(values, dtype=float)
+            self._spline = CubicSpline(self.psi, self.values)
+            self._dspline = self._spline.derivative()
 
     def __call__(self, psi):
         if self.exact is not None:
@@ -129,12 +148,9 @@ class AngularProfile:
         return self._dspline(np.asarray(psi, dtype=float))
 
     def rescaled(self, factor: float) -> "AngularProfile":
-        ex = self.exact
-        exd = self.exact_deriv
+        """The sampled profile times `factor`."""
         return AngularProfile(
             self.psi, self.values * factor,
-            exact=None if ex is None else (lambda p, f=factor, g=ex: f * g(p)),
-            exact_deriv=None if exd is None else (lambda p, f=factor, g=exd: f * g(p)),
             solver_centers=self.solver_centers,
             solver_q=None if self.solver_q is None else self.solver_q * factor,
             solver_masses=self.solver_masses,
@@ -145,12 +161,13 @@ class AngularProfile:
 class SpectralMode:
     """One hemisphere eigenpair: eigenvalue, exponents and angular profile.
 
-    `ell` is the position of the eigenvalue among the distinct merged
-    eigenvalues; `multiplicity` is the total M_ell of that eigenvalue
-    (harmonic dimensions summed over numerically coincident sectors).  The
-    profile is normalized so that the full eigenfunction P(psi) * Omega(w)
-    has unit theta^b-weighted L^2 norm on S^N_+, with Omega the normalized
-    representative harmonic of the sector.
+    `ell` indexes the distinct eigenvalue: it is sigma for the closed-form
+    modes of `polynomial_mode`, and the position among the distinct merged
+    eigenvalues for the finite-volume modes of `hemisphere_eigs`.
+    `multiplicity` is the total M_ell of that eigenvalue (harmonic dimensions
+    summed over its sectors).  The profile is normalized so that the full
+    eigenfunction P(psi) * Omega(w) has unit theta^b-weighted L^2 norm on
+    S^N_+, with Omega the normalized representative harmonic of the sector.
     """
 
     params: WeightParams
@@ -264,16 +281,6 @@ def _richardson(levels: list[np.ndarray]) -> np.ndarray:
     return table[0]
 
 
-def _default_workers() -> int:
-    env = os.environ.get("ALMGREN_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def hemisphere_eigs(
     params: WeightParams,
     k_max: int = 4,
@@ -282,7 +289,7 @@ def hemisphere_eigs(
     refinements: int = 1,
     normalization_grid: AngularGrid1D | None = None,
 ) -> list[SpectralMode]:
-    """Lowest eigenmodes of the weighted hemisphere problem, merged and ordered.
+    """Lowest eigenmodes by finite volumes, merged and ordered: the cross-check.
 
     Per-sector solves run at `resolution` times 2^j for j = 0..refinements and
     the eigenvalues are Richardson extrapolated; profiles come from the finest
@@ -304,20 +311,11 @@ def hemisphere_eigs(
     sectors = [0] if params.N == 1 else list(range(k_max + 1))
     resolutions = [resolution * 2 ** j for j in range(refinements + 1)]
 
-    def solve_sector(k):
+    entries = []
+    for k in sectors:
         levels = [_sector_eigs(params, k, n, per_k) for n in resolutions]
         mus = _richardson([lv[0] for lv in levels])
         _, qvecs, masses, centers = levels[-1]
-        return k, mus, qvecs, masses, centers
-
-    if len(sectors) > 1:
-        with ThreadPoolExecutor(max_workers=_default_workers()) as pool:
-            results = list(pool.map(solve_sector, sectors))
-    else:
-        results = [solve_sector(sectors[0])]
-
-    entries = []
-    for k, mus, qvecs, masses, centers in results:
         sin_k = np.sin(centers) ** k if params.N >= 2 else 1.0
         for j, mu in enumerate(mus):
             q = qvecs[:, j]
@@ -349,68 +347,130 @@ def hemisphere_eigs(
     return modes
 
 
-def _angular_norm_factors(params: WeightParams):
-    """Closed-form moments used to normalize the polynomial modes."""
-    N, b = params.N, params.b
-    I = weighted_angular_moment
-    if N == 1:
-        return {
-            0: 2.0 * I(b, 0),
-            1: 2.0 * I(b, 2),
-            2: 2.0 * (I(b, 4) - 2.0 / (1 + b) * I(b + 2, 2)
-                      + 1.0 / (1 + b) ** 2 * I(b + 4, 0)),
-        }
-    return {
-        0: I(N - 1, b),
-        1: I(N + 1, b),
-        2: (I(N + 3, b) / N ** 2 - 2.0 / (N * (1 + b)) * I(N + 1, b + 2)
-            + I(N - 1, b + 4) / (1 + b) ** 2),
-        "2k": I(N + 3, b),
-    }
+
+
+def exact_mu(params: WeightParams, sigma: int) -> float:
+    """Eigenvalue mu_sigma = sigma (sigma + N + b - 1) of the degree-sigma modes."""
+    return 0.0 if sigma == 0 else sigma * (sigma + params.N + params.b - 1.0)
+
+
+def sigma_multiplicity(N: int, sigma: int) -> int:
+    """M_sigma, the sum of dim H_k(S^{N-1}) over k <= sigma, k = sigma (mod 2).
+
+    The modes of degree sigma are the weighted-harmonic extensions of the
+    homogeneous degree-sigma polynomials in x, so M_sigma is their dimension
+    C(sigma + N - 1, N - 1); for N = 1 it is 1.
+    """
+    return math.comb(sigma + N - 1, N - 1)
+
+
+def _jacobi(n: int, a1: float, b1: float, x):
+    """P_n^{(a1-1, b1-1)}(x) by the three-term recurrence (DLMF 18.9.2).
+
+    The parameters enter shifted by one, and every factor adds its integer
+    part to them last: for N = 1 near s = 2, a1 = b1 = (b+1)/2 is ~1e-16, and
+    forming it as (b-1)/2 + 1, or a factor such as 2m + alpha + beta - 2 as
+    (2m + alpha + beta) - 2, would lose its digits.
+    """
+    c = a1 + b1
+    prev, cur = np.ones_like(x), a1 + 0.5 * c * (x - 1.0)
+    if n == 0:
+        return prev
+    for m in range(2, n + 1):
+        q0, q1, q2 = (2 * m - 4) + c, (2 * m - 3) + c, (2 * m - 2) + c
+        prev, cur = cur, (
+            q1 * (q2 * q0 * x + (a1 - b1) * (c - 2.0)) * cur
+            - 2.0 * ((m - 2) + a1) * ((m - 2) + b1) * q2 * prev
+        ) / (2.0 * m * ((m - 2) + c) * q0)
+    return cur
+
+
+def _log_jacobi_norm2(j: int, a1: float, b1: float) -> float:
+    """log h_j, h_j = int_{-1}^1 (1-x)^{a1-1} (1+x)^{b1-1} P_j^{(a1-1,b1-1)}(x)^2 dx.
+
+    DLMF Table 18.3.1 with alpha = a1 - 1, beta = b1 - 1.  The general form
+    divides by alpha + beta + 1 and takes Gamma(alpha + beta + 1), which is
+    negative for N = 1, s > 3/2 (alpha + beta + 1 = b < 0); the j = 0 form
+    Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2) has no such factor.
+    """
+    c = a1 + b1
+    if j == 0:
+        return float((c - 1.0) * _LN2 + gammaln(a1) + gammaln(b1) - gammaln(c))
+    return float((c - 1.0) * _LN2 - math.log((2 * j - 1) + c) + gammaln(j + a1)
+                 + gammaln(j + b1) - gammaln((j - 1) + c) - gammaln(j + 1.0))
 
 
 def polynomial_mode(params: WeightParams, sigma: int, k: int | None = None) -> SpectralMode:
-    """Exact eigenmode built from a degree-sigma harmonic polynomial.
+    """Exact eigenmode of degree sigma in sector k, in closed form.
 
-    Available anchors: sigma = 0 (constants), sigma = 1 (the coordinate x_i,
-    wavenumber 1), sigma = 2 with k = 0 (|x|^2/N - t^2/(1+b)) and, for N >= 2,
-    sigma = 2 with k = 2 (x_i x_j).  Profiles and derivatives are closed form,
-    normalized with exact Beta-function moments.
+    For N >= 2 the sectors are k = sigma, sigma - 2, ..., >= 0 (default
+    sigma mod 2) and the profile is A sin^k(psi) P_j^{(alpha,beta)}(cos 2 psi)
+    with sigma = k + 2j, alpha = k + (N-2)/2 and beta = (b-1)/2; substituting
+    x = cos 2 psi turns the bare norm into A^2 2^{-alpha-beta-2} h_j.  For
+    N = 1 there is the one sector k = 0 and the profile is
+    A P_sigma^{(beta,beta)}(cos phi), with bare norm A^2 h_sigma.  A
+    normalizes the mode and orients it positive at the equator; derivatives
+    use d/dx P_j^{(alpha,beta)} = (j+alpha+beta+1)/2 P_{j-1}^{(alpha+1,beta+1)}.
     """
-    N, b = params.N, params.b
-    mu = sigma * (sigma + N + b - 1.0)
-    norms = _angular_norm_factors(params)
+    N = params.N
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, np.integer)) or sigma < 0:
+        raise DomainError(f"sigma must be a non-negative integer, got {sigma!r}")
+    sigma = int(sigma)
+    k_eff = (0 if N == 1 else sigma % 2) if k is None else k
+    if (isinstance(k_eff, bool) or not isinstance(k_eff, (int, np.integer))
+            or not 0 <= k_eff <= sigma or (N == 1 and k_eff != 0)
+            or (N >= 2 and (sigma - k_eff) % 2)):
+        raise DomainError(f"no mode of degree sigma={sigma} in sector k={k} at N={N}")
+    k_eff = int(k_eff)
+    b1 = 0.5 * (params.b + 1.0)          # beta + 1
     if N == 1:
-        builders = {
-            (0, 0): (lambda p: np.ones_like(p), lambda p: np.zeros_like(p), norms[0]),
-            (1, 0): (np.cos, lambda p: -np.sin(p), norms[1]),
-            (2, 0): (lambda p: np.cos(p) ** 2 - np.sin(p) ** 2 / (1 + b),
-                     lambda p: -2 * np.cos(p) * np.sin(p) * (1 + 1.0 / (1 + b)),
-                     norms[2]),
-        }
-        key = (sigma, 0)
-        k_eff = 0
+        j, a1, log_norm2, sign = sigma, b1, _log_jacobi_norm2(sigma, b1, b1), 1.0
     else:
-        default_k = {0: 0, 1: 1, 2: 0}
-        k_eff = default_k[sigma] if k is None else k
-        builders = {
-            (0, 0): (lambda p: np.ones_like(p), lambda p: np.zeros_like(p), norms[0]),
-            (1, 1): (np.sin, np.cos, norms[1]),
-            (2, 0): (lambda p: np.sin(p) ** 2 / N - np.cos(p) ** 2 / (1 + b),
-                     lambda p: 2 * np.sin(p) * np.cos(p) * (1.0 / N + 1.0 / (1 + b)),
-                     norms[2]),
-            (2, 2): (lambda p: np.sin(p) ** 2,
-                     lambda p: 2 * np.sin(p) * np.cos(p), norms["2k"]),
-        }
-        key = (sigma, k_eff)
-    if key not in builders:
-        raise DomainError(f"no closed-form mode for sigma={sigma}, k={k} at N={N}")
-    fn, dfn, norm2 = builders[key]
-    A = 1.0 / math.sqrt(norm2)
-    psi_max = math.pi if N == 1 else math.pi / 2.0
-    psi = np.linspace(0.0, psi_max, 257)
-    prof = AngularProfile(psi, A * fn(psi),
-                          exact=lambda p, f=fn, A=A: A * f(np.asarray(p, dtype=float)),
-                          exact_deriv=lambda p, f=dfn, A=A: A * f(np.asarray(p, dtype=float)))
-    return SpectralMode(params=params, ell=sigma, k=k_eff, mu=mu,
-                        multiplicity=harmonic_multiplicity(N, k_eff), profile=prof)
+        j = (sigma - k_eff) // 2
+        a1 = k_eff + 0.5 * N             # alpha + 1
+        log_norm2 = _log_jacobi_norm2(j, a1, b1) - (a1 + b1) * _LN2
+        sign = -1.0 if j % 2 else 1.0    # P_j^{(alpha,beta)}(-1) has the sign (-1)^j
+    A = sign * math.exp(-0.5 * log_norm2)
+    dA = A * 0.5 * ((j - 1) + (a1 + b1))
+
+    def djac(x):
+        return dA * _jacobi(j - 1, a1 + 1.0, b1 + 1.0, x) if j else np.zeros_like(x)
+
+    if N == 1:
+        def fn(phi):
+            return A * _jacobi(j, a1, b1, np.cos(phi))
+
+        def dfn(phi):
+            return -np.sin(phi) * djac(np.cos(phi))
+    else:
+        def fn(psi):
+            return A * np.sin(psi) ** k_eff * _jacobi(j, a1, b1, np.cos(2.0 * psi))
+
+        def dfn(psi):
+            sin, x = np.sin(psi), np.cos(2.0 * psi)
+            out = -2.0 * np.sin(2.0 * psi) * sin ** k_eff * djac(x)
+            if k_eff:
+                out += k_eff * sin ** (k_eff - 1) * np.cos(psi) * A * _jacobi(j, a1, b1, x)
+            return out
+
+    return SpectralMode(params=params, ell=sigma, k=k_eff, mu=exact_mu(params, sigma),
+                        multiplicity=sigma_multiplicity(N, sigma),
+                        profile=AngularProfile(exact=fn, exact_deriv=dfn))
+
+
+def hemisphere_modes(params: WeightParams, count: int, k_max: int | None = None) -> list[SpectralMode]:
+    """The first `count` closed-form modes, ordered by sigma, then by k.
+
+    A synthesis spec's "l" is a position in this list.  With `k_max`, sectors
+    k > k_max are left out; every mode still reports the full multiplicity
+    M_sigma.  `count` lies in [1, MAX_MODES].
+    """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
+            or not 1 <= count <= MAX_MODES:
+        raise InputError(f"mode count must be an integer in [1, {MAX_MODES}], got {count!r}")
+    if k_max is not None and k_max < 0:
+        raise InputError(f"k_max must be non-negative, got {k_max}")
+    keys = ((sigma, k) for sigma in itertools.count()
+            for k in ([0] if params.N == 1 else range(sigma % 2, sigma + 1, 2))
+            if k_max is None or k <= k_max)
+    return [polynomial_mode(params, sigma, k) for sigma, k in itertools.islice(keys, count)]

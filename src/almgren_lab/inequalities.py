@@ -188,10 +188,9 @@ class SeparableModeField:
     """Closed-form axisymmetric separable harmonic c1 r^sigma P(psi)."""
 
     def __init__(self, params: WeightParams, sigma: int, c1: float = 1.0):
-        if params.N >= 2 and sigma == 1:
-            raise DomainError("sigma = 1 is not axisymmetric for N >= 2")
         self.params = params
-        self.mode = polynomial_mode(params, sigma)
+        # axisymmetric means sector k = 0: an odd sigma at N >= 2 raises DomainError
+        self.mode = polynomial_mode(params, sigma, k=0)
         self.sigma = float(sigma)
         self.c1 = float(c1)
 

@@ -107,7 +107,7 @@ def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False)
     """Build an exact solution pair from (mode, c1, d1) triples.
 
     Entries may reference modes directly or by integer position into `modes`
-    (as produced by `hemisphere_eigs`).  Duplicate modes are merged by adding
+    (as produced by `hemisphere_modes` or `hemisphere_eigs`).  Duplicate modes are merged by adding
     coefficients.  The all-zero synthesis is rejected unless `allow_zero`.
     """
     resolved: dict[tuple, Term] = {}

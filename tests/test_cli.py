@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import almgren_lab
-from almgren_lab import cli
+from almgren_lab import cli, hemisphere
 from almgren_lab.cli import run
 
 
@@ -142,16 +143,77 @@ def test_check_inequalities_rejects_empty_count(capsys, count):
     assert "--count" in captured.err
 
 
-def test_spec_with_underflowing_sector_exits_2(tmp_path, capsys):
-    # l = 28 asks for 29 sectors; the k = 29 solve at resolution 1024 underflows
+def test_high_spec_position_synthesizes_exactly_and_past_the_cap_exits_2(tmp_path, capsys):
+    # position 28 at N = 3 is sigma = 9 in sector k = 7 (positions 25-29 hold k = 1, 3, ..., 9)
     spec_path = tmp_path / "high.json"
     spec_path.write_text(json.dumps({"params": {"s": 1.25, "N": 3},
-                                     "terms": [{"l": 28, "c1": 1.0}]}))
+                                     "terms": [{"l": 28, "c1": 1.0, "d1": 0.5}]}))
+    code, out = run_capture(capsys, ["synthesize", "--spec", str(spec_path)])
+    assert code == 0
+    term = json.loads(out)["terms"][0]
+    assert (term["l"], term["k"]) == (9, 7)
+    assert term["sigma_plus"] == pytest.approx(9.0, rel=1e-15)
+    assert term["mu"] == 9 * (9 + 3 + 0.5 - 1)
+    assert term["K"] == pytest.approx(2 * (2 * 9 + 3 + 0.5 + 1), rel=1e-15)
+
+    spec_path.write_text(json.dumps({"params": {"s": 1.25, "N": 3},
+                                     "terms": [{"l": hemisphere.MAX_MODES, "c1": 1.0}]}))
+    start = time.perf_counter()
     code = run(["synthesize", "--spec", str(spec_path)])
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "underflow" in captured.err
+    assert "past the last mode position" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("count", [0, -3, hemisphere.MAX_MODES + 1, 10 ** 9])
+def test_hemisphere_count_outside_the_cap_exits_2(capsys, count):
+    start = time.perf_counter()
+    code = run(["spectrum", "hemisphere", "--s", "1.25", "--N", "3", "--count", str(count)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert time.perf_counter() - start < 1.0
+
+
+def _hemisphere_listing(capsys, *argv):
+    code, out = run_capture(capsys, ["spectrum", "hemisphere", *argv])
+    assert code == 0
+    return json.loads(out)["modes"]
+
+
+def test_hemisphere_k_max_keeps_the_true_multiplicity(capsys):
+    # --k-max filters the listed sectors; sigma = 26 at N = 3 still has M = C(28, 2)
+    modes = _hemisphere_listing(capsys, "--s", "1.25", "--N", "3", "--count", "40",
+                                "--k-max", "2")
+    assert len(modes) == 40
+    assert all(m["k"] <= 2 for m in modes)
+    top = [m for m in modes if m["l"] == 26]
+    assert [m["k"] for m in top] == [0, 2]
+    assert all(m["multiplicity"] == 378 for m in top)
+
+
+def test_hemisphere_listing_near_s_2_keeps_each_sigma_whole(capsys):
+    # near s = 2 too, each sigma is listed under one l with its full multiplicity
+    modes = _hemisphere_listing(capsys, "--s", "1.8012296771332643", "--N", "2",
+                                "--count", "7")
+    assert [(m["l"], m["k"]) for m in modes] == [(0, 0), (1, 1), (2, 0), (2, 2),
+                                                (3, 1), (3, 3), (4, 0)]
+    assert [m["multiplicity"] for m in modes] == [1, 2, 3, 3, 4, 4, 5]
+
+
+def test_hemisphere_mu_is_exact_and_order_independent_of_s(capsys):
+    modes = _hemisphere_listing(capsys, "--s", "1.5", "--N", "1", "--count", "5")
+    assert [m["mu"] for m in modes] == [0.0, 1.0, 4.0, 9.0, 16.0]
+    listings = [_hemisphere_listing(capsys, "--s", s, "--N", "4", "--count", "30")
+                for s in ("1.05", "1.5", "1.95")]
+    keys = [[(m["l"], m["k"]) for m in modes] for modes in listings]
+    assert keys[0] == keys[1] == keys[2]
+    for modes in listings:
+        assert [(m["l"], m["k"]) for m in modes] == sorted((m["l"], m["k"]) for m in modes)
 
 
 def test_determinism_given_seed(capsys):

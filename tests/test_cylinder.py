@@ -175,16 +175,19 @@ def test_poisson_coefficient_decay_on_bump(params):
     # the iterated identity c = lambda^-l <(-Delta_b)^l psi, e> certifies the
     # o(lambda^-2) coefficient decay, and the rescaled coefficients c lambda^2
     # stay square-summable below the datum norm (Bessel).
-    import sympy
+    w, c0 = 0.18, 0.30
 
-    x_s, t_s = sympy.symbols("x t")
-    w, c0 = sympy.Rational(18, 100), sympy.Rational(30, 100)
-    psi_s = sympy.exp(-(x_s ** 2 + (t_s - c0) ** 2) / w ** 2) \
-        + sympy.exp(-(x_s ** 2 + (t_s + c0) ** 2) / w ** 2)
-    lap = lambda f: sympy.diff(f, x_s, 2) + sympy.diff(f, t_s, 2)  # b = 0
-    psi_f = sympy.lambdify((x_s, t_s), psi_s, "numpy")
-    lap1_f = sympy.lambdify((x_s, t_s), sympy.simplify(lap(psi_s)), "numpy")
-    lap2_f = sympy.lambdify((x_s, t_s), sympy.simplify(lap(lap(psi_s))), "numpy")
+    def bumps(poly):
+        # e^{-q}, q = |z - z0|^2 / w^2, has Delta e^{-q} = (4/w^2) (q - 1) e^{-q}
+        # and Delta^2 e^{-q} = (4/w^2)^2 (q^2 - 4q + 2) e^{-q} in the plane (b = 0)
+        def f(x, t):
+            return sum(poly((x ** 2 + (t - c) ** 2) / w ** 2)
+                       * np.exp(-(x ** 2 + (t - c) ** 2) / w ** 2) for c in (c0, -c0))
+        return f
+
+    psi_f = bumps(lambda q: 1.0)
+    lap1_f = bumps(lambda q: 4.0 / w ** 2 * (q - 1.0))
+    lap2_f = bumps(lambda q: (4.0 / w ** 2) ** 2 * (q ** 2 - 4.0 * q + 2.0))
 
     quad = cylinder_quadrature(params, nx=260, nt=1200)
     spec = dirichlet_eigs(1, params.R, 10)

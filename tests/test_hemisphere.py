@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from almgren_lab import (
     AngularGrid1D,
     DegenerateResonanceError,
     DomainError,
+    InputError,
     ResolutionError,
     WeightParams,
     hemisphere_eigs,
@@ -15,7 +18,15 @@ from almgren_lab import (
     polynomial_mode,
     sigma_exponents,
 )
-from almgren_lab.hemisphere import _sector_eigs, harmonic_multiplicity
+from almgren_lab.core import weighted_angular_moment
+from almgren_lab.hemisphere import (
+    MAX_MODES,
+    _jacobi,
+    _sector_eigs,
+    harmonic_multiplicity,
+    hemisphere_modes,
+    sigma_multiplicity,
+)
 
 
 def sigma_to_mu(params, sigma):
@@ -267,3 +278,183 @@ def test_polynomial_modes_match_numerics_n1(params_n1, modes_n1):
         overlap = abs(grid.integrate_bare(exact.profile(grid.nodes)
                                           * numeric.profile(grid.nodes)))
         assert overlap == pytest.approx(1.0, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# closed-form modes
+
+
+def _anchor_polynomial(params, sigma, k):
+    """The sigma <= 2 modes as explicit harmonic polynomials with Beta-function norms."""
+    N, b = params.N, params.b
+    I = weighted_angular_moment
+    if N == 1:
+        table = {
+            0: (lambda p: np.ones_like(p), lambda p: np.zeros_like(p), 2.0 * I(b, 0)),
+            1: (np.cos, lambda p: -np.sin(p), 2.0 * I(b, 2)),
+            2: (lambda p: np.cos(p) ** 2 - np.sin(p) ** 2 / (1 + b),
+                lambda p: -2 * np.cos(p) * np.sin(p) * (1 + 1.0 / (1 + b)),
+                2.0 * (I(b, 4) - 2.0 / (1 + b) * I(b + 2, 2) + I(b + 4, 0) / (1 + b) ** 2)),
+        }
+        fn, dfn, norm2 = table[sigma]
+    else:
+        table = {
+            (0, 0): (lambda p: np.ones_like(p), lambda p: np.zeros_like(p), I(N - 1, b)),
+            (1, 1): (np.sin, np.cos, I(N + 1, b)),
+            (2, 0): (lambda p: np.sin(p) ** 2 / N - np.cos(p) ** 2 / (1 + b),
+                     lambda p: 2 * np.sin(p) * np.cos(p) * (1.0 / N + 1.0 / (1 + b)),
+                     I(N + 3, b) / N ** 2 - 2.0 / (N * (1 + b)) * I(N + 1, b + 2)
+                     + I(N - 1, b + 4) / (1 + b) ** 2),
+            (2, 2): (lambda p: np.sin(p) ** 2, lambda p: 2 * np.sin(p) * np.cos(p), I(N + 3, b)),
+        }
+        fn, dfn, norm2 = table[(sigma, k)]
+    A = 1.0 / math.sqrt(norm2)
+    return (lambda p: A * fn(p)), (lambda p: A * dfn(p))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1.0000000000000002, 1.25, 1.5, 1.9, 1.9999999999999996])
+def test_closed_form_anchors_equal_the_explicit_polynomials(N, s):
+    p = WeightParams(s=s, N=N)
+    psi = np.linspace(0.0, math.pi if N == 1 else math.pi / 2, 97)
+    keys = [(0, 0), (1, 0), (2, 0)] if N == 1 else [(0, 0), (1, 1), (2, 0), (2, 2)]
+    for sigma, k in keys:
+        mode = polynomial_mode(p, sigma, k)
+        fn, dfn = _anchor_polynomial(p, sigma, k)
+        assert_allclose(mode.profile(psi), fn(psi), rtol=0, atol=1e-13)
+        assert_allclose(mode.profile.deriv(psi), dfn(psi), rtol=0, atol=1e-13)
+        assert mode.mu == sigma_to_mu(p, sigma)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [0.6, 0.5, -0.5, -0.8])
+def test_finite_volumes_match_the_closed_form(N, b):
+    # the numerical solver is the independent check of the production modes
+    p = WeightParams.from_b(b, N)
+    grid = AngularGrid1D.gauss(N, p.b, 64)
+    fv_modes = hemisphere_eigs(p, k_max=3, per_k=3, resolution=1024, refinements=1)
+    assert len(fv_modes) == (3 if N == 1 else 12)
+    for fv in fv_modes:
+        ladder = range(fv.k, fv.k + 8, 2) if N >= 2 else range(5)
+        sigma = min(ladder, key=lambda sg: abs(sigma_to_mu(p, sg) - fv.mu))
+        exact = polynomial_mode(p, sigma, fv.k)
+        assert abs(fv.mu - exact.mu) <= 1e-6 * max(exact.mu, 1.0), (sigma, fv.k)
+        err = np.max(np.abs(fv.profile(grid.nodes) - exact.profile(grid.nodes)))
+        assert err <= 1e-5, (sigma, fv.k, err)
+
+
+# s stays below 1.999: as b -> -1 the reference rule loses digits (the low
+# moments of gauss_jacobi(64, p) are off by 7.8e-11 at p = -1 + 2e-6), which
+# the 1e-12 gate would read as an error of the modes; the anchors test covers
+# the closed form up to s = 2 - 4e-16
+@settings(max_examples=40, deadline=None, database=None)
+@given(s=st.floats(min_value=1.0, max_value=1.999, exclude_min=True),
+       N=st.integers(min_value=1, max_value=6), sigma=st.integers(min_value=0, max_value=16),
+       data=st.data())
+def test_closed_form_mode_properties(s, N, sigma, data):
+    p = WeightParams(s=s, N=N)
+    k = 0 if N == 1 else data.draw(st.sampled_from(range(sigma % 2, sigma + 1, 2)), label="k")
+    mode = polynomial_mode(p, sigma, k)
+    assert (mode.ell, mode.k, mode.mu) == (sigma, k, sigma_to_mu(p, sigma))
+    # orthonormal within its sector, up to four degrees above
+    grid = AngularGrid1D.gauss(N, p.b, 64)
+    values = mode.profile(grid.nodes)
+    for other in range(0, sigma + 5) if N == 1 else range(k, sigma + 5, 2):
+        gram = grid.integrate_bare(values * polynomial_mode(p, other, k).profile(grid.nodes))
+        assert abs(gram - (other == sigma)) <= 1e-12, (other, gram)
+    assert mode.equator_value() > 0
+    # the derivative, and the weighted eigen-equation
+    #   P'' + ((N-1) cot psi - b tan psi) P' - k (k+N-2) / sin^2 psi P + mu P = 0
+    # (for N = 1: P'' + b cot phi P' + mu P = 0) by centred differences
+    top = math.pi - 0.1 if N == 1 else math.pi / 2 - 0.1
+    psi = np.linspace(0.1, top, 41)
+    P, dP = mode.profile(psi), mode.profile.deriv(psi)
+    scale = (1.0 + mode.mu) * np.max(np.abs(values))
+    h = 1e-6
+    fd = (mode.profile(psi + h) - mode.profile(psi - h)) / (2 * h)
+    assert np.max(np.abs(fd - dP)) <= 1e-7 * scale
+    h = 1e-5
+    d2P = (mode.profile.deriv(psi + h) - mode.profile.deriv(psi - h)) / (2 * h)
+    if N == 1:
+        residual = d2P + p.b / np.tan(psi) * dP + mode.mu * P
+    else:
+        residual = (d2P + ((N - 1) / np.tan(psi) - p.b * np.tan(psi)) * dP
+                    - k * (k + N - 2) / np.sin(psi) ** 2 * P + mode.mu * P)
+    assert np.max(np.abs(residual)) <= 1e-6 * scale
+
+
+def test_closed_form_list_order_and_multiplicity():
+    for N in (1, 2, 3, 6):
+        p = WeightParams(s=1.4, N=N)
+        modes = hemisphere_modes(p, 60)
+        keys = [(m.ell, m.k) for m in modes]
+        assert keys == sorted(keys) and len(set(keys)) == 60
+        want = [(sg, k) for sg in range(60)
+                for k in ([0] if N == 1 else range(sg % 2, sg + 1, 2))][:60]
+        assert keys == want
+        for m in modes:
+            assert m.multiplicity == sigma_multiplicity(N, m.ell)
+            if N >= 2:
+                assert m.multiplicity == sum(harmonic_multiplicity(N, k)
+                                             for k in range(m.ell % 2, m.ell + 1, 2))
+    assert sigma_multiplicity(3, 26) == 378
+    assert [m.k for m in hemisphere_modes(WeightParams(s=1.4, N=3), 12, k_max=1)] == \
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("count", [0, -1, MAX_MODES + 1, 1.5, True])
+def test_closed_form_list_rejects_counts_outside_the_cap(count):
+    with pytest.raises(InputError):
+        hemisphere_modes(WeightParams(s=1.4, N=3), count)
+
+
+def test_closed_form_list_rejects_negative_k_max():
+    with pytest.raises(InputError):
+        hemisphere_modes(WeightParams(s=1.4, N=3), 4, k_max=-1)
+
+
+@pytest.mark.parametrize("sigma, k", [(-1, None), (2, 1), (3, 5), (1.0, None), (2, -2)])
+def test_polynomial_mode_rejects_bad_indices(params_n3, sigma, k):
+    with pytest.raises(DomainError):
+        polynomial_mode(params_n3, sigma, k)
+
+
+def test_polynomial_mode_n1_has_the_one_sector(params_n1):
+    assert polynomial_mode(params_n1, 3).k == 0
+    with pytest.raises(DomainError):
+        polynomial_mode(params_n1, 3, k=1)
+
+
+@pytest.mark.parametrize("b", [0.9, -0.9])
+def test_closed_form_stays_orthonormal_at_the_cap(b):
+    # N = 1 reaches the highest degree: position MAX_MODES - 1 is sigma = MAX_MODES - 1
+    p = WeightParams.from_b(b, 1)
+    modes = hemisphere_modes(p, MAX_MODES)
+    grid = AngularGrid1D.gauss(1, p.b, 768)
+    top = [m.profile(grid.nodes) for m in modes[-3:]]
+    for i in range(3):
+        for j in range(i, 3):
+            want = 1.0 if i == j else 0.0
+            assert abs(grid.integrate_bare(top[i] * top[j]) - want) <= 1e-11
+
+
+@pytest.mark.parametrize("a1, b1", [(4.5e-16, 4.5e-16), (1e-8, 1e-8), (0.3, 0.3),
+                                    (2.5, 4.5e-16), (3.0, 0.75)])
+def test_jacobi_recurrence_against_high_precision(a1, b1):
+    # the parameters enter as alpha + 1 and beta + 1; near s = 2 (N = 1) both
+    # are ~1e-16, where scipy's eval_jacobi(4, a, a, x) returns 0
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    alpha, beta = mpmath.mpf(a1) - 1, mpmath.mpf(b1) - 1
+
+    def explicit(n, x):
+        # DLMF 18.5.8: sum_s C(n+alpha, n-s) C(n+beta, s) ((x-1)/2)^s ((x+1)/2)^(n-s)
+        x = mpmath.mpf(x)
+        return sum(mpmath.binomial(n + alpha, n - s) * mpmath.binomial(n + beta, s)
+                   * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (n - s) for s in range(n + 1))
+
+    x = np.linspace(-1.0, 1.0, 21)
+    for n in (0, 1, 2, 4, 9, 30):
+        got = _jacobi(n, a1, b1, x)
+        want = np.array([float(explicit(n, xi)) for xi in x])
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), n

@@ -259,12 +259,18 @@ def _hardy_mode_closed_form(p, sigma, c1, r):
 @pytest.mark.parametrize("s", [1.3, 1.85])
 def test_separable_mode_margin_matches_closed_form(N, s):
     p = WeightParams(s=s, N=N)
-    for sigma in ([0, 1, 2] if N == 1 else [0, 2]):
+    for sigma in ([0, 1, 2, 3, 4] if N == 1 else [0, 2, 4]):
         field = SeparableModeField(p, sigma, c1=1.7)
         for r in (1.0, 0.6):
             want, scale = _hardy_mode_closed_form(p, sigma, 1.7, r)
             got = check_hardy_trace(p, field, r)
             assert abs(got - want) <= 1e-10 * scale, (sigma, r, got, want)
+
+
+@pytest.mark.parametrize("sigma", [1, 3])
+def test_separable_mode_field_needs_an_axisymmetric_mode(p3, sigma):
+    with pytest.raises(DomainError):
+        SeparableModeField(p3, sigma)
 
 
 @pytest.fixture(scope="module")
