@@ -13,7 +13,6 @@ from .core import (
     ClassificationError,
     DegenerateResonanceError,
     DomainError,
-    HalfBallGrid,
     InputError,
     RegimeError,
     ResolutionError,

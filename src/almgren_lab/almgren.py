@@ -2,11 +2,18 @@
 
 Every quantity is available through two independent paths.  The closed-form
 path exploits mode orthonormality: each term contributes explicit power laws
-whose radial integrals are evaluated analytically.  The quadrature path
-reduces the horizontal sphere exactly (harmonic orthogonality is structural)
-and integrates the polar angle and the radius numerically on the graded
-grids of `core`.  Both paths evaluate a whole radius schedule per call.
-Derivative identities are checked, never used as shortcuts.
+whose radial integrals are evaluated analytically, and the bracket of nu1 is
+a Lagrange sum of squares, so nu1 >= 0 exactly.  The quadrature path reduces
+the horizontal sphere exactly (harmonic orthogonality is structural) and
+integrates on one tensor Gauss-Jacobi rule, `gauss_jacobi(n, N + b)` in
+rho / r times `AngularGrid1D.gauss(N, b, n)`, with n from `gauss_nodes` of
+the largest degree.  For integer exponents the radial integrands are
+polynomials the rule integrates exactly; the angular integral stays
+numerical over the sampled profiles, which keeps this path an independent
+check of the closed path's orthonormality algebra.  At N + b < 1 the
+constant mode's ball integrand rho^{-2(N+b)} is no polynomial, so the
+quadrature path refuses it.  Both paths take a whole radius schedule in one
+numpy pass.  Derivative identities are checked, never used as shortcuts.
 """
 
 from __future__ import annotations
@@ -17,23 +24,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (
+    AngularGrid1D,
     DomainError,
-    HalfBallGrid,
     UnmatchedExponentError,
     VanishingDenominatorError,
     WeightParams,
+    gauss_jacobi,
 )
-from .synthesis import SeparableSolution
-
-QUAD_RADIAL = 1024
-QUAD_ANGULAR = 2048
-# radii per numpy pass of the quadrature path: a pass holds (radius, term,
-# radial node) arrays, so this bounds its memory on long schedules
-QUAD_RADII_PER_PASS = 16
-
-
-# ---------------------------------------------------------------------------
-# closed-form path
+from .synthesis import SeparableSolution, gauss_nodes
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,55 @@ class _TermPieces:
         return _TermPieces(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
+def _coefs(terms) -> np.ndarray:
+    """Rows (sigma, c1, e, d1), one column per term."""
+    return np.array([(t.sigma, t.c1, t.e, t.d1) for t in terms], dtype=float).reshape(-1, 4).T
+
+
+def _radial(coefs: np.ndarray, r):
+    """phi, phi', phi~, phi~' of the terms whose (sigma, c1, e, d1) rows broadcast against r."""
+    s, c1, e, d1 = coefs
+    rs = r ** s
+    ds = s * r ** (s - 1.0)
+    return (c1 * rs + e * r ** (s + 2.0), c1 * ds + e * (s + 2.0) * r ** (s + 1.0),
+            d1 * rs, d1 * ds)
+
+
+# ---------------------------------------------------------------------------
+# closed-form path
+
+
+def _bracket(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """|a|^2 |b|^2 - (a.b)^2 for a = (phi_i, phi~_i), b = a', summed over pairs.
+
+    Lagrange's identity makes it sum_{i<j} (a_i b_j - a_j b_i)^2.  Every
+    entry is C0 r^S + C2 r^{S+2}, so each determinant is r^{S_i+S_j-1} times
+    a quadratic in r^2 whose coefficients carry the exponent gaps: equal
+    powers cancel exactly, before any rounding.  Entries phi~_i = 0 are left out.
+    """
+    s, c1, e, d1 = coefs
+    live = d1 != 0.0
+    S = np.concatenate([s, s[live]])
+    C0 = np.concatenate([c1, d1[live]])
+    C2 = np.concatenate([e, np.zeros(np.count_nonzero(live))])
+    i, j = np.triu_indices(S.size, 1)
+    gap = S[j] - S[i]
+    K = np.stack([C0[i] * C0[j] * gap,
+                  C0[i] * C2[j] * (gap + 2.0) + C2[i] * C0[j] * (gap - 2.0),
+                  C2[i] * C2[j] * gap])
+    r2 = r * r
+    rs = r ** S[:, None]
+    det = (K.T @ np.stack([np.ones_like(r), r2, r2 * r2])) * (rs[i] * rs[j])
+    return np.einsum("pn,pn->n", det, det) / r2
+
+
 def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
     """Rows of `_TermPieces` summed over the terms, in one numpy pass over all of them."""
     p = sol.params
     beta = p.N + p.b
-    coefs = np.array([(t.sigma, t.mode.mu, t.c1, t.e, t.d1) for t in sol.terms], dtype=float)
-    s, mu, c1, e, d1 = coefs.reshape(-1, 5).T
+    coefs = _coefs(sol.terms)
+    s, c1, e, d1 = coefs
+    mu = np.array([t.mode.mu for t in sol.terms], dtype=float)
     # the ball integrals are sums of C[j, piece, term] r^q / q over the exponents
     # q = Q[j, term]; the pieces are ball_grad, ball_uv and ball_v_zgrad
     zero = np.zeros_like(s)
@@ -79,11 +120,7 @@ def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
     Q = np.where(active, Q, 1.0)[:, :, None]
     ball = np.einsum("jkt,jtn->kn", C, np.where(active[:, :, None], r ** Q / Q, 0.0))
     # the radial parts on the sphere S_r^+, one row per term
-    s, mu, c1, e, d1 = coefs.reshape(-1, 5, 1).transpose(1, 0, 2)
-    phi = c1 * r ** s + e * r ** (s + 2.0)
-    dphi = c1 * s * r ** (s - 1.0) + e * (s + 2.0) * r ** (s + 1.0)
-    phit = d1 * r ** s
-    dphit = d1 * s * r ** (s - 1.0)
+    phi, dphi, phit, dphit = _radial(coefs[:, :, None], r)
     u2 = phi * phi + phit * phit
     du2 = (dphi * dphi + dphit * dphit).sum(axis=0)
     rb = r ** beta
@@ -91,7 +128,7 @@ def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
         ball,
         rb * u2.sum(axis=0),
         rb * (phi * dphi + phit * dphit).sum(axis=0),
-        rb * (du2 + (mu * u2).sum(axis=0) / r ** 2),
+        rb * (du2 + (mu[:, None] * u2).sum(axis=0) / r ** 2),
         rb * du2,
         rb * (phi * phit).sum(axis=0),
     ])
@@ -112,76 +149,60 @@ def _form(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _QuadContext:
-    """Angular pair integrals per block plus a radial rule, built once per call."""
+    """Angular pair integrals per block plus a radial Gauss-Jacobi rule, built once per call."""
 
-    def __init__(self, sol: SeparableSolution, n_radial: int, n_angular: int):
+    def __init__(self, sol: SeparableSolution, n_radial: int | None = None,
+                 n_angular: int | None = None):
         p = sol.params
-        self.params = p
-        self.ball = HalfBallGrid.build(p, n_radial=n_radial, n_angular=n_angular,
-                                       R=sol.R)
-        grid = self.ball.angular
-        nodes = grid.nodes
-        w = grid.weights
-        if p.N >= 2:
-            sin2 = np.sin(nodes) ** 2
-            w_pot = np.where(w > 0, w / np.where(sin2 > 0, sin2, 1.0), 0.0)
-            w_pot[sin2 == 0] = 0.0
-        else:
-            w_pot = None
+        self.beta = p.N + p.b
+        if self.beta < 1.0 and any(t.mode.mu == 0.0 for t in sol.terms):
+            raise DomainError(
+                f"the quadrature path cannot resolve the constant mode at N + b = "
+                f"{self.beta:.6g} < 1, whose ball integrand is singular at 0; "
+                "use method='closed'"
+            )
+        n = gauss_nodes(max((t.sigma for t in sol.terms), default=0.0))
+        self.x, self.wx = gauss_jacobi(n if n_radial is None else n_radial, self.beta)
+        grid = AngularGrid1D.gauss(p.N, p.b, n if n_angular is None else n_angular)
+        nodes, w = grid.nodes, grid.weights
         self.blocks = []
         for k, terms in sol.blocks().items():
-            pvals = np.stack([np.asarray(t.mode.profile(nodes), dtype=float) for t in terms])
-            dvals = np.stack([np.asarray(t.mode.profile.deriv(nodes), dtype=float) for t in terms])
-            kappa = k * (k + p.N - 2) if p.N >= 2 else 0
-            A = _gram(pvals, pvals, w)
-            E = _gram(dvals, dvals, w)
-            if kappa and w_pot is not None:
-                E += kappa * _gram(pvals, pvals, w_pot)
-            self.blocks.append((terms, A, E))
+            P = np.array([t.mode.profile(nodes) for t in terms], dtype=float)
+            dP = np.array([t.mode.profile.deriv(nodes) for t in terms], dtype=float)
+            A = _gram(P, P, w)
+            E = _gram(dP, dP, w)
+            if p.N >= 2 and k:   # Gauss nodes avoid the pole, where sin(psi) = 0
+                E += k * (k + p.N - 2) * _gram(P, P, w / np.sin(nodes) ** 2)
+            self.blocks.append((_coefs(terms), A, E))
 
     def pieces(self, r: np.ndarray) -> np.ndarray:
-        """Rows of `_TermPieces` at every radius of `r`."""
-        acc = np.zeros((8, r.size))
-        for lo in range(0, r.size, QUAD_RADII_PER_PASS):
-            acc[:, lo:lo + QUAD_RADII_PER_PASS] = self._pass(r[lo:lo + QUAD_RADII_PER_PASS])
-        return acc
-
-    def _pass(self, r: np.ndarray) -> np.ndarray:
-        """The pieces at a few radii at once, one Gram matrix per block and piece."""
-        beta = self.params.N + self.params.b
+        """Rows of `_TermPieces` at every radius of `r`, one Gram matrix per block and piece."""
         # the rule at radius r is the base rule scaled by r: one row per radius
-        rho, wr = self.ball.radial_rule(r[:, None])
-        if self.ball.radial_nodes[0] == 0.0:   # drop the origin node; its cell mass is negligible
-            rho, wr = rho[:, 1:], wr[:, 1:]
-        wr_inv2 = wr * rho ** -2.0
-        rb = r ** beta
+        rho = r[:, None] * self.x
+        wr = self.wx * r[:, None] ** (self.beta + 1.0)
+        wr_inv2 = wr / rho ** 2
+        rb = r ** self.beta
         acc = np.zeros((8, r.size))
-        for terms, A, E in self.blocks:
+        for coefs, A, E in self.blocks:
             # radial parts on the nodes, shaped (radius, term, node)
-            phi = np.stack([t.phi(rho) for t in terms], axis=1)
-            dphi = np.stack([t.dphi(rho) for t in terms], axis=1)
-            phit = np.stack([t.phi_tilde(rho) for t in terms], axis=1)
-            dphit = np.stack([t.dphi_tilde(rho) for t in terms], axis=1)
+            phi, dphi, phit, dphit = _radial(coefs[:, None, :, None], rho[:, None, :])
             acc[0] += np.sum(A * (_gram(dphi, dphi, wr) + _gram(dphit, dphit, wr))
                              + E * (_gram(phi, phi, wr_inv2) + _gram(phit, phit, wr_inv2)),
                              axis=(1, 2))
             acc[1] += np.sum(A * _gram(phi, phit, wr), axis=(1, 2))
             acc[2] += np.sum(A * _gram(phit, dphi, wr * rho), axis=(1, 2))
             # radial parts on the sphere S_r^+, shaped (term, radius)
-            phi_r = np.stack([t.phi(r) for t in terms])
-            dphi_r = np.stack([t.dphi(r) for t in terms])
-            phit_r = np.stack([t.phi_tilde(r) for t in terms])
-            dphit_r = np.stack([t.dphi_tilde(r) for t in terms])
-            acc[3] += rb * (_form(A, phi_r, phi_r) + _form(A, phit_r, phit_r))
-            acc[4] += rb * (_form(A, phi_r, dphi_r) + _form(A, phit_r, dphit_r))
-            acc[5] += rb * (_form(A, dphi_r, dphi_r) + _form(A, dphit_r, dphit_r)
-                            + (_form(E, phi_r, phi_r) + _form(E, phit_r, phit_r)) / r ** 2)
-            acc[6] += rb * (_form(A, dphi_r, dphi_r) + _form(A, dphit_r, dphit_r))
-            acc[7] += rb * _form(A, phi_r, phit_r)
+            phi, dphi, phit, dphit = _radial(coefs[:, :, None], r)
+            acc[3] += rb * (_form(A, phi, phi) + _form(A, phit, phit))
+            acc[4] += rb * (_form(A, phi, dphi) + _form(A, phit, dphit))
+            acc[5] += rb * (_form(A, dphi, dphi) + _form(A, dphit, dphit)
+                            + (_form(E, phi, phi) + _form(E, phit, phit)) / r ** 2)
+            acc[6] += rb * (_form(A, dphi, dphi) + _form(A, dphit, dphit))
+            acc[7] += rb * _form(A, phi, phit)
         return acc
 
 
-def _pieces(sol, radii, method, n_radial=QUAD_RADIAL, n_angular=QUAD_ANGULAR) -> _TermPieces:
+def _pieces(sol, radii, method, n_radial=None, n_angular=None) -> _TermPieces:
     """The pieces at every radius of a schedule, in one call of either path."""
     r = np.asarray(radii, dtype=float)
     if method not in ("closed", "quadrature"):
@@ -205,9 +226,19 @@ def _DH(pc: _TermPieces, r, beta: float):
     return r ** (1.0 - beta) * (pc.ball_grad + pc.ball_uv), r ** (-beta) * pc.s_u2
 
 
-def _nu(pc: _TermPieces, r, beta: float):
-    """The two components (nu1, nu2) of N' from the pieces."""
-    nu1 = 2.0 * r * (pc.s_nu * pc.s_u2 - pc.s_uu ** 2) / pc.s_u2 ** 2
+def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
+    """The two components (nu1, nu2) of N' from the pieces at the radii r.
+
+    nu1 = 2 r (s_nu s_u2 - s_uu^2) / s_u2^2.  The closed path sums the bracket
+    by `_bracket`, exact in sign; the quadrature path takes the difference of
+    its numerical pieces.
+    """
+    beta = sol.params.N + sol.params.b
+    if method == "closed":
+        bracket = r ** (2.0 * beta) * _bracket(_coefs(sol.terms), r)
+    else:
+        bracket = pc.s_nu * pc.s_u2 - pc.s_uu ** 2
+    nu1 = 2.0 * r * bracket / pc.s_u2 ** 2
     nu2 = (r * pc.s_uv - 2.0 * pc.ball_v_zgrad - (beta - 1.0) * pc.ball_uv) / pc.s_u2
     return nu1, nu2
 
@@ -225,7 +256,7 @@ def _check_radii(sol: SeparableSolution, radii) -> None:
 
 
 def compute_DH(sol: SeparableSolution, r: float, method: str = "closed",
-               n_radial: int = QUAD_RADIAL, n_angular: int = QUAD_ANGULAR) -> tuple[float, float]:
+               n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
     """Scaled energy D(r) and boundary mass H(r) of the solution pair."""
     if sol.is_zero:
         return 0.0, 0.0
@@ -275,8 +306,13 @@ def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
 
 
 def trace(sol: SeparableSolution, radii=None, method: str = "closed",
-          n_radial: int = QUAD_RADIAL, n_angular: int = QUAD_ANGULAR) -> FrequencyTrace:
-    """Evaluate the frequency records over a (default geometric) schedule."""
+          n_radial: int | None = None, n_angular: int | None = None) -> FrequencyTrace:
+    """Evaluate the frequency records over a (default geometric) schedule.
+
+    For method="quadrature", `n_radial` and `n_angular` override the Gauss
+    node counts, which by default follow `gauss_nodes` of the largest
+    sigma_plus of the synthesis.
+    """
     if radii is None:
         radii = radius_schedule(sol.R)
     radii = np.asarray(radii, dtype=float)
@@ -288,22 +324,21 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed",
     if np.any(vanishing):
         raise VanishingDenominatorError(f"H({radii[np.argmax(vanishing)]}) is not positive")
     D, H = _DH(pieces, radii, beta)
-    nu1, nu2 = _nu(pieces, radii, beta)
+    nu1, nu2 = _nu(sol, pieces, radii, method)
     return FrequencyTrace(params=p, r=radii, D=D, H=H, N=D / H, nu1=nu1, nu2=nu2,
                           provenance=method)
 
 
 def nu_decomposition(sol: SeparableSolution, r: float, method: str = "closed",
-                     n_radial: int = QUAD_RADIAL, n_angular: int = QUAD_ANGULAR) -> tuple[float, float]:
+                     n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
     """The two components of N'(r): boundary Cauchy-Schwarz bracket and the rest."""
     if not (0.0 < r < sol.R):
         raise DomainError(f"radius {r} outside (0, {sol.R})")
-    p = sol.params
-    pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)
-    if pieces.s_u2 <= 0.0:
+    pieces = _pieces(sol, [r], method, n_radial, n_angular)
+    if pieces.s_u2[0] <= 0.0:
         raise VanishingDenominatorError(f"H({r}) is not positive")
-    nu1, nu2 = _nu(pieces, r, p.N + p.b)
-    return float(nu1), float(nu2)
+    nu1, nu2 = _nu(sol, pieces, np.array([r]), method)
+    return float(nu1[0]), float(nu2[0])
 
 
 def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3,
@@ -346,7 +381,7 @@ def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3,
 
 
 def check_pohozaev(sol: SeparableSolution, r: float, method: str = "closed",
-                   n_radial: int = QUAD_RADIAL, n_angular: int = QUAD_ANGULAR) -> tuple[float, float]:
+                   n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
     """Relative residuals of the two radial-multiplier integral identities."""
     if sol.is_zero:
         return 0.0, 0.0

@@ -347,7 +347,7 @@ def _cmd_selftest(args) -> int:
 
     params10 = WeightParams(s=1.5, N=1)
     area = core.integrate_halfball(lambda rho, a: np.ones_like(rho * a), params10, 1.0)
-    record("halfdisk-area", abs(area - math.pi / 2) < 1e-6, f"{area:.8f}")
+    record("halfdisk-area", abs(area - math.pi / 2) < 1e-12, f"{area:.14f}")
     z1 = bessel_zero(-0.5, 1)
     record("bessel-zero", abs(z1 - math.pi / 2) < 1e-10, f"{z1:.12f}")
     modes = hemisphere.hemisphere_eigs(params10, per_k=5, resolution=256, refinements=1)

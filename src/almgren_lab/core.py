@@ -1,4 +1,4 @@
-"""Parameter bundle, weighted grids and quadrature on the half ball and half sphere.
+"""Parameter bundle, weighted rules and quadrature on the half ball and half sphere.
 
 Geometry conventions used throughout the package:
 
@@ -285,6 +285,7 @@ class AngularGrid1D:
         return cls(N=N, b=b, nodes=psi[order], weights=(u_weights * fold)[order])
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)
     def gauss(cls, N: int, b: float, n: int) -> "AngularGrid1D":
         """Gauss-Jacobi grid: n nodes per quarter period in u = pi/2 - psi.
 
@@ -322,81 +323,34 @@ class AngularGrid1D:
         return values
 
 
-@dataclass(frozen=True)
-class HalfBallGrid:
-    """Tensor quadrature grid for the half ball B_R^+ with measure t^b dz.
-
-    In polar coordinates z = rho * theta the measure splits into
-    rho^{N+b} d(rho) x theta_{N+1}^b dS(theta); the radial rule carries the
-    rho^{N+b} moments exactly per cell and is geometrically graded toward 0,
-    the angular factor is an `AngularGrid1D`.  Fields are sampled
-    axisymmetrically as f(rho, angle).
-    """
-
-    params: WeightParams
-    R: float
-    radial_nodes: np.ndarray   # normalized to (0, 1]
-    radial_weights: np.ndarray  # for int_0^1 x^{N+b} f dx
-    angular: AngularGrid1D
-
-    def __post_init__(self):
-        self.radial_nodes.flags.writeable = False
-        self.radial_weights.flags.writeable = False
-
-    @classmethod
-    def build(
-        cls,
-        params: WeightParams,
-        *,
-        n_radial: int = DEFAULT_RADIAL_NODES,
-        n_angular: int = DEFAULT_ANGULAR_NODES,
-        R: float | None = None,
-    ) -> "HalfBallGrid":
-        if n_radial < 8:
-            raise DomainError("radial resolution too low; use n_radial >= 8")
-        breaks = graded_breaks(1.0, n_radial, grade_start=True)
-        nodes, weights = power_rule(breaks, params.N + params.b)
-        ang = AngularGrid1D.for_params(params, n_angular)
-        return cls(params=params, R=params.R if R is None else R,
-                   radial_nodes=nodes, radial_weights=weights, angular=ang)
-
-    def radial_rule(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled nodes/weights for int_0^r rho^{N+b} g(rho) drho."""
-        scale = r ** (self.params.N + self.params.b + 1)
-        return self.radial_nodes * r, self.radial_weights * scale
-
-    def integrate(self, f, r: float) -> float:
-        """Integral of t^b f over B_r^+ for an axisymmetric field f(rho, angle)."""
-        if not (0 < r <= self.R * (1 + 1e-12)):
-            raise DomainError(f"radius {r} outside grid coverage (0, {self.R}]")
-        rho, wr = self.radial_rule(r)
-        values = np.asarray(f(rho[:, None], self.angular.nodes[None, :]), dtype=float)
-        if values.shape != (rho.size, self.angular.nodes.size):
-            raise InputError("field sample has wrong shape")
-        if not np.all(np.isfinite(values)):
-            raise InputError("non-finite field sample")
-        inner = values @ self.angular.weights
-        return float(self.angular.area_factor * (wr @ inner))
-
-
 def integrate_halfball(
     f,
     params: WeightParams,
     r: float,
     *,
-    grid: HalfBallGrid | None = None,
+    grid: AngularGrid1D | None = None,
     n_radial: int = DEFAULT_RADIAL_NODES,
     n_angular: int = DEFAULT_ANGULAR_NODES,
 ) -> float:
     """Approximate int_{B_r^+} t^b f dz for an axisymmetric field f(rho, angle).
 
     `f` is a callable receiving broadcastable arrays (rho, angle); the angle
-    is the polar angle psi for N >= 2 and the arc angle phi for N = 1.
+    is the polar angle psi for N >= 2 and the arc angle phi for N = 1.  In
+    polar coordinates the measure splits into rho^{N+b} d(rho) times the
+    angular weight, so the rule is a tensor of `gauss_jacobi(n_radial, N+b)`
+    in rho / r and `grid` (by default `AngularGrid1D.gauss(N, b, n_angular)`).
     """
-    if grid is None:
-        grid = HalfBallGrid.build(params, n_radial=n_radial, n_angular=n_angular,
-                                  R=max(params.R, r))
-    return grid.integrate(f, r)
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {r}")
+    beta = params.N + params.b
+    x, w = gauss_jacobi(n_radial, beta)
+    grid = grid or AngularGrid1D.gauss(params.N, params.b, n_angular)
+    values = np.asarray(f(r * x[:, None], grid.nodes[None, :]), dtype=float)
+    if values.shape != (x.size, grid.nodes.size):
+        raise InputError("field sample has wrong shape")
+    if not np.all(np.isfinite(values)):
+        raise InputError("non-finite field sample")
+    return float(grid.area_factor * r ** (beta + 1.0) * (w @ (values @ grid.weights)))
 
 
 def integrate_halfsphere(

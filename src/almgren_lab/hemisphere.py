@@ -252,20 +252,22 @@ def _sector_tridiag(params: WeightParams, k: int, n: int):
 def _sector_eigs(params: WeightParams, k: int, n: int, count: int):
     """Lowest eigenpairs of one sector at resolution n (cell-centered FV)."""
     masses, coeffs, centers = _sector_tridiag(params, k, n)
-    pair = masses[:-1] * masses[1:]
-    if not (np.all(np.isfinite(masses)) and np.all(masses > 0) and np.all(pair > 0)):
+    if not (np.all(np.isfinite(masses)) and np.all(masses > 0)):
         # the weight sin^{2k+N-1}(psi) drives the masses next to the pole
         # below the floating-point range for high sectors
         raise ResolutionError(
             f"sector k = {k} at resolution {n}: cell masses underflow; "
             f"ask for fewer sectors (a lower l or k_max)"
         )
+    # products of square roots: the plain products of the tiny masses next
+    # to the pole are subnormal for high sectors and keep only a few bits
+    root = np.sqrt(masses)
     h = centers[1] - centers[0]
     a = coeffs / h
     diag = (a[:-1] + a[1:]) / masses
-    off = -a[1:-1] / np.sqrt(pair)
+    off = -a[1:-1] / (root[:-1] * root[1:])
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    q = vecs / np.sqrt(masses)[:, None]
+    q = vecs / root[:, None]
     shift = 0.0 if params.N == 1 else k * (k + params.N + params.b - 1.0)
     return vals + shift, q, masses, centers
 

@@ -125,9 +125,8 @@ def test_criterion_06_pure_mode_frequency():
             for r in radii:
                 assert abs(al.frequency(sol, float(r)) - mode.sigma_plus) <= 1e-10
             for r in (0.5, 0.1, 0.02):
-                fq = al.frequency(sol, r, method="quadrature",
-                                  n_radial=2048, n_angular=4096)
-                assert abs(fq - mode.sigma_plus) <= 1e-6, (
+                fq = al.frequency(sol, r, method="quadrature")
+                assert abs(fq - mode.sigma_plus) <= 1e-10, (
                     f"quadrature path off by {abs(fq - mode.sigma_plus):.2e}")
 
 
@@ -164,7 +163,7 @@ def test_criterion_08_pohozaev():
                 r1, r2 = al.check_pohozaev(sol, r)
                 assert max(r1, r2) <= 1e-8, f"closed residuals {r1:.1e}, {r2:.1e}"
                 q1, q2 = al.check_pohozaev(sol, r, method="quadrature")
-                assert max(q1, q2) <= 5e-5, f"quadrature residuals {q1:.1e}, {q2:.1e}"
+                assert max(q1, q2) <= 1e-8, f"quadrature residuals {q1:.1e}, {q2:.1e}"
 
 
 def test_criterion_09_frequency_limit():
@@ -268,7 +267,7 @@ def test_criterion_13_cross_path_regression():
             for r in (0.2, 0.5, 0.8):
                 Dc, Hc = al.compute_DH(sol, r)
                 Dq, Hq = al.compute_DH(sol, r, method="quadrature")
-                assert abs(Dq - Dc) <= 1e-6 * abs(Dc), f"D mismatch at r={r}"
-                assert abs(Hq - Hc) <= 1e-6 * abs(Hc), f"H mismatch at r={r}"
+                assert abs(Dq - Dc) <= 1e-10 * abs(Dc), f"D mismatch at r={r}"
+                assert abs(Hq - Hc) <= 1e-10 * abs(Hc), f"H mismatch at r={r}"
                 Nc, Nq = Dc / Hc, Dq / Hq
-                assert abs(Nq - Nc) <= 1e-6 * max(abs(Nc), 1.0)
+                assert abs(Nq - Nc) <= 1e-10 * max(abs(Nc), 1.0)

@@ -8,13 +8,19 @@ from scipy import integrate
 from almgren_lab import (
     AngularGrid1D,
     DomainError,
-    HalfBallGrid,
     InputError,
     WeightParams,
     integrate_halfball,
     integrate_halfsphere,
 )
-from almgren_lab.core import gauss_jacobi, graded_breaks, power_rule, weighted_angular_moment
+from almgren_lab.core import (
+    DEFAULT_ANGULAR_NODES,
+    DEFAULT_RADIAL_NODES,
+    gauss_jacobi,
+    graded_breaks,
+    power_rule,
+    weighted_angular_moment,
+)
 
 ONE = lambda rho, ang: np.ones(np.broadcast(rho, ang).shape)
 
@@ -55,22 +61,22 @@ def test_power_rule_rejects_nonintegrable():
 def test_halfball_unweighted_halfdisk_area(params_n1):
     # f = 1, N = 1, b = 0, r = 1: area of the half disk
     got = integrate_halfball(ONE, params_n1, 1.0)
-    assert_allclose(got, math.pi / 2, rtol=1e-9)
+    assert_allclose(got, math.pi / 2, rtol=1e-13)
 
 
 def test_halfball_measure_homogeneity(params_n1):
     # scaling r^{N+b+1}: r = 2 gives 2 pi
     got = integrate_halfball(ONE, params_n1, 2.0, n_radial=128, n_angular=256)
-    assert_allclose(got, 2 * math.pi, rtol=1e-9)
+    assert_allclose(got, 2 * math.pi, rtol=1e-13)
 
 
 def test_halfball_weighted_against_adaptive_oracle():
     # frozen from scipy.integrate.dblquad over the half disk with weight t^0.5
     p = WeightParams.from_b(0.5, 1)
     got = integrate_halfball(ONE, p, 1.0)
-    assert_allclose(got, 0.9585121877884734, rtol=1e-5)
-    fine = integrate_halfball(ONE, p, 1.0, n_radial=1024, n_angular=8192)
-    assert_allclose(fine, 0.9585121877884734, rtol=1e-7)
+    assert_allclose(got, 0.9585121877884734, rtol=1e-12)
+    coarse = integrate_halfball(ONE, p, 1.0, n_radial=8, n_angular=16)
+    assert_allclose(coarse, 0.9585121877884734, rtol=1e-12)
     # regenerate the oracle here so the frozen value stays auditable
     val, err = integrate.dblquad(
         lambda t, x: t ** 0.5, -1, 1, 0, lambda x: math.sqrt(1 - x * x),
@@ -94,11 +100,13 @@ def test_halfsphere_theta_squared(params_n1):
 @pytest.mark.parametrize("fixture", ["params_n1", "params_n3", "params_n4"])
 def test_euler_homogeneity_of_weighted_measure(fixture, request):
     # int_{S_r^+} t^b dS = (N+b+1) r^{-1} int_{B_r^+} t^b dz
+    # on one angular grid; the radial Gauss-Jacobi rule is exact for f = 1
     p = request.getfixturevalue(fixture)
     r = 0.8
-    sphere = integrate_halfsphere(lambda a: np.ones_like(a), p, r)
-    ball = integrate_halfball(ONE, p, r)
-    assert_allclose(sphere, (p.N + p.b + 1) / r * ball, rtol=1e-9)
+    grid = AngularGrid1D.gauss(p.N, p.b, 64)
+    sphere = integrate_halfsphere(lambda a: np.ones_like(a), p, r, grid=grid)
+    ball = integrate_halfball(ONE, p, r, grid=grid)
+    assert_allclose(sphere, (p.N + p.b + 1) / r * ball, rtol=1e-13)
 
 
 @pytest.mark.parametrize("fixture", ["params_n1", "params_n3"])
@@ -115,16 +123,28 @@ def test_refinement_order_on_smooth_integrand(fixture, request):
 
 
 def test_all_quadrature_weights_nonnegative(params_n3, params_n1):
+    # the two factors of the half-ball rule of integrate_halfball
     for p in (params_n1, params_n3):
-        g = HalfBallGrid.build(p)
-        assert np.all(g.radial_weights >= 0)
-        assert np.all(g.angular.weights >= 0)
+        x, w = gauss_jacobi(DEFAULT_RADIAL_NODES, p.N + p.b)
+        assert np.all((x > 0) & (x < 1)) and np.all(w >= 0)
+        assert np.all(AngularGrid1D.gauss(p.N, p.b, DEFAULT_ANGULAR_NODES).weights >= 0)
 
 
 def test_radius_outside_coverage_raises(params_n1):
-    grid = HalfBallGrid.build(params_n1)
-    with pytest.raises(DomainError):
-        grid.integrate(ONE, 1.5)
+    for r in (0.0, -1.5, math.inf, math.nan):
+        with pytest.raises(DomainError, match="radius must be positive and finite"):
+            integrate_halfball(ONE, params_n1, r)
+
+
+def test_halfball_rule_beyond_R_and_on_a_given_grid(params_n1, params_n3):
+    # the rule covers any radius: R bounds the solutions, not the quadrature
+    got = integrate_halfball(ONE, params_n1, 1.5)
+    assert_allclose(got, math.pi / 2 * 1.5 ** 2, rtol=1e-13)
+    p = params_n3
+    grid = AngularGrid1D.gauss(p.N, p.b, 12)
+    sphere = integrate_halfsphere(lambda a: np.ones_like(a), p, 1.0, grid=grid)
+    ball = integrate_halfball(ONE, p, 1.0, grid=grid, n_radial=4)
+    assert_allclose(ball, sphere / (p.N + p.b + 1), rtol=1e-14)
 
 
 def test_nonfinite_sample_raises(params_n1):
@@ -144,7 +164,7 @@ def test_normalized_hemisphere_eigenfunction_cross_check(params_n3, modes_n3):
     got = integrate_halfball(
         lambda rho, ang: np.broadcast_to(mode.profile(ang) ** 2 / area,
                                          np.broadcast(rho, ang).shape),
-        p, p.R, n_angular=4096,
+        p, p.R,
     )
     want = p.R ** (p.N + p.b + 1) / (p.N + p.b + 1)
     assert_allclose(got, want, rtol=2e-6)

@@ -22,7 +22,9 @@ from almgren_lab.core import weighted_angular_moment
 from almgren_lab.hemisphere import (
     MAX_MODES,
     _jacobi,
+    _richardson,
     _sector_eigs,
+    exact_mu,
     harmonic_multiplicity,
     hemisphere_modes,
     sigma_multiplicity,
@@ -231,9 +233,20 @@ def test_resolution_guard(params_n3):
 
 
 def test_high_sector_underflow_is_a_resolution_error(params_n3):
-    # sin^{2k+N-1}(psi) drives the products of neighbouring cell masses to 0
+    # sin^{2k+N-1}(psi) drives the cell masses next to the pole to 0
     with pytest.raises(ResolutionError, match="underflow"):
-        _sector_eigs(params_n3, 29, 1024, 4)
+        _sector_eigs(params_n3, 60, 1024, 4)
+
+
+@pytest.mark.parametrize("k", [28, 29, 40])
+def test_high_sector_eigenvalues_match_the_closed_form(params_n3, k):
+    # the pole-side masses of these sectors are ~1e-167 at n = 1024, so their
+    # plain products are subnormal (6.8e-317 at k = 28) or 0; the
+    # off-diagonals use products of their square roots.  Tolerance as in
+    # test_finite_volumes_match_the_closed_form.
+    levels = [_sector_eigs(params_n3, k, n, 3)[0] for n in (1024, 2048)]
+    want = [exact_mu(params_n3, k + 2 * j) for j in range(3)]
+    assert_allclose(_richardson(levels), want, rtol=1e-6, atol=0.0)
 
 
 def test_harmonic_multiplicity_values():

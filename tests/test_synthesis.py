@@ -265,3 +265,38 @@ def test_min_exponent_matches_logH_slope(p3):
     _, h2 = compute_DH(sol, r2)
     slope = (math.log(h1) - math.log(h2)) / (math.log(r1) - math.log(r2))
     assert abs(slope / 2.0 - 1.0) < 1e-3  # gamma = min sigma = 1
+
+
+def _fit_by_lstsq(samples, sigmas):
+    """Per-candidate lstsq of the two-exponent model: (relative residual, sigma, c1, d1)."""
+    lam, phi, phit = np.asarray(samples, dtype=float).T
+    total = float(phi @ phi + phit @ phit)
+    fits = []
+    for sigma in sorted(sigmas):
+        A = np.column_stack([lam ** sigma, lam ** (sigma + 2.0)])
+        cu, *_ = np.linalg.lstsq(A, phi, rcond=None)
+        cv, *_ = np.linalg.lstsq(A[:, :1], phit, rcond=None)
+        res = float(np.sum((phi - A @ cu) ** 2) + np.sum((phit - A[:, :1] @ cv) ** 2))
+        fits.append((math.sqrt(res / total), sigma, float(cu[0]), float(cv[0])))
+    return min(fits, key=lambda f: f[0])
+
+
+def test_batched_fit_matches_per_candidate_lstsq(p3, rng):
+    # noisy two-layer samples: the stacked QR picks the candidate and the
+    # coefficients that one lstsq per candidate does; at sigma = 200 the
+    # columns underflow to 0, which must not stop the others from fitting
+    lam = np.geomspace(0.3, 0.02, 8)
+    cands = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 200.0]
+    for _ in range(20):
+        sigma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
+        c1, d1 = rng.uniform(0.3, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+        e = d1 / k_constant(p3, sigma * (sigma + p3.N + p3.b - 1.0))
+        phi = (c1 * lam ** sigma + e * lam ** (sigma + 2)) * (1 + 1e-4 * rng.normal(size=lam.size))
+        phit = d1 * lam ** sigma * (1 + 1e-4 * rng.normal(size=lam.size))
+        samples = np.column_stack([lam, phi, phit])
+        fit = fit_blowup(samples, cands, p3)
+        rel, sigma_ref, c1_ref, d1_ref = _fit_by_lstsq(samples, cands)
+        assert fit.sigma_used == sigma_ref == sigma
+        assert fit.residual == pytest.approx(rel, rel=1e-8)
+        assert fit.c1_hat == pytest.approx(c1_ref, rel=1e-10)
+        assert fit.d1_hat == pytest.approx(d1_ref, rel=1e-10)
