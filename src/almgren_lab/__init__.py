@@ -31,7 +31,14 @@ from .special_functions import (
     bessel_zero,
     radial_norm_gamma,
 )
-from .cylinder import CylinderMode, DirichletSpectrum, cylinder_mode, dirichlet_eigs, poisson_solve
+from .cylinder import (
+    CylinderMode,
+    DirichletSpectrum,
+    cylinder_mode,
+    cylinder_spectrum,
+    dirichlet_eigs,
+    poisson_solve,
+)
 from .hemisphere import (
     SpectralMode,
     hemisphere_eigs,

@@ -229,16 +229,29 @@ def _DH(pc: _TermPieces, r, beta: float):
 def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
     """The two components (nu1, nu2) of N' from the pieces at the radii r.
 
-    nu1 = 2 r (s_nu s_u2 - s_uu^2) / s_u2^2.  The closed path sums the bracket
-    by `_bracket`, exact in sign; the quadrature path takes the difference of
-    its numerical pieces.
+    nu1 = 2 r (s_nu s_u2 - s_uu^2) / s_u2^2 is homogeneous of degree 0 in a
+    common scale of the radial factors.  The closed path divides them by
+    r^{S_min}, S_min the smallest exponent of a live term, and sums the
+    bracket by `_bracket`, exact in sign; the quadrature path forms
+    s_nu / s_u2 - (s_uu / s_u2)^2.  Neither squares a quantity that can
+    underflow while D and H are finite.  The quadrature difference still
+    cancels: for a high degree sigma at small r it keeps about 1e-16 sigma^2/r^2
+    absolute error and no correct digits (sigma = 40 at r = 0.008), so only
+    the closed nu1 is exact there.
     """
     beta = sol.params.N + sol.params.b
     if method == "closed":
-        bracket = r ** (2.0 * beta) * _bracket(_coefs(sol.terms), r)
+        coefs = _coefs(sol.terms)
+        s, c1, _, d1 = coefs
+        live = (c1 != 0.0) | (d1 != 0.0)
+        scaled = coefs.copy()
+        scaled[0] -= s[live].min() if live.any() else 0.0
+        phi, _, phit, _ = _radial(scaled[:, :, None], r)
+        u2 = (phi * phi + phit * phit).sum(axis=0)
+        nu1 = 2.0 * r * _bracket(scaled, r) / u2 ** 2
     else:
-        bracket = pc.s_nu * pc.s_u2 - pc.s_uu ** 2
-    nu1 = 2.0 * r * bracket / pc.s_u2 ** 2
+        ratio = pc.s_uu / pc.s_u2
+        nu1 = 2.0 * r * (pc.s_nu / pc.s_u2 - ratio * ratio)
     nu2 = (r * pc.s_uv - 2.0 * pc.ball_v_zgrad - (beta - 1.0) * pc.ball_uv) / pc.s_u2
     return nu1, nu2
 

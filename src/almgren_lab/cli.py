@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import math
 import os
@@ -84,22 +86,23 @@ def _emit_json(cfg: RunConfig, name: str, payload: dict) -> None:
     print(text)
 
 
-def _emit_csv(cfg: RunConfig, name: str, header: list[str], rows) -> None:
-    target = sys.stdout
-    path = None
+def _emit_csv(cfg: RunConfig, name: str, header: list[str], rows: np.ndarray) -> None:
+    """Write float rows under a header: 17 significant digits, CRLF line ends as csv.writer."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise DomainError(f"{name} holds a non-finite value")
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    text = head.getvalue() + "".join(line % row for row in map(tuple, rows.tolist()))
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, name + ".csv")
-        target = open(path, "w", newline="")
-    try:
-        writer = csv.writer(target)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    finally:
-        if path:
-            target.close()
-            print(f"wrote {path}")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
 
 
 def _params_dict(params: WeightParams) -> dict:
@@ -122,17 +125,10 @@ def _cmd_spectrum(args) -> int:
         }
         _emit_json(cfg, "hemisphere_spectrum", payload)
     else:
-        count = args.count
-        spec = cylinder.dirichlet_eigs(params.N, params.R, count)
-        modes = []
-        for n in range(1, count + 1):
-            for m in range(1, count + 1):
-                mode = cylinder.cylinder_mode(params, n, m, spectrum=spec)
-                modes.append({"n": n, "m": m, "mu_n": mode.mu_n,
-                              "bessel_zero": mode.zero_m,
-                              "lambda": mode.eigenvalue})
-        modes.sort(key=lambda d: d["lambda"])
-        payload = {"params": _params_dict(params), "modes": modes[:count]}
+        modes = [{"n": mode.n, "m": mode.m, "mu_n": mode.mu_n, "bessel_zero": mode.zero_m,
+                  "lambda": mode.eigenvalue}
+                 for mode in cylinder.cylinder_spectrum(params, args.count)]
+        payload = {"params": _params_dict(params), "modes": modes}
         _emit_json(cfg, "cylinder_spectrum", payload)
     return 0
 
@@ -160,12 +156,35 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _read_table(path: str) -> np.ndarray:
+    """The numbers under a CSV header, one array row per data line; blank lines skipped."""
+    try:
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]), None)
+            body = [line for line in fh.read().splitlines() if line.strip()]
+        data = np.loadtxt(body, delimiter=",", quotechar='"', ndmin=2) if body else None
+    except ValueError as exc:   # a cell that is not a number, a ragged row, bad bytes
+        raise InputError(f"{path}: {str(exc).partition('; use `usecols`')[0]}") from None
+    if not header:
+        raise InputError(f"{path}: no header row")
+    if data is None:
+        raise InputError(f"{path}: no data rows under the header")
+    if data.shape[1] != len(header):
+        raise InputError(f"{path}: {data.shape[1]} columns under a header of {len(header)}")
+    return data
+
+
+def _number_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _read_field_csv(path: str):
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
+    data = _read_table(path)
+    if data.shape[1] < 2:
+        raise InputError(f"{path}: need coordinate columns and a value column")
     coords = data[:, :-1]
     values = data[:, -1]
     dim = coords.shape[1]
@@ -173,6 +192,8 @@ def _read_field_csv(path: str):
     shape = tuple(len(a) for a in axes)
     if math.prod(shape) != values.size:
         raise DomainError("CSV sample is not a full tensor grid")
+    if shape[0] < 2:
+        raise InputError(f"{path}: need at least two samples along x1")
     order = np.lexsort([coords[:, d] for d in reversed(range(dim))])
     grid = values[order].reshape(shape)
     length = float(axes[0][1] - axes[0][0]) * shape[0]
@@ -183,14 +204,12 @@ def _cmd_extend(args) -> int:
     cfg = _merge_config(args)
     params = cfg.params()
     grid, length, axes = _read_field_csv(args.input)
-    t_levels = [float(v) for v in args.t_levels.split(",")]
+    t_levels = _number_list(args.t_levels, "--t-levels")
     levels = profile.build_extension(params, grid, t_levels, box_length=length)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    rows = []
-    for i, tl in enumerate(t_levels):
-        flat = levels[i].ravel()
-        for j in range(flat.size):
-            rows.append([float(m.ravel()[j]) for m in mesh] + [tl, float(flat[j])])
+    # one row per (level, grid point): coordinates, t, value, levels outermost
+    coords = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    rows = np.column_stack([np.tile(coords, (len(t_levels), 1)),
+                            np.repeat(t_levels, grid.size), levels.ravel()])
     header = [f"x{d+1}" for d in range(len(axes))] + ["t", "value"]
     _emit_csv(cfg, "extension", header, rows)
     return 0
@@ -263,11 +282,8 @@ def _cmd_synthesize(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = _merge_config(args)
     params = cfg.params()
-    with open(args.input) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        samples = [[float(v) for v in row] for row in reader if row]
-    candidates = [float(v) for v in args.sigma_candidates.split(",")]
+    samples = _read_table(args.input)
+    candidates = _number_list(args.sigma_candidates, "--sigma-candidates")
     fit = synthesis.fit_blowup(samples, candidates, params)
     payload = {
         "sigma_used": fit.sigma_used, "c1_hat": fit.c1_hat, "d1_hat": fit.d1_hat,
@@ -283,8 +299,7 @@ def _cmd_almgren(args) -> int:
     modes, sol = _spec_solution(args.spec, cfg)
     radii = almgren_mod.radius_schedule(sol.R)
     tr = almgren_mod.trace(sol, radii)
-    rows = zip(tr.r.tolist(), tr.D.tolist(), tr.H.tolist(), tr.N.tolist(),
-               tr.nu1.tolist(), tr.nu2.tolist())
+    rows = np.column_stack([tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2])
     _emit_csv(cfg, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
     # gamma is matched against the sigma+ of every degree up to 3 n - 2
     # (N >= 2) or n - 1 (N = 1), n = max(4, modes the spec indexes), so a
@@ -436,10 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use; parse_args keeps no state in it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import jn_zeros, jv
 
 from .core import DomainError, InputError, WeightParams
-from .special_functions import bessel_h, bessel_h_deriv, bessel_zero, radial_norm_gamma
+from .special_functions import bessel_h, bessel_h_deriv, bessel_zero, _radial_norm_at_zero
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,28 @@ def cylinder_mode(params: WeightParams, n: int, m: int,
         spectrum = dirichlet_eigs(params.N, params.R, n)
     if len(spectrum) < n:
         raise DomainError(f"spectrum holds {len(spectrum)} entries; need n = {n}")
-    j = bessel_zero(-params.alpha, m)
-    gamma = radial_norm_gamma(params, m)
-    return CylinderMode(params=params, n=n, m=m, mu_n=spectrum.mu(n),
-                        zero_m=j, gamma_m=gamma, _horizontal=spectrum.evaluator(n))
+    return _mode(params, spectrum, n, m, bessel_zero(-params.alpha, m))
+
+
+def _mode(params: WeightParams, spectrum: DirichletSpectrum, n: int, m: int,
+          zero: float) -> CylinderMode:
+    return CylinderMode(params=params, n=n, m=m, mu_n=spectrum.mu(n), zero_m=zero,
+                        gamma_m=_radial_norm_at_zero(params, zero),
+                        _horizontal=spectrum.evaluator(n))
+
+
+def cylinder_spectrum(params: WeightParams, count: int) -> list[CylinderMode]:
+    """The `count` lowest modes (n, m), ordered by eigenvalue, ties by (n, m).
+
+    lambda grows in both n and m, so they all have n, m <= count; each zero
+    j_m, m <= count, is solved once: count root solves in all.
+    """
+    spectrum = dirichlet_eigs(params.N, params.R, count)
+    zeros = [bessel_zero(-params.alpha, m) for m in range(1, count + 1)]
+    modes = [_mode(params, spectrum, n, m, zeros[m - 1])
+             for n in range(1, count + 1) for m in range(1, count + 1)]
+    modes.sort(key=lambda mode: mode.eigenvalue)
+    return modes[:count]
 
 
 def poisson_solve(params: WeightParams, coeffs: dict, truncation: int) -> dict:

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_gegenbauer, gammaln
 
@@ -132,6 +131,8 @@ class AngularProfile:
         self.solver_q = solver_q
         self.solver_masses = solver_masses
         if exact is None:
+            from scipy.interpolate import CubicSpline   # FV cross-check only
+
             self.psi = np.asarray(psi, dtype=float)
             self.values = np.asarray(values, dtype=float)
             self._spline = CubicSpline(self.psi, self.values)

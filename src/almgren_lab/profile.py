@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma, kv
 
 from .core import (
@@ -61,8 +60,17 @@ class ProfileSolution:
     def __post_init__(self):
         for arr in (self.t, self.phi, self.dphi, self.zeta):
             arr.flags.writeable = False
-        object.__setattr__(self, "_phi_spline", CubicSpline(self.t, self.phi))
-        object.__setattr__(self, "_zeta_spline", CubicSpline(self.t, self.zeta))
+
+    # the splines (and scipy.interpolate) are built on the first interpolation
+    @cached_property
+    def _phi_spline(self):
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(self.t, self.phi)
+
+    @cached_property
+    def _zeta_spline(self):
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(self.t, self.zeta)
 
     @property
     def alpha(self) -> float:
@@ -305,6 +313,8 @@ def build_extension(
     if not np.all(np.isfinite(u)):
         raise InputError("non-finite torus sample")
     t_levels = np.asarray(t_levels, dtype=float)
+    if not np.all(np.isfinite(t_levels)):
+        raise DomainError("t levels must be finite")
     if np.any(t_levels < 0):
         raise DomainError("t levels must be nonnegative")
     prof = profile or BesselProfile(params.b)

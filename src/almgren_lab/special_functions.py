@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma as _gamma
 from scipy.special import jv as _jv
 
@@ -122,8 +121,11 @@ def bessel_zero(nu, m: int) -> float:
 
     McMahon-type initial guess refined by bracketed root finding on the
     regularized objective (h for negative order), absolute error well below
-    1e-10; zeros are strictly increasing in m.
+    1e-10; zeros are strictly increasing in m.  Each call is one root solve;
+    scipy.optimize is imported here, on first use, not with the package.
     """
+    from scipy.optimize import brentq
+
     nu = _order_value(nu)
     if m < 1 or int(m) != m:
         raise DomainError(f"zero index m must be a positive integer, got {m}")
@@ -149,13 +151,20 @@ def bessel_zero(nu, m: int) -> float:
 def radial_norm_gamma(params: WeightParams, m: int) -> float:
     """Normalization gamma_m = [int_0^{2R} t J_{-alpha}(j_m t / (2R))^2 dt]^{-1/2}.
 
+    Solves for the zero j_m = j_{-alpha,m}; `_radial_norm_at_zero` takes one
+    already solved.
+    """
+    if m < 1 or int(m) != m:
+        raise DomainError(f"index m must be a positive integer, got {m}")
+    return _radial_norm_at_zero(params, bessel_zero(-params.alpha, int(m)))
+
+
+def _radial_norm_at_zero(params: WeightParams, zero: float) -> float:
+    """gamma_m at the zero j_m = j_{-alpha,m} of J_{-alpha}.
+
     Evaluated through the Lommel closed form of the integral at a zero,
     int_0^j t J_nu(t)^2 dt = j^2 J_nu'(j)^2 / 2 with J_nu'(j) = -J_{nu+1}(j),
     giving gamma_m = 1 / (sqrt(2) R |J_{1-alpha}(j_m)|).
     """
-    if m < 1 or int(m) != m:
-        raise DomainError(f"index m must be a positive integer, got {m}")
-    alpha = params.alpha
-    j = bessel_zero(-alpha, int(m))
-    jprime = -_jv(1.0 - alpha, j)
+    jprime = -_jv(1.0 - params.alpha, zero)
     return float(1.0 / (math.sqrt(2.0) * params.R * abs(jprime)))

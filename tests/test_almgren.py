@@ -433,6 +433,26 @@ def test_nu1_is_exact_in_sign_and_digits():
             assert abs(got - want) <= 1e-12 * want, (float(r), got, float(want))
 
 
+def test_nu1_stays_finite_where_s_u2_squared_underflows():
+    # sigma = 40: s_u2 ~ r^81.4 is about 1e-170 at r = 0.008, so s_u2^2 underflows
+    # while D and H are finite; nu1 is formed from ratios that do not
+    mpmath = pytest.importorskip("mpmath")
+    p = WeightParams(s=1.3, N=1)
+    sol = synthesize(p, [(polynomial_mode(p, 40), 1.0, 0.5)])
+    radii = np.array([0.008, 0.004])
+    tr = trace(sol, radii)
+    t = sol.terms[0]
+    with mpmath.workdps(40):
+        s, c1, e, d1 = (mpmath.mpf(v) for v in (t.sigma, t.c1, t.e, t.d1))
+        for r, got in zip(radii, tr.nu1):
+            r = mpmath.mpf(float(r))
+            phi, dphi = c1 * r ** s + e * r ** (s + 2), c1 * s * r ** (s - 1) + e * (s + 2) * r ** (s + 1)
+            phit, dphit = d1 * r ** s, d1 * s * r ** (s - 1)
+            u2 = phi ** 2 + phit ** 2
+            want = 2 * r * (u2 * (dphi ** 2 + dphit ** 2) - (phi * dphi + phit * dphit) ** 2) / u2 ** 2
+            assert abs(got - want) <= 1e-10 * want, (float(r), got, float(want))
+
+
 def test_degree_40_mode_on_the_default_rules():
     # the Gauss node counts follow the synthesis' largest degree
     p = WeightParams(s=1.3, N=1)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import almgren_lab
-from almgren_lab import cli, hemisphere
+from almgren_lab import almgren as almgren_mod
+from almgren_lab import cli, hemisphere, profile
 from almgren_lab.cli import run
+from almgren_lab.core import DomainError, WeightParams
 
 
 def run_capture(capsys, argv):
@@ -311,3 +314,194 @@ def test_python_dash_m_selftest():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout[proc.stdout.index("{"):])["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, bulk CSV rows, one root solve per zero, lazy imports
+
+
+def _torus_csv(path, dim, n):
+    """A band-limited sample on the 2 pi torus, written as the CLI reads it."""
+    x = np.arange(n) * 2 * math.pi / n
+    mesh = np.meshgrid(*([x] * dim), indexing="ij")
+    u = 0.3 + np.cos(sum((d + 1) * m for d, m in enumerate(mesh)) + 0.4) - 0.5 * np.sin(2 * mesh[0])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{d + 1}" for d in range(dim)] + ["value"])
+        for index in np.ndindex(u.shape):
+            writer.writerow([f"{x[i]:.17g}" for i in index] + [f"{u[index]:.17g}"])
+    return path
+
+
+def _reference_csv(header, rows) -> bytes:
+    """Rows written one at a time by csv.writer with 17 significant digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{float(v):.17g}" for v in row])
+    return buf.getvalue().encode()
+
+
+def test_run_reuses_one_parser_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()
+    assert run(["spectrum", "cylinder", "--count", "3"]) == 0
+    capsys.readouterr()
+
+    def no_rebuild():
+        raise AssertionError("run rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": 1.25, "N": 2, "R": 0.5}))
+
+    def cylinder(*argv):
+        code, out = run_capture(capsys, ["spectrum", "cylinder", *argv])
+        assert code == 0
+        return json.loads(out)
+
+    default = cylinder()
+    assert len(default["modes"]) == 6 and default["params"]["s"] == 1.5
+    assert len(cylinder("--count", "2", "--N", "2", "--s", "1.7")["modes"]) == 2
+    assert run(["nonsense"]) == 2
+    assert run(["spectrum", "cylinder", "--count", "x"]) == 2
+    capsys.readouterr()
+    assert cylinder() == default       # --count, --N and --s come back to their defaults
+    merged = cylinder("--config", str(cfg), "--s", "1.6")
+    assert merged["params"]["s"] == 1.6 and merged["params"]["N"] == 2
+    assert merged["params"]["R"] == 0.5
+    assert cylinder() == default       # nothing of the config stays behind
+
+
+@pytest.mark.parametrize("dim,n", [(1, 48), (2, 16)])
+def test_extend_csv_matches_a_per_row_writer(tmp_path, capsys, dim, n):
+    path = _torus_csv(tmp_path / "u.csv", dim, n)
+    levels = [0.0, 0.37, 1.25]
+    argv = ["extend", "--input", str(path), "--t-levels", "0,0.37,1.25",
+            "--s", "1.42", "--N", str(dim)]
+    grid, length, axes = cli._read_field_csv(str(path))
+    U = profile.build_extension(WeightParams(s=1.42, N=dim), grid, levels, box_length=length)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    want = _reference_csv([f"x{d + 1}" for d in range(dim)] + ["t", "value"],
+                          ([m[index] for m in mesh] + [t, U[i][index]]
+                           for i, t in enumerate(levels) for index in np.ndindex(grid.shape)))
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    assert out.encode() == want
+    code, out = run_capture(capsys, argv + ["--out", str(tmp_path / "o")])
+    assert code == 0
+    assert (tmp_path / "o" / "extension.csv").read_bytes() == want
+
+
+def test_extend_accepts_one_sample_along_a_higher_axis(tmp_path, capsys):
+    # the box length comes from x1 only; one x2 value is a valid 2-D grid
+    x = np.arange(16) * 2 * math.pi / 16
+    path = tmp_path / "u.csv"
+    path.write_text("x1,x2,value\n" + "".join(f"{v:.17g},0,{math.cos(v):.17g}\n" for v in x))
+    code, out = run_capture(capsys, ["extend", "--input", str(path), "--t-levels", "0,0.5",
+                                     "--s", "1.42", "--N", "2"])
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 * 16
+
+
+def test_almgren_csv_matches_a_per_row_writer(tmp_path, capsys):
+    spec = {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "c1": 1.0, "d1": 0.5},
+                                                    {"l": 3, "c1": -0.4, "d1": 0.2}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, _ = run_capture(capsys, ["almgren", "--spec", str(spec_path), "--out", str(tmp_path)])
+    assert code == 0
+    _, sol = cli._spec_solution(str(spec_path), cli.RunConfig())
+    tr = almgren_mod.trace(sol, almgren_mod.radius_schedule(sol.R))
+    want = _reference_csv(["r", "D", "H", "N", "nu1", "nu2"],
+                          zip(tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2))
+    assert (tmp_path / "almgren_trace.csv").read_bytes() == want
+
+
+def test_emit_csv_refuses_non_finite_values(capsys):
+    with pytest.raises(DomainError, match="non-finite"):
+        cli._emit_csv(cli.RunConfig(), "table", ["a", "b"], np.array([[1.0, math.inf]]))
+    assert capsys.readouterr().out == ""
+
+
+def test_almgren_degree_40_spec_prints_finite_nu1(tmp_path, capsys):
+    # s_u2^2 underflows below r = 0.01 while D and H stay finite
+    spec_path = tmp_path / "deg40.json"
+    spec_path.write_text(json.dumps({"params": {"s": 1.3, "N": 1},
+                                     "terms": [{"l": 40, "c1": 1.0}]}))
+    code, _ = run_capture(capsys, ["almgren", "--spec", str(spec_path), "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "almgren_trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    nu1 = np.array([float(row["nu1"]) for row in rows])
+    assert np.all(np.isfinite(nu1)) and np.all(nu1 >= 0.0)
+    assert float(rows[-1]["r"]) < 0.001
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_cylinder_spectrum_solves_each_zero_once(capsys, monkeypatch, N):
+    import scipy.optimize
+
+    solves = []
+    brentq = scipy.optimize.brentq
+
+    def counting(*args, **kwargs):
+        solves.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "brentq", counting)
+    code, out = run_capture(capsys, ["spectrum", "cylinder", "--s", "1.37", "--N", str(N),
+                                     "--R", "0.7", "--count", "6"])
+    assert code == 0
+    assert len(json.loads(out)["modes"]) == 6
+    assert len(solves) == 6
+
+
+_MALFORMED_NUMBERS = {
+    "extend non-numeric cell": ("extend", "x1,value\n0,1\n3.14,abc\n", "--t-levels", "0,0.5", "u.csv"),
+    "extend header only": ("extend", "x1,value\n", "--t-levels", "0,0.5", "u.csv"),
+    "extend empty file": ("extend", "", "--t-levels", "0,0.5", "u.csv"),
+    "extend ragged row": ("extend", "x1,value\n0,1\n3.14\n", "--t-levels", "0,0.5", "u.csv"),
+    "extend one column": ("extend", "value\n1\n2\n", "--t-levels", "0,0.5", "u.csv"),
+    "extend one point": ("extend", "x1,value\n0,1\n", "--t-levels", "0,0.5", "u.csv"),
+    "t-levels non-numeric": ("extend", None, "--t-levels", "0,x", "--t-levels"),
+    "t-levels nan": ("extend", None, "--t-levels", "0,nan", "finite"),
+    "t-levels inf": ("extend", None, "--t-levels", "0,inf", "finite"),
+    "fit non-numeric cell": ("fit", "lambda,phi,phi_tilde\n0.3,1,x\n", "--sigma-candidates", "0,1",
+                             "u.csv"),
+    "fit ragged row": ("fit", "lambda,phi,phi_tilde\n0.3,1\n", "--sigma-candidates", "0,1", "u.csv"),
+    "sigma-candidates non-numeric": ("fit", None, "--sigma-candidates", "0,x", "--sigma-candidates"),
+    "sigma-candidates empty": ("fit", None, "--sigma-candidates", ",", "--sigma-candidates"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_NUMBERS))
+def test_malformed_cli_numbers_exit_2(tmp_path, capsys, case):
+    command, text, flag, value, named = _MALFORMED_NUMBERS[case]
+    path = tmp_path / "u.csv"
+    if text is not None:
+        path.write_text(text)
+    elif command == "extend":
+        _torus_csv(path, 1, 24)
+    else:
+        lam = np.geomspace(0.3, 0.02, 8)
+        path.write_text("lambda,phi,phi_tilde\n"
+                        + "".join(f"{l:.17g},{l ** 2:.17g},{0.5 * l ** 2:.17g}\n" for l in lam))
+    code = run([command, "--input", str(path), flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_profile_request_loads_neither_scipy_optimize_nor_interpolate():
+    src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
+    code = (f"import sys; sys.path.insert(0, {src_dir!r}); import almgren_lab.cli as cli; "
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['profile', '--s', '1.5', '--resolution', '512']) == 0\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from almgren_lab import (
     DomainError,
     WeightParams,
     cylinder_mode,
+    cylinder_spectrum,
     dirichlet_eigs,
     poisson_solve,
 )
@@ -235,3 +236,18 @@ def test_modes_vanish_on_dirichlet_boundary(params):
     assert abs(mode.radial(2 * params.R)) < 1e-12
     for x in (-2 * params.R, 2 * params.R):
         assert abs(mode.horizontal(x)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_cylinder_spectrum_is_the_sorted_head_of_the_mode_table(N):
+    p = WeightParams(s=1.37, N=N, R=0.7)
+    count = 5
+    spec = dirichlet_eigs(N, p.R, count)
+    table = sorted((cylinder_mode(p, n, m, spectrum=spec)
+                    for n in range(1, count + 1) for m in range(1, count + 1)),
+                   key=lambda mode: mode.eigenvalue)[:count]
+    got = cylinder_spectrum(p, count)
+    assert [(m.n, m.m) for m in got] == [(m.n, m.m) for m in table]
+    for a, b in zip(got, table):
+        assert (a.mu_n, a.zero_m, a.gamma_m, a.eigenvalue) == (b.mu_n, b.zero_m, b.gamma_m,
+                                                               b.eigenvalue)

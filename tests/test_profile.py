@@ -194,6 +194,23 @@ def test_build_extension_zero_and_mean():
     assert_allclose(U, 2.5, rtol=1e-13)  # zero mode constant in t
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_build_extension_rejects_non_finite_t_levels(bad):
+    p = WeightParams(s=1.5, N=1)
+    u = np.cos(np.arange(32) * 2 * math.pi / 32)
+    with pytest.raises(DomainError, match="finite"):
+        build_extension(p, u, [0.0, bad])
+
+
+def test_fv_profile_builds_its_splines_on_first_interpolation():
+    sol = solve_profile(0.3, resolution=512)
+    assert "_phi_spline" not in vars(sol) and "_zeta_spline" not in vars(sol)
+    sol.phi_at(1.0)
+    assert "_phi_spline" in vars(sol) and "_zeta_spline" not in vars(sol)
+    assert sol.phi_at(sol.t[7]) == pytest.approx(sol.phi[7], rel=1e-14)
+    assert sol.zeta_at(sol.t[7]) == pytest.approx(sol.zeta[7], rel=1e-14)
+
+
 def test_aliasing_guard():
     p = WeightParams(s=1.5, N=1)
     n = 32
