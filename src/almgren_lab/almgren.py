@@ -345,8 +345,7 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed",
 def nu_decomposition(sol: SeparableSolution, r: float, method: str = "closed",
                      n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
     """The two components of N'(r): boundary Cauchy-Schwarz bracket and the rest."""
-    if not (0.0 < r < sol.R):
-        raise DomainError(f"radius {r} outside (0, {sol.R})")
+    _check_radii(sol, [r])
     pieces = _pieces(sol, [r], method, n_radial, n_angular)
     if pieces.s_u2[0] <= 0.0:
         raise VanishingDenominatorError(f"H({r}) is not positive")

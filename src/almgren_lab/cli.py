@@ -43,7 +43,6 @@ class RunConfig:
     resolution: int | None = None
     seed: int = 0
     out: str | None = None
-    fmt: str = "json"
 
     def params(self) -> WeightParams:
         return WeightParams(s=self.s, N=self.N, R=self.R)
@@ -61,8 +60,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
     if not (1.0 < cfg.s < 2.0):
         raise DomainError(f"--s must lie in (1, 2), got {cfg.s}")
     if cfg.N < 1:
@@ -398,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resolution", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
 
     p = sub.add_parser("spectrum", help="eigenvalue listings")

@@ -26,7 +26,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 DEFAULT_RADIAL_NODES = 128
-DEFAULT_ANGULAR_NODES = 256
+DEFAULT_ANGULAR_NODES = 128
+# `gauss_jacobi` builds all n^2 eigenvector entries (8 n^2 bytes; 34 GB at
+# n = 65536), so its node count is capped.
+MAX_GAUSS_NODES = 2048
 GRADING_RATIO = 0.85
 
 
@@ -203,10 +206,12 @@ def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     the squared first eigenvector components times int_0^1 x^p dx.  Unlike
     `scipy.special.roots_jacobi`, whose weights lose digits as p nears -1
     (moment errors 8e-10 at n = 192, p = -0.9), this keeps the moments to
-    roundoff.  Requires n >= 1 and p > -1.
+    roundoff.  Requires 1 <= n <= MAX_GAUSS_NODES and p > -1.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"Gauss node count must be an integer >= 1, got {n!r}")
+    if n > MAX_GAUSS_NODES:
+        raise DomainError(f"Gauss node count {n} exceeds the cap of {MAX_GAUSS_NODES}")
     if not p > -1.0:
         raise DomainError(f"exponent p = {p} is not integrable at 0")
     k = np.arange(1, n, dtype=float)
@@ -239,10 +244,9 @@ class AngularGrid1D:
     int_0^{pi/2} g(psi) sin^{N-1}(psi) cos^b(psi) dpsi (the "bare" integral;
     multiply by `area_factor` for the full integral of an axisymmetric g over
     S^N_+).  For N = 1 the nodes cover (0, pi) with weight sin^b(phi) and
-    `area_factor` is 1.  `build` makes a composite second-order grid whose
-    endpoint cells integrate the degenerate factor u^b in closed form;
-    `gauss` makes a Gauss-Jacobi grid with u^b as its weight.  Neither
-    evaluates the factor at u = 0.
+    `area_factor` is 1.  `gauss` makes the grid: a Gauss-Jacobi rule with the
+    degenerate factor u^b as its weight, which never evaluates the factor at
+    u = 0.
     """
 
     N: int
@@ -257,32 +261,6 @@ class AngularGrid1D:
     @property
     def area_factor(self) -> float:
         return 1.0 if self.N == 1 else unit_sphere_area(self.N - 1)
-
-    @classmethod
-    @lru_cache(maxsize=64)
-    def build(cls, N: int, b: float, n: int = DEFAULT_ANGULAR_NODES) -> "AngularGrid1D":
-        if n < 16:
-            raise DomainError("angular resolution too low; use n >= 16")
-        if N == 1:
-            # phi in (0, pi); weight sin^b(phi) degenerates at both ends.
-            half = math.pi / 2.0
-            br = graded_breaks(half, n // 2, grade_start=True)
-            u_nodes, u_weights = power_rule(br, b)
-            fold = _sinc_ratio(u_nodes) ** b
-            # left half: phi = u; right half: phi = pi - u (mirror image).
-            phi = np.concatenate([u_nodes, math.pi - u_nodes[::-1]])
-            wts = np.concatenate([u_weights * fold, (u_weights * fold)[::-1]])
-            phi, inverse = np.unique(phi, return_inverse=True)
-            weights = np.zeros_like(phi)
-            np.add.at(weights, inverse, wts)
-            return cls(N=N, b=b, nodes=phi, weights=weights)
-        # N >= 2: u = pi/2 - psi measures distance to the degenerate equator.
-        br = graded_breaks(math.pi / 2.0, n, grade_start=True)
-        u_nodes, u_weights = power_rule(br, b)
-        psi = math.pi / 2.0 - u_nodes
-        fold = _sinc_ratio(u_nodes) ** b * np.sin(psi) ** (N - 1)
-        order = np.argsort(psi)
-        return cls(N=N, b=b, nodes=psi[order], weights=(u_weights * fold)[order])
 
     @classmethod
     @lru_cache(maxsize=64, typed=True)
@@ -303,10 +281,6 @@ class AngularGrid1D:
             return cls(N=N, b=b, nodes=phi, weights=np.concatenate([wu, wu[::-1]]))
         psi = half - u
         return cls(N=N, b=b, nodes=psi[::-1], weights=(wu * np.sin(psi) ** (N - 1))[::-1])
-
-    @classmethod
-    def for_params(cls, params: WeightParams, n: int = DEFAULT_ANGULAR_NODES) -> "AngularGrid1D":
-        return cls.build(params.N, params.b, n)
 
     def integrate_bare(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)
@@ -364,12 +338,12 @@ def integrate_halfsphere(
     """Approximate int_{S_r^+} t^b g dS for g given as a function of the angle.
 
     The point associated with angle a on the sphere of radius r is
-    r*(sin(a) w, cos(a)) for N >= 2 and r*(cos(a), sin(a)) for N = 1.
+    r*(sin(a) w, cos(a)) for N >= 2 and r*(cos(a), sin(a)) for N = 1.  The
+    rule is `grid`, by default `AngularGrid1D.gauss(N, b, n_angular)`.
     """
     if not (r > 0 and math.isfinite(r)):
         raise DomainError(f"radius must be positive and finite, got {r}")
-    if grid is None:
-        grid = AngularGrid1D.for_params(params, n_angular)
+    grid = grid or AngularGrid1D.gauss(params.N, params.b, n_angular)
     values = grid.sample(g)
     bare = grid.integrate_bare(values)
     return float(r ** (params.N + params.b) * grid.area_factor * bare)

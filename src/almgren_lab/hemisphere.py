@@ -22,7 +22,9 @@ solved as a symmetric tridiagonal eigenproblem (bisection + inverse
 iteration); cell masses integrate the degenerate factor in closed form, so
 the weight is never evaluated at the equator.  For N = 1 the problem lives on
 the full arc (0, pi) with weight sin^b and weighted-Neumann conditions at
-both endpoints.
+both endpoints.  Each sampled profile is normalized on the Gauss-Jacobi rule
+`AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the rule family of every
+angular integral that later checks it.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_gegenbauer, gammaln
 
 from .core import (
+    DEFAULT_ANGULAR_NODES,
     AngularGrid1D,
     DegenerateResonanceError,
     DomainError,
     InputError,
     ResolutionError,
     WeightParams,
+    _sinc_ratio,
     unit_sphere_area,
 )
 
@@ -124,10 +128,9 @@ class AngularProfile:
     """
 
     def __init__(self, psi=None, values=None, *, exact=None, exact_deriv=None,
-                 solver_centers=None, solver_q=None, solver_masses=None):
+                 solver_q=None, solver_masses=None):
         self.exact = exact
         self.exact_deriv = exact_deriv
-        self.solver_centers = solver_centers
         self.solver_q = solver_q
         self.solver_masses = solver_masses
         if exact is None:
@@ -152,7 +155,6 @@ class AngularProfile:
         """The sampled profile times `factor`."""
         return AngularProfile(
             self.psi, self.values * factor,
-            solver_centers=self.solver_centers,
             solver_q=None if self.solver_q is None else self.solver_q * factor,
             solver_masses=self.solver_masses,
         )
@@ -212,14 +214,6 @@ def _cell_masses(p: float, lo: np.ndarray, hi: np.ndarray, smooth) -> np.ndarray
     return c0 * mom[0] + c1 * mom[1] + c2 * mom[2]
 
 
-def _sinc(u):
-    u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    nz = u != 0
-    out[nz] = np.sin(u[nz]) / u[nz]
-    return out
-
-
 def _sector_tridiag(params: WeightParams, k: int, n: int):
     """Masses, face coefficients and centers for one azimuthal sector."""
     N, b = params.N, params.b
@@ -230,10 +224,10 @@ def _sector_tridiag(params: WeightParams, k: int, n: int):
         masses = np.empty(n)
         left = hi <= L / 2 + 1e-14
         # weight sin^b(phi) = u^b (sin u / u)^b measured from the nearer endpoint
-        masses[left] = _cell_masses(b, lo[left], hi[left], lambda u: _sinc(u) ** b)
+        masses[left] = _cell_masses(b, lo[left], hi[left], lambda u: _sinc_ratio(u) ** b)
         right = ~left
         masses[right] = _cell_masses(
-            b, L - hi[right], L - lo[right], lambda u: _sinc(u) ** b
+            b, L - hi[right], L - lo[right], lambda u: _sinc_ratio(u) ** b
         )
         coeffs = np.zeros(n + 1)
         coeffs[1:-1] = np.sin(faces[1:-1]) ** b
@@ -243,7 +237,7 @@ def _sector_tridiag(params: WeightParams, k: int, n: int):
     faces = np.linspace(0.0, L, n + 1)
     lo, hi = faces[:-1], faces[1:]
     # u = pi/2 - psi: weight sin^M(psi) cos^b(psi) = u^b (sinc u)^b cos^M(u)
-    masses = _cell_masses(b, L - hi, L - lo, lambda u: _sinc(u) ** b * np.cos(u) ** M)
+    masses = _cell_masses(b, L - hi, L - lo, lambda u: _sinc_ratio(u) ** b * np.cos(u) ** M)
     coeffs = np.zeros(n + 1)
     interior = faces[1:-1]
     coeffs[1:-1] = np.sin(interior) ** M * np.cos(interior) ** b
@@ -290,14 +284,14 @@ def hemisphere_eigs(
     per_k: int = 6,
     resolution: int = 512,
     refinements: int = 1,
-    normalization_grid: AngularGrid1D | None = None,
 ) -> list[SpectralMode]:
     """Lowest eigenmodes by finite volumes, merged and ordered: the cross-check.
 
     Per-sector solves run at `resolution` times 2^j for j = 0..refinements and
     the eigenvalues are Richardson extrapolated; profiles come from the finest
-    grid.  Eigenvalues agreeing to relative 1e-8 are merged into a single
-    distinct eigenvalue index ell with summed multiplicity.
+    grid, normalized on `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`.
+    Eigenvalues agreeing to relative 1e-8 are merged into a single distinct
+    eigenvalue index ell with summed multiplicity.
     """
     if resolution < 64:
         raise ResolutionError(
@@ -310,7 +304,7 @@ def hemisphere_eigs(
             f"resolution {resolution} too low for {per_k} eigenvalues per sector; "
             f"try resolution >= {8 * per_k}"
         )
-    grid = normalization_grid or AngularGrid1D.for_params(params, 2048)
+    grid = AngularGrid1D.gauss(params.N, params.b, DEFAULT_ANGULAR_NODES)
     sectors = [0] if params.N == 1 else list(range(k_max + 1))
     resolutions = [resolution * 2 ** j for j in range(refinements + 1)]
 
@@ -323,9 +317,8 @@ def hemisphere_eigs(
         for j, mu in enumerate(mus):
             q = qvecs[:, j]
             p_vals = sin_k * q
-            prof = AngularProfile(centers, p_vals, solver_centers=centers,
-                                  solver_q=q, solver_masses=masses)
-            # normalize against the reference quadrature and orient at equator
+            prof = AngularProfile(centers, p_vals, solver_q=q, solver_masses=masses)
+            # normalize on the Gauss-Jacobi rule and orient at the equator
             norm2 = grid.integrate_bare(prof(grid.nodes) ** 2)
             psi_eq = math.pi / 2.0 if params.N >= 2 else 0.0
             sign = 1.0 if prof(psi_eq) >= 0 else -1.0

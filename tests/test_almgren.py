@@ -17,6 +17,7 @@ from almgren_lab import (
     fourier_coefficient,
     frequency,
     frequency_limit,
+    hemisphere_eigs,
     nu_decomposition,
     polynomial_mode,
     radius_schedule,
@@ -247,6 +248,25 @@ def test_nu_cross_path(p3, mixed):
         assert q2 == pytest.approx(c2, abs=1e-12 * max(1.0, abs(c2)))
 
 
+@pytest.mark.parametrize("N, s, k_max, per_k", [(1, 1.3, 0, 16), (3, 1.25, 3, 4),
+                                              (4, 1.7, 3, 4)])
+def test_finite_volume_modes_cross_path(N, s, k_max, per_k):
+    # one-term syntheses of every finite-volume mode: the closed path reads
+    # the profile norm as 1, the quadrature path integrates the spline on the
+    # Gauss-Jacobi rule the profile was normalized on, so D, H and N agree
+    p = WeightParams(s=s, N=N)
+    radii = np.geomspace(0.45, 0.0045, 9)[::2]
+    for mode in hemisphere_eigs(p, k_max=k_max, per_k=per_k):
+        for c1 in (0.7, 0.0):
+            sol = synthesize(p, [(mode, c1, 0.9)])
+            closed = trace(sol, radii)
+            quad = trace(sol, radii, method="quadrature")
+            for field in ("D", "H", "N"):
+                want, got = getattr(closed, field), getattr(quad, field)
+                gap = float(np.max(np.abs(got - want) / np.abs(want)))
+                assert gap <= 1e-7, (mode.ell, mode.k, c1, field, gap)
+
+
 def test_harmonic_syntheses_have_monotone_frequency(p3, rng):
     # with no source layer (all d1 = 0) the derivative reduces to the
     # boundary bracket nu1 >= 0, so N(r) is nondecreasing
@@ -387,6 +407,17 @@ def test_trace_accepts_radius_R(mixed):
     tr = trace(mixed, [1.0, 0.5])
     D, H = compute_DH(mixed, 1.0)
     assert tr.D[0] == pytest.approx(D, rel=1e-14) and tr.H[0] == pytest.approx(H, rel=1e-14)
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_nu_decomposition_accepts_radius_R(mixed, method):
+    # the same radius check as trace and compute_DH: r = R is inside
+    nu1, nu2 = nu_decomposition(mixed, 1.0, method=method)
+    tr = trace(mixed, [1.0], method=method)
+    assert nu1 == pytest.approx(tr.nu1[0], abs=1e-13 * max(1.0, abs(tr.nu1[0])))
+    assert nu2 == pytest.approx(tr.nu2[0], abs=1e-13 * max(1.0, abs(tr.nu2[0])))
+    with pytest.raises(DomainError, match=r"radius 1.000000001 outside \(0, 1\.0\]"):
+        nu_decomposition(mixed, 1.0 + 1e-9, method=method)
 
 
 def test_quadrature_refuses_the_constant_mode_below_n_plus_b_one():

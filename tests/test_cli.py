@@ -56,6 +56,8 @@ def test_profile_command(capsys):
 
 def test_validation_exit_codes(capsys):
     assert run(["profile", "--s", "2.5"]) == 2
+    # there is no --format flag: every command writes JSON
+    assert run(["spectrum", "hemisphere", "--format", "csv"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["fit", "--input", "/nonexistent.csv", "--sigma-candidates", "1"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from almgren_lab import (
 from almgren_lab.core import (
     DEFAULT_ANGULAR_NODES,
     DEFAULT_RADIAL_NODES,
+    MAX_GAUSS_NODES,
     gauss_jacobi,
     graded_breaks,
     power_rule,
+    unit_sphere_area,
     weighted_angular_moment,
 )
 
@@ -93,8 +96,8 @@ def test_halfsphere_halfcircle_length(params_n1):
 def test_halfsphere_theta_squared(params_n1):
     # g = theta_2^2 on the unit half circle: int_0^pi sin^2 = pi/2
     got = integrate_halfsphere(lambda a: np.sin(a) ** 2, params_n1, 1.0,
-                               n_angular=4096)
-    assert_allclose(got, math.pi / 2, rtol=1e-7)
+                               n_angular=16)
+    assert_allclose(got, math.pi / 2, rtol=1e-13)
 
 
 @pytest.mark.parametrize("fixture", ["params_n1", "params_n3", "params_n4"])
@@ -110,16 +113,20 @@ def test_euler_homogeneity_of_weighted_measure(fixture, request):
 
 
 @pytest.mark.parametrize("fixture", ["params_n1", "params_n3"])
-def test_refinement_order_on_smooth_integrand(fixture, request):
+def test_spectral_convergence_on_smooth_integrand(fixture, request):
+    # the Gauss-Jacobi rule has converged to roundoff at 32 nodes, and g = 1
+    # reproduces the closed-form weighted area
     p = request.getfixturevalue(fixture)
     g = lambda a: np.cos(1.7 * a) + 0.3 * a
-    ref = integrate_halfsphere(g, p, 1.0, n_angular=65536)
-    errs = []
-    for n in (256, 512, 1024):
-        errs.append(abs(integrate_halfsphere(g, p, 1.0, n_angular=n) - ref))
-    # doubling the grid shrinks the error by at least 3.5 (order >= 1.8)
-    assert errs[0] / errs[1] >= 3.5
-    assert errs[1] / errs[2] >= 3.5
+    coarse = integrate_halfsphere(g, p, 1.0, n_angular=32)
+    fine = integrate_halfsphere(g, p, 1.0, n_angular=64)
+    assert_allclose(coarse, fine, rtol=1e-13)
+    if p.N == 1:   # two mirrored quarter periods of sin^b
+        area = 2.0 * weighted_angular_moment(p.b, 0)
+    else:
+        area = unit_sphere_area(p.N - 1) * weighted_angular_moment(p.N - 1, p.b)
+    got = integrate_halfsphere(lambda a: np.ones_like(a), p, 1.0, n_angular=32)
+    assert_allclose(got, area, rtol=1e-13)
 
 
 def test_all_quadrature_weights_nonnegative(params_n3, params_n1):
@@ -214,3 +221,18 @@ def test_gauss_rules_are_read_only():
 def test_gauss_jacobi_rejects(n, p):
     with pytest.raises(DomainError):
         gauss_jacobi(n, p)
+
+
+def test_gauss_node_cap(params_n3):
+    # Golub-Welsch stores all n^2 eigenvector entries; past the cap the rule
+    # is refused before the eigensolve, directly and through the angular default
+    n = MAX_GAUSS_NODES + 1
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"cap of {MAX_GAUSS_NODES}"):
+        gauss_jacobi(n, 0.5)
+    with pytest.raises(DomainError, match=f"cap of {MAX_GAUSS_NODES}"):
+        integrate_halfsphere(lambda a: np.ones_like(a), params_n3, 1.0, n_angular=n)
+    assert time.perf_counter() - start < 0.5
+    x, w = gauss_jacobi(MAX_GAUSS_NODES, 0.5)
+    assert x.size == MAX_GAUSS_NODES
+    assert w.sum() == pytest.approx(1.0 / 1.5, rel=1e-12)

@@ -151,7 +151,7 @@ def test_fourier_roundtrip_single_mode(p3):
     c1, d1 = 0.9, -1.2
     sol = synthesize(p3, [(mode, c1, d1)])
     K = k_constant(p3, mode)
-    grid = AngularGrid1D.for_params(p3, 16384)
+    grid = AngularGrid1D.gauss(p3.N, p3.b, 64)
     for lam in (0.1, 0.45, 0.9):
         f, ft = fourier_coefficient(sol, mode, lam, grid=grid)
         want = c1 * lam ** 1.0 + d1 / K * lam ** 3.0
@@ -170,7 +170,7 @@ def test_fourier_orthogonality(p3):
     assert f == 0.0 and ft == 0.0
     sol2 = synthesize(p3, [(m0, 1.0, 0.5)])
     f, ft = fourier_coefficient(sol2, m2, 0.5,
-                                grid=AngularGrid1D.for_params(p3, 16384))
+                                grid=AngularGrid1D.gauss(p3.N, p3.b, 64))
     assert abs(f) < 1e-7 and abs(ft) < 1e-7
 
 
@@ -179,7 +179,7 @@ def test_parseval_reconstructs_H(p3):
 
     m0, m1 = polynomial_mode(p3, 0), polynomial_mode(p3, 1)
     sol = synthesize(p3, [(m0, 0.6, 0.8), (m1, -0.4, 0.3)])
-    grid = AngularGrid1D.for_params(p3, 16384)
+    grid = AngularGrid1D.gauss(p3.N, p3.b, 64)
     for lam in (0.2, 0.6):
         total = 0.0
         for mode in (m0, m1):
