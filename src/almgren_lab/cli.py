@@ -53,9 +53,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise InputError(f"--config must hold a JSON object, got {type(data).__name__}")
+        unknown = sorted(set(data) - set(vars(cfg)))
+        if unknown:
+            raise InputError(f"--config has unknown keys {unknown}; "
+                             f"known keys are {sorted(vars(cfg))}")
         for key, value in data.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, value)
+            setattr(cfg, key, value)
     for key in ("s", "N", "R", "resolution", "seed", "out"):
         value = getattr(args, key, None)
         if value is not None:

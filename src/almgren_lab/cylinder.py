@@ -46,6 +46,38 @@ class DirichletSpectrum:
         return len(self.mus)
 
 
+def _disk_zeros(count: int) -> list[tuple[int, int, float]]:
+    """(k, p, j_{k,p}) of the `count` smallest disk eigenvalues, in spectrum order.
+
+    Each zero with k >= 1 carries a cos/sin pair.  Zeros increase with k at
+    fixed p (j_{k,p} < j_{k+1,p}), so order k needs no more zeros than order
+    k - 1 has below the running cut (the count-th smallest eigenvalue found
+    so far), and the sweep stops at the first order with none below it.
+    Ties keep the order (k, p) of the sweep, cos before sin.
+    """
+    found: list[tuple[float, int, int]] = []
+    cut = math.inf
+    wanted = count
+    k = 0
+    while wanted > 0:
+        zeros = jn_zeros(k, wanted)
+        zeros = zeros[zeros <= cut]
+        found.extend((float(j), k, p) for p, j in enumerate(zeros, start=1))
+        copies = sorted(j for j, kk, _ in found for _ in range(1 if kk == 0 else 2))
+        if len(copies) >= count:
+            cut = copies[count - 1]
+        wanted = int(np.count_nonzero(zeros <= cut))
+        k += 1
+    found.sort(key=lambda e: e[0])     # stable: equal zeros keep the sweep order
+    kept, entries = [], 0
+    for j, k, p in found:
+        if entries >= count:
+            break
+        kept.append((k, p, j))
+        entries += 1 if k == 0 else 2
+    return kept
+
+
 def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
     """Closed-form Dirichlet spectra for the interval (N = 1) and disk (N = 2)."""
     if count < 1:
@@ -64,40 +96,33 @@ def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
     elif N == 2:
         a = 2.0 * R
         entries = []
-        k_cap = count + 2
-        p_cap = count + 2
-        for k in range(k_cap):
-            zeros = jn_zeros(k, p_cap)
-            for p, j in enumerate(zeros, start=1):
-                mu = (j / a) ** 2
-                c = 1.0 / (math.sqrt(math.pi) * a * abs(jv(k + 1, j)))
-                if k == 0:
-                    entries.append((
-                        mu, (k, p, "cos"),
-                        lambda rho, phi=None, j=j, a=a, c=c:
-                            c * jv(0, j * np.asarray(rho, dtype=float) / a),
-                    ))
-                else:
-                    c_k = math.sqrt(2.0) * c
-                    entries.append((
-                        mu, (k, p, "cos"),
-                        lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k:
-                            c * jv(k, j * np.asarray(rho, dtype=float) / a) * np.cos(k * np.asarray(phi)),
-                    ))
-                    entries.append((
-                        mu, (k, p, "sin"),
-                        lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k:
-                            c * jv(k, j * np.asarray(rho, dtype=float) / a) * np.sin(k * np.asarray(phi)),
-                    ))
-        entries.sort(key=lambda e: e[0])
-        entries = entries[:count]
+        for k, p, j in _disk_zeros(count):
+            mu = (j / a) ** 2
+            c = 1.0 / (math.sqrt(math.pi) * a * abs(jv(k + 1, j)))
+            if k == 0:
+                entries.append((
+                    mu, (k, p, "cos"),
+                    lambda rho, phi=None, j=j, a=a, c=c:
+                        c * jv(0, j * np.asarray(rho, dtype=float) / a),
+                ))
+            else:
+                c_k = math.sqrt(2.0) * c
+                entries.append((
+                    mu, (k, p, "cos"),
+                    lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k:
+                        c * jv(k, j * np.asarray(rho, dtype=float) / a) * np.cos(k * np.asarray(phi)),
+                ))
+                entries.append((
+                    mu, (k, p, "sin"),
+                    lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k:
+                        c * jv(k, j * np.asarray(rho, dtype=float) / a) * np.sin(k * np.asarray(phi)),
+                ))
+        entries = entries[:count]      # the last pair may straddle the count
     else:
         raise DomainError(
             f"dimension N = {N} unsupported for the Dirichlet factor (desk-scale "
             "limit: closed forms exist for N in {1, 2})"
         )
-    if N == 1:
-        entries = entries[:count]
     mus, labels, evals = zip(*entries)
     return DirichletSpectrum(N=N, R=R, mus=mus, labels=labels, _evaluators=evals)
 

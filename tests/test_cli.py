@@ -239,6 +239,34 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
     assert payload["b"] == 0.0  # the flag s = 1.5 wins over the config s = 1.25
 
 
+def test_config_file_with_unknown_keys_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"S": 1.9, "fmt": "csv"}))   # a misspelt s
+    code = run(["spectrum", "hemisphere", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "['S', 'fmt']" in captured.err
+    cfg.write_text(json.dumps([1.9]))
+    assert run(["spectrum", "hemisphere", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+    cfg.write_text(json.dumps({"s": 1.25, "N": 2}))
+    code, out = run_capture(capsys, ["spectrum", "hemisphere", "--config", str(cfg),
+                                     "--count", "3"])
+    assert code == 0
+    assert json.loads(out)["params"]["s"] == 1.25 and json.loads(out)["params"]["N"] == 2
+
+
+def test_profile_resolution_past_the_cap_exits_2(capsys):
+    start = time.perf_counter()
+    code = run(["profile", "--resolution", str(profile.MAX_PROFILE_CELLS + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(profile.MAX_PROFILE_CELLS) in captured.err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_selftest(capsys):
     code, out = run_capture(capsys, ["selftest"])
     assert code == 0
@@ -496,13 +524,14 @@ def test_malformed_cli_numbers_exit_2(tmp_path, capsys, case):
     assert captured.err.startswith("error: ") and named in captured.err
 
 
-def test_profile_request_loads_neither_scipy_optimize_nor_interpolate():
+def test_profile_request_loads_none_of_scipy_optimize_interpolate_sparse():
     src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
     code = (f"import sys; sys.path.insert(0, {src_dir!r}); import almgren_lab.cli as cli; "
             "import contextlib, io\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.run(['profile', '--s', '1.5', '--resolution', '512']) == 0\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.sparse')\n"
+            "             if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

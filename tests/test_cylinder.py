@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import jn_zeros, jv, roots_legendre
 
 from almgren_lab import (
     DomainError,
@@ -61,6 +61,45 @@ def test_disk_spectrum(params):
     # the first excited level of the unit disk is the double (k=1, p=1) pair
     assert spec.labels[1][:2] == (1, 1)
     assert spec.labels[2][:2] == (1, 1)
+
+
+def _full_disk_table(R, count):
+    """Every (k, p) with k, p < count + 2, sorted stably by mu and cut to count."""
+    a = 2.0 * R
+    entries = []
+    for k in range(count + 2):
+        for p, j in enumerate(jn_zeros(k, count + 2), start=1):
+            c = 1.0 / (math.sqrt(math.pi) * a * abs(jv(k + 1, j)))
+            if k == 0:
+                entries.append(((j / a) ** 2, (0, p, "cos"),
+                                lambda rho, phi, j=j, c=c: c * jv(0, j * rho / a)))
+                continue
+            c_k = math.sqrt(2.0) * c
+            for parity, trig in (("cos", np.cos), ("sin", np.sin)):
+                entries.append(((j / a) ** 2, (k, p, parity),
+                                lambda rho, phi, j=j, c=c_k, k=k, trig=trig:
+                                    c * jv(k, j * rho / a) * trig(k * phi)))
+    entries.sort(key=lambda e: e[0])
+    return entries[:count]
+
+
+@pytest.mark.parametrize("R", [0.5, 1.3])
+def test_disk_spectrum_equals_the_full_table(R, monkeypatch):
+    from almgren_lab import cylinder
+
+    asked = []
+    monkeypatch.setattr(cylinder, "jn_zeros", lambda k, n: asked.append(n) or jn_zeros(k, n))
+    rho = np.array([0.0, 0.2, 0.7, 1.0]) * 2.0 * R
+    phi = np.array([0.0, 0.4, 2.5, -1.1])
+    for count in range(1, 41):
+        asked.clear()
+        spec = dirichlet_eigs(2, R, count)
+        assert sum(asked) <= 4 * count        # the full table asks for (count + 2)^2 zeros
+        table = _full_disk_table(R, count)
+        assert spec.labels == tuple(label for _, label, _ in table)   # cos/sin tie order too
+        assert spec.mus == tuple(mu for mu, _, _ in table)
+        for n, (_, _, f) in enumerate(table, start=1):
+            assert np.array_equal(spec.evaluator(n)(rho, phi), f(rho, phi))
 
 
 def test_unsupported_dimension():

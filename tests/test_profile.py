@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -20,10 +19,10 @@ from almgren_lab import (
     trace_laplacian_check,
 )
 from almgren_lab.profile import (
+    MAX_PROFILE_CELLS,
     BesselProfile,
     _cached_profile,
-    _constrained_basis,
-    _flux_laplacian,
+    _normal_system,
     extension_energy_identity,
 )
 
@@ -70,6 +69,8 @@ def test_preconditions():
         solve_profile(0.0, T_max=10.0)
     with pytest.raises(DomainError):
         solve_profile(0.0, resolution=100)
+    with pytest.raises(DomainError, match=str(MAX_PROFILE_CELLS)):
+        solve_profile(0.0, resolution=MAX_PROFILE_CELLS + 1)
 
 
 @pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])
@@ -321,42 +322,97 @@ def test_closed_form_b0_and_far_field():
         BesselProfile(1.0)
 
 
-def _same_csr(a, b):
-    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
-
-
-def test_vectorised_assembly_equals_loop_assembly():
-    # the triplet loop and lil assignments the vectorised builders replaced
-    rng = np.random.default_rng(5)
-    n, h = 40, 0.3
-    a_face = np.concatenate([[0.0], rng.uniform(0.5, 2.0, n), [0.0]])
-    masses = rng.uniform(0.1, 1.0, n + 1)
-    rows, cols, vals = [], [], []
+def _dense_factors(b, T_max, n):
+    """D = L - I, the cell masses and the constrained basis C, entry by entry."""
+    h = T_max / n
+    t = np.linspace(0.0, T_max, n + 1)
+    faces = [0.0] + [t[i] + h / 2.0 for i in range(n)] + [T_max]
+    # int t^b over each cell as a difference of t^{b+1}/(b+1): an ulp of that
+    # power is 1e-13 of a far cell's mass, so it is taken as one array power,
+    # rounded as the package rounds it; the loops below check the assembly
+    masses = np.diff(np.asarray(faces) ** (b + 1.0) / (b + 1.0))
+    D = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
-        al, ar = a_face[i], a_face[i + 1]
+        left = faces[i] ** b if i > 0 else 0.0
+        right = faces[i + 1] ** b if i < n else 0.0
+        hm = h * masses[i]
         if i > 0:
-            rows.append(i); cols.append(i - 1); vals.append(al / (h * masses[i]))
-        rows.append(i); cols.append(i); vals.append(-(al + ar) / (h * masses[i]))
+            D[i, i - 1] = left / hm
         if i < n:
-            rows.append(i); cols.append(i + 1); vals.append(ar / (h * masses[i]))
-    L_loop = sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
-    assert _same_csr(_flux_laplacian(a_face, h, masses), L_loop)
-
-    tail = np.arange(33, n + 1)
-    free = np.arange(1, tail[0])
-    g1, g2 = rng.uniform(0.1, 1.0, tail.size), rng.uniform(0.1, 1.0, tail.size)
-    C_loop = sp.lil_matrix((n + 1, free.size + 2))
+            D[i, i + 1] = right / hm
+        D[i, i] = -(left + right) / hm - 1.0
+    alpha, t0 = (1.0 - b) / 2.0, T_max - 2.0
+    tail = [i for i in range(n + 1) if t[i] >= t0 - 1e-12]
+    free = range(1, tail[0])
+    C = np.zeros((n + 1, len(free) + 2))
     for j, i in enumerate(free):
-        C_loop[i, j] = 1.0
-    C_loop[tail, free.size] = g1[:, None]
-    C_loop[tail, free.size + 1] = g2[:, None]
-    assert _same_csr(_constrained_basis(n + 1, free, tail, g1, g2), C_loop.tocsr())
+        C[i, j] = 1.0
+    for i in tail:
+        C[i, -2] = (t[i] / t0) ** (alpha - 0.5) * math.exp(-(t[i] - t0))
+        C[i, -1] = (t[i] / t0) ** (alpha + 0.5) * math.exp(-(t[i] - t0))
+    return D, masses, C
+
+
+@pytest.mark.parametrize("b", [-0.6, 0.0, 0.7])
+def test_banded_normal_system_equals_dense_products(b):
+    T_max, n = 24.0, 512
+    D, masses, C = _dense_factors(b, T_max, n)
+    system = _normal_system(b, T_max, n)
+    CtG = C.T @ (D.T @ (masses[:, None] * D))
+    A = CtG @ C
+    # each row's scale: the largest sum of term magnitudes, e_0 column included
+    terms = np.abs(C).T @ (np.abs(D).T @ (masses[:, None] * np.abs(D)))
+    scale = np.max(np.column_stack([terms[:, 0], terms @ np.abs(C)]), axis=1)
+    m = A.shape[0]
+    assert system.bands.shape == (4, m)
+    i, j = np.indices(A.shape)
+    assert np.all(A[np.abs(i - j) > 3] == 0.0)   # upper bandwidth 3
+    banded = np.zeros_like(A)
+    for d in range(4):
+        idx = np.arange(d, m)
+        banded[idx - d, idx] = system.bands[3 - d, d:]
+        banded[idx, idx - d] = system.bands[3 - d, d:]
+    assert np.all(np.abs(banded - A) <= 1e-14 * scale[:, None])
+    assert np.all(np.abs(system.residual(np.zeros(m)) + CtG[:, 0]) <= 1e-14 * scale)
+
+    y = np.random.default_rng(7).standard_normal(m)
+    x = C @ y
+    x[0] += 1.0
+    assert_allclose(system.expand(y), x, rtol=1e-15, atol=0.0)
+    assert np.all(np.abs(system.residual(y) + CtG @ x) <= 1e-14 * scale * np.max(np.abs(x)))
+
+
+def _closed_form_error(s, resolution):
+    b = 3.0 - 2.0 * s
+    sol = solve_profile(b, resolution=resolution)
+    mask = (sol.t > 0.0) & (sol.t <= 10.0)
+    return float(np.max(np.abs(sol.phi - BesselProfile(b).phi_at(sol.t))[mask]))
+
+
+@pytest.mark.parametrize("s", [1.25, 1.5, 1.75, 1.9])
+def test_profile_converges_at_second_order(s):
+    # halving h divides the error against c t^s K_s(t) by 4: no roundoff floor
+    ratio = _closed_form_error(s, 8192) / _closed_form_error(s, 16384)
+    assert 3.6 <= ratio <= 4.4
+
+
+@pytest.mark.parametrize("s", [1.4, 1.5, 1.6, 1.7, 1.8, 1.9])
+def test_profile_error_against_closed_form_at_default_resolution(s):
+    assert _closed_form_error(s, 16384) <= 5e-7
+
+
+@pytest.mark.parametrize("b", [-0.9, 0.0, 0.5, 0.9])
+def test_profile_still_converges_at_the_resolution_cap(b):
+    s = (3.0 - b) / 2.0
+    ratio = (_closed_form_error(s, MAX_PROFILE_CELLS // 2)
+             / _closed_form_error(s, MAX_PROFILE_CELLS))
+    assert 3.6 <= ratio <= 4.4
 
 
 def test_solve_profile_b0_constant_pinned(sol_b0):
-    # the value of the sparse assembly this code replaced: same matrices, same J
-    assert sol_b0.J == pytest.approx(1.9999994635632896, rel=1e-13)
+    # the banded Cholesky with factored-residual refinement; J's own
+    # double-precision floor is about 4e-12 relative (zeta is an h^-2 stencil)
+    assert sol_b0.J == pytest.approx(1.9999994635591993, rel=1e-13)
 
 
 @pytest.mark.parametrize("b, N", [(0.0, 1), (-0.5, 2), (0.6, 1)])
