@@ -217,11 +217,6 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _load_modes(params, cfg, need: int):
-    """The first `need` closed-form modes: a spec's "l" is a position in this list."""
-    return hemisphere.hemisphere_modes(params, need)
-
-
 def _spec_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise InputError(f"{what} must be a finite real number, got {value!r}")
@@ -261,7 +256,8 @@ def _read_spec(path: str, cfg: RunConfig):
 def _spec_solution(path: str, cfg: RunConfig):
     """The modes a checked spec indexes and the solution it synthesizes."""
     params, terms = _read_spec(path, cfg)
-    modes = _load_modes(params, cfg, max(t[0] for t in terms) + 1)
+    # a spec's "l" is a position in the list of closed-form modes
+    modes = hemisphere.hemisphere_modes(params, max(t[0] for t in terms) + 1)
     return modes, synthesis.synthesize(params, terms, modes=modes)
 
 

@@ -10,6 +10,12 @@ Geometry conventions used throughout the package:
 * For N = 1 the half circle is parameterized by a single angle phi in (0, pi),
   the point being (cos(phi), sin(phi)); the weight along the arc is sin(phi)^b.
 
+Every quadrature in the package runs on one family of rules, `gauss_jacobi`
+(the finite-volume cross-checks integrate with their own cell masses): the
+singular or degenerate power of the integration variable is the Jacobi
+weight, so the factor is never evaluated at 0 and smooth integrands
+converge spectrally.
+
 All grid and rule objects are immutable after construction and every
 operation in this module is pure, so values can be shared freely between
 threads.
@@ -30,7 +36,6 @@ DEFAULT_ANGULAR_NODES = 128
 # `gauss_jacobi` builds all n^2 eigenvector entries (8 n^2 bytes; 34 GB at
 # n = 65536), so its node count is capped.
 MAX_GAUSS_NODES = 2048
-GRADING_RATIO = 0.85
 
 
 class AlmgrenLabError(Exception):
@@ -140,60 +145,6 @@ def weighted_angular_moment(exp_sin: float, exp_cos: float) -> float:
         + gammaln((exp_cos + 1) / 2.0)
         - gammaln((exp_sin + exp_cos + 2) / 2.0)
     )
-
-
-def graded_breaks(
-    length: float,
-    n_cells: int,
-    *,
-    ratio: float = GRADING_RATIO,
-    grade_start: bool = True,
-    grade_end: bool = False,
-    depth: float = 1e-12,
-) -> np.ndarray:
-    """Cell breakpoints on [0, length], geometrically graded toward chosen ends.
-
-    Cell widths shrink by `ratio` per cell when approaching a graded end, down
-    to roughly `depth` times the bulk width; the remaining cells are uniform.
-    """
-    if n_cells < 4:
-        raise DomainError("need at least 4 cells")
-    m = int(math.ceil(math.log(depth) / math.log(ratio)))
-    n_start = min(n_cells // 3, m) if grade_start else 0
-    n_end = min(n_cells // 3, m) if grade_end else 0
-    n_uniform = n_cells - n_start - n_end
-    widths = np.concatenate([
-        ratio ** np.arange(n_start, 0, -1),
-        np.ones(n_uniform),
-        ratio ** np.arange(1, n_end + 1),
-    ])
-    breaks = np.concatenate([[0.0], np.cumsum(widths)])
-    breaks *= length / breaks[-1]
-    breaks[-1] = length
-    return breaks
-
-
-def power_rule(breaks: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights approximating int x^p f(x) dx over [breaks0, breaks-1].
-
-    The moments of x^p are integrated exactly against a piecewise-linear
-    interpolant of f, so the singular/degenerate factor is never evaluated at
-    a break point; f is sampled at the breaks themselves.  Weights are
-    nonnegative.  Requires p > -1 when the interval starts at 0.
-    """
-    breaks = np.asarray(breaks, dtype=float)
-    a, c = breaks[:-1], breaks[1:]
-    if breaks[0] == 0.0 and p <= -1.0:
-        raise DomainError(f"exponent p = {p} is not integrable at 0")
-    m0 = (c ** (p + 1) - a ** (p + 1)) / (p + 1)
-    m1 = (c ** (p + 2) - a ** (p + 2)) / (p + 2)
-    h = c - a
-    w_left = (c * m0 - m1) / h
-    w_right = (m1 - a * m0) / h
-    weights = np.zeros_like(breaks)
-    weights[:-1] += w_left
-    weights[1:] += w_right
-    return breaks.copy(), weights
 
 
 @lru_cache(maxsize=32, typed=True)   # typed: True must not hit the entry of 1

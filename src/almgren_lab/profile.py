@@ -41,8 +41,7 @@ from .core import (
     SolverError,
     TraceProportionalityError,
     WeightParams,
-    graded_breaks,
-    power_rule,
+    gauss_jacobi,
 )
 
 TAIL_LENGTH = 2.0
@@ -183,8 +182,18 @@ class BesselProfile:
 
 
 def _cell_masses_tb(b: float, faces: np.ndarray) -> np.ndarray:
-    prim = faces ** (b + 1.0) / (b + 1.0)
-    return np.diff(prim)
+    """int t^b dt over each cell [f0, f1] of the increasing faces, faces[0] = 0.
+
+    The difference of the primitives f^{b+1}/(b+1) cancels digits far from
+    0; f1^{b+1} (1 - (f0/f1)^{b+1})/(b+1), formed through expm1 and log1p,
+    keeps each mass to roundoff.  The first cell takes its closed form.
+    """
+    f1 = faces[1:]
+    width = np.diff(faces)
+    bp1 = b + 1.0
+    masses = f1 ** bp1 / bp1
+    masses[1:] *= -np.expm1(bp1 * np.log1p(-width[1:] / f1[1:]))
+    return masses
 
 
 def _tridiag_apply(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
@@ -417,7 +426,8 @@ def extension_energy_identity(
     """Both sides of the weighted energy identity for the extension of u.
 
     Left: int over the torus slab of t^b |D_b U|^2, assembled from the
-    physical-space field level by level; right: C_b times the discrete
+    physical-space field level by level at the nodes of the rule
+    `gauss_jacobi(n_t, b)` on [0, t_max]; right: C_b times the discrete
     fractional seminorm sum |xi|^{2s} |uhat|^2 (box-measure normalized).
     Agreement certifies the isometry property of the construction up to
     torus truncation and quadrature error.
@@ -428,8 +438,8 @@ def extension_energy_identity(
     _check_bandlimit(u_hat, u.shape)
     xi = _frequency_grid(u.shape, box_length)
     n_total = u.size
-    breaks = graded_breaks(t_max, n_t, grade_start=True)
-    t_nodes, t_weights = power_rule(breaks, params.b)
+    x, w = gauss_jacobi(n_t, params.b)
+    t_nodes, t_weights = t_max * x, t_max ** (params.b + 1.0) * w
     cell = (box_length / u.shape[0]) ** params.N
     lhs = 0.0
     for tn, tw in zip(t_nodes, t_weights):

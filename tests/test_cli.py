@@ -312,7 +312,7 @@ def test_malformed_spec_exits_2_before_any_eigensolve(tmp_path, capsys, monkeypa
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("the spec reached the eigensolver")
 
-    monkeypatch.setattr(cli, "_load_modes", no_eigensolve)
+    monkeypatch.setattr(hemisphere, "hemisphere_modes", no_eigensolve)
     spec_path = tmp_path / "bad.json"
     spec_path.write_text(json.dumps(_MALFORMED_SPECS[case]))
     code = run([command, "--spec", str(spec_path)])
@@ -324,8 +324,8 @@ def test_malformed_spec_exits_2_before_any_eigensolve(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("command", ["synthesize", "almgren"])
 def test_spec_index_past_the_mode_list_exits_2(tmp_path, capsys, monkeypatch, command):
-    load = cli._load_modes
-    monkeypatch.setattr(cli, "_load_modes", lambda *a: load(*a)[:2])
+    load = hemisphere.hemisphere_modes
+    monkeypatch.setattr(hemisphere, "hemisphere_modes", lambda *a: load(*a)[:2])
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"params": {"s": 1.25, "N": 3},
                                      "terms": [{"l": 2, "c1": 1.0}]}))

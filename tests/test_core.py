@@ -19,8 +19,6 @@ from almgren_lab.core import (
     DEFAULT_RADIAL_NODES,
     MAX_GAUSS_NODES,
     gauss_jacobi,
-    graded_breaks,
-    power_rule,
     unit_sphere_area,
     weighted_angular_moment,
 )
@@ -44,21 +42,6 @@ def test_weight_params_invariants():
 def test_weight_params_rejects(bad):
     with pytest.raises(DomainError):
         WeightParams(**bad)
-
-
-def test_power_rule_exact_on_linear():
-    breaks = graded_breaks(1.0, 37, grade_start=True)
-    for p in (-0.5, 0.0, 0.7, 2.5):
-        nodes, weights = power_rule(breaks, p)
-        assert np.all(weights >= 0)
-        got = weights @ (3.0 + 2.0 * nodes)
-        want = 3.0 / (p + 1) + 2.0 / (p + 2)
-        assert_allclose(got, want, rtol=1e-13)
-
-
-def test_power_rule_rejects_nonintegrable():
-    with pytest.raises(DomainError):
-        power_rule(np.array([0.0, 1.0]), -1.0)
 
 
 def test_halfball_unweighted_halfdisk_area(params_n1):

@@ -217,7 +217,17 @@ def test_sobolev_constant_family_closed_measures(p3):
 
     trace_norm = (unit_sphere_area(p3.N - 1) / p3.N) ** (2.0 / qs)
     want = (beta1 / 2.0) * sphere / trace_norm
-    assert c == pytest.approx(want, rel=1e-4)
+    assert c == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_sobolev_trace_rule_converged_at_default(N):
+    # the default 64-node trace rule already agrees with a 4x finer one
+    p = WeightParams(s=1.25, N=N)
+    fam = TestFamily(params=p, kind="bumps", count=6, seed=2)
+    coarse = estimate_sobolev_trace_constant(p, fam, 1.0, n_trace=64)
+    fine = estimate_sobolev_trace_constant(p, fam, 1.0, n_trace=256)
+    assert coarse == pytest.approx(fine, rel=1e-7)
 
 
 def test_family_reproducibility(p3):

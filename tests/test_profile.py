@@ -22,6 +22,7 @@ from almgren_lab.profile import (
     MAX_PROFILE_CELLS,
     BesselProfile,
     _cached_profile,
+    _cell_masses_tb,
     _normal_system,
     extension_energy_identity,
 )
@@ -221,22 +222,29 @@ def test_aliasing_guard():
         build_extension(p, u, [0.0])
 
 
+def _torus_bump(N, n=64):
+    x = np.arange(n) * 2 * math.pi / n
+    grids = np.meshgrid(*([x] * N), indexing="ij")
+    return np.exp(-sum((g - math.pi) ** 2 for g in grids) / 0.8)
+
+
 def test_parseval_isometry_2d():
     p = WeightParams(s=1.5, N=2)
-    n = 64
-    x = np.arange(n) * 2 * math.pi / n
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    u = np.exp(-((X - math.pi) ** 2 + (Y - math.pi) ** 2) / 0.8)
-    lhs, rhs = extension_energy_identity(p, u)
-    assert abs(lhs - rhs) / rhs < 0.01
+    lhs, rhs = extension_energy_identity(p, _torus_bump(2))
+    assert abs(lhs - rhs) / rhs < 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("s", [1.05, 1.3, 1.7, 1.95])
+def test_energy_identity_across_orders(s, N):
+    p = WeightParams(s=s, N=N)
+    lhs, rhs = extension_energy_identity(p, _torus_bump(N, 32))
+    assert abs(lhs - rhs) / rhs < 1e-5
 
 
 def test_trace_relation_b0():
     p = WeightParams(s=1.5, N=2)
-    n = 64
-    x = np.arange(n) * 2 * math.pi / n
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    u = np.exp(-((X - math.pi) ** 2 + (Y - math.pi) ** 2) / 0.8)
+    u = _torus_bump(2)
     kappa, spread = trace_laplacian_check(p, u)
     assert abs(kappa - 2.0) / 2.0 < 0.01
     assert spread < 0.005
@@ -327,10 +335,9 @@ def _dense_factors(b, T_max, n):
     h = T_max / n
     t = np.linspace(0.0, T_max, n + 1)
     faces = [0.0] + [t[i] + h / 2.0 for i in range(n)] + [T_max]
-    # int t^b over each cell as a difference of t^{b+1}/(b+1): an ulp of that
-    # power is 1e-13 of a far cell's mass, so it is taken as one array power,
-    # rounded as the package rounds it; the loops below check the assembly
-    masses = np.diff(np.asarray(faces) ** (b + 1.0) / (b + 1.0))
+    # the package's cell masses, rounded as it rounds them (the mpmath test
+    # checks them); the loops below check the assembly
+    masses = _cell_masses_tb(b, np.asarray(faces))
     D = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
         left = faces[i] ** b if i > 0 else 0.0
@@ -412,7 +419,23 @@ def test_profile_still_converges_at_the_resolution_cap(b):
 def test_solve_profile_b0_constant_pinned(sol_b0):
     # the banded Cholesky with factored-residual refinement; J's own
     # double-precision floor is about 4e-12 relative (zeta is an h^-2 stencil)
-    assert sol_b0.J == pytest.approx(1.9999994635591993, rel=1e-13)
+    assert sol_b0.J == pytest.approx(1.999999463561315, rel=1e-13)
+
+
+@pytest.mark.parametrize("b", [-0.95, -0.6, 0.0, 0.9])
+def test_cell_masses_match_high_precision(b):
+    # differences of t^{b+1}/(b+1) lost up to 3e-12 of a far cell's mass
+    mpmath = pytest.importorskip("mpmath")
+    T_max, n = 20.0, 512
+    h = T_max / n
+    t = np.linspace(0.0, T_max, n + 1)
+    faces = np.concatenate([[0.0], t[:-1] + h / 2.0, [T_max]])
+    masses = _cell_masses_tb(b, faces)
+    with mpmath.workdps(40):
+        bp1 = mpmath.mpf(b) + 1
+        prim = [mpmath.mpf(f) ** bp1 / bp1 for f in faces]
+        err = max(abs(m / (hi - lo) - 1) for m, lo, hi in zip(masses, prim, prim[1:]))
+    assert err <= 1e-15
 
 
 @pytest.mark.parametrize("b, N", [(0.0, 1), (-0.5, 2), (0.6, 1)])
