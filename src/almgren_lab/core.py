@@ -14,7 +14,10 @@ Every quadrature in the package runs on one family of rules, `gauss_jacobi`
 (the finite-volume cross-checks integrate with their own cell masses): the
 singular or degenerate power of the integration variable is the Jacobi
 weight, so the factor is never evaluated at 0 and smooth integrands
-converge spectrally.
+converge spectrally.  `split_gauss_jacobi` puts that weight on a short head
+panel only and covers the rest with Gauss-Legendre; both panels are
+`gauss_jacobi` rules, so it is the same family, and a new exponent costs a
+small head rather than a full rule.
 
 All grid and rule objects are immutable after construction and every
 operation in this module is pure, so values can be shared freely between
@@ -36,6 +39,10 @@ DEFAULT_ANGULAR_NODES = 128
 # `gauss_jacobi` builds all n^2 eigenvector entries (8 n^2 bytes; 34 GB at
 # n = 65536), so its node count is capped.
 MAX_GAUSS_NODES = 2048
+# `split_gauss_jacobi`: the Jacobi-weighted head panel [0, SPLIT_POINT] and
+# its node count, the only part of that rule that depends on the exponent.
+SPLIT_POINT = 0.25
+SPLIT_HEAD_NODES = 32
 
 
 class AlmgrenLabError(Exception):
@@ -173,6 +180,27 @@ def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     off = 2.0 * k * (k + p) / (c * np.sqrt(c * c - 1.0))
     nodes, vecs = eigh_tridiagonal(0.5 * (1.0 + diag), 0.5 * off)
     weights = vecs[0] ** 2 / (p + 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def split_gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite rule, SPLIT_HEAD_NODES + n nodes, for int_0^1 x^p f(x) dx (read-only).
+
+    The head panel [0, SPLIT_POINT] carries x^p as its Jacobi weight,
+    `gauss_jacobi(SPLIT_HEAD_NODES, p)` scaled; the body [SPLIT_POINT, 1] is
+    Gauss-Legendre, `gauss_jacobi(n, 0.0)`, with the smooth factor x^p folded
+    into its weights.  A fresh p therefore costs one 32-node eigensolve, while
+    the p-free body comes from `gauss_jacobi`'s cache.  Nodes increase; the
+    preconditions are those of `gauss_jacobi`.
+    """
+    h = SPLIT_POINT
+    xb, wb = gauss_jacobi(n, 0.0)
+    xh, wh = gauss_jacobi(SPLIT_HEAD_NODES, p)
+    body = h + (1.0 - h) * xb
+    nodes = np.concatenate([h * xh, body])
+    weights = np.concatenate([h ** (p + 1.0) * wh, (1.0 - h) * wb * body ** p])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

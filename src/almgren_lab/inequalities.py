@@ -23,13 +23,16 @@ from .core import (
     WeightParams,
     angle_to_xt,
     gauss_jacobi,
+    split_gauss_jacobi,
     unit_sphere_area,
 )
 from .hemisphere import polynomial_mode
 
-# Gauss-Jacobi node counts per axis.  Both axes doubled move every family's
-# margin by <= 4e-9 of its leading side (N = 1..4); the radial count is set by
-# the smooth cut-off, whose flat edge converges slowest.
+# Node counts per axis: the Gauss-Legendre body of the radial
+# `split_gauss_jacobi` rule and the angular Gauss-Jacobi rule.  Both doubled
+# move every family's margin by <= 1.3e-11 of its largest term (N = 1..4,
+# Hardy and Hardy-Rellich); the radial count is set by the smooth cut-off,
+# whose flat edge converges slowest.
 DEFAULT_RADIAL_NODES = 192
 DEFAULT_ANGULAR_NODES = 32
 
@@ -282,15 +285,18 @@ def _check_radius(radius: float) -> None:
 class _Rules:
     """Gauss-Jacobi rules of one margin call, built once and shared by its integrals.
 
-    The radial rule carries rho^{N+b+extra} on [0, 1]; the angular rule is
-    `AngularGrid1D.gauss`.  Both reject node counts below 1 with `DomainError`.
+    The radial rule is `split_gauss_jacobi(n_radial, N+b+extra)` in rho / r:
+    rho^{N+b+extra} is the Jacobi weight of its 32-node head panel, and
+    `n_radial` counts the nodes of its Gauss-Legendre body.  The angular rule
+    is `AngularGrid1D.gauss`.  Both reject node counts below 1 with
+    `DomainError`.
     """
 
     def __init__(self, params: WeightParams, extra_power: float,
                  n_radial: int, n_angular: int):
         self.params = params
         self.p = params.N + params.b + extra_power
-        self.radial = gauss_jacobi(n_radial, self.p)
+        self.radial = split_gauss_jacobi(n_radial, self.p)
         self.angular = AngularGrid1D.gauss(params.N, params.b, n_angular)
 
     def ball(self, sampler, r: float, rho_power: int = 0) -> float:
@@ -337,8 +343,9 @@ def check_hardy_trace(params: WeightParams, field, r: float,
 
     LHS = ((N+b-1)/(2r))^2 int t^b U^2, RHS = int t^b |grad U|^2 +
     (N+b-1)/(2r) int_{S_r^+} t^b U^2.  A nonnegative margin (up to roundoff)
-    verifies the inequality for this field.  `n_radial` and `n_angular` are
-    Gauss-Jacobi node counts per axis.
+    verifies the inequality for this field.  `n_radial` counts the
+    Gauss-Legendre body nodes of the radial rule (`split_gauss_jacobi`, whose
+    32-node head adds to it) and `n_angular` the angular Gauss-Jacobi nodes.
     """
     _check_radius(r)
     k = (params.N + params.b - 1.0) / (2.0 * r)
@@ -357,6 +364,7 @@ def check_hardy_rellich(params: WeightParams, field, support_radius: float,
     Requires the regime N > 2s and a field with lap_b coded; the field must
     vanish near |z| = support_radius (use a cutoff).  All three integrals share
     one radial rule for rho^{N+b-4}; rho^4 and rho^2 go into the samplers.
+    The node counts are those of `check_hardy_trace`.
     """
     if not params.paper_regime:
         raise RegimeError(f"Hardy-Rellich requires N > 2s (N = {params.N}, s = {params.s})")
@@ -379,6 +387,8 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     divided by the squared critical trace norm of u = U(., 0); the trace is
     read off by one-sided quadratic extrapolation from the three smallest
     t-levels.  Never the sharp constant, only a certified candidate.
+    `n_radial` and `n_angular` are those of `check_hardy_trace`; `n_trace`
+    counts the Gauss-Jacobi nodes of the trace norm.
     """
     _check_radius(r)
     qstar = critical_exponent(params)
@@ -399,14 +409,17 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
         v1 = field.value(xq, np.full_like(xq, eps))
         v2 = field.value(xq, np.full_like(xq, 2 * eps))
         v3 = field.value(xq, np.full_like(xq, 3 * eps))
-        u = _finite(3.0 * v1 - 3.0 * v2 + v3)
-        mass = float(xw @ np.abs(u) ** qstar)
+        u = np.abs(_finite(3.0 * v1 - 3.0 * v2 + v3))
+        # ||u||_q = M (int (|u|/M)^q)^{1/q} with M = max|u|: q* grows without
+        # bound as N nears 2(s-1), and the unscaled |u|^{q*} underflows to 0
+        peak = float(u.max())
+        mass = float(xw @ (u / peak) ** qstar) if peak > 0.0 else 0.0
         if params.N == 1:
             mass *= 2.0  # even coverage of (-r, r) by the axisymmetric family
             denom_area = 1.0
         else:
             denom_area = unit_sphere_area(params.N - 1)
-        norm_sq = (denom_area * mass) ** (2.0 / qstar)
+        norm_sq = peak ** 2 * (denom_area * mass) ** (2.0 / qstar)
         if norm_sq < 1e-28:
             skipped += 1
             warnings.warn("trace vanishes for a family member; skipped", stacklevel=2)

@@ -18,7 +18,10 @@ from almgren_lab.core import (
     DEFAULT_ANGULAR_NODES,
     DEFAULT_RADIAL_NODES,
     MAX_GAUSS_NODES,
+    SPLIT_HEAD_NODES,
+    SPLIT_POINT,
     gauss_jacobi,
+    split_gauss_jacobi,
     unit_sphere_area,
     weighted_angular_moment,
 )
@@ -190,10 +193,32 @@ def test_gauss_angular_grid_matches_closed_moments(N):
     assert np.all(np.diff(g.nodes) > 0)
 
 
+@pytest.mark.parametrize("n", [64, 192])
+@pytest.mark.parametrize("p", [-0.95, -0.5, 0.0, 0.3, 1.7, 4.9])
+def test_split_gauss_jacobi_moments(n, p):
+    # the Jacobi head and the Gauss-Legendre body together keep every
+    # moment int_0^1 x^{p+k} dx to roundoff, high k included
+    x, w = split_gauss_jacobi(n, p)
+    assert x.size == w.size == SPLIT_HEAD_NODES + n
+    assert np.all(np.diff(x) > 0) and 0 < x[0] and x[-1] < 1 and np.all(w > 0)
+    assert np.count_nonzero(x < SPLIT_POINT) == SPLIT_HEAD_NODES
+    for k in (0, 1, 5, 20, 60):
+        assert w @ x ** k == pytest.approx(1.0 / (p + k + 1), rel=1e-14), k
+
+
+@pytest.mark.parametrize("n,p", [(0, 0.4), (-3, 0.4), (2.0, 0.4), (True, 0.4),
+                                 (MAX_GAUSS_NODES + 1, 0.4),
+                                 (8, -1.0), (8, -2.5), (8, math.nan)])
+def test_split_gauss_jacobi_rejects(n, p):
+    with pytest.raises(DomainError):
+        split_gauss_jacobi(n, p)
+
+
 def test_gauss_rules_are_read_only():
     x, w = gauss_jacobi(8, 0.4)
+    xs, ws = split_gauss_jacobi(8, 0.4)
     g = AngularGrid1D.gauss(3, 0.4, 8)
-    for arr in (x, w, g.nodes, g.weights):
+    for arr in (x, w, xs, ws, g.nodes, g.weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -12,6 +12,7 @@ from almgren_lab import (
     integrate_halfball,
     integrate_halfsphere,
 )
+from almgren_lab import core
 from almgren_lab.inequalities import (
     CutoffField,
     GaussianBumps,
@@ -220,6 +221,16 @@ def test_sobolev_constant_family_closed_measures(p3):
     assert c == pytest.approx(want, rel=1e-12)
 
 
+def test_sobolev_trace_survives_a_huge_critical_exponent():
+    # q* = 2N / (N - 2(s-1)) is about 1413 here: |u|^{q*} underflows to 0
+    # unless the trace is scaled by its maximum before the power
+    p = WeightParams(s=1.4992923051913127, N=1)
+    assert critical_exponent(p) > 1000
+    fam = TestFamily(params=p, kind="bumps", count=1, seed=276102407)
+    c = estimate_sobolev_trace_constant(p, fam, 1.0)
+    assert math.isfinite(c) and c > 0
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_sobolev_trace_rule_converged_at_default(N):
     # the default 64-node trace rule already agrees with a 4x finer one
@@ -274,6 +285,47 @@ def test_separable_mode_margin_matches_closed_form(N, s):
             want, scale = _hardy_mode_closed_form(p, sigma, 1.7, r)
             got = check_hardy_trace(p, field, r)
             assert abs(got - want) <= 1e-10 * scale, (sigma, r, got, want)
+
+
+def test_rellich_cutoff_polynomial_agrees_with_a_fine_radial_rule():
+    # the cut-off's flat edge converges slowest: the default rule must sit
+    # within 1e-10 of an eightfold radial rule (a single 192-node
+    # Gauss-Jacobi rule in rho is off by 3.2e-9 here)
+    p = WeightParams(s=1.520504, N=4)
+    fam = TestFamily(params=p, kind="poly", count=1, seed=1650924783, cutoff_radius=0.8)
+    field = next(fam.fields())
+    got = check_hardy_rellich(p, field, 1.0)
+    fine = check_hardy_rellich(p, field, 1.0, n_radial=1536)
+    assert got == pytest.approx(fine, rel=1e-10)
+
+
+def _fam(p, cutoff=None):
+    return TestFamily(params=p, kind="bumps", count=1, seed=5, mirrored=True,
+                      cutoff_radius=cutoff)
+
+
+@pytest.mark.parametrize("which", ["hardy", "rellich", "sobolev"])
+def test_margin_at_a_new_order_runs_only_small_eigensolves(monkeypatch, which):
+    # only the 32-node head and angular rules depend on s; the radial body
+    # and the trace rule come from the cache once one call has built them
+    N = 4
+    calls = {
+        "hardy": lambda p: check_hardy_trace(p, next(_fam(p).fields()), 1.0),
+        "rellich": lambda p: check_hardy_rellich(p, next(_fam(p, 0.8).fields()), 1.0),
+        "sobolev": lambda p: estimate_sobolev_trace_constant(p, _fam(p), 1.0),
+    }
+    fresh_s = {"hardy": 1.4321987654, "rellich": 1.4432198765, "sobolev": 1.4543219876}
+    calls[which](WeightParams(s=1.5, N=N))
+    sizes = []
+    solve = core.eigh_tridiagonal
+
+    def counted(diag, off, *args, **kwargs):
+        sizes.append(len(diag))
+        return solve(diag, off, *args, **kwargs)
+
+    monkeypatch.setattr(core, "eigh_tridiagonal", counted)
+    calls[which](WeightParams(s=fresh_s[which], N=N))
+    assert sizes and max(sizes) <= core.SPLIT_HEAD_NODES, sizes
 
 
 @pytest.mark.parametrize("sigma", [1, 3])
