@@ -10,7 +10,10 @@ rho / r times `AngularGrid1D.gauss(N, b, n)`, with n from `gauss_nodes` of
 the largest degree.  For integer exponents the radial integrands are
 polynomials the rule integrates exactly; the angular integral stays
 numerical over the sampled profiles, which keeps this path an independent
-check of the closed path's orthonormality algebra.  At N + b < 1 the
+check of the closed path's orthonormality algebra.  The angular pair
+integrals of all terms form two Gram matrices over each profile's kept
+Gauss samples, with the entries of different blocks set to exactly 0, so
+every radius and term pair is contracted in one batched pass.  At N + b < 1 the
 constant mode's ball integrand rho^{-2(N+b)} is no polynomial, so the
 quadrature path refuses it.  Both paths take a whole radius schedule in one
 numpy pass.  Derivative identities are checked, never used as shortcuts.
@@ -149,7 +152,14 @@ def _form(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _QuadContext:
-    """Angular pair integrals per block plus a radial Gauss-Jacobi rule, built once per call."""
+    """Angular Gram matrices of the whole synthesis plus a radial Gauss-Jacobi rule.
+
+    `A` and `E` pair every two terms: A_ij = <P_i, P_j> and E_ij = <P_i',
+    P_j'> + k (k + N - 2) <P_i, P_j / sin^2 psi>, integrated on the angular
+    Gauss rule over the profiles' kept samples.  Entries of terms in
+    different blocks are exactly 0: horizontal-harmonic orthogonality is
+    structural, while the integrals within a block stay numerical.
+    """
 
     def __init__(self, sol: SeparableSolution, n_radial: int | None = None,
                  n_angular: int | None = None):
@@ -163,43 +173,49 @@ class _QuadContext:
             )
         n = gauss_nodes(max((t.sigma for t in sol.terms), default=0.0))
         self.x, self.wx = gauss_jacobi(n if n_radial is None else n_radial, self.beta)
-        grid = AngularGrid1D.gauss(p.N, p.b, n if n_angular is None else n_angular)
+        n_ang = n if n_angular is None else n_angular
+        grid = AngularGrid1D.gauss(p.N, p.b, n_ang)
         nodes, w = grid.nodes, grid.weights
-        self.blocks = []
-        for k, terms in sol.blocks().items():
-            P = np.array([t.mode.profile(nodes) for t in terms], dtype=float)
-            dP = np.array([t.mode.profile.deriv(nodes) for t in terms], dtype=float)
-            A = _gram(P, P, w)
-            E = _gram(dP, dP, w)
-            if p.N >= 2 and k:   # Gauss nodes avoid the pole, where sin(psi) = 0
-                E += k * (k + p.N - 2) * _gram(P, P, w / np.sin(nodes) ** 2)
-            self.blocks.append((_coefs(terms), A, E))
+        samples = [t.mode.profile._on_gauss(p.N, p.b, n_ang) for t in sol.terms]
+        P = np.array([s[0] for s in samples]).reshape(-1, nodes.size)
+        dP = np.array([s[1] for s in samples]).reshape(P.shape)
+        keys = np.array([t.mode.block_key() for t in sol.terms], dtype=int)
+        A = _gram(P, P, w)
+        E = _gram(dP, dP, w)
+        if p.N >= 2 and np.any(keys):   # Gauss nodes avoid the pole, where sin(psi) = 0
+            E += (keys * (keys + p.N - 2))[:, None] * _gram(P, P, w / np.sin(nodes) ** 2)
+        same = keys[:, None] == keys[None, :]
+        self.A = np.where(same, A, 0.0)
+        self.E = np.where(same, E, 0.0)
+        self.coefs = _coefs(sol.terms)
 
     def pieces(self, r: np.ndarray) -> np.ndarray:
-        """Rows of `_TermPieces` at every radius of `r`, one Gram matrix per block and piece."""
+        """Rows of `_TermPieces` at every radius of `r`, in one pass over all term pairs."""
+        A, E = self.A, self.E
         # the rule at radius r is the base rule scaled by r: one row per radius
         rho = r[:, None] * self.x
         wr = self.wx * r[:, None] ** (self.beta + 1.0)
         wr_inv2 = wr / rho ** 2
         rb = r ** self.beta
-        acc = np.zeros((8, r.size))
-        for coefs, A, E in self.blocks:
-            # radial parts on the nodes, shaped (radius, term, node)
-            phi, dphi, phit, dphit = _radial(coefs[:, None, :, None], rho[:, None, :])
-            acc[0] += np.sum(A * (_gram(dphi, dphi, wr) + _gram(dphit, dphit, wr))
-                             + E * (_gram(phi, phi, wr_inv2) + _gram(phit, phit, wr_inv2)),
-                             axis=(1, 2))
-            acc[1] += np.sum(A * _gram(phi, phit, wr), axis=(1, 2))
-            acc[2] += np.sum(A * _gram(phit, dphi, wr * rho), axis=(1, 2))
-            # radial parts on the sphere S_r^+, shaped (term, radius)
-            phi, dphi, phit, dphit = _radial(coefs[:, :, None], r)
-            acc[3] += rb * (_form(A, phi, phi) + _form(A, phit, phit))
-            acc[4] += rb * (_form(A, phi, dphi) + _form(A, phit, dphit))
-            acc[5] += rb * (_form(A, dphi, dphi) + _form(A, dphit, dphit)
-                            + (_form(E, phi, phi) + _form(E, phit, phit)) / r ** 2)
-            acc[6] += rb * (_form(A, dphi, dphi) + _form(A, dphit, dphit))
-            acc[7] += rb * _form(A, phi, phit)
-        return acc
+        # radial parts on the nodes, shaped (radius, term, node)
+        phi, dphi, phit, dphit = _radial(self.coefs[:, None, :, None], rho[:, None, :])
+        ball = np.array([
+            A * (_gram(dphi, dphi, wr) + _gram(dphit, dphit, wr))
+            + E * (_gram(phi, phi, wr_inv2) + _gram(phit, phit, wr_inv2)),
+            A * _gram(phi, phit, wr),
+            A * _gram(phit, dphi, wr * rho),
+        ]).sum(axis=(2, 3))
+        # radial parts on the sphere S_r^+, shaped (term, radius)
+        phi, dphi, phit, dphit = _radial(self.coefs[:, :, None], r)
+        du2 = _form(A, dphi, dphi) + _form(A, dphit, dphit)
+        return np.vstack([
+            ball,
+            rb * (_form(A, phi, phi) + _form(A, phit, phit)),
+            rb * (_form(A, phi, dphi) + _form(A, phit, dphit)),
+            rb * (du2 + (_form(E, phi, phi) + _form(E, phit, phit)) / r ** 2),
+            rb * du2,
+            rb * _form(A, phi, phit),
+        ])
 
 
 def _pieces(sol, radii, method, n_radial=None, n_angular=None) -> _TermPieces:

@@ -124,7 +124,8 @@ class AngularProfile:
 
     An exact profile evaluates its closed form `exact` and `exact_deriv`; a
     sampled one (the finite-volume cross-check) interpolates `values` at
-    `psi` with a cubic spline.
+    `psi` with a cubic spline.  The samples on a Gauss rule are kept once
+    made (`_on_gauss`), so repeated angular integrals cost no evaluation.
     """
 
     def __init__(self, psi=None, values=None, *, exact=None, exact_deriv=None,
@@ -133,6 +134,7 @@ class AngularProfile:
         self.exact_deriv = exact_deriv
         self.solver_q = solver_q
         self.solver_masses = solver_masses
+        self._gauss_samples: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         if exact is None:
             from scipy.interpolate import CubicSpline   # FV cross-check only
 
@@ -151,8 +153,20 @@ class AngularProfile:
             return self.exact_deriv(np.asarray(psi, dtype=float))
         return self._dspline(np.asarray(psi, dtype=float))
 
+    def _on_gauss(self, N: int, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(P, P') on the nodes of `AngularGrid1D.gauss(N, b, n)`, sampled once (read-only)."""
+        key = (N, b, n)
+        cached = self._gauss_samples.get(key)
+        if cached is None:
+            nodes = AngularGrid1D.gauss(N, b, n).nodes
+            cached = (np.array(self(nodes), dtype=float), np.array(self.deriv(nodes), dtype=float))
+            for arr in cached:
+                arr.flags.writeable = False
+            self._gauss_samples[key] = cached
+        return cached
+
     def rescaled(self, factor: float) -> "AngularProfile":
-        """The sampled profile times `factor`."""
+        """The sampled profile times `factor`, with no samples kept yet."""
         return AngularProfile(
             self.psi, self.values * factor,
             solver_q=None if self.solver_q is None else self.solver_q * factor,

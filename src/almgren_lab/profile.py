@@ -441,9 +441,13 @@ def extension_energy_identity(
     x, w = gauss_jacobi(n_t, params.b)
     t_nodes, t_weights = t_max * x, t_max ** (params.b + 1.0) * w
     cell = (box_length / u.shape[0]) ** params.N
+    # zeta is elementwise, so it is evaluated once per distinct |xi| and gathered
+    xi_distinct, where = np.unique(xi, return_inverse=True)
+    where = where.reshape(xi.shape)
+    u_hat_xi2 = u_hat * xi ** 2
     lhs = 0.0
     for tn, tw in zip(t_nodes, t_weights):
-        v_hat = u_hat * xi ** 2 * prof.zeta_at(xi * tn)
+        v_hat = u_hat_xi2 * prof.zeta_at(xi_distinct * tn)[where]
         v = np.real(np.fft.ifftn(v_hat))
         lhs += tw * cell * float(np.sum(v ** 2))
     two_s = 3.0 - params.b

@@ -195,6 +195,10 @@ def fourier_coefficient(
     exactly by horizontal-harmonic orthogonality; the polar integral is
     numerical quadrature, by default on the Gauss-Jacobi grid of
     `gauss_nodes` of the largest degree among the mode and the block's terms.
+    On that grid the profiles come from their kept Gauss samples, so the
+    blow-up samples of one synthesis evaluate each profile once; only the
+    radial weights change with lam.  An explicit `grid` evaluates the
+    profiles on its nodes.
     """
     if not (0.0 < lam <= sol.R * (1 + 1e-12)):
         raise DomainError(f"radius {lam} outside (0, {sol.R}]")
@@ -203,19 +207,19 @@ def fourier_coefficient(
     if not terms:
         return 0.0, 0.0
     if grid is None:
-        top = max(mode.sigma_plus, *(t.sigma for t in terms))
-        grid = AngularGrid1D.gauss(sol.params.N, sol.params.b, gauss_nodes(top))
-    p_mode = mode.profile(grid.nodes)
-    f_u = np.zeros_like(grid.nodes)
-    f_v = np.zeros_like(grid.nodes)
-    for t in terms:
-        p = t.mode.profile(grid.nodes)
-        f_u += float(t.phi(lam)) * p
-        f_v += float(t.phi_tilde(lam)) * p
-    return (
-        float(grid.integrate_bare(f_u * p_mode)),
-        float(grid.integrate_bare(f_v * p_mode)),
-    )
+        N, b = sol.params.N, sol.params.b
+        n = gauss_nodes(max(mode.sigma_plus, *(t.sigma for t in terms)))
+        grid = AngularGrid1D.gauss(N, b, n)
+        P = np.array([t.mode.profile._on_gauss(N, b, n)[0] for t in terms])
+        p_mode = mode.profile._on_gauss(N, b, n)[0]
+    else:
+        P = np.array([t.mode.profile(grid.nodes) for t in terms], dtype=float)
+        p_mode = mode.profile(grid.nodes)
+    # rows (phi(lam), phi~(lam)) of the radial weights, one column per term
+    s, c1, e, d1 = np.array([(t.sigma, t.c1, t.e, t.d1) for t in terms]).T
+    ls = lam ** s
+    f_u, f_v = (np.array([c1 * ls + e * lam ** (s + 2.0), d1 * ls]) @ P) * p_mode
+    return float(grid.integrate_bare(f_u)), float(grid.integrate_bare(f_v))
 
 
 @dataclass(frozen=True)

@@ -310,53 +310,98 @@ def test_batched_trace_matches_single_radius_traces(N, s):
             np.testing.assert_allclose(got, getattr(backward, name)[::-1], rtol=1e-13, atol=0.0)
 
 
+# N: (blocks, (sigma, k, c1, d1) rows); k = None is the default sector sigma mod 2
+_GRAM_SYNTHESES = {
+    3: (2, ((0, None, 0.7, 1.3), (2, None, 0.4, -0.2), (1, None, -0.6, 0.9))),
+    4: (3, ((0, 0, 0.7, 1.3), (2, 0, 0.4, -0.2), (1, 1, -0.6, 0.9), (2, 2, 0.5, 0.0),
+            (3, 1, 0.3, 0.8))),
+}
+
+
 def test_gram_quadrature_pieces_match_pair_sums():
     from almgren_lab.almgren import _QuadContext
 
+    for N, (blocks, spec) in _GRAM_SYNTHESES.items():
+        p = WeightParams(s=1.25, N=N)
+        sol = synthesize(p, [(polynomial_mode(p, sigma, k), c1, d1)
+                             for sigma, k, c1, d1 in spec])
+        ctx = _QuadContext(sol, 12, 24)
+        keys = np.array([t.mode.block_key() for t in sol.terms])
+        cross = keys[:, None] != keys[None, :]
+        assert len(sol.blocks()) == blocks
+        assert np.all(ctx.A[cross] == 0.0) and np.all(ctx.E[cross] == 0.0)
+        radii = np.array([0.6, 0.2])
+        got = ctx.pieces(radii)
+        # the tensor rule: Gauss-Jacobi in rho / r, whose nodes avoid the origin,
+        # and in the polar angle, whose nodes avoid the pole
+        grid = AngularGrid1D.gauss(p.N, p.b, 24)
+        nodes, w = grid.nodes, grid.weights
+        x, wx = gauss_jacobi(12, p.N + p.b)
+        assert np.all(np.sin(nodes) > 0.0) and np.all(x > 0.0)
+        beta = p.N + p.b
+        for col, r in enumerate(radii):
+            rho, wr = r * x, r ** (beta + 1.0) * wx
+            want = np.zeros(8)
+            for k, terms in sol.blocks().items():
+                m = len(terms)
+                A = np.zeros((m, m))
+                E = np.zeros((m, m))
+                for i in range(m):
+                    for j in range(m):
+                        pi, pj = terms[i].mode.profile, terms[j].mode.profile
+                        A[i, j] = np.sum(w * pi(nodes) * pj(nodes))
+                        E[i, j] = np.sum(w * pi.deriv(nodes) * pj.deriv(nodes))
+                        E[i, j] += k * (k + N - 2) * np.sum(w * pi(nodes) * pj(nodes) / np.sin(nodes) ** 2)
+                for i, ti in enumerate(terms):
+                    for j, tj in enumerate(terms):
+                        want[0] += A[i, j] * np.sum(wr * (ti.dphi(rho) * tj.dphi(rho)
+                                                          + ti.dphi_tilde(rho) * tj.dphi_tilde(rho)))
+                        want[0] += E[i, j] * np.sum(wr * (ti.phi(rho) * tj.phi(rho)
+                                                          + ti.phi_tilde(rho) * tj.phi_tilde(rho)) / rho ** 2)
+                        want[1] += A[i, j] * np.sum(wr * ti.phi(rho) * tj.phi_tilde(rho))
+                        want[2] += A[i, j] * np.sum(wr * rho * ti.phi_tilde(rho) * tj.dphi(rho))
+                        f, df = ti.phi(r) * tj.phi(r), ti.dphi(r) * tj.dphi(r)
+                        g, dg = ti.phi_tilde(r) * tj.phi_tilde(r), ti.dphi_tilde(r) * tj.dphi_tilde(r)
+                        want[3] += r ** beta * A[i, j] * (f + g)
+                        want[4] += r ** beta * A[i, j] * (ti.phi(r) * tj.dphi(r)
+                                                          + ti.phi_tilde(r) * tj.dphi_tilde(r))
+                        want[5] += r ** beta * (A[i, j] * (df + dg) + E[i, j] * (f + g) / r ** 2)
+                        want[6] += r ** beta * A[i, j] * (df + dg)
+                        want[7] += r ** beta * A[i, j] * ti.phi(r) * tj.phi_tilde(r)
+            np.testing.assert_allclose(got[:, col], want, rtol=1e-12)
+
+
+def test_repeated_angular_work_evaluates_no_profile(monkeypatch):
+    # the blow-up samples and the quadrature path reuse each profile's kept
+    # Gauss samples, here on finite-volume modes, whose evaluations are splines
+    from almgren_lab.hemisphere import AngularProfile
+
     p = WeightParams(s=1.25, N=3)
-    sol = synthesize(p, [(polynomial_mode(p, 0), 0.7, 1.3),
-                         (polynomial_mode(p, 2), 0.4, -0.2),
-                         (polynomial_mode(p, 1), -0.6, 0.9)])
-    ctx = _QuadContext(sol, 12, 24)
-    radii = np.array([0.6, 0.2])
-    got = ctx.pieces(radii)
-    # the tensor rule: Gauss-Jacobi in rho / r, whose nodes avoid the origin,
-    # and in the polar angle, whose nodes avoid the pole
-    grid = AngularGrid1D.gauss(p.N, p.b, 24)
-    nodes, w = grid.nodes, grid.weights
-    x, wx = gauss_jacobi(12, p.N + p.b)
-    assert np.all(np.sin(nodes) > 0.0) and np.all(x > 0.0)
-    beta = p.N + p.b
-    for col, r in enumerate(radii):
-        rho, wr = r * x, r ** (beta + 1.0) * wx
-        want = np.zeros(8)
-        for k, terms in sol.blocks().items():
-            m = len(terms)
-            A = np.zeros((m, m))
-            E = np.zeros((m, m))
-            for i in range(m):
-                for j in range(m):
-                    pi, pj = terms[i].mode.profile, terms[j].mode.profile
-                    A[i, j] = np.sum(w * pi(nodes) * pj(nodes))
-                    E[i, j] = np.sum(w * pi.deriv(nodes) * pj.deriv(nodes))
-                    E[i, j] += k * (k + 1) * np.sum(w * pi(nodes) * pj(nodes) / np.sin(nodes) ** 2)
-            for i, ti in enumerate(terms):
-                for j, tj in enumerate(terms):
-                    want[0] += A[i, j] * np.sum(wr * (ti.dphi(rho) * tj.dphi(rho)
-                                                      + ti.dphi_tilde(rho) * tj.dphi_tilde(rho)))
-                    want[0] += E[i, j] * np.sum(wr * (ti.phi(rho) * tj.phi(rho)
-                                                      + ti.phi_tilde(rho) * tj.phi_tilde(rho)) / rho ** 2)
-                    want[1] += A[i, j] * np.sum(wr * ti.phi(rho) * tj.phi_tilde(rho))
-                    want[2] += A[i, j] * np.sum(wr * rho * ti.phi_tilde(rho) * tj.dphi(rho))
-                    f, df = ti.phi(r) * tj.phi(r), ti.dphi(r) * tj.dphi(r)
-                    g, dg = ti.phi_tilde(r) * tj.phi_tilde(r), ti.dphi_tilde(r) * tj.dphi_tilde(r)
-                    want[3] += r ** beta * A[i, j] * (f + g)
-                    want[4] += r ** beta * A[i, j] * (ti.phi(r) * tj.dphi(r)
-                                                      + ti.phi_tilde(r) * tj.dphi_tilde(r))
-                    want[5] += r ** beta * (A[i, j] * (df + dg) + E[i, j] * (f + g) / r ** 2)
-                    want[6] += r ** beta * A[i, j] * (df + dg)
-                    want[7] += r ** beta * A[i, j] * ti.phi(r) * tj.phi_tilde(r)
-        np.testing.assert_allclose(got[:, col], want, rtol=1e-12)
+    modes = hemisphere_eigs(p, k_max=2, per_k=3, resolution=256)
+    spec = [(0, 0.7, 1.3), (1, -0.6, 0.9), (3, 0.4, -0.2), (5, 0.5, 0.0)]
+    sol = synthesize(p, spec, modes=modes)
+    lams = np.geomspace(0.3, 0.02, 8)
+    target = modes[1]
+    fourier_coefficient(sol, target, lams[0])
+    trace(sol, [0.4, 0.1], method="quadrature")
+    calls = []
+    for name in ("__call__", "deriv"):
+        original = getattr(AngularProfile, name)
+
+        def counted(self, psi, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, psi)
+
+        monkeypatch.setattr(AngularProfile, name, counted)
+    for lam in lams[1:]:
+        fourier_coefficient(sol, target, lam)
+    assert calls == []
+    again = synthesize(p, [(i, -2.0 * c1, 0.5 * d1) for i, c1, d1 in spec[1:]], modes=modes)
+    trace(again, [0.4, 0.1], method="quadrature")
+    assert calls == []
+    # the explicit grid= path still evaluates on its own grid
+    fourier_coefficient(sol, target, lams[0], grid=AngularGrid1D.gauss(p.N, p.b, 20))
+    assert calls
 
 
 class _StubMode:

@@ -469,3 +469,22 @@ def test_jacobi_recurrence_against_high_precision(a1, b1):
         got = _jacobi(n, a1, b1, x)
         want = np.array([float(explicit(n, xi)) for xi in x])
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), n
+
+
+def test_kept_gauss_samples_are_read_only(params_n3, modes_n3):
+    fv, exact = modes_n3[2].profile, polynomial_mode(params_n3, 2).profile
+    for prof in (fv, exact):
+        P, dP = prof._on_gauss(params_n3.N, params_n3.b, 20)
+        assert prof._on_gauss(params_n3.N, params_n3.b, 20)[0] is P
+        nodes = AngularGrid1D.gauss(params_n3.N, params_n3.b, 20).nodes
+        np.testing.assert_array_equal(P, prof(nodes))
+        np.testing.assert_array_equal(dP, prof.deriv(nodes))
+        for arr in (P, dP):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    # a rescaled profile keeps no samples of its parent: scaling by 2 is exact
+    P, dP = fv._on_gauss(params_n3.N, params_n3.b, 20)
+    P2, dP2 = fv.rescaled(2.0)._on_gauss(params_n3.N, params_n3.b, 20)
+    np.testing.assert_array_equal(P2, 2.0 * P)
+    np.testing.assert_array_equal(dP2, 2.0 * dP)

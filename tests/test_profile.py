@@ -18,11 +18,13 @@ from almgren_lab import (
     solve_profile,
     trace_laplacian_check,
 )
+from almgren_lab.core import gauss_jacobi
 from almgren_lab.profile import (
     MAX_PROFILE_CELLS,
     BesselProfile,
     _cached_profile,
     _cell_masses_tb,
+    _frequency_grid,
     _normal_system,
     extension_energy_identity,
 )
@@ -240,6 +242,26 @@ def test_energy_identity_across_orders(s, N):
     p = WeightParams(s=s, N=N)
     lhs, rhs = extension_energy_identity(p, _torus_bump(N, 32))
     assert abs(lhs - rhs) / rhs < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["bessel", "fv"])
+def test_energy_identity_on_distinct_frequencies_is_the_per_point_sum(kind):
+    # zeta is elementwise, so evaluating it once per distinct |xi| and
+    # gathering must give the per-point sum bit for bit
+    p = WeightParams(s=1.7, N=2)
+    u = _torus_bump(2, 16)
+    prof = BesselProfile(p.b) if kind == "bessel" else _cached_profile(p.b)
+    n_t, t_max = 40, 30.0
+    u_hat = np.fft.fftn(u)
+    xi = _frequency_grid(u.shape, 2 * math.pi)
+    assert np.unique(xi).size < xi.size
+    x, w = gauss_jacobi(n_t, p.b)
+    want = 0.0
+    for tn, tw in zip(t_max * x, t_max ** (p.b + 1.0) * w):
+        v = np.real(np.fft.ifftn(u_hat * xi ** 2 * prof.zeta_at(xi * tn)))
+        want += tw * (2 * math.pi / 16) ** 2 * float(np.sum(v ** 2))
+    lhs, _ = extension_energy_identity(p, u, profile=prof, t_max=t_max, n_t=n_t)
+    assert lhs == want
 
 
 def test_trace_relation_b0():
