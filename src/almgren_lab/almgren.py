@@ -21,7 +21,6 @@ numpy pass.  Derivative identities are checked, never used as shortcuts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -284,6 +283,17 @@ def _check_radii(sol: SeparableSolution, radii) -> None:
         raise DomainError(f"radius {r[np.argmax(outside)]} outside (0, {sol.R}]")
 
 
+def _positive_pieces(sol: SeparableSolution, r: np.ndarray, method: str,
+                     n_radial: int | None = None, n_angular: int | None = None) -> _TermPieces:
+    """The pieces at radii in (0, R], raising where H is not positive."""
+    _check_radii(sol, r)
+    pieces = _pieces(sol, r, method, n_radial, n_angular)
+    vanishing = pieces.s_u2 <= 0.0
+    if np.any(vanishing):
+        raise VanishingDenominatorError(f"H({r[np.argmax(vanishing)]}) is not positive")
+    return pieces
+
+
 def compute_DH(sol: SeparableSolution, r: float, method: str = "closed",
                n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
     """Scaled energy D(r) and boundary mass H(r) of the solution pair."""
@@ -342,30 +352,19 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed",
     node counts, which by default follow `gauss_nodes` of the largest
     sigma_plus of the synthesis.
     """
-    if radii is None:
-        radii = radius_schedule(sol.R)
-    radii = np.asarray(radii, dtype=float)
-    _check_radii(sol, radii)
-    p = sol.params
-    beta = p.N + p.b
-    pieces = _pieces(sol, radii, method, n_radial, n_angular)
-    vanishing = pieces.s_u2 <= 0.0
-    if np.any(vanishing):
-        raise VanishingDenominatorError(f"H({radii[np.argmax(vanishing)]}) is not positive")
-    D, H = _DH(pieces, radii, beta)
+    radii = np.asarray(radius_schedule(sol.R) if radii is None else radii, dtype=float)
+    pieces = _positive_pieces(sol, radii, method, n_radial, n_angular)
+    D, H = _DH(pieces, radii, sol.params.N + sol.params.b)
     nu1, nu2 = _nu(sol, pieces, radii, method)
-    return FrequencyTrace(params=p, r=radii, D=D, H=H, N=D / H, nu1=nu1, nu2=nu2,
+    return FrequencyTrace(params=sol.params, r=radii, D=D, H=H, N=D / H, nu1=nu1, nu2=nu2,
                           provenance=method)
 
 
 def nu_decomposition(sol: SeparableSolution, r: float, method: str = "closed",
                      n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
     """The two components of N'(r): boundary Cauchy-Schwarz bracket and the rest."""
-    _check_radii(sol, [r])
-    pieces = _pieces(sol, [r], method, n_radial, n_angular)
-    if pieces.s_u2[0] <= 0.0:
-        raise VanishingDenominatorError(f"H({r}) is not positive")
-    nu1, nu2 = _nu(sol, pieces, np.array([r]), method)
+    radii = np.array([r], dtype=float)
+    nu1, nu2 = _nu(sol, _positive_pieces(sol, radii, method, n_radial, n_angular), radii, method)
     return float(nu1[0]), float(nu2[0])
 
 
@@ -443,77 +442,77 @@ class FrequencyLimitResult:
     h_limit: float
     h_band: tuple[float, float]
     sandwich_min: float
+    fit_residual: float
 
 
-def _extrapolate_geometric(r: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Limit at r -> 0 of values on a geometric schedule, assuming a power tail.
+MATCH_TOL = 1e-4            # |gamma - matched exponent| accepted as a match
+EXPONENT_MERGE_TOL = 1e-6   # exponents of D and H closer than this share a column
+FIT_RESIDUAL_BOUND = 1e-5   # worst fit residual, relative to the largest value fitted
 
-    Returns (limit, fitted correction exponent); falls back to the last value
-    when the sequence has already converged to roundoff.
+
+def _fit_exponents(sol: SeparableSolution) -> np.ndarray:
+    """The powers of r in D and H, ascending: 2 sigma + {0, 2, 4} of each live term.
+
+    A power within EXPONENT_MERGE_TOL of the last one kept is merged into it."""
+    sigma = np.array([t.sigma for t in sol.terms if t.c1 != 0.0 or t.d1 != 0.0])
+    kept = []
+    for a in np.unique(2.0 * sigma[:, None] + np.array([0.0, 2.0, 4.0])):
+        if not kept or a - kept[-1] > EXPONENT_MERGE_TOL:
+            kept.append(a)
+    return np.array(kept)
+
+
+def frequency_limit(sol: SeparableSolution, candidates=None, radii=None) -> FrequencyLimitResult:
+    """Vanishing order gamma = lim N(r), read off an exact-exponent fit.
+
+    D and H of a finite synthesis are sums of the powers r^{a_k} of
+    `_fit_exponents` (cross terms vanish by orthonormality).  One lstsq fits
+    r^{-a_0} (D, H) of the closed path on the schedule (default
+    `radius_schedule(sol.R)`, reaching below R/200) with columns
+    (r / r_max)^{a_k - a_0}: gamma = d_0 / h_0 and h_limit = h_0.  The
+    residual certifies the fit: roundoff for a complete basis, under
+    delta ln(r_max / r_min) < 7e-6 for powers delta apart merged (near-equal
+    columns leave the fit near rank-deficient), O(1) for a missing term.
+    UnmatchedExponentError is raised for a residual above FIT_RESIDUAL_BOUND,
+    for h_0 <= 0, and for a gamma farther than MATCH_TOL from every candidate
+    sigma_plus and sigma_plus + 2 (default: the terms' sigma).  `h_band`
+    spans r^{-2 gamma} H / h_0 over the last decade; `sandwich_min` is the
+    minimum of H r^{-2 gamma - 0.1}.
     """
-    v = values[-64:]
-    rr = r[-64:]
-    if np.max(np.abs(v - v[-1])) < 1e-11 * max(1.0, abs(v[-1])):
-        return float(v[-1]), math.inf
-    d = np.diff(v)
-    q = rr[1] / rr[0]
-    good = np.abs(d) > 1e-14 * max(1.0, abs(v[-1]))
-    ratios = d[1:][good[1:] & good[:-1]] / d[:-1][good[1:] & good[:-1]]
-    ratios = ratios[ratios > 0]
-    if ratios.size == 0:
-        return float(v[-1]), math.inf
-    p = float(np.clip(np.median(np.log(ratios) / math.log(q)), 0.05, 40.0))
-    A = np.column_stack([np.ones_like(rr), rr ** p])
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return float(coef[0]), p
-
-
-def frequency_limit(target, candidates=None, match_tol: float = 1e-4,
-                    method: str = "closed", radii=None) -> FrequencyLimitResult:
-    """Vanishing order gamma = lim N(r), matched against spectral exponents.
-
-    Also extrapolates the limit of r^{-2 gamma} H(r), requiring it to be
-    positive with the last decade inside [0.9, 1.1] of the limit, and reports
-    the minimum of H r^{-2 gamma - sigma} for a small sigma > 0 (the lower
-    sandwich).  Raises UnmatchedExponentError when gamma is not within
-    `match_tol` of any candidate sigma_plus or sigma_plus + 2.
-    """
-    if isinstance(target, FrequencyTrace):
-        tr = target
-        if candidates is None:
-            raise DomainError("candidates are required when extrapolating a bare trace")
-    else:
-        sol = target
-        if sol.is_zero:
-            raise VanishingDenominatorError("frequency of the zero solution is undefined")
-        if radii is None:
-            radii = radius_schedule(sol.R, per_decade=64, decades=3.0)
-        if np.min(radii) > sol.R / 200:
-            raise DomainError("schedule must reach radii below R/200")
-        tr = trace(sol, radii, method=method)
-        if candidates is None:
-            candidates = sorted({t.sigma for t in sol.terms})
-    gamma, _ = _extrapolate_geometric(tr.r, tr.N)
+    if sol.is_zero:
+        raise VanishingDenominatorError("frequency of the zero solution is undefined")
+    r = np.asarray(radius_schedule(sol.R) if radii is None else radii, dtype=float)
+    if np.min(r) > sol.R / 200:
+        raise DomainError("schedule must reach radii below R/200")
+    if candidates is None:
+        candidates = sorted({t.sigma for t in sol.terms})
+    D, H = _DH(_positive_pieces(sol, r, "closed"), r, sol.params.N + sol.params.b)
+    a = _fit_exponents(sol)
+    A = (r[:, None] / np.max(r)) ** (a - a[0])
+    Y = np.column_stack([D, H]) * r[:, None] ** -a[0]
+    coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
+    residual = float(np.max(np.abs(A @ coef - Y)) / np.max(np.abs(Y)))
+    if not residual <= FIT_RESIDUAL_BOUND:   # a NaN residual certifies nothing
+        raise UnmatchedExponentError(f"D and H do not fit the powers of the synthesis: "
+                                     f"residual {residual:.2e} above {FIT_RESIDUAL_BOUND}")
+    d0, h_limit = (float(c) for c in coef[0])
+    if not h_limit > 0.0:
+        raise UnmatchedExponentError(f"limit of r^-2gamma H is {h_limit}; not positive")
+    gamma = d0 / h_limit
     pool = [(float(c), "sigma_plus") for c in candidates]
     pool += [(float(c) + 2.0, "sigma_plus_two") for c in candidates]
     kind_value, kind = min(pool, key=lambda cv: abs(gamma - cv[0]))
     gap = abs(gamma - kind_value)
-    if not gap <= match_tol:   # a NaN gap matches nothing
-        raise UnmatchedExponentError(
-            f"gamma = {gamma:.8f} matches no exponent within {match_tol} "
-            f"(closest {kind_value:.8f} [{kind}], gap {gap:.2e})"
-        )
-    h_scaled = tr.H * tr.r ** (-2.0 * kind_value)
-    h_limit, _ = _extrapolate_geometric(tr.r, h_scaled)
-    last_decade = h_scaled[tr.r <= tr.r[-1] * 10.0]
-    band = (float(last_decade.min() / h_limit), float(last_decade.max() / h_limit))
-    if not h_limit > 0.0:
-        raise UnmatchedExponentError(f"limit of r^-2gamma H is {h_limit}; not positive")
-    sandwich = float(np.min(tr.H * tr.r ** (-2.0 * kind_value - 0.1)))
+    if not gap <= MATCH_TOL:   # a NaN gap matches nothing
+        raise UnmatchedExponentError(f"gamma = {gamma:.8f} matches no exponent within {MATCH_TOL} "
+                                     f"(closest {kind_value:.8f} [{kind}], gap {gap:.2e})")
+    h_scaled = H * r ** (-2.0 * kind_value)
+    last_decade = h_scaled[r <= r.min() * 10.0]
     return FrequencyLimitResult(
         gamma=gamma,
         matched=MatchedExponent(value=kind_value, kind=kind, gap=gap),
         h_limit=h_limit,
-        h_band=band,
-        sandwich_min=sandwich,
+        h_band=(float(last_decade.min() / h_limit), float(last_decade.max() / h_limit)),
+        sandwich_min=float(np.min(h_scaled * r ** -0.1)),
+        fit_residual=residual,
     )

@@ -295,8 +295,7 @@ def _cmd_fit(args) -> int:
 def _cmd_almgren(args) -> int:
     cfg = _merge_config(args)
     modes, sol = _spec_solution(args.spec, cfg)
-    radii = almgren_mod.radius_schedule(sol.R)
-    tr = almgren_mod.trace(sol, radii)
+    tr = almgren_mod.trace(sol)
     rows = np.column_stack([tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2])
     _emit_csv(cfg, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
     # gamma is matched against the sigma+ of every degree up to 3 n - 2
@@ -306,13 +305,14 @@ def _cmd_almgren(args) -> int:
     top = need - 1 if sol.params.N == 1 else 3 * need - 2
     candidates = sorted({hemisphere.sigma_exponents(
         sol.params, hemisphere.exact_mu(sol.params, sigma))[0] for sigma in range(top + 1)})
-    limit = almgren_mod.frequency_limit(tr, candidates=candidates)
+    limit = almgren_mod.frequency_limit(sol, candidates=candidates)
     payload = {
         "params": _params_dict(sol.params),
         "gamma": limit.gamma,
         "matched_exponent": limit.matched.value,
         "matched_branch": limit.matched.kind,
         "H_limit": limit.h_limit,
+        "fit_residual": limit.fit_residual,
     }
     _emit_json(cfg, "almgren_summary", payload)
     return 0

@@ -166,7 +166,10 @@ class AngularProfile:
         return cached
 
     def rescaled(self, factor: float) -> "AngularProfile":
-        """The sampled profile times `factor`, with no samples kept yet."""
+        """The profile times `factor`, exact or sampled, with no samples kept yet."""
+        if self.exact is not None:
+            return AngularProfile(exact=lambda psi: factor * self.exact(psi),
+                                  exact_deriv=lambda psi: factor * self.exact_deriv(psi))
         return AngularProfile(
             self.psi, self.values * factor,
             solver_q=None if self.solver_q is None else self.solver_q * factor,

@@ -110,10 +110,6 @@ class SeparableSolution:
             out.setdefault(term.mode.block_key(), []).append(term)
         return out
 
-    def exponent_candidates(self) -> list[float]:
-        sig = sorted({t.sigma for t in self.terms})
-        return sig + [s + 2.0 for s in sig]
-
 
 def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False) -> SeparableSolution:
     """Build an exact solution pair from (mode, c1, d1) triples.

@@ -172,14 +172,22 @@ def test_criterion_09_frequency_limit():
         two = al.synthesize(p, [(al.polynomial_mode(p, 1), 1.0, 0.0),
                                 (al.polynomial_mode(p, 2), 0.4, 0.0)])
         res = al.frequency_limit(two)
-        assert abs(res.gamma - 1.0) <= 1e-4, f"gamma {res.gamma}"
+        assert abs(res.gamma - 1.0) <= 1e-10, f"gamma {res.gamma}"
         mode = al.polynomial_mode(p, 1)
         mix = al.synthesize(p, [(mode, 0.5, 2.0)])
         res2 = al.frequency_limit(mix)
-        assert abs(res2.gamma - mode.sigma_plus) <= 1e-4
+        assert abs(res2.gamma - mode.sigma_plus) <= 1e-10
         for r in (res, res2):
             assert r.h_limit > 0
             assert 0.9 <= r.h_band[0] <= r.h_band[1] <= 1.1, f"band {r.h_band}"
+        # N + b < 1: the constant mode's sigma+ = -b lies within 1 + b of the next
+        for s, positions in ((1.95, (0, 1, 2)), (1.882238, (0, 1)), (1.6, (0, 1, 2))):
+            q = al.WeightParams(s=s, N=1)
+            low = al.synthesize(q, [(al.polynomial_mode(q, sigma), 1.0 / (1 + sigma), 0.0)
+                                    for sigma in positions])
+            res3 = al.frequency_limit(low)
+            assert abs(res3.gamma + q.b) <= 1e-10, f"gamma {res3.gamma} at s = {s}"
+            assert res3.h_limit > 0
 
 
 def test_criterion_10_blowup_fitter():

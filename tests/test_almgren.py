@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from almgren_lab import (
     synthesize,
     trace,
 )
+from almgren_lab import almgren
 from almgren_lab.core import gauss_jacobi
 
 
@@ -207,7 +209,7 @@ def test_frequency_limit_two_mode(p3):
     sol = synthesize(p3, [(polynomial_mode(p3, 1), 1.0, 0.0),
                           (polynomial_mode(p3, 2), 0.4, 0.0)])
     res = frequency_limit(sol)
-    assert res.gamma == pytest.approx(1.0, abs=1e-4)
+    assert res.gamma == pytest.approx(1.0, abs=1e-10)
     assert 0.9 <= res.h_band[0] <= res.h_band[1] <= 1.1
 
 
@@ -222,9 +224,61 @@ def test_frequency_limit_mixed_system_vs_U_trace(p3):
 
 
 def test_frequency_limit_unmatched_raises(p3, mixed):
-    tr = trace(mixed, radius_schedule(1.0))
     with pytest.raises(UnmatchedExponentError):
-        frequency_limit(tr, candidates=[7.3])
+        frequency_limit(mixed, candidates=[7.3])
+
+
+def test_frequency_limit_before_the_schedule_reaches_it():
+    # the sigma = 3 term is 1e-6 of the sigma = 4 one: N(r) is still near 4
+    # at the smallest radius, but the limit is 3
+    p = WeightParams(s=1.3, N=1)
+    sol = synthesize(p, [(polynomial_mode(p, 3), 1e-6, 0.0), (polynomial_mode(p, 4), 1.0, 0.0)])
+    assert trace(sol).N[-1] > 3.9
+    res = frequency_limit(sol)
+    assert res.matched.value == 3.0 and res.matched.kind == "sigma_plus"
+    assert res.gamma == pytest.approx(3.0, abs=1e-4)
+    assert res.h_limit == pytest.approx(1e-12, rel=1e-4)
+
+
+def test_frequency_limit_basis_missing_a_term_raises(monkeypatch):
+    # the fit is a certificate: without the sigma = 1 term's powers, D and H
+    # leave an O(1) residual
+    p = WeightParams(s=1.882238, N=1)
+    const = polynomial_mode(p, 0)
+    sol = synthesize(p, [(const, 0.3, 0.0), (polynomial_mode(p, 1), 1.0, 0.0)])
+    assert frequency_limit(sol).fit_residual <= 1e-13
+    alone = synthesize(p, [(const, 0.3, 0.0)])
+    monkeypatch.setattr(almgren, "_fit_exponents",
+                        lambda s, fit=almgren._fit_exponents: fit(alone))
+    with pytest.raises(UnmatchedExponentError, match="residual"):
+        frequency_limit(sol)
+
+
+def test_frequency_limit_forms_no_trace_and_no_nu(monkeypatch, mixed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frequency_limit must not form a trace or nu")
+
+    want = frequency_limit(mixed)
+    monkeypatch.setattr(almgren, "trace", refuse)
+    monkeypatch.setattr(almgren, "_nu", refuse)
+    assert frequency_limit(mixed) == want
+
+
+def test_frequency_limit_merges_near_equal_exponents(p3):
+    # a twin of the sigma = 1 mode whose sigma+ is 1 + eps, as finite-volume
+    # sectors of one sigma differ in their last digits: the two leading powers
+    # share a column, so gamma stays between them; two columns this close
+    # are near collinear and let gamma leave the interval (by 4e-8 at eps = 1e-9)
+    one = polynomial_mode(p3, 1)
+    for eps in (1e-8, 1e-9):
+        sigma = 1.0 + eps
+        twin = dataclasses.replace(one, mu=sigma * (sigma + p3.N + p3.b - 1.0))
+        sol = synthesize(p3, [(one, 0.7, 0.2), (twin, 0.9, 0.4),
+                              (polynomial_mode(p3, 2), 0.5, 0.1)])
+        assert almgren._fit_exponents(sol).tolist() == [2.0, 4.0, 6.0, 8.0]
+        res = frequency_limit(sol)
+        assert 0.0 <= res.gamma - 1.0 <= eps, res.gamma - 1.0
+        assert res.fit_residual <= almgren.FIT_RESIDUAL_BOUND
 
 
 def test_frequency_limit_requires_small_radii(p3, mixed):

@@ -454,6 +454,20 @@ def test_emit_csv_refuses_non_finite_values(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_almgren_close_exponents_at_n_plus_b_below_1_exits_0(tmp_path, capsys):
+    # N + b = 0.2355: the constant mode's sigma+ = -b lies within 1 + b of
+    # sigma = 1, too close for the schedule's three decades to show the tail
+    spec_path = tmp_path / "close.json"
+    spec_path.write_text(json.dumps({"params": {"s": 1.882238, "N": 1},
+                                     "terms": [{"l": 0, "c1": 0.3}, {"l": 1, "c1": 1.0}]}))
+    code, _ = run_capture(capsys, ["almgren", "--spec", str(spec_path), "--out", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "almgren_summary.json").read_text())
+    assert summary["gamma"] == pytest.approx(0.764476, abs=1e-10)
+    assert summary["matched_branch"] == "sigma_plus"
+    assert 0.0 <= summary["fit_residual"] <= almgren_mod.FIT_RESIDUAL_BOUND
+
+
 def test_almgren_degree_40_spec_prints_finite_nu1(tmp_path, capsys):
     # s_u2^2 underflows below r = 0.01 while D and H stay finite
     spec_path = tmp_path / "deg40.json"

@@ -483,8 +483,10 @@ def test_kept_gauss_samples_are_read_only(params_n3, modes_n3):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-    # a rescaled profile keeps no samples of its parent: scaling by 2 is exact
-    P, dP = fv._on_gauss(params_n3.N, params_n3.b, 20)
-    P2, dP2 = fv.rescaled(2.0)._on_gauss(params_n3.N, params_n3.b, 20)
-    np.testing.assert_array_equal(P2, 2.0 * P)
-    np.testing.assert_array_equal(dP2, 2.0 * dP)
+    # a rescaled profile of either kind keeps no samples of its parent:
+    # scaling by 2 is exact
+    for prof in (fv, exact):
+        P, dP = prof._on_gauss(params_n3.N, params_n3.b, 20)
+        P2, dP2 = prof.rescaled(2.0)._on_gauss(params_n3.N, params_n3.b, 20)
+        np.testing.assert_array_equal(P2, 2.0 * P)
+        np.testing.assert_array_equal(dP2, 2.0 * dP)
