@@ -154,7 +154,10 @@ def weighted_angular_moment(exp_sin: float, exp_cos: float) -> float:
     )
 
 
-@lru_cache(maxsize=32, typed=True)   # typed: True must not hit the entry of 1
+# An inequality margin at a fresh s adds two 32-node rules.  With 32 entries
+# that stream evicted the Sobolev trace rule gauss_jacobi(64, N - 1) between
+# uses: 74-81 rebuilds in a 960-margin `inequality_sweep` plan, 4-6 with 128.
+@lru_cache(maxsize=128, typed=True)   # typed: True must not hit the entry of 1
 def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule with n nodes for int_0^1 x^p f(x) dx (read-only arrays).
 

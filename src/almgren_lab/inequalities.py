@@ -5,6 +5,14 @@ coded in closed form (axis-centered Gaussians, closed-form separable modes,
 quadratic polynomials under a smooth radial cutoff), so the quadrature is the
 only approximation entering a margin.  Families are generated reproducibly
 from a seed.
+
+A margin builds one polar point set per rule and radius (rho on the radial
+nodes, the angles, and q, t from a single `angle_to_xt`) and samples each
+field once on it.  A built-in field evaluates U, grad U and D_b U in one pass,
+sharing its exponentials, and its `value`, `grad` and `lap_b` are views of
+that pass.  Any other object with `value` and `grad` (and `lap_b` for
+Hardy-Rellich) serves as a field too; it is called once per method and point
+set.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,156 +46,144 @@ DEFAULT_RADIAL_NODES = 192
 DEFAULT_ANGULAR_NODES = 32
 
 
-class GaussianBumps:
+class _Points(NamedTuple):
+    """One point set of the upper half space, in polar and in (q, t) form.
+
+    On a margin's polar grid `rho` has shape (n_r, 1) (the sphere's radius on
+    the half sphere) and `angle` shape (1, n_a) ((n_a,) on the sphere), so a
+    separable field broadcasts them; for scattered points rho = hypot(q, t)
+    and `angle` is None.
+    """
+
+    rho: np.ndarray
+    angle: np.ndarray | None
+    q: np.ndarray
+    t: np.ndarray
+
+
+def _scattered(q, t) -> _Points:
+    q, t = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(t, dtype=float))
+    return _Points(np.hypot(q, t), None, q, t)
+
+
+class _Field:
+    """A built-in test field: `value`, `grad` and `lap_b` are views of `_eval`.
+
+    `_eval(points, params=None)` returns (U, U_q, U_t, D_b U) on a `_Points`
+    set in one pass, D_b U only when `params` is given (else None).
+    """
+
+    def value(self, q, t):
+        return self._eval(_scattered(q, t))[0]
+
+    def grad(self, q, t):
+        return self._eval(_scattered(q, t))[1:3]
+
+    def lap_b(self, q, t, params: WeightParams):
+        return self._eval(_scattered(q, t), params)[3]
+
+
+def _sample(field, points: _Points, params: WeightParams | None = None):
+    """(U, U_q, U_t, D_b U or None) of `field` on `points`.
+
+    The one fork of the sampling: a built-in field evaluates all four in one
+    pass; any other object with `value` and `grad` (and `lap_b` when `params`
+    is given) is called once per method.
+    """
+    if isinstance(field, _Field):
+        return field._eval(points, params)
+    q, t = points.q, points.t
+    lap = None if params is None else field.lap_b(q, t, params)
+    return (field.value(q, t), *field.grad(q, t), lap)
+
+
+class GaussianBumps(_Field):
     """Sum of axis-centered Gaussians, optionally mirrored evenly across t = 0."""
 
     def __init__(self, components, mirrored: bool = False):
         self.components = [(float(a), float(c), float(w)) for a, c, w in components]
         self.mirrored = mirrored
 
-    def value(self, q, t):
-        q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(np.broadcast(q, t).shape)
+    def _eval(self, points, params=None):
+        q, t = points.q, points.t
+        if params is not None:
+            tpos = t > 0
+            if not (self.mirrored or tpos.all()):
+                raise DomainError("lap_b at t = 0 requires a mirrored (even) field")
+        q2 = q * q
+        u = np.zeros(np.broadcast(q, t).shape)
+        kg = np.zeros_like(u)           # sum of g / w^2: U_q = -2 q kg
+        ut = np.zeros_like(u)
+        lap = None if params is None else np.zeros_like(u)
         for a, c, w in self.components:
-            out += a * np.exp(-(q ** 2 + (t - c) ** 2) / w ** 2)
-            if self.mirrored:
-                out += a * np.exp(-(q ** 2 + (t + c) ** 2) / w ** 2)
-        return out
-
-    def grad(self, q, t):
-        q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
-        gq = np.zeros(np.broadcast(q, t).shape)
-        gt = np.zeros_like(gq)
-        for a, c, w in self.components:
-            g = a * np.exp(-(q ** 2 + (t - c) ** 2) / w ** 2)
-            gq += -2.0 * q / w ** 2 * g
-            gt += -2.0 * (t - c) / w ** 2 * g
-            if self.mirrored:
-                gp = a * np.exp(-(q ** 2 + (t + c) ** 2) / w ** 2)
-                gq += -2.0 * q / w ** 2 * gp
-                gt += -2.0 * (t + c) / w ** 2 * gp
-        return gq, gt
-
-    def lap_b(self, q, t, params: WeightParams):
-        q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
-        N, b = params.N, params.b
-        out = np.zeros(np.broadcast(q, t).shape)
-        tpos = t > 0
-        if np.any(~tpos) and not self.mirrored:
-            raise DomainError("lap_b at t = 0 requires a mirrored (even) field")
-        for a, c, w in self.components:
-            g = a * np.exp(-(q ** 2 + (t - c) ** 2) / w ** 2)
-            lap = (-2.0 * N / w ** 2 + 4.0 * q ** 2 / w ** 4) * g \
-                + (-2.0 / w ** 2 + 4.0 * (t - c) ** 2 / w ** 4) * g
-            drift = -2.0 * (t - c) / w ** 2 * g
-            if self.mirrored:
-                gp = a * np.exp(-(q ** 2 + (t + c) ** 2) / w ** 2)
-                lap += (-2.0 * N / w ** 2 + 4.0 * q ** 2 / w ** 4) * gp \
-                    + (-2.0 / w ** 2 + 4.0 * (t + c) ** 2 / w ** 4) * gp
-                drift = drift + (-2.0 * (t + c) / w ** 2 * gp)
-                # even pair: drift/t has the finite limit below at t = 0
-                g0 = a * np.exp(-(q ** 2 + c ** 2) / w ** 2)
-                limit = -4.0 / w ** 2 * g0 * (1.0 - 2.0 * c ** 2 / w ** 2)
-                ratio = np.where(tpos, drift / np.where(tpos, t, 1.0), limit)
+            w2 = w ** 2
+            k = 1.0 / w2
+            for d in ((t - c, t + c) if self.mirrored else (t - c,)):
+                rr = q2 + d * d
+                g = a * np.exp(-rr / w2)    # the one exponential per bump and node
+                u += g
+                gk = k * g
+                kg += gk
+                ut -= 2.0 * d * gk
+                if lap is not None:     # D_b g = (4 k rr - 2 (N + 1)) k g + b g_t / t
+                    lap += (4.0 * k * rr - 2.0 * (params.N + 1)) * gk
+        if lap is not None:
+            if tpos.all():
+                lap += params.b * (ut / t)
             else:
-                ratio = drift / t
-            out += lap + b * ratio
-        return out
+                # even pair: U_t / t has this finite limit at t = 0
+                limit = sum(-4.0 * a / w ** 2 * (1.0 - 2.0 * c * c / w ** 2)
+                            * np.exp(-(q2 + c * c) / w ** 2) for a, c, w in self.components)
+                lap += params.b * np.where(tpos, ut / np.where(tpos, t, 1.0), limit)
+        return u, -2.0 * q * kg, ut, lap
 
 
-def _chi(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = s < 1.0 - 1e-12
-    si = s[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si ** 2))
-    return out
-
-
-def _chi_ratio(s):
-    """chi'(s)/s, analytic: -2 chi(s) / (1 - s^2)^2."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = s < 1.0 - 1e-12
-    si = s[inside]
-    out[inside] = -2.0 * np.exp(1.0 - 1.0 / (1.0 - si ** 2)) / (1.0 - si ** 2) ** 2
-    return out
-
-
-def _chi_second(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = s < 1.0 - 1e-12
-    si = s[inside]
-    c = np.exp(1.0 - 1.0 / (1.0 - si ** 2))
-    one = 1.0 - si ** 2
-    out[inside] = c * (4.0 * si ** 2 / one ** 4 - 2.0 / one ** 2 - 8.0 * si ** 2 / one ** 3)
-    return out
-
-
-class QuadraticField:
+class QuadraticField(_Field):
     """Quadratic polynomial a0 + a1 q^2 + a2 t^2 (meant to sit under a cutoff)."""
 
     def __init__(self, a0, a1, a2):
         self.a = (a0, a1, a2)
 
-    def value(self, q, t):
+    def _eval(self, points, params=None):
         a0, a1, a2 = self.a
-        return a0 + a1 * np.asarray(q, dtype=float) ** 2 + a2 * np.asarray(t, dtype=float) ** 2
-
-    def grad(self, q, t):
-        _, a1, a2 = self.a
-        return 2 * a1 * np.asarray(q, dtype=float), 2 * a2 * np.asarray(t, dtype=float)
-
-    def lap_b(self, q, t, params: WeightParams):
-        _, a1, a2 = self.a
-        shape = np.broadcast(np.asarray(q), np.asarray(t)).shape
-        return np.full(shape, 2 * a1 * params.N + a2 * (2 + 2 * params.b))
+        q, t = points.q, points.t
+        u = a0 + a1 * q ** 2 + a2 * t ** 2
+        lap = None if params is None else np.full(u.shape, 2 * a1 * params.N
+                                                  + a2 * (2 + 2 * params.b))
+        return u, 2 * a1 * q, 2 * a2 * t, lap
 
 
-class CutoffField:
-    """Inner field times the smooth radial cutoff chi(|z| / rho0)."""
+class CutoffField(_Field):
+    """Inner field times the smooth radial cutoff chi(|z| / rho0), chi(s) = exp(1 - 1/(1-s^2))."""
 
     def __init__(self, inner, rho0: float):
         self.inner = inner
         self.rho0 = float(rho0)
 
-    def value(self, q, t):
-        rho = np.sqrt(np.asarray(q, dtype=float) ** 2 + np.asarray(t, dtype=float) ** 2)
-        return self.inner.value(q, t) * _chi(rho / self.rho0)
-
-    def grad(self, q, t):
-        q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho = np.sqrt(q ** 2 + t ** 2)
-        s = rho / self.rho0
-        chi = _chi(s)
-        ratio = _chi_ratio(s) / self.rho0 ** 2   # chi'(s) / (s rho0^2)
-        f = self.inner.value(q, t)
-        fq, ft = self.inner.grad(q, t)
-        return chi * fq + f * ratio * q, chi * ft + f * ratio * t
-
-    def lap_b(self, q, t, params: WeightParams):
-        q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho = np.sqrt(q ** 2 + t ** 2)
-        s = rho / self.rho0
-        chi = _chi(s)
-        ratio = _chi_ratio(s) / self.rho0 ** 2
-        second = _chi_second(s) / self.rho0 ** 2
-        f = self.inner.value(q, t)
-        fq, ft = self.inner.grad(q, t)
-        lap_f = self.inner.lap_b(q, t, params)
-        lap_chi = second + (params.N + params.b) * ratio
-        cross = 2.0 * ratio * (fq * q + ft * t)
-        return chi * lap_f + cross + f * lap_chi
+    def _eval(self, points, params=None):
+        f, fq, ft, lap_f = _sample(self.inner, points, params)
+        s = points.rho / self.rho0
+        inside = s < 1.0 - 1e-12
+        one = np.where(inside, 1.0 - s ** 2, 1.0)
+        chi = np.where(inside, np.exp(1.0 - 1.0 / one), 0.0)     # the one exponential
+        ratio = -2.0 * chi / one ** 2 / self.rho0 ** 2            # chi'(s) / (s rho0^2)
+        q, t = points.q, points.t
+        fr = f * ratio
+        lap = None
+        if params is not None:
+            second = chi * (4.0 * s ** 2 / one ** 4 - 2.0 / one ** 2 - 8.0 * s ** 2 / one ** 3) \
+                / self.rho0 ** 2
+            lap_chi = second + (params.N + params.b) * ratio
+            lap = chi * lap_f + 2.0 * ratio * (fq * q + ft * t) + f * lap_chi
+        return chi * f, chi * fq + fr * q, chi * ft + fr * t, lap
 
 
-class SeparableModeField:
-    """Closed-form axisymmetric separable harmonic c1 r^sigma P(psi)."""
+class SeparableModeField(_Field):
+    """Closed-form axisymmetric separable harmonic c1 r^sigma P(psi).
+
+    On a polar grid the profile and its derivative are evaluated on the
+    angles only and r^sigma on the radii; the products broadcast.
+    """
 
     def __init__(self, params: WeightParams, sigma: int, c1: float = 1.0):
         self.params = params
@@ -195,34 +192,19 @@ class SeparableModeField:
         self.sigma = float(sigma)
         self.c1 = float(c1)
 
-    def _polar(self, q, t):
-        q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
-        r = np.sqrt(q ** 2 + t ** 2)
-        if self.params.N == 1:
-            ang = np.arctan2(t, q)
-        else:
-            ang = np.arctan2(q, t)
-        return r, ang
-
-    def value(self, q, t):
-        r, ang = self._polar(q, t)
-        return self.c1 * r ** self.sigma * self.mode.profile(ang)
-
-    def grad(self, q, t):
-        r, ang = self._polar(q, t)
-        safe = np.where(r > 0, r, 1.0)
-        fr = self.c1 * self.sigma * safe ** (self.sigma - 1.0) * self.mode.profile(ang)
-        fa = self.c1 * safe ** (self.sigma - 1.0) * self.mode.profile.deriv(ang)
-        fr = np.where(r > 0, fr, 0.0)
-        fa = np.where(r > 0, fa, 0.0)
-        if self.params.N == 1:
-            return fr * np.cos(ang) - fa * np.sin(ang), fr * np.sin(ang) + fa * np.cos(ang)
-        return fr * np.sin(ang) + fa * np.cos(ang), fr * np.cos(ang) - fa * np.sin(ang)
-
-    def lap_b(self, q, t, params: WeightParams):
-        r, _ = self._polar(q, t)
-        return np.zeros_like(r)
+    def _eval(self, points, params=None):
+        rho, ang, sig = points.rho, points.angle, self.sigma
+        N1 = self.params.N == 1
+        if ang is None:
+            ang = np.arctan2(points.t, points.q) if N1 else np.arctan2(points.q, points.t)
+        prof, dprof = self.mode.profile(ang), self.mode.profile.deriv(ang)
+        cos, sin = np.cos(ang), np.sin(ang)
+        # (q, t) components of the radial and the angular unit vector
+        (eq, et), (aq, at) = ((cos, sin), (-sin, cos)) if N1 else ((sin, cos), (cos, -sin))
+        m = np.where(rho > 0, self.c1 * np.where(rho > 0, rho, 1.0) ** (sig - 1.0), 0.0)
+        fr, fa = m * (sig * prof), m * dprof       # radial and angular derivative
+        lap = None if params is None else np.zeros(np.broadcast(points.q, points.t).shape)
+        return self.c1 * rho ** sig * prof, fr * eq + fa * aq, fr * et + fa * at, lap
 
 
 @dataclass(frozen=True)
@@ -283,39 +265,48 @@ def _check_radius(radius: float) -> None:
 
 
 class _Rules:
-    """Gauss-Jacobi rules of one margin call, built once and shared by its integrals.
+    """Gauss-Jacobi rules of one margin call on B_r^+, built once and shared by its integrals.
 
     The radial rule is `split_gauss_jacobi(n_radial, N+b+extra)` in rho / r:
     rho^{N+b+extra} is the Jacobi weight of its 32-node head panel, and
     `n_radial` counts the nodes of its Gauss-Legendre body.  The angular rule
     is `AngularGrid1D.gauss`.  Both reject node counts below 1 with
-    `DomainError`.
+    `DomainError`.  `ball_points` and `sphere_points` each build their polar
+    point set once, q and t from one `angle_to_xt`; a margin samples every
+    field once per set and `ball` and `sphere` integrate the sample arrays.
     """
 
     def __init__(self, params: WeightParams, extra_power: float,
-                 n_radial: int, n_angular: int):
+                 n_radial: int, n_angular: int, r: float):
         self.params = params
+        self.r = r
         self.p = params.N + params.b + extra_power
-        self.radial = split_gauss_jacobi(n_radial, self.p)
+        x, self.radial_weights = split_gauss_jacobi(n_radial, self.p)
+        self.rho = (x * r)[:, None]
         self.angular = AngularGrid1D.gauss(params.N, params.b, n_angular)
 
-    def ball(self, sampler, r: float, rho_power: int = 0) -> float:
-        """int_{B_r^+} t^b rho^{extra + rho_power} sampler dz."""
-        x, w = self.radial
-        rho = (x * r)[:, None]
-        q, t = angle_to_xt(self.params, rho, self.angular.nodes[None, :])
-        vals = _finite(sampler(q, t))
-        if rho_power:
-            vals = vals * rho ** rho_power
-        inner = vals @ self.angular.weights
-        return float(self.angular.area_factor * r ** (self.p + 1.0) * (w @ inner))
+    def ball_points(self) -> _Points:
+        ang = self.angular.nodes[None, :]
+        return _Points(self.rho, ang, *angle_to_xt(self.params, self.rho, ang))
 
-    def sphere(self, sampler, r: float) -> float:
-        """int_{S_r^+} t^b sampler dS."""
+    def sphere_points(self) -> _Points:
+        ang = self.angular.nodes
+        return _Points(np.asarray(self.r, dtype=float), ang,
+                       *angle_to_xt(self.params, self.r, ang))
+
+    def ball(self, values, rho_power: int = 0) -> float:
+        """int_{B_r^+} t^b rho^{extra + rho_power} values dz, `values` on `ball_points`."""
+        if rho_power:
+            values = values * self.rho ** rho_power
+        inner = _finite(values) @ self.angular.weights
+        return float(self.angular.area_factor * self.r ** (self.p + 1.0)
+                     * (self.radial_weights @ inner))
+
+    def sphere(self, values) -> float:
+        """int_{S_r^+} t^b values dS, `values` on `sphere_points`."""
         ang = self.angular
-        q, t = angle_to_xt(self.params, r, ang.nodes)
-        vals = _finite(sampler(q, t))
-        return float(r ** (self.params.N + self.params.b) * ang.area_factor * (ang.weights @ vals))
+        return float(self.r ** (self.params.N + self.params.b) * ang.area_factor
+                     * (ang.weights @ _finite(values)))
 
 
 def _finite(values) -> np.ndarray:
@@ -325,15 +316,9 @@ def _finite(values) -> np.ndarray:
     return values
 
 
-def _grad2(field):
-    def sampler(q, t):
-        gq, gt = field.grad(q, t)
-        return gq ** 2 + gt ** 2
-    return sampler
-
-
-def _value2(field):
-    return lambda q, t: field.value(q, t) ** 2
+# Overflow while sampling or squaring leaves inf or nan in the samples, which
+# `_finite` turns into InputError; numpy's warning would come first.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 def check_hardy_trace(params: WeightParams, field, r: float,
@@ -349,10 +334,13 @@ def check_hardy_trace(params: WeightParams, field, r: float,
     """
     _check_radius(r)
     k = (params.N + params.b - 1.0) / (2.0 * r)
-    rules = _Rules(params, 0.0, n_radial, n_angular)
-    i_u2 = rules.ball(_value2(field), r)
-    i_grad = rules.ball(_grad2(field), r)
-    i_surf = rules.sphere(_value2(field), r)
+    rules = _Rules(params, 0.0, n_radial, n_angular, r)
+    with np.errstate(**_QUIET):
+        u, uq, ut, _ = _sample(field, rules.ball_points())
+        i_u2 = rules.ball(u * u)
+        i_grad = rules.ball(uq * uq + ut * ut)
+        us = _sample(field, rules.sphere_points())[0]
+        i_surf = rules.sphere(us * us)
     return i_grad + k * i_surf - k ** 2 * i_u2
 
 
@@ -363,17 +351,19 @@ def check_hardy_rellich(params: WeightParams, field, support_radius: float,
 
     Requires the regime N > 2s and a field with lap_b coded; the field must
     vanish near |z| = support_radius (use a cutoff).  All three integrals share
-    one radial rule for rho^{N+b-4}; rho^4 and rho^2 go into the samplers.
+    one radial rule for rho^{N+b-4}; rho^4 and rho^2 multiply the samples.
     The node counts are those of `check_hardy_trace`.
     """
     if not params.paper_regime:
         raise RegimeError(f"Hardy-Rellich requires N > 2s (N = {params.N}, s = {params.s})")
     _check_radius(support_radius)
     gap = params.N - 2.0 * params.s
-    rules = _Rules(params, -4.0, n_radial, n_angular)
-    i_lap = rules.ball(lambda q, t: field.lap_b(q, t, params) ** 2, support_radius, 4)
-    i_u2w = rules.ball(_value2(field), support_radius)
-    i_gradw = rules.ball(_grad2(field), support_radius, 2)
+    rules = _Rules(params, -4.0, n_radial, n_angular, support_radius)
+    with np.errstate(**_QUIET):
+        u, uq, ut, lap = _sample(field, rules.ball_points(), params)
+        i_lap = rules.ball(lap * lap, 4)
+        i_u2w = rules.ball(u * u)
+        i_gradw = rules.ball(uq * uq + ut * ut, 2)
     return i_lap - gap ** 2 * i_u2w - 2.0 * gap * i_gradw
 
 
@@ -388,7 +378,8 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     read off by one-sided quadratic extrapolation from the three smallest
     t-levels.  Never the sharp constant, only a certified candidate.
     `n_radial` and `n_angular` are those of `check_hardy_trace`; `n_trace`
-    counts the Gauss-Jacobi nodes of the trace norm.
+    counts the Gauss-Jacobi nodes of the trace norm.  The point sets are
+    built once per family.
     """
     _check_radius(r)
     qstar = critical_exponent(params)
@@ -396,20 +387,24 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     eps = 1e-3 * r
     best = math.inf
     skipped = 0
-    rules = _Rules(params, 0.0, n_radial, n_angular)
+    rules = _Rules(params, 0.0, n_radial, n_angular, r)
+    ball, sphere = rules.ball_points(), rules.sphere_points()
     # the trace rule: Gauss-Jacobi in |x| / r with |x|^{N-1} as its weight.
     # |u|^{q*} has a kink where u changes sign, which caps the rule's order:
     # on bump fields 64 nodes agree with 2048 to 5e-15 in the estimate where
     # the trace keeps its sign and to at most 6.4e-6 where it changes sign.
     x, w = gauss_jacobi(n_trace, float(params.N - 1))
-    xq, xw = r * x, r ** params.N * w
+    xw = r ** params.N * w
+    # the three smallest t-levels, one row each
+    level_q, level_t = np.broadcast_arrays(r * x, eps * np.arange(1.0, 4.0)[:, None])
     for field in family.fields():
-        numerator = rules.ball(_grad2(field), r) + k * rules.sphere(_value2(field), r)
-        # quadratic extrapolation of U to the t = 0 slice
-        v1 = field.value(xq, np.full_like(xq, eps))
-        v2 = field.value(xq, np.full_like(xq, 2 * eps))
-        v3 = field.value(xq, np.full_like(xq, 3 * eps))
-        u = np.abs(_finite(3.0 * v1 - 3.0 * v2 + v3))
+        with np.errstate(**_QUIET):
+            _, uq, ut, _ = _sample(field, ball)
+            us = _sample(field, sphere)[0]
+            numerator = rules.ball(uq * uq + ut * ut) + k * rules.sphere(us * us)
+            # quadratic extrapolation of U to the t = 0 slice
+            v = field.value(level_q, level_t)
+            u = np.abs(_finite(3.0 * v[0] - 3.0 * v[1] + v[2]))
         # ||u||_q = M (int (|u|/M)^q)^{1/q} with M = max|u|: q* grows without
         # bound as N nears 2(s-1), and the unscaled |u|^{q*} underflows to 0
         peak = float(u.max())

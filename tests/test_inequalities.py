@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from almgren_lab import (
@@ -12,7 +15,7 @@ from almgren_lab import (
     integrate_halfball,
     integrate_halfsphere,
 )
-from almgren_lab import core
+from almgren_lab import core, inequalities
 from almgren_lab.inequalities import (
     CutoffField,
     GaussianBumps,
@@ -405,3 +408,176 @@ def test_margins_reject_non_finite_samples(p3, p4):
 
     with pytest.raises(InputError):
         estimate_sobolev_trace_constant(p3, Fam(), 1.0)
+
+
+def test_overflowing_samples_raise_input_error_without_a_warning(p3, p4):
+    # the squares of these samples overflow; each margin must refuse them with
+    # InputError, and no RuntimeWarning may escape first
+    huge = GaussianBumps([(1e308, 0.3, 0.01)])
+
+    class Fam:
+        def fields(self):
+            yield huge
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError):
+            check_hardy_trace(p3, huge, 1.0)
+        with pytest.raises(InputError):
+            check_hardy_rellich(p4, CutoffField(huge, 0.8), 1.0)
+        with pytest.raises(InputError):
+            estimate_sobolev_trace_constant(p3, Fam(), 1.0)
+
+
+class Bare:
+    """A built-in field seen only through `value`, `grad` and `lap_b`."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def value(self, q, t):
+        return self.field.value(q, t)
+
+    def grad(self, q, t):
+        return self.field.grad(q, t)
+
+    def lap_b(self, q, t, params):
+        return self.field.lap_b(q, t, params)
+
+
+def _largest_terms(p, field, r):
+    """The largest of the three terms of the Hardy and of the Hardy-Rellich margin."""
+    def ball(g, power=0):
+        return integrate_halfball(
+            lambda rho, a: rho ** power * g(*core.angle_to_xt(p, rho, a)), p, r)
+
+    def grad2(q, t):
+        gq, gt = field.grad(q, t)
+        return gq ** 2 + gt ** 2
+
+    def u2(q, t):
+        return field.value(q, t) ** 2
+
+    k = (p.N + p.b - 1.0) / (2.0 * r)
+    gap = p.N - 2.0 * p.s
+    surf = integrate_halfsphere(lambda a: u2(*core.angle_to_xt(p, r, a)), p, r)
+    hardy = max(ball(grad2), abs(k) * surf, k * k * ball(u2))
+    if not p.paper_regime:
+        return hardy, None
+    lap2 = ball(lambda q, t: field.lap_b(q, t, p) ** 2)
+    return hardy, max(lap2, gap * gap * ball(u2, -4), 2.0 * gap * ball(grad2, -2))
+
+
+_KINDS = {"bumps": {}, "mirrored bumps": {"mirrored": True, "cutoff_radius": 0.7},
+          "poly": {"cutoff_radius": 0.8}, "modes": {}}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_grid_sampling_agrees_with_the_point_methods(kind, N):
+    # the one-pass sampling on the polar grid against the same field seen
+    # through value / grad / lap_b at scattered (q, t)
+    p = WeightParams(s=1.25, N=N)
+    fam = TestFamily(params=p, kind=kind.split()[-1], count=3, seed=N, **_KINDS[kind])
+    for field in fam.fields():
+        hardy_scale, rellich_scale = _largest_terms(p, field, 1.0)
+        got, want = check_hardy_trace(p, field, 1.0), check_hardy_trace(p, Bare(field), 1.0)
+        assert abs(got - want) <= 1e-14 * hardy_scale, (got, want)
+        if p.paper_regime:
+            got = check_hardy_rellich(p, field, 1.0)
+            want = check_hardy_rellich(p, Bare(field), 1.0)
+            assert abs(got - want) <= 1e-14 * rellich_scale, (got, want)
+
+    class BareFamily:
+        def fields(self):
+            return map(Bare, fam.fields())
+
+    got = estimate_sobolev_trace_constant(p, fam, 1.0)
+    assert got == pytest.approx(estimate_sobolev_trace_constant(p, BareFamily(), 1.0), rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(N=st.integers(min_value=1, max_value=4),
+       s=st.floats(min_value=1.05, max_value=1.95),
+       # amplitudes |a| >= 1e-3: no sample is subnormal
+       comps=st.lists(st.tuples(st.floats(-1.0, 1.0).filter(lambda a: abs(a) >= 1e-3),
+                                st.floats(0.15, 0.6), st.floats(0.12, 0.3)),
+                      min_size=1, max_size=3),
+       mirrored=st.booleans(),
+       cutoff=st.one_of(st.none(), st.floats(0.5, 1.5)),
+       q=st.floats(0.05, 1.0), t=st.floats(0.05, 1.0))
+def test_one_pass_derivatives_match_central_differences(N, s, comps, mirrored, cutoff, q, t):
+    p = WeightParams(s=s, N=N)
+    fld = GaussianBumps(comps, mirrored=mirrored)
+    if cutoff is not None:
+        fld = CutoffField(fld, cutoff)
+    h = 1e-6
+    gq, gt = fld.grad(q, t)
+    # the derivatives of a bump of width w scale as |a| / w^k
+    scale = sum(abs(a) for a, _, _ in comps) / min(w for _, _, w in comps) ** 2
+    assert float(gq) == pytest.approx(
+        float(fld.value(q + h, t) - fld.value(q - h, t)) / (2 * h), abs=1e-7 * scale)
+    assert float(gt) == pytest.approx(
+        float(fld.value(q, t + h) - fld.value(q, t - h)) / (2 * h), abs=1e-7 * scale)
+    # D_b U = d_q U_q + d_t U_t + (N - 1) U_q / q + b U_t / t
+    uqq = (fld.grad(q + h, t)[0] - fld.grad(q - h, t)[0]) / (2 * h)
+    utt = (fld.grad(q, t + h)[1] - fld.grad(q, t - h)[1]) / (2 * h)
+    want = uqq + utt + (N - 1) * gq / q + p.b * gt / t
+    assert float(fld.lap_b(q, t, p)) == pytest.approx(
+        float(want), abs=1e-6 * scale / min(w for _, _, w in comps) ** 2)
+
+
+@pytest.mark.parametrize("which,count,grids", [("hardy", 1, 2), ("rellich", 1, 1),
+                                               ("sobolev", 1, 2), ("sobolev", 6, 2)])
+def test_each_margin_builds_its_point_sets_once(monkeypatch, p4, which, count, grids):
+    # one polar point set per (rule, radius): the ball, and the half sphere
+    # where a margin has a surface term, whatever the family's size
+    calls = []
+    build = inequalities.angle_to_xt
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(inequalities, "angle_to_xt", counted)
+    fam = TestFamily(params=p4, kind="bumps", count=count, seed=3, mirrored=True,
+                     cutoff_radius=0.8)
+    if which == "hardy":
+        check_hardy_trace(p4, next(fam.fields()), 1.0)
+    elif which == "rellich":
+        check_hardy_rellich(p4, next(fam.fields()), 1.0)
+    else:
+        estimate_sobolev_trace_constant(p4, fam, 1.0)
+    assert len(calls) == grids
+
+
+def test_a_run_of_fresh_orders_runs_only_small_eigensolves(monkeypatch):
+    # a mixed run at N = 2..4: every margin at a fresh s adds two 32-node
+    # rules to gauss_jacobi's cache, and the Sobolev trace rules, 64 nodes,
+    # must survive that stream between their uses (here 20 margins apart)
+    def margin(which, N, s):
+        p = WeightParams(s=s, N=N)
+        if which == "hardy":
+            return check_hardy_trace(p, next(_fam(p).fields()), 1.0)
+        if which == "rellich":
+            return check_hardy_rellich(p, next(_fam(p, 0.8).fields()), 1.0)
+        return estimate_sobolev_trace_constant(p, _fam(p), 1.0)
+
+    for N in (2, 3, 4):
+        for which in ("hardy", "rellich", "sobolev"):
+            if which != "rellich" or N > 2:
+                margin(which, N, 1.3)
+    sizes = []
+    solve = core.eigh_tridiagonal
+
+    def counted(diag, off, *args, **kwargs):
+        sizes.append(len(diag))
+        return solve(diag, off, *args, **kwargs)
+
+    monkeypatch.setattr(core, "eigh_tridiagonal", counted)
+    run = ([("sobolev", N) for N in (2, 3, 4)]
+           + [("hardy", 2 + i % 3) if i % 2 else ("rellich", 3 + i % 2) for i in range(20)]
+           + [("sobolev", N) for N in (4, 3, 2)])
+    for i, (which, N) in enumerate(run):
+        margin(which, N, 1.05 + 0.4 * (i * 0.6180339887498949 % 1.0))
+    assert len(run) >= 24 and max(sizes) <= core.SPLIT_HEAD_NODES, sizes
