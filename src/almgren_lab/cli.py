@@ -1,10 +1,11 @@
 """Command-line front end: spectra, profiles, syntheses and diagnostics.
 
 Subcommands: spectrum {cylinder,hemisphere}, profile, extend, synthesize,
-fit, almgren, check-inequalities, selftest.  JSON artifacts carry a top-level
-"schema": "almgren-lab/1" field; CSV files use a header row and 17
-significant digits.  A JSON config file can prefill options; explicit flags
-win.  Exit codes: 0 success, 2 validation error, 3 numerical-failure report.
+fit, almgren, check-inequalities, selftest.  JSON artifacts are one line with
+sorted keys and carry a top-level "schema": "almgren-lab/1" field; CSV files
+use a header row and 17 significant digits.  A JSON config file can prefill
+options; explicit flags win.  Exit codes: 0 success, 2 validation error, 3
+numerical-failure report.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit_json(cfg: RunConfig, name: str, payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    try:   # compact, so json runs its C encoder (indent selects the Python one)
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as exc:   # NaN or Infinity: not valid JSON
         raise DomainError(f"{name} holds a non-finite value: {exc}") from exc
     if cfg.out:

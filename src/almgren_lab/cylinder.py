@@ -5,7 +5,8 @@ radius 2R (closed forms for N = 1 and N = 2) with the regularized Bessel
 radial factor t^alpha J_{-alpha}(j_m t / (2R)); the eigenvalue splits as
 lambda_{n,m} = mu_n + j_m^2 / (2R)^2.  The eigen-expansion Poisson solver
 divides coefficients by lambda.  The horizontal center is fixed at the
-origin.
+origin.  The Bessel kernels (`scipy.special`) and the root solves
+(`scipy.optimize`) are imported on first use, not with the module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jn_zeros, jv
 
 from .core import DomainError, InputError, WeightParams
 from .special_functions import bessel_h, bessel_h_deriv, bessel_zero, _radial_norm_at_zero
@@ -55,6 +55,8 @@ def _disk_zeros(count: int) -> list[tuple[int, int, float]]:
     so far), and the sweep stops at the first order with none below it.
     Ties keep the order (k, p) of the sweep, cos before sin.
     """
+    from scipy.special import jn_zeros
+
     found: list[tuple[float, int, int]] = []
     cut = math.inf
     wanted = count
@@ -94,6 +96,8 @@ def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
                     norm * np.sin(n * math.pi * (np.asarray(x, dtype=float) + a) / (2 * a)),
             ))
     elif N == 2:
+        from scipy.special import jv
+
         a = 2.0 * R
         entries = []
         for k, p, j in _disk_zeros(count):

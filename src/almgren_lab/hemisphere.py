@@ -25,6 +25,9 @@ the full arc (0, pi) with weight sin^b and weighted-Neumann conditions at
 both endpoints.  Each sampled profile is normalized on the Gauss-Jacobi rule
 `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the rule family of every
 angular integral that later checks it.
+
+The closed forms need numpy and `math` only; the cross-check imports
+`scipy.linalg` (and `scipy.interpolate` for its splines) on first use.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_gegenbauer, gammaln
 
 from .core import (
     DEFAULT_ANGULAR_NODES,
@@ -45,6 +46,7 @@ from .core import (
     InputError,
     ResolutionError,
     WeightParams,
+    _log_gamma_ratio,
     _sinc_ratio,
     unit_sphere_area,
 )
@@ -101,7 +103,9 @@ def sphere_harmonic_value(N: int, k: int, chi=0.0):
 
     The representative of the degree-k space on S^{N-1} is the zonal harmonic
     with axis e_1; chi is the angle from that axis.  For N = 1 there is no
-    horizontal sphere and the factor is 1.
+    horizontal sphere and the factor is 1.  For N >= 3 it is the Jacobi
+    polynomial P_k^{(a, a)}(cos chi), a = (N-3)/2, over the square root of
+    |S^{N-2}| h_k.
     """
     if N == 1:
         return np.ones_like(np.asarray(chi, dtype=float)) if np.ndim(chi) else 1.0
@@ -110,12 +114,11 @@ def sphere_harmonic_value(N: int, k: int, chi=0.0):
         norm = 1.0 / math.sqrt(2.0 * math.pi) if k == 0 else 1.0 / math.sqrt(math.pi)
         val = norm * (np.ones_like(x) if k == 0 else np.cos(k * np.asarray(chi, dtype=float)))
     else:
-        lam = (N - 2) / 2.0
-        h_k = math.pi * 2.0 ** (1 - 2 * lam) * math.exp(
-            gammaln(k + 2 * lam) - gammaln(k + 1) - 2 * gammaln(lam)
-        ) / (k + lam)
-        c_k = 1.0 / math.sqrt(unit_sphere_area(N - 2) * h_k)
-        val = c_k * eval_gegenbauer(k, lam, x)
+        # C_k^lam, lam = (N-2)/2, is a positive multiple of P_k^{(lam-1/2, lam-1/2)}
+        # (both positive at x = 1), and the normalization is scale-free
+        a1 = 0.5 * (N - 1)
+        val = _jacobi(k, a1, a1, x) / math.sqrt(
+            unit_sphere_area(N - 2) * math.exp(_log_jacobi_norm2(k, a1, a1)))
     return float(val) if np.ndim(chi) == 0 else val
 
 
@@ -263,6 +266,8 @@ def _sector_tridiag(params: WeightParams, k: int, n: int):
 
 def _sector_eigs(params: WeightParams, k: int, n: int, count: int):
     """Lowest eigenpairs of one sector at resolution n (cell-centered FV)."""
+    from scipy.linalg import eigh_tridiagonal   # FV cross-check only
+
     masses, coeffs, centers = _sector_tridiag(params, k, n)
     if not (np.all(np.isfinite(masses)) and np.all(masses > 0)):
         # the weight sin^{2k+N-1}(psi) drives the masses next to the pole
@@ -405,12 +410,14 @@ def _log_jacobi_norm2(j: int, a1: float, b1: float) -> float:
     divides by alpha + beta + 1 and takes Gamma(alpha + beta + 1), which is
     negative for N = 1, s > 3/2 (alpha + beta + 1 = b < 0); the j = 0 form
     Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2) has no such factor.
+    The Gammas enter as two ratios of arguments one apart at most in
+    degree, so neither overflows before its arguments do.
     """
     c = a1 + b1
     if j == 0:
-        return float((c - 1.0) * _LN2 + gammaln(a1) + gammaln(b1) - gammaln(c))
-    return float((c - 1.0) * _LN2 - math.log((2 * j - 1) + c) + gammaln(j + a1)
-                 + gammaln(j + b1) - gammaln((j - 1) + c) - gammaln(j + 1.0))
+        return (c - 1.0) * _LN2 + _log_gamma_ratio(a1, 1.0) + _log_gamma_ratio(b1, c)
+    return ((c - 1.0) * _LN2 - math.log((2 * j - 1) + c)
+            + _log_gamma_ratio(j + a1, j + 1.0) + _log_gamma_ratio(j + b1, (j - 1) + c))
 
 
 def polynomial_mode(params: WeightParams, sigma: int, k: int | None = None) -> SpectralMode:

@@ -98,7 +98,16 @@ def _sample(field, points: _Points, params: WeightParams | None = None):
 
 
 class GaussianBumps(_Field):
-    """Sum of axis-centered Gaussians, optionally mirrored evenly across t = 0."""
+    """Sum of axis-centered Gaussians, optionally mirrored evenly across t = 0.
+
+    A mirrored pair g-(q, t) + g+(q, t), centered at t = c and t = -c, is
+    anchored on the bump nearer the point, g_n, with the farther one
+    g_f = g_n e^{-2x}, x = 2|c t| / w^2, and g_f - g_n = g_n e (2 + e) for
+    e = expm1(-x): one exp and one expm1 per pair and node.  Its t-derivative
+    is then -2k [t (g- + g+) + c (g+ - g-)] with k = 1 / w^2, two terms of
+    order t, so U_t / t keeps its digits as t -> 0, where the per-bump form
+    (t -/+ c) g-/+ cancels like c / t.
+    """
 
     def __init__(self, components, mirrored: bool = False):
         self.components = [(float(a), float(c), float(w)) for a, c, w in components]
@@ -115,12 +124,30 @@ class GaussianBumps(_Field):
         kg = np.zeros_like(u)           # sum of g / w^2: U_q = -2 q kg
         ut = np.zeros_like(u)
         lap = None if params is None else np.zeros_like(u)
+        if self.mirrored:
+            t_abs, t_sign = np.abs(t), np.sign(t)
         for a, c, w in self.components:
             w2 = w ** 2
             k = 1.0 / w2
-            for d in ((t - c, t + c) if self.mirrored else (t - c,)):
+            if self.mirrored:
+                c_abs = abs(c)
+                rr = q2 + (t_abs - c_abs) ** 2          # the nearer bump
+                g = a * np.exp(-rr / w2)
+                e = np.expm1(-2.0 * c_abs * t_abs / w2)
+                g_far = g * (1.0 + e) ** 2
+                pair = g + g_far
+                u += pair
+                kg += k * pair
+                # t (g- + g+) + c (g+ - g-), where c (g+ - g-) = sign(t) |c| (g_f - g_n)
+                ut -= 2.0 * k * (t * pair + t_sign * c_abs * (g * e * (2.0 + e)))
+                if lap is not None:
+                    rr_far = q2 + (t_abs + c_abs) ** 2
+                    lap += ((4.0 * k * rr - 2.0 * (params.N + 1)) * g
+                            + (4.0 * k * rr_far - 2.0 * (params.N + 1)) * g_far) * k
+            else:
+                d = t - c
                 rr = q2 + d * d
-                g = a * np.exp(-rr / w2)    # the one exponential per bump and node
+                g = a * np.exp(-rr / w2)        # the one exponential per bump and node
                 u += g
                 gk = k * g
                 kg += gk

@@ -19,6 +19,8 @@ The minimizer also has a closed form (R. Yang, arXiv:1302.4413): with
 s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
 `BesselProfile` evaluates it and is the profile the extension uses;
 `solve_profile` stays as the independent finite-volume cross-check.
+`scipy.special` (for K_s and Gamma) and `scipy.linalg` (for the banded
+Cholesky) are imported on first use, not with the module.
 
 The extension of a torus sample u is built frequency-wise as
 Uhat(xi, t) = uhat(xi) phi(|xi| t).
@@ -32,8 +34,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.special import gamma, kv
 
 from .core import (
     DomainError,
@@ -132,6 +132,8 @@ def _power_bessel(order: float, tau, coef: float, at_zero: float):
 
     Negative t stays NaN.
     """
+    from scipy.special import kv
+
     t = np.asarray(tau, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         out = coef * t ** order * kv(order, t)
@@ -164,6 +166,8 @@ class BesselProfile:
 
     @property
     def c(self) -> float:
+        from scipy.special import gamma
+
         return 2.0 ** (1.0 - self.s) / gamma(self.s)
 
     @property
@@ -304,6 +308,8 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     about 1e-12) after the second step, and the third covers the slower
     contraction of finer grids.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     if not (-1.0 < b < 1.0):
         raise DomainError(f"weight exponent b must lie in (-1, 1), got {b}")
     if T_max < 20.0:

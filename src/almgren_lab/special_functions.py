@@ -3,7 +3,9 @@
 The eigenbasis machinery only needs orders nu = -alpha with alpha = (1-b)/2 in
 (0, 1).  Values are delegated to scipy's Bessel kernels; the regularized
 companion h(t) = t^alpha J_{-alpha}(t) is smooth at t = 0 and is used both for
-boundary-safe evaluation and as the zero-finding objective.
+boundary-safe evaluation and as the zero-finding objective.  `scipy.special`
+(and `scipy.optimize` for the root solves) is imported inside the functions
+that call it, on first use, so importing the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import jv as _jv
 
 from .core import DomainError, WeightParams
 
@@ -48,6 +48,8 @@ def bessel_j(nu, t):
     For nu < 0 the value diverges at t = 0; callers needing the regularized
     limit should use `bessel_h`, as the raised error points out.
     """
+    from scipy.special import jv
+
     nu = _order_value(nu)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
@@ -56,14 +58,16 @@ def bessel_j(nu, t):
         raise DomainError(
             "J_nu(0) diverges for nu < 0; use bessel_h for the t^alpha-regularized value"
         )
-    out = _jv(nu, t_arr)
+    out = jv(nu, t_arr)
     return float(out) if np.isscalar(t) else out
 
 
 def _h_series(alpha: float, t: np.ndarray) -> np.ndarray:
     # h(t) = 2^alpha sum_k (-1)^k (t^2/4)^k / (k! Gamma(k+1-alpha)); rapid for small t.
+    from scipy.special import gamma
+
     q = t * t / 4.0
-    term = np.full_like(q, 2.0 ** alpha / _gamma(1.0 - alpha))
+    term = np.full_like(q, 2.0 ** alpha / gamma(1.0 - alpha))
     acc = term.copy()
     for k in range(1, 24):
         term = term * (-q) / (k * (k - alpha))
@@ -79,6 +83,8 @@ def bessel_h(alpha: float, t):
     h(0) = 2^alpha / Gamma(1 - alpha) and h'(0) = 0; for larger t the value is
     assembled from J_{-alpha} directly.
     """
+    from scipy.special import jv
+
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -90,16 +96,18 @@ def bessel_h(alpha: float, t):
         out[small] = _h_series(alpha, t_arr[small])
     if np.any(~small):
         tl = t_arr[~small]
-        out[~small] = tl ** alpha * _jv(-alpha, tl)
+        out[~small] = tl ** alpha * jv(-alpha, tl)
     return float(out[0]) if np.isscalar(t) else out.reshape(np.shape(t))
 
 
 def bessel_h_deriv(alpha: float, t):
     """h'(t) = -t^alpha J_{1-alpha}(t); vanishes at t = 0."""
+    from scipy.special import jv
+
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     t_arr = np.asarray(t, dtype=float)
-    out = -(t_arr ** alpha) * _jv(1.0 - alpha, t_arr)
+    out = -(t_arr ** alpha) * jv(1.0 - alpha, t_arr)
     return float(out) if np.isscalar(t) else out
 
 
@@ -122,9 +130,10 @@ def bessel_zero(nu, m: int) -> float:
     McMahon-type initial guess refined by bracketed root finding on the
     regularized objective (h for negative order), absolute error well below
     1e-10; zeros are strictly increasing in m.  Each call is one root solve;
-    scipy.optimize is imported here, on first use, not with the package.
+    scipy.optimize and scipy.special are imported here, on first use.
     """
     from scipy.optimize import brentq
+    from scipy.special import jv
 
     nu = _order_value(nu)
     if m < 1 or int(m) != m:
@@ -133,7 +142,7 @@ def bessel_zero(nu, m: int) -> float:
         alpha = -nu
         f = lambda t: bessel_h(alpha, t)
     else:
-        f = lambda t: _jv(nu, t)
+        f = lambda t: jv(nu, t)
     guess = _mcmahon_guess(nu, int(m))
     lo, hi = guess - 0.45 * math.pi, guess + 0.45 * math.pi
     lo = max(lo, 1e-12)
@@ -166,5 +175,7 @@ def _radial_norm_at_zero(params: WeightParams, zero: float) -> float:
     int_0^j t J_nu(t)^2 dt = j^2 J_nu'(j)^2 / 2 with J_nu'(j) = -J_{nu+1}(j),
     giving gamma_m = 1 / (sqrt(2) R |J_{1-alpha}(j_m)|).
     """
-    jprime = -_jv(1.0 - params.alpha, zero)
+    from scipy.special import jv
+
+    jprime = -jv(1.0 - params.alpha, zero)
     return float(1.0 / (math.sqrt(2.0) * params.R * abs(jprime)))

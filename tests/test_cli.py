@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -550,3 +551,67 @@ def test_profile_request_loads_none_of_scipy_optimize_interpolate_sparse():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_and_closed_form_commands_load_no_scipy(tmp_path):
+    # the closed forms run on numpy and math; every scipy kernel is imported
+    # by the function that calls it, on first use
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"params": {"s": 1.3, "N": 3},
+                                "terms": [{"l": 0, "c1": 1.0}, {"l": 2, "c1": 0.5, "d1": 0.3}]}))
+    samples = tmp_path / "samples.csv"
+    lam = np.geomspace(0.3, 0.02, 8)
+    samples.write_text("lambda,phi,phi_tilde\n" + "".join(
+        f"{l:.17g},{l ** 1.5:.17g},{0.5 * l ** 1.5:.17g}\n" for l in lam))
+    src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
+    steps = [("import almgren_lab", None), ("import almgren_lab.cli", None),
+             ("import almgren_lab.inequalities", None),
+             ("spectrum hemisphere", ["spectrum", "hemisphere", "--N", "3", "--count", "10"]),
+             ("synthesize", ["synthesize", "--spec", str(spec)]),
+             ("almgren", ["almgren", "--spec", str(spec)]),
+             ("fit", ["fit", "--input", str(samples), "--sigma-candidates", "0.5,1.5,2.5"])]
+    code = (f"import sys; sys.path.insert(0, {src_dir!r})\n"
+            "import contextlib, importlib, io\n"
+            f"for what, argv in {steps!r}:\n"
+            "    if argv is None:\n"
+            "        importlib.import_module(what.split()[1])\n"
+            "    else:\n"
+            "        import almgren_lab.cli as cli\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert cli.run(argv) == 0, what\n"
+            "    print(what, '|', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines == [f"{what} | []" for what, _ in steps]
+
+
+def test_json_artifact_is_compact_and_the_file_holds_the_printed_payload(tmp_path, capsys):
+    code, out = run_capture(capsys, ["spectrum", "hemisphere", "--s", "1.25", "--N", "3",
+                                     "--count", "6", "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "hemisphere_spectrum.json").read_text()
+    assert text == out and out.count("\n") == 1     # one line, as printed
+    payload = json.loads(out)
+    assert payload == json.loads(text)
+    assert list(payload) == sorted(payload) and payload["schema"] == cli.SCHEMA
+    assert len(payload["modes"]) == 6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_json_payload_exits_2_with_nothing_on_stdout(tmp_path, capsys,
+                                                                monkeypatch, bad):
+    real = profile.solve_profile
+
+    def broken(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return dataclasses.replace(sol, J=bad)
+
+    monkeypatch.setattr(profile, "solve_profile", broken)
+    code = run(["profile", "--s", "1.5", "--resolution", "512", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "non-finite" in captured.err
+    assert not (tmp_path / "profile.json").exists()

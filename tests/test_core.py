@@ -244,3 +244,19 @@ def test_gauss_node_cap(params_n3):
     x, w = gauss_jacobi(MAX_GAUSS_NODES, 0.5)
     assert x.size == MAX_GAUSS_NODES
     assert w.sum() == pytest.approx(1.0 / 1.5, rel=1e-12)
+
+
+def test_gamma_closed_forms_match_the_gammaln_form():
+    # math.gamma in place of scipy's gammaln; measured relative gaps: 7.5e-16
+    # for the sphere areas up to S^20, 5.5e-15 for the moments with exponents
+    # in (-1, 10]
+    special = pytest.importorskip("scipy.special")
+    for dim in range(21):
+        want = 2.0 * math.pi ** ((dim + 1) / 2.0) / math.exp(special.gammaln((dim + 1) / 2.0))
+        assert unit_sphere_area(dim) == pytest.approx(want, rel=1e-15, abs=0.0), dim
+    grid = np.linspace(-0.999, 10.0, 61)
+    for a in grid:
+        for c in grid:
+            want = 0.5 * math.exp(special.gammaln((a + 1) / 2.0) + special.gammaln((c + 1) / 2.0)
+                                  - special.gammaln((a + c + 2) / 2.0))
+            assert weighted_angular_moment(a, c) == pytest.approx(want, rel=1e-14, abs=0.0), (a, c)

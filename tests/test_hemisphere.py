@@ -18,16 +18,18 @@ from almgren_lab import (
     polynomial_mode,
     sigma_exponents,
 )
-from almgren_lab.core import weighted_angular_moment
+from almgren_lab.core import unit_sphere_area, weighted_angular_moment
 from almgren_lab.hemisphere import (
     MAX_MODES,
     _jacobi,
+    _log_jacobi_norm2,
     _richardson,
     _sector_eigs,
     exact_mu,
     harmonic_multiplicity,
     hemisphere_modes,
     sigma_multiplicity,
+    sphere_harmonic_value,
 )
 
 
@@ -490,3 +492,104 @@ def test_kept_gauss_samples_are_read_only(params_n3, modes_n3):
         P2, dP2 = prof.rescaled(2.0)._on_gauss(params_n3.N, params_n3.b, 20)
         np.testing.assert_array_equal(P2, 2.0 * P)
         np.testing.assert_array_equal(dP2, 2.0 * dP)
+
+
+def _gegenbauer_harmonic(special, N, k, x):
+    """The zonal harmonic as c_k C_k^lam(x) with scipy's Gegenbauer and Gamma."""
+    lam = (N - 2) / 2.0
+    h_k = math.pi * 2.0 ** (1 - 2 * lam) * math.exp(
+        special.gammaln(k + 2 * lam) - special.gammaln(k + 1) - 2 * special.gammaln(lam)
+    ) / (k + lam)
+    return special.eval_gegenbauer(k, lam, x) / math.sqrt(unit_sphere_area(N - 2) * h_k)
+
+
+def test_zonal_harmonic_matches_the_gegenbauer_form():
+    # P_k^{(a, a)} / sqrt(|S^{N-2}| h_k) against c_k C_k^{(N-2)/2}: both round
+    # like k eps, and the measured gap (relative to the sup over chi) is at
+    # most 9.4e-16 (k + 1): 3.1e-16 at k = 0, 3.7e-14 at k = 40
+    special = pytest.importorskip("scipy.special")
+    chi = np.linspace(0.0, math.pi, 200)
+    for N in (3, 4, 5, 6):
+        for k in range(41):
+            want = _gegenbauer_harmonic(special, N, k, np.cos(chi))
+            got = sphere_harmonic_value(N, k, chi)
+            assert np.max(np.abs(got - want)) <= 1e-15 * (k + 1) * np.max(np.abs(want)), (N, k)
+    assert isinstance(sphere_harmonic_value(4, 3, 0.3), float)
+
+
+def test_zonal_harmonic_against_40_digits():
+    # measured: the Jacobi form is within 1.9e-16 (k + 1) of the sup (4.8e-15
+    # at most); the Gegenbauer form it replaced is up to 1.9e-14 off here
+    mpmath = pytest.importorskip("mpmath")
+    x = np.cos(np.linspace(0.0, math.pi, 40))
+    for N in (3, 5):
+        for k in (10, 25, 40):
+            with mpmath.workdps(40):
+                lam = mpmath.mpf(N - 2) / 2
+                area = 2 * mpmath.pi ** (mpmath.mpf(N - 1) / 2) / mpmath.gamma(mpmath.mpf(N - 1) / 2)
+                h_k = (mpmath.pi * 2 ** (1 - 2 * lam) * mpmath.gamma(k + 2 * lam)
+                       / (mpmath.factorial(k) * mpmath.gamma(lam) ** 2 * (k + lam)))
+                c = 1 / mpmath.sqrt(area * h_k)
+                exact = np.array([float(c * mpmath.gegenbauer(k, lam, mpmath.mpf(float(xi))))
+                                  for xi in x])
+            sup = np.max(np.abs(exact))
+            err = np.max(np.abs(sphere_harmonic_value(N, k, np.arccos(x)) - exact)) / sup
+            assert err <= 3e-16 * (k + 1), (N, k, err)
+
+
+def test_jacobi_norm_matches_the_gammaln_form():
+    # Gamma ratios from math in place of scipy's gammaln: both are within a
+    # few ulp of the log-Gammas, so the two sums differ by a few ulp of their
+    # largest terms (measured: at most 1.6 eps times the sum of the term
+    # magnitudes, for N = 1 up to the last listed degree and N = 2..6 up to
+    # j = k = 40)
+    special = pytest.importorskip("scipy.special")
+    eps = np.finfo(float).eps
+
+    def terms(j, a1, b1):
+        c = a1 + b1
+        if j == 0:
+            return [(c - 1.0) * math.log(2.0), special.gammaln(a1), special.gammaln(b1),
+                    -special.gammaln(c)]
+        return [(c - 1.0) * math.log(2.0), -math.log((2 * j - 1) + c),
+                special.gammaln(j + a1), special.gammaln(j + b1),
+                -special.gammaln((j - 1) + c), -special.gammaln(j + 1.0)]
+
+    b1s = np.concatenate([np.linspace(0.025, 0.975, 39), [1e-16, 1e-8, 1.0 - 1e-9]])
+    cases = [(j, b1, b1) for b1 in b1s[::2] for j in range(MAX_MODES)]
+    cases += [(j, k + 0.5 * N, b1) for b1 in b1s[::8] for N in range(2, 7)
+              for k in range(0, 41, 4) for j in range(41)]
+    for j, a1, b1 in cases:
+        t = terms(j, a1, b1)
+        gap = abs(_log_jacobi_norm2(j, a1, b1) - math.fsum(t))
+        assert gap <= 2.0 * eps * (1.0 + sum(map(abs, t))), (j, a1, b1)
+
+
+def test_mode_amplitudes_are_within_2e_14_of_40_digits():
+    # the amplitude A = h^{-1/2} of the first 60 modes at N = 1 and 3: the
+    # math.gamma ratios keep it to 1.5e-14 (mean 1.4e-15), where the gammaln
+    # sums gave 6.1e-14 (mean 3.4e-15), measured at N = 1..4, s = 1.05..1.95
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(j, a1, b1):
+        with mpmath.workdps(40):
+            a1, b1 = mpmath.mpf(a1), mpmath.mpf(b1)
+            c = a1 + b1
+            if j == 0:
+                out = (c - 1) * mpmath.log(2) + mpmath.loggamma(a1) + mpmath.loggamma(b1) \
+                    - mpmath.loggamma(c)
+            else:
+                out = ((c - 1) * mpmath.log(2) - mpmath.log(2 * j - 1 + c)
+                       + mpmath.loggamma(j + a1) + mpmath.loggamma(j + b1)
+                       - mpmath.loggamma(j - 1 + c) - mpmath.loggamma(j + 1))
+            return out
+
+    for s in (1.05, 1.5, 1.95):
+        b1 = 0.5 * (3.0 - 2.0 * s + 1.0)
+        cases = [(sigma, b1, b1) for sigma in range(60)]
+        cases += [((m.ell - m.k) // 2, m.k + 1.5, b1)
+                  for m in hemisphere_modes(WeightParams(s=s, N=3), 60)]
+        for j, a1, b in cases:
+            with mpmath.workdps(40):
+                err = abs(float(mpmath.expm1((exact(j, a1, b) - _log_jacobi_norm2(j, a1, b)) / 2)))
+            assert err <= 2e-14, (s, j, a1, err)

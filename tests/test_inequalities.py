@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -173,6 +174,32 @@ def test_gaussian_derivatives_match_finite_differences(p3):
     assert fld.lap_b(q0, t0, p3) == pytest.approx(want, rel=1e-6)
 
 
+def test_mirrored_pair_keeps_its_digits_as_t_goes_to_zero(p4):
+    # U_t / t of an even pair no longer cancels like c / t: against 40-digit
+    # values on t in [1e-9, 1e-2] the measured relative errors are 1.6e-15
+    # for D_b U and 5.5e-15 for U_t (the per-bump form gave 9.5e-8 and 1.7e-7)
+    mpmath = pytest.importorskip("mpmath")
+    comps = [(0.7, 0.35, 0.2), (-0.4, 0.55, 0.3), (1.0, 0.25, 0.13)]
+    fld = GaussianBumps(comps, mirrored=True)
+    t = np.geomspace(1e-9, 1e-2, 15)
+    for q in (0.0, 0.1, 0.3, 0.6):
+        _, _, ut, lap = inequalities._sample(fld, inequalities._scattered(q, t), p4)
+        for i, ti in enumerate(t):
+            with mpmath.workdps(40):
+                T, Q = mpmath.mpf(float(ti)), mpmath.mpf(q)
+                want_ut = want_lap = mpmath.mpf(0)
+                for a, c, w in comps:
+                    a, c, k = mpmath.mpf(a), mpmath.mpf(c), 1 / mpmath.mpf(w) ** 2
+                    for d in (T - c, T + c):
+                        rr = Q * Q + d * d
+                        g = a * mpmath.exp(-k * rr)
+                        want_ut -= 2 * k * d * g
+                        want_lap += (4 * k * rr - 2 * (p4.N + 1)) * k * g
+                want_lap += mpmath.mpf(p4.b) * want_ut / T
+            assert abs(ut[i] - float(want_ut)) <= 1e-14 * abs(float(want_ut)), (q, ti)
+            assert abs(lap[i] - float(want_lap)) <= 4e-15 * abs(float(want_lap)), (q, ti)
+
+
 def test_cutoff_derivatives_match_finite_differences(p4):
     fld = CutoffField(GaussianBumps([(1.0, 0.2, 0.25)], mirrored=True), 0.7)
     q0, t0 = 0.24, 0.31
@@ -320,13 +347,14 @@ def test_margin_at_a_new_order_runs_only_small_eigensolves(monkeypatch, which):
     fresh_s = {"hardy": 1.4321987654, "rellich": 1.4432198765, "sobolev": 1.4543219876}
     calls[which](WeightParams(s=1.5, N=N))
     sizes = []
-    solve = core.eigh_tridiagonal
+    solve = scipy.linalg.eigh_tridiagonal
 
     def counted(diag, off, *args, **kwargs):
         sizes.append(len(diag))
         return solve(diag, off, *args, **kwargs)
 
-    monkeypatch.setattr(core, "eigh_tridiagonal", counted)
+    # gauss_jacobi imports eigh_tridiagonal on each call, so this patch reaches it
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     calls[which](WeightParams(s=fresh_s[which], N=N))
     assert sizes and max(sizes) <= core.SPLIT_HEAD_NODES, sizes
 
@@ -568,13 +596,14 @@ def test_a_run_of_fresh_orders_runs_only_small_eigensolves(monkeypatch):
             if which != "rellich" or N > 2:
                 margin(which, N, 1.3)
     sizes = []
-    solve = core.eigh_tridiagonal
+    solve = scipy.linalg.eigh_tridiagonal
 
     def counted(diag, off, *args, **kwargs):
         sizes.append(len(diag))
         return solve(diag, off, *args, **kwargs)
 
-    monkeypatch.setattr(core, "eigh_tridiagonal", counted)
+    # gauss_jacobi imports eigh_tridiagonal on each call, so this patch reaches it
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     run = ([("sobolev", N) for N in (2, 3, 4)]
            + [("hardy", 2 + i % 3) if i % 2 else ("rellich", 3 + i % 2) for i in range(20)]
            + [("sobolev", N) for N in (4, 3, 2)])
