@@ -21,13 +21,14 @@ numpy pass.  Derivative identities are checked, never used as shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     AngularGrid1D,
     DomainError,
+    InputError,
     UnmatchedExponentError,
     VanishingDenominatorError,
     WeightParams,
@@ -48,10 +49,6 @@ class _TermPieces:
     s_grad: np.ndarray         # int_{S_r^+} t^b (|grad U|^2 + |grad V|^2)
     s_nu: np.ndarray           # int_{S_r^+} t^b (U_nu^2 + V_nu^2)
     s_uv: np.ndarray           # int_{S_r^+} t^b U V
-
-    def at(self, i: int) -> "_TermPieces":
-        """The pieces at the i-th radius, as floats."""
-        return _TermPieces(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
 def _coefs(terms) -> np.ndarray:
@@ -160,8 +157,7 @@ class _QuadContext:
     structural, while the integrals within a block stay numerical.
     """
 
-    def __init__(self, sol: SeparableSolution, n_radial: int | None = None,
-                 n_angular: int | None = None):
+    def __init__(self, sol: SeparableSolution):
         p = sol.params
         self.beta = p.N + p.b
         if self.beta < 1.0 and any(t.mode.mu == 0.0 for t in sol.terms):
@@ -171,11 +167,10 @@ class _QuadContext:
                 "use method='closed'"
             )
         n = gauss_nodes(max((t.sigma for t in sol.terms), default=0.0))
-        self.x, self.wx = gauss_jacobi(n if n_radial is None else n_radial, self.beta)
-        n_ang = n if n_angular is None else n_angular
-        grid = AngularGrid1D.gauss(p.N, p.b, n_ang)
+        self.x, self.wx = gauss_jacobi(n, self.beta)
+        grid = AngularGrid1D.gauss(p.N, p.b, n)
         nodes, w = grid.nodes, grid.weights
-        samples = [t.mode.profile._on_gauss(p.N, p.b, n_ang) for t in sol.terms]
+        samples = [t.mode.profile._on_gauss(p.N, p.b, n) for t in sol.terms]
         P = np.array([s[0] for s in samples]).reshape(-1, nodes.size)
         dP = np.array([s[1] for s in samples]).reshape(P.shape)
         keys = np.array([t.mode.block_key() for t in sol.terms], dtype=int)
@@ -217,23 +212,35 @@ class _QuadContext:
         ])
 
 
-def _pieces(sol, radii, method, n_radial=None, n_angular=None) -> _TermPieces:
-    """The pieces at every radius of a schedule, in one call of either path."""
+def _pieces(sol: SeparableSolution, radii, method: str) -> _TermPieces:
+    """The pieces at every radius of a schedule, in one call of either path.
+
+    The one gate of every frequency operation: it raises for the first radius
+    outside (0, R] (R allowed to roundoff), for an unknown method, for pieces
+    that are not finite and for the first radius where H is not positive.
+    """
     r = np.asarray(radii, dtype=float)
+    outside = ~((r > 0.0) & (r <= sol.R * (1 + 1e-12)))
+    if np.any(outside):
+        raise DomainError(f"radius {r[np.argmax(outside)]} outside (0, {sol.R}]")
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
         if method == "closed":
             acc = _closed_pieces(sol, r)
         else:
-            acc = _QuadContext(sol, n_radial, n_angular).pieces(r)
+            acc = _QuadContext(sol).pieces(r)
     bad = ~np.all(np.isfinite(acc), axis=0)
     if np.any(bad):
         raise DomainError(
             f"frequency pieces are not finite at radius {r[np.argmax(bad)]}; "
             "the radius or the coefficients are out of range"
         )
-    return _TermPieces(*acc)
+    pieces = _TermPieces(*acc)
+    vanishing = pieces.s_u2 <= 0.0
+    if np.any(vanishing):
+        raise VanishingDenominatorError(f"H({r[np.argmax(vanishing)]}) is not positive")
+    return pieces
 
 
 def _DH(pc: _TermPieces, r, beta: float):
@@ -275,43 +282,20 @@ def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
 # public operations
 
 
-def _check_radii(sol: SeparableSolution, radii) -> None:
-    """Raise for the first radius outside (0, R], allowing R to roundoff."""
-    r = np.asarray(radii, dtype=float)
-    outside = ~((r > 0.0) & (r <= sol.R * (1 + 1e-12)))
-    if np.any(outside):
-        raise DomainError(f"radius {r[np.argmax(outside)]} outside (0, {sol.R}]")
-
-
-def _positive_pieces(sol: SeparableSolution, r: np.ndarray, method: str,
-                     n_radial: int | None = None, n_angular: int | None = None) -> _TermPieces:
-    """The pieces at radii in (0, R], raising where H is not positive."""
-    _check_radii(sol, r)
-    pieces = _pieces(sol, r, method, n_radial, n_angular)
-    vanishing = pieces.s_u2 <= 0.0
-    if np.any(vanishing):
-        raise VanishingDenominatorError(f"H({r[np.argmax(vanishing)]}) is not positive")
-    return pieces
-
-
-def compute_DH(sol: SeparableSolution, r: float, method: str = "closed",
-               n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
+def compute_DH(sol: SeparableSolution, r: float, method: str = "closed") -> tuple[float, float]:
     """Scaled energy D(r) and boundary mass H(r) of the solution pair."""
     if sol.is_zero:
         return 0.0, 0.0
-    _check_radii(sol, [r])
     p = sol.params
-    pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)
-    D, H = _DH(pieces, r, p.N + p.b)
-    return float(D), float(H)
+    D, H = _DH(_pieces(sol, [r], method), r, p.N + p.b)
+    return float(D[0]), float(H[0])
 
 
-def frequency(sol: SeparableSolution, r: float, method: str = "closed", **kw) -> float:
+def frequency(sol: SeparableSolution, r: float, method: str = "closed") -> float:
     """Frequency quotient N(r) = D(r) / H(r)."""
-    D, H = compute_DH(sol, r, method, **kw)
-    if H <= 0.0:
-        raise VanishingDenominatorError(f"H({r}) = {H} is not positive")
-    return D / H
+    p = sol.params
+    D, H = _DH(_pieces(sol, [r], method), r, p.N + p.b)
+    return float(D[0]) / float(H[0])
 
 
 @dataclass(frozen=True)
@@ -332,9 +316,15 @@ class FrequencyTrace:
             arr.flags.writeable = False
 
     def lower_bound_margin(self) -> float:
-        """min over records of N(r) + r^2/(N+b-1); nonnegative in the regime."""
-        denom = self.params.N + self.params.b - 1.0
-        return float(np.min(self.N + self.r ** 2 / denom))
+        """min over records of N(r) + r^2/(N+b-1); nonnegative in the regime.
+
+        The margin needs N + b > 1: at N + b = 1 the term r^2/(N+b-1) is
+        infinite, and below it changes sign and the bound fails.
+        """
+        beta = self.params.N + self.params.b
+        if not beta > 1.0:
+            raise DomainError(f"the lower-bound margin needs N + b > 1, got {beta:.6g}")
+        return float(np.min(self.N + self.r ** 2 / (beta - 1.0)))
 
 
 def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
@@ -344,38 +334,36 @@ def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
     return np.geomspace(top, top * 10.0 ** (-decades), count)
 
 
-def trace(sol: SeparableSolution, radii=None, method: str = "closed",
-          n_radial: int | None = None, n_angular: int | None = None) -> FrequencyTrace:
+def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> FrequencyTrace:
     """Evaluate the frequency records over a (default geometric) schedule.
 
-    For method="quadrature", `n_radial` and `n_angular` override the Gauss
-    node counts, which by default follow `gauss_nodes` of the largest
-    sigma_plus of the synthesis.
+    The quadrature path's Gauss node counts follow `gauss_nodes` of the
+    largest sigma_plus of the synthesis.
     """
     radii = np.asarray(radius_schedule(sol.R) if radii is None else radii, dtype=float)
-    pieces = _positive_pieces(sol, radii, method, n_radial, n_angular)
+    pieces = _pieces(sol, radii, method)
     D, H = _DH(pieces, radii, sol.params.N + sol.params.b)
     nu1, nu2 = _nu(sol, pieces, radii, method)
     return FrequencyTrace(params=sol.params, r=radii, D=D, H=H, N=D / H, nu1=nu1, nu2=nu2,
                           provenance=method)
 
 
-def nu_decomposition(sol: SeparableSolution, r: float, method: str = "closed",
-                     n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
+def nu_decomposition(sol: SeparableSolution, r: float,
+                     method: str = "closed") -> tuple[float, float]:
     """The two components of N'(r): boundary Cauchy-Schwarz bracket and the rest."""
     radii = np.array([r], dtype=float)
-    nu1, nu2 = _nu(sol, _positive_pieces(sol, radii, method, n_radial, n_angular), radii, method)
+    nu1, nu2 = _nu(sol, _pieces(sol, radii, method), radii, method)
     return float(nu1[0]), float(nu2[0])
 
 
-def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3,
-                       **kw) -> float:
+def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3) -> float:
     """Max relative residual of H'(r) = 2 D(r) / r.
 
     For a solution the derivative is formed by a local five-point central
     difference (so the closed-form path resolves the identity to roundoff);
     for a recorded trace, by nonuniform central differences on its own
     schedule, which converge at second order under schedule refinement.
+    A solution is checked at 20 radii from R/2 down to R/16.
     """
     if isinstance(target, FrequencyTrace):
         r, H, D = target.r, target.H, target.D
@@ -391,41 +379,34 @@ def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3,
     sol = target
     if sol.is_zero:
         return 0.0
-    radii = kw.pop("radii", None)
-    if radii is None:
-        radii = np.geomspace(sol.R / 2, sol.R / 16, 20)
-    r = np.asarray(radii, dtype=float)
+    r = np.geomspace(sol.R / 2, sol.R / 16, 20)
     d = delta_rel * r
     stencil = r[:, None] + np.arange(-2, 3)[None, :] * d[:, None]
-    if not np.all((stencil > 0.0) & (stencil <= sol.R * (1 + 1e-12))):
-        raise DomainError(f"stencil radii leave (0, {sol.R}]")
     p = sol.params
-    D, H = _DH(_pieces(sol, stencil.ravel(), method, **kw), stencil.ravel(), p.N + p.b)
+    D, H = _DH(_pieces(sol, stencil.ravel(), method), stencil.ravel(), p.N + p.b)
     D, H = D.reshape(stencil.shape), H.reshape(stencil.shape)
     lhs = (-H[:, 4] + 8 * H[:, 3] - 8 * H[:, 1] + H[:, 0]) / (12.0 * d)
     rhs = 2.0 * D[:, 2] / r
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), initial=0.0))
 
 
-def check_pohozaev(sol: SeparableSolution, r: float, method: str = "closed",
-                   n_radial: int | None = None, n_angular: int | None = None) -> tuple[float, float]:
+def check_pohozaev(sol: SeparableSolution, r: float,
+                   method: str = "closed") -> tuple[float, float]:
     """Relative residuals of the two radial-multiplier integral identities."""
     if sol.is_zero:
         return 0.0, 0.0
-    _check_radii(sol, [r])
     p = sol.params
     beta = p.N + p.b
-    pieces = _pieces(sol, [r], method, n_radial, n_angular).at(0)
-    lhs1 = pieces.ball_grad + pieces.ball_uv
-    rhs1 = pieces.s_uu
-    scale1 = max(abs(lhs1), abs(rhs1), pieces.ball_grad, 1e-300)
-    res1 = abs(lhs1 - rhs1) / scale1
-    lhs2 = (-(beta - 1.0) / 2.0 * pieces.ball_grad + pieces.ball_v_zgrad
-            + 0.5 * r * pieces.s_grad)
-    rhs2 = r * pieces.s_nu
-    scale2 = max(abs(lhs2), abs(rhs2), 0.5 * r * pieces.s_grad, 1e-300)
-    res2 = abs(lhs2 - rhs2) / scale2
-    return float(res1), float(res2)
+    pc = _pieces(sol, [r], method)
+    lhs1 = pc.ball_grad + pc.ball_uv
+    rhs1 = pc.s_uu
+    scale1 = np.max([np.abs(lhs1), np.abs(rhs1), pc.ball_grad, [1e-300]], axis=0)
+    res1 = np.abs(lhs1 - rhs1) / scale1
+    lhs2 = -(beta - 1.0) / 2.0 * pc.ball_grad + pc.ball_v_zgrad + 0.5 * r * pc.s_grad
+    rhs2 = r * pc.s_nu
+    scale2 = np.max([np.abs(lhs2), np.abs(rhs2), 0.5 * r * pc.s_grad, [1e-300]], axis=0)
+    res2 = np.abs(lhs2 - rhs2) / scale2
+    return float(res1[0]), float(res2[0])
 
 
 @dataclass(frozen=True)
@@ -462,31 +443,41 @@ def _fit_exponents(sol: SeparableSolution) -> np.ndarray:
     return np.array(kept)
 
 
-def frequency_limit(sol: SeparableSolution, candidates=None, radii=None) -> FrequencyLimitResult:
+def frequency_limit(sol: SeparableSolution, candidates=None,
+                    frequency_trace: FrequencyTrace | None = None) -> FrequencyLimitResult:
     """Vanishing order gamma = lim N(r), read off an exact-exponent fit.
 
     D and H of a finite synthesis are sums of the powers r^{a_k} of
     `_fit_exponents` (cross terms vanish by orthonormality).  One lstsq fits
-    r^{-a_0} (D, H) of the closed path on the schedule (default
-    `radius_schedule(sol.R)`, reaching below R/200) with columns
-    (r / r_max)^{a_k - a_0}: gamma = d_0 / h_0 and h_limit = h_0.  The
-    residual certifies the fit: roundoff for a complete basis, under
-    delta ln(r_max / r_min) < 7e-6 for powers delta apart merged (near-equal
-    columns leave the fit near rank-deficient), O(1) for a missing term.
+    r^{-a_0} (D, H) with columns (r / r_max)^{a_k - a_0}: gamma = d_0 / h_0
+    and h_limit = h_0.  The residual certifies the fit: roundoff for a
+    complete basis, under delta ln(r_max / r_min) < 7e-6 for powers delta
+    apart merged (near-equal columns leave the fit near rank-deficient),
+    O(1) for a missing term.
     UnmatchedExponentError is raised for a residual above FIT_RESIDUAL_BOUND,
     for h_0 <= 0, and for a gamma farther than MATCH_TOL from every candidate
     sigma_plus and sigma_plus + 2 (default: the terms' sigma).  `h_band`
     spans r^{-2 gamma} H / h_0 over the last decade; `sandwich_min` is the
     minimum of H r^{-2 gamma - 0.1}.
+
+    The fit reads r, D and H of `frequency_trace`, a closed or quadrature
+    trace of `sol` whose schedule reaches below R/200; by default it forms
+    D and H of the closed path on `radius_schedule(sol.R)`, with no nu.
     """
     if sol.is_zero:
         raise VanishingDenominatorError("frequency of the zero solution is undefined")
-    r = np.asarray(radius_schedule(sol.R) if radii is None else radii, dtype=float)
+    if frequency_trace is None:
+        r = radius_schedule(sol.R)
+        D, H = _DH(_pieces(sol, r, "closed"), r, sol.params.N + sol.params.b)
+    elif frequency_trace.params != sol.params:
+        raise InputError(f"the trace is of {frequency_trace.params}, "
+                         f"not of the solution's {sol.params}")
+    else:
+        r, D, H = frequency_trace.r, frequency_trace.D, frequency_trace.H
     if np.min(r) > sol.R / 200:
         raise DomainError("schedule must reach radii below R/200")
     if candidates is None:
         candidates = sorted({t.sigma for t in sol.terms})
-    D, H = _DH(_positive_pieces(sol, r, "closed"), r, sol.params.N + sol.params.b)
     a = _fit_exponents(sol)
     A = (r[:, None] / np.max(r)) ** (a - a[0])
     Y = np.column_stack([D, H]) * r[:, None] ** -a[0]

@@ -306,7 +306,7 @@ def _cmd_almgren(args) -> int:
     top = need - 1 if sol.params.N == 1 else 3 * need - 2
     candidates = sorted({hemisphere.sigma_exponents(
         sol.params, hemisphere.exact_mu(sol.params, sigma))[0] for sigma in range(top + 1)})
-    limit = almgren_mod.frequency_limit(sol, candidates=candidates)
+    limit = almgren_mod.frequency_limit(sol, candidates=candidates, frequency_trace=tr)
     payload = {
         "params": _params_dict(sol.params),
         "gamma": limit.gamma,

@@ -132,11 +132,6 @@ class WeightParams:
     def paper_regime(self) -> bool:
         return self.N > 2.0 * self.s
 
-    @property
-    def dim_weight(self) -> float:
-        """Effective weighted dimension offset N + b."""
-        return self.N + self.b
-
 
 def _log_gamma_ratio(x: float, y: float) -> float:
     """log(Gamma(x) / Gamma(y)) for x, y > 0.

@@ -42,8 +42,8 @@ from .hemisphere import polynomial_mode
 # move every family's margin by <= 1.3e-11 of its largest term (N = 1..4,
 # Hardy and Hardy-Rellich); the radial count is set by the smooth cut-off,
 # whose flat edge converges slowest.
-DEFAULT_RADIAL_NODES = 192
-DEFAULT_ANGULAR_NODES = 32
+SPLIT_BODY_NODES = 192
+MARGIN_ANGULAR_NODES = 32
 
 
 class _Points(NamedTuple):
@@ -349,8 +349,8 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 def check_hardy_trace(params: WeightParams, field, r: float,
-                      n_radial: int = DEFAULT_RADIAL_NODES,
-                      n_angular: int = DEFAULT_ANGULAR_NODES) -> float:
+                      n_radial: int = SPLIT_BODY_NODES,
+                      n_angular: int = MARGIN_ANGULAR_NODES) -> float:
     """Margin (RHS - LHS) of the boundary Hardy inequality on B_r^+.
 
     LHS = ((N+b-1)/(2r))^2 int t^b U^2, RHS = int t^b |grad U|^2 +
@@ -372,8 +372,8 @@ def check_hardy_trace(params: WeightParams, field, r: float,
 
 
 def check_hardy_rellich(params: WeightParams, field, support_radius: float,
-                        n_radial: int = DEFAULT_RADIAL_NODES,
-                        n_angular: int = DEFAULT_ANGULAR_NODES) -> float:
+                        n_radial: int = SPLIT_BODY_NODES,
+                        n_angular: int = MARGIN_ANGULAR_NODES) -> float:
     """Margin of the second-order Hardy-Rellich inequality for a compact field.
 
     Requires the regime N > 2s and a field with lap_b coded; the field must
@@ -395,8 +395,8 @@ def check_hardy_rellich(params: WeightParams, field, support_radius: float,
 
 
 def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r: float,
-                                    n_radial: int = DEFAULT_RADIAL_NODES,
-                                    n_angular: int = DEFAULT_ANGULAR_NODES,
+                                    n_radial: int = SPLIT_BODY_NODES,
+                                    n_angular: int = MARGIN_ANGULAR_NODES,
                                     n_trace: int = 64) -> float:
     """Empirical lower-bound candidate for the Sobolev trace constant.
 

@@ -116,15 +116,20 @@ class ProfileSolution:
         three smallest positive nodes in the correct basis removes it.  For
         b = 0 the basis degenerates to plain quadratic extrapolation.
         """
-        ts = self.t[1:4]
-        zs = self.zeta[1:4]
-        expo = 2.0 * self.alpha
-        if abs(expo - 1.0) < 1e-13:
-            A = np.vander(ts, 3, increasing=True)
-        else:
-            A = np.column_stack([np.ones(3), ts ** expo, ts ** 2])
-        coef = np.linalg.solve(A, zs)
-        return float(coef[0])
+        return _limit_at_zero(self.t[1:4], self.zeta[1:4], self.alpha)
+
+
+def _limit_at_zero(ts: np.ndarray, zs: np.ndarray, alpha: float) -> float:
+    """Value at 0 of the fit of three samples in the basis {1, t^{2 alpha}, t^2}.
+
+    At b = 0 (2 alpha = 1) the basis is plain quadratic extrapolation.
+    """
+    expo = 2.0 * alpha
+    if abs(expo - 1.0) < 1e-13:
+        A = np.vander(ts, 3, increasing=True)
+    else:
+        A = np.column_stack([np.ones(3), ts ** expo, ts ** 2])
+    return float(np.linalg.solve(A, zs)[0])
 
 
 def _power_bessel(order: float, tau, coef: float, at_zero: float):
@@ -491,16 +496,10 @@ def trace_laplacian_check(
         raise InputError("sample has no usable nonzero frequencies")
     shells = np.unique(np.round(xi[mask], 9))[:n_shells]
     h = prof.t[1] - prof.t[0]
-    expo = 2.0 * prof.alpha
     estimates = []
     for s in shells:
         taus = s * h * np.array([1.0, 2.0, 3.0])
-        zs = prof.zeta_at(taus)
-        if abs(expo - 1.0) < 1e-13:
-            A = np.vander(taus, 3, increasing=True)
-        else:
-            A = np.column_stack([np.ones(3), taus ** expo, taus ** 2])
-        zeta0 = float(np.linalg.solve(A, zs)[0])
+        zeta0 = _limit_at_zero(taus, prof.zeta_at(taus), prof.alpha)
         # V-hat at t->0 is uhat s^2 zeta0; Laplace u has symbol -s^2 uhat.
         estimates.append(-zeta0)
     estimates = np.asarray(estimates)

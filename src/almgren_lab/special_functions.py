@@ -30,10 +30,6 @@ class BesselOrder:
         if not abs(self.nu) < 1.0:
             raise DomainError(f"Bessel order must satisfy |nu| < 1, got {self.nu}")
 
-    @classmethod
-    def for_weight(cls, params: WeightParams) -> "BesselOrder":
-        return cls(nu=-params.alpha)
-
 
 def _order_value(nu) -> float:
     nu = nu.nu if isinstance(nu, BesselOrder) else float(nu)

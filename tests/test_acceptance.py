@@ -14,8 +14,8 @@ import pytest
 import almgren_lab as al
 from almgren_lab.hemisphere import _sector_eigs
 from almgren_lab.inequalities import (
-    DEFAULT_ANGULAR_NODES,
-    DEFAULT_RADIAL_NODES,
+    MARGIN_ANGULAR_NODES,
+    SPLIT_BODY_NODES,
     TestFamily,
     check_hardy_trace,
 )
@@ -144,8 +144,7 @@ def test_criterion_07_H_derivative():
         for per_decade in (32, 64):
             radii = al.radius_schedule(1.0, per_decade=per_decade, decades=1.0,
                                        r_max=0.5)
-            tr = al.trace(mixed, radii, method="quadrature",
-                          n_radial=512, n_angular=1024)
+            tr = al.trace(mixed, radii, method="quadrature")
             res.append(al.check_H_derivative(tr))
         assert res[1] < res[0] / 3.0, f"no order-2 shrink: {res}"
 
@@ -218,7 +217,7 @@ def test_criterion_11_inequality_suite():
                       al.WeightParams(s=1.5, N=4)]
         # Gauss-Jacobi margins sit at roundoff, so every field must agree with
         # the rule of twice the nodes per axis to 1e-10 of the set's scale.
-        n_r, n_a = DEFAULT_RADIAL_NODES, DEFAULT_ANGULAR_NODES
+        n_r, n_a = SPLIT_BODY_NODES, MARGIN_ANGULAR_NODES
         for i, p in enumerate(param_sets):
             fam = TestFamily(params=p, kind="bumps", count=100, seed=100 + i)
             margins, changes = [], []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from almgren_lab import (
     trace,
 )
 from almgren_lab import almgren
-from almgren_lab.core import gauss_jacobi
+from almgren_lab.core import InputError, gauss_jacobi
+from almgren_lab.synthesis import gauss_nodes
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +285,32 @@ def test_frequency_limit_merges_near_equal_exponents(p3):
 
 def test_frequency_limit_requires_small_radii(p3, mixed):
     with pytest.raises(DomainError):
-        frequency_limit(mixed, radii=np.geomspace(0.5, 0.1, 30))
+        frequency_limit(mixed, frequency_trace=trace(mixed, np.geomspace(0.5, 0.1, 30)))
+
+
+def test_frequency_limit_reads_the_trace_it_is_given(monkeypatch, mixed):
+    # the fit runs on the trace's own r, D and H and evaluates no pieces
+    tr = trace(mixed)
+    want = frequency_limit(mixed)
+    monkeypatch.setattr(almgren, "_pieces", None)
+    assert frequency_limit(mixed, frequency_trace=tr) == want
+
+
+def test_frequency_limit_of_a_quadrature_trace_of_an_exact_synthesis():
+    p = WeightParams(s=1.7, N=4)
+    sol = synthesize(p, [(polynomial_mode(p, 1), 0.0, 1.0), (polynomial_mode(p, 2, k=2), 0.8, 0.3),
+                         (polynomial_mode(p, 3), -0.5, 0.0)])
+    closed = frequency_limit(sol)
+    quad = frequency_limit(sol, frequency_trace=trace(sol, method="quadrature"))
+    assert abs(quad.gamma - closed.gamma) <= 1e-10
+    assert quad.h_limit == pytest.approx(closed.h_limit, rel=1e-10)
+
+
+def test_frequency_limit_refuses_a_trace_of_other_params(p3, mixed):
+    other = WeightParams(s=p3.s, N=p3.N, R=2.0)
+    with pytest.raises(InputError, match="trace is of"):
+        frequency_limit(mixed, frequency_trace=trace(synthesize(other, [(polynomial_mode(other, 1),
+                                                                         1.0, 0.0)])))
 
 
 def test_trace_lower_bound_includes_negative_frequency(p3):
@@ -291,6 +318,17 @@ def test_trace_lower_bound_includes_negative_frequency(p3):
     sol = synthesize(p3, [(polynomial_mode(p3, 0), 0.05, 3.0)])
     tr = trace(sol, radius_schedule(1.0))
     assert tr.lower_bound_margin() >= -1e-12
+
+
+@pytest.mark.parametrize("s, nb", [(1.5, "1"), (1.6, "0.8")])
+def test_lower_bound_margin_needs_n_plus_b_above_1(s, nb):
+    # N + b = 1 divided by zero (an infinite margin); N + b = 0.8 gave -0.19
+    p = WeightParams(s=s, N=1)
+    sol = synthesize(p, [(polynomial_mode(p, 1), 1.0, 0.5), (polynomial_mode(p, 2), 0.4, 0.0)])
+    tr = trace(sol)
+    with np.errstate(all="raise"):
+        with pytest.raises(DomainError, match=rf"needs N \+ b > 1, got {nb}$"):
+            tr.lower_bound_margin()
 
 
 def test_nu_cross_path(p3, mixed):
@@ -379,7 +417,8 @@ def test_gram_quadrature_pieces_match_pair_sums():
         p = WeightParams(s=1.25, N=N)
         sol = synthesize(p, [(polynomial_mode(p, sigma, k), c1, d1)
                              for sigma, k, c1, d1 in spec])
-        ctx = _QuadContext(sol, 12, 24)
+        ctx = _QuadContext(sol)
+        n = gauss_nodes(max(t.sigma for t in sol.terms))
         keys = np.array([t.mode.block_key() for t in sol.terms])
         cross = keys[:, None] != keys[None, :]
         assert len(sol.blocks()) == blocks
@@ -388,9 +427,9 @@ def test_gram_quadrature_pieces_match_pair_sums():
         got = ctx.pieces(radii)
         # the tensor rule: Gauss-Jacobi in rho / r, whose nodes avoid the origin,
         # and in the polar angle, whose nodes avoid the pole
-        grid = AngularGrid1D.gauss(p.N, p.b, 24)
+        grid = AngularGrid1D.gauss(p.N, p.b, n)
         nodes, w = grid.nodes, grid.weights
-        x, wx = gauss_jacobi(12, p.N + p.b)
+        x, wx = gauss_jacobi(n, p.N + p.b)
         assert np.all(np.sin(nodes) > 0.0) and np.all(x > 0.0)
         beta = p.N + p.b
         for col, r in enumerate(radii):
@@ -502,6 +541,22 @@ def test_trace_rejects_radii_outside_the_ball(mixed, radii, bad, method):
         trace(mixed, radii, method=method)
 
 
+_RADIUS_OPS = {
+    "compute_DH": compute_DH,
+    "nu_decomposition": nu_decomposition,
+    "check_pohozaev": check_pohozaev,
+    "trace": lambda sol, r, method: trace(sol, [r], method),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, -0.25, 1.0 + 1e-9, 3.0])
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+@pytest.mark.parametrize("op", sorted(_RADIUS_OPS))
+def test_every_operation_rejects_radii_outside_the_ball_alike(mixed, op, method, r):
+    with pytest.raises(DomainError, match=rf"^radius {re.escape(str(r))} outside \(0, 1\.0\]$"):
+        _RADIUS_OPS[op](mixed, r, method)
+
+
 def test_trace_accepts_radius_R(mixed):
     tr = trace(mixed, [1.0, 0.5])
     D, H = compute_DH(mixed, 1.0)
@@ -597,10 +652,8 @@ def test_degree_40_mode_on_the_default_rules():
         f, ft = fourier_coefficient(sol, mode, lam)
         assert f == pytest.approx(float(t.phi(lam)), rel=1e-10)
         assert ft == pytest.approx(float(t.phi_tilde(lam)), rel=1e-10)
-    # a fixed 32-node angular rule does not resolve this degree: H and the
-    # coefficient come out 18% low
-    coarse = trace(sol, radii, method="quadrature", n_angular=32)
-    assert np.all(coarse.H / closed.H < 0.9)
+    # a fixed 32-node angular rule does not resolve this degree: the
+    # coefficient comes out 18% low
     f, _ = fourier_coefficient(sol, mode, 0.5, grid=AngularGrid1D.gauss(1, p.b, 32))
     assert f / float(t.phi(0.5)) < 0.9
 

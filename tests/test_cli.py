@@ -449,6 +449,29 @@ def test_almgren_csv_matches_a_per_row_writer(tmp_path, capsys):
     assert (tmp_path / "almgren_trace.csv").read_bytes() == want
 
 
+def test_almgren_request_forms_the_pieces_once(tmp_path, capsys, monkeypatch):
+    # the limit is fitted on the trace the request prints: one pass of the
+    # closed pieces, and the same summary as a limit that forms its own
+    spec = {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 0, "c1": 0.7, "d1": 1.3},
+                                                    {"l": 1, "c1": 1.0, "d1": 0.5},
+                                                    {"l": 3, "c1": -0.4, "d1": 0.2}]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    calls = []
+    pieces = almgren_mod._pieces
+    monkeypatch.setattr(almgren_mod, "_pieces",
+                        lambda sol, radii, method: calls.append(method) or pieces(sol, radii, method))
+    code, _ = run_capture(capsys, ["almgren", "--spec", str(spec_path), "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == ["closed"]
+    monkeypatch.undo()
+    _, sol = cli._spec_solution(str(spec_path), cli.RunConfig())
+    want = almgren_mod.frequency_limit(sol)
+    summary = json.loads((tmp_path / "almgren_summary.json").read_text())
+    assert (summary["gamma"], summary["H_limit"], summary["fit_residual"]) == (
+        want.gamma, want.h_limit, want.fit_residual)
+
+
 def test_emit_csv_refuses_non_finite_values(capsys):
     with pytest.raises(DomainError, match="non-finite"):
         cli._emit_csv(cli.RunConfig(), "table", ["a", "b"], np.array([[1.0, math.inf]]))
