@@ -1,11 +1,13 @@
 """Command-line front end: spectra, profiles, syntheses and diagnostics.
 
 Subcommands: spectrum {cylinder,hemisphere}, profile, extend, synthesize,
-fit, almgren, check-inequalities, selftest.  JSON artifacts are one line with
-sorted keys and carry a top-level "schema": "almgren-lab/1" field; CSV files
-use a header row and 17 significant digits.  A JSON config file can prefill
-options; explicit flags win.  Exit codes: 0 success, 2 validation error, 3
-numerical-failure report.
+fit, almgren, check-inequalities, selftest.  Each takes --out, --config and
+only the options it reads.  JSON artifacts are one line with sorted keys and
+carry a top-level "schema": "almgren-lab/1" field; CSV files use a header row
+and 17 significant digits.  A JSON config file sets options of the
+subcommand's own (among s, N, R, resolution, seed, out); its values are
+parsed as the flags are, and explicit flags win.  Exit codes: 0 success, 2
+validation error, 3 numerical-failure report.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,60 +37,49 @@ _NUMERIC_FAILURES = (
 )
 
 
-@dataclass
-class RunConfig:
-    s: float = 1.5
-    N: int = 1
-    R: float = 1.0
-    resolution: int | None = None
-    seed: int = 0
-    out: str | None = None
-
-    def params(self) -> WeightParams:
-        return WeightParams(s=self.s, N=self.N, R=self.R)
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise InputError(f"--config must hold a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(vars(cfg)))
-        if unknown:
-            raise InputError(f"--config has unknown keys {unknown}; "
-                             f"known keys are {sorted(vars(cfg))}")
-        for key, value in data.items():
-            setattr(cfg, key, value)
-    for key in ("s", "N", "R", "resolution", "seed", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if not (1.0 < cfg.s < 2.0):
-        raise DomainError(f"--s must lie in (1, 2), got {cfg.s}")
-    if cfg.N < 1:
-        raise DomainError(f"--N must be >= 1, got {cfg.N}")
-    if cfg.R <= 0:
-        raise DomainError(f"--R must be positive, got {cfg.R}")
-    return cfg
+# The options a config file may set, keyed by name; each is the flag --name.
+_OPTIONS = {
+    "s": {"type": float, "default": 1.5, "help": "order s in (1, 2)"},
+    "N": {"type": int, "default": 1, "help": "spatial dimension"},
+    "R": {"type": float, "default": 1.0, "help": "reference radius"},
+    "resolution": {"type": int, "default": 16384, "help": "profile grid cells"},
+    "seed": {"type": _int_at_least(0), "default": 0, "help": "test-family seed"},
+    "out": {"help": "output directory"},
+}
 
 
-def _emit_json(cfg: RunConfig, name: str, payload: dict) -> None:
+def _add_options(p, *names, **spec) -> None:
+    """Add the table's options `names` to a parser or group; `spec` overrides keywords."""
+    for name in names:
+        p.add_argument(f"--{name}", **{**_OPTIONS[name], **spec})
+
+
+def _emit_json(args, name: str, payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
     try:   # compact, so json runs its C encoder (indent selects the Python one)
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as exc:   # NaN or Infinity: not valid JSON
         raise DomainError(f"{name} holds a non-finite value: {exc}") from exc
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, name + ".json")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, name + ".json")
         with open(path, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
 
-def _emit_csv(cfg: RunConfig, name: str, header: list[str], rows: np.ndarray) -> None:
+def _emit_csv(args, name: str, header: list[str], rows: np.ndarray) -> None:
     """Write float rows under a header: 17 significant digits, CRLF line ends as csv.writer."""
     rows = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(rows)):
@@ -98,9 +88,9 @@ def _emit_csv(cfg: RunConfig, name: str, header: list[str], rows: np.ndarray) ->
     csv.writer(head).writerow(header)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     text = head.getvalue() + "".join(line % row for row in map(tuple, rows.tolist()))
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, name + ".csv")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, name + ".csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
         print(f"wrote {path}")
@@ -114,8 +104,7 @@ def _params_dict(params: WeightParams) -> dict:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _merge_config(args)
-    params = cfg.params()
+    params = WeightParams(s=args.s, N=args.N, R=args.R)
     if args.which == "hemisphere":
         modes = hemisphere.hemisphere_modes(params, args.count, k_max=args.k_max)
         payload = {
@@ -126,25 +115,22 @@ def _cmd_spectrum(args) -> int:
                 for m in modes
             ],
         }
-        _emit_json(cfg, "hemisphere_spectrum", payload)
+        _emit_json(args, "hemisphere_spectrum", payload)
     else:
         modes = [{"n": mode.n, "m": mode.m, "mu_n": mode.mu_n, "bessel_zero": mode.zero_m,
                   "lambda": mode.eigenvalue}
                  for mode in cylinder.cylinder_spectrum(params, args.count)]
         payload = {"params": _params_dict(params), "modes": modes}
-        _emit_json(cfg, "cylinder_spectrum", payload)
+        _emit_json(args, "cylinder_spectrum", payload)
     return 0
 
 
 def _cmd_profile(args) -> int:
-    cfg = _merge_config(args)
-    if args.b is not None:
-        if not (-1.0 < args.b < 1.0):
-            raise DomainError(f"--b must lie in (-1, 1), got {args.b}")
-        cfg.s = (3.0 - args.b) / 2.0
-    params = cfg.params()
-    sol = profile.solve_profile(params.b, T_max=args.t_max,
-                                resolution=cfg.resolution or 16384)
+    if args.b is None and not 1.0 < args.s < 2.0:
+        raise DomainError(f"--s must lie in (1, 2), got {args.s}")
+    # --b round-trips through s as WeightParams.from_b does; solve_profile checks its range
+    s = args.s if args.b is None else (3.0 - args.b) / 2.0
+    sol = profile.solve_profile(3.0 - 2.0 * s, T_max=args.t_max, resolution=args.resolution)
     stride = max(1, sol.t.size // args.samples)
     payload = {
         "b": sol.b,
@@ -155,7 +141,7 @@ def _cmd_profile(args) -> int:
             for t, p in zip(sol.t[::stride], sol.phi[::stride])
         ],
     }
-    _emit_json(cfg, "profile", payload)
+    _emit_json(args, "profile", payload)
     return 0
 
 
@@ -204,9 +190,11 @@ def _read_field_csv(path: str):
 
 
 def _cmd_extend(args) -> int:
-    cfg = _merge_config(args)
-    params = cfg.params()
     grid, length, axes = _read_field_csv(args.input)
+    if args.N not in (None, len(axes)):
+        raise InputError(f"--N {args.N} does not match {args.input}, "
+                         f"which has {len(axes)} coordinate columns")
+    params = WeightParams(s=args.s, N=len(axes))
     t_levels = _number_list(args.t_levels, "--t-levels")
     levels = profile.build_extension(params, grid, t_levels, box_length=length)
     # one row per (level, grid point): coordinates, t, value, levels outermost
@@ -214,7 +202,7 @@ def _cmd_extend(args) -> int:
     rows = np.column_stack([np.tile(coords, (len(t_levels), 1)),
                             np.repeat(t_levels, grid.size), levels.ravel()])
     header = [f"x{d+1}" for d in range(len(axes))] + ["t", "value"]
-    _emit_csv(cfg, "extension", header, rows)
+    _emit_csv(args, "extension", header, rows)
     return 0
 
 
@@ -224,7 +212,7 @@ def _spec_number(value, what: str) -> float:
     return float(value)
 
 
-def _read_spec(path: str, cfg: RunConfig):
+def _read_spec(path: str, args):
     """Parameters and (l, c1, d1) terms of a JSON spec, checked before any eigensolve."""
     with open(path) as fh:
         spec = json.load(fh)
@@ -233,9 +221,9 @@ def _read_spec(path: str, cfg: RunConfig):
     p = spec.get("params", {})
     if not isinstance(p, dict):
         raise InputError("spec params must be a JSON object")
-    params = WeightParams(s=_spec_number(p.get("s", cfg.s), "params.s"),
-                          N=_spec_number(p.get("N", cfg.N), "params.N"),
-                          R=_spec_number(p.get("R", cfg.R), "params.R"))
+    params = WeightParams(s=_spec_number(p.get("s", args.s), "params.s"),
+                          N=_spec_number(p.get("N", args.N), "params.N"),
+                          R=_spec_number(p.get("R", args.R), "params.R"))
     entries = spec.get("terms")
     if not isinstance(entries, list) or not entries:
         raise InputError("spec needs a non-empty list of terms")
@@ -254,17 +242,16 @@ def _read_spec(path: str, cfg: RunConfig):
     return params, terms
 
 
-def _spec_solution(path: str, cfg: RunConfig):
+def _spec_solution(path: str, args):
     """The modes a checked spec indexes and the solution it synthesizes."""
-    params, terms = _read_spec(path, cfg)
+    params, terms = _read_spec(path, args)
     # a spec's "l" is a position in the list of closed-form modes
     modes = hemisphere.hemisphere_modes(params, max(t[0] for t in terms) + 1)
     return modes, synthesis.synthesize(params, terms, modes=modes)
 
 
 def _cmd_synthesize(args) -> int:
-    cfg = _merge_config(args)
-    _, sol = _spec_solution(args.spec, cfg)
+    _, sol = _spec_solution(args.spec, args)
     payload = {
         "params": _params_dict(sol.params),
         "terms": [
@@ -274,13 +261,12 @@ def _cmd_synthesize(args) -> int:
             for t in sol.terms
         ],
     }
-    _emit_json(cfg, "synthesis", payload)
+    _emit_json(args, "synthesis", payload)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    cfg = _merge_config(args)
-    params = cfg.params()
+    params = WeightParams(s=args.s, N=args.N)
     samples = _read_table(args.input)
     candidates = _number_list(args.sigma_candidates, "--sigma-candidates")
     fit = synthesis.fit_blowup(samples, candidates, params)
@@ -289,16 +275,15 @@ def _cmd_fit(args) -> int:
         "residual": fit.residual, "delta1": fit.delta1, "delta2": fit.delta2,
         "branch": fit.branch,
     }
-    _emit_json(cfg, "fit", payload)
+    _emit_json(args, "fit", payload)
     return 0
 
 
 def _cmd_almgren(args) -> int:
-    cfg = _merge_config(args)
-    modes, sol = _spec_solution(args.spec, cfg)
+    modes, sol = _spec_solution(args.spec, args)
     tr = almgren_mod.trace(sol)
     rows = np.column_stack([tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2])
-    _emit_csv(cfg, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
+    _emit_csv(args, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
     # gamma is matched against the sigma+ of every degree up to 3 n - 2
     # (N >= 2) or n - 1 (N = 1), n = max(4, modes the spec indexes), so a
     # limit that misses the spec's own degrees still finds its nearest rival
@@ -315,29 +300,26 @@ def _cmd_almgren(args) -> int:
         "H_limit": limit.h_limit,
         "fit_residual": limit.fit_residual,
     }
-    _emit_json(cfg, "almgren_summary", payload)
+    _emit_json(args, "almgren_summary", payload)
     return 0
 
 
 def _cmd_check_inequalities(args) -> int:
-    cfg = _merge_config(args)
-    params = cfg.params()
-    if args.count < 1:
-        raise InputError(f"--count must be at least 1, got {args.count}")
+    params = WeightParams(s=args.s, N=args.N, R=args.R)
     if args.which == "hardy":
         family = inequalities.TestFamily(params=params, kind="bumps",
-                                         count=args.count, seed=cfg.seed)
+                                         count=args.count, seed=args.seed)
         margins = [inequalities.check_hardy_trace(params, f, params.R)
                    for f in family.fields()]
     elif args.which == "rellich":
         family = inequalities.TestFamily(params=params, kind="bumps",
-                                         count=args.count, seed=cfg.seed,
+                                         count=args.count, seed=args.seed,
                                          mirrored=True, cutoff_radius=0.8 * params.R)
         margins = [inequalities.check_hardy_rellich(params, f, params.R)
                    for f in family.fields()]
     else:
         family = inequalities.TestFamily(params=params, kind="bumps",
-                                         count=args.count, seed=cfg.seed)
+                                         count=args.count, seed=args.seed)
         margins = [inequalities.estimate_sobolev_trace_constant(params, family, params.R)]
     payload = {
         "params": _params_dict(params),
@@ -345,12 +327,11 @@ def _cmd_check_inequalities(args) -> int:
         "margins": margins,
         "min_margin": min(margins),
     }
-    _emit_json(cfg, "inequalities", payload)
+    _emit_json(args, "inequalities", payload)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    cfg = _merge_config(args)
     checks = []
 
     def record(name, ok, detail=""):
@@ -375,11 +356,11 @@ def _cmd_selftest(args) -> int:
     sol = synthesis.synthesize(params35, [(mode, 1.0, 0.0)])
     freq = almgren_mod.frequency(sol, 0.5)
     record("pure-mode-frequency", abs(freq - mode.sigma_plus) < 1e-9, f"N(0.5) = {freq:.10f}")
-    fam = inequalities.TestFamily(params=params35, kind="bumps", count=5, seed=cfg.seed)
+    fam = inequalities.TestFamily(params=params35, kind="bumps", count=5, seed=args.seed)
     margins = [inequalities.check_hardy_trace(params35, f, 1.0) for f in fam.fields()]
     record("hardy-margins", min(margins) > -1e-12, f"min = {min(margins):.3e}")
     ok = all(c["ok"] for c in checks)
-    _emit_json(cfg, "selftest", {"checks": checks, "ok": ok})
+    _emit_json(args, "selftest", {"checks": checks, "ok": ok})
     return 0 if ok else 3
 
 
@@ -390,62 +371,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--s", type=float, default=None, help="order s in (1, 2)")
-        p.add_argument("--N", type=int, default=None, help="spatial dimension")
-        p.add_argument("--R", type=float, default=None, help="reference radius")
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
+    def command(name, func, summary, *options):
+        # no abbreviations: selftest --s 2 must not pass for --seed 2
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        _add_options(p, *options, "out")
+        p.add_argument("--config", help="JSON file of option values; explicit flags win")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="eigenvalue listings")
+    p = command("spectrum", _cmd_spectrum, "eigenvalue listings", "s", "N", "R")
     p.add_argument("which", choices=["cylinder", "hemisphere"])
     p.add_argument("--count", type=int, default=6)
     p.add_argument("--k-max", type=int, default=None,
                    help="list only the sectors k <= K_MAX (hemisphere)")
-    common(p)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("profile", help="extension profile and constant")
-    p.add_argument("--b", type=float, default=None,
-                   help="weight exponent b = 3 - 2s (alternative to --s)")
+    p = command("profile", _cmd_profile, "extension profile and constant", "resolution")
+    order = p.add_mutually_exclusive_group()
+    _add_options(order, "s")
+    order.add_argument("--b", type=float, default=None,
+                       help="weight exponent b = 3 - 2s (instead of --s)")
     p.add_argument("--t-max", type=float, default=24.0)
-    p.add_argument("--samples", type=int, default=64)
-    common(p)
-    p.set_defaults(func=_cmd_profile)
+    p.add_argument("--samples", type=_int_at_least(1), default=64)
 
-    p = sub.add_parser("extend", help="extend a torus sample from CSV")
+    p = command("extend", _cmd_extend, "extend a torus sample from CSV", "s")
+    _add_options(p, "N", default=None, help="spatial dimension: the CSV's coordinate columns")
     p.add_argument("--input", required=True)
     p.add_argument("--t-levels", default="0.0,0.5,1.0")
-    common(p)
-    p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("synthesize", help="build an exact separable solution")
-    p.add_argument("--spec", required=True, help="JSON file with params and terms")
-    common(p)
-    p.set_defaults(func=_cmd_synthesize)
+    for name, func, summary in (
+            ("synthesize", _cmd_synthesize, "build an exact separable solution"),
+            ("almgren", _cmd_almgren, "frequency trace and vanishing order")):
+        p = command(name, func, summary, "s", "N", "R")   # the spec's default params
+        p.add_argument("--spec", required=True, help="JSON file with params and terms")
 
-    p = sub.add_parser("fit", help="fit blow-up coefficients from CSV samples")
+    p = command("fit", _cmd_fit, "fit blow-up coefficients from CSV samples", "s", "N")
     p.add_argument("--input", required=True)
     p.add_argument("--sigma-candidates", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("almgren", help="frequency trace and vanishing order")
-    p.add_argument("--spec", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_almgren)
-
-    p = sub.add_parser("check-inequalities", help="verify weighted inequalities")
+    p = command("check-inequalities", _cmd_check_inequalities, "verify weighted inequalities",
+                "s", "N", "R", "seed")
     p.add_argument("--which", choices=["hardy", "rellich", "sobolev"], required=True)
-    p.add_argument("--count", type=int, default=20)
-    common(p)
-    p.set_defaults(func=_cmd_check_inequalities)
+    p.add_argument("--count", type=_int_at_least(1), default=20)
 
-    p = sub.add_parser("selftest", help="run the quick invariant suite")
-    common(p)
-    p.set_defaults(func=_cmd_selftest)
+    command("selftest", _cmd_selftest, "run the quick invariant suite", "seed")
     return parser
 
 
@@ -455,13 +423,35 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The flags of argv over the values of its --config file, all through the flags' types."""
+    args = _parser().parse_args(argv)
+    if not args.config:
+        return args
+    with open(args.config) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InputError(f"--config must hold a JSON object, got {type(data).__name__}")
+    known = sorted(set(_OPTIONS) & set(vars(args)))
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise InputError(f"--config has unknown keys {unknown}; "
+                         f"{args.command} reads the keys {known}")
+    for key, value in data.items():
+        if type(value) not in (str, int, float):
+            raise InputError(f"--config {key} must be a string or a number, got {value!r}")
+    if getattr(args, "b", None) is not None:   # an explicit --b outranks a config s
+        data.pop("s", None)
+    # the file's values as flags ahead of the explicit ones, which then win
+    return _parser().parse_args(argv[:1] + [f"--{k}={v}" for k, v in data.items()] + argv[1:])
+
+
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
+    except SystemExit as exc:   # argparse's exit: help, or a malformed option
+        return 2 if exc.code not in (0, None) else 0
     except _NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -248,7 +248,6 @@ class TestFamily:
     kind: str = "bumps"
     count: int = 20
     seed: int = 0
-    scale: float = 1.0
     mirrored: bool = False
     cutoff_radius: float | None = None
 
@@ -260,8 +259,8 @@ class TestFamily:
                 ncomp = int(rng.integers(1, 4))
                 comps = [
                     (rng.uniform(-1.0, 1.0),
-                     rng.uniform(0.15, 0.6) * self.scale,
-                     rng.uniform(0.12, 0.3) * self.scale)
+                     rng.uniform(0.15, 0.6),
+                     rng.uniform(0.12, 0.3))
                     for _ in range(ncomp)
                 ]
                 fld = GaussianBumps(comps, mirrored=self.mirrored)
@@ -270,7 +269,7 @@ class TestFamily:
                 fld = SeparableModeField(self.params, sigma, c1=rng.uniform(0.5, 2.0))
             elif self.kind == "poly":
                 inner = QuadraticField(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-                fld = CutoffField(inner, self.cutoff_radius or 0.8 * self.scale)
+                fld = CutoffField(inner, self.cutoff_radius or 0.8)
             else:
                 raise DomainError(f"unknown family kind {self.kind!r}")
             if self.cutoff_radius is not None and self.kind == "bumps":

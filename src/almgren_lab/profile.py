@@ -317,8 +317,8 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
 
     if not (-1.0 < b < 1.0):
         raise DomainError(f"weight exponent b must lie in (-1, 1), got {b}")
-    if T_max < 20.0:
-        raise DomainError("T_max must be at least 20")
+    if not (math.isfinite(T_max) and T_max >= 20.0):
+        raise DomainError(f"T_max must be finite and at least 20, got {T_max}")
     if resolution < 512:
         raise DomainError("resolution must be at least 512")
     if resolution > MAX_PROFILE_CELLS:

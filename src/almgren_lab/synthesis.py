@@ -261,6 +261,8 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     keep_v = np.abs(phit) >= 1e-13 * scale
     total = float(phi @ phi) + float(phit @ phit)
     sigmas = np.array(sorted(set(float(s) for s in sigma_candidates)))
+    if sigmas.size == 0 or not np.all(np.isfinite(sigmas)):
+        raise InputError(f"sigma candidates must be finite numbers, got {sigmas.tolist()}")
     K = np.array([k_constant(params, s * (s + params.N + params.b - 1.0)) for s in sigmas])
     lam_u, phi_u = lam[keep], phi[keep]
 

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -22,6 +24,11 @@ def run_capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _parsed(*argv):
+    """The options of a command line, parsed and not run."""
+    return cli.build_parser().parse_args(list(argv))
 
 
 def test_hemisphere_spectrum_command(capsys):
@@ -232,7 +239,7 @@ def test_determinism_given_seed(capsys):
 
 def test_config_file_merged_under_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"s": 1.25, "N": 3}))
+    cfg.write_text(json.dumps({"s": 1.25}))
     code, out = run_capture(capsys, ["profile", "--config", str(cfg), "--s", "1.5",
                                      "--resolution", "2048"])
     assert code == 0
@@ -442,7 +449,7 @@ def test_almgren_csv_matches_a_per_row_writer(tmp_path, capsys):
     spec_path.write_text(json.dumps(spec))
     code, _ = run_capture(capsys, ["almgren", "--spec", str(spec_path), "--out", str(tmp_path)])
     assert code == 0
-    _, sol = cli._spec_solution(str(spec_path), cli.RunConfig())
+    _, sol = cli._spec_solution(str(spec_path), _parsed("almgren", "--spec", str(spec_path)))
     tr = almgren_mod.trace(sol, almgren_mod.radius_schedule(sol.R))
     want = _reference_csv(["r", "D", "H", "N", "nu1", "nu2"],
                           zip(tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2))
@@ -465,7 +472,7 @@ def test_almgren_request_forms_the_pieces_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert calls == ["closed"]
     monkeypatch.undo()
-    _, sol = cli._spec_solution(str(spec_path), cli.RunConfig())
+    _, sol = cli._spec_solution(str(spec_path), _parsed("almgren", "--spec", str(spec_path)))
     want = almgren_mod.frequency_limit(sol)
     summary = json.loads((tmp_path / "almgren_summary.json").read_text())
     assert (summary["gamma"], summary["H_limit"], summary["fit_residual"]) == (
@@ -474,7 +481,7 @@ def test_almgren_request_forms_the_pieces_once(tmp_path, capsys, monkeypatch):
 
 def test_emit_csv_refuses_non_finite_values(capsys):
     with pytest.raises(DomainError, match="non-finite"):
-        cli._emit_csv(cli.RunConfig(), "table", ["a", "b"], np.array([[1.0, math.inf]]))
+        cli._emit_csv(_parsed("selftest"), "table", ["a", "b"], np.array([[1.0, math.inf]]))
     assert capsys.readouterr().out == ""
 
 
@@ -540,6 +547,7 @@ _MALFORMED_NUMBERS = {
     "fit ragged row": ("fit", "lambda,phi,phi_tilde\n0.3,1\n", "--sigma-candidates", "0,1", "u.csv"),
     "sigma-candidates non-numeric": ("fit", None, "--sigma-candidates", "0,x", "--sigma-candidates"),
     "sigma-candidates empty": ("fit", None, "--sigma-candidates", ",", "--sigma-candidates"),
+    "sigma-candidates nan": ("fit", None, "--sigma-candidates", "0,nan", "finite"),
 }
 
 
@@ -638,3 +646,164 @@ def test_non_finite_json_payload_exits_2_with_nothing_on_stdout(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "non-finite" in captured.err
     assert not (tmp_path / "profile.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# each subcommand takes the options it reads; --config is parsed like the flags
+
+
+_REQUIRED = {
+    "spectrum": ["spectrum", "hemisphere"],
+    "profile": ["profile"],
+    "extend": ["extend", "--input", "u.csv"],
+    "synthesize": ["synthesize", "--spec", "spec.json"],
+    "almgren": ["almgren", "--spec", "spec.json"],
+    "fit": ["fit", "--input", "u.csv", "--sigma-candidates", "0,1"],
+    "check-inequalities": ["check-inequalities", "--which", "hardy"],
+    "selftest": ["selftest"],
+}
+
+_READ_OPTIONS = {   # every option a subcommand reads, with a value as it prints
+    "spectrum": {"s": "1.25", "N": "3", "R": "0.5", "count": "4", "k_max": "2"},
+    "profile": {"s": "1.25", "resolution": "1024", "t_max": "30.0", "samples": "8"},
+    "extend": {"s": "1.25", "N": "1", "t_levels": "0,1"},
+    "synthesize": {"s": "1.25", "N": "3", "R": "0.5"},
+    "almgren": {"s": "1.25", "N": "3", "R": "0.5"},
+    "fit": {"s": "1.25", "N": "3"},
+    "check-inequalities": {"s": "1.25", "N": "3", "R": "0.5", "count": "4", "seed": "7"},
+    "selftest": {"seed": "7"},
+}
+
+_DROPPED_FLAGS = [
+    ("spectrum", "--resolution", "4096"), ("spectrum", "--seed", "1"),
+    ("profile", "--N", "7"), ("profile", "--R", "3.5"), ("profile", "--seed", "1"),
+    ("extend", "--R", "3.5"), ("extend", "--resolution", "4096"), ("extend", "--seed", "1"),
+    ("synthesize", "--resolution", "4096"), ("synthesize", "--seed", "1"),
+    ("almgren", "--resolution", "4096"), ("almgren", "--seed", "1"),
+    ("fit", "--R", "3.5"), ("fit", "--resolution", "4096"), ("fit", "--seed", "1"),
+    ("check-inequalities", "--resolution", "4096"),
+    ("selftest", "--s", "2"), ("selftest", "--N", "4"), ("selftest", "--R", "3.5"),
+    ("selftest", "--resolution", "4096"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(_READ_OPTIONS))
+def test_each_subcommand_parses_exactly_the_options_it_reads(command):
+    given = _READ_OPTIONS[command]
+    argv = list(_REQUIRED[command])
+    for dest, value in given.items():
+        argv += ["--" + dest.replace("_", "-"), value]
+    args = _parsed(*argv, "--out", "o", "--config", "c.json")
+    options = set(vars(args)) - {"command", "func", "which", "input", "spec",
+                                 "sigma_candidates", "out", "config"}
+    # profile's --b is the other spelling of --s
+    assert options == set(given) | ({"b"} if command == "profile" else set())
+    for dest, value in given.items():
+        assert str(getattr(args, dest)) == value
+
+
+@pytest.mark.parametrize("command,flag,value", _DROPPED_FLAGS)
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command, flag, value):
+    # selftest --s 2 would pass for --seed 2 if argparse took abbreviations
+    code = run(_REQUIRED[command] + [flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+_BAD_CONFIGS = [
+    ("s-string", {"s": "abc"}, ["spectrum", "hemisphere"]),
+    ("seed-string", {"seed": "x"}, ["check-inequalities", "--which", "hardy", "--count", "1"]),
+    ("seed-negative", {"seed": -1}, ["selftest"]),
+    ("N-bool", {"N": True}, ["spectrum", "hemisphere"]),
+    ("N-fraction", {"N": 2.5}, ["spectrum", "cylinder"]),
+    ("R-list", {"R": [0.5]}, ["spectrum", "cylinder"]),
+    ("out-null", {"out": None}, ["spectrum", "cylinder"]),
+    ("key-not-read", {"seed": 1}, ["profile", "--resolution", "512"]),
+]
+
+
+@pytest.mark.parametrize("case,data,argv", _BAD_CONFIGS, ids=[c[0] for c in _BAD_CONFIGS])
+def test_config_values_are_checked_as_the_flags_are(tmp_path, capsys, case, data, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code = run(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip()
+    if case == "key-not-read":
+        assert "['seed']" in captured.err and "['out', 'resolution', 's']" in captured.err
+
+
+def test_config_string_values_parse_as_the_flag_text(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": "1.25", "N": "2"}))
+    argv = ["spectrum", "hemisphere", "--count", "2"]
+    from_file = run_capture(capsys, argv + ["--config", str(cfg)])
+    assert from_file == run_capture(capsys, argv + ["--s", "1.25", "--N", "2"])
+    assert from_file[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--samples", "0"],
+    ["profile", "--samples", "-3"],
+    ["profile", "--t-max", "nan"],
+    ["profile", "--t-max", "inf"],
+    ["check-inequalities", "--which", "hardy", "--count", "1", "--seed", "-1"],
+    ["selftest", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_numeric_options_exit_2(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip()
+
+
+def test_extend_n_must_match_the_csv_and_defaults_to_it(tmp_path, capsys):
+    path = _torus_csv(tmp_path / "u.csv", 1, 16)
+    argv = ["extend", "--input", str(path), "--t-levels", "0,0.5", "--s", "1.42"]
+    code = run(argv + ["--N", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--N 3" in captured.err and "1 coordinate columns" in captured.err
+    code, implied = run_capture(capsys, argv)
+    assert code == 0
+    assert run_capture(capsys, argv + ["--N", "1"]) == (0, implied)
+    plane = _torus_csv(tmp_path / "v.csv", 2, 8)
+    argv = ["extend", "--input", str(plane), "--t-levels", "0,0.5", "--s", "1.42"]
+    assert run_capture(capsys, argv) == run_capture(capsys, argv + ["--N", "2"])
+
+
+def test_profile_s_and_b_are_exclusive_and_a_config_s_yields_to_b(tmp_path, capsys):
+    code = run(["profile", "--s", "1.2", "--b", "0.5", "--resolution", "512"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": 1.25}))
+    code, out = run_capture(capsys, ["profile", "--config", str(cfg), "--b", "0.5",
+                                     "--resolution", "512"])
+    assert code == 0
+    assert json.loads(out)["b"] == 0.5
+
+
+def _readme_command_lines():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    # every "almgren-lab ..." or "python -m almgren_lab ..." up to a comment or the line end
+    return [shlex.split(line) for line in re.findall(r"almgren[-_]lab ([^#\n]*)", block)]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv)     # a dropped flag ends in SystemExit

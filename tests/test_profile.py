@@ -68,8 +68,9 @@ def test_b0_closed_form(sol_b0):
 def test_preconditions():
     with pytest.raises(DomainError):
         solve_profile(1.5)
-    with pytest.raises(DomainError):
-        solve_profile(0.0, T_max=10.0)
+    for t_max in (10.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="T_max"):
+            solve_profile(0.0, T_max=t_max)
     with pytest.raises(DomainError):
         solve_profile(0.0, resolution=100)
     with pytest.raises(DomainError, match=str(MAX_PROFILE_CELLS)):
