@@ -11,7 +11,6 @@ from .core import (
     AlmgrenLabError,
     AngularGrid1D,
     ClassificationError,
-    DegenerateResonanceError,
     DomainError,
     InputError,
     RegimeError,
@@ -37,13 +36,11 @@ from .cylinder import (
     cylinder_mode,
     cylinder_spectrum,
     dirichlet_eigs,
-    poisson_solve,
 )
 from .hemisphere import (
     SpectralMode,
     hemisphere_eigs,
     hemisphere_modes,
-    k_constant,
     polynomial_mode,
     sigma_exponents,
 )
@@ -61,6 +58,7 @@ from .synthesis import (
     eval_solution,
     fit_blowup,
     fourier_coefficient,
+    k_constant,
     synthesize,
 )
 from .almgren import (

@@ -1,13 +1,15 @@
 """Frequency function machinery: D, H, N, derivative identities and limits.
 
-Every quantity is available through two independent paths.  The closed-form
-path exploits mode orthonormality: each term contributes explicit power laws
-whose radial integrals are evaluated analytically, and the bracket of nu1 is
-a Lagrange sum of squares, so nu1 >= 0 exactly.  The quadrature path reduces
-the horizontal sphere exactly (harmonic orthogonality is structural) and
-integrates on one tensor Gauss-Jacobi rule, `gauss_jacobi(n, N + b)` in
-rho / r times `AngularGrid1D.gauss(N, b, n)`, with n from `gauss_nodes` of
-the largest degree.  For integer exponents the radial integrands are
+Every quantity is available through two independent paths.  Both read the
+radial parts of the terms from `synthesis`: the solution's (sigma, c1, e, d1)
+table `SeparableSolution.coefs` and the power law `_radial_parts`.  The
+closed-form path exploits mode orthonormality: each term contributes explicit
+power laws whose radial integrals are evaluated analytically, and the bracket
+of nu1 is a Lagrange sum of squares, so nu1 >= 0 exactly.  The quadrature
+path reduces the horizontal sphere exactly (harmonic orthogonality is
+structural) and integrates on one tensor Gauss-Jacobi rule,
+`gauss_jacobi(n, N + b)` in rho / r times `AngularGrid1D.gauss(N, b, n)`,
+with n from `gauss_nodes` of the largest degree.  For integer exponents the radial integrands are
 polynomials the rule integrates exactly; the angular integral stays
 numerical over the sampled profiles, which keeps this path an independent
 check of the closed path's orthonormality algebra.  The angular pair
@@ -34,7 +36,7 @@ from .core import (
     WeightParams,
     gauss_jacobi,
 )
-from .synthesis import SeparableSolution, gauss_nodes
+from .synthesis import SeparableSolution, gauss_nodes, _radial_parts
 
 
 @dataclass(frozen=True)
@@ -49,20 +51,6 @@ class _TermPieces:
     s_grad: np.ndarray         # int_{S_r^+} t^b (|grad U|^2 + |grad V|^2)
     s_nu: np.ndarray           # int_{S_r^+} t^b (U_nu^2 + V_nu^2)
     s_uv: np.ndarray           # int_{S_r^+} t^b U V
-
-
-def _coefs(terms) -> np.ndarray:
-    """Rows (sigma, c1, e, d1), one column per term."""
-    return np.array([(t.sigma, t.c1, t.e, t.d1) for t in terms], dtype=float).reshape(-1, 4).T
-
-
-def _radial(coefs: np.ndarray, r):
-    """phi, phi', phi~, phi~' of the terms whose (sigma, c1, e, d1) rows broadcast against r."""
-    s, c1, e, d1 = coefs
-    rs = r ** s
-    ds = s * r ** (s - 1.0)
-    return (c1 * rs + e * r ** (s + 2.0), c1 * ds + e * (s + 2.0) * r ** (s + 1.0),
-            d1 * rs, d1 * ds)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +72,12 @@ def _bracket(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
     C2 = np.concatenate([e, np.zeros(np.count_nonzero(live))])
     i, j = np.triu_indices(S.size, 1)
     gap = S[j] - S[i]
-    K = np.stack([C0[i] * C0[j] * gap,
-                  C0[i] * C2[j] * (gap + 2.0) + C2[i] * C0[j] * (gap - 2.0),
-                  C2[i] * C2[j] * gap])
+    quad = np.stack([C0[i] * C0[j] * gap,
+                     C0[i] * C2[j] * (gap + 2.0) + C2[i] * C0[j] * (gap - 2.0),
+                     C2[i] * C2[j] * gap])
     r2 = r * r
     rs = r ** S[:, None]
-    det = (K.T @ np.stack([np.ones_like(r), r2, r2 * r2])) * (rs[i] * rs[j])
+    det = (quad.T @ np.stack([np.ones_like(r), r2, r2 * r2])) * (rs[i] * rs[j])
     return np.einsum("pn,pn->n", det, det) / r2
 
 
@@ -97,7 +85,7 @@ def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
     """Rows of `_TermPieces` summed over the terms, in one numpy pass over all of them."""
     p = sol.params
     beta = p.N + p.b
-    coefs = _coefs(sol.terms)
+    coefs = sol.coefs
     s, c1, e, d1 = coefs
     mu = np.array([t.mode.mu for t in sol.terms], dtype=float)
     # the ball integrals are sums of C[j, piece, term] r^q / q over the exponents
@@ -119,7 +107,7 @@ def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
     Q = np.where(active, Q, 1.0)[:, :, None]
     ball = np.einsum("jkt,jtn->kn", C, np.where(active[:, :, None], r ** Q / Q, 0.0))
     # the radial parts on the sphere S_r^+, one row per term
-    phi, dphi, phit, dphit = _radial(coefs[:, :, None], r)
+    phi, dphi, phit, dphit = _radial_parts(coefs[:, :, None], r)
     u2 = phi * phi + phit * phit
     du2 = (dphi * dphi + dphit * dphit).sum(axis=0)
     rb = r ** beta
@@ -181,7 +169,7 @@ class _QuadContext:
         same = keys[:, None] == keys[None, :]
         self.A = np.where(same, A, 0.0)
         self.E = np.where(same, E, 0.0)
-        self.coefs = _coefs(sol.terms)
+        self.coefs = sol.coefs
 
     def pieces(self, r: np.ndarray) -> np.ndarray:
         """Rows of `_TermPieces` at every radius of `r`, in one pass over all term pairs."""
@@ -192,7 +180,7 @@ class _QuadContext:
         wr_inv2 = wr / rho ** 2
         rb = r ** self.beta
         # radial parts on the nodes, shaped (radius, term, node)
-        phi, dphi, phit, dphit = _radial(self.coefs[:, None, :, None], rho[:, None, :])
+        phi, dphi, phit, dphit = _radial_parts(self.coefs[:, None, :, None], rho[:, None, :])
         ball = np.array([
             A * (_gram(dphi, dphi, wr) + _gram(dphit, dphit, wr))
             + E * (_gram(phi, phi, wr_inv2) + _gram(phit, phit, wr_inv2)),
@@ -200,7 +188,7 @@ class _QuadContext:
             A * _gram(phit, dphi, wr * rho),
         ]).sum(axis=(2, 3))
         # radial parts on the sphere S_r^+, shaped (term, radius)
-        phi, dphi, phit, dphit = _radial(self.coefs[:, :, None], r)
+        phi, dphi, phit, dphit = _radial_parts(self.coefs[:, :, None], r)
         du2 = _form(A, dphi, dphi) + _form(A, dphit, dphit)
         return np.vstack([
             ball,
@@ -216,13 +204,11 @@ def _pieces(sol: SeparableSolution, radii, method: str) -> _TermPieces:
     """The pieces at every radius of a schedule, in one call of either path.
 
     The one gate of every frequency operation: it raises for the first radius
-    outside (0, R] (R allowed to roundoff), for an unknown method, for pieces
-    that are not finite and for the first radius where H is not positive.
+    outside (0, R] (`SeparableSolution._check_radii`), for an unknown method,
+    for pieces that are not finite and for the first radius where H is not
+    positive.
     """
-    r = np.asarray(radii, dtype=float)
-    outside = ~((r > 0.0) & (r <= sol.R * (1 + 1e-12)))
-    if np.any(outside):
-        raise DomainError(f"radius {r[np.argmax(outside)]} outside (0, {sol.R}]")
+    r = sol._check_radii(radii)
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
@@ -263,12 +249,11 @@ def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
     """
     beta = sol.params.N + sol.params.b
     if method == "closed":
-        coefs = _coefs(sol.terms)
-        s, c1, _, d1 = coefs
+        s, c1, _, d1 = sol.coefs
         live = (c1 != 0.0) | (d1 != 0.0)
-        scaled = coefs.copy()
+        scaled = sol.coefs.copy()
         scaled[0] -= s[live].min() if live.any() else 0.0
-        phi, _, phit, _ = _radial(scaled[:, :, None], r)
+        phi, _, phit, _ = _radial_parts(scaled[:, :, None], r)
         u2 = (phi * phi + phit * phit).sum(axis=0)
         nu1 = 2.0 * r * _bracket(scaled, r) / u2 ** 2
     else:

@@ -1,8 +1,9 @@
 """Command-line front end: spectra, profiles, syntheses and diagnostics.
 
 Subcommands: spectrum {cylinder,hemisphere}, profile, extend, synthesize,
-fit, almgren, check-inequalities, selftest.  Each takes --out, --config and
-only the options it reads.  JSON artifacts are one line with sorted keys and
+fit, almgren, check-inequalities, selftest; each spectrum listing is a
+subcommand of its own.  Each takes --out, --config and only the options it
+reads.  JSON artifacts are one line with sorted keys and
 carry a top-level "schema": "almgren-lab/1" field; CSV files use a header row
 and 17 significant digits.  A JSON config file sets options of the
 subcommand's own (among s, N, R, resolution, seed, out); its values are
@@ -33,7 +34,6 @@ _NUMERIC_FAILURES = (
     core.ClassificationError,
     core.TraceProportionalityError,
     core.VanishingDenominatorError,
-    core.DegenerateResonanceError,
 )
 
 
@@ -103,25 +103,27 @@ def _params_dict(params: WeightParams) -> dict:
             "paper_regime": params.paper_regime}
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_hemisphere_spectrum(args) -> int:
+    params = WeightParams(s=args.s, N=args.N)
+    modes = hemisphere.hemisphere_modes(params, args.count, k_max=args.k_max)
+    payload = {
+        "params": _params_dict(params),
+        "modes": [
+            {"l": m.ell, "k": m.k, "mu": m.mu, "sigma_plus": m.sigma_plus,
+             "sigma_minus": m.sigma_minus, "multiplicity": m.multiplicity}
+            for m in modes
+        ],
+    }
+    _emit_json(args, "hemisphere_spectrum", payload)
+    return 0
+
+
+def _cmd_cylinder_spectrum(args) -> int:
     params = WeightParams(s=args.s, N=args.N, R=args.R)
-    if args.which == "hemisphere":
-        modes = hemisphere.hemisphere_modes(params, args.count, k_max=args.k_max)
-        payload = {
-            "params": _params_dict(params),
-            "modes": [
-                {"l": m.ell, "k": m.k, "mu": m.mu, "sigma_plus": m.sigma_plus,
-                 "sigma_minus": m.sigma_minus, "multiplicity": m.multiplicity}
-                for m in modes
-            ],
-        }
-        _emit_json(args, "hemisphere_spectrum", payload)
-    else:
-        modes = [{"n": mode.n, "m": mode.m, "mu_n": mode.mu_n, "bessel_zero": mode.zero_m,
-                  "lambda": mode.eigenvalue}
-                 for mode in cylinder.cylinder_spectrum(params, args.count)]
-        payload = {"params": _params_dict(params), "modes": modes}
-        _emit_json(args, "cylinder_spectrum", payload)
+    modes = [{"n": mode.n, "m": mode.m, "mu_n": mode.mu_n, "bessel_zero": mode.zero_m,
+              "lambda": mode.eigenvalue}
+             for mode in cylinder.cylinder_spectrum(params, args.count)]
+    _emit_json(args, "cylinder_spectrum", {"params": _params_dict(params), "modes": modes})
     return 0
 
 
@@ -371,19 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, *options):
+    def command(name, func, summary, *options, parent=sub):
         # no abbreviations: selftest --s 2 must not pass for --seed 2
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p = parent.add_parser(name, help=summary, allow_abbrev=False)
         _add_options(p, *options, "out")
         p.add_argument("--config", help="JSON file of option values; explicit flags win")
-        p.set_defaults(func=func)
+        # the whole path, e.g. "spectrum hemisphere": --config splices its flags in after it
+        p.set_defaults(func=func, command=p.prog.removeprefix(parser.prog + " "))
         return p
 
-    p = command("spectrum", _cmd_spectrum, "eigenvalue listings", "s", "N", "R")
-    p.add_argument("which", choices=["cylinder", "hemisphere"])
+    # each listing is a subcommand of its own, with the options it reads
+    listings = sub.add_parser("spectrum", help="eigenvalue listings", allow_abbrev=False
+                              ).add_subparsers(dest="which", required=True)
+    p = command("hemisphere", _cmd_hemisphere_spectrum, "closed-form half-sphere modes",
+                "s", "N", parent=listings)
     p.add_argument("--count", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=None,
-                   help="list only the sectors k <= K_MAX (hemisphere)")
+    p.add_argument("--k-max", type=int, default=None, help="list only the sectors k <= K_MAX")
+    p = command("cylinder", _cmd_cylinder_spectrum, "half-cylinder modes", "s", "N", "R",
+                parent=listings)
+    p.add_argument("--count", type=int, default=6)
 
     p = command("profile", _cmd_profile, "extension profile and constant", "resolution")
     order = p.add_mutually_exclusive_group()
@@ -428,6 +436,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     args = _parser().parse_args(argv)
     if not args.config:
         return args
+    words = len(args.command.split())
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -443,7 +452,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if getattr(args, "b", None) is not None:   # an explicit --b outranks a config s
         data.pop("s", None)
     # the file's values as flags ahead of the explicit ones, which then win
-    return _parser().parse_args(argv[:1] + [f"--{k}={v}" for k, v in data.items()] + argv[1:])
+    return _parser().parse_args(argv[:words] + [f"--{k}={v}" for k, v in data.items()]
+                                + argv[words:])
 
 
 def run(argv=None) -> int:

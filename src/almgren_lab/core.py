@@ -71,10 +71,6 @@ class SolverError(AlmgrenLabError):
     """A linear or eigen solve failed; message carries a condition estimate."""
 
 
-class DegenerateResonanceError(AlmgrenLabError):
-    """The resonance denominator K is numerically zero; refusing to divide."""
-
-
 class VanishingDenominatorError(AlmgrenLabError):
     """H(r) is not positive at the requested radius."""
 

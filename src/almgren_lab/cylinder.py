@@ -3,9 +3,8 @@
 Modes are products of Dirichlet eigenfunctions of the horizontal ball of
 radius 2R (closed forms for N = 1 and N = 2) with the regularized Bessel
 radial factor t^alpha J_{-alpha}(j_m t / (2R)); the eigenvalue splits as
-lambda_{n,m} = mu_n + j_m^2 / (2R)^2.  The eigen-expansion Poisson solver
-divides coefficients by lambda.  The horizontal center is fixed at the
-origin.  The Bessel kernels (`scipy.special`) and the root solves
+lambda_{n,m} = mu_n + j_m^2 / (2R)^2.  The horizontal center is fixed at
+the origin.  The Bessel kernels (`scipy.special`) and the root solves
 (`scipy.optimize`) are imported on first use, not with the module.
 """
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InputError, WeightParams
+from .core import DomainError, WeightParams
 from .special_functions import bessel_h, bessel_h_deriv, bessel_zero, _radial_norm_at_zero
 
 
@@ -195,30 +194,3 @@ def cylinder_spectrum(params: WeightParams, count: int) -> list[CylinderMode]:
     modes.sort(key=lambda mode: mode.eigenvalue)
     return modes[:count]
 
-
-def poisson_solve(params: WeightParams, coeffs: dict, truncation: int) -> dict:
-    """Eigen-expansion solve of the weighted Poisson problem on the cylinder.
-
-    Given expansion coefficients of the datum over modes (n, m), returns the
-    coefficients of the solution, c_{n,m} / lambda_{n,m}.
-    """
-    if not coeffs:
-        return {}
-    top = max(max(n, m) for (n, m) in coeffs)
-    if truncation < top:
-        raise DomainError(f"truncation {truncation} below largest index {top}")
-    spectrum = dirichlet_eigs(params.N, params.R, max(n for (n, _) in coeffs))
-    out = {}
-    for (n, m), c in coeffs.items():
-        if n < 1 or m < 1:
-            raise DomainError("coefficient indices must be >= 1")
-        if not np.isfinite(c):
-            raise InputError("non-finite coefficient")
-        j = bessel_zero(-params.alpha, m)
-        lam = spectrum.mu(n) + (j / (2.0 * params.R)) ** 2
-        if lam <= 0:
-            raise DomainError("nonpositive eigenvalue (cannot happen for this operator)")
-        value = c / lam
-        if abs(value) >= 1e-14:
-            out[(n, m)] = value
-    return out

@@ -27,7 +27,9 @@ both endpoints.  Each sampled profile is normalized on the Gauss-Jacobi rule
 angular integral that later checks it.
 
 The closed forms need numpy and `math` only; the cross-check imports
-`scipy.linalg` (and `scipy.interpolate` for its splines) on first use.
+`scipy.linalg` (and `scipy.interpolate` for its splines) on first use.  The
+resonance constant K of a separable term belongs to its radial model and is
+formed in `synthesis`, at the exponent itself.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 from .core import (
     DEFAULT_ANGULAR_NODES,
     AngularGrid1D,
-    DegenerateResonanceError,
     DomainError,
     InputError,
     ResolutionError,
@@ -67,26 +68,6 @@ def sigma_exponents(params: WeightParams, mu: float) -> tuple[float, float]:
     half = 0.5 * (params.N + params.b - 1.0)
     root = math.sqrt(half * half + mu)
     return -half + root, -half - root
-
-
-def k_constant(params: WeightParams, mode) -> float:
-    """Resonance denominator K = (s+2)(s+1) + (N+b)(s+2) - mu at s = sigma_plus.
-
-    Algebraically K = 2 (2 sigma_plus + N + b + 1), hence strictly positive for
-    mu >= 0; the guard below still refuses a silent division should a caller
-    feed degenerate data.
-    """
-    if isinstance(mode, SpectralMode):
-        sp, mu = mode.sigma_plus, mode.mu
-    else:
-        mu = float(mode)
-        sp, _ = sigma_exponents(params, mu)
-    K = (sp + 2.0) * (sp + 1.0) + (params.N + params.b) * (sp + 2.0) - mu
-    if abs(K) < 1e-9:
-        raise DegenerateResonanceError(
-            f"resonance constant K = {K} is numerically zero for mu = {mu}"
-        )
-    return K
 
 
 def harmonic_multiplicity(N: int, k: int) -> int:

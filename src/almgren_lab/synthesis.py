@@ -1,15 +1,24 @@
 """Exact separable solutions of the extended system and the blow-up fitter.
 
-A synthesized solution is a finite sum of terms built on hemisphere modes:
-for a mode with exponent s = sigma_plus and eigenvalue mu, the radial parts
+A synthesized solution is a finite sum of terms built on hemisphere modes.
+The extended problem is the pair D_b U = V, D_b V = 0, and a mode with
+exponent sigma = sigma_plus and eigenvalue mu solves it with the radial parts
 
-    phi(r)  = c1 r^s + (d1 / K) r^{s+2},      phi~(r) = d1 r^s,
+    phi(r)  = c1 r^sigma + e r^{sigma+2},      phi~(r) = d1 r^sigma,
 
-with K the resonance constant, produce a pair (U, V) satisfying D_b U = V and
-D_b V = 0 exactly.  The angular factor is the mode profile times the
-normalized representative harmonic of its sector, so modes are orthonormal on
-the weighted half sphere and all quadratic functionals decouple into blocks
-of equal wavenumber.
+e = d1 / K, where the resonance constant
+
+    K(sigma) = (sigma+2)(sigma+1) + (N+b)(sigma+2) - sigma (sigma+N+b-1)
+             = 2 (2 sigma + N + b + 1) >= 2
+
+is formed in its short form at the exponent itself.  This module is the one
+home of that model: `_radial_parts` evaluates it on a table of (sigma, c1, e,
+d1) rows, `SeparableSolution.coefs` is the table of a synthesis, and the
+Almgren machinery, the Fourier coefficients and the point evaluator read
+them; the blow-up fitter takes K at each candidate exponent.  The angular factor is the mode profile times
+the normalized representative harmonic of its sector, so modes are
+orthonormal on the weighted half sphere and all quadratic functionals
+decouple into blocks of equal wavenumber.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .core import (
     InputError,
     WeightParams,
 )
-from .hemisphere import SpectralMode, k_constant, sphere_harmonic_value
+from .hemisphere import SpectralMode, sigma_exponents, sphere_harmonic_value
 
 # Gauss nodes per axis beyond the largest degree.  Products of two modes of
 # degree <= sigma are trigonometric polynomials of degree <= 2 sigma in the
@@ -42,12 +51,30 @@ def gauss_nodes(sigma: float) -> int:
     return GAUSS_MARGIN + math.ceil(sigma)
 
 
+def _resonance(params: WeightParams, sigma):
+    """K = 2 (2 sigma + N + b + 1) at the exponent sigma (a number or an array)."""
+    return 2.0 * (2.0 * sigma + params.N + params.b + 1.0)
+
+
+def k_constant(params: WeightParams, mode) -> float:
+    """Resonance constant K at sigma_plus of a mode, or of an eigenvalue mu."""
+    if isinstance(mode, SpectralMode):
+        return _resonance(params, mode.sigma_plus)
+    return _resonance(params, sigma_exponents(params, float(mode))[0])
+
+
+def _radial_parts(coefs, r):
+    """phi, phi', phi~, phi~' of the rows (sigma, c1, e, d1), broadcast against r."""
+    s, c1, e, d1 = coefs
+    rs = r ** s
+    ds = s * r ** (s - 1.0)
+    return (c1 * rs + e * r ** (s + 2.0), c1 * ds + e * (s + 2.0) * r ** (s + 1.0),
+            d1 * rs, d1 * ds)
+
+
 @dataclass(frozen=True)
 class Term:
-    """One separable building block (mode, c1, d1) with its radial power laws.
-
-    sigma, K and e are computed on first use and kept with the term.
-    """
+    """One separable building block (mode, c1, d1); sigma, K and e are kept on first use."""
 
     mode: SpectralMode
     c1: float
@@ -59,37 +86,12 @@ class Term:
 
     @cached_property
     def K(self) -> float:
-        return k_constant(self.mode.params, self.mode)
+        return _resonance(self.mode.params, self.sigma)
 
     @cached_property
     def e(self) -> float:
         """Coefficient of the r^{sigma+2} correction in the U radial part."""
         return self.d1 / self.K if self.d1 != 0.0 else 0.0
-
-    def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.c1 * r ** self.sigma + self.e * r ** (self.sigma + 2.0)
-
-    def dphi(self, r):
-        r = np.asarray(r, dtype=float)
-        s = self.sigma
-        out = np.zeros_like(r)
-        if self.c1 != 0.0:
-            out = out + self.c1 * s * r ** (s - 1.0)
-        if self.e != 0.0:
-            out = out + self.e * (s + 2.0) * r ** (s + 1.0)
-        return out
-
-    def phi_tilde(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.d1 * r ** self.sigma
-
-    def dphi_tilde(self, r):
-        r = np.asarray(r, dtype=float)
-        s = self.sigma
-        if self.d1 == 0.0:
-            return np.zeros_like(r)
-        return self.d1 * s * r ** (s - 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,22 @@ class SeparableSolution:
     @property
     def is_zero(self) -> bool:
         return all(t.c1 == 0.0 and t.d1 == 0.0 for t in self.terms) or not self.terms
+
+    @cached_property
+    def coefs(self) -> np.ndarray:
+        """Read-only rows (sigma, c1, e, d1), one column per term."""
+        table = np.array([(t.sigma, t.c1, t.e, t.d1) for t in self.terms],
+                         dtype=float).reshape(-1, 4).T
+        table.flags.writeable = False
+        return table
+
+    def _check_radii(self, radii) -> np.ndarray:
+        """The radii as a float array; DomainError for the first outside (0, R] (R to roundoff)."""
+        r = np.asarray(radii, dtype=float)
+        outside = ~((r > 0.0) & (r <= self.R * (1 + 1e-12)))
+        if np.any(outside):
+            raise DomainError(f"radius {r.flat[np.argmax(outside)]} outside (0, {self.R}]")
+        return r
 
     def blocks(self) -> dict[int, list[Term]]:
         out: dict[int, list[Term]] = {}
@@ -141,9 +159,6 @@ def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False)
     sol = SeparableSolution(params=params, terms=terms, R=params.R)
     if sol.is_zero and not allow_zero:
         raise DomainError("all coefficients vanish; pass allow_zero=True for the zero solution")
-    for term in terms:
-        if term.d1 != 0.0:
-            term.K  # noqa: B018 - raises DegenerateResonanceError on a bad mode
     return sol
 
 
@@ -163,19 +178,19 @@ def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0
     radial and polar components only (the meridian at chi = 0 is a critical
     direction of the zonal factor).
     """
-    if not (0.0 < r <= sol.R * (1 + 1e-12)):
-        raise DomainError(f"radius {r} outside (0, {sol.R}]")
+    sol._check_radii(r)
     U = V = dUr = dVr = dUp = dVp = 0.0
-    for term in sol.terms:
+    radial = np.array(_radial_parts(sol.coefs, r)).T.tolist()
+    for term, (phi, dphi, phit, dphit) in zip(sol.terms, radial):
         omega = sphere_harmonic_value(sol.params.N, term.mode.k, chi)
         p = float(term.mode.profile(psi)) * omega
         dp = float(term.mode.profile.deriv(psi)) * omega
-        U += float(term.phi(r)) * p
-        V += float(term.phi_tilde(r)) * p
-        dUr += float(term.dphi(r)) * p
-        dVr += float(term.dphi_tilde(r)) * p
-        dUp += float(term.phi(r)) * dp
-        dVp += float(term.phi_tilde(r)) * dp
+        U += phi * p
+        V += phit * p
+        dUr += dphi * p
+        dVr += dphit * p
+        dUp += phi * dp
+        dVp += phit * dp
     return EvalResult(U=U, V=V, grad_U=(dUr, dUp / r), grad_V=(dVr, dVp / r))
 
 
@@ -196,10 +211,10 @@ def fourier_coefficient(
     radial weights change with lam.  An explicit `grid` evaluates the
     profiles on its nodes.
     """
-    if not (0.0 < lam <= sol.R * (1 + 1e-12)):
-        raise DomainError(f"radius {lam} outside (0, {sol.R}]")
+    sol._check_radii(lam)
     key = mode.block_key()
-    terms = [t for t in sol.terms if t.mode.block_key() == key]
+    block = [i for i, t in enumerate(sol.terms) if t.mode.block_key() == key]
+    terms = [sol.terms[i] for i in block]
     if not terms:
         return 0.0, 0.0
     if grid is None:
@@ -212,9 +227,8 @@ def fourier_coefficient(
         P = np.array([t.mode.profile(grid.nodes) for t in terms], dtype=float)
         p_mode = mode.profile(grid.nodes)
     # rows (phi(lam), phi~(lam)) of the radial weights, one column per term
-    s, c1, e, d1 = np.array([(t.sigma, t.c1, t.e, t.d1) for t in terms]).T
-    ls = lam ** s
-    f_u, f_v = (np.array([c1 * ls + e * lam ** (s + 2.0), d1 * ls]) @ P) * p_mode
+    phi, _, phit, _ = _radial_parts(sol.coefs[:, block], lam)
+    f_u, f_v = (np.array([phi, phit]) @ P) * p_mode
     return float(grid.integrate_bare(f_u)), float(grid.integrate_bare(f_v))
 
 
@@ -237,7 +251,8 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
 
     `samples` is an iterable of (lambda, phi, phi~) rows covering at least six
     radii spanning a decade.  For each candidate sigma the model is linear in
-    (c1, d1/K); the candidate with minimal relative residual wins.  When
+    (c1, d1/K), with K that of sigma itself; the candidate with minimal
+    relative residual wins.  When
     phi~ vanishes on every sample, a fit of phi by lam^sigma alone (d1 = 0)
     is preferred whenever one meets `residual_tol`.  If every
     candidate leaves a relative residual above `residual_tol` a
@@ -263,7 +278,6 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     sigmas = np.array(sorted(set(float(s) for s in sigma_candidates)))
     if sigmas.size == 0 or not np.all(np.isfinite(sigmas)):
         raise InputError(f"sigma candidates must be finite numbers, got {sigmas.tolist()}")
-    K = np.array([k_constant(params, s * (s + params.N + params.b - 1.0)) for s in sigmas])
     lam_u, phi_u = lam[keep], phi[keep]
 
     def one_column(a, y):
@@ -286,7 +300,7 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     if np.any(keep_v):
         d1, ss_v = one_column(lam[keep_v] ** sigmas[:, None], phit[keep_v])
     else:
-        d1, ss_v = coef[:, 1] * K, 0.0
+        d1, ss_v = coef[:, 1] * _resonance(params, sigmas), 0.0
     rel = np.sqrt((np.sum(res_u * res_u, axis=1) + ss_v) / total)
     i = int(np.argmin(rel))
     best = (float(rel[i]), float(sigmas[i]), float(coef[i, 0]), float(coef[i, 1]), float(d1[i]))

@@ -410,6 +410,13 @@ _GRAM_SYNTHESES = {
 }
 
 
+def _power_law(term, r):
+    """phi, phi', phi~, phi~' of a term, written out: c1 r^s + e r^{s+2} and d1 r^s."""
+    s, c1, e, d1 = term.sigma, term.c1, term.e, term.d1
+    return (c1 * r ** s + e * r ** (s + 2), c1 * s * r ** (s - 1) + e * (s + 2) * r ** (s + 1),
+            d1 * r ** s, d1 * s * r ** (s - 1))
+
+
 def test_gram_quadrature_pieces_match_pair_sums():
     from almgren_lab.almgren import _QuadContext
 
@@ -445,22 +452,24 @@ def test_gram_quadrature_pieces_match_pair_sums():
                         A[i, j] = np.sum(w * pi(nodes) * pj(nodes))
                         E[i, j] = np.sum(w * pi.deriv(nodes) * pj.deriv(nodes))
                         E[i, j] += k * (k + N - 2) * np.sum(w * pi(nodes) * pj(nodes) / np.sin(nodes) ** 2)
-                for i, ti in enumerate(terms):
-                    for j, tj in enumerate(terms):
-                        want[0] += A[i, j] * np.sum(wr * (ti.dphi(rho) * tj.dphi(rho)
-                                                          + ti.dphi_tilde(rho) * tj.dphi_tilde(rho)))
-                        want[0] += E[i, j] * np.sum(wr * (ti.phi(rho) * tj.phi(rho)
-                                                          + ti.phi_tilde(rho) * tj.phi_tilde(rho)) / rho ** 2)
-                        want[1] += A[i, j] * np.sum(wr * ti.phi(rho) * tj.phi_tilde(rho))
-                        want[2] += A[i, j] * np.sum(wr * rho * ti.phi_tilde(rho) * tj.dphi(rho))
-                        f, df = ti.phi(r) * tj.phi(r), ti.dphi(r) * tj.dphi(r)
-                        g, dg = ti.phi_tilde(r) * tj.phi_tilde(r), ti.dphi_tilde(r) * tj.dphi_tilde(r)
+                # (phi, phi', phi~, phi~') of each term on the nodes and on the sphere
+                on_nodes = [_power_law(t, rho) for t in terms]
+                on_sphere = [_power_law(t, r) for t in terms]
+                for i in range(m):
+                    for j in range(m):
+                        (u, du, v, dv), (uj, duj, vj, dvj) = on_nodes[i], on_nodes[j]
+                        want[0] += A[i, j] * np.sum(wr * (du * duj + dv * dvj))
+                        want[0] += E[i, j] * np.sum(wr * (u * uj + v * vj) / rho ** 2)
+                        want[1] += A[i, j] * np.sum(wr * u * vj)
+                        want[2] += A[i, j] * np.sum(wr * rho * v * duj)
+                        (u, du, v, dv), (uj, duj, vj, dvj) = on_sphere[i], on_sphere[j]
+                        f, df = u * uj, du * duj
+                        g, dg = v * vj, dv * dvj
                         want[3] += r ** beta * A[i, j] * (f + g)
-                        want[4] += r ** beta * A[i, j] * (ti.phi(r) * tj.dphi(r)
-                                                          + ti.phi_tilde(r) * tj.dphi_tilde(r))
+                        want[4] += r ** beta * A[i, j] * (u * duj + v * dvj)
                         want[5] += r ** beta * (A[i, j] * (df + dg) + E[i, j] * (f + g) / r ** 2)
                         want[6] += r ** beta * A[i, j] * (df + dg)
-                        want[7] += r ** beta * A[i, j] * ti.phi(r) * tj.phi_tilde(r)
+                        want[7] += r ** beta * A[i, j] * u * vj
             np.testing.assert_allclose(got[:, col], want, rtol=1e-12)
 
 
@@ -650,12 +659,13 @@ def test_degree_40_mode_on_the_default_rules():
     t = sol.terms[0]
     for lam in (0.6, 0.2, 0.05):
         f, ft = fourier_coefficient(sol, mode, lam)
-        assert f == pytest.approx(float(t.phi(lam)), rel=1e-10)
-        assert ft == pytest.approx(float(t.phi_tilde(lam)), rel=1e-10)
+        phi, _, phit, _ = _power_law(t, lam)
+        assert f == pytest.approx(phi, rel=1e-10)
+        assert ft == pytest.approx(phit, rel=1e-10)
     # a fixed 32-node angular rule does not resolve this degree: the
     # coefficient comes out 18% low
     f, _ = fourier_coefficient(sol, mode, 0.5, grid=AngularGrid1D.gauss(1, p.b, 32))
-    assert f / float(t.phi(0.5)) < 0.9
+    assert f / _power_law(t, 0.5)[0] < 0.9
 
 
 # coefficients are 0 or at least 1e-3, so that H stays in range at r = 0.01
@@ -690,3 +700,19 @@ def test_quadrature_matches_closed_on_random_exact_syntheses(N, data):
     assert np.all(np.abs(quad.H - closed.H) <= 1e-11 * closed.H)
     assert np.all(np.abs(quad.D - closed.D) <= 1e-11 * closed.H * scale)
     assert np.all(np.abs(quad.N - closed.N) <= 1e-11 * scale)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(N=st.integers(min_value=1, max_value=6), data=st.data())
+def test_monotone_quantity_on_random_exact_syntheses(N, data):
+    # (N(r) + r^2/(N+b-1))' = nu1 + nu2 + 2r/(N+b-1) >= 0 on the closed path, for
+    # N + b > 1 (s < 3/2 at N = 1, every s at N >= 2), with d1 = 0 or not
+    top = 1.5 if N == 1 else 1.999
+    s = data.draw(st.floats(min_value=1.0, max_value=top, exclude_min=True, exclude_max=True),
+                  label="s")
+    p, spec = _exact_synthesis(data.draw, N, s)
+    assume(any(c1 != 0.0 or d1 != 0.0 for _, c1, d1 in spec))
+    tr = trace(synthesize(p, spec), np.geomspace(0.9, 0.01, 25))
+    slope = tr.nu1 + tr.nu2 + 2.0 * tr.r / (p.N + p.b - 1.0)
+    assert np.all(slope >= -1e-12 * (1.0 + np.abs(tr.nu1) + np.abs(tr.nu2))), slope.min()
+

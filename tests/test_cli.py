@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -653,7 +654,8 @@ def test_non_finite_json_payload_exits_2_with_nothing_on_stdout(tmp_path, capsys
 
 
 _REQUIRED = {
-    "spectrum": ["spectrum", "hemisphere"],
+    "spectrum hemisphere": ["spectrum", "hemisphere"],
+    "spectrum cylinder": ["spectrum", "cylinder"],
     "profile": ["profile"],
     "extend": ["extend", "--input", "u.csv"],
     "synthesize": ["synthesize", "--spec", "spec.json"],
@@ -664,7 +666,8 @@ _REQUIRED = {
 }
 
 _READ_OPTIONS = {   # every option a subcommand reads, with a value as it prints
-    "spectrum": {"s": "1.25", "N": "3", "R": "0.5", "count": "4", "k_max": "2"},
+    "spectrum hemisphere": {"s": "1.25", "N": "3", "count": "4", "k_max": "2"},
+    "spectrum cylinder": {"s": "1.25", "N": "3", "R": "0.5", "count": "4"},
     "profile": {"s": "1.25", "resolution": "1024", "t_max": "30.0", "samples": "8"},
     "extend": {"s": "1.25", "N": "1", "t_levels": "0,1"},
     "synthesize": {"s": "1.25", "N": "3", "R": "0.5"},
@@ -675,7 +678,8 @@ _READ_OPTIONS = {   # every option a subcommand reads, with a value as it prints
 }
 
 _DROPPED_FLAGS = [
-    ("spectrum", "--resolution", "4096"), ("spectrum", "--seed", "1"),
+    ("spectrum hemisphere", "--resolution", "4096"), ("spectrum hemisphere", "--seed", "1"),
+    ("spectrum hemisphere", "--R", "3.5"), ("spectrum cylinder", "--k-max", "2"),
     ("profile", "--N", "7"), ("profile", "--R", "3.5"), ("profile", "--seed", "1"),
     ("extend", "--R", "3.5"), ("extend", "--resolution", "4096"), ("extend", "--seed", "1"),
     ("synthesize", "--resolution", "4096"), ("synthesize", "--seed", "1"),
@@ -721,6 +725,7 @@ _BAD_CONFIGS = [
     ("R-list", {"R": [0.5]}, ["spectrum", "cylinder"]),
     ("out-null", {"out": None}, ["spectrum", "cylinder"]),
     ("key-not-read", {"seed": 1}, ["profile", "--resolution", "512"]),
+    ("R-not-read-by-hemisphere", {"R": 2.0}, ["spectrum", "hemisphere"]),
 ]
 
 
@@ -735,6 +740,8 @@ def test_config_values_are_checked_as_the_flags_are(tmp_path, capsys, case, data
     assert captured.err.strip()
     if case == "key-not-read":
         assert "['seed']" in captured.err and "['out', 'resolution', 's']" in captured.err
+    if case == "R-not-read-by-hemisphere":
+        assert "spectrum hemisphere reads the keys ['N', 'out', 's']" in captured.err
 
 
 def test_config_string_values_parse_as_the_flag_text(tmp_path, capsys):
@@ -807,3 +814,37 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for argv in lines:
         parser.parse_args(argv)     # a dropped flag ends in SystemExit
+
+
+def _parser_options(parser, words):
+    """The --flags the parser gives the subcommand `words`, less --help, --out and --config."""
+    for word in words:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    flags = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+    return flags - {"--help", "--out", "--config"}
+
+
+def _leaf_commands(parser, words=()):
+    """Every runnable subcommand of the parser, as its words."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [words]
+    return [leaf for name, p in subs[0].choices.items()
+            for leaf in _leaf_commands(p, (*words, name))]
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    parser = cli.build_parser()
+    seen = []
+    # rows "| `name`, `name` | options |": every --flag named in the options cell
+    for names, options in re.findall(r"^\| (`[^|]+`) \| ([^|]+) \|$", text, re.M):
+        for name in re.findall(r"`([^`]+)`", names):
+            words = tuple(name.split())
+            named = set(re.findall(r"--[A-Za-z][A-Za-z-]*", options))
+            assert named == _parser_options(parser, words), name
+            seen.append(words)
+    assert sorted(seen) == sorted(_leaf_commands(parser))

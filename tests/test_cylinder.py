@@ -10,7 +10,6 @@ from almgren_lab import (
     cylinder_mode,
     cylinder_spectrum,
     dirichlet_eigs,
-    poisson_solve,
 )
 from almgren_lab.core import gauss_jacobi
 
@@ -192,25 +191,6 @@ def test_eigen_residual_weak_form(params):
         rhs = lam * float(xw @ (mode(X, T) * phi(X, T)) @ tw)
         phi_norm = math.sqrt(float(xw @ (phi(X, T) ** 2) @ tw))
         assert abs(lhs - rhs) <= 2e-5 * lam * max(phi_norm, 1e-6)
-
-
-def test_poisson_single_mode_inversion(params):
-    mode = cylinder_mode(params, 1, 1)
-    out = poisson_solve(params, {(1, 1): 1.0}, truncation=2)
-    assert out[(1, 1)] == pytest.approx(1.0 / mode.eigenvalue, rel=1e-13)
-
-
-def test_poisson_linearity(params):
-    out = poisson_solve(params, {(1, 1): 2.0, (2, 1): 3.0}, truncation=3)
-    l11 = cylinder_mode(params, 1, 1).eigenvalue
-    l21 = cylinder_mode(params, 2, 1).eigenvalue
-    assert out[(1, 1)] == pytest.approx(2.0 / l11, rel=1e-13)
-    assert out[(2, 1)] == pytest.approx(3.0 / l21, rel=1e-13)
-
-
-def test_poisson_truncation_guard(params):
-    with pytest.raises(DomainError):
-        poisson_solve(params, {(3, 1): 1.0}, truncation=2)
 
 
 def test_poisson_coefficient_decay_on_bump(params):

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from almgren_lab import (
     AngularGrid1D,
-    DegenerateResonanceError,
     DomainError,
     InputError,
     ResolutionError,
@@ -129,25 +128,11 @@ def test_k_constant_identity(params_n3, modes_n3):
 
 
 def test_k_constant_never_degenerate_in_range(params_n1, params_n3, params_n4):
-    # K = 2(2 sigma_plus + N + b + 1) >= 2(N + b + 1) > 0 for every mu >= 0,
-    # so the degenerate-resonance guard cannot fire on admissible data
+    # K = 2(2 sigma_plus + N + b + 1) >= 2(N + b + 1) > 0 for every mu >= 0
     for p in (params_n1, params_n3, params_n4):
         floor = 2.0 * (p.N + p.b + 1.0)
         for mu in np.linspace(0.0, 200.0, 101):
             assert k_constant(p, float(mu)) >= floor - 1e-9
-
-
-def test_k_constant_guard_fires_on_degenerate_value(params_n3, monkeypatch):
-    # the guard itself stays testable by forcing a resonant exponent pair
-    from almgren_lab import hemisphere as hs
-
-    beta = params_n3.N + params_n3.b
-    mu = 1.0
-    # root of (s+2)(s+1+beta) = mu, which zeroes K for that mu
-    bad_sigma = -0.5 * (beta + 3.0) + math.sqrt(0.25 * (beta - 1.0) ** 2 + mu)
-    monkeypatch.setattr(hs, "sigma_exponents", lambda p, m: (bad_sigma, 0.0))
-    with pytest.raises(DegenerateResonanceError):
-        hs.k_constant(params_n3, mu)
 
 
 def test_richardson_convergence_order(params_n3):

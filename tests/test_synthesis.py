@@ -58,7 +58,8 @@ def test_mixed_mode_satisfies_system_weakly(p3):
     mode = polynomial_mode(p3, 2)  # k = 0, axisymmetric
     sol = synthesize(p3, [(mode, 0.8, 1.7)])
     rng = np.random.default_rng(11)
-    term = sol.terms[0]
+    # the radial parts written out: phi = c1 r^s + e r^{s+2}, phi~ = d1 r^s
+    s, c1, e, d1 = (getattr(sol.terms[0], name) for name in ("sigma", "c1", "e", "d1"))
     for _ in range(10):
         # supported away from both r = 0 and the outer sphere r = 1
         c_r = rng.uniform(0.4, 0.55)
@@ -78,8 +79,8 @@ def test_mixed_mode_satisfies_system_weakly(p3):
         def integrand_grad(rho, a):
             p_v = mode.profile(a)
             dp_v = mode.profile.deriv(a)
-            du_r = term.dphi(rho) * p_v
-            du_a = term.phi(rho) * dp_v
+            du_r = (c1 * s * rho ** (s - 1) + e * (s + 2) * rho ** (s + 1)) * p_v
+            du_a = (c1 * rho ** s + e * rho ** (s + 2)) * dp_v
             # polar-form test bumps have 1/rho^2 angular-gradient products;
             # the origin node carries negligible mass, mask it
             safe = np.where(rho > 0, rho, 1.0)
@@ -87,7 +88,7 @@ def test_mixed_mode_satisfies_system_weakly(p3):
             return np.where(rho > 0, out, 0.0)
 
         def integrand_mass(rho, a):
-            return term.phi_tilde(rho) * mode.profile(a) * bump(rho, a)
+            return d1 * rho ** s * mode.profile(a) * bump(rho, a)
 
         lhs = integrate_halfball(integrand_grad, p3, 1.0,
                                  n_radial=512, n_angular=1024)
@@ -202,6 +203,36 @@ def test_fit_recovers_synthetic_coefficients(p3):
     assert fit.residual <= 1e-8
     assert fit.branch == "sigma_plus" and fit.delta1 == pytest.approx(1.0)
 
+
+
+def test_fit_reads_K_at_the_candidate_itself():
+    # N + b = 0.5 < 1: the exponent 0 is the smaller root of sigma (sigma - 0.5) = 0,
+    # so K must be taken at sigma = 0 (K = 3), not at the larger root 0.5 (K = 5)
+    p = WeightParams(s=1.75, N=1)
+    lam = np.geomspace(0.3, 0.02, 8)
+    fit = fit_blowup(np.column_stack([lam, 0.8 + 0.3 * lam ** 2, np.zeros_like(lam)]), [0.0], p)
+    assert fit.sigma_used == 0.0 and fit.branch == "sigma_plus"
+    assert fit.c1_hat == pytest.approx(0.8, rel=1e-12)
+    assert fit.d1_hat == pytest.approx(0.3 * 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("s", [1.01, 1.25, 1.5, 1.75, 1.99])
+def test_k_constant_against_40_digits(N, s):
+    # the long form (sigma+2)(sigma+1) + (N+b)(sigma+2) - mu at sigma_plus, in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    p = WeightParams(s=s, N=N)
+    with mpmath.workdps(40):
+        b = 3 - 2 * mpmath.mpf(s)
+        half = (N + b - 1) / 2
+        for sigma in range(60):
+            mu = sigma * (sigma + N + b - 1)
+            sp = -half + mpmath.sqrt(half * half + mu)
+            want = (sp + 2) * (sp + 1) + (N + b) * (sp + 2) - mu
+            mode = polynomial_mode(p, sigma)
+            term = synthesize(p, [(mode, 0.0, 1.0)]).terms[0]
+            for got in (k_constant(p, mode), k_constant(p, mode.mu), term.K):
+                assert abs(got - want) <= 1e-15 * want, (sigma, got, float(want))
 
 
 def test_fit_zero_phi_tilde_reads_d1_zero():
