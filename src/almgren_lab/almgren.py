@@ -161,7 +161,7 @@ class _QuadContext:
         samples = [t.mode.profile._on_gauss(p.N, p.b, n) for t in sol.terms]
         P = np.array([s[0] for s in samples]).reshape(-1, nodes.size)
         dP = np.array([s[1] for s in samples]).reshape(P.shape)
-        keys = np.array([t.mode.block_key() for t in sol.terms], dtype=int)
+        keys = np.array([t.mode.k for t in sol.terms], dtype=int)
         A = _gram(P, P, w)
         E = _gram(dP, dP, w)
         if p.N >= 2 and np.any(keys):   # Gauss nodes avoid the pole, where sin(psi) = 0

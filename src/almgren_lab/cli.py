@@ -291,8 +291,8 @@ def _cmd_almgren(args) -> int:
     # limit that misses the spec's own degrees still finds its nearest rival
     need = max(4, len(modes))
     top = need - 1 if sol.params.N == 1 else 3 * need - 2
-    candidates = sorted({hemisphere.sigma_exponents(
-        sol.params, hemisphere.exact_mu(sol.params, sigma))[0] for sigma in range(top + 1)})
+    candidates = sorted({hemisphere._exact_sigma_plus(sol.params, sigma)
+                         for sigma in range(top + 1)})
     limit = almgren_mod.frequency_limit(sol, candidates=candidates, frequency_trace=tr)
     payload = {
         "params": _params_dict(sol.params),

@@ -22,9 +22,11 @@ solved as a symmetric tridiagonal eigenproblem (bisection + inverse
 iteration); cell masses integrate the degenerate factor in closed form, so
 the weight is never evaluated at the equator.  For N = 1 the problem lives on
 the full arc (0, pi) with weight sin^b and weighted-Neumann conditions at
-both endpoints.  Each sampled profile is normalized on the Gauss-Jacobi rule
-`AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the rule family of every
-angular integral that later checks it.
+both endpoints.  The sector spectra are those of the closed form, so
+eigenpair j of sector k is named (sigma, k) = (k + 2j, k) before any
+eigenvalue is compared.  Each sampled profile is normalized on the
+Gauss-Jacobi rule `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the
+rule family of every angular integral that later checks it.
 
 The closed forms need numpy and `math` only; the cross-check imports
 `scipy.linalg` (and `scipy.interpolate` for its splines) on first use.  The
@@ -34,6 +36,7 @@ formed in `synthesis`, at the exponent itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,7 +55,6 @@ from .core import (
     unit_sphere_area,
 )
 
-MERGE_RTOL = 1e-8
 # Longest closed-form mode list (and so the largest spec position + 1): the
 # profiles stay orthonormal to ~1e-12 at this degree.
 MAX_MODES = 512
@@ -104,38 +106,24 @@ def sphere_harmonic_value(N: int, k: int, chi=0.0):
 
 
 class AngularProfile:
-    """Angular eigenfunction profile on the polar interval, exact or sampled.
+    """Angular eigenfunction profile on the polar interval: P and P' as callables.
 
-    An exact profile evaluates its closed form `exact` and `exact_deriv`; a
-    sampled one (the finite-volume cross-check) interpolates `values` at
-    `psi` with a cubic spline.  The samples on a Gauss rule are kept once
-    made (`_on_gauss`), so repeated angular integrals cost no evaluation.
+    A closed-form mode passes its Jacobi form and derivative; a finite-volume
+    mode passes its normalized cubic spline.  The samples on a Gauss rule
+    are kept once made (`_on_gauss`), so repeated angular integrals cost no
+    evaluation.
     """
 
-    def __init__(self, psi=None, values=None, *, exact=None, exact_deriv=None,
-                 solver_q=None, solver_masses=None):
-        self.exact = exact
-        self.exact_deriv = exact_deriv
-        self.solver_q = solver_q
-        self.solver_masses = solver_masses
+    def __init__(self, value, deriv):
+        self._value = value
+        self._deriv = deriv
         self._gauss_samples: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        if exact is None:
-            from scipy.interpolate import CubicSpline   # FV cross-check only
-
-            self.psi = np.asarray(psi, dtype=float)
-            self.values = np.asarray(values, dtype=float)
-            self._spline = CubicSpline(self.psi, self.values)
-            self._dspline = self._spline.derivative()
 
     def __call__(self, psi):
-        if self.exact is not None:
-            return self.exact(np.asarray(psi, dtype=float))
-        return self._spline(np.asarray(psi, dtype=float))
+        return self._value(np.asarray(psi, dtype=float))
 
     def deriv(self, psi):
-        if self.exact_deriv is not None:
-            return self.exact_deriv(np.asarray(psi, dtype=float))
-        return self._dspline(np.asarray(psi, dtype=float))
+        return self._deriv(np.asarray(psi, dtype=float))
 
     def _on_gauss(self, N: int, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(P, P') on the nodes of `AngularGrid1D.gauss(N, b, n)`, sampled once (read-only)."""
@@ -149,29 +137,19 @@ class AngularProfile:
             self._gauss_samples[key] = cached
         return cached
 
-    def rescaled(self, factor: float) -> "AngularProfile":
-        """The profile times `factor`, exact or sampled, with no samples kept yet."""
-        if self.exact is not None:
-            return AngularProfile(exact=lambda psi: factor * self.exact(psi),
-                                  exact_deriv=lambda psi: factor * self.exact_deriv(psi))
-        return AngularProfile(
-            self.psi, self.values * factor,
-            solver_q=None if self.solver_q is None else self.solver_q * factor,
-            solver_masses=self.solver_masses,
-        )
-
 
 @dataclass(frozen=True)
 class SpectralMode:
-    """One hemisphere eigenpair: eigenvalue, exponents and angular profile.
+    """One hemisphere eigenpair: degree, sector, eigenvalue, exponent and profile.
 
-    `ell` indexes the distinct eigenvalue: it is sigma for the closed-form
-    modes of `polynomial_mode`, and the position among the distinct merged
-    eigenvalues for the finite-volume modes of `hemisphere_eigs`.
-    `multiplicity` is the total M_ell of that eigenvalue (harmonic dimensions
-    summed over its sectors).  The profile is normalized so that the full
-    eigenfunction P(psi) * Omega(w) has unit theta^b-weighted L^2 norm on
-    S^N_+, with Omega the normalized representative harmonic of the sector.
+    Closed-form and finite-volume modes alike: `ell` is the degree sigma and
+    `k` the azimuthal sector (sigma = k + 2j; k = 0 for N = 1), and
+    `multiplicity` is the full M_sigma of the degree, over all its sectors.
+    `sigma_plus` is exact for a closed-form mode and the larger root for the
+    computed mu of a finite-volume one; `sigma_minus` is the other root,
+    1 - N - b - sigma_plus.  The profile is normalized so that
+    P(psi) * Omega(w) has unit theta^b-weighted L^2 norm on S^N_+, with Omega
+    the normalized representative harmonic of the sector.
     """
 
     params: WeightParams
@@ -180,21 +158,15 @@ class SpectralMode:
     mu: float
     multiplicity: int
     profile: AngularProfile
-
-    @property
-    def sigma_plus(self) -> float:
-        return sigma_exponents(self.params, self.mu)[0]
+    sigma_plus: float
 
     @property
     def sigma_minus(self) -> float:
-        return sigma_exponents(self.params, self.mu)[1]
+        return 1.0 - self.params.N - self.params.b - self.sigma_plus
 
     def equator_value(self) -> float:
         psi_eq = math.pi / 2.0 if self.params.N >= 2 else 0.0
         return float(self.profile(psi_eq))
-
-    def block_key(self) -> int:
-        return 0 if self.params.N == 1 else self.k
 
 
 def _cell_masses(p: float, lo: np.ndarray, hi: np.ndarray, smooth) -> np.ndarray:
@@ -288,13 +260,16 @@ def hemisphere_eigs(
     resolution: int = 512,
     refinements: int = 1,
 ) -> list[SpectralMode]:
-    """Lowest eigenmodes by finite volumes, merged and ordered: the cross-check.
+    """Lowest eigenmodes by finite volumes, named (sigma, k): the cross-check.
 
     Per-sector solves run at `resolution` times 2^j for j = 0..refinements and
-    the eigenvalues are Richardson extrapolated; profiles come from the finest
-    grid, normalized on `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`.
-    Eigenvalues agreeing to relative 1e-8 are merged into a single distinct
-    eigenvalue index ell with summed multiplicity.
+    the eigenvalues are Richardson extrapolated.  Eigenpair j of sector k is
+    the mode of degree sigma = k + 2j (sigma = j for N = 1), so each mode
+    carries ell = sigma and the full multiplicity M_sigma, and the list is in
+    (sigma, k) order as in `hemisphere_modes`, whatever the roundoff in mu.
+    Each profile is the cubic spline of the finest grid's samples, normalized
+    on `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)` and positive at the
+    equator.
     """
     if resolution < 64:
         raise ResolutionError(
@@ -307,50 +282,44 @@ def hemisphere_eigs(
             f"resolution {resolution} too low for {per_k} eigenvalues per sector; "
             f"try resolution >= {8 * per_k}"
         )
-    grid = AngularGrid1D.gauss(params.N, params.b, DEFAULT_ANGULAR_NODES)
-    sectors = [0] if params.N == 1 else list(range(k_max + 1))
-    resolutions = [resolution * 2 ** j for j in range(refinements + 1)]
+    N = params.N
+    grid = AngularGrid1D.gauss(N, params.b, DEFAULT_ANGULAR_NODES)
+    psi_eq = math.pi / 2.0 if N >= 2 else 0.0
+    from scipy.interpolate import CubicSpline   # FV cross-check only
 
-    entries = []
-    for k in sectors:
-        levels = [_sector_eigs(params, k, n, per_k) for n in resolutions]
-        mus = _richardson([lv[0] for lv in levels])
-        _, qvecs, masses, centers = levels[-1]
-        sin_k = np.sin(centers) ** k if params.N >= 2 else 1.0
-        for j, mu in enumerate(mus):
-            q = qvecs[:, j]
-            p_vals = sin_k * q
-            prof = AngularProfile(centers, p_vals, solver_q=q, solver_masses=masses)
-            # normalize on the Gauss-Jacobi rule and orient at the equator
-            norm2 = grid.integrate_bare(prof(grid.nodes) ** 2)
-            psi_eq = math.pi / 2.0 if params.N >= 2 else 0.0
-            sign = 1.0 if prof(psi_eq) >= 0 else -1.0
-            prof = prof.rescaled(sign / math.sqrt(norm2))
-            entries.append((0.0 if abs(mu) < 1e-9 else float(mu), k, prof))
-    entries.sort(key=lambda e: e[0])
-
-    # merge numerically coincident eigenvalues into distinct indices
-    groups: list[list[int]] = []
-    for idx, (mu, _, _) in enumerate(entries):
-        if groups and abs(mu - entries[groups[-1][0]][0]) <= MERGE_RTOL * max(1.0, abs(mu)):
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
     modes = []
-    for ell, group in enumerate(groups):
-        mult = sum(harmonic_multiplicity(params.N, entries[i][1]) for i in group)
-        for i in group:
-            mu, k, prof = entries[i]
-            modes.append(SpectralMode(params=params, ell=ell, k=k, mu=mu,
-                                      multiplicity=mult, profile=prof))
-    return modes
-
-
+    for k in [0] if N == 1 else range(k_max + 1):
+        levels = [_sector_eigs(params, k, resolution * 2 ** j, per_k)
+                  for j in range(refinements + 1)]
+        mus = _richardson([lv[0] for lv in levels])
+        _, qvecs, _, centers = levels[-1]
+        sin_k = np.sin(centers) ** k if N >= 2 else 1.0
+        for j, mu in enumerate(mus):
+            sigma = j if N == 1 else k + 2 * j
+            # the constants span the discrete kernel: the solver's mu for them
+            # is roundoff, which grows like n^2 (1e-8 at n = 8192)
+            mu = 0.0 if sigma == 0 else float(mu)
+            spline = CubicSpline(centers, sin_k * qvecs[:, j])
+            # normalize on the Gauss-Jacobi rule and orient at the equator; a
+            # piecewise polynomial scales with its coefficients
+            sign = 1.0 if spline(psi_eq) >= 0 else -1.0
+            spline.c *= sign / math.sqrt(grid.integrate_bare(spline(grid.nodes) ** 2))
+            modes.append(SpectralMode(
+                params=params, ell=sigma, k=k, mu=mu,
+                multiplicity=sigma_multiplicity(N, sigma),
+                profile=AngularProfile(spline, functools.partial(spline, nu=1)),
+                sigma_plus=sigma_exponents(params, mu)[0]))
+    return sorted(modes, key=lambda m: (m.ell, m.k))
 
 
 def exact_mu(params: WeightParams, sigma: int) -> float:
     """Eigenvalue mu_sigma = sigma (sigma + N + b - 1) of the degree-sigma modes."""
     return 0.0 if sigma == 0 else sigma * (sigma + params.N + params.b - 1.0)
+
+
+def _exact_sigma_plus(params: WeightParams, sigma: int) -> float:
+    """sigma_plus of the degree-sigma modes without a square root: max(sigma, 1 - N - b - sigma)."""
+    return max(float(sigma), 1.0 - params.N - params.b - sigma)
 
 
 def sigma_multiplicity(N: int, sigma: int) -> int:
@@ -456,7 +425,8 @@ def polynomial_mode(params: WeightParams, sigma: int, k: int | None = None) -> S
 
     return SpectralMode(params=params, ell=sigma, k=k_eff, mu=exact_mu(params, sigma),
                         multiplicity=sigma_multiplicity(N, sigma),
-                        profile=AngularProfile(exact=fn, exact_deriv=dfn))
+                        profile=AngularProfile(fn, dfn),
+                        sigma_plus=_exact_sigma_plus(params, sigma))
 
 
 def hemisphere_modes(params: WeightParams, count: int, k_max: int | None = None) -> list[SpectralMode]:

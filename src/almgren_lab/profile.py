@@ -124,11 +124,7 @@ def _limit_at_zero(ts: np.ndarray, zs: np.ndarray, alpha: float) -> float:
 
     At b = 0 (2 alpha = 1) the basis is plain quadratic extrapolation.
     """
-    expo = 2.0 * alpha
-    if abs(expo - 1.0) < 1e-13:
-        A = np.vander(ts, 3, increasing=True)
-    else:
-        A = np.column_stack([np.ones(3), ts ** expo, ts ** 2])
+    A = np.column_stack([np.ones(3), ts ** (2.0 * alpha), ts ** 2])
     return float(np.linalg.solve(A, zs)[0])
 
 

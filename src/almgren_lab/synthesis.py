@@ -122,19 +122,15 @@ class SeparableSolution:
             raise DomainError(f"radius {r.flat[np.argmax(outside)]} outside (0, {self.R}]")
         return r
 
-    def blocks(self) -> dict[int, list[Term]]:
-        out: dict[int, list[Term]] = {}
-        for term in self.terms:
-            out.setdefault(term.mode.block_key(), []).append(term)
-        return out
-
 
 def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False) -> SeparableSolution:
     """Build an exact solution pair from (mode, c1, d1) triples.
 
     Entries may reference modes directly or by integer position into `modes`
-    (as produced by `hemisphere_modes` or `hemisphere_eigs`).  Duplicate modes are merged by adding
-    coefficients.  The all-zero synthesis is rejected unless `allow_zero`.
+    (as produced by `hemisphere_modes` or `hemisphere_eigs`).  Entries naming
+    the same mode, (degree ell, sector k, eigenvalue mu), are merged by adding
+    coefficients, so a finite-volume mode and the closed form of its (ell, k)
+    stay two terms.  The all-zero synthesis is rejected unless `allow_zero`.
     """
     resolved: dict[tuple, Term] = {}
     for entry in spec:
@@ -149,7 +145,7 @@ def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False)
             raise InputError("mode parameters do not match the synthesis parameters")
         if not (np.isfinite(c1) and np.isfinite(d1)):
             raise InputError("non-finite coefficient")
-        key = (mode.block_key(), round(float(mode.mu), 12))
+        key = (mode.ell, mode.k, mode.mu)
         if key in resolved:
             prev = resolved[key]
             resolved[key] = Term(mode=prev.mode, c1=prev.c1 + float(c1), d1=prev.d1 + float(d1))
@@ -194,38 +190,27 @@ def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0
     return EvalResult(U=U, V=V, grad_U=(dUr, dUp / r), grad_V=(dVr, dVp / r))
 
 
-def fourier_coefficient(
-    sol: SeparableSolution,
-    mode: SpectralMode,
-    lam: float,
-    grid: AngularGrid1D | None = None,
-) -> tuple[float, float]:
+def fourier_coefficient(sol: SeparableSolution, mode: SpectralMode,
+                        lam: float) -> tuple[float, float]:
     """Weighted angular coefficients (phi, phi~) of (U, V) against a mode at radius lam.
 
     Blocks with a wavenumber different from the mode's integrate to zero
     exactly by horizontal-harmonic orthogonality; the polar integral is
-    numerical quadrature, by default on the Gauss-Jacobi grid of
-    `gauss_nodes` of the largest degree among the mode and the block's terms.
-    On that grid the profiles come from their kept Gauss samples, so the
-    blow-up samples of one synthesis evaluate each profile once; only the
-    radial weights change with lam.  An explicit `grid` evaluates the
-    profiles on its nodes.
+    numerical quadrature on the Gauss-Jacobi grid of `gauss_nodes` of the
+    largest degree among the mode and the block's terms.  The profiles come
+    from their kept Gauss samples, so the blow-up samples of one synthesis
+    evaluate each profile once; only the radial weights change with lam.
     """
     sol._check_radii(lam)
-    key = mode.block_key()
-    block = [i for i, t in enumerate(sol.terms) if t.mode.block_key() == key]
+    block = [i for i, t in enumerate(sol.terms) if t.mode.k == mode.k]
     terms = [sol.terms[i] for i in block]
     if not terms:
         return 0.0, 0.0
-    if grid is None:
-        N, b = sol.params.N, sol.params.b
-        n = gauss_nodes(max(mode.sigma_plus, *(t.sigma for t in terms)))
-        grid = AngularGrid1D.gauss(N, b, n)
-        P = np.array([t.mode.profile._on_gauss(N, b, n)[0] for t in terms])
-        p_mode = mode.profile._on_gauss(N, b, n)[0]
-    else:
-        P = np.array([t.mode.profile(grid.nodes) for t in terms], dtype=float)
-        p_mode = mode.profile(grid.nodes)
+    N, b = sol.params.N, sol.params.b
+    n = gauss_nodes(max(mode.sigma_plus, *(t.sigma for t in terms)))
+    grid = AngularGrid1D.gauss(N, b, n)
+    P = np.array([t.mode.profile._on_gauss(N, b, n)[0] for t in terms])
+    p_mode = mode.profile._on_gauss(N, b, n)[0]
     # rows (phi(lam), phi~(lam)) of the radial weights, one column per term
     phi, _, phit, _ = _radial_parts(sol.coefs[:, block], lam)
     f_u, f_v = (np.array([phi, phit]) @ P) * p_mode

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from almgren_lab import (
-    AngularGrid1D,
     ClassificationError,
     DomainError,
     InputError,
@@ -12,6 +11,7 @@ from almgren_lab import (
     eval_solution,
     fit_blowup,
     fourier_coefficient,
+    hemisphere_eigs,
     k_constant,
     polynomial_mode,
     synthesize,
@@ -119,6 +119,16 @@ def test_duplicate_modes_merge(p3):
     assert len(sol.terms) == 1
     assert sol.terms[0].c1 == pytest.approx(1.5)
     assert sol.terms[0].d1 == pytest.approx(0.25)
+    # a mode is named (degree, sector): the two sectors of degree 2 stay apart
+    sol = synthesize(p3, [(polynomial_mode(p3, 2, k), 1.0, 0.0) for k in (0, 2)])
+    assert [(t.mode.ell, t.mode.k) for t in sol.terms] == [(2, 0), (2, 2)]
+    # so does a finite-volume mode and the closed form of its (degree, sector):
+    # their difference is two terms, not a vanishing one
+    fv = hemisphere_eigs(p3, k_max=0, per_k=2, resolution=128, refinements=0)[1]
+    exact = polynomial_mode(p3, 2, 0)
+    assert (fv.ell, fv.k) == (exact.ell, exact.k)
+    sol = synthesize(p3, [(fv, 1.0, 0.0), (exact, -1.0, 0.0)])
+    assert [(t.mode, t.c1) for t in sol.terms] == [(fv, 1.0), (exact, -1.0)]
 
 
 def test_eval_domain_guard(p3):
@@ -152,9 +162,8 @@ def test_fourier_roundtrip_single_mode(p3):
     c1, d1 = 0.9, -1.2
     sol = synthesize(p3, [(mode, c1, d1)])
     K = k_constant(p3, mode)
-    grid = AngularGrid1D.gauss(p3.N, p3.b, 64)
     for lam in (0.1, 0.45, 0.9):
-        f, ft = fourier_coefficient(sol, mode, lam, grid=grid)
+        f, ft = fourier_coefficient(sol, mode, lam)
         want = c1 * lam ** 1.0 + d1 / K * lam ** 3.0
         assert f == pytest.approx(want, rel=1e-8)
         assert ft == pytest.approx(d1 * lam, rel=1e-8)
@@ -170,8 +179,7 @@ def test_fourier_orthogonality(p3):
     f, ft = fourier_coefficient(sol, m0, 0.5)
     assert f == 0.0 and ft == 0.0
     sol2 = synthesize(p3, [(m0, 1.0, 0.5)])
-    f, ft = fourier_coefficient(sol2, m2, 0.5,
-                                grid=AngularGrid1D.gauss(p3.N, p3.b, 64))
+    f, ft = fourier_coefficient(sol2, m2, 0.5)
     assert abs(f) < 1e-7 and abs(ft) < 1e-7
 
 
@@ -180,11 +188,10 @@ def test_parseval_reconstructs_H(p3):
 
     m0, m1 = polynomial_mode(p3, 0), polynomial_mode(p3, 1)
     sol = synthesize(p3, [(m0, 0.6, 0.8), (m1, -0.4, 0.3)])
-    grid = AngularGrid1D.gauss(p3.N, p3.b, 64)
     for lam in (0.2, 0.6):
         total = 0.0
         for mode in (m0, m1):
-            f, ft = fourier_coefficient(sol, mode, lam, grid=grid)
+            f, ft = fourier_coefficient(sol, mode, lam)
             total += f * f + ft * ft
         _, H = compute_DH(sol, lam)
         assert total == pytest.approx(H, rel=1e-8)
