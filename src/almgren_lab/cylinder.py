@@ -4,8 +4,8 @@ Modes are products of Dirichlet eigenfunctions of the horizontal ball of
 radius 2R (closed forms for N = 1 and N = 2) with the regularized Bessel
 radial factor t^alpha J_{-alpha}(j_m t / (2R)); the eigenvalue splits as
 lambda_{n,m} = mu_n + j_m^2 / (2R)^2.  The horizontal center is fixed at
-the origin.  The Bessel kernels (`scipy.special`) and the root solves
-(`scipy.optimize`) are imported on first use, not with the module.
+the origin.  The Bessel kernels (`scipy.special`) are imported on first use,
+not with the module; the zeros j_m come from one `_bessel_zeros` call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, WeightParams
-from .special_functions import bessel_h, bessel_h_deriv, bessel_zero, _radial_norm_at_zero
+from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_zeros,
+                                _radial_norm_at_zero)
 
 
 @dataclass(frozen=True)
@@ -184,11 +185,11 @@ def _mode(params: WeightParams, spectrum: DirichletSpectrum, n: int, m: int,
 def cylinder_spectrum(params: WeightParams, count: int) -> list[CylinderMode]:
     """The `count` lowest modes (n, m), ordered by eigenvalue, ties by (n, m).
 
-    lambda grows in both n and m, so they all have n, m <= count; each zero
-    j_m, m <= count, is solved once: count root solves in all.
+    lambda grows in both n and m, so they all have n, m <= count; the zeros
+    j_m, m <= count, are solved together in one `_bessel_zeros` call.
     """
     spectrum = dirichlet_eigs(params.N, params.R, count)
-    zeros = [bessel_zero(-params.alpha, m) for m in range(1, count + 1)]
+    zeros = _bessel_zeros(-params.alpha, np.arange(1, count + 1)).tolist()
     modes = [_mode(params, spectrum, n, m, zeros[m - 1])
              for n in range(1, count + 1) for m in range(1, count + 1)]
     modes.sort(key=lambda mode: mode.eigenvalue)

@@ -516,21 +516,21 @@ def test_almgren_degree_40_spec_prints_finite_nu1(tmp_path, capsys):
 
 @pytest.mark.parametrize("N", [1, 2])
 def test_cylinder_spectrum_solves_each_zero_once(capsys, monkeypatch, N):
-    import scipy.optimize
+    from almgren_lab import cylinder
 
     solves = []
-    brentq = scipy.optimize.brentq
+    kernel = cylinder._bessel_zeros
 
-    def counting(*args, **kwargs):
-        solves.append(args[1:3])
-        return brentq(*args, **kwargs)
+    def counting(nu, m):
+        solves.append(list(m))
+        return kernel(nu, m)
 
-    monkeypatch.setattr(scipy.optimize, "brentq", counting)
+    monkeypatch.setattr(cylinder, "_bessel_zeros", counting)
     code, out = run_capture(capsys, ["spectrum", "cylinder", "--s", "1.37", "--N", str(N),
                                      "--R", "0.7", "--count", "6"])
     assert code == 0
     assert len(json.loads(out)["modes"]) == 6
-    assert len(solves) == 6
+    assert solves == [[1, 2, 3, 4, 5, 6]]
 
 
 _MALFORMED_NUMBERS = {
@@ -617,6 +617,31 @@ def test_import_and_closed_form_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines == [f"{what} | []" for what, _ in steps]
+
+
+def test_cylinder_and_extend_commands_load_only_scipy_special(tmp_path):
+    # the Bessel zeros are solved on scipy.special alone, and extend's K_s
+    # needs nothing more; scipy.version and private modules are not counted
+    samples = _torus_csv(tmp_path / "u.csv", 1, 16)
+    src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
+    steps = [("spectrum cylinder --N 1", ["spectrum", "cylinder", "--N", "1", "--count", "6"]),
+             ("spectrum cylinder --N 2", ["spectrum", "cylinder", "--N", "2", "--count", "6"]),
+             ("extend", ["extend", "--input", str(samples), "--t-levels", "0,0.5"])]
+    code = (f"import sys; sys.path.insert(0, {src_dir!r})\n"
+            "import contextlib, io\n"
+            "import almgren_lab.cli as cli\n"
+            f"for what, argv in {steps!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, what\n"
+            "    print(what, '|', sorted({m.split('.')[1] for m in sys.modules\n"
+            "                             if m.startswith('scipy.')\n"
+            "                             and not m.split('.')[1].startswith('_')}\n"
+            "                            - {'version'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines == [f"{what} | ['special']" for what, _ in steps]
 
 
 def test_json_artifact_is_compact_and_the_file_holds_the_printed_payload(tmp_path, capsys):

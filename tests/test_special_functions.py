@@ -121,6 +121,32 @@ def test_zero_interlacing_and_asymptotics(nu):
     assert max(drift) < math.pi  # j_{nu,m} ~ pi m: bounded drift for m <= 50
 
 
+_ORACLE_INDICES = [1, 2, 3, 4, 5, 6, 10, 50, 200]
+
+
+@pytest.mark.parametrize("nu", np.linspace(-0.999, 0.999, 21).tolist())
+def test_zeros_against_40_digit_oracle(nu):
+    mpmath = pytest.importorskip("mpmath")
+    from almgren_lab.special_functions import _bessel_zeros
+
+    zeros = _bessel_zeros(nu, _ORACLE_INDICES)
+    assert np.all(np.diff(zeros) > 0)
+    with mpmath.workdps(40):
+        order = mpmath.mpf(nu)
+        for m, z in zip(_ORACLE_INDICES, zeros):
+            assert bessel_zero(nu, m) == z      # the scalar call is the kernel's entry
+            if nu >= 0:
+                want = mpmath.besseljzero(order, m)
+            else:
+                # j_{nu,m} lies between the zeros m-1 and m of J_{nu+1} (interlacing);
+                # the root of t^{-nu} J_nu(t) there is found on that bracket alone
+                lo = mpmath.besseljzero(order + 1, m - 1) if m > 1 else mpmath.mpf("1e-30")
+                want = mpmath.findroot(lambda t: t ** -order * mpmath.besselj(order, t),
+                                       (lo, mpmath.besseljzero(order + 1, m)),
+                                       solver="anderson")
+            assert abs(mpmath.mpf(float(z)) - want) <= 5e-15 * want, (m, z, want)
+
+
 def test_radial_norm_gamma_closed_case():
     # b = 0 (alpha = 1/2), R = 1/2, m = 1: the defining integral is 2/pi^2,
     # giving gamma_1 = pi/sqrt(2); cross-checked by direct quadrature below.
