@@ -341,7 +341,10 @@ def nu_decomposition(sol: SeparableSolution, r: float,
     return float(nu1[0]), float(nu2[0])
 
 
-def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3) -> float:
+H_STEP_REL = 3e-3   # step of check_H_derivative's five-point stencil, relative to r
+
+
+def check_H_derivative(target, method: str = "closed") -> float:
     """Max relative residual of H'(r) = 2 D(r) / r.
 
     For a solution the derivative is formed by a local five-point central
@@ -365,7 +368,7 @@ def check_H_derivative(target, method: str = "closed", delta_rel: float = 3e-3) 
     if sol.is_zero:
         return 0.0
     r = np.geomspace(sol.R / 2, sol.R / 16, 20)
-    d = delta_rel * r
+    d = H_STEP_REL * r
     stencil = r[:, None] + np.arange(-2, 3)[None, :] * d[:, None]
     p = sol.params
     D, H = _DH(_pieces(sol, stencil.ravel(), method), stencil.ravel(), p.N + p.b)

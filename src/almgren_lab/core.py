@@ -12,20 +12,19 @@ Geometry conventions used throughout the package:
 
 Every quadrature in the package runs on one family of rules, `gauss_jacobi`
 (the finite-volume cross-checks integrate with their own cell masses): the
-singular or degenerate power of the integration variable is the Jacobi
-weight, so the factor is never evaluated at 0 and smooth integrands
-converge spectrally.  `split_gauss_jacobi` puts that weight on a short head
-panel only and covers the rest with Gauss-Legendre; both panels are
-`gauss_jacobi` rules, so it is the same family, and a new exponent costs a
-small head rather than a full rule.
+degenerate power of the integration variable is the Jacobi weight, so it is
+never evaluated at 0 and smooth integrands converge spectrally.
+`split_gauss_jacobi` puts that weight on a short head panel and covers the
+rest with Gauss-Legendre, so a new exponent costs a small head only.
 
-The Gamma functions come from `math` (`_log_gamma_ratio`), and
-`gauss_jacobi` imports `scipy.linalg` for its eigensolve when it builds its
-first rule, so importing the module loads no scipy.
+Sampled fields are integrated over B_r^+ and S_r^+ by one private tensor
+rule, `_HalfBallRule` (a radial rule times an `AngularGrid1D`), behind the
+radius gate `_check_radius` and the sample gate `_finite`:
+`integrate_halfball`, `integrate_halfsphere` and the inequality margins.
 
-All grid and rule objects are immutable after construction and every
-operation in this module is pure, so values can be shared freely between
-threads.
+The Gamma functions come from `math` (`_log_gamma_ratio`); `gauss_jacobi`
+imports `scipy.linalg` on its first rule, so importing this loads no scipy.
+Rules are not changed after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,12 +136,21 @@ def _log_gamma_ratio(x: float, y: float) -> float:
     quotient of `math.gamma` values: on (0, 3) those are within 3 ulp, where
     `math.lgamma` is off by up to 6 ulp of its value, and the `hemisphere`
     mode amplitudes of degree <= 40 come out up to 3 times closer to 40-digit
-    values than from `math.lgamma` differences.  Past 171 the `math.lgamma`
-    difference is the only finite form.
+    values than from `math.lgamma` differences.  Past 171 it is the difference
+    of two Stirling series to z^-9 (DLMF 5.11.1), the leading logs written as
+    (x - 1/2) log1p((x - y)/y) + (x - y)(log y - 1), which does not cancel
+    for close x and y as a `math.lgamma` difference does (1e-12 near 700).
+    With an argument below 20 the series lacks digits, but the ratio is then
+    at least Gamma(171)/Gamma(20) and the `math.lgamma` difference is exact enough.
     """
     if x < 171.0 and y < 171.0:
         return math.log(math.gamma(x) / math.gamma(y))
-    return math.lgamma(x) - math.lgamma(y)
+    if min(x, y) < 20.0:
+        return math.lgamma(x) - math.lgamma(y)
+    tail = [(1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+            for z, w in ((x, 1.0 / (x * x)), (y, 1.0 / (y * y)))]
+    d = x - y
+    return (x - 0.5) * math.log1p(d / y) + d * (math.log(y) - 1.0) + (tail[0] - tail[1])
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -280,11 +289,70 @@ class AngularGrid1D:
             raise InputError("non-finite angular sample")
         return float(self.weights @ values)
 
-    def sample(self, g) -> np.ndarray:
-        values = np.asarray(g(self.nodes), dtype=float)
-        if values.shape != self.nodes.shape:
-            values = np.broadcast_to(values, self.nodes.shape).astype(float)
-        return values
+
+class _Points(NamedTuple):
+    """One point set of the upper half space, in polar (rho, angle) and in (q, t) form.
+
+    On a rule's sets rho and angle broadcast against each other; for scattered
+    points rho = hypot(q, t) and `angle` is None."""
+
+    rho: np.ndarray
+    angle: np.ndarray | None
+    q: np.ndarray
+    t: np.ndarray
+
+
+def _check_radius(r: float) -> None:
+    if not (r > 0 and math.isfinite(r)):
+        raise DomainError(f"radius must be positive and finite, got {r}")
+
+
+def _finite(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """`values` as a float array, refused unless finite (and of `shape`, if given)."""
+    values = np.asarray(values, dtype=float)
+    if shape is not None and values.shape != shape:
+        raise InputError("field sample has wrong shape")
+    if not np.all(np.isfinite(values)):
+        raise InputError("non-finite field sample")
+    return values
+
+
+class _HalfBallRule:
+    """Tensor rule on B_r^+ and S_r^+ and the polar point sets fields are sampled on.
+
+    `radial` is a rule for int_0^1 x^p f(x) dx in rho / r, so `ball` integrates
+    t^b rho^{p-N-b} times a sample; `sphere` needs no radial rule.  Callers
+    check r with `_check_radius` first."""
+
+    def __init__(self, params: WeightParams, r: float, angular: AngularGrid1D,
+                 radial: tuple[np.ndarray, np.ndarray] | None = None, p: float = 0.0):
+        self.params, self.r, self.angular, self.p = params, r, angular, p
+        if radial is not None:
+            x, self.radial_weights = radial
+            self.rho = (x * r)[:, None]
+
+    def ball_points(self) -> _Points:
+        ang = self.angular.nodes[None, :]
+        return _Points(self.rho, ang, *angle_to_xt(self.params, self.rho, ang))
+
+    def sphere_points(self) -> _Points:
+        ang = self.angular.nodes
+        return _Points(np.asarray(self.r, dtype=float), ang,
+                       *angle_to_xt(self.params, self.r, ang))
+
+    def ball(self, values, rho_power: int = 0) -> float:
+        """int_{B_r^+} t^b rho^{p - N - b + rho_power} values dz, `values` on the ball points."""
+        if rho_power:
+            values = values * self.rho ** rho_power
+        inner = _finite(values, (self.rho.size, self.angular.nodes.size)) @ self.angular.weights
+        return float(self.angular.area_factor * self.r ** (self.p + 1.0)
+                     * (self.radial_weights @ inner))
+
+    def sphere(self, values) -> float:
+        """int_{S_r^+} t^b values dS, `values` on the angular nodes (gated by `integrate_bare`)."""
+        ang = self.angular
+        return float(self.r ** (self.params.N + self.params.b) * ang.area_factor
+                     * ang.integrate_bare(values))
 
 
 def integrate_halfball(
@@ -301,20 +369,16 @@ def integrate_halfball(
     `f` is a callable receiving broadcastable arrays (rho, angle); the angle
     is the polar angle psi for N >= 2 and the arc angle phi for N = 1.  In
     polar coordinates the measure splits into rho^{N+b} d(rho) times the
-    angular weight, so the rule is a tensor of `gauss_jacobi(n_radial, N+b)`
-    in rho / r and `grid` (by default `AngularGrid1D.gauss(N, b, n_angular)`).
+    angular weight, so the rule is `_HalfBallRule` with the radial pair
+    `gauss_jacobi(n_radial, N+b)` in rho / r and `grid` (by default
+    `AngularGrid1D.gauss(N, b, n_angular)`).
     """
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {r}")
+    _check_radius(r)
     beta = params.N + params.b
-    x, w = gauss_jacobi(n_radial, beta)
-    grid = grid or AngularGrid1D.gauss(params.N, params.b, n_angular)
-    values = np.asarray(f(r * x[:, None], grid.nodes[None, :]), dtype=float)
-    if values.shape != (x.size, grid.nodes.size):
-        raise InputError("field sample has wrong shape")
-    if not np.all(np.isfinite(values)):
-        raise InputError("non-finite field sample")
-    return float(grid.area_factor * r ** (beta + 1.0) * (w @ (values @ grid.weights)))
+    radial = gauss_jacobi(n_radial, beta)
+    rule = _HalfBallRule(params, r, grid or AngularGrid1D.gauss(params.N, params.b, n_angular),
+                         radial, beta)
+    return rule.ball(f(rule.rho, rule.angular.nodes[None, :]))
 
 
 def integrate_halfsphere(
@@ -329,14 +393,15 @@ def integrate_halfsphere(
 
     The point associated with angle a on the sphere of radius r is
     r*(sin(a) w, cos(a)) for N >= 2 and r*(cos(a), sin(a)) for N = 1.  The
-    rule is `grid`, by default `AngularGrid1D.gauss(N, b, n_angular)`.
+    rule is the sphere sum of `_HalfBallRule` on `grid`, by default
+    `AngularGrid1D.gauss(N, b, n_angular)`; g's values broadcast to the nodes.
     """
-    if not (r > 0 and math.isfinite(r)):
-        raise DomainError(f"radius must be positive and finite, got {r}")
+    _check_radius(r)
     grid = grid or AngularGrid1D.gauss(params.N, params.b, n_angular)
-    values = grid.sample(g)
-    bare = grid.integrate_bare(values)
-    return float(r ** (params.N + params.b) * grid.area_factor * bare)
+    values = np.asarray(g(grid.nodes), dtype=float)
+    if values.shape != grid.nodes.shape:
+        values = np.broadcast_to(values, grid.nodes.shape).astype(float)
+    return _HalfBallRule(params, r, grid).sphere(values)
 
 
 def angle_to_xt(params: WeightParams, r, angle):

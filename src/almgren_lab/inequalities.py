@@ -6,8 +6,8 @@ quadratic polynomials under a smooth radial cutoff), so the quadrature is the
 only approximation entering a margin.  Families are generated reproducibly
 from a seed.
 
-A margin builds one polar point set per rule and radius (rho on the radial
-nodes, the angles, and q, t from a single `angle_to_xt`) and samples each
+A margin builds `core`'s sampled half-ball rule once, with its radius and
+sample gates, takes one polar point set per radius from it and samples each
 field once on it.  A built-in field evaluates U, grad U and D_b U in one pass,
 sharing its exponentials, and its `value`, `grad` and `lap_b` are views of
 that pass.  Any other object with `value` and `grad` (and `lap_b` for
@@ -20,20 +20,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     AngularGrid1D,
     DomainError,
-    InputError,
     RegimeError,
     WeightParams,
-    angle_to_xt,
+    _check_radius,
+    _finite,
+    _HalfBallRule,
+    _Points,
     gauss_jacobi,
     split_gauss_jacobi,
-    unit_sphere_area,
 )
 from .hemisphere import polynomial_mode
 
@@ -44,21 +44,6 @@ from .hemisphere import polynomial_mode
 # whose flat edge converges slowest.
 SPLIT_BODY_NODES = 192
 MARGIN_ANGULAR_NODES = 32
-
-
-class _Points(NamedTuple):
-    """One point set of the upper half space, in polar and in (q, t) form.
-
-    On a margin's polar grid `rho` has shape (n_r, 1) (the sphere's radius on
-    the half sphere) and `angle` shape (1, n_a) ((n_a,) on the sphere), so a
-    separable field broadcasts them; for scattered points rho = hypot(q, t)
-    and `angle` is None.
-    """
-
-    rho: np.ndarray
-    angle: np.ndarray | None
-    q: np.ndarray
-    t: np.ndarray
 
 
 def _scattered(q, t) -> _Points:
@@ -285,65 +270,17 @@ def critical_exponent(params: WeightParams) -> float:
     return 2.0 * params.N / denom
 
 
-def _check_radius(radius: float) -> None:
-    if not (math.isfinite(radius) and radius > 0):
-        raise DomainError(f"radius must be positive and finite, got {radius}")
-
-
-class _Rules:
-    """Gauss-Jacobi rules of one margin call on B_r^+, built once and shared by its integrals.
-
-    The radial rule is `split_gauss_jacobi(n_radial, N+b+extra)` in rho / r:
-    rho^{N+b+extra} is the Jacobi weight of its 32-node head panel, and
-    `n_radial` counts the nodes of its Gauss-Legendre body.  The angular rule
-    is `AngularGrid1D.gauss`.  Both reject node counts below 1 with
-    `DomainError`.  `ball_points` and `sphere_points` each build their polar
-    point set once, q and t from one `angle_to_xt`; a margin samples every
-    field once per set and `ball` and `sphere` integrate the sample arrays.
-    """
-
-    def __init__(self, params: WeightParams, extra_power: float,
-                 n_radial: int, n_angular: int, r: float):
-        self.params = params
-        self.r = r
-        self.p = params.N + params.b + extra_power
-        x, self.radial_weights = split_gauss_jacobi(n_radial, self.p)
-        self.rho = (x * r)[:, None]
-        self.angular = AngularGrid1D.gauss(params.N, params.b, n_angular)
-
-    def ball_points(self) -> _Points:
-        ang = self.angular.nodes[None, :]
-        return _Points(self.rho, ang, *angle_to_xt(self.params, self.rho, ang))
-
-    def sphere_points(self) -> _Points:
-        ang = self.angular.nodes
-        return _Points(np.asarray(self.r, dtype=float), ang,
-                       *angle_to_xt(self.params, self.r, ang))
-
-    def ball(self, values, rho_power: int = 0) -> float:
-        """int_{B_r^+} t^b rho^{extra + rho_power} values dz, `values` on `ball_points`."""
-        if rho_power:
-            values = values * self.rho ** rho_power
-        inner = _finite(values) @ self.angular.weights
-        return float(self.angular.area_factor * self.r ** (self.p + 1.0)
-                     * (self.radial_weights @ inner))
-
-    def sphere(self, values) -> float:
-        """int_{S_r^+} t^b values dS, `values` on `sphere_points`."""
-        ang = self.angular
-        return float(self.r ** (self.params.N + self.params.b) * ang.area_factor
-                     * (ang.weights @ _finite(values)))
-
-
-def _finite(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise InputError("non-finite field sample")
-    return values
+def _margin_rule(params: WeightParams, extra_power: float,
+                 n_radial: int, n_angular: int, r: float) -> _HalfBallRule:
+    """One margin call's rule on B_r^+, shared by its integrals: the radial rule is
+    `split_gauss_jacobi(n_radial, N+b+extra)`, `n_radial` its Gauss-Legendre body nodes."""
+    p = params.N + params.b + extra_power
+    radial = split_gauss_jacobi(n_radial, p)
+    return _HalfBallRule(params, r, AngularGrid1D.gauss(params.N, params.b, n_angular), radial, p)
 
 
 # Overflow while sampling or squaring leaves inf or nan in the samples, which
-# `_finite` turns into InputError; numpy's warning would come first.
+# the rule's gates turn into InputError; numpy's warning would come first.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
@@ -360,13 +297,13 @@ def check_hardy_trace(params: WeightParams, field, r: float,
     """
     _check_radius(r)
     k = (params.N + params.b - 1.0) / (2.0 * r)
-    rules = _Rules(params, 0.0, n_radial, n_angular, r)
+    rules = _margin_rule(params, 0.0, n_radial, n_angular, r)
     with np.errstate(**_QUIET):
         u, uq, ut, _ = _sample(field, rules.ball_points())
         i_u2 = rules.ball(u * u)
         i_grad = rules.ball(uq * uq + ut * ut)
         us = _sample(field, rules.sphere_points())[0]
-        i_surf = rules.sphere(us * us)
+        i_surf = rules.sphere(_finite(us * us))
     return i_grad + k * i_surf - k ** 2 * i_u2
 
 
@@ -384,7 +321,7 @@ def check_hardy_rellich(params: WeightParams, field, support_radius: float,
         raise RegimeError(f"Hardy-Rellich requires N > 2s (N = {params.N}, s = {params.s})")
     _check_radius(support_radius)
     gap = params.N - 2.0 * params.s
-    rules = _Rules(params, -4.0, n_radial, n_angular, support_radius)
+    rules = _margin_rule(params, -4.0, n_radial, n_angular, support_radius)
     with np.errstate(**_QUIET):
         u, uq, ut, lap = _sample(field, rules.ball_points(), params)
         i_lap = rules.ball(lap * lap, 4)
@@ -412,8 +349,7 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     k = (params.N + params.b - 1.0) / (2.0 * r)
     eps = 1e-3 * r
     best = math.inf
-    skipped = 0
-    rules = _Rules(params, 0.0, n_radial, n_angular, r)
+    rules = _margin_rule(params, 0.0, n_radial, n_angular, r)
     ball, sphere = rules.ball_points(), rules.sphere_points()
     # the trace rule: Gauss-Jacobi in |x| / r with |x|^{N-1} as its weight.
     # |u|^{q*} has a kink where u changes sign, which caps the rule's order:
@@ -427,7 +363,7 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
         with np.errstate(**_QUIET):
             _, uq, ut, _ = _sample(field, ball)
             us = _sample(field, sphere)[0]
-            numerator = rules.ball(uq * uq + ut * ut) + k * rules.sphere(us * us)
+            numerator = rules.ball(uq * uq + ut * ut) + k * rules.sphere(_finite(us * us))
             # quadratic extrapolation of U to the t = 0 slice
             v = field.value(level_q, level_t)
             u = np.abs(_finite(3.0 * v[0] - 3.0 * v[1] + v[2]))
@@ -437,12 +373,8 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
         mass = float(xw @ (u / peak) ** qstar) if peak > 0.0 else 0.0
         if params.N == 1:
             mass *= 2.0  # even coverage of (-r, r) by the axisymmetric family
-            denom_area = 1.0
-        else:
-            denom_area = unit_sphere_area(params.N - 1)
-        norm_sq = peak ** 2 * (denom_area * mass) ** (2.0 / qstar)
+        norm_sq = peak ** 2 * (rules.angular.area_factor * mass) ** (2.0 / qstar)
         if norm_sq < 1e-28:
-            skipped += 1
             warnings.warn("trace vanishes for a family member; skipped", stacklevel=2)
             continue
         best = min(best, numerator / norm_sq)

@@ -23,7 +23,10 @@ s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
 Cholesky) are imported on first use, not with the module.
 
 The extension of a torus sample u is built frequency-wise as
-Uhat(xi, t) = uhat(xi) phi(|xi| t).
+Uhat(xi, t) = uhat(xi) phi(|xi| t).  `build_extension`,
+`extension_energy_identity` and `trace_laplacian_check` share one preamble,
+`_fourier_sample`, which gates the sample (finite), the box length
+(positive and finite) and the band limit, then builds the |xi| grid.
 """
 
 from __future__ import annotations
@@ -366,28 +369,39 @@ def extension_constant(b: float) -> float:
     return BesselProfile(float(b)).J
 
 
-def _frequency_grid(shape: tuple[int, ...], box_length: float) -> np.ndarray:
-    axes = [2.0 * math.pi * np.fft.fftfreq(n, d=box_length / n) for n in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.sqrt(sum(m ** 2 for m in mesh))
+def _fourier_sample(u, box_length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, uhat, |xi|) of a torus sample, the preamble of every Fourier-side check.
 
-
-def _check_bandlimit(u_hat: np.ndarray, shape: tuple[int, ...]) -> None:
+    Refuses a non-finite sample (`InputError`), a box length that is not
+    positive and finite (`DomainError`) and a sample with energy at the
+    Nyquist shell (`InputError`).
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise InputError("non-finite torus sample")
+    if not (box_length > 0 and math.isfinite(box_length)):
+        raise DomainError(f"box length must be positive and finite, got {box_length}")
+    u_hat = np.fft.fftn(u)
     total = float(np.sum(np.abs(u_hat) ** 2))
-    if total == 0.0:
-        return
-    mask = np.zeros(shape, dtype=bool)
-    for axis, n in enumerate(shape):
+    mask = np.zeros(u.shape, dtype=bool)
+    for axis, n in enumerate(u.shape):
         if n % 2 == 0:
-            idx = [slice(None)] * len(shape)
+            idx = [slice(None)] * u.ndim
             idx[axis] = n // 2
             mask[tuple(idx)] = True
     nyq = float(np.sum(np.abs(u_hat[mask]) ** 2)) if mask.any() else 0.0
-    if nyq > 1e-8 * total:
+    if total != 0.0 and nyq > 1e-8 * total:
         raise InputError(
             f"sample has {nyq/total:.2e} of its energy at the Nyquist shell; "
             "refine the torus grid before extending"
         )
+    return u, u_hat, _frequency_grid(u.shape, box_length)
+
+
+def _frequency_grid(shape: tuple[int, ...], box_length: float) -> np.ndarray:
+    axes = [2.0 * math.pi * np.fft.fftfreq(n, d=box_length / n) for n in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.sqrt(sum(m ** 2 for m in mesh))
 
 
 def build_extension(
@@ -403,18 +417,13 @@ def build_extension(
     is constant in t and U(., 0) = u exactly since phi(0) = 1.  The profile
     defaults to the closed form `BesselProfile`.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise InputError("non-finite torus sample")
+    u, u_hat, xi = _fourier_sample(u, box_length)
     t_levels = np.asarray(t_levels, dtype=float)
     if not np.all(np.isfinite(t_levels)):
         raise DomainError("t levels must be finite")
     if np.any(t_levels < 0):
         raise DomainError("t levels must be nonnegative")
     prof = profile or BesselProfile(params.b)
-    u_hat = np.fft.fftn(u)
-    _check_bandlimit(u_hat, u.shape)
-    xi = _frequency_grid(u.shape, box_length)
     out = np.empty((t_levels.size,) + u.shape)
     for i, tl in enumerate(t_levels):
         mult = prof.phi_at(xi * tl)
@@ -439,11 +448,10 @@ def extension_energy_identity(
     Agreement certifies the isometry property of the construction up to
     torus truncation and quadrature error.
     """
-    u = np.asarray(u, dtype=float)
+    u, u_hat, xi = _fourier_sample(u, box_length)
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
     prof = profile or BesselProfile(params.b)
-    u_hat = np.fft.fftn(u)
-    _check_bandlimit(u_hat, u.shape)
-    xi = _frequency_grid(u.shape, box_length)
     n_total = u.size
     x, w = gauss_jacobi(n_t, params.b)
     t_nodes, t_weights = t_max * x, t_max ** (params.b + 1.0) * w
@@ -481,11 +489,10 @@ def trace_laplacian_check(
     exceeds 5%.  By default it runs on the finite-volume profile: on the
     closed form the check would be exact and would measure nothing.
     """
-    u = np.asarray(u, dtype=float)
+    u, u_hat, xi = _fourier_sample(u, box_length)
+    if isinstance(n_shells, bool) or not isinstance(n_shells, (int, np.integer)) or n_shells < 1:
+        raise DomainError(f"shell count must be an integer >= 1, got {n_shells!r}")
     prof = profile or _cached_profile(params.b)
-    u_hat = np.fft.fftn(u)
-    _check_bandlimit(u_hat, u.shape)
-    xi = _frequency_grid(u.shape, box_length)
     power = np.abs(u_hat) ** 2
     mask = (xi > 0) & (power > 1e-20 * power.max())
     if not mask.any():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from almgren_lab import WeightParams, hemisphere_eigs
+
+# One profile for every property test: no deadline (a first call may build
+# rules or solve a profile), no example database, and a failing example
+# printed with the blob that reproduces it (@reproduce_failure).  Each test's
+# @settings sets only its own max_examples.
+settings.register_profile("almgren-lab", deadline=None, database=None, print_blob=True)
+settings.load_profile("almgren-lab")
 
 
 @pytest.fixture(scope="session")

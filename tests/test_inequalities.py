@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -457,6 +457,70 @@ def test_overflowing_samples_raise_input_error_without_a_warning(p3, p4):
             estimate_sobolev_trace_constant(p3, Fam(), 1.0)
 
 
+class Spoiled:
+    """1 inside |z| <= cut, `bad` (nan or +-inf) outside; zero gradient."""
+
+    def __init__(self, bad, cut):
+        self.bad, self.cut = bad, cut
+
+    def value(self, q, t):
+        return np.where(np.hypot(q, t) > self.cut, self.bad, 1.0)
+
+    def grad(self, q, t):
+        z = np.zeros(np.broadcast(np.asarray(q), np.asarray(t)).shape)
+        return z, z
+
+    def lap_b(self, q, t, params):
+        return self.value(q, t)
+
+
+def _rule_entry_points(p, field):
+    """Every entry point of the sampled half-ball rule, as a function of the radius."""
+    class Fam:
+        def fields(self):
+            yield field
+
+    def ball(rho, a):
+        return field.value(*core.angle_to_xt(p, rho, a))
+
+    def sphere(a):
+        return field.value(*core.angle_to_xt(p, 1.0, a))
+
+    return {"hardy": lambda r: check_hardy_trace(p, field, r),
+            "rellich": lambda r: check_hardy_rellich(p, field, r),
+            "sobolev": lambda r: estimate_sobolev_trace_constant(p, Fam(), r),
+            "halfball": lambda r: integrate_halfball(ball, p, r),
+            "halfsphere": lambda r: integrate_halfsphere(sphere, p, r)}
+
+
+_ENTRY_POINTS = ["hardy", "rellich", "sobolev", "halfball", "halfsphere"]
+
+
+@settings(max_examples=60)
+@given(N=st.integers(min_value=1, max_value=4), s=st.floats(min_value=1.05, max_value=1.95),
+       r=st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
+       which=st.sampled_from(_ENTRY_POINTS))
+def test_every_rule_entry_point_refuses_a_malformed_radius(N, s, r, which):
+    p = WeightParams(s=s, N=N)
+    assume(which != "rellich" or p.paper_regime)
+    call = _rule_entry_points(p, GaussianBumps([(1.0, 0.3, 0.2)], mirrored=True))[which]
+    with pytest.raises(DomainError, match="radius must be positive and finite"):
+        call(r)
+
+
+@settings(max_examples=60)
+@given(N=st.integers(min_value=1, max_value=4), s=st.floats(min_value=1.05, max_value=1.95),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), cut=st.floats(0.05, 0.9),
+       which=st.sampled_from(_ENTRY_POINTS))
+def test_every_rule_entry_point_refuses_non_finite_samples(N, s, bad, cut, which):
+    # InputError, and no RuntimeWarning first (pytest turns those into errors)
+    p = WeightParams(s=s, N=N)
+    assume(which != "rellich" or p.paper_regime)
+    assume(which != "sobolev" or N > 2 * (s - 1))
+    with pytest.raises(InputError, match="non-finite"):
+        _rule_entry_points(p, Spoiled(bad, cut))[which](1.0)
+
+
 class Bare:
     """A built-in field seen only through `value`, `grad` and `lap_b`."""
 
@@ -524,7 +588,7 @@ def test_grid_sampling_agrees_with_the_point_methods(kind, N):
     assert got == pytest.approx(estimate_sobolev_trace_constant(p, BareFamily(), 1.0), rel=1e-14)
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(N=st.integers(min_value=1, max_value=4),
        s=st.floats(min_value=1.05, max_value=1.95),
        # amplitudes |a| >= 1e-3: no sample is subnormal
@@ -561,13 +625,13 @@ def test_each_margin_builds_its_point_sets_once(monkeypatch, p4, which, count, g
     # one polar point set per (rule, radius): the ball, and the half sphere
     # where a margin has a surface term, whatever the family's size
     calls = []
-    build = inequalities.angle_to_xt
+    build = core.angle_to_xt
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(inequalities, "angle_to_xt", counted)
+    monkeypatch.setattr(core, "angle_to_xt", counted)
     fam = TestFamily(params=p4, kind="bumps", count=count, seed=3, mirrored=True,
                      cutoff_radius=0.8)
     if which == "hardy":

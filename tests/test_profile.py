@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,69 @@ def test_aliasing_guard():
         build_extension(p, u, [0.0])
 
 
+def _nan_top(u, bad=math.nan):
+    return np.where(u > 0.9, bad, u)
+
+
+_P15 = WeightParams(s=1.5, N=1)
+_MALFORMED = {
+    "energy-nan-sample": (lambda u: extension_energy_identity(_P15, _nan_top(u)), InputError),
+    "energy-inf-sample": (lambda u: extension_energy_identity(_P15, _nan_top(u, math.inf)),
+                          InputError),
+    "energy-negative-t_max": (lambda u: extension_energy_identity(_P15, u, t_max=-1.0),
+                              DomainError),
+    "energy-infinite-t_max": (lambda u: extension_energy_identity(_P15, u, t_max=math.inf),
+                              DomainError),
+    "energy-negative-box": (lambda u: extension_energy_identity(_P15, u, box_length=-2.0),
+                            DomainError),
+    "extension-negative-box": (lambda u: build_extension(_P15, u, [0.0], box_length=-1.0),
+                               DomainError),
+    "extension-infinite-box": (lambda u: build_extension(_P15, u, [0.0], box_length=math.inf),
+                               DomainError),
+    "trace-zero-box": (lambda u: trace_laplacian_check(_P15, u, box_length=0.0), DomainError),
+    "trace-nan-box": (lambda u: trace_laplacian_check(_P15, u, box_length=math.nan), DomainError),
+    "trace-nan-sample": (lambda u: trace_laplacian_check(_P15, _nan_top(u)), InputError),
+    "trace-zero-shells": (lambda u: trace_laplacian_check(_P15, u, n_shells=0), DomainError),
+    "trace-fractional-shells": (lambda u: trace_laplacian_check(_P15, u, n_shells=2.5),
+                                DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_fourier_side_checks_refuse_malformed_input(case):
+    # one preamble gates the sample, the box length and the band limit of
+    # all three; t_max and n_shells are gated where they are used
+    call, error = _MALFORMED[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            call(_torus_bump(1, 32))
+
+
+def _fourier_side(p, u, box_length):
+    return {"extension": lambda: build_extension(p, u, [0.0, 1.0], box_length=box_length),
+            "energy": lambda: extension_energy_identity(p, u, box_length=box_length),
+            "trace": lambda: trace_laplacian_check(p, u, box_length=box_length)}
+
+
+@settings(max_examples=40)
+@given(N=st.integers(min_value=1, max_value=2), n=st.integers(min_value=4, max_value=16),
+       which=st.sampled_from(["extension", "energy", "trace"]), data=st.data())
+def test_fourier_side_refuses_non_finite_samples_and_bad_boxes(N, n, which, data):
+    p = WeightParams(s=data.draw(st.floats(min_value=1.05, max_value=1.95), label="s"), N=N)
+    u = np.asarray(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n ** N, max_size=n ** N),
+                             label="u")).reshape((n,) * N)
+    box = data.draw(st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
+                    label="box_length")
+    with pytest.raises(DomainError, match="box length"):
+        _fourier_side(p, u, box)[which]()
+    spoiled = u.copy()
+    spoiled.flat[data.draw(st.integers(0, u.size - 1), label="at")] = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf]), label="bad")
+    with pytest.raises(InputError, match="non-finite"):
+        _fourier_side(p, spoiled, 2.0 * math.pi)[which]()
+
+
 def _torus_bump(N, n=64):
     x = np.arange(n) * 2 * math.pi / n
     grids = np.meshgrid(*([x] * N), indexing="ij")
@@ -319,7 +383,7 @@ def test_closed_form_profile_matches_fv_minimizer(b):
     assert_allclose(closed.phi_at(sol.t), phi_oracle(b, sol.t), rtol=1e-13, atol=1e-300)
 
 
-@settings(max_examples=12, deadline=None, database=None)
+@settings(max_examples=12)
 @given(st.floats(min_value=1.05, max_value=1.95, exclude_min=True, exclude_max=True))
 def test_closed_form_profile_matches_fv_minimizer_in_s(s):
     b = 3.0 - 2.0 * s
