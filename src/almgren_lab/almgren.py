@@ -2,22 +2,20 @@
 
 Every quantity is available through two independent paths.  Both read the
 radial parts of the terms from `synthesis`: the solution's (sigma, c1, e, d1)
-table `SeparableSolution.coefs` and the power law `_radial_parts`.  The
-closed-form path exploits mode orthonormality: each term contributes explicit
-power laws whose radial integrals are evaluated analytically, and the bracket
-of nu1 is a Lagrange sum of squares, so nu1 >= 0 exactly.  The quadrature
-path reduces the horizontal sphere exactly (harmonic orthogonality is
-structural) and integrates on one tensor Gauss-Jacobi rule,
-`gauss_jacobi(n, N + b)` in rho / r times `AngularGrid1D.gauss(N, b, n)`,
-with n from `gauss_nodes` of the largest degree.  For integer exponents the radial integrands are
-polynomials the rule integrates exactly; the angular integral stays
-numerical over the sampled profiles, which keeps this path an independent
-check of the closed path's orthonormality algebra.  The angular pair
-integrals of all terms form two Gram matrices over each profile's kept
-Gauss samples, with the entries of different blocks set to exactly 0, so
-every radius and term pair is contracted in one batched pass.  At N + b < 1 the
-constant mode's ball integrand rho^{-2(N+b)} is no polynomial, so the
-quadrature path refuses it.  Both paths take a whole radius schedule in one
+table `SeparableSolution.coefs` and the power law `_radial_parts`.  Both sum
+the pieces over term pairs in one assembly, `_assemble`: the ball integrand
+of a pair is a sum of power laws whose radial integrals are taken in closed
+form, so neither path runs a radial rule.  They differ in where the angular
+pair integrals come from.  The closed path takes them from mode
+orthonormality: only the diagonal pairs, with <P_i, P_i> = 1 and the
+eigenvalue mu_i; its bracket of nu1 is a Lagrange sum of squares, so
+nu1 >= 0 exactly.  The quadrature path reduces the horizontal sphere exactly
+(harmonic orthogonality is structural) and integrates every pair of a block
+on the angular Gauss rule `AngularGrid1D.gauss(N, b, n)` over the sampled
+profiles, n from `gauss_nodes` of the largest degree, so it stays an
+independent check of the closed path's orthonormality and of finite-volume
+profiles.  The exponents need not be integers: the constant mode at
+N + b < 1 is served by both paths.  Both take a whole radius schedule in one
 numpy pass.  Derivative identities are checked, never used as shortcuts.
 """
 
@@ -34,7 +32,6 @@ from .core import (
     UnmatchedExponentError,
     VanishingDenominatorError,
     WeightParams,
-    gauss_jacobi,
 )
 from .synthesis import SeparableSolution, gauss_nodes, _radial_parts
 
@@ -54,7 +51,7 @@ class _TermPieces:
 
 
 # ---------------------------------------------------------------------------
-# closed-form path
+# the frequency pieces
 
 
 def _bracket(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -81,22 +78,29 @@ def _bracket(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("pn,pn->n", det, det) / r2
 
 
-def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
-    """Rows of `_TermPieces` summed over the terms, in one numpy pass over all of them."""
-    p = sol.params
-    beta = p.N + p.b
-    coefs = sol.coefs
+def _assemble(coefs: np.ndarray, pairs, r: np.ndarray, beta: float) -> np.ndarray:
+    """Rows of `_TermPieces` summed over term pairs, in one numpy pass over them.
+
+    `pairs` is (i, j, a, m): the terms of each pair (index arrays, or
+    slice(None) twice for the diagonal i = j) and the arrays of the pairs'
+    angular integrals a = <P_i, P_j> and
+    m = <P_i', P_j'> + k (k + N - 2) <P_i, P_j / sin^2 psi>.
+    The ball integrands of a pair are power laws, so each ball piece is a sum
+    of C[n, piece, pair] r^q / q over the exponents q = s_i + s_j + N + b - 1
+    + 2n, n = 0, 1, 2; the sphere pieces pair the radial parts at r alike.
+    """
+    i, j, a, m = pairs
     s, c1, e, d1 = coefs
-    mu = np.array([t.mode.mu for t in sol.terms], dtype=float)
-    # the ball integrals are sums of C[j, piece, term] r^q / q over the exponents
-    # q = Q[j, term]; the pieces are ball_grad, ball_uv and ball_v_zgrad
-    zero = np.zeros_like(s)
+    si, sj, ci, cj, ei, ej, di, dj = s[i], s[j], c1[i], c1[j], e[i], e[j], d1[i], d1[j]
+    ti, tj, cej, ecj = si + 2.0, sj + 2.0, ci * ej, ei * cj
+    # the pieces are ball_grad, ball_uv and ball_v_zgrad
+    zero = np.zeros_like(si)
     C = np.array([
-        [c1 * c1 * (s * s + mu) + d1 * d1 * (s * s + mu), zero, zero],
-        [2 * c1 * e * (s * (s + 2) + mu), c1 * d1, c1 * d1 * s],
-        [e * e * ((s + 2) ** 2 + mu), e * d1, e * d1 * (s + 2)],
+        [(ci * cj + di * dj) * (a * si * sj + m), zero, zero],
+        [a * (cej * si * tj + ecj * ti * sj) + m * (cej + ecj), a * ci * dj, a * di * cj * sj],
+        [ei * ej * (a * ti * tj + m), a * ei * dj, a * di * ej * tj],
     ])
-    Q = 2 * s + beta + np.array([[-1.0], [1.0], [3.0]])
+    Q = si + sj + beta + np.array([[-1.0], [1.0], [3.0]])
     active = (C != 0.0).any(axis=1)
     divergent = active & (Q <= 0.0)
     if divergent.any():
@@ -106,98 +110,44 @@ def _closed_pieces(sol: SeparableSolution, r: np.ndarray) -> np.ndarray:
         )
     Q = np.where(active, Q, 1.0)[:, :, None]
     ball = np.einsum("jkt,jtn->kn", C, np.where(active[:, :, None], r ** Q / Q, 0.0))
-    # the radial parts on the sphere S_r^+, one row per term
+    # the radial parts on the sphere S_r^+, one row per term, paired as the ball
     phi, dphi, phit, dphit = _radial_parts(coefs[:, :, None], r)
-    u2 = phi * phi + phit * phit
-    du2 = (dphi * dphi + dphit * dphit).sum(axis=0)
+    u2 = phi[i] * phi[j] + phit[i] * phit[j]
+    du2 = a @ (dphi[i] * dphi[j] + dphit[i] * dphit[j])
     rb = r ** beta
     return np.vstack([
         ball,
-        rb * u2.sum(axis=0),
-        rb * (phi * dphi + phit * dphit).sum(axis=0),
-        rb * (du2 + (mu[:, None] * u2).sum(axis=0) / r ** 2),
+        rb * (a @ u2),
+        rb * (a @ (phi[i] * dphi[j] + phit[i] * dphit[j])),
+        rb * (du2 + (m @ u2) / r ** 2),
         rb * du2,
-        rb * (phi * phit).sum(axis=0),
+        rb * (a @ (phi[i] * phit[j])),
     ])
 
 
-# ---------------------------------------------------------------------------
-# quadrature path
+def _angular_pairs(sol: SeparableSolution):
+    """Every same-block term pair (i, j) with its angular integrals a and m.
 
-
-def _gram(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted pair integrals G[..., i, j] = sum_n w[..., n] X[..., i, n] Y[..., j, n]."""
-    return (X * w[..., None, :]) @ np.swapaxes(Y, -1, -2)
-
-
-def _form(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear form x_i M_ij y_j for each column of x and y."""
-    return np.sum(x * (M @ y), axis=0)
-
-
-class _QuadContext:
-    """Angular Gram matrices of the whole synthesis plus a radial Gauss-Jacobi rule.
-
-    `A` and `E` pair every two terms: A_ij = <P_i, P_j> and E_ij = <P_i',
-    P_j'> + k (k + N - 2) <P_i, P_j / sin^2 psi>, integrated on the angular
-    Gauss rule over the profiles' kept samples.  Entries of terms in
-    different blocks are exactly 0: horizontal-harmonic orthogonality is
+    They come from the angular Gauss rule over the profiles' kept samples,
+    `AngularGrid1D.gauss(N, b, n)` with n from `gauss_nodes` of the largest
+    degree, so they check the orthonormality the closed path assumes.  Pairs
+    of different blocks are left out: horizontal-harmonic orthogonality is
     structural, while the integrals within a block stay numerical.
     """
-
-    def __init__(self, sol: SeparableSolution):
-        p = sol.params
-        self.beta = p.N + p.b
-        if self.beta < 1.0 and any(t.mode.mu == 0.0 for t in sol.terms):
-            raise DomainError(
-                f"the quadrature path cannot resolve the constant mode at N + b = "
-                f"{self.beta:.6g} < 1, whose ball integrand is singular at 0; "
-                "use method='closed'"
-            )
-        n = gauss_nodes(max((t.sigma for t in sol.terms), default=0.0))
-        self.x, self.wx = gauss_jacobi(n, self.beta)
-        grid = AngularGrid1D.gauss(p.N, p.b, n)
-        nodes, w = grid.nodes, grid.weights
-        samples = [t.mode.profile._on_gauss(p.N, p.b, n) for t in sol.terms]
-        P = np.array([s[0] for s in samples]).reshape(-1, nodes.size)
-        dP = np.array([s[1] for s in samples]).reshape(P.shape)
-        keys = np.array([t.mode.k for t in sol.terms], dtype=int)
-        A = _gram(P, P, w)
-        E = _gram(dP, dP, w)
-        if p.N >= 2 and np.any(keys):   # Gauss nodes avoid the pole, where sin(psi) = 0
-            E += (keys * (keys + p.N - 2))[:, None] * _gram(P, P, w / np.sin(nodes) ** 2)
-        same = keys[:, None] == keys[None, :]
-        self.A = np.where(same, A, 0.0)
-        self.E = np.where(same, E, 0.0)
-        self.coefs = sol.coefs
-
-    def pieces(self, r: np.ndarray) -> np.ndarray:
-        """Rows of `_TermPieces` at every radius of `r`, in one pass over all term pairs."""
-        A, E = self.A, self.E
-        # the rule at radius r is the base rule scaled by r: one row per radius
-        rho = r[:, None] * self.x
-        wr = self.wx * r[:, None] ** (self.beta + 1.0)
-        wr_inv2 = wr / rho ** 2
-        rb = r ** self.beta
-        # radial parts on the nodes, shaped (radius, term, node)
-        phi, dphi, phit, dphit = _radial_parts(self.coefs[:, None, :, None], rho[:, None, :])
-        ball = np.array([
-            A * (_gram(dphi, dphi, wr) + _gram(dphit, dphit, wr))
-            + E * (_gram(phi, phi, wr_inv2) + _gram(phit, phit, wr_inv2)),
-            A * _gram(phi, phit, wr),
-            A * _gram(phit, dphi, wr * rho),
-        ]).sum(axis=(2, 3))
-        # radial parts on the sphere S_r^+, shaped (term, radius)
-        phi, dphi, phit, dphit = _radial_parts(self.coefs[:, :, None], r)
-        du2 = _form(A, dphi, dphi) + _form(A, dphit, dphit)
-        return np.vstack([
-            ball,
-            rb * (_form(A, phi, phi) + _form(A, phit, phit)),
-            rb * (_form(A, phi, dphi) + _form(A, phit, dphit)),
-            rb * (du2 + (_form(E, phi, phi) + _form(E, phit, phit)) / r ** 2),
-            rb * du2,
-            rb * _form(A, phi, phit),
-        ])
+    p = sol.params
+    n = gauss_nodes(max((t.sigma for t in sol.terms), default=0.0))
+    grid = AngularGrid1D.gauss(p.N, p.b, n)
+    nodes, w = grid.nodes, grid.weights
+    samples = [t.mode.profile._on_gauss(p.N, p.b, n) for t in sol.terms]
+    P = np.array([s[0] for s in samples]).reshape(-1, nodes.size)
+    dP = np.array([s[1] for s in samples]).reshape(P.shape)
+    keys = np.array([t.mode.k for t in sol.terms], dtype=int)
+    A = (P * w) @ P.T
+    M = (dP * w) @ dP.T
+    if p.N >= 2 and np.any(keys):   # Gauss nodes avoid the pole, where sin(psi) = 0
+        M += (keys * (keys + p.N - 2))[:, None] * ((P * (w / np.sin(nodes) ** 2)) @ P.T)
+    i, j = np.nonzero(keys[:, None] == keys[None, :])
+    return i, j, A[i, j], M[i, j]
 
 
 def _pieces(sol: SeparableSolution, radii, method: str) -> _TermPieces:
@@ -212,10 +162,12 @@ def _pieces(sol: SeparableSolution, radii, method: str) -> _TermPieces:
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        if method == "closed":
-            acc = _closed_pieces(sol, r)
+        if method == "closed":   # orthonormal modes: the diagonal, a = 1 and m = mu
+            mu = np.array([t.mode.mu for t in sol.terms], dtype=float)
+            pairs = (slice(None), slice(None), np.ones_like(mu), mu)
         else:
-            acc = _QuadContext(sol).pieces(r)
+            pairs = _angular_pairs(sol)
+        acc = _assemble(sol.coefs, pairs, r, sol.params.N + sol.params.b)
     bad = ~np.all(np.isfinite(acc), axis=0)
     if np.any(bad):
         raise DomainError(
@@ -322,8 +274,8 @@ def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
 def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> FrequencyTrace:
     """Evaluate the frequency records over a (default geometric) schedule.
 
-    The quadrature path's Gauss node counts follow `gauss_nodes` of the
-    largest sigma_plus of the synthesis.
+    The quadrature path's angular Gauss node count follows `gauss_nodes` of
+    the largest sigma_plus of the synthesis.
     """
     radii = np.asarray(radius_schedule(sol.R) if radii is None else radii, dtype=float)
     pieces = _pieces(sol, radii, method)

@@ -129,28 +129,32 @@ class WeightParams:
         return self.N > 2.0 * self.s
 
 
-def _log_gamma_ratio(x: float, y: float) -> float:
-    """log(Gamma(x) / Gamma(y)) for x, y > 0.
+def _log_gamma_ratio(x: float, y: float, d: float | None = None) -> float:
+    """log(Gamma(x) / Gamma(y)) for x, y > 0, given the exact d = x - y if known.
 
-    While both Gammas are finite (arguments below 171) this is the log of the
-    quotient of `math.gamma` values: on (0, 3) those are within 3 ulp, where
-    `math.lgamma` is off by up to 6 ulp of its value, and the `hemisphere`
-    mode amplitudes of degree <= 40 come out up to 3 times closer to 40-digit
-    values than from `math.lgamma` differences.  Past 171 it is the difference
-    of two Stirling series to z^-9 (DLMF 5.11.1), the leading logs written as
-    (x - 1/2) log1p((x - y)/y) + (x - y)(log y - 1), which does not cancel
-    for close x and y as a `math.lgamma` difference does (1e-12 near 700).
-    With an argument below 20 the series lacks digits, but the ratio is then
-    at least Gamma(171)/Gamma(20) and the `math.lgamma` difference is exact enough.
+    With both arguments at least 20 this is the difference of two Stirling
+    series to z^-9 (DLMF 5.11.1), the leading logs written as
+    (x - 1/2) log1p(d/y) + d (log y - 1), which does not cancel for close x
+    and y as a `math.lgamma` difference does (1e-12 near 700).  A caller that
+    forms x and y as j + a and j + c passes d = a - c: the rounding of j + a
+    then enters only through log1p(d/y), where forming x - y, or the Gammas of
+    x and y, would carry psi(j) ulp(j) into the result.  Otherwise, while both
+    Gammas are finite (arguments below 171), it is the log of the quotient of
+    `math.gamma` values: on (0, 3) those are within 3 ulp, where `math.lgamma`
+    is off by up to 6 ulp of its value, and the `hemisphere` mode amplitudes of
+    low degree come out up to 3 times closer to 40-digit values than from
+    `math.lgamma` differences.  With one argument below 20 and the other past
+    171 the ratio is at least Gamma(171)/Gamma(20), and the `math.lgamma`
+    difference is exact enough.
     """
+    if min(x, y) >= 20.0:
+        d = x - y if d is None else d
+        tail = [(1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+                for z, w in ((x, 1.0 / (x * x)), (y, 1.0 / (y * y)))]
+        return (x - 0.5) * math.log1p(d / y) + d * (math.log(y) - 1.0) + (tail[0] - tail[1])
     if x < 171.0 and y < 171.0:
         return math.log(math.gamma(x) / math.gamma(y))
-    if min(x, y) < 20.0:
-        return math.lgamma(x) - math.lgamma(y)
-    tail = [(1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
-            for z, w in ((x, 1.0 / (x * x)), (y, 1.0 / (y * y)))]
-    d = x - y
-    return (x - 0.5) * math.log1p(d / y) + d * (math.log(y) - 1.0) + (tail[0] - tail[1])
+    return math.lgamma(x) - math.lgamma(y)
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -282,12 +286,8 @@ class AngularGrid1D:
         return cls(N=N, b=b, nodes=psi[::-1], weights=(wu * np.sin(psi) ** (N - 1))[::-1])
 
     def integrate_bare(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.nodes.shape:
-            raise InputError("sample shape does not match angular grid")
-        if not np.all(np.isfinite(values)):
-            raise InputError("non-finite angular sample")
-        return float(self.weights @ values)
+        """The bare integral of `values` on the nodes, gated by `_finite`."""
+        return float(self.weights @ _finite(values, self.nodes.shape))
 
 
 class _Points(NamedTuple):

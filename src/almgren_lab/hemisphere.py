@@ -361,13 +361,16 @@ def _log_jacobi_norm2(j: int, a1: float, b1: float) -> float:
     negative for N = 1, s > 3/2 (alpha + beta + 1 = b < 0); the j = 0 form
     Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2) has no such factor.
     The Gammas enter as two ratios of arguments one apart at most in
-    degree, so neither overflows before its arguments do.
+    degree, so neither overflows before its arguments do, and each ratio is
+    given its exact argument difference, a1 - 1 or 1 - a1, so rounding j + b1
+    costs no digits at high degree.
     """
     c = a1 + b1
     if j == 0:
         return (c - 1.0) * _LN2 + _log_gamma_ratio(a1, 1.0) + _log_gamma_ratio(b1, c)
     return ((c - 1.0) * _LN2 - math.log((2 * j - 1) + c)
-            + _log_gamma_ratio(j + a1, j + 1.0) + _log_gamma_ratio(j + b1, (j - 1) + c))
+            + _log_gamma_ratio(j + a1, j + 1.0, a1 - 1.0)
+            + _log_gamma_ratio(j + b1, (j - 1) + c, 1.0 - a1))
 
 
 def polynomial_mode(params: WeightParams, sigma: int, k: int | None = None) -> SpectralMode:

@@ -303,7 +303,7 @@ def check_hardy_trace(params: WeightParams, field, r: float,
         i_u2 = rules.ball(u * u)
         i_grad = rules.ball(uq * uq + ut * ut)
         us = _sample(field, rules.sphere_points())[0]
-        i_surf = rules.sphere(_finite(us * us))
+        i_surf = rules.sphere(us * us)
     return i_grad + k * i_surf - k ** 2 * i_u2
 
 
@@ -363,7 +363,7 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
         with np.errstate(**_QUIET):
             _, uq, ut, _ = _sample(field, ball)
             us = _sample(field, sphere)[0]
-            numerator = rules.ball(uq * uq + ut * ut) + k * rules.sphere(_finite(us * us))
+            numerator = rules.ball(uq * uq + ut * ut) + k * rules.sphere(us * us)
             # quadratic extrapolation of U to the t = 0 slice
             v = field.value(level_q, level_t)
             u = np.abs(_finite(3.0 * v[0] - 3.0 * v[1] + v[2]))

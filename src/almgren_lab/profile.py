@@ -55,15 +55,20 @@ TAIL_LENGTH = 2.0
 MAX_PROFILE_CELLS = 2 ** 15
 
 
+def _tail_shapes(alpha: float, t0: float, tau):
+    """The two tail shapes g1, g2 = (tau / t0)^{alpha -/+ 1/2} e^{-(tau - t0)}."""
+    decay = np.exp(-(tau - t0))
+    return (tau / t0) ** (alpha - 0.5) * decay, (tau / t0) ** (alpha + 0.5) * decay
+
+
 @dataclass(frozen=True)
 class ProfileSolution:
-    """Discretized minimizer phi with its flux derivative, zeta and J value."""
+    """Discretized minimizer phi with zeta = D_b phi - phi and its J value."""
 
     b: float
     T_max: float
     t: np.ndarray
     phi: np.ndarray
-    dphi: np.ndarray
     zeta: np.ndarray
     J: float
     grad_energy: float
@@ -71,7 +76,7 @@ class ProfileSolution:
     tail_coeffs: tuple[float, float]
 
     def __post_init__(self):
-        for arr in (self.t, self.phi, self.dphi, self.zeta):
+        for arr in (self.t, self.phi, self.zeta):
             arr.flags.writeable = False
 
     # the splines (and scipy.interpolate) are built on the first interpolation
@@ -91,9 +96,7 @@ class ProfileSolution:
 
     def _tail(self, tau):
         y1, y2 = self.tail_coeffs
-        t0 = self.T_max - TAIL_LENGTH
-        g1 = (tau / t0) ** (self.alpha - 0.5) * np.exp(-(tau - t0))
-        g2 = (tau / t0) ** (self.alpha + 0.5) * np.exp(-(tau - t0))
+        g1, g2 = _tail_shapes(self.alpha, self.T_max - TAIL_LENGTH, tau)
         return y1 * g1 + y2 * g2
 
     def phi_at(self, tau):
@@ -274,8 +277,7 @@ def _normal_system(b: float, T_max: float, n: int) -> _NormalSystem:
     first_tail = int(np.searchsorted(t, t0 - 1e-12))
     k = first_tail - 1
     tail_t = t[first_tail:]
-    g1 = (tail_t / t0) ** (alpha - 0.5) * np.exp(-(tail_t - t0))
-    g2 = (tail_t / t0) ** (alpha + 0.5) * np.exp(-(tail_t - t0))
+    g1, g2 = _tail_shapes(alpha, t0, tail_t)
 
     # G = D^T W D: G[j, j] = g0[j], G[j, j + 1] = gd1[j], G[j, j + 2] = gd2[j]
     md = masses * main
@@ -345,15 +347,13 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     J = float(zeta @ (masses * zeta))
     dphi_face = np.diff(phi) / h
     grad_energy = float(np.sum(system.a_inner * dphi_face ** 2 * h))
-    # derivative samples at the nodes (central differences, one-sided at ends)
-    dphi = np.gradient(phi, t)
     resid = system.apply_D(zeta)  # L zeta - zeta
     interior = slice(1, system.first_tail)
     num = float(np.sqrt(np.sum(masses[interior] * resid[interior] ** 2)))
     den = float(np.sqrt(np.sum(masses[interior] * zeta[interior] ** 2)))
     ode_residual = num / den if den > 0 else 0.0
     return ProfileSolution(
-        b=b, T_max=T_max, t=t, phi=phi, dphi=dphi, zeta=zeta, J=J,
+        b=b, T_max=T_max, t=t, phi=phi, zeta=zeta, J=J,
         grad_energy=grad_energy, ode_residual=ode_residual,
         tail_coeffs=(float(y[-2]), float(y[-1])),
     )

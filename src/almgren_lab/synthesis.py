@@ -38,16 +38,17 @@ from .core import (
 )
 from .hemisphere import SpectralMode, sigma_exponents, sphere_harmonic_value
 
-# Gauss nodes per axis beyond the largest degree.  Products of two modes of
-# degree <= sigma are trigonometric polynomials of degree <= 2 sigma in the
-# polar angle and, for integer sigma, polynomials of degree <= 2 sigma + 2 in
-# the radius; 10 + sigma angular nodes reach 1e-13 for sigma <= 24, and
-# 0.8 sigma + 20 beyond (measured at N = 1..6).
+# Angular Gauss nodes beyond the largest degree, for the pair integrals of
+# the Almgren quadrature path and the Fourier coefficients (no radial rule
+# reads it: the radial integrals are power laws, taken in closed form).
+# Products of two modes of degree <= sigma are trigonometric polynomials of
+# degree <= 2 sigma in the polar angle; 10 + sigma angular nodes reach 1e-13
+# for sigma <= 24, and 0.8 sigma + 20 beyond (measured at N = 1..6).
 GAUSS_MARGIN = 16
 
 
 def gauss_nodes(sigma: float) -> int:
-    """Gauss nodes per axis that resolve pair integrals of modes up to degree sigma."""
+    """Angular Gauss nodes that resolve pair integrals of modes up to degree sigma."""
     return GAUSS_MARGIN + math.ceil(sigma)
 
 

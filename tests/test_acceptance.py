@@ -187,6 +187,10 @@ def test_criterion_09_frequency_limit():
             res3 = al.frequency_limit(low)
             assert abs(res3.gamma + q.b) <= 1e-10, f"gamma {res3.gamma} at s = {s}"
             assert res3.h_limit > 0
+            # the quadrature path serves the constant mode at N + b < 1 too
+            quad = al.frequency_limit(low, frequency_trace=al.trace(low, method="quadrature"))
+            assert abs(quad.gamma + q.b) <= 1e-10, f"quadrature gamma {quad.gamma} at s = {s}"
+            assert quad.h_limit > 0
 
 
 def test_criterion_10_blowup_fitter():

@@ -600,19 +600,19 @@ def test_mode_amplitudes_are_within_2e_14_of_40_digits():
             assert err <= 2e-14, (s, j, a1, err)
 
 
-@pytest.mark.parametrize("s", [1.05, 1.25, 1.5, 1.75, 1.95])
+@pytest.mark.parametrize("s", [1.05, 1.25, 1.3, 1.5, 1.7, 1.75, 1.95])
 def test_high_degree_amplitudes_against_40_digits(s):
-    # N = 1 modes of degree 150..511 take Gamma ratios past 171.  Measured:
-    # the Stirling difference keeps A within 1.3e-15 where j + b1 is exact in
-    # binary (s = 1.25, 1.5, 1.75) and within 7.9e-14 elsewhere, where rounding
-    # j + b1 to a double moves log Gamma by psi(j) ulp(j); the math.lgamma
-    # difference it replaced was up to 9.3e-13 off
+    # N = 1 modes of degree 20..511 take their Gamma ratios from the Stirling
+    # difference, given the exact argument differences.  Measured: A within
+    # 1.6e-15 at every s, also where j + b1 is not exact in binary (s = 1.05,
+    # 1.3, 1.7, 1.95), whose rounding moved log Gamma by psi(j) ulp(j) and
+    # A by up to 7.9e-14 while the difference was formed from the arguments
     mpmath = pytest.importorskip("mpmath")
     b1 = 0.5 * (3.0 - 2.0 * s + 1.0)
-    bound = 4e-15 if s in (1.25, 1.5, 1.75) else 1.5e-13
+    bound = 4e-15
     with mpmath.workdps(40):
         c = 2 * mpmath.mpf(b1)
-        for j in range(150, MAX_MODES):
+        for j in range(20, MAX_MODES):
             want = ((c - 1) * mpmath.log(2) - mpmath.log(2 * j - 1 + c)
                     + 2 * mpmath.loggamma(j + mpmath.mpf(b1))
                     - mpmath.loggamma(j - 1 + c) - mpmath.loggamma(j + 1))

@@ -360,8 +360,7 @@ def test_trace_spread_guard():
     prof = solve_profile(0.0, resolution=2048)
     bad_zeta = prof.zeta * np.cos(40.0 * prof.t)
     bad = ProfileSolution(b=prof.b, T_max=prof.T_max, t=prof.t.copy(),
-                          phi=prof.phi.copy(), dphi=prof.dphi.copy(),
-                          zeta=bad_zeta, J=prof.J,
+                          phi=prof.phi.copy(), zeta=bad_zeta, J=prof.J,
                           grad_energy=prof.grad_energy,
                           ode_residual=prof.ode_residual,
                           tail_coeffs=prof.tail_coeffs)
