@@ -24,7 +24,6 @@ from .core import (
     integrate_halfsphere,
 )
 from .special_functions import (
-    BesselOrder,
     bessel_h,
     bessel_j,
     bessel_zero,

@@ -32,6 +32,7 @@ from .core import (
     UnmatchedExponentError,
     VanishingDenominatorError,
     WeightParams,
+    _int_at_least,
 )
 from .synthesis import SeparableSolution, gauss_nodes, _radial_parts
 
@@ -266,6 +267,9 @@ class FrequencyTrace:
 
 def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
                     r_max: float | None = None) -> np.ndarray:
+    if not (_int_at_least(per_decade, 1) and 0.0 < decades < np.inf):
+        raise DomainError(f"need an integer per_decade >= 1 and finite decades > 0, "
+                          f"got {per_decade!r}, {decades!r}")
     top = r_max if r_max is not None else R / 2.0
     count = int(round(per_decade * decades)) + 1
     return np.geomspace(top, top * 10.0 ** (-decades), count)
@@ -362,7 +366,6 @@ class FrequencyLimitResult:
     matched: MatchedExponent
     h_limit: float
     h_band: tuple[float, float]
-    sandwich_min: float
     fit_residual: float
 
 
@@ -397,8 +400,7 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
     UnmatchedExponentError is raised for a residual above FIT_RESIDUAL_BOUND,
     for h_0 <= 0, and for a gamma farther than MATCH_TOL from every candidate
     sigma_plus and sigma_plus + 2 (default: the terms' sigma).  `h_band`
-    spans r^{-2 gamma} H / h_0 over the last decade; `sandwich_min` is the
-    minimum of H r^{-2 gamma - 0.1}.
+    spans r^{-2 gamma} H / h_0 over the last decade.
 
     The fit reads r, D and H of `frequency_trace`, a closed or quadrature
     trace of `sol` whose schedule reaches below R/200; by default it forms
@@ -444,6 +446,5 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
         matched=MatchedExponent(value=kind_value, kind=kind, gap=gap),
         h_limit=h_limit,
         h_band=(float(last_decade.min() / h_limit), float(last_decade.max() / h_limit)),
-        sandwich_min=float(np.min(h_scaled * r ** -0.1)),
         fit_residual=residual,
     )

@@ -22,6 +22,9 @@ rule, `_HalfBallRule` (a radial rule times an `AngularGrid1D`), behind the
 radius gate `_check_radius` and the sample gate `_finite`:
 `integrate_halfball`, `integrate_halfsphere` and the inequality margins.
 
+Every count or index argument of the package (node counts, mode indices,
+resolutions) is tested by one predicate, `_int_at_least`.
+
 The Gamma functions come from `math` (`_log_gamma_ratio`); `gauss_jacobi`
 imports `scipy.linalg` on its first rule, so importing this loads no scipy.
 Rules are not changed after construction and every operation is pure.
@@ -157,6 +160,11 @@ def _log_gamma_ratio(x: float, y: float, d: float | None = None) -> float:
     return math.lgamma(x) - math.lgamma(y)
 
 
+def _int_at_least(n, low: int) -> bool:
+    """True iff n is an integer (Python or numpy, not a bool) and n >= low."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
+
+
 def unit_sphere_area(dim: int) -> float:
     """Surface measure of the unit sphere S^dim embedded in R^{dim+1}."""
     if dim < 0:
@@ -190,7 +198,7 @@ def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """
     from scipy.linalg import eigh_tridiagonal
 
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _int_at_least(n, 1):
         raise DomainError(f"Gauss node count must be an integer >= 1, got {n!r}")
     if n > MAX_GAUSS_NODES:
         raise DomainError(f"Gauss node count {n} exceeds the cap of {MAX_GAUSS_NODES}")
@@ -360,7 +368,6 @@ def integrate_halfball(
     params: WeightParams,
     r: float,
     *,
-    grid: AngularGrid1D | None = None,
     n_radial: int = DEFAULT_RADIAL_NODES,
     n_angular: int = DEFAULT_ANGULAR_NODES,
 ) -> float:
@@ -370,13 +377,13 @@ def integrate_halfball(
     is the polar angle psi for N >= 2 and the arc angle phi for N = 1.  In
     polar coordinates the measure splits into rho^{N+b} d(rho) times the
     angular weight, so the rule is `_HalfBallRule` with the radial pair
-    `gauss_jacobi(n_radial, N+b)` in rho / r and `grid` (by default
-    `AngularGrid1D.gauss(N, b, n_angular)`).
+    `gauss_jacobi(n_radial, N+b)` in rho / r and `AngularGrid1D.gauss(N, b,
+    n_angular)`.
     """
     _check_radius(r)
     beta = params.N + params.b
     radial = gauss_jacobi(n_radial, beta)
-    rule = _HalfBallRule(params, r, grid or AngularGrid1D.gauss(params.N, params.b, n_angular),
+    rule = _HalfBallRule(params, r, AngularGrid1D.gauss(params.N, params.b, n_angular),
                          radial, beta)
     return rule.ball(f(rule.rho, rule.angular.nodes[None, :]))
 
@@ -386,18 +393,17 @@ def integrate_halfsphere(
     params: WeightParams,
     r: float,
     *,
-    grid: AngularGrid1D | None = None,
     n_angular: int = DEFAULT_ANGULAR_NODES,
 ) -> float:
     """Approximate int_{S_r^+} t^b g dS for g given as a function of the angle.
 
     The point associated with angle a on the sphere of radius r is
     r*(sin(a) w, cos(a)) for N >= 2 and r*(cos(a), sin(a)) for N = 1.  The
-    rule is the sphere sum of `_HalfBallRule` on `grid`, by default
-    `AngularGrid1D.gauss(N, b, n_angular)`; g's values broadcast to the nodes.
+    rule is the sphere sum of `_HalfBallRule` on `AngularGrid1D.gauss(N, b,
+    n_angular)`; g's values broadcast to the nodes.
     """
     _check_radius(r)
-    grid = grid or AngularGrid1D.gauss(params.N, params.b, n_angular)
+    grid = AngularGrid1D.gauss(params.N, params.b, n_angular)
     values = np.asarray(g(grid.nodes), dtype=float)
     if values.shape != grid.nodes.shape:
         values = np.broadcast_to(values, grid.nodes.shape).astype(float)

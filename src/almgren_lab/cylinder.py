@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, WeightParams
+from .core import DomainError, WeightParams, _int_at_least
 from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_zeros,
                                 _radial_norm_at_zero)
 
@@ -82,8 +82,10 @@ def _disk_zeros(count: int) -> list[tuple[int, int, float]]:
 
 def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
     """Closed-form Dirichlet spectra for the interval (N = 1) and disk (N = 2)."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    if not _int_at_least(count, 1):
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
+    if not (R > 0 and math.isfinite(R)):
+        raise DomainError(f"ball radius R must be positive and finite, got {R}")
     if N == 1:
         a = 2.0 * R
         norm = 1.0 / math.sqrt(a)
@@ -103,23 +105,13 @@ def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
         for k, p, j in _disk_zeros(count):
             mu = (j / a) ** 2
             c = 1.0 / (math.sqrt(math.pi) * a * abs(jv(k + 1, j)))
-            if k == 0:
+            c_k = c if k == 0 else math.sqrt(2.0) * c
+            # k = 0 has the cosine member only, cos(0 phi) = 1
+            for parity, trig in (("cos", np.cos), ("sin", np.sin))[:1 if k == 0 else 2]:
                 entries.append((
-                    mu, (k, p, "cos"),
-                    lambda rho, phi=None, j=j, a=a, c=c:
-                        c * jv(0, j * np.asarray(rho, dtype=float) / a),
-                ))
-            else:
-                c_k = math.sqrt(2.0) * c
-                entries.append((
-                    mu, (k, p, "cos"),
-                    lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k:
-                        c * jv(k, j * np.asarray(rho, dtype=float) / a) * np.cos(k * np.asarray(phi)),
-                ))
-                entries.append((
-                    mu, (k, p, "sin"),
-                    lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k:
-                        c * jv(k, j * np.asarray(rho, dtype=float) / a) * np.sin(k * np.asarray(phi)),
+                    mu, (k, p, parity),
+                    lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k, trig=trig:
+                        c * jv(k, j * np.asarray(rho, dtype=float) / a) * trig(k * np.asarray(phi)),
                 ))
         entries = entries[:count]      # the last pair may straddle the count
     else:
@@ -166,8 +158,8 @@ class CylinderMode:
 def cylinder_mode(params: WeightParams, n: int, m: int,
                   spectrum: DirichletSpectrum | None = None) -> CylinderMode:
     """Assemble the (n, m) eigenmode; eigenvalue mu_n + j_m^2/(2R)^2."""
-    if n < 1 or m < 1:
-        raise DomainError("mode indices n, m must be >= 1")
+    if not (_int_at_least(n, 1) and _int_at_least(m, 1)):
+        raise DomainError(f"mode indices n, m must be integers >= 1, got {n!r}, {m!r}")
     if spectrum is None:
         spectrum = dirichlet_eigs(params.N, params.R, n)
     if len(spectrum) < n:

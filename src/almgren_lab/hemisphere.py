@@ -50,6 +50,7 @@ from .core import (
     InputError,
     ResolutionError,
     WeightParams,
+    _int_at_least,
     _log_gamma_ratio,
     _sinc_ratio,
     unit_sphere_area,
@@ -271,12 +272,15 @@ def hemisphere_eigs(
     on `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)` and positive at the
     equator.
     """
+    if not (_int_at_least(resolution, 0) and _int_at_least(per_k, 1)
+            and _int_at_least(k_max, 0) and _int_at_least(refinements, 0)):
+        raise DomainError("need integers resolution >= 64, per_k >= 1, k_max >= 0 and "
+                          f"refinements >= 0, got {resolution!r}, {per_k!r}, {k_max!r}, "
+                          f"{refinements!r}")
     if resolution < 64:
         raise ResolutionError(
             f"resolution {resolution} too low; use at least 64 (and >= 8*per_k)"
         )
-    if per_k < 1 or k_max < 0:
-        raise DomainError("need per_k >= 1 and k_max >= 0")
     if per_k > resolution // 8:
         raise ResolutionError(
             f"resolution {resolution} too low for {per_k} eigenvalues per sector; "
@@ -386,12 +390,11 @@ def polynomial_mode(params: WeightParams, sigma: int, k: int | None = None) -> S
     use d/dx P_j^{(alpha,beta)} = (j+alpha+beta+1)/2 P_{j-1}^{(alpha+1,beta+1)}.
     """
     N = params.N
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, np.integer)) or sigma < 0:
+    if not _int_at_least(sigma, 0):
         raise DomainError(f"sigma must be a non-negative integer, got {sigma!r}")
     sigma = int(sigma)
     k_eff = (0 if N == 1 else sigma % 2) if k is None else k
-    if (isinstance(k_eff, bool) or not isinstance(k_eff, (int, np.integer))
-            or not 0 <= k_eff <= sigma or (N == 1 and k_eff != 0)
+    if (not _int_at_least(k_eff, 0) or k_eff > sigma or (N == 1 and k_eff != 0)
             or (N >= 2 and (sigma - k_eff) % 2)):
         raise DomainError(f"no mode of degree sigma={sigma} in sector k={k} at N={N}")
     k_eff = int(k_eff)
@@ -439,11 +442,10 @@ def hemisphere_modes(params: WeightParams, count: int, k_max: int | None = None)
     k > k_max are left out; every mode still reports the full multiplicity
     M_sigma.  `count` lies in [1, MAX_MODES].
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
-            or not 1 <= count <= MAX_MODES:
+    if not _int_at_least(count, 1) or count > MAX_MODES:
         raise InputError(f"mode count must be an integer in [1, {MAX_MODES}], got {count!r}")
-    if k_max is not None and k_max < 0:
-        raise InputError(f"k_max must be non-negative, got {k_max}")
+    if k_max is not None and not _int_at_least(k_max, 0):
+        raise InputError(f"k_max must be a non-negative integer, got {k_max!r}")
     keys = ((sigma, k) for sigma in itertools.count()
             for k in ([0] if params.N == 1 else range(sigma % 2, sigma + 1, 2))
             if k_max is None or k <= k_max)

@@ -44,6 +44,7 @@ from .core import (
     SolverError,
     TraceProportionalityError,
     WeightParams,
+    _int_at_least,
     gauss_jacobi,
 )
 
@@ -115,15 +116,6 @@ class ProfileSolution:
         out = np.where(tau <= self.T_max, self._zeta_spline(np.minimum(tau, self.T_max)), 0.0)
         return out if out.ndim else float(out)
 
-    def zeta_at_zero(self) -> float:
-        """Limit of zeta at 0 by extrapolation in the local basis {1, t^{2a}, t^2}.
-
-        zeta is continuous at 0 but carries a t^{2 alpha} branch; fitting the
-        three smallest positive nodes in the correct basis removes it.  For
-        b = 0 the basis degenerates to plain quadratic extrapolation.
-        """
-        return _limit_at_zero(self.t[1:4], self.zeta[1:4], self.alpha)
-
 
 def _limit_at_zero(ts: np.ndarray, zs: np.ndarray, alpha: float) -> float:
     """Value at 0 of the fit of three samples in the basis {1, t^{2 alpha}, t^2}.
@@ -154,7 +146,7 @@ class BesselProfile:
 
     zeta = D_b phi - phi = -2c t^{s-1} K_{s-1}(t), so zeta(0+) = -1/(s-1),
     and J = C_b = 2 pi (s-1) c^2 / sin(pi (s-1)) (Gradshteyn-Ryzhik 6.576.4).
-    Evaluates like a `ProfileSolution` (phi_at, zeta_at, zeta_at_zero, J).
+    Evaluates like a `ProfileSolution` (phi_at, zeta_at, J), plus the exact `zeta_at_zero`.
     """
 
     b: float
@@ -320,8 +312,8 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
         raise DomainError(f"weight exponent b must lie in (-1, 1), got {b}")
     if not (math.isfinite(T_max) and T_max >= 20.0):
         raise DomainError(f"T_max must be finite and at least 20, got {T_max}")
-    if resolution < 512:
-        raise DomainError("resolution must be at least 512")
+    if not _int_at_least(resolution, 512):
+        raise DomainError(f"resolution must be an integer of at least 512, got {resolution!r}")
     if resolution > MAX_PROFILE_CELLS:
         raise DomainError(f"resolution {resolution} exceeds the cap of {MAX_PROFILE_CELLS}")
     n = int(resolution)
@@ -490,7 +482,7 @@ def trace_laplacian_check(
     closed form the check would be exact and would measure nothing.
     """
     u, u_hat, xi = _fourier_sample(u, box_length)
-    if isinstance(n_shells, bool) or not isinstance(n_shells, (int, np.integer)) or n_shells < 1:
+    if not _int_at_least(n_shells, 1):
         raise DomainError(f"shell count must be an integer >= 1, got {n_shells!r}")
     prof = profile or _cached_profile(params.b)
     power = np.abs(u_hat) ** 2

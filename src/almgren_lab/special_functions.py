@@ -12,31 +12,28 @@ functions that call it, on first use, so importing the module loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SolverError, WeightParams
+from .core import DomainError, SolverError, WeightParams, _int_at_least
 
 _SERIES_CUTOFF = 0.5
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Real order nu with |nu| < 1; the basis order is nu = -alpha = -(1-b)/2."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not abs(self.nu) < 1.0:
-            raise DomainError(f"Bessel order must satisfy |nu| < 1, got {self.nu}")
-
-
 def _order_value(nu) -> float:
-    nu = nu.nu if isinstance(nu, BesselOrder) else float(nu)
+    """nu as a float, refused unless |nu| < 1; the basis order is nu = -alpha = -(1-b)/2."""
+    nu = float(nu)
     if not abs(nu) < 1.0:
         raise DomainError(f"Bessel order must satisfy |nu| < 1, got {nu}")
     return nu
+
+
+def _argument(t) -> np.ndarray:
+    """t as a float array, refused unless finite and nonnegative."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+        raise DomainError("argument t must be finite and nonnegative")
+    return t_arr
 
 
 def bessel_j(nu, t):
@@ -48,9 +45,7 @@ def bessel_j(nu, t):
     from scipy.special import jv
 
     nu = _order_value(nu)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("argument t must be nonnegative")
+    t_arr = _argument(t)
     if nu < 0 and np.any(t_arr == 0.0):
         raise DomainError(
             "J_nu(0) diverges for nu < 0; use bessel_h for the t^alpha-regularized value"
@@ -84,9 +79,7 @@ def bessel_h(alpha: float, t):
 
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise DomainError("argument t must be nonnegative")
+    t_arr = np.atleast_1d(_argument(t))
     out = np.empty_like(t_arr)
     small = t_arr < _SERIES_CUTOFF
     if np.any(small):
@@ -103,7 +96,7 @@ def bessel_h_deriv(alpha: float, t):
 
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _argument(t)
     out = -(t_arr ** alpha) * jv(1.0 - alpha, t_arr)
     return float(out) if np.isscalar(t) else out
 
@@ -157,20 +150,18 @@ def bessel_zero(nu, m: int) -> float:
     imported on first use.
     """
     nu = _order_value(nu)
-    if m < 1 or int(m) != m:
-        raise DomainError(f"zero index m must be a positive integer, got {m}")
+    if not _int_at_least(m, 1):
+        raise DomainError(f"zero index m must be a positive integer, got {m!r}")
     return float(_bessel_zeros(nu, [int(m)])[0])
 
 
 def radial_norm_gamma(params: WeightParams, m: int) -> float:
     """Normalization gamma_m = [int_0^{2R} t J_{-alpha}(j_m t / (2R))^2 dt]^{-1/2}.
 
-    Solves for the zero j_m = j_{-alpha,m}; `_radial_norm_at_zero` takes one
-    already solved.
+    Solves for the zero j_m = j_{-alpha,m} (`bessel_zero` gates m);
+    `_radial_norm_at_zero` takes one already solved.
     """
-    if m < 1 or int(m) != m:
-        raise DomainError(f"index m must be a positive integer, got {m}")
-    return _radial_norm_at_zero(params, bessel_zero(-params.alpha, int(m)))
+    return _radial_norm_at_zero(params, bessel_zero(-params.alpha, m))
 
 
 def _radial_norm_at_zero(params: WeightParams, zero: float) -> float:

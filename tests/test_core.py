@@ -11,8 +11,13 @@ from almgren_lab import (
     DomainError,
     InputError,
     WeightParams,
+    almgren,
+    cylinder,
+    hemisphere,
     integrate_halfball,
     integrate_halfsphere,
+    profile,
+    special_functions,
 )
 from almgren_lab.core import (
     DEFAULT_ANGULAR_NODES,
@@ -92,9 +97,8 @@ def test_euler_homogeneity_of_weighted_measure(fixture, request):
     # on one angular grid; the radial Gauss-Jacobi rule is exact for f = 1
     p = request.getfixturevalue(fixture)
     r = 0.8
-    grid = AngularGrid1D.gauss(p.N, p.b, 64)
-    sphere = integrate_halfsphere(lambda a: np.ones_like(a), p, r, grid=grid)
-    ball = integrate_halfball(ONE, p, r, grid=grid)
+    sphere = integrate_halfsphere(lambda a: np.ones_like(a), p, r, n_angular=64)
+    ball = integrate_halfball(ONE, p, r, n_angular=64)
     assert_allclose(sphere, (p.N + p.b + 1) / r * ball, rtol=1e-13)
 
 
@@ -134,10 +138,45 @@ def test_halfball_rule_beyond_R_and_on_a_given_grid(params_n1, params_n3):
     got = integrate_halfball(ONE, params_n1, 1.5)
     assert_allclose(got, math.pi / 2 * 1.5 ** 2, rtol=1e-13)
     p = params_n3
-    grid = AngularGrid1D.gauss(p.N, p.b, 12)
-    sphere = integrate_halfsphere(lambda a: np.ones_like(a), p, 1.0, grid=grid)
-    ball = integrate_halfball(ONE, p, 1.0, grid=grid, n_radial=4)
+    sphere = integrate_halfsphere(lambda a: np.ones_like(a), p, 1.0, n_angular=12)
+    ball = integrate_halfball(ONE, p, 1.0, n_radial=4, n_angular=12)
     assert_allclose(ball, sphere / (p.N + p.b + 1), rtol=1e-14)
+
+
+_P = WeightParams(s=1.5, N=2)
+_MALFORMED = {
+    # no sector is <= nan: without the gate the mode sweep never ends
+    "modes-k-max-nan": lambda: hemisphere.hemisphere_modes(_P, 4, k_max=math.nan),
+    "zero-index-nan": lambda: special_functions.bessel_zero(0.5, math.nan),
+    "zero-index-inf": lambda: special_functions.bessel_zero(0.5, math.inf),
+    "zero-index-bool": lambda: special_functions.bessel_zero(0.5, True),
+    "gamma-index-nan": lambda: special_functions.radial_norm_gamma(_P, math.nan),
+    "j-nan-argument": lambda: special_functions.bessel_j(0.5, math.nan),
+    "h-nan-argument": lambda: special_functions.bessel_h(0.5, math.nan),
+    "h-deriv-nan-argument": lambda: special_functions.bessel_h_deriv(0.5, math.nan),
+    "h-deriv-negative-argument": lambda: special_functions.bessel_h_deriv(0.5, -1.0),
+    "mode-index-nan": lambda: cylinder.cylinder_mode(_P, math.nan, 1),
+    "spectrum-count-fractional": lambda: cylinder.cylinder_spectrum(_P, 2.5),
+    "dirichlet-count-fractional": lambda: cylinder.dirichlet_eigs(1, 1.0, 2.5),
+    "dirichlet-negative-radius": lambda: cylinder.dirichlet_eigs(1, -1.0, 2),
+    "dirichlet-nan-radius": lambda: cylinder.dirichlet_eigs(2, math.nan, 2),
+    "eigs-k-max-nan": lambda: hemisphere.hemisphere_eigs(_P, k_max=math.nan),
+    "eigs-resolution-nan": lambda: hemisphere.hemisphere_eigs(_P, resolution=math.nan),
+    "eigs-per-k-nan": lambda: hemisphere.hemisphere_eigs(_P, per_k=math.nan),
+    "eigs-refinements-negative": lambda: hemisphere.hemisphere_eigs(_P, refinements=-1),
+    "schedule-per-decade-nan": lambda: almgren.radius_schedule(1.0, per_decade=math.nan),
+    "schedule-decades-nan": lambda: almgren.radius_schedule(1.0, decades=math.nan),
+    "profile-resolution-nan": lambda: profile.solve_profile(0.0, resolution=math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_counts_and_arguments_raise_library_errors(case):
+    # every count is an integer, not a bool, at least its floor; Bessel
+    # arguments are finite and nonnegative; the Dirichlet ball radius is
+    # positive and finite.  Mode lists raise InputError, the rest DomainError.
+    with pytest.raises(InputError if case.startswith("modes-") else DomainError):
+        _MALFORMED[case]()
 
 
 def test_nonfinite_sample_raises(params_n1):

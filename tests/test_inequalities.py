@@ -40,8 +40,11 @@ def p4():
 
 
 class ConstField:
+    def __init__(self, c=1.0):
+        self.c = c
+
     def value(self, q, t):
-        return np.ones(np.broadcast(np.asarray(q), np.asarray(t)).shape)
+        return np.full(np.broadcast(np.asarray(q), np.asarray(t)).shape, self.c)
 
     def grad(self, q, t):
         z = np.zeros(np.broadcast(np.asarray(q), np.asarray(t)).shape)
@@ -249,6 +252,25 @@ def test_sobolev_constant_family_closed_measures(p3):
     trace_norm = (unit_sphere_area(p3.N - 1) / p3.N) ** (2.0 / qs)
     want = (beta1 / 2.0) * sphere / trace_norm
     assert c == pytest.approx(want, rel=1e-12)
+
+
+class Members:
+    def __init__(self, *fields):
+        self.members = fields
+
+    def fields(self):
+        return iter(self.members)
+
+
+def test_sobolev_estimate_skips_vanishing_traces_and_refuses_when_all_vanish(p3):
+    bump = next(TestFamily(params=p3, kind="bumps", count=1, seed=2).fields())
+    want = estimate_sobolev_trace_constant(p3, Members(bump), 1.0)
+    with pytest.warns(UserWarning, match="trace vanishes"):
+        got = estimate_sobolev_trace_constant(p3, Members(ConstField(0.0), bump), 1.0)
+    assert got == want
+    with pytest.warns(UserWarning, match="trace vanishes"), \
+            pytest.raises(DomainError, match="every family member had vanishing trace"):
+        estimate_sobolev_trace_constant(p3, Members(ConstField(0.0), ConstField(0.0)), 1.0)
 
 
 def test_sobolev_trace_survives_a_huge_critical_exponent():

@@ -351,6 +351,25 @@ def test_trace_relation_matches_profile_slope():
         assert abs(kappa - 2.0 / (1.0 - b)) / (2.0 / (1.0 - b)) < 0.02
 
 
+@pytest.mark.parametrize("b", [0.5, 0.6, 0.7, 0.8, 0.9])
+def test_trace_spread_bounds_the_error_as_b_grows(b):
+    # the criterion-5 Gaussian on a 48 x 48 torus: as b -> 1 the t^{2 alpha}
+    # branch of zeta steepens and the three-level limit degrades, but the
+    # reported spread still exceeds the error against 2/(1-b); at b = 0.9
+    # the spread passes 5% and the check refuses
+    p = WeightParams.from_b(b, 2)
+    n = 48
+    x = np.arange(n) * 2 * math.pi / n
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    u = np.exp(-((X - math.pi) ** 2 + (Y - math.pi) ** 2) / 0.8)
+    if b == 0.9:
+        with pytest.raises(TraceProportionalityError, match="spread"):
+            trace_laplacian_check(p, u)
+        return
+    kappa, spread = trace_laplacian_check(p, u)
+    assert abs(kappa - 2.0 / (1.0 - b)) / (2.0 / (1.0 - b)) <= spread
+
+
 def test_trace_spread_guard():
     # a profile whose zeta oscillates near 0 yields shell-dependent ratios
     # and must be flagged as failed proportionality

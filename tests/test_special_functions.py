@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from almgren_lab import (
-    BesselOrder,
     DomainError,
     WeightParams,
     bessel_h,
@@ -17,11 +16,12 @@ from almgren_lab import (
 from almgren_lab.special_functions import bessel_h_deriv
 
 
-def test_order_domain():
-    with pytest.raises(DomainError):
-        BesselOrder(1.0)
-    with pytest.raises(DomainError):
-        bessel_j(1.5, 1.0)
+@pytest.mark.parametrize("nu", [1.0, -1.0, 1.5, math.nan])
+def test_order_domain(nu):
+    with pytest.raises(DomainError, match=r"\|nu\| < 1"):
+        bessel_j(nu, 1.0)
+    with pytest.raises(DomainError, match=r"\|nu\| < 1"):
+        bessel_zero(nu, 1)
 
 
 def test_half_integer_closed_form():
