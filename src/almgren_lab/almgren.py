@@ -271,6 +271,8 @@ def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
         raise DomainError(f"need an integer per_decade >= 1 and finite decades > 0, "
                           f"got {per_decade!r}, {decades!r}")
     top = r_max if r_max is not None else R / 2.0
+    if not 0.0 < top < np.inf:
+        raise DomainError(f"the top radius must be positive and finite, got {top!r}")
     count = int(round(per_decade * decades)) + 1
     return np.geomspace(top, top * 10.0 ** (-decades), count)
 

@@ -25,8 +25,12 @@ radius gate `_check_radius` and the sample gate `_finite`:
 Every count or index argument of the package (node counts, mode indices,
 resolutions) is tested by one predicate, `_int_at_least`.
 
+The finite-volume cross-checks interpolate their samples with one private
+not-a-knot spline, `_CubicSpline`.
+
 The Gamma functions come from `math` (`_log_gamma_ratio`); `gauss_jacobi`
-imports `scipy.linalg` on its first rule, so importing this loads no scipy.
+and `_CubicSpline` import `scipy.linalg` on their first rule or spline, so
+importing this loads no scipy.
 Rules are not changed after construction and every operation is pure.
 """
 
@@ -245,6 +249,56 @@ def _sinc_ratio(u: np.ndarray) -> np.ndarray:
     nz = u != 0.0
     out[nz] = np.sin(u[nz]) / u[nz]
     return out
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), the default of scipy's `CubicSpline`.
+
+    The knot slopes solve the tridiagonal system for a continuous second
+    derivative, closed at each end by a continuous third derivative across
+    the second and last-but-one knots (de Boor, A Practical Guide to Splines,
+    ch. IV), in one `scipy.linalg.solve_banded` call.  Piece i is
+    c[0] h^3 + c[1] h^2 + c[2] h + c[3] in h = x - x_i; the end pieces extend
+    beyond the data.  The spline is linear in y, so scaling `c` scales it.
+    """
+
+    def __init__(self, x, y):
+        from scipy.linalg import solve_banded
+
+        x, y = _finite(x), _finite(y)
+        if x.ndim != 1 or y.shape != x.shape or x.size < 4:
+            raise InputError(f"a cubic spline needs 1-D x and y of one length >= 4, "
+                             f"got shapes {x.shape} and {y.shape}")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise InputError("spline abscissae must increase strictly")
+        slope = np.diff(y) / dx
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        bands = np.zeros((3, x.size))       # upper, main and lower diagonal
+        bands[0, 1], bands[0, 2:] = d0, dx[:-1]
+        bands[1, 0], bands[1, 1:-1], bands[1, -1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
+        bands[2, :-2], bands[2, -2] = dx[1:], d1
+        rhs = np.empty(x.size)
+        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s = solve_banded((1, 1), bands, rhs, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.x = x
+        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    def __call__(self, xp, nu: int = 0):
+        """The value (nu = 0) or first derivative (nu = 1) at xp, by Horner on its piece."""
+        xp = np.asarray(xp, dtype=float)
+        i = np.searchsorted(self.x[1:-1], xp, side="right")
+        h = xp - self.x[i]
+        c3, c2, c1, c0 = self.c[:, i]
+        if nu == 0:
+            return ((c3 * h + c2) * h + c1) * h + c0
+        if nu == 1:
+            return (3.0 * c3 * h + 2.0 * c2) * h + c1
+        raise DomainError(f"spline derivative order must be 0 or 1, got {nu!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, WeightParams, _int_at_least
+from .core import DomainError, InputError, WeightParams, _int_at_least
 from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_zeros,
                                 _radial_norm_at_zero)
 
@@ -162,6 +162,9 @@ def cylinder_mode(params: WeightParams, n: int, m: int,
         raise DomainError(f"mode indices n, m must be integers >= 1, got {n!r}, {m!r}")
     if spectrum is None:
         spectrum = dirichlet_eigs(params.N, params.R, n)
+    if (spectrum.N, spectrum.R) != (params.N, params.R):
+        raise InputError(f"spectrum is for N = {spectrum.N}, R = {spectrum.R}; "
+                         f"the mode needs N = {params.N}, R = {params.R}")
     if len(spectrum) < n:
         raise DomainError(f"spectrum holds {len(spectrum)} entries; need n = {n}")
     return _mode(params, spectrum, n, m, bessel_zero(-params.alpha, m))

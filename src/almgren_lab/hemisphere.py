@@ -29,9 +29,9 @@ Gauss-Jacobi rule `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the
 rule family of every angular integral that later checks it.
 
 The closed forms need numpy and `math` only; the cross-check imports
-`scipy.linalg` (and `scipy.interpolate` for its splines) on first use.  The
-resonance constant K of a separable term belongs to its radial model and is
-formed in `synthesis`, at the exponent itself.
+`scipy.linalg` on first use, for its eigensolves and its splines
+(`core._CubicSpline`).  The resonance constant K of a separable term belongs
+to its radial model and is formed in `synthesis`, at the exponent itself.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .core import (
     InputError,
     ResolutionError,
     WeightParams,
+    _CubicSpline,
     _int_at_least,
     _log_gamma_ratio,
     _sinc_ratio,
@@ -289,7 +290,6 @@ def hemisphere_eigs(
     N = params.N
     grid = AngularGrid1D.gauss(N, params.b, DEFAULT_ANGULAR_NODES)
     psi_eq = math.pi / 2.0 if N >= 2 else 0.0
-    from scipy.interpolate import CubicSpline   # FV cross-check only
 
     modes = []
     for k in [0] if N == 1 else range(k_max + 1):
@@ -303,7 +303,7 @@ def hemisphere_eigs(
             # the constants span the discrete kernel: the solver's mu for them
             # is roundoff, which grows like n^2 (1e-8 at n = 8192)
             mu = 0.0 if sigma == 0 else float(mu)
-            spline = CubicSpline(centers, sin_k * qvecs[:, j])
+            spline = _CubicSpline(centers, sin_k * qvecs[:, j])
             # normalize on the Gauss-Jacobi rule and orient at the equator; a
             # piecewise polynomial scales with its coefficients
             sign = 1.0 if spline(psi_eq) >= 0 else -1.0

@@ -20,7 +20,8 @@ s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
 `BesselProfile` evaluates it and is the profile the extension uses;
 `solve_profile` stays as the independent finite-volume cross-check.
 `scipy.special` (for K_s and Gamma) and `scipy.linalg` (for the banded
-Cholesky) are imported on first use, not with the module.
+Cholesky and the interpolating splines, `core._CubicSpline`) are imported on
+first use, not with the module.
 
 The extension of a torus sample u is built frequency-wise as
 Uhat(xi, t) = uhat(xi) phi(|xi| t).  `build_extension`,
@@ -44,6 +45,7 @@ from .core import (
     SolverError,
     TraceProportionalityError,
     WeightParams,
+    _CubicSpline,
     _int_at_least,
     gauss_jacobi,
 )
@@ -80,16 +82,14 @@ class ProfileSolution:
         for arr in (self.t, self.phi, self.zeta):
             arr.flags.writeable = False
 
-    # the splines (and scipy.interpolate) are built on the first interpolation
+    # each spline is built on its first interpolation
     @cached_property
     def _phi_spline(self):
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.t, self.phi)
+        return _CubicSpline(self.t, self.phi)
 
     @cached_property
     def _zeta_spline(self):
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.t, self.zeta)
+        return _CubicSpline(self.t, self.zeta)
 
     @property
     def alpha(self) -> float:

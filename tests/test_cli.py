@@ -644,6 +644,36 @@ def test_cylinder_and_extend_commands_load_only_scipy_special(tmp_path):
     assert lines == [f"{what} | ['special']" for what, _ in steps]
 
 
+_FV_FOOTPRINTS = {   # what runs in the fresh process, and the public scipy modules it may load
+    "selftest": ("import almgren_lab.cli as cli, contextlib, io\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    assert cli.run(['selftest']) == 0\n", ["linalg", "special"]),
+    "hemisphere_eigs": ("from almgren_lab import WeightParams, hemisphere_eigs\n"
+                        "mode = hemisphere_eigs(WeightParams(s=1.25, N=3), k_max=2, per_k=3,\n"
+                        "                       resolution=128)[4]\n"
+                        "mode.profile(0.5), mode.profile.deriv(0.5)\n", ["linalg"]),
+    "solve_profile": ("from almgren_lab import solve_profile\n"
+                      "sol = solve_profile(0.4, resolution=512)\n"
+                      "sol.phi_at(1.0), sol.zeta_at(1.0)\n", ["linalg"]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_FV_FOOTPRINTS))
+def test_fv_cross_checks_and_selftest_load_scipy_linalg_and_no_interpolate(what):
+    # the finite-volume splines are solved on scipy.linalg, which the
+    # eigensolves and the banded Cholesky load anyway; selftest's Bessel zero
+    # adds scipy.special.  scipy.version and private modules are not counted
+    body, allowed = _FV_FOOTPRINTS[what]
+    src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
+    code = (f"import sys; sys.path.insert(0, {src_dir!r})\n" + body
+            + "print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')\n"
+              "              and not m.split('.')[1].startswith('_')} - {'version'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(allowed)
+
+
 def test_json_artifact_is_compact_and_the_file_holds_the_printed_payload(tmp_path, capsys):
     code, out = run_capture(capsys, ["spectrum", "hemisphere", "--s", "1.25", "--N", "3",
                                      "--count", "6", "--out", str(tmp_path)])

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from almgren_lab import (
+    AlmgrenLabError,
     AngularGrid1D,
     DomainError,
     InputError,
@@ -25,6 +26,7 @@ from almgren_lab.core import (
     MAX_GAUSS_NODES,
     SPLIT_HEAD_NODES,
     SPLIT_POINT,
+    _CubicSpline,
     gauss_jacobi,
     split_gauss_jacobi,
     unit_sphere_area,
@@ -166,6 +168,14 @@ _MALFORMED = {
     "eigs-refinements-negative": lambda: hemisphere.hemisphere_eigs(_P, refinements=-1),
     "schedule-per-decade-nan": lambda: almgren.radius_schedule(1.0, per_decade=math.nan),
     "schedule-decades-nan": lambda: almgren.radius_schedule(1.0, decades=math.nan),
+    # a top radius not positive and finite gave negative, NaN or inf radii (0: a bare ValueError)
+    "schedule-negative-R": lambda: almgren.radius_schedule(-1.0, per_decade=2, decades=1.0),
+    "schedule-zero-R": lambda: almgren.radius_schedule(0.0),
+    "schedule-nan-R": lambda: almgren.radius_schedule(math.nan),
+    "schedule-inf-R": lambda: almgren.radius_schedule(math.inf),
+    "schedule-negative-r-max": lambda: almgren.radius_schedule(1.0, r_max=-0.5),
+    "schedule-nan-r-max": lambda: almgren.radius_schedule(1.0, r_max=math.nan),
+    "schedule-inf-r-max": lambda: almgren.radius_schedule(1.0, r_max=math.inf),
     "profile-resolution-nan": lambda: profile.solve_profile(0.0, resolution=math.nan),
 }
 
@@ -299,3 +309,57 @@ def test_gamma_closed_forms_match_the_gammaln_form():
             want = 0.5 * math.exp(special.gammaln((a + 1) / 2.0) + special.gammaln((c + 1) / 2.0)
                                   - special.gammaln((a + c + 2) / 2.0))
             assert weighted_angular_moment(a, c) == pytest.approx(want, rel=1e-14, abs=0.0), (a, c)
+
+
+@pytest.mark.parametrize("kind, n", [("centres", 64), ("centres", 257), ("centres", 4096),
+                                     ("centres", 16385), ("random", 4), ("random", 5),
+                                     ("random", 33), ("random", 1000)])
+def test_cubic_spline_matches_scipy_not_a_knot(kind, n):
+    # finite-volume cell centres on (0, pi/2), or a sorted random grid; the
+    # points are the nodes, the midpoints and points up to a quarter span
+    # outside the data, where both extend the end cubics
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(n)
+    if kind == "centres":
+        x = (np.arange(n) + 0.5) * (math.pi / 2.0 / n)
+    else:
+        x = np.sort(rng.uniform(-1.0, 2.0, n))
+    y = np.cos(3.0 * x) + 0.1 * rng.standard_normal(n)
+    span = x[-1] - x[0]
+    xp = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                         x[0] - span * np.array([0.25, 1e-3]), x[-1] + span * np.array([1e-3, 0.25]),
+                         rng.uniform(x[0] - 0.25 * span, x[-1] + 0.25 * span, 200)])
+    ours, theirs = _CubicSpline(x, y), interpolate.CubicSpline(x, y)
+    for nu in (0, 1):
+        want = theirs(xp, nu)
+        # relative to the largest value: a pointwise ratio is ill-posed at zeros
+        assert np.max(np.abs(ours(xp, nu) - want)) <= 1e-14 * np.max(np.abs(want)), nu
+        assert float(ours(xp[3], nu)) == pytest.approx(float(want[3]), rel=1e-14, abs=1e-14)
+    assert np.array_equal(ours(x[:-1]), y[:-1])     # a piece starts at its knot's value
+
+
+_BAD_SPLINE_DATA = {
+    "three-points": ([0.0, 1.0, 2.0], [1.0, 2.0, 0.0]),
+    "repeated-abscissa": ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+    "decreasing-abscissa": ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+    "nan-abscissa": ([0.0, 1.0, 2.0, math.nan], [0.0, 1.0, 2.0, 3.0]),
+    "nan-value": ([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 2.0, 3.0]),
+    "inf-value": ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, math.inf, 3.0]),
+    "length-mismatch": ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),
+    "two-dimensional": ([[0.0, 1.0, 2.0, 3.0]], [[0.0, 1.0, 2.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SPLINE_DATA))
+def test_cubic_spline_refuses_short_unsorted_or_nonfinite_data(case):
+    x, y = _BAD_SPLINE_DATA[case]
+    with pytest.raises(AlmgrenLabError):
+        _CubicSpline(x, y)
+
+
+def test_cubic_spline_derivative_orders_beyond_one_raise():
+    spline = _CubicSpline([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 8.0, 27.0])
+    assert spline(1.5) == pytest.approx(1.5 ** 3, rel=1e-15)   # not-a-knot keeps cubics
+    assert spline(1.5, nu=1) == pytest.approx(3.0 * 1.5 ** 2, rel=1e-15)
+    with pytest.raises(DomainError):
+        spline(1.5, nu=2)

@@ -6,6 +6,7 @@ from scipy.special import jn_zeros, jv, roots_legendre
 
 from almgren_lab import (
     DomainError,
+    InputError,
     WeightParams,
     cylinder_mode,
     cylinder_spectrum,
@@ -113,6 +114,15 @@ def test_mode_eigenvalue_example(params):
     # N = 1, b = 0, R = 1/2, n = m = 1: lambda = pi^2/2
     mode = cylinder_mode(params, 1, 1)
     assert mode.eigenvalue == pytest.approx(math.pi ** 2 / 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("N, R", [(2, 3.0), (1, 3.0), (2, 1.0)])
+def test_mode_refuses_a_spectrum_of_another_dimension_or_radius(N, R):
+    # (N, R) = (2, 3) would give lambda = 0.7775 where (pi/4)^2 + (pi/4)^2 = 1.2337 is right
+    p = WeightParams(s=1.5, N=1, R=1.0)
+    assert cylinder_mode(p, 1, 1).eigenvalue == pytest.approx(math.pi ** 2 / 8, rel=1e-13)
+    with pytest.raises(InputError, match="spectrum is for"):
+        cylinder_mode(p, 1, 1, spectrum=dirichlet_eigs(N, R, 4))
 
 
 def test_eigenvalue_monotone_in_each_index(params):

@@ -17,7 +17,7 @@ from almgren_lab import (
     polynomial_mode,
     sigma_exponents,
 )
-from almgren_lab.core import unit_sphere_area, weighted_angular_moment
+from almgren_lab.core import DEFAULT_ANGULAR_NODES, unit_sphere_area, weighted_angular_moment
 from almgren_lab.hemisphere import (
     MAX_MODES,
     _jacobi,
@@ -618,3 +618,24 @@ def test_high_degree_amplitudes_against_40_digits(s):
                     - mpmath.loggamma(j - 1 + c) - mpmath.loggamma(j + 1))
             err = abs(float(mpmath.expm1((want - _log_jacobi_norm2(j, b1, b1)) / 2)))
             assert err <= bound, (s, j, err)
+
+
+@pytest.mark.parametrize("N, s", [(1, 1.3), (3, 1.25)])
+def test_fv_profiles_match_scipy_splines_of_the_same_samples(N, s):
+    # each finite-volume profile is the not-a-knot spline of the finest grid's
+    # samples, normalized and oriented: scipy's CubicSpline of those samples,
+    # treated alike, agrees to roundoff in value and derivative
+    interpolate = pytest.importorskip("scipy.interpolate")
+    p = WeightParams(s=s, N=N)
+    modes = hemisphere_eigs(p, k_max=2, per_k=3, resolution=128, refinements=1)
+    grid = AngularGrid1D.gauss(N, p.b, DEFAULT_ANGULAR_NODES)
+    top = math.pi if N == 1 else math.pi / 2.0
+    psi = np.concatenate([grid.nodes, np.linspace(-0.05, top + 0.05, 301)])
+    for mode in modes:
+        _, q, _, centers = _sector_eigs(p, mode.k, 256, 3)
+        j = mode.ell if N == 1 else (mode.ell - mode.k) // 2
+        ref = interpolate.CubicSpline(centers, np.sin(centers) ** mode.k * q[:, j])
+        sign = 1.0 if ref(top if N >= 2 else 0.0) >= 0 else -1.0
+        ref.c *= sign / math.sqrt(grid.integrate_bare(ref(grid.nodes) ** 2))
+        for got, want in ((mode.profile(psi), ref(psi)), (mode.profile.deriv(psi), ref(psi, 1))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (mode.ell, mode.k)

@@ -1,4 +1,4 @@
-"""Every name a package module imports is referenced in that module."""
+"""Every name a package module imports is referenced in that module, and none is scipy.interpolate."""
 
 import ast
 import pathlib
@@ -8,6 +8,17 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "almgren_lab"
 # `__init__` imports names to re-export them, not to use them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -32,3 +43,16 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_every_form_of_a_scipy_interpolate_import():
+    for source in ("import scipy.interpolate", "from scipy.interpolate import CubicSpline",
+                   "from scipy import interpolate", "def f():\n    import scipy.interpolate as si\n"):
+        assert "scipy.interpolate" in _imported_modules(source), source
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.stem)
+def test_no_module_imports_scipy_interpolate(path):
+    # the finite-volume splines are core._CubicSpline: scipy.interpolate alone
+    # would load scipy.optimize, sparse, spatial, fft and special with it
+    assert "scipy.interpolate" not in _imported_modules(path.read_text())

@@ -217,6 +217,17 @@ def test_fv_profile_builds_its_splines_on_first_interpolation():
     assert sol.zeta_at(sol.t[7]) == pytest.approx(sol.zeta[7], rel=1e-14)
 
 
+def test_fv_profile_interpolants_match_scipy_splines():
+    # phi_at and zeta_at inside [0, T_max] are not-a-knot splines of the
+    # grid samples: scipy's CubicSpline of the same samples agrees to roundoff
+    interpolate = pytest.importorskip("scipy.interpolate")
+    sol = solve_profile(0.4, resolution=2048)
+    tau = np.concatenate([sol.t, np.linspace(0.0, sol.T_max, 997)])
+    for got, samples in ((sol.phi_at(tau), sol.phi), (sol.zeta_at(tau), sol.zeta)):
+        want = interpolate.CubicSpline(sol.t, samples)(tau)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_aliasing_guard():
     p = WeightParams(s=1.5, N=1)
     n = 32
