@@ -94,6 +94,11 @@ class TraceProportionalityError(AlmgrenLabError):
     """Frequency-wise trace ratio is not constant within tolerance."""
 
 
+def _check_weight_exponent(b: float) -> None:
+    if not (-1.0 < b < 1.0):
+        raise DomainError(f"weight exponent b must lie in (-1, 1), got {b}")
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """Parameter bundle (s, b, N, R) for the degenerate weight t^b, b = 3 - 2s.
@@ -118,8 +123,7 @@ class WeightParams:
 
     @classmethod
     def from_b(cls, b: float, N: int, R: float = 1.0) -> "WeightParams":
-        if not (-1.0 < b < 1.0):
-            raise DomainError(f"weight exponent b must lie in (-1, 1), got {b}")
+        _check_weight_exponent(b)
         return cls(s=(3.0 - b) / 2.0, N=N, R=R)
 
     @property

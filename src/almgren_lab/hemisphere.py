@@ -6,11 +6,12 @@ b - 1), sigma = 0, 1, 2, ...: its eigenfunctions are the h-harmonics for the
 weight |t|^b (Dunkl & Xu, Orthogonal Polynomials of Several Variables,
 ch. 7).  For N >= 2 they separate into azimuthal sectors k = sigma,
 sigma - 2, ..., >= 0, with angular profile sin^k(psi) P_j^{(k+(N-2)/2,
-(b-1)/2)}(cos 2 psi), sigma = k + 2j; for N = 1 the profile on the arc
-(0, pi) is P_sigma^{(a,a)}(cos phi), a = (b-1)/2.  `polynomial_mode` builds
-one such mode with its exact norm (DLMF Table 18.3.1) and derivative, and
-`hemisphere_modes` lists them in (sigma, k) order; this is the production
-eigenbasis of the command line.
+(b-1)/2)}(cos 2 psi), sigma = k + 2j; N = 1 has one sector on the arc (0, pi),
+labelled k = 0, whose profile is the same at psi = pi/2 - phi in sector sigma
+mod 2 (the quadratic transformation of P_sigma^{(a,a)}(cos phi), a = (b-1)/2,
+DLMF 18.7.13-14).  `polynomial_mode` builds one such mode with its exact norm
+(DLMF Table 18.3.1) and derivative, and `hemisphere_modes` lists them in
+(sigma, k) order; this is the production eigenbasis of the command line.
 
 `hemisphere_eigs` is the independent numerical cross-check.  For wavenumber
 k >= 1 the angular profile factors as P = sin^k(psi) Q, which turns the
@@ -340,9 +341,9 @@ def _jacobi(n: int, a1: float, b1: float, x):
     """P_n^{(a1-1, b1-1)}(x) by the three-term recurrence (DLMF 18.9.2).
 
     The parameters enter shifted by one, and every factor adds its integer
-    part to them last: for N = 1 near s = 2, a1 = b1 = (b+1)/2 is ~1e-16, and
-    forming it as (b-1)/2 + 1, or a factor such as 2m + alpha + beta - 2 as
-    (2m + alpha + beta) - 2, would lose its digits.
+    part to them last: near s = 2, b1 = (b+1)/2 is ~1e-16 (the modes take a1
+    = k + N/2, so k + 1/2 at N = 1), and forming it as (b-1)/2 + 1, or a
+    factor 2m + alpha + beta - 2 as (2m + alpha + beta) - 2, would lose it.
     """
     c = a1 + b1
     prev, cur = np.ones_like(x), a1 + 0.5 * c * (x - 1.0)
@@ -362,8 +363,8 @@ def _log_jacobi_norm2(j: int, a1: float, b1: float) -> float:
 
     DLMF Table 18.3.1 with alpha = a1 - 1, beta = b1 - 1.  The general form
     divides by alpha + beta + 1 and takes Gamma(alpha + beta + 1), which is
-    negative for N = 1, s > 3/2 (alpha + beta + 1 = b < 0); the j = 0 form
-    Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2) has no such factor.
+    negative at N = 1, even degree, s > 3/2 (a1 = 1/2: alpha + beta + 1 = b/2 < 0);
+    the j = 0 form Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2) has none.
     The Gammas enter as two ratios of arguments one apart at most in
     degree, so neither overflows before its arguments do, and each ratio is
     given its exact argument difference, a1 - 1 or 1 - a1, so rounding j + b1
@@ -378,58 +379,46 @@ def _log_jacobi_norm2(j: int, a1: float, b1: float) -> float:
 
 
 def polynomial_mode(params: WeightParams, sigma: int, k: int | None = None) -> SpectralMode:
-    """Exact eigenmode of degree sigma in sector k, in closed form.
+    """Exact eigenmode of degree sigma in sector k (default sigma mod 2), in closed form.
 
-    For N >= 2 the sectors are k = sigma, sigma - 2, ..., >= 0 (default
-    sigma mod 2) and the profile is A sin^k(psi) P_j^{(alpha,beta)}(cos 2 psi)
-    with sigma = k + 2j, alpha = k + (N-2)/2 and beta = (b-1)/2; substituting
-    x = cos 2 psi turns the bare norm into A^2 2^{-alpha-beta-2} h_j.  For
-    N = 1 there is the one sector k = 0 and the profile is
-    A P_sigma^{(beta,beta)}(cos phi), with bare norm A^2 h_sigma.  A
-    normalizes the mode and orients it positive at the equator; derivatives
-    use d/dx P_j^{(alpha,beta)} = (j+alpha+beta+1)/2 P_{j-1}^{(alpha+1,beta+1)}.
+    The profile is A sin^k(psi) P_j^{(alpha,beta)}(cos 2 psi), sigma = k + 2j,
+    alpha = k + (N-2)/2, beta = (b-1)/2: x = cos 2 psi turns the bare norm on
+    (0, pi/2) into A^2 2^{-alpha-beta-2} h_j.  The one sector of N = 1,
+    labelled k = 0, takes it at psi = pi/2 - phi with k = sigma mod 2 over two
+    quarter arcs.  A normalizes the mode and orients it positive at the
+    equator; d/dx P_j^{(alpha,beta)} = (j+alpha+beta+1)/2 P_{j-1}^{(alpha+1,beta+1)}.
     """
     N = params.N
     if not _int_at_least(sigma, 0):
         raise DomainError(f"sigma must be a non-negative integer, got {sigma!r}")
     sigma = int(sigma)
-    k_eff = (0 if N == 1 else sigma % 2) if k is None else k
-    if (not _int_at_least(k_eff, 0) or k_eff > sigma or (N == 1 and k_eff != 0)
-            or (N >= 2 and (sigma - k_eff) % 2)):
+    sectors = [0] if N == 1 else range(sigma % 2, sigma + 1, 2)
+    label = sectors[0] if k is None else k
+    if not (_int_at_least(label, 0) and label in sectors):
         raise DomainError(f"no mode of degree sigma={sigma} in sector k={k} at N={N}")
-    k_eff = int(k_eff)
-    b1 = 0.5 * (params.b + 1.0)          # beta + 1
-    if N == 1:
-        j, a1, log_norm2, sign = sigma, b1, _log_jacobi_norm2(sigma, b1, b1), 1.0
-    else:
-        j = (sigma - k_eff) // 2
-        a1 = k_eff + 0.5 * N             # alpha + 1
-        log_norm2 = _log_jacobi_norm2(j, a1, b1) - (a1 + b1) * _LN2
-        sign = -1.0 if j % 2 else 1.0    # P_j^{(alpha,beta)}(-1) has the sign (-1)^j
-    A = sign * math.exp(-0.5 * log_norm2)
+    # N = 1 takes sector sigma mod 2 over two quarter arcs in psi = pi/2 - phi: sin psi =
+    # cos phi, cos psi = sin phi, cos 2 psi = -cos 2 phi, sin 2 psi = sin 2 phi, d/dphi = -d/dpsi
+    kt, turn, arcs, sin_psi, cos_psi = ((sigma % 2, -1.0, 2.0, np.cos, np.sin) if N == 1
+                                        else (int(label), 1.0, 1.0, np.sin, np.cos))
+    j = (sigma - kt) // 2
+    a1, b1 = kt + 0.5 * N, 0.5 * (params.b + 1.0)    # alpha + 1, beta + 1
+    log_norm2 = _log_jacobi_norm2(j, a1, b1) - (a1 + b1) * _LN2 + math.log(arcs)
+    # P_j^{(alpha,beta)}(-1) has the sign (-1)^j, and the equator is x = -1
+    A = (-1.0 if j % 2 else 1.0) * math.exp(-0.5 * log_norm2)
     dA = A * 0.5 * ((j - 1) + (a1 + b1))
 
-    def djac(x):
-        return dA * _jacobi(j - 1, a1 + 1.0, b1 + 1.0, x) if j else np.zeros_like(x)
+    def fn(angle):
+        return A * sin_psi(angle) ** kt * _jacobi(j, a1, b1, turn * np.cos(2.0 * angle))
 
-    if N == 1:
-        def fn(phi):
-            return A * _jacobi(j, a1, b1, np.cos(phi))
+    def dfn(angle):
+        sin, x = sin_psi(angle), turn * np.cos(2.0 * angle)
+        out = -2.0 * np.sin(2.0 * angle) * sin ** kt * (
+            dA * _jacobi(j - 1, a1 + 1.0, b1 + 1.0, x) if j else np.zeros_like(x))
+        if kt:
+            out += kt * sin ** (kt - 1) * cos_psi(angle) * A * _jacobi(j, a1, b1, x)
+        return turn * out
 
-        def dfn(phi):
-            return -np.sin(phi) * djac(np.cos(phi))
-    else:
-        def fn(psi):
-            return A * np.sin(psi) ** k_eff * _jacobi(j, a1, b1, np.cos(2.0 * psi))
-
-        def dfn(psi):
-            sin, x = np.sin(psi), np.cos(2.0 * psi)
-            out = -2.0 * np.sin(2.0 * psi) * sin ** k_eff * djac(x)
-            if k_eff:
-                out += k_eff * sin ** (k_eff - 1) * np.cos(psi) * A * _jacobi(j, a1, b1, x)
-            return out
-
-    return SpectralMode(params=params, ell=sigma, k=k_eff, mu=exact_mu(params, sigma),
+    return SpectralMode(params=params, ell=sigma, k=int(label), mu=exact_mu(params, sigma),
                         multiplicity=sigma_multiplicity(N, sigma),
                         profile=AngularProfile(fn, dfn),
                         sigma_plus=_exact_sigma_plus(params, sigma))

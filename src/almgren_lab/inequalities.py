@@ -1,10 +1,10 @@
 """Numerical verification of the weighted Hardy, Rellich and trace inequalities.
 
 Test fields are axisymmetric, built from primitives whose derivatives are
-coded in closed form (axis-centered Gaussians, closed-form separable modes,
-quadratic polynomials under a smooth radial cutoff), so the quadrature is the
-only approximation entering a margin.  Families are generated reproducibly
-from a seed.
+coded in closed form (axis-centered Gaussians, one-term syntheses of a
+separable mode, quadratic polynomials under a smooth radial cutoff), so the
+quadrature is the only approximation entering a margin.  Families are
+generated reproducibly from a seed.
 
 A margin builds `core`'s sampled half-ball rule once, with its radius and
 sample gates, takes one polar point set per radius from it and samples each
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .core import (
     gauss_jacobi,
     split_gauss_jacobi,
 )
-from .hemisphere import polynomial_mode
+from .hemisphere import polynomial_mode, sphere_harmonic_value
+from .synthesis import SeparableSolution, Term, _term_parts
 
 # Node counts per axis: the Gauss-Legendre body of the radial
 # `split_gauss_jacobi` rule and the angular Gauss-Jacobi rule.  Both doubled
@@ -191,11 +192,9 @@ class CutoffField(_Field):
 
 
 class SeparableModeField(_Field):
-    """Closed-form axisymmetric separable harmonic c1 r^sigma P(psi).
-
-    On a polar grid the profile and its derivative are evaluated on the
-    angles only and r^sigma on the radii; the products broadcast.
-    """
+    """Separable harmonic c1 r^sigma P(psi), D_b U = V = 0: the one-term synthesis c1 / Omega_0
+    at the exponent sigma (sigma_plus is 1 - N - b for the constant mode at N + b < 1), its parts
+    from `synthesis._term_parts` multiplied after the unit vectors; grad U = 0 at rho = 0."""
 
     def __init__(self, params: WeightParams, sigma: int, c1: float = 1.0):
         self.params = params
@@ -203,20 +202,24 @@ class SeparableModeField(_Field):
         self.mode = polynomial_mode(params, sigma, k=0)
         self.sigma = float(sigma)
         self.c1 = float(c1)
+        term = Term(replace(self.mode, sigma_plus=self.sigma),
+                    self.c1 / sphere_harmonic_value(params.N, 0), 0.0)
+        self._solution = SeparableSolution(params, (term,), params.R)
 
     def _eval(self, points, params=None):
-        rho, ang, sig = points.rho, points.angle, self.sigma
+        rho, ang = points.rho, points.angle
         N1 = self.params.N == 1
         if ang is None:
             ang = np.arctan2(points.t, points.q) if N1 else np.arctan2(points.q, points.t)
-        prof, dprof = self.mode.profile(ang), self.mode.profile.deriv(ang)
+        [(_, (phi, dphi, phit, _), p, dp)] = _term_parts(self._solution, rho, ang)
         cos, sin = np.cos(ang), np.sin(ang)
         # (q, t) components of the radial and the angular unit vector
         (eq, et), (aq, at) = ((cos, sin), (-sin, cos)) if N1 else ((sin, cos), (cos, -sin))
-        m = np.where(rho > 0, self.c1 * np.where(rho > 0, rho, 1.0) ** (sig - 1.0), 0.0)
-        fr, fa = m * (sig * prof), m * dprof       # radial and angular derivative
-        lap = None if params is None else np.zeros(np.broadcast(points.q, points.t).shape)
-        return self.c1 * rho ** sig * prof, fr * eq + fa * aq, fr * et + fa * at, lap
+        origin = rho == 0.0
+        d_rho = np.where(origin, 0.0, dphi)
+        over_rho = np.where(origin, 0.0, phi / np.where(origin, 1.0, rho))
+        grad = (d_rho * (p * eq) + over_rho * (dp * aq), d_rho * (p * et) + over_rho * (dp * at))
+        return phi * p, *grad, None if params is None else phit * p
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .core import (
     TraceProportionalityError,
     WeightParams,
     _CubicSpline,
+    _check_weight_exponent,
     _int_at_least,
     gauss_jacobi,
 )
@@ -152,8 +153,7 @@ class BesselProfile:
     b: float
 
     def __post_init__(self):
-        if not (-1.0 < self.b < 1.0):
-            raise DomainError(f"weight exponent b must lie in (-1, 1), got {self.b}")
+        _check_weight_exponent(self.b)
 
     @property
     def alpha(self) -> float:
@@ -165,9 +165,7 @@ class BesselProfile:
 
     @property
     def c(self) -> float:
-        from scipy.special import gamma
-
-        return 2.0 ** (1.0 - self.s) / gamma(self.s)
+        return 2.0 ** (1.0 - self.s) / math.gamma(self.s)
 
     @property
     def J(self) -> float:
@@ -308,8 +306,7 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     """
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
-    if not (-1.0 < b < 1.0):
-        raise DomainError(f"weight exponent b must lie in (-1, 1), got {b}")
+    _check_weight_exponent(b)
     if not (math.isfinite(T_max) and T_max >= 20.0):
         raise DomainError(f"T_max must be finite and at least 20, got {T_max}")
     if not _int_at_least(resolution, 512):

@@ -28,6 +28,11 @@ def _order_value(nu) -> float:
     return nu
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _argument(t) -> np.ndarray:
     """t as a float array, refused unless finite and nonnegative."""
     t_arr = np.asarray(t, dtype=float)
@@ -56,10 +61,8 @@ def bessel_j(nu, t):
 
 def _h_series(alpha: float, t: np.ndarray) -> np.ndarray:
     # h(t) = 2^alpha sum_k (-1)^k (t^2/4)^k / (k! Gamma(k+1-alpha)); rapid for small t.
-    from scipy.special import gamma
-
     q = t * t / 4.0
-    term = np.full_like(q, 2.0 ** alpha / gamma(1.0 - alpha))
+    term = np.full_like(q, 2.0 ** alpha / math.gamma(1.0 - alpha))
     acc = term.copy()
     for k in range(1, 24):
         term = term * (-q) / (k * (k - alpha))
@@ -77,8 +80,7 @@ def bessel_h(alpha: float, t):
     """
     from scipy.special import jv
 
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     t_arr = np.atleast_1d(_argument(t))
     out = np.empty_like(t_arr)
     small = t_arr < _SERIES_CUTOFF
@@ -94,8 +96,7 @@ def bessel_h_deriv(alpha: float, t):
     """h'(t) = -t^alpha J_{1-alpha}(t); vanishes at t = 0."""
     from scipy.special import jv
 
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     t_arr = _argument(t)
     out = -(t_arr ** alpha) * jv(1.0 - alpha, t_arr)
     return float(out) if np.isscalar(t) else out

@@ -15,10 +15,10 @@ is formed in its short form at the exponent itself.  This module is the one
 home of that model: `_radial_parts` evaluates it on a table of (sigma, c1, e,
 d1) rows, `SeparableSolution.coefs` is the table of a synthesis, and the
 Almgren machinery, the Fourier coefficients and the point evaluator read
-them; the blow-up fitter takes K at each candidate exponent.  The angular factor is the mode profile times
-the normalized representative harmonic of its sector, so modes are
-orthonormal on the weighted half sphere and all quadratic functionals
-decouple into blocks of equal wavenumber.
+them (`_point_values` on points); the blow-up fitter takes K at each
+candidate exponent.  The angular factor is the mode profile times the
+normalized representative harmonic of its sector, so modes are orthonormal
+on the weighted half sphere and all quadratic functionals decouple.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ def k_constant(params: WeightParams, mode) -> float:
 
 
 def _radial_parts(coefs, r):
-    """phi, phi', phi~, phi~' of the rows (sigma, c1, e, d1), broadcast against r."""
+    """phi, phi', phi~, phi~' of the rows (sigma, c1, e, d1), broadcast against r (r >= 0)."""
     s, c1, e, d1 = coefs
     rs = r ** s
-    ds = s * r ** (s - 1.0)
+    ds = s * r ** np.where(s == 0.0, 0.0, s - 1.0)     # (r^0)' = 0 at r = 0 too
     return (c1 * rs + e * r ** (s + 2.0), c1 * ds + e * (s + 2.0) * r ** (s + 1.0),
             d1 * rs, d1 * ds)
 
@@ -167,27 +167,31 @@ class EvalResult:
     grad_V: tuple[float, float]
 
 
-def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0) -> EvalResult:
-    """Point values and in-plane gradients of (U, V) at radius r, angle psi.
-
-    For wavenumber k >= 1 the horizontal factor is evaluated on the meridian
-    at angle chi from the representative axis; the returned gradient has the
-    radial and polar components only (the meridian at chi = 0 is a critical
-    direction of the zonal factor).
-    """
-    sol._check_radii(r)
-    U = V = dUr = dVr = dUp = dVp = 0.0
-    radial = np.array(_radial_parts(sol.coefs, r)).T.tolist()
-    for term, (phi, dphi, phit, dphit) in zip(sol.terms, radial):
+def _term_parts(sol: SeparableSolution, rho, angle, chi=0.0):
+    """Per term: itself, its radial parts on rho, and (P, P') Omega on angle with Omega at chi."""
+    rho, angle = np.asarray(rho, dtype=float), np.asarray(angle, dtype=float)
+    radial = _radial_parts(sol.coefs.reshape(4, -1, *(1,) * rho.ndim), rho)
+    for term, *parts in zip(sol.terms, *radial):
         omega = sphere_harmonic_value(sol.params.N, term.mode.k, chi)
-        p = float(term.mode.profile(psi)) * omega
-        dp = float(term.mode.profile.deriv(psi)) * omega
-        U += phi * p
-        V += phit * p
-        dUr += dphi * p
-        dVr += dphit * p
-        dUp += phi * dp
-        dVp += phit * dp
+        yield term, parts, term.mode.profile(angle) * omega, term.mode.profile.deriv(angle) * omega
+
+
+def _point_values(sol: SeparableSolution, rho, angle, chi=0.0):
+    """Rows (values, d/drho, d/dangle) of (U, V) on broadcast rho, angle and chi, unchecked:
+    the sums over `_term_parts`; V stays the number 0.0 when every d1 is 0."""
+    rows = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    for term, (phi, dphi, phit, dphit), p, dp in _term_parts(sol, rho, angle, chi):
+        for uv, (f, df) in enumerate([(phi, dphi), (phit, dphit)][:2 if term.d1 else 1]):
+            rows[0][uv] = rows[0][uv] + f * p
+            rows[1][uv] = rows[1][uv] + df * p
+            rows[2][uv] = rows[2][uv] + f * dp
+    return rows
+
+
+def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0) -> EvalResult:
+    """(U, V) and their gradients (d/dr, (1/r) d/dpsi) at one point: `_point_values`, checked."""
+    sol._check_radii(r)
+    (U, V), (dUr, dVr), (dUp, dVp) = np.array(_point_values(sol, r, psi, chi), float).tolist()
     return EvalResult(U=U, V=V, grad_U=(dUr, dUp / r), grad_V=(dVr, dVp / r))
 
 

@@ -571,52 +571,70 @@ def test_malformed_cli_numbers_exit_2(tmp_path, capsys, case):
     assert captured.err.startswith("error: ") and named in captured.err
 
 
-def test_profile_request_loads_none_of_scipy_optimize_interpolate_sparse():
-    src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
-    code = (f"import sys; sys.path.insert(0, {src_dir!r}); import almgren_lab.cli as cli; "
-            "import contextlib, io\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.run(['profile', '--s', '1.5', '--resolution', '512']) == 0\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.sparse')\n"
-            "             if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+# One fresh interpreter runs these steps in order and records the scipy
+# modules loaded once each has run.  Their footprints nest: the closed forms
+# load none, the finite-volume cross-checks and the profile command add
+# scipy.linalg, selftest adds scipy.special.  So a step's record bounds what
+# it loads, and a step that adds a module to its predecessors' loads it itself.
+_CLOSED_FORM_STEPS = ["import almgren_lab", "import almgren_lab.cli",
+                      "import almgren_lab.inequalities", "spectrum hemisphere", "synthesize",
+                      "almgren", "fit"]
+_FV_FOOTPRINTS = {   # what runs, and the public scipy modules loaded once it has run
+    "hemisphere_eigs": ("from almgren_lab import WeightParams, hemisphere_eigs\n"
+                        "mode = hemisphere_eigs(WeightParams(s=1.25, N=3), k_max=2, per_k=3,\n"
+                        "                       resolution=128)[4]\n"
+                        "mode.profile(0.5), mode.profile.deriv(0.5)\n", ["linalg"]),
+    "solve_profile": ("from almgren_lab import solve_profile\n"
+                      "sol = solve_profile(0.4, resolution=512)\n"
+                      "sol.phi_at(1.0), sol.zeta_at(1.0)\n", ["linalg"]),
+    # neither scipy.optimize, interpolate nor sparse
+    "profile": ("import almgren_lab.cli as cli\n"
+                "assert cli.run(['profile', '--s', '1.5', '--resolution', '512']) == 0\n",
+                ["linalg"]),
+    "selftest": ("import almgren_lab.cli as cli\nassert cli.run(['selftest']) == 0\n",
+                 ["linalg", "special"]),
+}
 
 
-def test_import_and_closed_form_commands_load_no_scipy(tmp_path):
-    # the closed forms run on numpy and math; every scipy kernel is imported
-    # by the function that calls it, on first use
-    spec = tmp_path / "spec.json"
+@pytest.fixture(scope="module")
+def scipy_footprints(tmp_path_factory):
+    """The fresh interpreter's run: its exit, stderr and {step: scipy modules loaded}."""
+    tmp = tmp_path_factory.mktemp("footprints")
+    spec = tmp / "spec.json"
     spec.write_text(json.dumps({"params": {"s": 1.3, "N": 3},
                                 "terms": [{"l": 0, "c1": 1.0}, {"l": 2, "c1": 0.5, "d1": 0.3}]}))
-    samples = tmp_path / "samples.csv"
+    samples = tmp / "samples.csv"
     lam = np.geomspace(0.3, 0.02, 8)
     samples.write_text("lambda,phi,phi_tilde\n" + "".join(
         f"{l:.17g},{l ** 1.5:.17g},{0.5 * l ** 1.5:.17g}\n" for l in lam))
+    commands = {"spectrum hemisphere": ["spectrum", "hemisphere", "--N", "3", "--count", "10"],
+                "synthesize": ["synthesize", "--spec", str(spec)],
+                "almgren": ["almgren", "--spec", str(spec)],
+                "fit": ["fit", "--input", str(samples), "--sigma-candidates", "0.5,1.5,2.5"]}
+    steps = [(what, what + "\n" if what.startswith("import") else
+              f"import almgren_lab.cli as cli\nassert cli.run({commands[what]!r}) == 0\n")
+             for what in _CLOSED_FORM_STEPS]
+    steps += [(what, body) for what, (body, _) in _FV_FOOTPRINTS.items()]
     src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
-    steps = [("import almgren_lab", None), ("import almgren_lab.cli", None),
-             ("import almgren_lab.inequalities", None),
-             ("spectrum hemisphere", ["spectrum", "hemisphere", "--N", "3", "--count", "10"]),
-             ("synthesize", ["synthesize", "--spec", str(spec)]),
-             ("almgren", ["almgren", "--spec", str(spec)]),
-             ("fit", ["fit", "--input", str(samples), "--sigma-candidates", "0.5,1.5,2.5"])]
     code = (f"import sys; sys.path.insert(0, {src_dir!r})\n"
-            "import contextlib, importlib, io\n"
-            f"for what, argv in {steps!r}:\n"
-            "    if argv is None:\n"
-            "        importlib.import_module(what.split()[1])\n"
-            "    else:\n"
-            "        import almgren_lab.cli as cli\n"
-            "        with contextlib.redirect_stdout(io.StringIO()):\n"
-            "            assert cli.run(argv) == 0, what\n"
-            "    print(what, '|', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "import contextlib, io, json\n"
+            f"for what, body in {steps!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        exec(body, {})\n"
+            "    print(json.dumps([what, sorted(m for m in sys.modules\n"
+            "                                   if m.split('.')[0] == 'scipy')]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines == [f"{what} | []" for what, _ in steps]
+    return proc.returncode, proc.stderr, dict(json.loads(line) for line in proc.stdout.splitlines())
+
+
+def test_import_and_closed_form_commands_load_no_scipy(scipy_footprints):
+    # the closed forms run on numpy and math; every scipy kernel is imported
+    # by the function that calls it, on first use
+    code, err, loaded = scipy_footprints
+    assert code == 0, err
+    assert [(what, loaded[what]) for what in _CLOSED_FORM_STEPS] == \
+        [(what, []) for what in _CLOSED_FORM_STEPS]
 
 
 def test_cylinder_and_extend_commands_load_only_scipy_special(tmp_path):
@@ -644,34 +662,16 @@ def test_cylinder_and_extend_commands_load_only_scipy_special(tmp_path):
     assert lines == [f"{what} | ['special']" for what, _ in steps]
 
 
-_FV_FOOTPRINTS = {   # what runs in the fresh process, and the public scipy modules it may load
-    "selftest": ("import almgren_lab.cli as cli, contextlib, io\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 "    assert cli.run(['selftest']) == 0\n", ["linalg", "special"]),
-    "hemisphere_eigs": ("from almgren_lab import WeightParams, hemisphere_eigs\n"
-                        "mode = hemisphere_eigs(WeightParams(s=1.25, N=3), k_max=2, per_k=3,\n"
-                        "                       resolution=128)[4]\n"
-                        "mode.profile(0.5), mode.profile.deriv(0.5)\n", ["linalg"]),
-    "solve_profile": ("from almgren_lab import solve_profile\n"
-                      "sol = solve_profile(0.4, resolution=512)\n"
-                      "sol.phi_at(1.0), sol.zeta_at(1.0)\n", ["linalg"]),
-}
-
-
 @pytest.mark.parametrize("what", sorted(_FV_FOOTPRINTS))
-def test_fv_cross_checks_and_selftest_load_scipy_linalg_and_no_interpolate(what):
+def test_fv_cross_checks_and_selftest_load_scipy_linalg_and_no_interpolate(what, scipy_footprints):
     # the finite-volume splines are solved on scipy.linalg, which the
     # eigensolves and the banded Cholesky load anyway; selftest's Bessel zero
     # adds scipy.special.  scipy.version and private modules are not counted
-    body, allowed = _FV_FOOTPRINTS[what]
-    src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
-    code = (f"import sys; sys.path.insert(0, {src_dir!r})\n" + body
-            + "print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')\n"
-              "              and not m.split('.')[1].startswith('_')} - {'version'}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(allowed)
+    code, err, loaded = scipy_footprints
+    assert code == 0, err
+    public = {m.split(".")[1] for m in loaded[what] if m.startswith("scipy.")}
+    assert sorted({m for m in public if not m.startswith("_")} - {"version"}) == \
+        _FV_FOOTPRINTS[what][1]
 
 
 def test_json_artifact_is_compact_and_the_file_holds_the_printed_payload(tmp_path, capsys):

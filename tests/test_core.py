@@ -178,6 +178,20 @@ _MALFORMED = {
     "schedule-inf-r-max": lambda: almgren.radius_schedule(1.0, r_max=math.inf),
     "profile-resolution-nan": lambda: profile.solve_profile(0.0, resolution=math.nan),
 }
+# the weight exponent b in (-1, 1) and the regularized order alpha in (0, 1),
+# each behind one gate: NaN, both infinities and both endpoints fail it
+_MALFORMED.update({
+    f"{name}-{label}": (lambda call=call, value=value: call(value))
+    for name, call, ends in (
+        ("from-b", lambda b: WeightParams.from_b(b, 2), (-1.0, 1.0)),
+        ("bessel-profile-b", profile.BesselProfile, (-1.0, 1.0)),
+        ("solve-profile-b", lambda b: profile.solve_profile(b, resolution=512), (-1.0, 1.0)),
+        ("h-alpha", lambda a: special_functions.bessel_h(a, 0.3), (0.0, 1.0)),
+        ("h-deriv-alpha", lambda a: special_functions.bessel_h_deriv(a, 0.3), (0.0, 1.0)),
+    )
+    for label, value in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf),
+                         ("low-end", ends[0]), ("high-end", ends[1]))
+})
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))

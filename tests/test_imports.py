@@ -1,4 +1,5 @@
-"""Every name a package module imports is referenced in that module, and none is scipy.interpolate."""
+"""Every name a package module imports is referenced in that module; none is scipy.interpolate
+or scipy.special's gamma."""
 
 import ast
 import pathlib
@@ -56,3 +57,16 @@ def test_no_module_imports_scipy_interpolate(path):
     # the finite-volume splines are core._CubicSpline: scipy.interpolate alone
     # would load scipy.optimize, sparse, spatial, fft and special with it
     assert "scipy.interpolate" not in _imported_modules(path.read_text())
+
+
+def test_the_check_sees_a_scipy_special_gamma_import():
+    for source in ("from scipy.special import gamma", "from scipy.special import jv, gamma as g",
+                   "def f():\n    from scipy.special import gamma\n"):
+        assert "scipy.special.gamma" in _imported_modules(source), source
+    assert "scipy.special.gamma" not in _imported_modules("from scipy.special import gammaln")
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.stem)
+def test_no_module_imports_gamma_from_scipy_special(path):
+    # a scalar Gamma is math.gamma, within an ulp or two of scipy's
+    assert "scipy.special.gamma" not in _imported_modules(path.read_text())

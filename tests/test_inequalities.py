@@ -13,10 +13,13 @@ from almgren_lab import (
     InputError,
     RegimeError,
     WeightParams,
+    eval_solution,
     integrate_halfball,
     integrate_halfsphere,
+    synthesize,
 )
 from almgren_lab import core, inequalities
+from almgren_lab.hemisphere import sphere_harmonic_value
 from almgren_lab.inequalities import (
     CutoffField,
     GaussianBumps,
@@ -379,6 +382,53 @@ def test_margin_at_a_new_order_runs_only_small_eigensolves(monkeypatch, which):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     calls[which](WeightParams(s=fresh_s[which], N=N))
     assert sizes and max(sizes) <= core.SPLIT_HEAD_NODES, sizes
+
+
+def _polar_to_qt(N, angle, d_rho, d_angle_over_rho):
+    """(q, t) components of a gradient given by its polar components."""
+    cos, sin = np.cos(angle), np.sin(angle)
+    if N == 1:     # q = rho cos(phi), t = rho sin(phi)
+        return d_rho * cos - d_angle_over_rho * sin, d_rho * sin + d_angle_over_rho * cos
+    return d_rho * sin + d_angle_over_rho * cos, d_rho * cos - d_angle_over_rho * sin
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1.3, 1.85])
+def test_separable_mode_field_is_the_one_term_synthesis(N, s):
+    # U, U_q, U_t and D_b U of the field on the ball and sphere point sets of
+    # a margin rule and on scattered points, against eval_solution of the
+    # synthesis c1 / Omega_0 times the mode.  At N + b < 1 the constant mode's
+    # sigma_plus is 1 - N - b, so there the field is c1 P itself.  At rho = 0
+    # the value is c1 P for sigma = 0 (else 0) and the gradient is 0
+    p = WeightParams(s=s, N=N)
+    rule = inequalities._margin_rule(p, 0.0, 6, 5, 0.9)
+    rng = np.random.default_rng(N)
+    q = np.concatenate([[0.0], rng.uniform(-0.7 if N == 1 else 0.0, 0.7, 12)])
+    t = np.concatenate([[0.0], rng.uniform(0.0, 0.7, 12)])
+    for sigma in ([0, 1, 2, 3] if N == 1 else [0, 2, 4]):
+        field = SeparableModeField(p, sigma, c1=1.7)
+        sol = synthesize(p, [(field.mode, 1.7 / sphere_harmonic_value(N, 0), 0.0)])
+        for points in (rule.ball_points(), rule.sphere_points(), inequalities._scattered(q, t)):
+            got = np.array(np.broadcast_arrays(*field._eval(points, p)))
+            angle = points.angle
+            if angle is None:
+                angle = np.arctan2(t, q) if N == 1 else np.arctan2(q, t)
+            rho, angle = np.broadcast_arrays(points.rho, angle)
+            want = np.empty_like(got)
+            for i in np.ndindex(rho.shape):
+                r, a = float(rho[i]), float(angle[i])
+                if r == 0.0:
+                    want[(slice(None), *i)] = (1.7 * field.mode.profile(a) if sigma == 0 else 0.0,
+                                               0.0, 0.0, 0.0)
+                elif field.mode.sigma_plus != sigma:
+                    assert sigma == 0 and N + p.b < 1
+                    want[(slice(None), *i)] = (1.7 * field.mode.profile(a),
+                                               *_polar_to_qt(N, a, 0.0, 0.0), 0.0)
+                else:
+                    res = eval_solution(sol, r, a)
+                    want[(slice(None), *i)] = (res.U, *_polar_to_qt(N, a, *res.grad_U), res.V)
+            scale = np.max(np.abs(want), axis=tuple(range(1, want.ndim)), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(scale, 1.0)), (sigma, points)
 
 
 @pytest.mark.parametrize("sigma", [1, 3])

@@ -17,7 +17,8 @@ from almgren_lab import (
     synthesize,
 )
 from almgren_lab.core import integrate_halfball
-from almgren_lab.hemisphere import sphere_harmonic_value
+from almgren_lab.hemisphere import hemisphere_modes, sphere_harmonic_value
+from almgren_lab.synthesis import _point_values
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,25 @@ def test_eval_domain_guard(p3):
         eval_solution(sol, 1.5, 0.3)
     with pytest.raises(DomainError):
         eval_solution(sol, 0.0, 0.3)
+
+
+@pytest.mark.parametrize("N, chi", [(1, 0.0), (3, 0.4), (4, 1.1)])
+def test_point_values_on_arrays_match_scalar_eval_solution(N, chi):
+    # the array evaluator on a broadcast (rho, angle) grid against
+    # eval_solution point by point, with d1 != 0 terms and sectors k >= 1
+    p = WeightParams(s=1.4, N=N)
+    modes = hemisphere_modes(p, 9)
+    sol = synthesize(p, [(i, 1.0 / (i + 1), 0.5 * (i % 3 == 1)) for i in range(9)], modes)
+    rho = np.array([0.02, 0.3, 0.75, 1.0])[:, None]
+    angle = np.linspace(0.0, math.pi if N == 1 else math.pi / 2, 7)
+    got = np.array(_point_values(sol, rho, angle, chi))
+    assert got.shape == (3, 2, 4, 7)
+    for i, j in np.ndindex(4, 7):
+        r = float(rho[i, 0])
+        res = eval_solution(sol, r, float(angle[j]), chi)
+        want = [[res.U, res.V], [res.grad_U[0], res.grad_V[0]],
+                [res.grad_U[1] * r, res.grad_V[1] * r]]
+        np.testing.assert_allclose(got[:, :, i, j], want, rtol=1e-15, atol=1e-300)
 
 
 def test_eval_gradient_against_finite_differences(p3):
