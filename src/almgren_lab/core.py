@@ -28,9 +28,9 @@ resolutions) is tested by one predicate, `_int_at_least`.
 The finite-volume cross-checks interpolate their samples with one private
 not-a-knot spline, `_CubicSpline`.
 
-The Gamma functions come from `math` (`_log_gamma_ratio`); `gauss_jacobi`
-and `_CubicSpline` import `scipy.linalg` on their first rule or spline, so
-importing this loads no scipy.
+The Gamma functions come from `math` (`_log_gamma_ratio`) and the Gauss
+rules from numpy's `eigh`; only `_CubicSpline` imports `scipy.linalg`, on its
+first spline, so importing this, or building a rule, loads no scipy.
 Rules are not changed after construction and every operation is pure.
 """
 
@@ -45,8 +45,8 @@ import numpy as np
 
 DEFAULT_RADIAL_NODES = 128
 DEFAULT_ANGULAR_NODES = 128
-# `gauss_jacobi` builds all n^2 eigenvector entries (8 n^2 bytes; 34 GB at
-# n = 65536), so its node count is capped.
+# `gauss_jacobi` builds the dense Jacobi matrix and all its eigenvectors
+# (16 n^2 bytes, 64 MiB at n = 2048), so its node count is capped.
 MAX_GAUSS_NODES = 2048
 # `split_gauss_jacobi`: the Jacobi-weighted head panel [0, SPLIT_POINT] and
 # its node count, the only part of that rule that depends on the exponent.
@@ -201,11 +201,10 @@ def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     the squared first eigenvector components times int_0^1 x^p dx.  Unlike
     `scipy.special.roots_jacobi`, whose weights lose digits as p nears -1
     (moment errors 8e-10 at n = 192, p = -0.9), this keeps the moments to
-    roundoff.  Requires 1 <= n <= MAX_GAUSS_NODES and p > -1.  scipy.linalg
-    is imported here, on the first rule built, not with the package.
+    roundoff.  Requires 1 <= n <= MAX_GAUSS_NODES and p > -1.  The
+    symmetric Jacobi matrix is built dense and solved by `np.linalg.eigh`,
+    so the rules load no scipy.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     if not _int_at_least(n, 1):
         raise DomainError(f"Gauss node count must be an integer >= 1, got {n!r}")
     if n > MAX_GAUSS_NODES:
@@ -218,7 +217,10 @@ def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     diag[0] = p / (p + 2.0)
     diag[1:] = p * p / (c * (c + 2.0))
     off = 2.0 * k * (k + p) / (c * np.sqrt(c * c - 1.0))
-    nodes, vecs = eigh_tridiagonal(0.5 * (1.0 + diag), 0.5 * off)
+    jacobi = np.diag(0.5 * (1.0 + diag))
+    i = np.arange(n - 1)
+    jacobi[i, i + 1] = jacobi[i + 1, i] = 0.5 * off
+    nodes, vecs = np.linalg.eigh(jacobi)
     weights = vecs[0] ** 2 / (p + 1.0)
     nodes.flags.writeable = False
     weights.flags.writeable = False

@@ -30,9 +30,10 @@ Gauss-Jacobi rule `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the
 rule family of every angular integral that later checks it.
 
 The closed forms need numpy and `math` only; the cross-check imports
-`scipy.linalg` on first use, for its eigensolves and its splines
-(`core._CubicSpline`).  The resonance constant K of a separable term belongs
-to its radial model and is formed in `synthesis`, at the exponent itself.
+`scipy.linalg` on first use, for its sector eigensolves (`_sector_eigs`) and
+its splines (`core._CubicSpline`), the package's only two users of it.  The
+resonance constant K of a separable term belongs to its radial model and is
+formed in `synthesis`, at the exponent itself.
 """
 
 from __future__ import annotations

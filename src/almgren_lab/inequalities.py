@@ -194,7 +194,9 @@ class CutoffField(_Field):
 class SeparableModeField(_Field):
     """Separable harmonic c1 r^sigma P(psi), D_b U = V = 0: the one-term synthesis c1 / Omega_0
     at the exponent sigma (sigma_plus is 1 - N - b for the constant mode at N + b < 1), its parts
-    from `synthesis._term_parts` multiplied after the unit vectors; grad U = 0 at rho = 0."""
+    from `synthesis._term_parts` multiplied after the unit vectors.  At rho = 0, grad U is its
+    limit: phi / rho is taken as phi'(0), so U = c1 A q (sigma = 1, N = 1) has grad U = (c1 A, 0)
+    there and every other sigma has 0."""
 
     def __init__(self, params: WeightParams, sigma: int, c1: float = 1.0):
         self.params = params
@@ -216,9 +218,8 @@ class SeparableModeField(_Field):
         # (q, t) components of the radial and the angular unit vector
         (eq, et), (aq, at) = ((cos, sin), (-sin, cos)) if N1 else ((sin, cos), (cos, -sin))
         origin = rho == 0.0
-        d_rho = np.where(origin, 0.0, dphi)
-        over_rho = np.where(origin, 0.0, phi / np.where(origin, 1.0, rho))
-        grad = (d_rho * (p * eq) + over_rho * (dp * aq), d_rho * (p * et) + over_rho * (dp * at))
+        over_rho = np.where(origin, dphi, phi / np.where(origin, 1.0, rho))
+        grad = (dphi * (p * eq) + over_rho * (dp * aq), dphi * (p * et) + over_rho * (dp * at))
         return phi * p, *grad, None if params is None else phit * p
 
 

@@ -9,19 +9,20 @@ units the profile is constrained to the two-parameter decaying tail
 t^{alpha -/+ 1/2} e^{-t}, which removes the boundary-layer pollution a hard
 zero at T_max would cause.  The resulting normal equations are symmetric
 positive definite with upper bandwidth 3; they are assembled band by band,
-factored by a banded Cholesky and refined against the residual applied
-through the tridiagonal factors.  The formed normal matrix cancels terms of
-size h^-4 and so holds phi's smooth part only to about 1e-6; the factored
+factored by block-Cholesky cyclic reduction in 2x2 blocks (`_BlockCholesky`)
+and refined against the residual applied through the flux-form factors,
+whose differences are taken first.  The formed normal matrix cancels terms
+of size h^-4 and so holds phi's smooth part only to about 1e-6; the factored
 residual keeps the h^-2 sensitivity of the operator itself, and the
 refinement converges to the discrete minimizer with clean h^2 convergence.
 
 The minimizer also has a closed form (R. Yang, arXiv:1302.4413): with
 s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
 `BesselProfile` evaluates it and is the profile the extension uses;
-`solve_profile` stays as the independent finite-volume cross-check.
-`scipy.special` (for K_s and Gamma) and `scipy.linalg` (for the banded
-Cholesky and the interpolating splines, `core._CubicSpline`) are imported on
-first use, not with the module.
+`solve_profile` stays as the independent finite-volume cross-check; its
+solve runs on numpy alone.  `scipy.special` (for K_s) and `scipy.linalg`
+(for the interpolating splines, `core._CubicSpline`) are imported on first
+use, not with the module.
 
 The extension of a torus sample u is built frequency-wise as
 Uhat(xi, t) = uhat(xi) phi(|xi| t).  `build_extension`,
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .core import (
     DomainError,
@@ -54,8 +54,8 @@ from .core import (
 TAIL_LENGTH = 2.0
 # Finest grid `solve_profile` accepts.  The normal matrix's condition number
 # grows like h^-4: 2^15 cells still converge at h^2 for every b tried and
-# every T_max >= 20; at T_max = 24, 2^16 cells fail the Cholesky at some b
-# and 2^17 cells give J = 2.00001 against 2 at b = 0 without an error.
+# every T_max >= 20; at T_max = 24, 2^16 cells fail the block Cholesky at
+# some b (b = -0.9, -0.5 and 0.9, as LAPACK's banded Cholesky did).
 MAX_PROFILE_CELLS = 2 ** 15
 
 
@@ -197,34 +197,34 @@ def _cell_masses_tb(b: float, faces: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _tridiag_apply(sub: np.ndarray, main: np.ndarray, sup: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """Product of the tridiagonal matrix (sub, main, sup) with x."""
-    out = main * x
-    out[1:] += sub * x[:-1]
-    out[:-1] += sup * x[1:]
-    return out
+def _flux_divergence(a_inner: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_{i+1/2} (x_{i+1} - x_i) - a_{i-1/2} (x_i - x_{i-1}) per node, end fluxes zero.
+
+    The differences are taken first: the product form (sub, main, sup) @ x
+    cancels terms of size |x| / h^2 and loses about eps |x| / h^2 per node.
+    """
+    flux = np.zeros(x.size + 1)
+    flux[1:-1] = a_inner * (x[1:] - x[:-1])
+    return flux[1:] - flux[:-1]
 
 
 @dataclass(frozen=True)
 class _NormalSystem:
     """Normal equations A y = r(0) of the constrained profile problem on one grid.
 
-    D = L - I is the tridiagonal flux operator (sub, main, sup), W = diag(masses)
-    and C maps the unknowns y (the free nodes 1..k, then the coefficients of
-    the tail shapes g1, g2 on the nodes from `first_tail` on) to grid
-    functions.  `bands` holds A = C^T D^T W D C in LAPACK's upper banded
-    storage, bands[3 - d, j] = A[j - d, j]: D^T W D is pentadiagonal and each
-    tail column reaches only the last two free nodes, so A has upper
-    bandwidth 3.
+    D = L - I is the tridiagonal flux operator, D x = div(x) / (h m) - x
+    with div = `_flux_divergence` and m the masses (`hm` = h m), W =
+    diag(masses) and C maps the unknowns y (the free nodes 1..k, then the
+    coefficients of the tail shapes g1, g2 on the nodes from `first_tail` on)
+    to grid functions.  `bands` holds A = C^T D^T W D C in upper banded storage,
+    bands[3 - d, j] = A[j - d, j]: D^T W D is pentadiagonal and each tail
+    column reaches only the last two free nodes, so A has upper bandwidth 3.
     """
 
     t: np.ndarray
     masses: np.ndarray
+    hm: np.ndarray
     a_inner: np.ndarray
-    sub: np.ndarray
-    main: np.ndarray
-    sup: np.ndarray
     first_tail: int
     g1: np.ndarray
     g2: np.ndarray
@@ -239,12 +239,15 @@ class _NormalSystem:
         return x
 
     def apply_D(self, x: np.ndarray) -> np.ndarray:
-        return _tridiag_apply(self.sub, self.main, self.sup, x)
+        return _flux_divergence(self.a_inner, x) / self.hm - x
 
     def residual(self, y: np.ndarray) -> np.ndarray:
-        """r(y) = -C^T D^T W D (e_0 + C y), applied factor by factor, never through A."""
-        v = _tridiag_apply(self.sup, self.main, self.sub,
-                           self.masses * self.apply_D(self.expand(y)))
+        """r(y) = -C^T D^T W D (e_0 + C y), applied factor by factor, never through A.
+
+        D^T v = div(v / (h m)) - v, since h m (D + I) = div is symmetric.
+        """
+        v = self.masses * self.apply_D(self.expand(y))
+        v = _flux_divergence(self.a_inner, v / self.hm) - v
         tail = v[self.first_tail:]
         return -np.concatenate([v[1:self.first_tail], [self.g1 @ tail, self.g2 @ tail]])
 
@@ -291,21 +294,108 @@ def _normal_system(b: float, T_max: float, n: int) -> _NormalSystem:
             bands[3 - c + r, k + c] = (tg0 @ (gr * gc)
                                        + tgd1 @ (gr[:-1] * gc[1:] + gr[1:] * gc[:-1])
                                        + tgd2 @ (gr[:-2] * gc[2:] + gr[2:] * gc[:-2]))
-    return _NormalSystem(t=t, masses=masses, a_inner=a_inner, sub=sub, main=main, sup=sup,
+    return _NormalSystem(t=t, masses=masses, hm=hm, a_inner=a_inner,
                          first_tail=first_tail, g1=g1, g2=g2, bands=bands)
+
+
+def _band_blocks(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix in upper banded storage as the 2x2 blocks of `_BlockCholesky`.
+
+    Identity rows lead it to 2^K - 1 blocks.  The normal matrix is
+    pentadiagonal except for its one entry at distance 3, A[k - 2, k + 1];
+    the leading rows make its order even, so that entry falls inside a
+    coupling block and the matrix is block tridiagonal.
+    """
+    size = bands.shape[1]
+    m = (1 << ((size + 1) // 2).bit_length()) - 1
+    pad = 2 * m - size
+    # row d holds the padded A[i, i + d] at i, reshaped to [d, block, entry]
+    rows = np.zeros((4, 2 * m))
+    rows[0, :pad] = 1.0
+    for d in range(4):
+        rows[d, pad:pad + size - d] = bands[3 - d, d:]
+    rows = rows.reshape(4, m, 2)
+    upper = np.zeros((2, 2, m + 1))
+    upper[..., 1:-1] = rows[[[2, 3], [1, 2]], :-1, [[0, 0], [1, 1]]]
+    return rows[[[0, 1], [1, 0]], :, [[0, 0], [0, 1]]], upper
+
+
+class _BlockCholesky:
+    """Cholesky factor of the normal matrix, given in upper banded storage, in 2x2 blocks.
+
+    Odd-even cyclic reduction in Cholesky form (Heller, SIAM J. Numer.
+    Anal. 13 (1976) 484) on the m = 2^K - 1 blocks of `_band_blocks`,
+    numbered from 0: each level factors its even-numbered pivots D = L L^T
+    and leaves to the odd ones the Schur complements D_o - W W^T, with
+    W = U L^-T for the coupling U of a pivot to each neighbour, and the
+    couplings -W_left W_right^T between them; that leaves 2^(K-1) - 1 blocks,
+    and K levels factor all.  This is the Cholesky factor of the matrix with
+    its blocks in elimination order, so a solve runs down the levels and
+    back up on 2x2 triangular solves; no pivot is inverted.  Every step is
+    elementwise over a level's blocks, stored entry first: `diag` (2, 2, m)
+    holds the diagonal blocks (lower triangles read) and `upper`
+    (2, 2, m + 1) at i the block coupling block i - 1 to block i, zero at both
+    ends, so every pivot has two neighbours.  A pivot that is not positive
+    definite raises `SolverError`.
+    """
+
+    def __init__(self, bands: np.ndarray):
+        diag, upper = _band_blocks(bands)
+        self.pad = 2 * diag.shape[-1] - bands.shape[1]      # the leading identity rows
+        self.levels = []
+        while diag.shape[-1]:
+            d11, d21, d22 = diag[0, 0, 0::2], diag[1, 0, 0::2], diag[1, 1, 0::2]
+            if not (d11 > 0.0).all():
+                raise SolverError("normal-equation solve failed: a pivot is not positive")
+            l11 = np.sqrt(d11)
+            l21 = d21 / l11
+            d22 = d22 - l21 * l21
+            if not (d22 > 0.0).all():
+                raise SolverError("normal-equation solve failed: a pivot is not positive")
+            l22 = np.sqrt(d22)
+            # rows 0, 1 couple each pivot j to block j - 1, rows 2, 3 to block j + 1
+            U = np.concatenate([upper[..., 0::2], upper[..., 1::2].swapaxes(0, 1)])
+            W = np.empty_like(U)
+            W[:, 0] = U[:, 0] / l11
+            W[:, 1] = (U[:, 1] - W[:, 0] * l21) / l22
+            dots = np.einsum("rcn,scn->rsn", W, W)      # W W^T, pivot by pivot
+            diag = diag[..., 1::2] - (dots[2:, 2:, :-1] + dots[:2, :2, 1:])
+            upper = -dots[:2, 2:]
+            self.levels.append((l11, l21, l22, W))
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with A x = r."""
+        r = np.concatenate([np.zeros(self.pad), r]).reshape(-1, 2).T    # column i: block i
+        down = []
+        for l11, l21, l22, W in self.levels:
+            z = np.empty((2, l11.size))
+            z[0] = r[0, 0::2] / l11
+            z[1] = (r[1, 0::2] - l21 * z[0]) / l22
+            coupled = np.einsum("rcn,cn->rn", W, z)
+            r = r[:, 1::2] - coupled[2:, :-1] - coupled[:2, 1:]
+            down.append(z)
+        x = r
+        for (l11, l21, l22, W), z in zip(reversed(self.levels), reversed(down)):
+            near = np.zeros((4, l11.size))      # each pivot's neighbours, as W's rows pair them
+            near[:2, 1:], near[2:, :-1] = x, x
+            z -= np.einsum("rcn,rn->cn", W, near)
+            up = np.empty((2, 2 * l11.size - 1))
+            up[1, 0::2] = z[1] / l22
+            up[0, 0::2] = (z[0] - l21 * up[1, 0::2]) / l11
+            up[:, 1::2] = x
+            x = up
+        return x.T.reshape(-1)[self.pad:]
 
 
 def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> ProfileSolution:
     """Discrete minimizer of J over the constrained grid-function space.
 
-    The normal equations are factored once by a banded Cholesky and refined
+    The normal equations are factored once by `_BlockCholesky` and refined
     three times from y = 0 against the factored residual
     (`_NormalSystem.residual`): at the default grid phi stops moving (to
-    about 1e-12) after the second step, and the third covers the slower
+    about 1e-11) after the second step, and the third covers the slower
     contraction of finer grids.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
     _check_weight_exponent(b)
     if not (math.isfinite(T_max) and T_max >= 20.0):
         raise DomainError(f"T_max must be finite and at least 20, got {T_max}")
@@ -316,18 +406,15 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     n = int(resolution)
     h = T_max / n
     system = _normal_system(b, T_max, n)
+    factor = _BlockCholesky(system.bands)
     y = np.zeros(system.bands.shape[1])
-    try:
-        factor = cholesky_banded(system.bands, check_finite=False)
-        for _ in range(3):
-            y += cho_solve_banded((factor, False), system.residual(y), check_finite=False)
-    except LinAlgError as exc:
-        raise SolverError(f"normal-equation solve failed: {exc}") from exc
+    for _ in range(3):
+        y += factor.solve(system.residual(y))
     if not np.all(np.isfinite(y)):
-        diag = system.bands[3]
+        main = system.bands[3]
         raise SolverError(
             "non-finite minimizer; diagonal range "
-            f"[{diag.min():.3e}, {diag.max():.3e}] suggests severe ill-conditioning"
+            f"[{main.min():.3e}, {main.max():.3e}] suggests severe ill-conditioning"
         )
 
     t, masses = system.t, system.masses

@@ -572,13 +572,15 @@ def test_malformed_cli_numbers_exit_2(tmp_path, capsys, case):
 
 
 # One fresh interpreter runs these steps in order and records the scipy
-# modules loaded once each has run.  Their footprints nest: the closed forms
-# load none, the finite-volume cross-checks and the profile command add
-# scipy.linalg, selftest adds scipy.special.  So a step's record bounds what
-# it loads, and a step that adds a module to its predecessors' loads it itself.
+# modules loaded once each has run.  Their footprints nest: the closed forms,
+# the profile solve and the Gauss-Jacobi rules of the inequalities load none,
+# the finite-volume eigensolves and splines add scipy.linalg, selftest adds
+# scipy.special.  So a step's record bounds what it loads, and a step that adds
+# a module to its predecessors' loads it itself.
 _CLOSED_FORM_STEPS = ["import almgren_lab", "import almgren_lab.cli",
                       "import almgren_lab.inequalities", "spectrum hemisphere", "synthesize",
-                      "almgren", "fit"]
+                      "almgren", "fit", "profile", "check-inequalities hardy",
+                      "check-inequalities rellich", "check-inequalities sobolev"]
 _FV_FOOTPRINTS = {   # what runs, and the public scipy modules loaded once it has run
     "hemisphere_eigs": ("from almgren_lab import WeightParams, hemisphere_eigs\n"
                         "mode = hemisphere_eigs(WeightParams(s=1.25, N=3), k_max=2, per_k=3,\n"
@@ -587,10 +589,6 @@ _FV_FOOTPRINTS = {   # what runs, and the public scipy modules loaded once it ha
     "solve_profile": ("from almgren_lab import solve_profile\n"
                       "sol = solve_profile(0.4, resolution=512)\n"
                       "sol.phi_at(1.0), sol.zeta_at(1.0)\n", ["linalg"]),
-    # neither scipy.optimize, interpolate nor sparse
-    "profile": ("import almgren_lab.cli as cli\n"
-                "assert cli.run(['profile', '--s', '1.5', '--resolution', '512']) == 0\n",
-                ["linalg"]),
     "selftest": ("import almgren_lab.cli as cli\nassert cli.run(['selftest']) == 0\n",
                  ["linalg", "special"]),
 }
@@ -610,7 +608,11 @@ def scipy_footprints(tmp_path_factory):
     commands = {"spectrum hemisphere": ["spectrum", "hemisphere", "--N", "3", "--count", "10"],
                 "synthesize": ["synthesize", "--spec", str(spec)],
                 "almgren": ["almgren", "--spec", str(spec)],
-                "fit": ["fit", "--input", str(samples), "--sigma-candidates", "0.5,1.5,2.5"]}
+                "fit": ["fit", "--input", str(samples), "--sigma-candidates", "0.5,1.5,2.5"],
+                "profile": ["profile", "--s", "1.5", "--resolution", "512"]}
+    commands.update({f"check-inequalities {which}": ["check-inequalities", "--which", which,
+                                                     "--N", "4", "--count", "2"]
+                     for which in ("hardy", "rellich", "sobolev")})
     steps = [(what, what + "\n" if what.startswith("import") else
               f"import almgren_lab.cli as cli\nassert cli.run({commands[what]!r}) == 0\n")
              for what in _CLOSED_FORM_STEPS]
@@ -629,8 +631,9 @@ def scipy_footprints(tmp_path_factory):
 
 
 def test_import_and_closed_form_commands_load_no_scipy(scipy_footprints):
-    # the closed forms run on numpy and math; every scipy kernel is imported
-    # by the function that calls it, on first use
+    # the closed forms, the profile solve and the Gauss-Jacobi rules run on
+    # numpy and math; every scipy kernel is imported by the function that
+    # calls it, on first use
     code, err, loaded = scipy_footprints
     assert code == 0, err
     assert [(what, loaded[what]) for what in _CLOSED_FORM_STEPS] == \
@@ -665,8 +668,8 @@ def test_cylinder_and_extend_commands_load_only_scipy_special(tmp_path):
 @pytest.mark.parametrize("what", sorted(_FV_FOOTPRINTS))
 def test_fv_cross_checks_and_selftest_load_scipy_linalg_and_no_interpolate(what, scipy_footprints):
     # the finite-volume splines are solved on scipy.linalg, which the
-    # eigensolves and the banded Cholesky load anyway; selftest's Bessel zero
-    # adds scipy.special.  scipy.version and private modules are not counted
+    # hemisphere eigensolves load anyway; selftest's Bessel zero adds
+    # scipy.special.  scipy.version and private modules are not counted
     code, err, loaded = scipy_footprints
     assert code == 0, err
     public = {m.split(".")[1] for m in loaded[what] if m.startswith("scipy.")}

@@ -294,6 +294,45 @@ def test_gauss_jacobi_rejects(n, p):
         gauss_jacobi(n, p)
 
 
+def _golub_welsch_on_scipy(n, p):
+    """A scipy reference for `gauss_jacobi`: the same Jacobi matrix on `eigh_tridiagonal`."""
+    linalg = pytest.importorskip("scipy.linalg")
+    k = np.arange(1, n, dtype=float)
+    c = 2.0 * k + p
+    diag = np.empty(n)
+    diag[0] = p / (p + 2.0)
+    diag[1:] = p * p / (c * (c + 2.0))
+    off = 2.0 * k * (k + p) / (c * np.sqrt(c * c - 1.0))
+    nodes, vecs = linalg.eigh_tridiagonal(0.5 * (1.0 + diag), 0.5 * off)
+    return nodes, vecs[0] ** 2 / (p + 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 32, 128, 527])
+@pytest.mark.parametrize("p", [-0.999, -0.5, 0.0, 0.37, 5.0])
+def test_gauss_jacobi_matches_the_tridiagonal_eigensolve(n, p):
+    # numpy's dense eigh against scipy's tridiagonal one (bit-identical here)
+    x, w = gauss_jacobi(n, p)
+    xs, ws = _golub_welsch_on_scipy(n, p)
+    assert np.all(np.abs(x - xs) <= 1e-15 * np.abs(xs))
+    assert np.all(np.abs(w - ws) <= 1e-15 * ws)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3, 7, 32, 128, 527)
+                                 for p in (-0.99, -0.5, 0.0, 0.5, 5.0)]
+                         # a 2048-node eigensolve takes about 1.5 s: the cap at two weights
+                         + [(MAX_GAUSS_NODES, -0.99), (MAX_GAUSS_NODES, 0.5)])
+def test_gauss_jacobi_moments_to_roundoff(n, p):
+    # moments k <= 32 within 1e-14 of 1/(p + k + 1) (7.9e-15 measured); the
+    # exact ones up to k = 2n - 1 within the rounding of x^k, (k + 1) 2e-15
+    x, w = gauss_jacobi(n, p)
+    k = np.unique(np.concatenate([np.arange(min(33, 2 * n)),
+                                  np.linspace(0, 2 * n - 1, 64).astype(int)]))
+    moments = (x[None, :] ** k[:, None]) @ w
+    error = np.abs(moments * (p + k + 1) - 1.0)
+    assert np.all(error[k <= 32] <= 1e-14)
+    assert np.all(error <= 2e-15 * (k + 1))
+
+
 def test_gauss_node_cap(params_n3):
     # Golub-Welsch stores all n^2 eigenvector entries; past the cap the rule
     # is refused before the eigensolve, directly and through the angular default

@@ -1,5 +1,6 @@
 """Every name a package module imports is referenced in that module; none is scipy.interpolate
-or scipy.special's gamma."""
+or scipy.special's gamma, and scipy.linalg is imported only by the finite-volume eigensolve and
+the spline."""
 
 import ast
 import pathlib
@@ -11,9 +12,10 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "almgren_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _imported_modules(source: str) -> set[str]:
+def _imported_modules(source) -> set[str]:
+    """Modules imported anywhere in `source`, a string or a parsed node."""
     modules = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
@@ -70,3 +72,26 @@ def test_the_check_sees_a_scipy_special_gamma_import():
 def test_no_module_imports_gamma_from_scipy_special(path):
     # a scalar Gamma is math.gamma, within an ulp or two of scipy's
     assert "scipy.special.gamma" not in _imported_modules(path.read_text())
+
+
+def _scipy_linalg_importers(source: str) -> list[str | None]:
+    """The top-level functions and classes whose bodies import scipy.linalg; None for the module."""
+    return [getattr(top, "name", None) for top in ast.parse(source).body
+            if any(m == "scipy.linalg" or m.startswith("scipy.linalg.")
+                   for m in _imported_modules(top))]
+
+
+def test_the_check_sees_where_scipy_linalg_is_imported():
+    source = ("import scipy.linalg as sl\n"
+              "def f():\n    from scipy.linalg import eigh_tridiagonal\n"
+              "class C:\n    def m(self):\n        from scipy import linalg\n"
+              "def g():\n    import scipy.special\n")
+    assert _scipy_linalg_importers(source) == [None, "f", "C"]
+
+
+def test_scipy_linalg_is_imported_only_by_the_fv_eigensolve_and_the_spline():
+    # the Gauss-Jacobi rules run on numpy's eigh and the profile solve on the
+    # package's block Cholesky, so scipy.linalg stays off their command paths
+    found = {(path.stem, name) for path in MODULES + [PACKAGE / "__init__.py"]
+             for name in _scipy_linalg_importers(path.read_text())}
+    assert found == {("hemisphere", "_sector_eigs"), ("core", "_CubicSpline")}

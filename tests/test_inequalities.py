@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -372,14 +371,14 @@ def test_margin_at_a_new_order_runs_only_small_eigensolves(monkeypatch, which):
     fresh_s = {"hardy": 1.4321987654, "rellich": 1.4432198765, "sobolev": 1.4543219876}
     calls[which](WeightParams(s=1.5, N=N))
     sizes = []
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = np.linalg.eigh
 
-    def counted(diag, off, *args, **kwargs):
-        sizes.append(len(diag))
-        return solve(diag, off, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return solve(a, *args, **kwargs)
 
-    # gauss_jacobi imports eigh_tridiagonal on each call, so this patch reaches it
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    # gauss_jacobi looks np.linalg.eigh up on each call, so this patch reaches it
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     calls[which](WeightParams(s=fresh_s[which], N=N))
     assert sizes and max(sizes) <= core.SPLIT_HEAD_NODES, sizes
 
@@ -399,7 +398,8 @@ def test_separable_mode_field_is_the_one_term_synthesis(N, s):
     # a margin rule and on scattered points, against eval_solution of the
     # synthesis c1 / Omega_0 times the mode.  At N + b < 1 the constant mode's
     # sigma_plus is 1 - N - b, so there the field is c1 P itself.  At rho = 0
-    # the value is c1 P for sigma = 0 (else 0) and the gradient is 0
+    # the value is c1 P for sigma = 0 (else 0); the gradient is 0 except for
+    # sigma = 1, where U = c1 A q has the constant gradient it has at rho = 0.5
     p = WeightParams(s=s, N=N)
     rule = inequalities._margin_rule(p, 0.0, 6, 5, 0.9)
     rng = np.random.default_rng(N)
@@ -418,8 +418,10 @@ def test_separable_mode_field_is_the_one_term_synthesis(N, s):
             for i in np.ndindex(rho.shape):
                 r, a = float(rho[i]), float(angle[i])
                 if r == 0.0:
+                    grad = (_polar_to_qt(N, a, *eval_solution(sol, 0.5, a).grad_U)
+                            if sigma == 1 else (0.0, 0.0))
                     want[(slice(None), *i)] = (1.7 * field.mode.profile(a) if sigma == 0 else 0.0,
-                                               0.0, 0.0, 0.0)
+                                               *grad, 0.0)
                 elif field.mode.sigma_plus != sigma:
                     assert sigma == 0 and N + p.b < 1
                     want[(slice(None), *i)] = (1.7 * field.mode.profile(a),
@@ -732,14 +734,14 @@ def test_a_run_of_fresh_orders_runs_only_small_eigensolves(monkeypatch):
             if which != "rellich" or N > 2:
                 margin(which, N, 1.3)
     sizes = []
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = np.linalg.eigh
 
-    def counted(diag, off, *args, **kwargs):
-        sizes.append(len(diag))
-        return solve(diag, off, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return solve(a, *args, **kwargs)
 
-    # gauss_jacobi imports eigh_tridiagonal on each call, so this patch reaches it
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    # gauss_jacobi looks np.linalg.eigh up on each call, so this patch reaches it
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     run = ([("sobolev", N) for N in (2, 3, 4)]
            + [("hardy", 2 + i % 3) if i % 2 else ("rellich", 3 + i % 2) for i in range(20)]
            + [("sobolev", N) for N in (4, 3, 2)])
