@@ -222,8 +222,6 @@ def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
 
 def compute_DH(sol: SeparableSolution, r: float, method: str = "closed") -> tuple[float, float]:
     """Scaled energy D(r) and boundary mass H(r) of the solution pair."""
-    if sol.is_zero:
-        return 0.0, 0.0
     p = sol.params
     D, H = _DH(_pieces(sol, [r], method), r, p.N + p.b)
     return float(D[0]), float(H[0])
@@ -284,6 +282,8 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> Frequen
     the largest sigma_plus of the synthesis.
     """
     radii = np.asarray(radius_schedule(sol.R) if radii is None else radii, dtype=float)
+    if radii.ndim != 1:
+        raise InputError(f"radii must be a 1-D schedule, got shape {radii.shape}")
     pieces = _pieces(sol, radii, method)
     D, H = _DH(pieces, radii, sol.params.N + sol.params.b)
     nu1, nu2 = _nu(sol, pieces, radii, method)
@@ -323,8 +323,6 @@ def check_H_derivative(target, method: str = "closed") -> float:
         scale = np.maximum(np.abs(rhs), 1e-300)
         return float(np.max(np.abs(dH - rhs)[1:-1] / scale[1:-1]))
     sol = target
-    if sol.is_zero:
-        return 0.0
     r = np.geomspace(sol.R / 2, sol.R / 16, 20)
     d = H_STEP_REL * r
     stencil = r[:, None] + np.arange(-2, 3)[None, :] * d[:, None]
@@ -339,8 +337,6 @@ def check_H_derivative(target, method: str = "closed") -> float:
 def check_pohozaev(sol: SeparableSolution, r: float,
                    method: str = "closed") -> tuple[float, float]:
     """Relative residuals of the two radial-multiplier integral identities."""
-    if sol.is_zero:
-        return 0.0, 0.0
     p = sol.params
     beta = p.N + p.b
     pc = _pieces(sol, [r], method)
@@ -408,8 +404,6 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
     trace of `sol` whose schedule reaches below R/200; by default it forms
     D and H of the closed path on `radius_schedule(sol.R)`, with no nu.
     """
-    if sol.is_zero:
-        raise VanishingDenominatorError("frequency of the zero solution is undefined")
     if frequency_trace is None:
         r = radius_schedule(sol.R)
         D, H = _DH(_pieces(sol, r, "closed"), r, sol.params.N + sol.params.b)
@@ -422,6 +416,10 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
         raise DomainError("schedule must reach radii below R/200")
     if candidates is None:
         candidates = sorted({t.sigma for t in sol.terms})
+    candidates = np.asarray(candidates, dtype=float)
+    if candidates.ndim != 1 or candidates.size == 0 or not np.all(np.isfinite(candidates)):
+        raise InputError(f"candidates must be a non-empty list of finite exponents, "
+                         f"got {candidates.tolist()}")
     a = _fit_exponents(sol)
     A = (r[:, None] / np.max(r)) ** (a - a[0])
     Y = np.column_stack([D, H]) * r[:, None] ** -a[0]

@@ -224,7 +224,7 @@ def _read_spec(path: str, args):
     if not isinstance(p, dict):
         raise InputError("spec params must be a JSON object")
     params = WeightParams(s=_spec_number(p.get("s", args.s), "params.s"),
-                          N=_spec_number(p.get("N", args.N), "params.N"),
+                          N=p.get("N", args.N),
                           R=_spec_number(p.get("R", args.R), "params.R"))
     entries = spec.get("terms")
     if not isinstance(entries, list) or not entries:

@@ -37,6 +37,7 @@ Rules are not changed after construction and every operation is pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -113,12 +114,12 @@ class WeightParams:
     R: float = 1.0
 
     def __post_init__(self):
-        if not (1.0 < self.s < 2.0):
-            raise DomainError(f"order s must lie in (1, 2), got {self.s}")
-        if int(self.N) != self.N or self.N < 1:
-            raise DomainError(f"dimension N must be an integer >= 1, got {self.N}")
-        if not (self.R > 0 and math.isfinite(self.R)):
-            raise DomainError(f"reference radius R must be positive, got {self.R}")
+        if not (_real(self.s) and 1.0 < self.s < 2.0):
+            raise DomainError(f"order s must lie in (1, 2), got {self.s!r}")
+        if not _int_at_least(self.N, 1):
+            raise DomainError(f"dimension N must be an integer >= 1, got {self.N!r}")
+        if not (_real(self.R) and self.R > 0 and math.isfinite(self.R)):
+            raise DomainError(f"reference radius R must be positive and finite, got {self.R!r}")
         object.__setattr__(self, "N", int(self.N))
 
     @classmethod
@@ -173,17 +174,23 @@ def _int_at_least(n, low: int) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
 
 
+def _real(x) -> bool:
+    """True iff x is a real number (Python or numpy, not a bool); it may be NaN."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def unit_sphere_area(dim: int) -> float:
     """Surface measure of the unit sphere S^dim embedded in R^{dim+1}."""
-    if dim < 0:
-        raise DomainError("sphere dimension must be >= 0")
+    if not _int_at_least(dim, 0):
+        raise DomainError(f"sphere dimension must be an integer >= 0, got {dim!r}")
     return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
 
 
 def weighted_angular_moment(exp_sin: float, exp_cos: float) -> float:
     """Closed form of the quarter-period moment int_0^{pi/2} sin^a cos^c dpsi."""
-    if exp_sin <= -1 or exp_cos <= -1:
-        raise DomainError("moment exponents must exceed -1")
+    if not (-1.0 < exp_sin < math.inf and -1.0 < exp_cos < math.inf):
+        raise DomainError(f"moment exponents must be finite and exceed -1, "
+                          f"got {exp_sin!r}, {exp_cos!r}")
     x, y = (exp_sin + 1) / 2.0, (exp_cos + 1) / 2.0
     return 0.5 * math.exp(_log_gamma_ratio(x, x + y) + _log_gamma_ratio(y, 1.0))
 

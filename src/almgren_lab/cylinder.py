@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InputError, WeightParams, _int_at_least
+from .core import DomainError, WeightParams, _int_at_least
 from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_zeros,
                                 _radial_norm_at_zero)
 
@@ -155,19 +155,16 @@ class CylinderMode:
         return self._horizontal(x)
 
 
-def cylinder_mode(params: WeightParams, n: int, m: int,
-                  spectrum: DirichletSpectrum | None = None) -> CylinderMode:
-    """Assemble the (n, m) eigenmode; eigenvalue mu_n + j_m^2/(2R)^2."""
+def cylinder_mode(params: WeightParams, n: int, m: int) -> CylinderMode:
+    """Assemble the (n, m) eigenmode; eigenvalue mu_n + j_m^2/(2R)^2.
+
+    One mode solves its own n Dirichlet eigenvalues and its one zero j_m;
+    `cylinder_spectrum` is the batch path for many modes of one params.
+    """
     if not (_int_at_least(n, 1) and _int_at_least(m, 1)):
         raise DomainError(f"mode indices n, m must be integers >= 1, got {n!r}, {m!r}")
-    if spectrum is None:
-        spectrum = dirichlet_eigs(params.N, params.R, n)
-    if (spectrum.N, spectrum.R) != (params.N, params.R):
-        raise InputError(f"spectrum is for N = {spectrum.N}, R = {spectrum.R}; "
-                         f"the mode needs N = {params.N}, R = {params.R}")
-    if len(spectrum) < n:
-        raise DomainError(f"spectrum holds {len(spectrum)} entries; need n = {n}")
-    return _mode(params, spectrum, n, m, bessel_zero(-params.alpha, m))
+    return _mode(params, dirichlet_eigs(params.N, params.R, n), n, m,
+                 bessel_zero(-params.alpha, m))
 
 
 def _mode(params: WeightParams, spectrum: DirichletSpectrum, n: int, m: int,

@@ -21,13 +21,13 @@ ends, and eigenvalue shift k (k + N + b - 1).  Each sector is discretized by
 conservative (flux-form) second-order finite volumes on a uniform grid and
 solved as a symmetric tridiagonal eigenproblem (bisection + inverse
 iteration); cell masses integrate the degenerate factor in closed form, so
-the weight is never evaluated at the equator.  For N = 1 the problem lives on
-the full arc (0, pi) with weight sin^b and weighted-Neumann conditions at
-both endpoints.  The sector spectra are those of the closed form, so
-eigenpair j of sector k is named (sigma, k) = (k + 2j, k) before any
-eigenvalue is compared.  Each sampled profile is normalized on the
-Gauss-Jacobi rule `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the
-rule family of every angular integral that later checks it.
+the weight is never evaluated at the equator.  N = 1 is solved the same way:
+its even and odd functions are sectors 0 and 1, mirrored onto the arc.  The
+sector spectra are those of the closed form, so eigenpair j of sector k is
+named (sigma, k) = (k + 2j, k) before any eigenvalue is compared.  Each
+sampled profile is normalized on the Gauss-Jacobi rule
+`AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the rule family of every
+angular integral that later checks it.
 
 The closed forms need numpy and `math` only; the cross-check imports
 `scipy.linalg` on first use, for its sector eigensolves (`_sector_eigs`) and
@@ -67,6 +67,8 @@ _LN2 = math.log(2.0)
 
 def sigma_exponents(params: WeightParams, mu: float) -> tuple[float, float]:
     """Characteristic exponents, the two roots of sigma (sigma + N + b - 1) = mu."""
+    if not math.isfinite(mu):
+        raise DomainError(f"eigenvalue mu must be finite, got {mu!r}")
     if mu < 0:
         if mu < -1e-9:
             raise DomainError(f"eigenvalue mu must be nonnegative, got {mu}")
@@ -192,23 +194,8 @@ def _cell_masses(p: float, lo: np.ndarray, hi: np.ndarray, smooth) -> np.ndarray
 
 
 def _sector_tridiag(params: WeightParams, k: int, n: int):
-    """Masses, face coefficients and centers for one azimuthal sector."""
+    """Masses, face coefficients and centers for one azimuthal sector on (0, pi/2)."""
     N, b = params.N, params.b
-    if N == 1:
-        L = math.pi
-        faces = np.linspace(0.0, L, n + 1)
-        lo, hi = faces[:-1], faces[1:]
-        masses = np.empty(n)
-        left = hi <= L / 2 + 1e-14
-        # weight sin^b(phi) = u^b (sin u / u)^b measured from the nearer endpoint
-        masses[left] = _cell_masses(b, lo[left], hi[left], lambda u: _sinc_ratio(u) ** b)
-        right = ~left
-        masses[right] = _cell_masses(
-            b, L - hi[right], L - lo[right], lambda u: _sinc_ratio(u) ** b
-        )
-        coeffs = np.zeros(n + 1)
-        coeffs[1:-1] = np.sin(faces[1:-1]) ** b
-        return masses, coeffs, 0.5 * (lo + hi)
     M = 2 * k + N - 1
     L = math.pi / 2.0
     faces = np.linspace(0.0, L, n + 1)
@@ -242,8 +229,7 @@ def _sector_eigs(params: WeightParams, k: int, n: int, count: int):
     off = -a[1:-1] / (root[:-1] * root[1:])
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     q = vecs / root[:, None]
-    shift = 0.0 if params.N == 1 else k * (k + params.N + params.b - 1.0)
-    return vals + shift, q, masses, centers
+    return vals + k * (k + params.N + params.b - 1.0), q, masses, centers
 
 
 def _richardson(levels: list[np.ndarray]) -> np.ndarray:
@@ -266,11 +252,16 @@ def hemisphere_eigs(
 ) -> list[SpectralMode]:
     """Lowest eigenmodes by finite volumes, named (sigma, k): the cross-check.
 
-    Per-sector solves run at `resolution` times 2^j for j = 0..refinements and
-    the eigenvalues are Richardson extrapolated.  Eigenpair j of sector k is
-    the mode of degree sigma = k + 2j (sigma = j for N = 1), so each mode
-    carries ell = sigma and the full multiplicity M_sigma, and the list is in
-    (sigma, k) order as in `hemisphere_modes`, whatever the roundoff in mu.
+    Each sector is solved on `resolution` cells of (0, pi/2) times 2^j for
+    j = 0..refinements, and its eigenvalues are Richardson extrapolated.
+    Eigenpair j of sector k is the mode of degree sigma = k + 2j, so each
+    mode carries ell = sigma and the full multiplicity M_sigma, and the list
+    is in (sigma, k) order as in `hemisphere_modes`, whatever the roundoff in
+    mu.  N >= 2 solves per_k eigenpairs in each sector k <= k_max.  For N = 1
+    the horizontal sphere S^0 = {-1, 1} has the even and the odd sector,
+    k = 0 and 1, which share the per_k degrees sigma = 0 .. per_k - 1 (the
+    even one takes the larger half); their modes are labelled k = 0 and live
+    on the arc phi = pi/2 -/+ psi, where an odd sector's samples change sign.
     Each profile is the cubic spline of the finest grid's samples, normalized
     on `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)` and positive at the
     equator.
@@ -292,26 +283,32 @@ def hemisphere_eigs(
     N = params.N
     grid = AngularGrid1D.gauss(N, params.b, DEFAULT_ANGULAR_NODES)
     psi_eq = math.pi / 2.0 if N >= 2 else 0.0
+    counts = [(per_k + 1) // 2, per_k // 2] if N == 1 else [per_k] * (k_max + 1)
 
     modes = []
-    for k in [0] if N == 1 else range(k_max + 1):
-        levels = [_sector_eigs(params, k, resolution * 2 ** j, per_k)
+    for k, count in enumerate(counts):
+        if not count:
+            continue
+        levels = [_sector_eigs(params, k, resolution * 2 ** j, count)
                   for j in range(refinements + 1)]
         mus = _richardson([lv[0] for lv in levels])
         _, qvecs, _, centers = levels[-1]
-        sin_k = np.sin(centers) ** k if N >= 2 else 1.0
+        samples = np.sin(centers)[:, None] ** k * qvecs
+        if N == 1:
+            centers = np.concatenate([math.pi / 2.0 - centers[::-1], math.pi / 2.0 + centers])
+            samples = np.concatenate([samples[::-1], (-1.0) ** k * samples])
         for j, mu in enumerate(mus):
-            sigma = j if N == 1 else k + 2 * j
+            sigma = k + 2 * j
             # the constants span the discrete kernel: the solver's mu for them
             # is roundoff, which grows like n^2 (1e-8 at n = 8192)
             mu = 0.0 if sigma == 0 else float(mu)
-            spline = _CubicSpline(centers, sin_k * qvecs[:, j])
+            spline = _CubicSpline(centers, samples[:, j])
             # normalize on the Gauss-Jacobi rule and orient at the equator; a
             # piecewise polynomial scales with its coefficients
             sign = 1.0 if spline(psi_eq) >= 0 else -1.0
             spline.c *= sign / math.sqrt(grid.integrate_bare(spline(grid.nodes) ** 2))
             modes.append(SpectralMode(
-                params=params, ell=sigma, k=k, mu=mu,
+                params=params, ell=sigma, k=0 if N == 1 else k, mu=mu,
                 multiplicity=sigma_multiplicity(N, sigma),
                 profile=AngularProfile(spline, functools.partial(spline, nu=1)),
                 sigma_plus=sigma_exponents(params, mu)[0]))

@@ -31,7 +31,9 @@ from .core import (
     _check_radius,
     _finite,
     _HalfBallRule,
+    _int_at_least,
     _Points,
+    _real,
     gauss_jacobi,
     split_gauss_jacobi,
 )
@@ -97,6 +99,10 @@ class GaussianBumps(_Field):
 
     def __init__(self, components, mirrored: bool = False):
         self.components = [(float(a), float(c), float(w)) for a, c, w in components]
+        if not all(math.isfinite(a) and math.isfinite(c) and 0.0 < w < math.inf
+                   for a, c, w in self.components):
+            raise DomainError(f"bump amplitudes and centres must be finite and widths "
+                              f"positive and finite, got {self.components}")
         self.mirrored = mirrored
 
     def _eval(self, points, params=None):
@@ -172,6 +178,8 @@ class CutoffField(_Field):
     def __init__(self, inner, rho0: float):
         self.inner = inner
         self.rho0 = float(rho0)
+        if not 0.0 < self.rho0 < math.inf:
+            raise DomainError(f"cutoff radius must be positive and finite, got {rho0!r}")
 
     def _eval(self, points, params=None):
         f, fq, ft, lap_f = _sample(self.inner, points, params)
@@ -206,7 +214,7 @@ class SeparableModeField(_Field):
         self.c1 = float(c1)
         term = Term(replace(self.mode, sigma_plus=self.sigma),
                     self.c1 / sphere_harmonic_value(params.N, 0), 0.0)
-        self._solution = SeparableSolution(params, (term,), params.R)
+        self._solution = SeparableSolution(params, (term,))
 
     def _eval(self, points, params=None):
         rho, ang = points.rho, points.angle
@@ -240,6 +248,17 @@ class TestFamily:
     mirrored: bool = False
     cutoff_radius: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("bumps", "modes", "poly"):
+            raise DomainError(f"unknown family kind {self.kind!r}")
+        if not (_int_at_least(self.count, 1) and _int_at_least(self.seed, 0)):
+            raise DomainError(f"need integers count >= 1 and seed >= 0, "
+                              f"got {self.count!r}, {self.seed!r}")
+        if not (self.cutoff_radius is None
+                or (_real(self.cutoff_radius) and 0.0 < self.cutoff_radius < math.inf)):
+            raise DomainError(f"cutoff radius must be positive and finite, "
+                              f"got {self.cutoff_radius!r}")
+
     def fields(self):
         rng = np.random.default_rng(self.seed)
         sigmas = [0, 2] if self.params.N >= 2 else [0, 1, 2]
@@ -256,11 +275,9 @@ class TestFamily:
             elif self.kind == "modes":
                 sigma = int(rng.choice(sigmas))
                 fld = SeparableModeField(self.params, sigma, c1=rng.uniform(0.5, 2.0))
-            elif self.kind == "poly":
+            else:   # "poly"
                 inner = QuadraticField(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
                 fld = CutoffField(inner, self.cutoff_radius or 0.8)
-            else:
-                raise DomainError(f"unknown family kind {self.kind!r}")
             if self.cutoff_radius is not None and self.kind == "bumps":
                 fld = CutoffField(fld, self.cutoff_radius)
             yield fld

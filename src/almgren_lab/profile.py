@@ -57,6 +57,12 @@ TAIL_LENGTH = 2.0
 # every T_max >= 20; at T_max = 24, 2^16 cells fail the block Cholesky at
 # some b (b = -0.9, -0.5 and 0.9, as LAPACK's banded Cholesky did).
 MAX_PROFILE_CELLS = 2 ** 15
+# Coarsest step h = T_max / resolution `solve_profile` accepts.  The tail is
+# the last TAIL_LENGTH = 2 length units, so it needs h well below 2 to hold
+# more than one node (h > 2 failed with an IndexError), and J drifts from C_b
+# long before that (b = 0: J = 1.837 at h = 1.37 and 1.966 at h = 0.39,
+# against C_b = 2).  The README defaults and the tests use h <= 30/512.
+MAX_PROFILE_STEP = 1.0 / 16.0
 
 
 def _tail_shapes(alpha: float, t0: float, tau):
@@ -394,7 +400,9 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     three times from y = 0 against the factored residual
     (`_NormalSystem.residual`): at the default grid phi stops moving (to
     about 1e-11) after the second step, and the third covers the slower
-    contraction of finer grids.
+    contraction of finer grids.  The grid is refused, with `DomainError`,
+    above MAX_PROFILE_CELLS cells or a step T_max / resolution above
+    MAX_PROFILE_STEP.
     """
     _check_weight_exponent(b)
     if not (math.isfinite(T_max) and T_max >= 20.0):
@@ -405,6 +413,9 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
         raise DomainError(f"resolution {resolution} exceeds the cap of {MAX_PROFILE_CELLS}")
     n = int(resolution)
     h = T_max / n
+    if h > MAX_PROFILE_STEP:
+        raise DomainError(f"step T_max / resolution = {h:.4g} exceeds the cap of "
+                          f"{MAX_PROFILE_STEP}; raise the resolution or lower T_max")
     system = _normal_system(b, T_max, n)
     factor = _BlockCholesky(system.bands)
     y = np.zeros(system.bands.shape[1])
@@ -495,6 +506,8 @@ def build_extension(
     """
     u, u_hat, xi = _fourier_sample(u, box_length)
     t_levels = np.asarray(t_levels, dtype=float)
+    if t_levels.ndim != 1:
+        raise InputError(f"t levels must be a 1-D list, got shape {t_levels.shape}")
     if not np.all(np.isfinite(t_levels)):
         raise DomainError("t levels must be finite")
     if np.any(t_levels < 0):

@@ -35,6 +35,7 @@ from .core import (
     DomainError,
     InputError,
     WeightParams,
+    _real,
 )
 from .hemisphere import SpectralMode, sigma_exponents, sphere_harmonic_value
 
@@ -97,15 +98,14 @@ class Term:
 
 @dataclass(frozen=True)
 class SeparableSolution:
-    """Finite list of separable terms, evaluable for radii up to R."""
+    """Finite list of separable terms, evaluable for radii up to R = params.R."""
 
     params: WeightParams
     terms: tuple[Term, ...]
-    R: float
 
     @property
-    def is_zero(self) -> bool:
-        return all(t.c1 == 0.0 and t.d1 == 0.0 for t in self.terms) or not self.terms
+    def R(self) -> float:
+        return self.params.R
 
     @cached_property
     def coefs(self) -> np.ndarray:
@@ -124,18 +124,24 @@ class SeparableSolution:
         return r
 
 
-def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False) -> SeparableSolution:
+def synthesize(params: WeightParams, spec, modes=None) -> SeparableSolution:
     """Build an exact solution pair from (mode, c1, d1) triples.
 
     Entries may reference modes directly or by integer position into `modes`
     (as produced by `hemisphere_modes` or `hemisphere_eigs`).  Entries naming
     the same mode, (degree ell, sector k, eigenvalue mu), are merged by adding
     coefficients, so a finite-volume mode and the closed form of its (ell, k)
-    stay two terms.  The all-zero synthesis is rejected unless `allow_zero`.
+    stay two terms.  An entry that is not such a triple of a mode and two
+    finite real numbers raises `InputError`; a synthesis whose coefficients
+    all vanish raises `DomainError`, since the zero solution has no frequency.
     """
     resolved: dict[tuple, Term] = {}
     for entry in spec:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
+            raise InputError(f"a synthesis entry is a triple (mode, c1, d1), got {entry!r}")
         mode, c1, d1 = entry
+        if not (_real(c1) and _real(d1) and math.isfinite(c1) and math.isfinite(d1)):
+            raise InputError(f"coefficients must be finite real numbers, got {c1!r}, {d1!r}")
         if isinstance(mode, (int, np.integer)):
             if modes is None:
                 raise InputError("integer mode references require the modes list")
@@ -144,8 +150,6 @@ def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False)
             mode = modes[int(mode)]
         if mode.params != params:
             raise InputError("mode parameters do not match the synthesis parameters")
-        if not (np.isfinite(c1) and np.isfinite(d1)):
-            raise InputError("non-finite coefficient")
         key = (mode.ell, mode.k, mode.mu)
         if key in resolved:
             prev = resolved[key]
@@ -153,10 +157,9 @@ def synthesize(params: WeightParams, spec, modes=None, allow_zero: bool = False)
         else:
             resolved[key] = Term(mode=mode, c1=float(c1), d1=float(d1))
     terms = tuple(sorted(resolved.values(), key=lambda t: (t.sigma, t.mode.k)))
-    sol = SeparableSolution(params=params, terms=terms, R=params.R)
-    if sol.is_zero and not allow_zero:
-        raise DomainError("all coefficients vanish; pass allow_zero=True for the zero solution")
-    return sol
+    if all(t.c1 == 0.0 and t.d1 == 0.0 for t in terms):
+        raise DomainError("all coefficients vanish: the zero solution has no frequency")
+    return SeparableSolution(params=params, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -191,6 +194,8 @@ def _point_values(sol: SeparableSolution, rho, angle, chi=0.0):
 def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0) -> EvalResult:
     """(U, V) and their gradients (d/dr, (1/r) d/dpsi) at one point: `_point_values`, checked."""
     sol._check_radii(r)
+    if not all(np.ndim(v) == 0 and np.isfinite(v) for v in (r, psi, chi)):
+        raise InputError(f"the point must be three finite numbers, got {r!r}, {psi!r}, {chi!r}")
     (U, V), (dUr, dVr), (dUp, dVp) = np.array(_point_values(sol, r, psi, chi), float).tolist()
     return EvalResult(U=U, V=V, grad_U=(dUr, dUp / r), grad_V=(dVr, dVp / r))
 

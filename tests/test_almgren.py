@@ -56,12 +56,25 @@ def test_pure_mode_DH(p3, pure1):
 
 
 def test_zero_solution(p3):
-    sol = synthesize(p3, [(polynomial_mode(p3, 0), 0.0, 0.0)], allow_zero=True)
-    assert compute_DH(sol, 0.5) == (0.0, 0.0)
-    assert check_pohozaev(sol, 0.5) == (0.0, 0.0)
-    assert check_H_derivative(sol) == 0.0
-    with pytest.raises(VanishingDenominatorError):
-        frequency(sol, 0.5)
+    # synthesize refuses the zero solution; built by hand (with no terms, or
+    # with zero coefficients) it has H = 0, and every operation of either
+    # path refuses it alike, at the one gate of the pieces
+    from almgren_lab.synthesis import SeparableSolution, Term
+
+    for terms in range(3):
+        sol = SeparableSolution(p3, tuple(Term(polynomial_mode(p3, sigma), 0.0, 0.0)
+                                          for sigma in range(terms)))
+        for method in ("closed", "quadrature"):
+            for op in (lambda: compute_DH(sol, 0.5, method),
+                       lambda: frequency(sol, 0.5, method),
+                       lambda: trace(sol, [0.5, 0.25], method),
+                       lambda: nu_decomposition(sol, 0.5, method),
+                       lambda: check_H_derivative(sol, method),
+                       lambda: check_pohozaev(sol, 0.5, method),
+                       lambda: frequency_limit(sol)):
+                with pytest.raises(VanishingDenominatorError,
+                                   match=r"H\(0\.[0-9]+\) is not positive"):
+                    op()
 
 
 def test_pure_mode_frequency_constant(p3):
@@ -524,7 +537,7 @@ def test_divergent_exponent_and_vanishing_H_still_raise(p3):
 
     # 2 sigma + N + b - 1 <= 0 with an active c1: the ball integral diverges at 0
     stub = Term(mode=_StubMode(p3, -1.5), c1=1.0, d1=0.0)
-    divergent = SeparableSolution(params=p3, terms=(stub,), R=1.0)
+    divergent = SeparableSolution(params=p3, terms=(stub,))
     with pytest.raises(DomainError, match="diverges"):
         trace(divergent, [0.5, 0.1])
     with pytest.raises(DomainError, match="diverges"):
@@ -533,7 +546,8 @@ def test_divergent_exponent_and_vanishing_H_still_raise(p3):
     sol = synthesize(p3, [(polynomial_mode(p3, 2), 1.0, 0.0)])
     with pytest.raises(VanishingDenominatorError, match=r"H\(1e-50\)"):
         trace(sol, [0.5, 1e-30, 1e-50, 1e-60])
-    zero = synthesize(p3, [(polynomial_mode(p3, 0), 0.0, 0.0)], allow_zero=True)
+    # the zero solution, which only a hand-built SeparableSolution can hold
+    zero = SeparableSolution(params=p3, terms=(Term(polynomial_mode(p3, 0), 0.0, 0.0),))
     with pytest.raises(VanishingDenominatorError, match=r"H\(0\.5\)"):
         trace(zero, [0.5, 0.25])
 

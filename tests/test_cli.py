@@ -309,6 +309,7 @@ _MALFORMED_SPECS = {
     "c1 nan": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "c1": math.nan}]},
     "d1 inf": {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "d1": math.inf}]},
     "s string": {"params": {"s": "x", "N": 3}, "terms": [{"l": 1, "c1": 1.0}]},
+    "N float": {"params": {"s": 1.25, "N": 3.0}, "terms": [{"l": 1, "c1": 1.0}]},
     "params not an object": {"params": [1.25, 3], "terms": [{"l": 1, "c1": 1.0}]},
     "spec not an object": [{"l": 1, "c1": 1.0}],
 }
@@ -818,13 +819,16 @@ def test_config_string_values_parse_as_the_flag_text(tmp_path, capsys):
     ["profile", "--t-max", "inf"],
     ["check-inequalities", "--which", "hardy", "--count", "1", "--seed", "-1"],
     ["selftest", "--seed", "-1"],
+    # a step T_max / resolution past the cap: the one-node tail raised IndexError
+    ["profile", "--t-max", "5000", "--resolution", "512"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_numeric_options_exit_2(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.strip()
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_extend_n_must_match_the_csv_and_defaults_to_it(tmp_path, capsys):

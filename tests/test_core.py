@@ -15,10 +15,12 @@ from almgren_lab import (
     almgren,
     cylinder,
     hemisphere,
+    inequalities,
     integrate_halfball,
     integrate_halfsphere,
     profile,
     special_functions,
+    synthesis,
 )
 from almgren_lab.core import (
     DEFAULT_ANGULAR_NODES,
@@ -146,6 +148,12 @@ def test_halfball_rule_beyond_R_and_on_a_given_grid(params_n1, params_n3):
 
 
 _P = WeightParams(s=1.5, N=2)
+
+
+def _solution():
+    return synthesis.synthesize(_P, [(hemisphere.polynomial_mode(_P, 1), 1.0, 0.5)])
+
+
 _MALFORMED = {
     # no sector is <= nan: without the gate the mode sweep never ends
     "modes-k-max-nan": lambda: hemisphere.hemisphere_modes(_P, 4, k_max=math.nan),
@@ -177,6 +185,34 @@ _MALFORMED = {
     "schedule-nan-r-max": lambda: almgren.radius_schedule(1.0, r_max=math.nan),
     "schedule-inf-r-max": lambda: almgren.radius_schedule(1.0, r_max=math.inf),
     "profile-resolution-nan": lambda: profile.solve_profile(0.0, resolution=math.nan),
+    # count=1.5 raised TypeError and seed=-1 a bare ValueError; count=-2 passed and a Sobolev
+    # estimate then found "every member vanishing", cutoff_radius=-0.5 gave margins of 2e123
+    "family-count-fractional": lambda: inequalities.TestFamily(_P, count=1.5),
+    "family-count-negative": lambda: inequalities.TestFamily(_P, count=-2),
+    "family-seed-negative": lambda: inequalities.TestFamily(_P, seed=-1),
+    "family-cutoff-negative": lambda: inequalities.TestFamily(_P, cutoff_radius=-0.5),
+    "family-kind-unknown": lambda: inequalities.TestFamily(_P, kind="waves"),
+    "bumps-zero-width": lambda: inequalities.GaussianBumps([(1.0, 0.3, 0.0)]),
+    "cutoff-zero-radius": lambda: inequalities.CutoffField(
+        inequalities.QuadraticField(1.0, 0.0, 0.0), 0.0),
+    # these returned NaN or accepted a fractional dimension
+    "k-constant-nan": lambda: synthesis.k_constant(_P, math.nan),
+    "sigma-exponents-nan": lambda: hemisphere.sigma_exponents(_P, math.nan),
+    "moment-nan": lambda: weighted_angular_moment(math.nan, 1.0),
+    "sphere-area-fractional": lambda: unit_sphere_area(1.5),
+    "params-R-string": lambda: WeightParams(s=1.5, N=2, R="1"),
+    "params-N-bool": lambda: WeightParams(s=1.5, N=True),
+    # malformed shapes and entries: "input-" cases raise InputError
+    "input-extension-levels-2d": lambda: profile.build_extension(_P, np.ones((8, 8)),
+                                                                 [[0.1, 0.2]]),
+    "input-trace-radii-2d": lambda: almgren.trace(_solution(), [[0.1, 0.2]]),
+    "input-limit-no-candidates": lambda: almgren.frequency_limit(_solution(), candidates=[]),
+    "input-synthesis-pair-entry": lambda: synthesis.synthesize(
+        _P, [(hemisphere.polynomial_mode(_P, 0), 1.0)]),
+    "input-synthesis-string-c1": lambda: synthesis.synthesize(
+        _P, [(hemisphere.polynomial_mode(_P, 0), "1.0", 0.0)]),
+    "input-eval-nan-angle": lambda: synthesis.eval_solution(_solution(), 0.5, math.nan),
+    "input-eval-two-radii": lambda: synthesis.eval_solution(_solution(), [0.5, 0.4], 0.3),
 }
 # the weight exponent b in (-1, 1) and the regularized order alpha in (0, 1),
 # each behind one gate: NaN, both infinities and both endpoints fail it
@@ -198,8 +234,9 @@ _MALFORMED.update({
 def test_malformed_counts_and_arguments_raise_library_errors(case):
     # every count is an integer, not a bool, at least its floor; Bessel
     # arguments are finite and nonnegative; the Dirichlet ball radius is
-    # positive and finite.  Mode lists raise InputError, the rest DomainError.
-    with pytest.raises(InputError if case.startswith("modes-") else DomainError):
+    # positive and finite.  Mode lists and malformed shapes or entries raise
+    # InputError, the rest DomainError.
+    with pytest.raises(InputError if case.startswith(("modes-", "input-")) else DomainError):
         _MALFORMED[case]()
 
 

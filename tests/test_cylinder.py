@@ -6,7 +6,6 @@ from scipy.special import jn_zeros, jv, roots_legendre
 
 from almgren_lab import (
     DomainError,
-    InputError,
     WeightParams,
     cylinder_mode,
     cylinder_spectrum,
@@ -116,15 +115,6 @@ def test_mode_eigenvalue_example(params):
     assert mode.eigenvalue == pytest.approx(math.pi ** 2 / 2, rel=1e-13)
 
 
-@pytest.mark.parametrize("N, R", [(2, 3.0), (1, 3.0), (2, 1.0)])
-def test_mode_refuses_a_spectrum_of_another_dimension_or_radius(N, R):
-    # (N, R) = (2, 3) would give lambda = 0.7775 where (pi/4)^2 + (pi/4)^2 = 1.2337 is right
-    p = WeightParams(s=1.5, N=1, R=1.0)
-    assert cylinder_mode(p, 1, 1).eigenvalue == pytest.approx(math.pi ** 2 / 8, rel=1e-13)
-    with pytest.raises(InputError, match="spectrum is for"):
-        cylinder_mode(p, 1, 1, spectrum=dirichlet_eigs(N, R, 4))
-
-
 def test_eigenvalue_monotone_in_each_index(params):
     lams = {(n, m): cylinder_mode(params, n, m).eigenvalue
             for n in (1, 2, 3) for m in (1, 2, 3)}
@@ -223,13 +213,12 @@ def test_poisson_coefficient_decay_on_bump(params):
     lap2_f = bumps(lambda q: (4.0 / w ** 2) ** 2 * (q ** 2 - 4.0 * q + 2.0))
 
     quad = cylinder_quadrature(params, nx=260)
-    spec = dirichlet_eigs(1, params.R, 10)
     norm_lap2 = math.sqrt(weighted_inner(params, lap2_f, lap2_f, quad))
     total = 0.0
     cs = []
     for n in range(1, 11):
         for m in range(1, 11):
-            mode = cylinder_mode(params, n, m, spectrum=spec)
+            mode = cylinder_mode(params, n, m)
             lam = mode.eigenvalue
             c = weighted_inner(params, psi_f, mode, quad)
             d1 = -weighted_inner(params, lap1_f, mode, quad)
@@ -274,8 +263,7 @@ def test_modes_vanish_on_dirichlet_boundary(params):
 def test_cylinder_spectrum_is_the_sorted_head_of_the_mode_table(N):
     p = WeightParams(s=1.37, N=N, R=0.7)
     count = 5
-    spec = dirichlet_eigs(N, p.R, count)
-    table = sorted((cylinder_mode(p, n, m, spectrum=spec)
+    table = sorted((cylinder_mode(p, n, m)
                     for n in range(1, count + 1) for m in range(1, count + 1)),
                    key=lambda mode: mode.eigenvalue)[:count]
     got = cylinder_spectrum(p, count)

@@ -91,7 +91,8 @@ def test_full_spectrum_matches_sigma_ladder(params_n3):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_finite_volume_modes_are_named_by_degree_and_sector(N):
-    # eigenpair j of sector k is the mode of degree k + 2j (j for N = 1), so
+    # eigenpair j of sector k is the mode of degree k + 2j (for N = 1 the
+    # sector is sigma mod 2 and the label k = 0), so
     # the list order, the names and the multiplicities are those of the
     # closed-form list at every resolution; only mu carries the solver error
     p = WeightParams(s=1.25, N=N)
@@ -186,11 +187,12 @@ def test_richardson_convergence_order(params_n3):
 
 def test_exact_modes_are_discretely_exact(params_n3):
     # constants (mu = 0) and the pure-harmonic sector bottoms (mu = k(k+N+b-1))
-    # are reproduced to solver precision at any resolution
-    p = params_n3
-    for k in (0, 1, 2):
+    # are reproduced to solver precision at any resolution; for N = 1 the odd
+    # sector's bottom, mu = 1 + b, is the discrete kernel of that sector
+    for p, k in [(params_n3, 0), (params_n3, 1), (params_n3, 2),
+                 (WeightParams(s=1.25, N=1), 0), (WeightParams(s=1.25, N=1), 1)]:
         vals, *_ = _sector_eigs(p, k, 128, 1)
-        assert abs(vals[0] - sigma_to_mu(p, k)) < 1e-10
+        assert abs(vals[0] - sigma_to_mu(p, k)) < 1e-10, (p.N, k)
 
 
 def test_profiles_orthonormal_in_discrete_inner_product(params_n3, modes_n3):
@@ -671,7 +673,8 @@ def test_high_degree_amplitudes_against_40_digits(s):
 def test_fv_profiles_match_scipy_splines_of_the_same_samples(N, s):
     # each finite-volume profile is the not-a-knot spline of the finest grid's
     # samples, normalized and oriented: scipy's CubicSpline of those samples,
-    # treated alike, agrees to roundoff in value and derivative
+    # treated alike, agrees to roundoff in value and derivative.  For N = 1
+    # the samples of sector sigma mod 2 are mirrored onto the arc first.
     interpolate = pytest.importorskip("scipy.interpolate")
     p = WeightParams(s=s, N=N)
     modes = hemisphere_eigs(p, k_max=2, per_k=3, resolution=128, refinements=1)
@@ -679,10 +682,24 @@ def test_fv_profiles_match_scipy_splines_of_the_same_samples(N, s):
     top = math.pi if N == 1 else math.pi / 2.0
     psi = np.concatenate([grid.nodes, np.linspace(-0.05, top + 0.05, 301)])
     for mode in modes:
-        _, q, _, centers = _sector_eigs(p, mode.k, 256, 3)
-        j = mode.ell if N == 1 else (mode.ell - mode.k) // 2
-        ref = interpolate.CubicSpline(centers, np.sin(centers) ** mode.k * q[:, j])
+        # the sector's own eigensolve: N = 1 splits per_k = 3 as 2 even and 1 odd
+        k = mode.ell % 2 if N == 1 else mode.k
+        _, q, _, centers = _sector_eigs(p, k, 256, (4 - k) // 2 if N == 1 else 3)
+        samples = np.sin(centers) ** k * q[:, (mode.ell - k) // 2]
+        if N == 1:
+            centers = np.concatenate([math.pi / 2 - centers[::-1], math.pi / 2 + centers])
+            samples = np.concatenate([samples[::-1], (-1) ** k * samples])
+        ref = interpolate.CubicSpline(centers, samples)
         sign = 1.0 if ref(top if N >= 2 else 0.0) >= 0 else -1.0
         ref.c *= sign / math.sqrt(grid.integrate_bare(ref(grid.nodes) ** 2))
         for got, want in ((mode.profile(psi), ref(psi)), (mode.profile.deriv(psi), ref(psi, 1))):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (mode.ell, mode.k)
+
+
+@pytest.mark.parametrize("per_k", [1, 2, 5, 16])
+def test_n1_finite_volume_list_is_sigma_in_order(per_k):
+    # the even and odd sectors share the degrees: sigma = 0 .. per_k - 1, each
+    # labelled k = 0, whatever the split (per_k = 1 solves the even one alone)
+    p = WeightParams(s=1.3, N=1)
+    modes = hemisphere_eigs(p, k_max=3, per_k=per_k, resolution=128, refinements=0)
+    assert [(m.ell, m.k) for m in modes] == [(sigma, 0) for sigma in range(per_k)]

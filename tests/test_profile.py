@@ -25,6 +25,7 @@ from almgren_lab import profile
 from almgren_lab.core import gauss_jacobi
 from almgren_lab.profile import (
     MAX_PROFILE_CELLS,
+    MAX_PROFILE_STEP,
     BesselProfile,
     _band_blocks,
     _BlockCholesky,
@@ -81,6 +82,11 @@ def test_preconditions():
         solve_profile(0.0, resolution=100)
     with pytest.raises(DomainError, match=str(MAX_PROFILE_CELLS)):
         solve_profile(0.0, resolution=MAX_PROFILE_CELLS + 1)
+    # the step cap: a tail of one node crashed at h > 2, and J drifted below it
+    for t_max in (5000.0, 32.0 + 1e-9):
+        with pytest.raises(DomainError, match=str(MAX_PROFILE_STEP)):
+            solve_profile(0.0, T_max=t_max, resolution=512)
+    assert solve_profile(0.0, T_max=32.0, resolution=512).J == pytest.approx(2.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("b", [-0.5, 0.0, 0.5])

@@ -99,12 +99,14 @@ def test_mixed_mode_satisfies_system_weakly(p3):
         assert abs(lhs - rhs) < 2e-5
 
 
-def test_zero_solution_requires_flag(p3):
+def test_zero_synthesis_is_refused(p3):
+    # there is no way to synthesize the zero solution, whose frequency is undefined
     mode = polynomial_mode(p3, 0)
-    with pytest.raises(DomainError):
-        synthesize(p3, [(mode, 0.0, 0.0)])
-    sol = synthesize(p3, [(mode, 0.0, 0.0)], allow_zero=True)
-    assert sol.is_zero
+    for spec in ([(mode, 0.0, 0.0)], [(mode, 1.0, 0.5), (mode, -1.0, -0.5)], []):
+        with pytest.raises(DomainError, match="all coefficients vanish"):
+            synthesize(p3, spec)
+    with pytest.raises(TypeError):
+        synthesize(p3, [(mode, 0.0, 0.0)], allow_zero=True)
 
 
 @pytest.mark.parametrize("index", [2, 7, -1])
