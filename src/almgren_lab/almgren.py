@@ -145,7 +145,7 @@ def _angular_pairs(sol: SeparableSolution):
     keys = np.array([t.mode.k for t in sol.terms], dtype=int)
     A = (P * w) @ P.T
     M = (dP * w) @ dP.T
-    if p.N >= 2 and np.any(keys):   # Gauss nodes avoid the pole, where sin(psi) = 0
+    if np.any(keys):   # k > 0 needs N >= 2; Gauss nodes avoid the pole, where sin(psi) = 0
         M += (keys * (keys + p.N - 2))[:, None] * ((P * (w / np.sin(nodes) ** 2)) @ P.T)
     i, j = np.nonzero(keys[:, None] == keys[None, :])
     return i, j, A[i, j], M[i, j]

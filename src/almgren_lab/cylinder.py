@@ -42,9 +42,6 @@ class DirichletSpectrum:
     def mu(self, n: int) -> float:
         return self.mus[n - 1]
 
-    def __len__(self) -> int:
-        return len(self.mus)
-
 
 def _disk_zeros(count: int) -> list[tuple[int, int, float]]:
     """(k, p, j_{k,p}) of the `count` smallest disk eigenvalues, in spectrum order.

@@ -78,15 +78,6 @@ def sigma_exponents(params: WeightParams, mu: float) -> tuple[float, float]:
     return -half + root, -half - root
 
 
-def harmonic_multiplicity(N: int, k: int) -> int:
-    """Dimension of the degree-k harmonic space on S^{N-1} (1 for N = 1)."""
-    if k < 0:
-        raise DomainError("wavenumber must be nonnegative")
-    if N == 1:
-        return 1
-    return math.comb(N + k - 1, k) - (math.comb(N + k - 3, k - 2) if k >= 2 else 0)
-
-
 def sphere_harmonic_value(N: int, k: int, chi=0.0):
     """Value at meridian angle chi of the normalized representative harmonic.
 
@@ -262,8 +253,9 @@ def hemisphere_eigs(
     k = 0 and 1, which share the per_k degrees sigma = 0 .. per_k - 1 (the
     even one takes the larger half); their modes are labelled k = 0 and live
     on the arc phi = pi/2 -/+ psi, where an odd sector's samples change sign.
-    Each profile is the cubic spline of the finest grid's samples, normalized
-    on `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)` and positive at the
+    Each profile is the cubic spline of the finest grid's samples (constant
+    samples for sigma = 0, sector 0's discrete kernel), normalized on
+    `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)` and positive at the
     equator.
     """
     if not (_int_at_least(resolution, 0) and _int_at_least(per_k, 1)
@@ -299,10 +291,14 @@ def hemisphere_eigs(
             samples = np.concatenate([samples[::-1], (-1.0) ** k * samples])
         for j, mu in enumerate(mus):
             sigma = k + 2 * j
-            # the constants span the discrete kernel: the solver's mu for them
-            # is roundoff, which grows like n^2 (1e-8 at n = 8192)
-            mu = 0.0 if sigma == 0 else float(mu)
-            spline = _CubicSpline(centers, samples[:, j])
+            # the constants span sector 0's discrete kernel: the solver's mu
+            # and samples for them carry roundoff (mu grows like n^2, 1e-8 at
+            # n = 8192), so the mode is built exact, with a slope of exactly 0
+            if sigma == 0:
+                mu, column = 0.0, np.ones(centers.size)
+            else:
+                mu, column = float(mu), samples[:, j]
+            spline = _CubicSpline(centers, column)
             # normalize on the Gauss-Jacobi rule and orient at the equator; a
             # piecewise polynomial scales with its coefficients
             sign = 1.0 if spline(psi_eq) >= 0 else -1.0

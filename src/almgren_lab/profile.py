@@ -1,20 +1,22 @@
 """Fourth-order extension profile, extension constant and Fourier-side extension.
 
 The profile phi minimizes J(phi) = int t^b (D_b phi - phi)^2 dt over grid
-functions with phi(0) = 1, phi'(0) = 0 and a decaying far field, where
+functions on [0, T_max] with phi(0) = 1 and phi'(0) = 0, where
 D_b phi = phi'' + (b/t) phi'.  The discrete operator is a conservative
 flux-form finite-volume Laplacian whose cell masses integrate t^b in closed
-form; the same masses define the quadrature for J.  On the last two length
-units the profile is constrained to the two-parameter decaying tail
-t^{alpha -/+ 1/2} e^{-t}, which removes the boundary-layer pollution a hard
-zero at T_max would cause.  The resulting normal equations are symmetric
-positive definite with upper bandwidth 3; they are assembled band by band,
-factored by block-Cholesky cyclic reduction in 2x2 blocks (`_BlockCholesky`)
-and refined against the residual applied through the flux-form factors,
-whose differences are taken first.  The formed normal matrix cancels terms
-of size h^-4 and so holds phi's smooth part only to about 1e-6; the factored
-residual keeps the h^-2 sensitivity of the operator itself, and the
-refinement converges to the discrete minimizer with clean h^2 convergence.
+form; the same masses define the quadrature for J.  There is no far-field
+model: phi is free at T_max, where the end flux is zero.  The minimizer
+decays like t^{1 - b/2} e^{-t} and is below 1.3e-7 at the smallest
+accepted T_max = 20, so J on the step h = 1/512 agrees between
+T_max = 20 and 24 to 1e-12.  Past T_max the profile is 0.  The resulting
+normal equations are a symmetric positive definite pentadiagonal matrix;
+they are assembled band by band, factored by block-Cholesky cyclic
+reduction in 2x2 blocks (`_BlockCholesky`) and refined against the
+residual applied through the flux-form factors, whose differences are
+taken first.  The formed normal matrix cancels terms of size h^-4 and so
+holds phi's smooth part only to about 1e-6; the factored residual keeps
+the h^-2 sensitivity of the operator itself, and the refinement converges
+to the discrete minimizer with clean h^2 convergence.
 
 The minimizer also has a closed form (R. Yang, arXiv:1302.4413): with
 s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
@@ -51,29 +53,33 @@ from .core import (
     gauss_jacobi,
 )
 
-TAIL_LENGTH = 2.0
 # Finest grid `solve_profile` accepts.  The normal matrix's condition number
 # grows like h^-4: 2^15 cells still converge at h^2 for every b tried and
-# every T_max >= 20; at T_max = 24, 2^16 cells fail the block Cholesky at
-# some b (b = -0.9, -0.5 and 0.9, as LAPACK's banded Cholesky did).
+# every T_max >= 20, and three refinements settle phi there; 2^16 cells
+# still factor, but at T_max = 20, b = 0 the third refinement still moves
+# phi by 4e-4.
 MAX_PROFILE_CELLS = 2 ** 15
-# Coarsest step h = T_max / resolution `solve_profile` accepts.  The tail is
-# the last TAIL_LENGTH = 2 length units, so it needs h well below 2 to hold
-# more than one node (h > 2 failed with an IndexError), and J drifts from C_b
-# long before that (b = 0: J = 1.837 at h = 1.37 and 1.966 at h = 0.39,
+# Coarsest step h = T_max / resolution `solve_profile` accepts: J drifts
+# from C_b as h grows (b = 0: J = 1.837 at h = 1.37 and 1.966 at h = 0.39,
 # against C_b = 2).  The README defaults and the tests use h <= 30/512.
 MAX_PROFILE_STEP = 1.0 / 16.0
 
 
-def _tail_shapes(alpha: float, t0: float, tau):
-    """The two tail shapes g1, g2 = (tau / t0)^{alpha -/+ 1/2} e^{-(tau - t0)}."""
-    decay = np.exp(-(tau - t0))
-    return (tau / t0) ** (alpha - 0.5) * decay, (tau / t0) ** (alpha + 0.5) * decay
+def _profile_argument(tau) -> np.ndarray:
+    """tau as a float array, refused with `DomainError` where negative or NaN."""
+    t = np.asarray(tau, dtype=float)
+    if not np.all(t >= 0.0):
+        raise DomainError("profile argument must be nonnegative and not NaN")
+    return t
 
 
 @dataclass(frozen=True)
 class ProfileSolution:
-    """Discretized minimizer phi with zeta = D_b phi - phi and its J value."""
+    """Discretized minimizer phi with zeta = D_b phi - phi and its J value.
+
+    `phi_at` and `zeta_at` interpolate the samples on [0, T_max] and are 0
+    past it; a negative or NaN argument raises `DomainError`.
+    """
 
     b: float
     T_max: float
@@ -83,7 +89,6 @@ class ProfileSolution:
     J: float
     grad_energy: float
     ode_residual: float
-    tail_coeffs: tuple[float, float]
 
     def __post_init__(self):
         for arr in (self.t, self.phi, self.zeta):
@@ -102,26 +107,17 @@ class ProfileSolution:
     def alpha(self) -> float:
         return (1.0 - self.b) / 2.0
 
-    def _tail(self, tau):
-        y1, y2 = self.tail_coeffs
-        g1, g2 = _tail_shapes(self.alpha, self.T_max - TAIL_LENGTH, tau)
-        return y1 * g1 + y2 * g2
+    def _on_grid(self, spline, tau):
+        """The spline on [0, T_max] and 0 past it."""
+        t = _profile_argument(tau)
+        out = np.where(t <= self.T_max, spline(np.minimum(t, self.T_max)), 0.0)
+        return out if out.ndim else float(out)
 
     def phi_at(self, tau):
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.empty_like(tau_arr)
-        inside = tau_arr <= self.T_max
-        out[inside] = self._phi_spline(tau_arr[inside])
-        if np.any(~inside):
-            out[~inside] = self._tail(tau_arr[~inside])
-        if np.ndim(tau) == 0:
-            return float(out[0])
-        return out.reshape(np.shape(tau))
+        return self._on_grid(self._phi_spline, tau)
 
     def zeta_at(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.where(tau <= self.T_max, self._zeta_spline(np.minimum(tau, self.T_max)), 0.0)
-        return out if out.ndim else float(out)
+        return self._on_grid(self._zeta_spline, tau)
 
 
 def _limit_at_zero(ts: np.ndarray, zs: np.ndarray, alpha: float) -> float:
@@ -136,14 +132,14 @@ def _limit_at_zero(ts: np.ndarray, zs: np.ndarray, alpha: float) -> float:
 def _power_bessel(order: float, tau, coef: float, at_zero: float):
     """coef t^order K_order(t), continued by its limit at 0 and by 0 past underflow.
 
-    Negative t stays NaN.
+    A negative or NaN t raises `DomainError`; t = inf gives 0.
     """
     from scipy.special import kv
 
-    t = np.asarray(tau, dtype=float)
+    t = _profile_argument(tau)
     with np.errstate(over="ignore", invalid="ignore"):
         out = coef * t ** order * kv(order, t)
-    out = np.where(np.isfinite(out) | (t < 0.0), out, np.where(t < 1.0, at_zero, 0.0))
+    out = np.where(np.isfinite(out), out, np.where(t < 1.0, at_zero, 0.0))
     return out if out.ndim else float(out)
 
 
@@ -216,46 +212,36 @@ def _flux_divergence(a_inner: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _NormalSystem:
-    """Normal equations A y = r(0) of the constrained profile problem on one grid.
+    """Normal equations A y = r(0) of the profile problem on one grid.
 
     D = L - I is the tridiagonal flux operator, D x = div(x) / (h m) - x
-    with div = `_flux_divergence` and m the masses (`hm` = h m), W =
-    diag(masses) and C maps the unknowns y (the free nodes 1..k, then the
-    coefficients of the tail shapes g1, g2 on the nodes from `first_tail` on)
-    to grid functions.  `bands` holds A = C^T D^T W D C in upper banded storage,
-    bands[3 - d, j] = A[j - d, j]: D^T W D is pentadiagonal and each tail
-    column reaches only the last two free nodes, so A has upper bandwidth 3.
+    with div = `_flux_divergence` and m the masses (`hm` = h m), and W =
+    diag(masses).  The unknowns y are the nodes 1..n, phi(0) = 1 is fixed,
+    so A = D^T W D without its row and column 0.  `bands` holds this
+    pentadiagonal A in upper banded storage, bands[2 - d, j] = A[j - d, j].
     """
 
     t: np.ndarray
     masses: np.ndarray
     hm: np.ndarray
     a_inner: np.ndarray
-    first_tail: int
-    g1: np.ndarray
-    g2: np.ndarray
     bands: np.ndarray
 
     def expand(self, y: np.ndarray) -> np.ndarray:
-        """The grid function e_0 + C y."""
-        x = np.empty(self.t.size)
-        x[0] = 1.0
-        x[1:self.first_tail] = y[:-2]
-        x[self.first_tail:] = y[-2] * self.g1 + y[-1] * self.g2
-        return x
+        """The grid function phi(0) = 1, then nodes 1..n."""
+        return np.concatenate([[1.0], y])
 
     def apply_D(self, x: np.ndarray) -> np.ndarray:
         return _flux_divergence(self.a_inner, x) / self.hm - x
 
     def residual(self, y: np.ndarray) -> np.ndarray:
-        """r(y) = -C^T D^T W D (e_0 + C y), applied factor by factor, never through A.
+        """r(y) = -(D^T W D x)[1:] for x = `expand(y)`, applied factor by factor, never through A.
 
         D^T v = div(v / (h m)) - v, since h m (D + I) = div is symmetric.
         """
         v = self.masses * self.apply_D(self.expand(y))
         v = _flux_divergence(self.a_inner, v / self.hm) - v
-        tail = v[self.first_tail:]
-        return -np.concatenate([v[1:self.first_tail], [self.g1 @ tail, self.g2 @ tail]])
+        return -v[1:]
 
 
 def _normal_system(b: float, T_max: float, n: int) -> _NormalSystem:
@@ -271,58 +257,34 @@ def _normal_system(b: float, T_max: float, n: int) -> _NormalSystem:
     sup = a_inner / hm[:-1]
     main = -1.0 - np.concatenate([a_inner, [0.0]]) / hm - np.concatenate([[0.0], a_inner]) / hm
 
-    alpha = (1.0 - b) / 2.0
-    t0 = T_max - TAIL_LENGTH
-    first_tail = int(np.searchsorted(t, t0 - 1e-12))
-    k = first_tail - 1
-    tail_t = t[first_tail:]
-    g1, g2 = _tail_shapes(alpha, t0, tail_t)
-
-    # G = D^T W D: G[j, j] = g0[j], G[j, j + 1] = gd1[j], G[j, j + 2] = gd2[j]
+    # D^T W D without node 0: node i is unknown i - 1
     md = masses * main
-    g0 = md * main
-    g0[1:] += masses[:-1] * sup * sup
-    g0[:-1] += masses[1:] * sub * sub
-    gd1 = md[:-1] * sup + masses[1:] * sub * main[1:]
-    gd2 = masses[1:-1] * sub[:-1] * sup[1:]
-
-    # free node i is unknown i - 1; the tail columns are unknowns k and k + 1
-    bands = np.zeros((4, k + 2))
-    bands[3, :k] = g0[1:k + 1]
-    bands[2, 1:k] = gd1[1:k]
-    bands[1, 2:k] = gd2[1:k - 1]
-    shapes = (g1, g2)
-    tg0, tgd1, tgd2 = g0[first_tail:], gd1[first_tail:], gd2[first_tail:]
-    for c, gc in enumerate(shapes):
-        bands[1 - c, k + c] = gd2[k - 1] * gc[0]                # free node k - 1
-        bands[2 - c, k + c] = gd1[k] * gc[0] + gd2[k] * gc[1]   # free node k
-        for r, gr in enumerate(shapes[:c + 1]):                 # gr^T G gc on the tail
-            bands[3 - c + r, k + c] = (tg0 @ (gr * gc)
-                                       + tgd1 @ (gr[:-1] * gc[1:] + gr[1:] * gc[:-1])
-                                       + tgd2 @ (gr[:-2] * gc[2:] + gr[2:] * gc[:-2]))
-    return _NormalSystem(t=t, masses=masses, hm=hm, a_inner=a_inner,
-                         first_tail=first_tail, g1=g1, g2=g2, bands=bands)
+    bands = np.zeros((3, n))
+    bands[2] = (md * main)[1:] + masses[:-1] * sup * sup
+    bands[2, :-1] += masses[2:] * sub[1:] * sub[1:]
+    bands[1, 1:] = md[1:-1] * sup[1:] + masses[2:] * sub[1:] * main[2:]
+    bands[0, 2:] = masses[2:-1] * sub[1:-1] * sup[2:]
+    return _NormalSystem(t=t, masses=masses, hm=hm, a_inner=a_inner, bands=bands)
 
 
 def _band_blocks(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The matrix in upper banded storage as the 2x2 blocks of `_BlockCholesky`.
 
-    Identity rows lead it to 2^K - 1 blocks.  The normal matrix is
-    pentadiagonal except for its one entry at distance 3, A[k - 2, k + 1];
-    the leading rows make its order even, so that entry falls inside a
-    coupling block and the matrix is block tridiagonal.
+    An odd order gets one leading identity row.  A pentadiagonal matrix in
+    2x2 blocks is block tridiagonal; the coupling blocks are lower triangular.
     """
     size = bands.shape[1]
-    m = (1 << ((size + 1) // 2).bit_length()) - 1
+    m = (size + 1) // 2
     pad = 2 * m - size
     # row d holds the padded A[i, i + d] at i, reshaped to [d, block, entry]
-    rows = np.zeros((4, 2 * m))
+    rows = np.zeros((3, 2 * m))
     rows[0, :pad] = 1.0
-    for d in range(4):
-        rows[d, pad:pad + size - d] = bands[3 - d, d:]
-    rows = rows.reshape(4, m, 2)
+    for d in range(3):
+        rows[d, pad:pad + size - d] = bands[2 - d, d:]
+    rows = rows.reshape(3, m, 2)
     upper = np.zeros((2, 2, m + 1))
-    upper[..., 1:-1] = rows[[[2, 3], [1, 2]], :-1, [[0, 0], [1, 1]]]
+    upper[0, 0, 1:-1], upper[1, 1, 1:-1] = rows[2, :-1, 0], rows[2, :-1, 1]
+    upper[1, 0, 1:-1] = rows[1, :-1, 1]
     return rows[[[0, 1], [1, 0]], :, [[0, 0], [0, 1]]], upper
 
 
@@ -330,26 +292,28 @@ class _BlockCholesky:
     """Cholesky factor of the normal matrix, given in upper banded storage, in 2x2 blocks.
 
     Odd-even cyclic reduction in Cholesky form (Heller, SIAM J. Numer.
-    Anal. 13 (1976) 484) on the m = 2^K - 1 blocks of `_band_blocks`,
-    numbered from 0: each level factors its even-numbered pivots D = L L^T
-    and leaves to the odd ones the Schur complements D_o - W W^T, with
+    Anal. 13 (1976) 484) on the m blocks of `_band_blocks`, numbered from 0:
+    each level factors its p = ceil(m/2) even-numbered pivots D = L L^T and
+    leaves to the m - p odd ones the Schur complements D_o - W W^T, with
     W = U L^-T for the coupling U of a pivot to each neighbour, and the
-    couplings -W_left W_right^T between them; that leaves 2^(K-1) - 1 blocks,
-    and K levels factor all.  This is the Cholesky factor of the matrix with
-    its blocks in elimination order, so a solve runs down the levels and
-    back up on 2x2 triangular solves; no pivot is inverted.  Every step is
-    elementwise over a level's blocks, stored entry first: `diag` (2, 2, m)
-    holds the diagonal blocks (lower triangles read) and `upper`
-    (2, 2, m + 1) at i the block coupling block i - 1 to block i, zero at both
-    ends, so every pivot has two neighbours.  A pivot that is not positive
-    definite raises `SolverError`.
+    couplings -W_left W_right^T between them; floor(log2 m) + 1 levels
+    factor all.  When m is even the last odd block has no right pivot.
+    This is the Cholesky factor of the matrix with its blocks in
+    elimination order, so a solve runs down the levels and back up on 2x2
+    triangular solves; no pivot is inverted.  Every step is elementwise over
+    a level's blocks, stored entry first: `diag` (2, 2, m) holds the
+    diagonal blocks (lower triangles read) and `upper` (2, 2, m + 1) at i
+    the block coupling block i - 1 to block i, zero at both ends, so every
+    pivot has two neighbours.  A pivot that is not positive definite raises
+    `SolverError`.
     """
 
     def __init__(self, bands: np.ndarray):
         diag, upper = _band_blocks(bands)
-        self.pad = 2 * diag.shape[-1] - bands.shape[1]      # the leading identity rows
+        self.pad = 2 * diag.shape[-1] - bands.shape[1]      # the leading identity row
         self.levels = []
         while diag.shape[-1]:
+            p = (diag.shape[-1] + 1) // 2
             d11, d21, d22 = diag[0, 0, 0::2], diag[1, 0, 0::2], diag[1, 1, 0::2]
             if not (d11 > 0.0).all():
                 raise SolverError("normal-equation solve failed: a pivot is not positive")
@@ -360,13 +324,15 @@ class _BlockCholesky:
                 raise SolverError("normal-equation solve failed: a pivot is not positive")
             l22 = np.sqrt(d22)
             # rows 0, 1 couple each pivot j to block j - 1, rows 2, 3 to block j + 1
-            U = np.concatenate([upper[..., 0::2], upper[..., 1::2].swapaxes(0, 1)])
+            U = np.concatenate([upper[..., 0:2 * p:2], upper[..., 1::2].swapaxes(0, 1)])
             W = np.empty_like(U)
             W[:, 0] = U[:, 0] / l11
             W[:, 1] = (U[:, 1] - W[:, 0] * l21) / l22
             dots = np.einsum("rcn,scn->rsn", W, W)      # W W^T, pivot by pivot
-            diag = diag[..., 1::2] - (dots[2:, 2:, :-1] + dots[:2, :2, 1:])
-            upper = -dots[:2, 2:]
+            diag = diag[..., 1::2] - dots[2:, 2:, :diag.shape[-1] - p]
+            diag[..., :p - 1] -= dots[:2, :2, 1:]
+            upper = np.zeros((2, 2, diag.shape[-1] + 1))
+            upper[..., :p] = -dots[:2, 2:]
             self.levels.append((l11, l21, l22, W))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -374,18 +340,21 @@ class _BlockCholesky:
         r = np.concatenate([np.zeros(self.pad), r]).reshape(-1, 2).T    # column i: block i
         down = []
         for l11, l21, l22, W in self.levels:
-            z = np.empty((2, l11.size))
+            p = l11.size
+            z = np.empty((2, p))
             z[0] = r[0, 0::2] / l11
             z[1] = (r[1, 0::2] - l21 * z[0]) / l22
             coupled = np.einsum("rcn,cn->rn", W, z)
-            r = r[:, 1::2] - coupled[2:, :-1] - coupled[:2, 1:]
+            r = r[:, 1::2] - coupled[2:, :r.shape[1] - p]
+            r[:, :p - 1] -= coupled[:2, 1:]
             down.append(z)
         x = r
         for (l11, l21, l22, W), z in zip(reversed(self.levels), reversed(down)):
-            near = np.zeros((4, l11.size))      # each pivot's neighbours, as W's rows pair them
-            near[:2, 1:], near[2:, :-1] = x, x
+            p, q = l11.size, x.shape[1]
+            near = np.zeros((4, p))      # each pivot's neighbours, as W's rows pair them
+            near[:2, 1:], near[2:, :q] = x[:, :p - 1], x
             z -= np.einsum("rcn,rn->cn", W, near)
-            up = np.empty((2, 2 * l11.size - 1))
+            up = np.empty((2, p + q))
             up[1, 0::2] = z[1] / l22
             up[0, 0::2] = (z[0] - l21 * up[1, 0::2]) / l11
             up[:, 1::2] = x
@@ -394,14 +363,16 @@ class _BlockCholesky:
 
 
 def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> ProfileSolution:
-    """Discrete minimizer of J over the constrained grid-function space.
+    """Discrete minimizer of J over the grid functions with phi(0) = 1.
 
     The normal equations are factored once by `_BlockCholesky` and refined
     three times from y = 0 against the factored residual
-    (`_NormalSystem.residual`): at the default grid phi stops moving (to
-    about 1e-11) after the second step, and the third covers the slower
-    contraction of finer grids.  The grid is refused, with `DomainError`,
-    above MAX_PROFILE_CELLS cells or a step T_max / resolution above
+    (`_NormalSystem.residual`): at the default grid phi moves by about
+    1e-11 (4e-10 at b = 0) in the third step and by 2e-14 after it; the
+    third covers the slower contraction of finer grids (at
+    MAX_PROFILE_CELLS phi moves by 1e-13 or less after it, by 7e-9 at
+    T_max = 20, b = 0).  The grid is refused, with `DomainError`, above
+    MAX_PROFILE_CELLS cells or a step T_max / resolution above
     MAX_PROFILE_STEP.
     """
     _check_weight_exponent(b)
@@ -418,11 +389,11 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
                           f"{MAX_PROFILE_STEP}; raise the resolution or lower T_max")
     system = _normal_system(b, T_max, n)
     factor = _BlockCholesky(system.bands)
-    y = np.zeros(system.bands.shape[1])
+    y = np.zeros(n)
     for _ in range(3):
         y += factor.solve(system.residual(y))
     if not np.all(np.isfinite(y)):
-        main = system.bands[3]
+        main = system.bands[2]
         raise SolverError(
             "non-finite minimizer; diagonal range "
             f"[{main.min():.3e}, {main.max():.3e}] suggests severe ill-conditioning"
@@ -434,15 +405,13 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     J = float(zeta @ (masses * zeta))
     dphi_face = np.diff(phi) / h
     grad_energy = float(np.sum(system.a_inner * dphi_face ** 2 * h))
-    resid = system.apply_D(zeta)  # L zeta - zeta
-    interior = slice(1, system.first_tail)
-    num = float(np.sqrt(np.sum(masses[interior] * resid[interior] ** 2)))
-    den = float(np.sqrt(np.sum(masses[interior] * zeta[interior] ** 2)))
+    resid = system.apply_D(zeta)[1:]  # L zeta - zeta on the free nodes
+    num = float(np.sqrt(np.sum(masses[1:] * resid ** 2)))
+    den = float(np.sqrt(np.sum(masses[1:] * zeta[1:] ** 2)))
     ode_residual = num / den if den > 0 else 0.0
     return ProfileSolution(
         b=b, T_max=T_max, t=t, phi=phi, zeta=zeta, J=J,
         grad_energy=grad_energy, ode_residual=ode_residual,
-        tail_coeffs=(float(y[-2]), float(y[-1])),
     )
 
 

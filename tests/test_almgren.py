@@ -357,12 +357,14 @@ def test_nu_cross_path(p3, mixed):
         assert q2 == pytest.approx(c2, abs=1e-12 * max(1.0, abs(c2)))
 
 
-@pytest.mark.parametrize("N, s, k_max, per_k", [(1, 1.3, 0, 16), (3, 1.25, 3, 4),
-                                              (4, 1.7, 3, 4)])
+@pytest.mark.parametrize("N, s, k_max, per_k", [(1, 1.3, 0, 16), (1, 1.5, 0, 16),
+                                              (3, 1.25, 3, 4), (4, 1.7, 3, 4)])
 def test_finite_volume_modes_cross_path(N, s, k_max, per_k):
     # one-term syntheses of every finite-volume mode: the closed path reads
     # the profile norm as 1, the quadrature path integrates the spline on the
-    # Gauss-Jacobi rule the profile was normalized on, so D, H and N agree
+    # Gauss-Jacobi rule the profile was normalized on, so D, H and N agree.
+    # At N + b = 1 (N = 1, s = 1.5) the constant mode's slope must be exactly
+    # 0, or the quadrature path marks a divergent exponent-0 power law active
     p = WeightParams(s=s, N=N)
     radii = np.geomspace(0.45, 0.0045, 9)[::2]
     for mode in hemisphere_eigs(p, k_max=k_max, per_k=per_k):

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,12 @@ def _solution():
     return synthesis.synthesize(_P, [(hemisphere.polynomial_mode(_P, 1), 1.0, 0.5)])
 
 
+def _profile(kind):
+    if kind == "bessel":
+        return profile.BesselProfile(0.3)
+    return profile.solve_profile(0.3, resolution=512)
+
+
 _MALFORMED = {
     # no sector is <= nan: without the gate the mode sweep never ends
     "modes-k-max-nan": lambda: hemisphere.hemisphere_modes(_P, 4, k_max=math.nan),
@@ -185,6 +192,12 @@ _MALFORMED = {
     "schedule-nan-r-max": lambda: almgren.radius_schedule(1.0, r_max=math.nan),
     "schedule-inf-r-max": lambda: almgren.radius_schedule(1.0, r_max=math.inf),
     "profile-resolution-nan": lambda: profile.solve_profile(0.0, resolution=math.nan),
+    # the closed form gave 0.0 at NaN, the finite-volume profile extrapolated its end cubic
+    **{f"{kind}-{which}-{label}": (lambda kind=kind, which=which, value=value:
+                                   getattr(_profile(kind), which)(value))
+       for kind in ("bessel", "fv") for which in ("phi_at", "zeta_at")
+       for label, value in (("nan", math.nan), ("negative", -0.5),
+                            ("array-nan", [0.5, math.nan]))},
     # count=1.5 raised TypeError and seed=-1 a bare ValueError; count=-2 passed and a Sobolev
     # estimate then found "every member vanishing", cutoff_radius=-0.5 gave margins of 2e123
     "family-count-fractional": lambda: inequalities.TestFamily(_P, count=1.5),
@@ -238,6 +251,16 @@ def test_malformed_counts_and_arguments_raise_library_errors(case):
     # InputError, the rest DomainError.
     with pytest.raises(InputError if case.startswith(("modes-", "input-")) else DomainError):
         _MALFORMED[case]()
+
+
+@pytest.mark.parametrize("kind", ["bessel", "fv"])
+def test_profiles_vanish_at_infinity(kind):
+    # +inf is a valid argument of both profiles, past every cut: 0, and no warning
+    prof = _profile(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert prof.phi_at(math.inf) == 0.0 and prof.zeta_at(math.inf) == 0.0
+        assert np.all(prof.phi_at(np.array([math.inf, math.inf])) == 0.0)
 
 
 def test_nonfinite_sample_raises(params_n1):

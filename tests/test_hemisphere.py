@@ -25,7 +25,6 @@ from almgren_lab.hemisphere import (
     _richardson,
     _sector_eigs,
     exact_mu,
-    harmonic_multiplicity,
     hemisphere_modes,
     sigma_multiplicity,
     sphere_harmonic_value,
@@ -264,14 +263,6 @@ def test_high_sector_eigenvalues_match_the_closed_form(params_n3, k):
     assert_allclose(_richardson(levels), want, rtol=1e-6, atol=0.0)
 
 
-def test_harmonic_multiplicity_values():
-    assert harmonic_multiplicity(1, 5) == 1
-    assert harmonic_multiplicity(2, 0) == 1
-    assert harmonic_multiplicity(2, 3) == 2
-    assert harmonic_multiplicity(3, 2) == 5
-    assert harmonic_multiplicity(4, 1) == 4
-
-
 def test_polynomial_modes_match_numerics(params_n3, modes_n3):
     grid = AngularGrid1D.gauss(params_n3.N, params_n3.b, 256)
     for sigma in (0, 1, 2):
@@ -421,9 +412,10 @@ def test_closed_form_list_order_and_multiplicity():
         assert keys == want
         for m in modes:
             assert m.multiplicity == sigma_multiplicity(N, m.ell)
-            if N >= 2:
-                assert m.multiplicity == sum(harmonic_multiplicity(N, k)
-                                             for k in range(m.ell % 2, m.ell + 1, 2))
+            if N >= 2:      # dim H_k(S^{N-1}) = C(N+k-1, k) - C(N+k-3, k-2)
+                assert m.multiplicity == sum(
+                    math.comb(N + k - 1, k) - (math.comb(N + k - 3, k - 2) if k >= 2 else 0)
+                    for k in range(m.ell % 2, m.ell + 1, 2))
     assert sigma_multiplicity(3, 26) == 378
     assert [m.k for m in hemisphere_modes(WeightParams(s=1.4, N=3), 12, k_max=1)] == \
         [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
@@ -686,6 +678,8 @@ def test_fv_profiles_match_scipy_splines_of_the_same_samples(N, s):
         k = mode.ell % 2 if N == 1 else mode.k
         _, q, _, centers = _sector_eigs(p, k, 256, (4 - k) // 2 if N == 1 else 3)
         samples = np.sin(centers) ** k * q[:, (mode.ell - k) // 2]
+        if mode.ell == 0:       # the constants: sector 0's discrete kernel
+            samples = np.ones(centers.size)
         if N == 1:
             centers = np.concatenate([math.pi / 2 - centers[::-1], math.pi / 2 + centers])
             samples = np.concatenate([samples[::-1], (-1) ** k * samples])

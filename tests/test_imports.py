@@ -1,6 +1,6 @@
 """Every name a package module imports is referenced in that module; none is scipy.interpolate
 or scipy.special's gamma, and scipy.linalg is imported only by the finite-volume eigensolve and
-the spline."""
+the spline.  The finite-volume profile solve references nothing of the closed form."""
 
 import ast
 import pathlib
@@ -95,3 +95,55 @@ def test_scipy_linalg_is_imported_only_by_the_fv_eigensolve_and_the_spline():
     found = {(path.stem, name) for path in MODULES + [PACKAGE / "__init__.py"]
              for name in _scipy_linalg_importers(path.read_text())}
     assert found == {("hemisphere", "_sector_eigs"), ("core", "_CubicSpline")}
+
+
+# the finite-volume profile solve, the cross-check of the closed form c t^s K_s(t)
+FV_SOLVE_ROOTS = ("solve_profile", "_normal_system", "_NormalSystem", "_band_blocks",
+                  "_BlockCholesky", "_cell_masses_tb", "_flux_divergence")
+# the closed form and its large-t asymptotics; np.expm1 of the cell masses is allowed
+CLOSED_FORM_NAMES = {"exp", "kv", "BesselProfile", "_power_bessel"}
+
+
+def _referenced_names(node) -> set[str]:
+    """Every name, attribute and imported name under an AST node."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in sub.names)
+    return names
+
+
+def _reachable_names(source: str, roots) -> set[str]:
+    """The names referenced by the top-level definitions `roots` and by every one they reach."""
+    tops = {top.name: top for top in ast.parse(source).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    seen, todo, names = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        found = _referenced_names(tops[name])
+        names |= found
+        todo.extend(found & tops.keys())
+    return names
+
+
+def test_the_check_follows_calls_to_module_level_helpers():
+    source = ("import numpy as np\n"
+              "def root():\n    return _helper(1.0) + np.expm1(1.0)\n"
+              "def _helper(t):\n    return np.exp(-t)\n"
+              "def unreached():\n    from scipy.special import kv\n    return kv\n")
+    assert _reachable_names(source, ["root"]) & CLOSED_FORM_NAMES == {"exp"}
+    assert _reachable_names(source, ["unreached"]) & CLOSED_FORM_NAMES == {"kv"}
+
+
+def test_fv_profile_solve_stays_independent_of_the_closed_form():
+    # the cross-check must not borrow the answer it checks, e.g. a far field
+    # modelled on the closed form's large-t expansion t^{alpha -/+ 1/2} e^{-t}
+    names = _reachable_names((PACKAGE / "profile.py").read_text(), FV_SOLVE_ROOTS)
+    assert names & CLOSED_FORM_NAMES == set()

@@ -82,7 +82,7 @@ def test_preconditions():
         solve_profile(0.0, resolution=100)
     with pytest.raises(DomainError, match=str(MAX_PROFILE_CELLS)):
         solve_profile(0.0, resolution=MAX_PROFILE_CELLS + 1)
-    # the step cap: a tail of one node crashed at h > 2, and J drifted below it
+    # the step cap: J drifts from C_b as h grows
     for t_max in (5000.0, 32.0 + 1e-9):
         with pytest.raises(DomainError, match=str(MAX_PROFILE_STEP)):
             solve_profile(0.0, T_max=t_max, resolution=512)
@@ -137,8 +137,8 @@ def test_J_equals_quadratic_form(sol_b0):
 
 
 def test_euler_lagrange_weak_form(sol_b0):
-    # int t^b zeta (D_b psi - psi) = 0 for test functions supported away from
-    # the articulation at 0 and the constrained tail
+    # int t^b zeta (D_b psi - psi) = 0 for test functions vanishing at node 0,
+    # where phi(0) = 1 is fixed; every other node, T_max's included, is free
     rng = np.random.default_rng(3)
     t = sol_b0.t
     n = t.size - 1
@@ -149,14 +149,13 @@ def test_euler_lagrange_weak_form(sol_b0):
     faces = (t[:-1] + h / 2) ** sol_b0.b
     scale = math.sqrt(float(masses @ sol_b0.zeta ** 2))
     for _ in range(10):
-        # random smooth bump strictly inside (0, T-2); the sine factor makes
-        # it vanish at 0 and the width keeps it negligible at the tail cut
+        # random smooth bump inside (0, T_max); the sine factor makes it
+        # vanish at 0
         c = rng.uniform(3.0, sol_b0.T_max - 10.0)
         w = rng.uniform(0.4, 1.0)
         amp = rng.uniform(0.5, 2.0)
         psi = amp * np.exp(-((t - c) / w) ** 2) * np.sin(rng.uniform(1, 3) * t)
         psi[t < 1e-9] = 0.0
-        psi[t >= sol_b0.T_max - 2.0] = 0.0
         flux = faces * np.diff(psi) / h
         lap = np.zeros_like(psi)
         lap[1:-1] = (flux[1:] - flux[:-1]) / masses[1:-1]
@@ -403,8 +402,7 @@ def test_trace_spread_guard():
     bad = ProfileSolution(b=prof.b, T_max=prof.T_max, t=prof.t.copy(),
                           phi=prof.phi.copy(), zeta=bad_zeta, J=prof.J,
                           grad_energy=prof.grad_energy,
-                          ode_residual=prof.ode_residual,
-                          tail_coeffs=prof.tail_coeffs)
+                          ode_residual=prof.ode_residual)
     n = 32
     x = np.arange(n) * 2 * math.pi / n
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -452,13 +450,14 @@ def test_closed_form_b0_and_far_field():
     assert_allclose(closed.zeta_at(t), -2.0 * np.exp(-t), rtol=1e-14, atol=1e-300)
     assert closed.J == pytest.approx(2.0, rel=1e-15)
     assert closed.phi_at(1e6) == 0.0 and closed.zeta_at(np.inf) == 0.0
-    assert np.isnan(closed.phi_at(-1.0))
+    with pytest.raises(DomainError):
+        closed.phi_at(-1.0)
     with pytest.raises(DomainError):
         BesselProfile(1.0)
 
 
 def _dense_factors(b, T_max, n):
-    """D = L - I, the cell masses and the constrained basis C, entry by entry."""
+    """D = L - I, the cell masses and the basis C of the free nodes 1..n, entry by entry."""
     h = T_max / n
     t = np.linspace(0.0, T_max, n + 1)
     faces = [0.0] + [t[i] + h / 2.0 for i in range(n)] + [T_max]
@@ -475,15 +474,9 @@ def _dense_factors(b, T_max, n):
         if i < n:
             D[i, i + 1] = right / hm
         D[i, i] = -(left + right) / hm - 1.0
-    alpha, t0 = (1.0 - b) / 2.0, T_max - 2.0
-    tail = [i for i in range(n + 1) if t[i] >= t0 - 1e-12]
-    free = range(1, tail[0])
-    C = np.zeros((n + 1, len(free) + 2))
-    for j, i in enumerate(free):
-        C[i, j] = 1.0
-    for i in tail:
-        C[i, -2] = (t[i] / t0) ** (alpha - 0.5) * math.exp(-(t[i] - t0))
-        C[i, -1] = (t[i] / t0) ** (alpha + 0.5) * math.exp(-(t[i] - t0))
+    C = np.zeros((n + 1, n))
+    for i in range(1, n + 1):
+        C[i, i - 1] = 1.0
     return D, masses, C
 
 
@@ -498,14 +491,14 @@ def test_banded_normal_system_equals_dense_products(b):
     terms = np.abs(C).T @ (np.abs(D).T @ (masses[:, None] * np.abs(D)))
     scale = np.max(np.column_stack([terms[:, 0], terms @ np.abs(C)]), axis=1)
     m = A.shape[0]
-    assert system.bands.shape == (4, m)
+    assert system.bands.shape == (3, m)
     i, j = np.indices(A.shape)
-    assert np.all(A[np.abs(i - j) > 3] == 0.0)   # upper bandwidth 3
+    assert np.all(A[np.abs(i - j) > 2] == 0.0)   # upper bandwidth 2
     banded = np.zeros_like(A)
-    for d in range(4):
+    for d in range(3):
         idx = np.arange(d, m)
-        banded[idx - d, idx] = system.bands[3 - d, d:]
-        banded[idx, idx - d] = system.bands[3 - d, d:]
+        banded[idx - d, idx] = system.bands[2 - d, d:]
+        banded[idx, idx - d] = system.bands[2 - d, d:]
     assert np.all(np.abs(banded - A) <= 1e-14 * scale[:, None])
     assert np.all(np.abs(system.residual(np.zeros(m)) + CtG[:, 0]) <= 1e-14 * scale)
 
@@ -610,49 +603,48 @@ def test_trace_check_keeps_fv_profile():
     assert kappa != 2.0
 
 
-def _bordered_system(k, seed):
-    """A seeded symmetric positive definite matrix of the normal equations' shape, dense and banded.
+def _pentadiagonal_system(size, seed):
+    """A seeded symmetric positive definite pentadiagonal matrix, dense and in upper banded storage.
 
-    Pentadiagonal in k free unknowns, bordered by two tail columns that reach
-    the last two free unknowns; diagonally dominant, so well conditioned.
+    The normal equations' shape; diagonally dominant, so well conditioned.
     """
     rng = np.random.default_rng(seed)
-    size = k + 2
     A = np.zeros((size, size))
     i = np.arange(size)
     for d in (1, 2):
-        A[i[:-d], i[:-d] + d] = rng.uniform(-1.0, 1.0, size - d)
-    A[k - 2, k + 1] = rng.uniform(-1.0, 1.0)     # the one entry at distance 3
+        if d < size:
+            A[i[:-d], i[:-d] + d] = rng.uniform(-1.0, 1.0, size - d)
     A += A.T
     A[i, i] = np.abs(A).sum(axis=1) + rng.uniform(0.5, 2.0, size)
-    bands = np.zeros((4, size))
-    for d in range(4):
-        bands[3 - d, d:] = A[i[:-d or None], i[d:]]
+    bands = np.zeros((3, size))
+    for d in range(min(3, size)):
+        bands[2 - d, d:] = A[i[:-d or None], i[d:]]
     return A, bands
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 30, 31, 200, 201])
-def test_block_cholesky_matches_a_dense_solve(k):
-    # both parities of k, so with and without the leading identity row
-    A, bands = _bordered_system(k, seed=k)
-    m = _band_blocks(bands)[0].shape[-1]
-    assert (m + 1) & m == 0 and 2 * m >= k + 2          # 2^K - 1 blocks
+# orders with 2^K - 1, 2^K and 2^K + 1 blocks at both parities, and 100 and 101 blocks
+_ORDERS = sorted({2 * (2 ** K + e) - odd for K in (1, 2, 4, 5, 7) for e in (-1, 0, 1)
+                  for odd in (0, 1)} | {200, 201})
+
+
+@pytest.mark.parametrize("size", _ORDERS)
+def test_block_cholesky_matches_a_dense_solve(size):
+    # any block count: an odd order takes one leading identity row
+    A, bands = _pentadiagonal_system(size, seed=size)
+    assert _band_blocks(bands)[0].shape[-1] == (size + 1) // 2
     factor = _BlockCholesky(bands)
     for seed in range(3):
-        r = np.random.default_rng(100 + seed).standard_normal(A.shape[0])
+        r = np.random.default_rng(100 + seed).standard_normal(size)
         assert_allclose(factor.solve(r), np.linalg.solve(A, r), rtol=1e-13, atol=1e-15)
 
 
 def test_block_cholesky_refuses_a_non_positive_pivot(monkeypatch):
-    # an indefinite matrix, the refused grid past the cap, and solve_profile
-    # on negated normal equations all raise SolverError, as LAPACK's
-    # LinAlgError did
-    A, bands = _bordered_system(9, seed=1)
-    bands[3, 4] = -bands[3, 4]
+    # an indefinite matrix and solve_profile on negated normal equations
+    # raise SolverError, as LAPACK's LinAlgError did
+    A, bands = _pentadiagonal_system(11, seed=1)
+    bands[2, 4] = -bands[2, 4]
     with pytest.raises(SolverError, match="pivot"):
         _BlockCholesky(bands)
-    with pytest.raises(SolverError, match="pivot"):
-        _BlockCholesky(_normal_system(-0.5, 24.0, 2 * MAX_PROFILE_CELLS).bands)
     real = profile._normal_system
     monkeypatch.setattr(profile, "_normal_system",
                         lambda *args: dataclasses.replace(real(*args), bands=-real(*args).bands))
@@ -674,10 +666,8 @@ _SWEEP_S = [1.25 + 0.5 * u for u in np.random.default_rng(33).uniform(size=2)] \
 @pytest.mark.parametrize("resolution", [512, 513, 777, 1000, 16384, MAX_PROFILE_CELLS])
 def test_profile_refinement_converges_on_the_block_cholesky(resolution, T_max):
     # the three production steps against three more from the same factor: to
-    # 1e-10 of the refinement's limit up to 16384 cells (2.0e-11 measured).
-    # At the cap the contraction is slower on LAPACK's banded Cholesky too
-    # (3.6e-5 left on both at T_max = 20, s = 1.55), so there only the
-    # closed-form tolerance is gated
+    # 1e-10 of the refinement's limit on every grid up to the cap (1.4e-13
+    # measured at the cap)
     for s in _SWEEP_S:
         b = 3.0 - 2.0 * s
         system = _normal_system(b, T_max, resolution)
@@ -689,8 +679,24 @@ def test_profile_refinement_converges_on_the_block_cholesky(resolution, T_max):
             phis.append(system.expand(y))
         if s == _SWEEP_S[0]:      # the production path is these three steps
             assert_allclose(solve_profile(b, T_max, resolution).phi, phis[2], rtol=0, atol=0)
-        if resolution <= 16384:
-            assert np.max(np.abs(phis[2] - phis[5])) <= 1e-10, s
+        assert np.max(np.abs(phis[2] - phis[5])) <= 1e-10, s
         if resolution >= 16384:
             mask = system.t <= 10.0
             assert np.max(np.abs(phis[2] - phi_oracle(b, system.t))[mask]) < 5e-6
+
+
+@pytest.mark.parametrize("b", [-0.9, 0.0, 0.9])
+def test_J_does_not_see_the_far_field(b):
+    # phi is free at T_max and needs no far-field model: J on the same step
+    # h = 1/512 agrees between T_max = 20 and 24
+    short, long = solve_profile(b, 20.0, 20 * 512), solve_profile(b, 24.0, 24 * 512)
+    assert abs(short.J - long.J) <= 1e-12 * long.J
+
+
+def test_fv_profile_is_zero_past_T_max():
+    sol = solve_profile(0.3, resolution=512)
+    past = np.array([np.nextafter(sol.T_max, np.inf), 30.0, 1e6])
+    assert np.all(sol.phi_at(past) == 0.0) and np.all(sol.zeta_at(past) == 0.0)
+    assert sol.phi_at(30.0) == 0.0 and sol.zeta_at(30.0) == 0.0
+    assert sol.phi_at(sol.T_max) == pytest.approx(sol.phi[-1], rel=1e-14)
+    assert sol.zeta_at(sol.T_max) == pytest.approx(sol.zeta[-1], rel=1e-14)
