@@ -96,8 +96,8 @@ class TraceProportionalityError(AlmgrenLabError):
 
 
 def _check_weight_exponent(b: float) -> None:
-    if not (-1.0 < b < 1.0):
-        raise DomainError(f"weight exponent b must lie in (-1, 1), got {b}")
+    if not (_real(b) and -1.0 < b < 1.0):
+        raise DomainError(f"weight exponent b must be a real number in (-1, 1), got {b!r}")
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,14 @@ form; the same masses define the quadrature for J.  There is no far-field
 model: phi is free at T_max, where the end flux is zero.  The minimizer
 decays like t^{1 - b/2} e^{-t} and is below 1.3e-7 at the smallest
 accepted T_max = 20, so J on the step h = 1/512 agrees between
-T_max = 20 and 24 to 1e-12.  Past T_max the profile is 0.  The resulting
-normal equations are a symmetric positive definite pentadiagonal matrix;
-they are assembled band by band, factored by block-Cholesky cyclic
-reduction in 2x2 blocks (`_BlockCholesky`) and refined against the
-residual applied through the flux-form factors, whose differences are
-taken first.  The formed normal matrix cancels terms of size h^-4 and so
-holds phi's smooth part only to about 1e-6; the factored residual keeps
-the h^-2 sensitivity of the operator itself, and the refinement converges
-to the discrete minimizer with clean h^2 convergence.
+T_max = 20 and 24 to 1e-12.  Past T_max the profile is 0.  D has one row
+more than it has unknowns (phi(0) = 1 is fixed), and its square part is a
+row-scaled symmetric negative definite tridiagonal matrix; so the minimizer
+is one bordered solve: `_SPDTridiagonal` factors that matrix once by
+odd-even cyclic reduction on numpy, and two solves give phi (see
+`solve_profile`).  No normal equations are formed and no step cancels, so
+phi is the discrete minimizer to roundoff, and J converges at h^2 past the
+grid cap.
 
 The minimizer also has a closed form (R. Yang, arXiv:1302.4413): with
 s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
@@ -50,14 +49,15 @@ from .core import (
     _CubicSpline,
     _check_weight_exponent,
     _int_at_least,
+    _real,
     gauss_jacobi,
 )
 
-# Finest grid `solve_profile` accepts.  The normal matrix's condition number
-# grows like h^-4: 2^15 cells still converge at h^2 for every b tried and
-# every T_max >= 20, and three refinements settle phi there; 2^16 cells
-# still factor, but at T_max = 20, b = 0 the third refinement still moves
-# phi by 4e-4.
+# Finest grid `solve_profile` accepts.  J converges at h^2 well past it (b = 0,
+# T_max = 24: |J / C_b - 1| = 6.7e-8 at 2^15 cells, 4.2e-9 at 2^17), but the
+# reported `ode_residual` applies D twice and its roundoff floor grows like
+# eps h^-4: 1.0e-3 at 2^15 cells, 2.6e-2 at 2^16 and 0.41 at 2^17, where it
+# no longer measures the equation.
 MAX_PROFILE_CELLS = 2 ** 15
 # Coarsest step h = T_max / resolution `solve_profile` accepts: J drifts
 # from C_b as h grows (b = 0: J = 1.837 at h = 1.37 and 1.966 at h = 0.39,
@@ -76,6 +76,12 @@ def _profile_argument(tau) -> np.ndarray:
 @dataclass(frozen=True)
 class ProfileSolution:
     """Discretized minimizer phi with zeta = D_b phi - phi and its J value.
+
+    `ode_residual` is the weighted relative residual of D_b zeta = zeta on
+    the free nodes.  It applies the discrete operator twice, so its roundoff
+    floor is about eps h^-4 and grows about 16x per halving of h (b = 0,
+    T_max = 24: 7.0e-5 at 2^14 cells, 1.0e-3 at 2^15); it bounds the
+    equation's defect only down to that floor.
 
     `phi_at` and `zeta_at` interpolate the samples on [0, T_max] and are 0
     past it; a negative or NaN argument raises `DomainError`.
@@ -192,192 +198,134 @@ def _cell_masses_tb(b: float, faces: np.ndarray) -> np.ndarray:
     keeps each mass to roundoff.  The first cell takes its closed form.
     """
     f1 = faces[1:]
-    width = np.diff(faces)
     bp1 = b + 1.0
-    masses = f1 ** bp1 / bp1
-    masses[1:] *= -np.expm1(bp1 * np.log1p(-width[1:] / f1[1:]))
+    masses = f1 ** bp1
+    masses /= bp1
+    # in place, one grid-sized temporary: -(f1 - f0)/f1 -> 1 - (f0/f1)^{b+1}
+    shrink = np.diff(f1)
+    shrink /= f1[1:]
+    np.negative(shrink, out=shrink)
+    np.log1p(shrink, out=shrink)
+    shrink *= bp1
+    np.expm1(shrink, out=shrink)
+    np.negative(shrink, out=shrink)
+    masses[1:] *= shrink
     return masses
 
 
-def _flux_divergence(a_inner: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a_{i+1/2} (x_{i+1} - x_i) - a_{i-1/2} (x_i - x_{i-1}) per node, end fluxes zero.
+def _apply_D(a_inner: np.ndarray, hm: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D x = div(x) / (h m) - x on every node, end fluxes zero.
 
-    The differences are taken first: the product form (sub, main, sup) @ x
-    cancels terms of size |x| / h^2 and loses about eps |x| / h^2 per node.
+    div(x) = a_{i+1/2} (x_{i+1} - x_i) - a_{i-1/2} (x_i - x_{i-1}), the
+    differences taken first: the product form (sub, main, sup) @ x cancels
+    terms of size |x| / h^2 and loses about eps |x| / h^2 per node.
     """
     flux = np.zeros(x.size + 1)
-    flux[1:-1] = a_inner * (x[1:] - x[:-1])
-    return flux[1:] - flux[:-1]
+    np.subtract(x[1:], x[:-1], out=flux[1:-1])
+    flux[1:-1] *= a_inner
+    out = np.diff(flux)
+    out /= hm
+    out -= x
+    return out
 
 
-@dataclass(frozen=True)
-class _NormalSystem:
-    """Normal equations A y = r(0) of the profile problem on one grid.
+def _profile_grid(b: float, T_max: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, cell masses and interior face coefficients t^b of n cells on [0, T_max].
 
-    D = L - I is the tridiagonal flux operator, D x = div(x) / (h m) - x
-    with div = `_flux_divergence` and m the masses (`hm` = h m), and W =
-    diag(masses).  The unknowns y are the nodes 1..n, phi(0) = 1 is fixed,
-    so A = D^T W D without its row and column 0.  `bands` holds this
-    pentadiagonal A in upper banded storage, bands[2 - d, j] = A[j - d, j].
+    Node i owns the cell between the faces t_i -/+ h/2, clipped to [0, T_max].
+    t is `np.linspace(0, T_max, n + 1)` to the bit, built in place.
     """
-
-    t: np.ndarray
-    masses: np.ndarray
-    hm: np.ndarray
-    a_inner: np.ndarray
-    bands: np.ndarray
-
-    def expand(self, y: np.ndarray) -> np.ndarray:
-        """The grid function phi(0) = 1, then nodes 1..n."""
-        return np.concatenate([[1.0], y])
-
-    def apply_D(self, x: np.ndarray) -> np.ndarray:
-        return _flux_divergence(self.a_inner, x) / self.hm - x
-
-    def residual(self, y: np.ndarray) -> np.ndarray:
-        """r(y) = -(D^T W D x)[1:] for x = `expand(y)`, applied factor by factor, never through A.
-
-        D^T v = div(v / (h m)) - v, since h m (D + I) = div is symmetric.
-        """
-        v = self.masses * self.apply_D(self.expand(y))
-        v = _flux_divergence(self.a_inner, v / self.hm) - v
-        return -v[1:]
-
-
-def _normal_system(b: float, T_max: float, n: int) -> _NormalSystem:
     h = T_max / n
-    t = np.linspace(0.0, T_max, n + 1)
-    faces = np.concatenate([[0.0], t[:-1] + h / 2.0, [T_max]])
-    masses = _cell_masses_tb(b, faces)
-    a_inner = (t[:-1] + h / 2.0) ** b  # interior faces; end fluxes are zero
-
-    # face i + 1/2 (a_inner[i]) couples nodes i and i + 1
-    hm = h * masses
-    sub = a_inner / hm[1:]
-    sup = a_inner / hm[:-1]
-    main = -1.0 - np.concatenate([a_inner, [0.0]]) / hm - np.concatenate([[0.0], a_inner]) / hm
-
-    # D^T W D without node 0: node i is unknown i - 1
-    md = masses * main
-    bands = np.zeros((3, n))
-    bands[2] = (md * main)[1:] + masses[:-1] * sup * sup
-    bands[2, :-1] += masses[2:] * sub[1:] * sub[1:]
-    bands[1, 1:] = md[1:-1] * sup[1:] + masses[2:] * sub[1:] * main[2:]
-    bands[0, 2:] = masses[2:-1] * sub[1:-1] * sup[2:]
-    return _NormalSystem(t=t, masses=masses, hm=hm, a_inner=a_inner, bands=bands)
+    t = np.arange(n + 1, dtype=float)
+    t *= h
+    t[-1] = T_max
+    faces = np.empty(n + 2)
+    faces[0], faces[-1] = 0.0, T_max
+    np.add(t[:-1], h / 2.0, out=faces[1:-1])
+    return t, _cell_masses_tb(b, faces), faces[1:-1] ** b
 
 
-def _band_blocks(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix in upper banded storage as the 2x2 blocks of `_BlockCholesky`.
+class _SPDTridiagonal:
+    """T = diag(excess) + the path Laplacian of `couplings`, factored by odd-even cyclic reduction.
 
-    An odd order gets one leading identity row.  A pentadiagonal matrix in
-    2x2 blocks is block tridiagonal; the coupling blocks are lower triangular.
-    """
-    size = bands.shape[1]
-    m = (size + 1) // 2
-    pad = 2 * m - size
-    # row d holds the padded A[i, i + d] at i, reshaped to [d, block, entry]
-    rows = np.zeros((3, 2 * m))
-    rows[0, :pad] = 1.0
-    for d in range(3):
-        rows[d, pad:pad + size - d] = bands[2 - d, d:]
-    rows = rows.reshape(3, m, 2)
-    upper = np.zeros((2, 2, m + 1))
-    upper[0, 0, 1:-1], upper[1, 1, 1:-1] = rows[2, :-1, 0], rows[2, :-1, 1]
-    upper[1, 0, 1:-1] = rows[1, :-1, 1]
-    return rows[[[0, 1], [1, 0]], :, [[0, 0], [0, 1]]], upper
-
-
-class _BlockCholesky:
-    """Cholesky factor of the normal matrix, given in upper banded storage, in 2x2 blocks.
-
-    Odd-even cyclic reduction in Cholesky form (Heller, SIAM J. Numer.
-    Anal. 13 (1976) 484) on the m blocks of `_band_blocks`, numbered from 0:
-    each level factors its p = ceil(m/2) even-numbered pivots D = L L^T and
-    leaves to the m - p odd ones the Schur complements D_o - W W^T, with
-    W = U L^-T for the coupling U of a pivot to each neighbour, and the
-    couplings -W_left W_right^T between them; floor(log2 m) + 1 levels
-    factor all.  When m is even the last odd block has no right pivot.
-    This is the Cholesky factor of the matrix with its blocks in
-    elimination order, so a solve runs down the levels and back up on 2x2
-    triangular solves; no pivot is inverted.  Every step is elementwise over
-    a level's blocks, stored entry first: `diag` (2, 2, m) holds the
-    diagonal blocks (lower triangles read) and `upper` (2, 2, m + 1) at i
-    the block coupling block i - 1 to block i, zero at both ends, so every
-    pivot has two neighbours.  A pivot that is not positive definite raises
-    `SolverError`.
+    T[i, i] = excess[i] + c[i - 1] + c[i] and T[i, i + 1] = -c[i], so
+    `excess` is each row's diagonal less its couplings.  Each level
+    eliminates the even-numbered unknowns (the pivots, diagonals d) and
+    leaves the odd ones a matrix of the same form: odd unknown k, coupled by
+    l_k to pivot k and by r_k to pivot k + 1, takes the excess
+    s_k + w_k s_k' + v_k s_{k+1}' from the pivots' excesses s', with the
+    multipliers w_k = l_k / d_k and v_k = r_k / d_{k+1}, and the coupling
+    v_k l_{k+1} to odd unknown k + 1.  This is LDL^T on the matrix in
+    elimination order, so it needs no pivoting; floor(log2 n) + 1 levels
+    eliminate all, and a level keeps its pivots and multipliers.  With
+    nonnegative excesses and couplings (a diagonally dominant M-matrix)
+    every step adds nonnegative terms, as in the GTH algorithm for Markov
+    chains: the factor, and x = T^-1 r for r >= 0, are accurate entry by
+    entry to a few eps, whatever T's condition number.  A pivot that is not
+    positive raises `SolverError`.
     """
 
-    def __init__(self, bands: np.ndarray):
-        diag, upper = _band_blocks(bands)
-        self.pad = 2 * diag.shape[-1] - bands.shape[1]      # the leading identity row
+    def __init__(self, excess: np.ndarray, couplings: np.ndarray):
         self.levels = []
-        while diag.shape[-1]:
-            p = (diag.shape[-1] + 1) // 2
-            d11, d21, d22 = diag[0, 0, 0::2], diag[1, 0, 0::2], diag[1, 1, 0::2]
-            if not (d11 > 0.0).all():
-                raise SolverError("normal-equation solve failed: a pivot is not positive")
-            l11 = np.sqrt(d11)
-            l21 = d21 / l11
-            d22 = d22 - l21 * l21
-            if not (d22 > 0.0).all():
-                raise SolverError("normal-equation solve failed: a pivot is not positive")
-            l22 = np.sqrt(d22)
-            # rows 0, 1 couple each pivot j to block j - 1, rows 2, 3 to block j + 1
-            U = np.concatenate([upper[..., 0:2 * p:2], upper[..., 1::2].swapaxes(0, 1)])
-            W = np.empty_like(U)
-            W[:, 0] = U[:, 0] / l11
-            W[:, 1] = (U[:, 1] - W[:, 0] * l21) / l22
-            dots = np.einsum("rcn,scn->rsn", W, W)      # W W^T, pivot by pivot
-            diag = diag[..., 1::2] - dots[2:, 2:, :diag.shape[-1] - p]
-            diag[..., :p - 1] -= dots[:2, :2, 1:]
-            upper = np.zeros((2, 2, diag.shape[-1] + 1))
-            upper[..., :p] = -dots[:2, 2:]
-            self.levels.append((l11, l21, l22, W))
+        while excess.size:
+            left, right = couplings[0::2], couplings[1::2]    # each odd unknown's, to its pivots
+            pivot_excess = excess[0::2]
+            pivots = pivot_excess.copy()
+            pivots[:left.size] += left
+            pivots[1:] += right
+            if not pivots.min() > 0.0:
+                raise SolverError("tridiagonal solve failed: a pivot is not positive")
+            w, v = left / pivots[:left.size], right / pivots[1:right.size + 1]
+            excess = excess[1::2] + w * pivot_excess[:w.size]
+            excess[:v.size] += v * pivot_excess[1:v.size + 1]
+            couplings = v[:left.size - 1] * left[1:]
+            self.levels.append((pivots, w, v))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """x with A x = r."""
-        r = np.concatenate([np.zeros(self.pad), r]).reshape(-1, 2).T    # column i: block i
+        """x with T x = r."""
         down = []
-        for l11, l21, l22, W in self.levels:
-            p = l11.size
-            z = np.empty((2, p))
-            z[0] = r[0, 0::2] / l11
-            z[1] = (r[1, 0::2] - l21 * z[0]) / l22
-            coupled = np.einsum("rcn,cn->rn", W, z)
-            r = r[:, 1::2] - coupled[2:, :r.shape[1] - p]
-            r[:, :p - 1] -= coupled[:2, 1:]
+        for _, w, v in self.levels:
+            z = r[0::2]
+            r = r[1::2] + w * z[:w.size]
+            r[:v.size] += v * z[1:v.size + 1]
             down.append(z)
         x = r
-        for (l11, l21, l22, W), z in zip(reversed(self.levels), reversed(down)):
-            p, q = l11.size, x.shape[1]
-            near = np.zeros((4, p))      # each pivot's neighbours, as W's rows pair them
-            near[:2, 1:], near[2:, :q] = x[:, :p - 1], x
-            z -= np.einsum("rcn,rn->cn", W, near)
-            up = np.empty((2, p + q))
-            up[1, 0::2] = z[1] / l22
-            up[0, 0::2] = (z[0] - l21 * up[1, 0::2]) / l11
-            up[:, 1::2] = x
+        # pivot k: x_k = z_k / d_k + w_k x_odd[k] + v_{k-1} x_odd[k-1]
+        for (pivots, w, v), z in zip(reversed(self.levels), reversed(down)):
+            up = np.empty(z.size + x.size)
+            x_pivots = up[0::2]
+            np.divide(z, pivots, out=x_pivots)
+            x_pivots[:w.size] += w * x
+            x_pivots[1:v.size + 1] += v * x[:v.size]
+            up[1::2] = x
             x = up
-        return x.T.reshape(-1)[self.pad:]
+        return x
 
 
 def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> ProfileSolution:
     """Discrete minimizer of J over the grid functions with phi(0) = 1.
 
-    The normal equations are factored once by `_BlockCholesky` and refined
-    three times from y = 0 against the factored residual
-    (`_NormalSystem.residual`): at the default grid phi moves by about
-    1e-11 (4e-10 at b = 0) in the third step and by 2e-14 after it; the
-    third covers the slower contraction of finer grids (at
-    MAX_PROFILE_CELLS phi moves by 1e-13 or less after it, by 7e-9 at
-    T_max = 20, b = 0).  The grid is refused, with `DomainError`, above
-    MAX_PROFILE_CELLS cells or a step T_max / resolution above
-    MAX_PROFILE_STEP.
+    D has n + 1 rows and n unknowns, the nodes 1..n.  Its square part
+    satisfies h m D[1:, 1:] = S = div - diag(h m), where -S is symmetric
+    positive definite and tridiagonal, so e = (D phi)[1:] determines phi:
+    phi[1:] = S^-1 (h m e - a_0 e_1), a_0 the coefficient of the first face.
+    With u = S^-1 e_1, (D phi)_0 = delta + g.e for g = (a_0 / m_0) m u and
+    delta its value at e = 0, and J = m_0 (delta + g.e)^2 + sum m_i e_i^2
+    is least at the rank-one
+    e = -a_0 delta u / (1 + a_0^2 sum m_i u_i^2 / m_0).  So -S is factored
+    once (`_SPDTridiagonal`, from its row excesses h m and couplings) and
+    solved twice, for u and then for phi; no normal equations are formed.
+    Both right-hand sides have one sign, and delta takes 1 + a_0 u_1 as
+    -sum h m u (the row sums of -S), so nothing cancels and phi is right to
+    a few eps (8e-16 against an extended-precision solve at the grid cap).
+    `ode_residual` applies D twice, so its roundoff floor grows like
+    eps h^-4, about 16x per halving of h (see `ProfileSolution`).  The grid
+    is refused, with `DomainError`, above MAX_PROFILE_CELLS cells or a step
+    T_max / resolution above MAX_PROFILE_STEP.
     """
     _check_weight_exponent(b)
-    if not (math.isfinite(T_max) and T_max >= 20.0):
-        raise DomainError(f"T_max must be finite and at least 20, got {T_max}")
+    if not (_real(T_max) and math.isfinite(T_max) and T_max >= 20.0):
+        raise DomainError(f"T_max must be a finite real of at least 20, got {T_max!r}")
     if not _int_at_least(resolution, 512):
         raise DomainError(f"resolution must be an integer of at least 512, got {resolution!r}")
     if resolution > MAX_PROFILE_CELLS:
@@ -387,27 +335,41 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     if h > MAX_PROFILE_STEP:
         raise DomainError(f"step T_max / resolution = {h:.4g} exceeds the cap of "
                           f"{MAX_PROFILE_STEP}; raise the resolution or lower T_max")
-    system = _normal_system(b, T_max, n)
-    factor = _BlockCholesky(system.bands)
-    y = np.zeros(n)
-    for _ in range(3):
-        y += factor.solve(system.residual(y))
-    if not np.all(np.isfinite(y)):
-        main = system.bands[2]
+    t, masses, a_inner = _profile_grid(b, T_max, n)
+    hm = h * masses
+    a0 = a_inner[0]
+    # -S on the nodes 1..n: the excess of row i is h m_i, plus a_0 at node 1,
+    # whose face to node 0 is not a coupling of -S
+    excess = hm[1:].copy()
+    excess[0] += a0
+    factor = _SPDTridiagonal(excess, a_inner[1:])
+    r = np.zeros(n)
+    r[0] = 1.0
+    x = factor.solve(r)                                 # -S^-1 e_1 = -u >= 0
+    # 1 + a_0 u_1 = sum h m x by the row sums of -S x = e_1: no cancellation
+    delta = -1.0 - a0 / hm[0] * float(hm[1:] @ x)      # (D phi)_0 at e = 0
+    gain = -a0 * delta / (1.0 + a0 * a0 * float((masses[1:] * x) @ x) / masses[0])
+    # phi[1:] = S^-1 (h m e - a_0 e_1) with e = -gain x; the right-hand side is >= 0
+    r = hm[1:] * x
+    r *= gain
+    r[0] += a0
+    phi = np.empty(n + 1)
+    phi[0] = 1.0
+    phi[1:] = factor.solve(r)
+    if not np.all(np.isfinite(phi)):
         raise SolverError(
-            "non-finite minimizer; diagonal range "
-            f"[{main.min():.3e}, {main.max():.3e}] suggests severe ill-conditioning"
+            "non-finite minimizer; tridiagonal excess range "
+            f"[{excess.min():.3e}, {excess.max():.3e}] suggests severe ill-conditioning"
         )
 
-    t, masses = system.t, system.masses
-    phi = system.expand(y)
-    zeta = system.apply_D(phi)
-    J = float(zeta @ (masses * zeta))
-    dphi_face = np.diff(phi) / h
-    grad_energy = float(np.sum(system.a_inner * dphi_face ** 2 * h))
-    resid = system.apply_D(zeta)[1:]  # L zeta - zeta on the free nodes
-    num = float(np.sqrt(np.sum(masses[1:] * resid ** 2)))
-    den = float(np.sqrt(np.sum(masses[1:] * zeta[1:] ** 2)))
+    zeta = _apply_D(a_inner, hm, phi)
+    weighted = masses * zeta
+    J = float(weighted @ zeta)
+    dphi = np.diff(phi)
+    grad_energy = float((a_inner * dphi) @ dphi) / h
+    resid = _apply_D(a_inner, hm, zeta)[1:]  # L zeta - zeta on the free nodes
+    num = math.sqrt(float((masses[1:] * resid) @ resid))
+    den = math.sqrt(float(weighted[1:] @ zeta[1:]))
     ode_residual = num / den if den > 0 else 0.0
     return ProfileSolution(
         b=b, T_max=T_max, t=t, phi=phi, zeta=zeta, J=J,
@@ -422,7 +384,7 @@ def _cached_profile(b: float) -> ProfileSolution:
 
 def extension_constant(b: float) -> float:
     """C_b = J(phi) for the minimizing profile, in closed form."""
-    return BesselProfile(float(b)).J
+    return BesselProfile(b).J
 
 
 def _fourier_sample(u, box_length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -91,15 +91,16 @@ def test_the_check_sees_where_scipy_linalg_is_imported():
 
 def test_scipy_linalg_is_imported_only_by_the_fv_eigensolve_and_the_spline():
     # the Gauss-Jacobi rules run on numpy's eigh and the profile solve on the
-    # package's block Cholesky, so scipy.linalg stays off their command paths
+    # package's tridiagonal cyclic reduction, so scipy.linalg stays off their
+    # command paths
     found = {(path.stem, name) for path in MODULES + [PACKAGE / "__init__.py"]
              for name in _scipy_linalg_importers(path.read_text())}
     assert found == {("hemisphere", "_sector_eigs"), ("core", "_CubicSpline")}
 
 
 # the finite-volume profile solve, the cross-check of the closed form c t^s K_s(t)
-FV_SOLVE_ROOTS = ("solve_profile", "_normal_system", "_NormalSystem", "_band_blocks",
-                  "_BlockCholesky", "_cell_masses_tb", "_flux_divergence")
+FV_SOLVE_ROOTS = ("solve_profile", "_profile_grid", "_SPDTridiagonal", "_cell_masses_tb",
+                  "_apply_D")
 # the closed form and its large-t asymptotics; np.expm1 of the cell masses is allowed
 CLOSED_FORM_NAMES = {"exp", "kv", "BesselProfile", "_power_bessel"}
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -27,12 +26,10 @@ from almgren_lab.profile import (
     MAX_PROFILE_CELLS,
     MAX_PROFILE_STEP,
     BesselProfile,
-    _band_blocks,
-    _BlockCholesky,
     _cached_profile,
     _cell_masses_tb,
     _frequency_grid,
-    _normal_system,
+    _SPDTridiagonal,
     extension_energy_identity,
 )
 
@@ -163,8 +160,8 @@ def test_euler_lagrange_weak_form(sol_b0):
         lap[-1] = -flux[-1] / masses[-1]
         resid = float(masses @ (sol_b0.zeta * (lap - psi)))
         psi_norm = math.sqrt(float(masses @ psi ** 2))
-        # tolerance sits at the double-precision limit of the h^-4-conditioned
-        # normal equations, not at roundoff of the inner product itself
+        # the tolerance was set for the h^-4-conditioned normal equations;
+        # the bordered solve leaves at most 1e-15 here
         assert abs(resid) <= 5e-6 * scale * max(psi_norm, 1.0)
 
 
@@ -273,12 +270,28 @@ _MALFORMED = {
     "trace-fractional-shells": (lambda u: trace_laplacian_check(_P15, u, n_shells=2.5),
                                 DomainError),
 }
+# b and T_max that are not real numbers: core's one weight-exponent gate
+# covers b for all three profile entry points, solve_profile gates T_max
+_NOT_REAL = {"none": None, "string": "0.1", "list": [0.1]}
+_MALFORMED.update({
+    f"{name}-{label}": (lambda u, call=call, value=value: call(value), DomainError)
+    for name, call in (("solve-profile-b", lambda b: solve_profile(b, resolution=512)),
+                       ("bessel-profile-b", BesselProfile),
+                       ("extension-constant-b", extension_constant))
+    for label, value in _NOT_REAL.items()
+})
+_MALFORMED.update({
+    f"solve-profile-T_max-{label}": (lambda u, value=value: solve_profile(0.1, T_max=value),
+                                     DomainError)
+    for label, value in {"none": None, "string": "24", "list": [24.0]}.items()
+})
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_fourier_side_checks_refuse_malformed_input(case):
     # one preamble gates the sample, the box length and the band limit of
-    # all three; t_max and n_shells are gated where they are used
+    # all three; t_max and n_shells are gated where they are used, and so are
+    # the profiles' b and T_max
     call, error = _MALFORMED[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -457,7 +470,7 @@ def test_closed_form_b0_and_far_field():
 
 
 def _dense_factors(b, T_max, n):
-    """D = L - I, the cell masses and the basis C of the free nodes 1..n, entry by entry."""
+    """D = L - I on the nodes 0..n and the cell masses, entry by entry."""
     h = T_max / n
     t = np.linspace(0.0, T_max, n + 1)
     faces = [0.0] + [t[i] + h / 2.0 for i in range(n)] + [T_max]
@@ -474,39 +487,32 @@ def _dense_factors(b, T_max, n):
         if i < n:
             D[i, i + 1] = right / hm
         D[i, i] = -(left + right) / hm - 1.0
-    C = np.zeros((n + 1, n))
-    for i in range(1, n + 1):
-        C[i, i - 1] = 1.0
-    return D, masses, C
+    return D, masses
 
 
 @pytest.mark.parametrize("b", [-0.6, 0.0, 0.7])
-def test_banded_normal_system_equals_dense_products(b):
+def test_bordered_identity_holds_on_the_dense_factors(b):
+    # S = h m D[1:, 1:] is symmetric and -S positive definite tridiagonal;
+    # the minimizer's e = (D phi)[1:] is a multiple of u = S^-1 e_1, and J is
+    # m_0 (delta + g.e)^2 + e^T M e with delta and g formed from u
     T_max, n = 24.0, 512
-    D, masses, C = _dense_factors(b, T_max, n)
-    system = _normal_system(b, T_max, n)
-    CtG = C.T @ (D.T @ (masses[:, None] * D))
-    A = CtG @ C
-    # each row's scale: the largest sum of term magnitudes, e_0 column included
-    terms = np.abs(C).T @ (np.abs(D).T @ (masses[:, None] * np.abs(D)))
-    scale = np.max(np.column_stack([terms[:, 0], terms @ np.abs(C)]), axis=1)
-    m = A.shape[0]
-    assert system.bands.shape == (3, m)
-    i, j = np.indices(A.shape)
-    assert np.all(A[np.abs(i - j) > 2] == 0.0)   # upper bandwidth 2
-    banded = np.zeros_like(A)
-    for d in range(3):
-        idx = np.arange(d, m)
-        banded[idx - d, idx] = system.bands[2 - d, d:]
-        banded[idx, idx - d] = system.bands[2 - d, d:]
-    assert np.all(np.abs(banded - A) <= 1e-14 * scale[:, None])
-    assert np.all(np.abs(system.residual(np.zeros(m)) + CtG[:, 0]) <= 1e-14 * scale)
+    D, masses = _dense_factors(b, T_max, n)
+    hm = T_max / n * masses
+    S = hm[1:, None] * D[1:, 1:]
+    i, j = np.indices(S.shape)
+    assert np.all(S[np.abs(i - j) > 1] == 0.0)
+    assert_allclose(S, S.T, rtol=1e-15, atol=0.0)
+    np.linalg.cholesky(-S)      # raises unless -S is positive definite
+    u = np.linalg.solve(S, np.eye(n)[0])
+    a0 = hm[1] * D[1, 0]
+    delta = D[0, 0] - D[0, 1] * a0 * u[0]
+    g = D[0, 1] * hm[1:] * u
 
-    y = np.random.default_rng(7).standard_normal(m)
-    x = C @ y
-    x[0] += 1.0
-    assert_allclose(system.expand(y), x, rtol=1e-15, atol=0.0)
-    assert np.all(np.abs(system.residual(y) + CtG @ x) <= 1e-14 * scale * np.max(np.abs(x)))
+    sol = solve_profile(b, T_max, n)
+    e = sol.zeta[1:]
+    assert np.max(np.abs(e - (e @ u) / (u @ u) * u)) <= 1e-12 * np.max(np.abs(e))
+    J = masses[0] * (delta + g @ e) ** 2 + e @ (masses[1:] * e)
+    assert abs(J - sol.J) <= 1e-12 * sol.J
 
 
 def _closed_form_error(s, resolution):
@@ -537,9 +543,9 @@ def test_profile_still_converges_at_the_resolution_cap(b):
 
 
 def test_solve_profile_b0_constant_pinned(sol_b0):
-    # the block Cholesky with factored-residual refinement; zeta is formed from
-    # differences, so J is the value of its own grid function to roundoff
-    # (the product form read 1.999999463561315, 1.2e-12 off)
+    # the bordered tridiagonal solve; zeta is formed from differences, so J is
+    # the value of its own grid function to roundoff (the product form read
+    # 1.999999463561315, 1.2e-12 off)
     assert sol_b0.J == pytest.approx(1.9999994635589882, rel=1e-13)
 
 
@@ -603,57 +609,80 @@ def test_trace_check_keeps_fv_profile():
     assert kappa != 2.0
 
 
-def _pentadiagonal_system(size, seed):
-    """A seeded symmetric positive definite pentadiagonal matrix, dense and in upper banded storage.
+def _tridiagonal_system(size, seed):
+    """A seeded symmetric positive definite tridiagonal matrix, dense and as (excess, couplings).
 
-    The normal equations' shape; diagonally dominant, so well conditioned.
+    Diagonally dominant, so well conditioned; the couplings take both signs.
     """
     rng = np.random.default_rng(seed)
-    A = np.zeros((size, size))
-    i = np.arange(size)
-    for d in (1, 2):
-        if d < size:
-            A[i[:-d], i[:-d] + d] = rng.uniform(-1.0, 1.0, size - d)
-    A += A.T
-    A[i, i] = np.abs(A).sum(axis=1) + rng.uniform(0.5, 2.0, size)
-    bands = np.zeros((3, size))
-    for d in range(min(3, size)):
-        bands[2 - d, d:] = A[i[:-d or None], i[d:]]
-    return A, bands
+    couplings = rng.uniform(-1.0, 1.0, size - 1)
+    diag = rng.uniform(0.5, 2.0, size)
+    diag[:-1] += np.abs(couplings)
+    diag[1:] += np.abs(couplings)
+    excess = diag.copy()
+    excess[:-1] -= couplings
+    excess[1:] -= couplings
+    return np.diag(diag) - np.diag(couplings, 1) - np.diag(couplings, -1), excess, couplings
 
 
-# orders with 2^K - 1, 2^K and 2^K + 1 blocks at both parities, and 100 and 101 blocks
-_ORDERS = sorted({2 * (2 ** K + e) - odd for K in (1, 2, 4, 5, 7) for e in (-1, 0, 1)
-                  for odd in (0, 1)} | {200, 201})
+# every order up to 10 and 2^K - 3 .. 2^K + 2 around 32, 64 and 256, so the
+# levels end on either parity, and two orders of the profile grids' scale
+_ORDERS = [*range(1, 11), *range(29, 35), *range(61, 67), 200, 201, *range(253, 259), 777, 1024]
 
 
 @pytest.mark.parametrize("size", _ORDERS)
-def test_block_cholesky_matches_a_dense_solve(size):
-    # any block count: an odd order takes one leading identity row
-    A, bands = _pentadiagonal_system(size, seed=size)
-    assert _band_blocks(bands)[0].shape[-1] == (size + 1) // 2
-    factor = _BlockCholesky(bands)
-    for seed in range(3):
-        r = np.random.default_rng(100 + seed).standard_normal(size)
-        assert_allclose(factor.solve(r), np.linalg.solve(A, r), rtol=1e-13, atol=1e-15)
+def test_cyclic_reduction_matches_a_dense_solve(size):
+    A, excess, couplings = _tridiagonal_system(size, seed=size)
+    factor = _SPDTridiagonal(excess, couplings)
+    rs = np.random.default_rng(100).standard_normal((3, size))
+    want = np.linalg.solve(A, rs.T).T
+    for r, x in zip(rs, want):
+        assert_allclose(factor.solve(r), x, rtol=1e-13, atol=1e-15)
+    assert np.all(rs == np.random.default_rng(100).standard_normal((3, size)))   # r is kept
 
 
-def test_block_cholesky_refuses_a_non_positive_pivot(monkeypatch):
-    # an indefinite matrix and solve_profile on negated normal equations
-    # raise SolverError, as LAPACK's LinAlgError did
-    A, bands = _pentadiagonal_system(11, seed=1)
-    bands[2, 4] = -bands[2, 4]
+def test_cyclic_reduction_is_accurate_entry_by_entry_on_an_m_matrix():
+    # excesses of 1e-14 .. 1e-8 under couplings of order 1 (condition number
+    # about 1e13): against a 50-digit Thomas solve, every entry of T^-1 r,
+    # r >= 0, is right to a few eps; forming the diagonal first would cancel
+    mpmath = pytest.importorskip("mpmath")
+    n = 64
+    rng = np.random.default_rng(5)
+    couplings = rng.uniform(0.5, 2.0, n - 1)
+    excess = 10.0 ** rng.uniform(-14.0, -8.0, n)
+    factor = _SPDTridiagonal(excess, couplings)
+    for r in (np.eye(n)[0], rng.uniform(0.0, 1.0, n)):
+        got = factor.solve(r)
+        with mpmath.workdps(50):
+            c = [mpmath.mpf(v) for v in couplings] + [mpmath.mpf(0)]
+            d = [mpmath.mpf(excess[i]) + c[i] + (c[i - 1] if i else 0) for i in range(n)]
+            rhs = [mpmath.mpf(v) for v in r]
+            for i in range(1, n):          # Thomas, forward
+                f = c[i - 1] / d[i - 1]
+                d[i] -= f * c[i - 1]
+                rhs[i] += f * rhs[i - 1]
+            x = [mpmath.mpf(0)] * n
+            for i in reversed(range(n)):
+                x[i] = (rhs[i] + (c[i] * x[i + 1] if i < n - 1 else 0)) / d[i]
+            err = max(abs(g / v - 1) for g, v in zip(got, x))
+        assert err <= 1e-14
+
+
+def test_cyclic_reduction_refuses_a_non_positive_pivot(monkeypatch):
+    # an indefinite matrix, and solve_profile on -S negated, raise SolverError
+    _, excess, couplings = _tridiagonal_system(11, seed=1)
+    excess[4] -= 10.0
     with pytest.raises(SolverError, match="pivot"):
-        _BlockCholesky(bands)
-    real = profile._normal_system
-    monkeypatch.setattr(profile, "_normal_system",
-                        lambda *args: dataclasses.replace(real(*args), bands=-real(*args).bands))
+        _SPDTridiagonal(excess, couplings)
+    real = profile._SPDTridiagonal
+    monkeypatch.setattr(profile, "_SPDTridiagonal",
+                        lambda excess, couplings: real(-excess, -couplings))
     with pytest.raises(SolverError, match="pivot"):
         solve_profile(0.2, resolution=512)
 
 
 def test_solve_profile_refuses_a_non_finite_minimizer(monkeypatch):
-    monkeypatch.setattr(profile._BlockCholesky, "solve", lambda self, r: np.full_like(r, np.nan))
+    monkeypatch.setattr(profile._SPDTridiagonal, "solve", lambda self, r: np.full_like(r, np.nan))
     with pytest.raises(SolverError, match="non-finite minimizer"):
         solve_profile(0.2, resolution=512)
 
@@ -663,26 +692,51 @@ _SWEEP_S = [1.25 + 0.5 * u for u in np.random.default_rng(33).uniform(size=2)] \
 
 
 @pytest.mark.parametrize("T_max", [20.0, 24.0, 30.0])
-@pytest.mark.parametrize("resolution", [512, 513, 777, 1000, 16384, MAX_PROFILE_CELLS])
-def test_profile_refinement_converges_on_the_block_cholesky(resolution, T_max):
-    # the three production steps against three more from the same factor: to
-    # 1e-10 of the refinement's limit on every grid up to the cap (1.4e-13
-    # measured at the cap)
+@pytest.mark.parametrize("resolution", [512, 513, 777, 1000])
+def test_bordered_minimizer_equals_dense_least_squares(resolution, T_max):
+    # the weighted least-squares problem min |sqrt(W) (D[:, 1:] y + D[:, 0])|
+    # solved densely by LAPACK's Householder QR, with phi(0) = 1 moved to the
+    # right-hand side (np.linalg.lstsq's SVD agrees to 6e-13 at 2.5x the
+    # time); the five s of _SWEEP_S take turns over the twelve grids
+    s = _SWEEP_S[(resolution + round(T_max)) % len(_SWEEP_S)]
+    b = 3.0 - 2.0 * s
+    D, masses = _dense_factors(b, T_max, resolution)
+    root = np.sqrt(masses)
+    q, upper = np.linalg.qr(root[:, None] * D[:, 1:])
+    y = np.linalg.solve(upper, q.T @ (-root * D[:, 0]))
+    sol = solve_profile(b, T_max, resolution)
+    assert sol.phi[0] == 1.0
+    assert np.max(np.abs(sol.phi[1:] - y)) <= 1e-11
+
+
+@pytest.mark.parametrize("T_max", [20.0, 24.0, 30.0])
+@pytest.mark.parametrize("resolution", [16384, MAX_PROFILE_CELLS])
+def test_bordered_minimizer_is_stationary_on_fine_grids(resolution, T_max):
+    # where no dense solve fits: int t^b zeta (D psi - psi) = 0 for smooth psi
+    # with psi(0) = 0, to 1e-9 of |zeta| |psi| (at most 1.7e-11 measured; phi
+    # moved by a bump of height 1e-7 reads 8e-8), and phi is within 5e-6 of
+    # the closed form on [0, 10]
     for s in _SWEEP_S:
         b = 3.0 - 2.0 * s
-        system = _normal_system(b, T_max, resolution)
-        factor = _BlockCholesky(system.bands)
-        y = np.zeros(system.bands.shape[1])
-        phis = []
-        for _ in range(6):
-            y += factor.solve(system.residual(y))
-            phis.append(system.expand(y))
-        if s == _SWEEP_S[0]:      # the production path is these three steps
-            assert_allclose(solve_profile(b, T_max, resolution).phi, phis[2], rtol=0, atol=0)
-        assert np.max(np.abs(phis[2] - phis[5])) <= 1e-10, s
-        if resolution >= 16384:
-            mask = system.t <= 10.0
-            assert np.max(np.abs(phis[2] - phi_oracle(b, system.t))[mask]) < 5e-6
+        sol = solve_profile(b, T_max, resolution)
+        h = T_max / resolution
+        faces = np.concatenate([[0.0], sol.t[:-1] + h / 2.0, [T_max]])
+        masses = _cell_masses_tb(b, faces)
+
+        def D(x):
+            flux = np.zeros(x.size + 1)
+            flux[1:-1] = faces[1:-1] ** b * np.diff(x)
+            return np.diff(flux) / (h * masses) - x
+
+        zeta = D(sol.phi)
+        for c in (2.0, 4.0, 7.0, 11.0, 15.0):
+            psi = np.exp(-((sol.t - c) / 0.7) ** 2) * np.sin(1.3 * sol.t)
+            psi[0] = 0.0
+            resid = float(masses @ (zeta * D(psi)))
+            norms = math.sqrt(float(masses @ zeta ** 2) * float(masses @ psi ** 2))
+            assert abs(resid) <= 1e-9 * norms, (s, c)
+        near = sol.t[sol.t <= 10.0]
+        assert np.max(np.abs(sol.phi[:near.size] - phi_oracle(b, near))) < 5e-6, s
 
 
 @pytest.mark.parametrize("b", [-0.9, 0.0, 0.9])
