@@ -631,7 +631,9 @@ _ORDERS = [*range(1, 11), *range(29, 35), *range(61, 67), 200, 201, *range(253, 
 
 
 @pytest.mark.parametrize("size", _ORDERS)
-def test_cyclic_reduction_matches_a_dense_solve(size):
+def test_block_cholesky_matches_a_dense_solve(size):
+    # odd-even cyclic reduction is the block Cholesky (LDL^T) of the matrix
+    # in odd-even order, one diagonal pivot block per level
     A, excess, couplings = _tridiagonal_system(size, seed=size)
     factor = _SPDTridiagonal(excess, couplings)
     rs = np.random.default_rng(100).standard_normal((3, size))
@@ -668,7 +670,7 @@ def test_cyclic_reduction_is_accurate_entry_by_entry_on_an_m_matrix():
         assert err <= 1e-14
 
 
-def test_cyclic_reduction_refuses_a_non_positive_pivot(monkeypatch):
+def test_block_cholesky_refuses_a_non_positive_pivot(monkeypatch):
     # an indefinite matrix, and solve_profile on -S negated, raise SolverError
     _, excess, couplings = _tridiagonal_system(11, seed=1)
     excess[4] -= 10.0
