@@ -271,8 +271,14 @@ def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
     top = r_max if r_max is not None else R / 2.0
     if not 0.0 < top < np.inf:
         raise DomainError(f"the top radius must be positive and finite, got {top!r}")
-    count = int(round(per_decade * decades)) + 1
-    return np.geomspace(top, top * 10.0 ** (-decades), count)
+    try:   # a product past the float range has no point count
+        count = int(round(per_decade * decades)) + 1
+    except OverflowError:
+        raise DomainError("per_decade * decades must be a finite number of radii") from None
+    bottom = top * 10.0 ** (-decades)
+    if not bottom > 0.0:
+        raise DomainError(f"the bottom radius {top!r} * 10^-{decades!r} underflows to 0")
+    return np.geomspace(top, bottom, count)
 
 
 def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> FrequencyTrace:

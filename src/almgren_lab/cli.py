@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -79,15 +80,32 @@ def _emit_json(args, name: str, payload: dict) -> None:
     print(text)
 
 
-def _emit_csv(args, name: str, header: list[str], rows: np.ndarray) -> None:
-    """Write float rows under a header: 17 significant digits, CRLF line ends as csv.writer."""
+def _emit_csv(args, name: str, header: list[str], rows: np.ndarray,
+              axes=None, levels=None) -> None:
+    """Write a float table under a header: 17 significant digits, CRLF line ends as csv.writer.
+
+    A plain table passes one array row per line.  A table of levels over a
+    grid passes the grid's `axes`, the `levels` and `rows` of shape
+    (len(levels),) + grid shape: each line holds a point's coordinates, its
+    level and the value, levels outermost and the points in
+    meshgrid(indexing="ij") order.  Each axis value and level is formatted once.
+    """
     rows = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(rows)):
+    numbers = [rows] if axes is None else [rows, *axes, levels]
+    if not all(np.all(np.isfinite(a)) for a in numbers):
         raise DomainError(f"{name} holds a non-finite value")
     head = io.StringIO()
     csv.writer(head).writerow(header)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-    text = head.getvalue() + "".join(line % row for row in map(tuple, rows.tolist()))
+    if axes is None:   # one % over the whole table
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+        body = [line * rows.shape[0] % tuple(rows.ravel().tolist())]
+    else:   # per level, one % over the values; coordinates and level are text already
+        points = [",".join(p) for p in itertools.product(*map(_cells, axes))]
+        body = []
+        for t, level in zip(_cells(levels), rows):
+            tail = f",{t},%.17g\r\n"
+            body.append((tail.join(points) + tail) % tuple(level.ravel().tolist()))
+    text = head.getvalue() + "".join(body)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, name + ".csv")
@@ -96,6 +114,11 @@ def _emit_csv(args, name: str, header: list[str], rows: np.ndarray) -> None:
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
+
+
+def _cells(values) -> list[str]:
+    """Each number as the text of a CSV cell, 17 significant digits."""
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _params_dict(params: WeightParams) -> dict:
@@ -152,7 +175,9 @@ def _read_table(path: str) -> np.ndarray:
     try:
         with open(path) as fh:
             header = next(csv.reader([fh.readline()]), None)
-            body = [line for line in fh.read().splitlines() if line.strip()]
+            lines = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=2)
+                     if line.strip()]
+        body = [line for _, line in lines]
         data = np.loadtxt(body, delimiter=",", quotechar='"', ndmin=2) if body else None
     except ValueError as exc:   # a cell that is not a number, a ragged row, bad bytes
         raise InputError(f"{path}: {str(exc).partition('; use `usecols`')[0]}") from None
@@ -162,6 +187,10 @@ def _read_table(path: str) -> np.ndarray:
         raise InputError(f"{path}: no data rows under the header")
     if data.shape[1] != len(header):
         raise InputError(f"{path}: {data.shape[1]} columns under a header of {len(header)}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():   # loadtxt reads nan and inf as numbers
+        number, line = lines[int(np.argmin(finite))]
+        raise InputError(f"{path}: line {number} holds a value that is not finite: {line!r}")
     return data
 
 
@@ -198,13 +227,9 @@ def _cmd_extend(args) -> int:
                          f"which has {len(axes)} coordinate columns")
     params = WeightParams(s=args.s, N=len(axes))
     t_levels = _number_list(args.t_levels, "--t-levels")
-    levels = profile.build_extension(params, grid, t_levels, box_length=length)
-    # one row per (level, grid point): coordinates, t, value, levels outermost
-    coords = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    rows = np.column_stack([np.tile(coords, (len(t_levels), 1)),
-                            np.repeat(t_levels, grid.size), levels.ravel()])
+    extension = profile.build_extension(params, grid, t_levels, box_length=length)
     header = [f"x{d+1}" for d in range(len(axes))] + ["t", "value"]
-    _emit_csv(args, "extension", header, rows)
+    _emit_csv(args, "extension", header, extension, axes=axes, levels=t_levels)
     return 0
 
 

@@ -433,7 +433,8 @@ def build_extension(
 
     Returns an array of shape (len(t_levels),) + u.shape; the zero frequency
     is constant in t and U(., 0) = u exactly since phi(0) = 1.  The profile
-    defaults to the closed form `BesselProfile`.
+    defaults to the closed form `BesselProfile`.  phi is elementwise, so each
+    level evaluates it once per distinct |xi| and gathers the multiplier.
     """
     u, u_hat, xi = _fourier_sample(u, box_length)
     t_levels = np.asarray(t_levels, dtype=float)
@@ -444,10 +445,11 @@ def build_extension(
     if np.any(t_levels < 0):
         raise DomainError("t levels must be nonnegative")
     prof = profile or BesselProfile(params.b)
+    xi_distinct, where = np.unique(xi, return_inverse=True)
+    where = where.reshape(xi.shape)
     out = np.empty((t_levels.size,) + u.shape)
     for i, tl in enumerate(t_levels):
-        mult = prof.phi_at(xi * tl)
-        out[i] = np.real(np.fft.ifftn(u_hat * mult))
+        out[i] = np.real(np.fft.ifftn(u_hat * prof.phi_at(xi_distinct * tl)[where]))
     return out
 
 

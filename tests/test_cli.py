@@ -413,7 +413,7 @@ def test_run_reuses_one_parser_and_keeps_no_state(tmp_path, capsys, monkeypatch)
     assert cylinder() == default       # nothing of the config stays behind
 
 
-@pytest.mark.parametrize("dim,n", [(1, 48), (2, 16)])
+@pytest.mark.parametrize("dim,n", [(1, 48), (2, 16), (3, 8)])
 def test_extend_csv_matches_a_per_row_writer(tmp_path, capsys, dim, n):
     path = _torus_csv(tmp_path / "u.csv", dim, n)
     levels = [0.0, 0.37, 1.25]
@@ -481,9 +481,38 @@ def test_almgren_request_forms_the_pieces_once(tmp_path, capsys, monkeypatch):
         want.gamma, want.h_limit, want.fit_residual)
 
 
+# -0, subnormals, the ends of the float range, integers and a repeating fraction
+_EDGE_NUMBERS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 3, -7, 0.1, 1 / 3]
+
+
+def test_emit_csv_writes_edge_numbers_as_a_per_row_writer(capsys):
+    args = _parsed("selftest")
+    rows = np.array(_EDGE_NUMBERS).reshape(5, 2)
+    cli._emit_csv(args, "table", ["a", "b"], rows)
+    assert capsys.readouterr().out.encode() == _reference_csv(["a", "b"], rows)
+    integers = np.array([[3, -7, 0], [12, 2 ** 53, -1]])
+    cli._emit_csv(args, "table", ["a", "b", "c"], integers)
+    assert capsys.readouterr().out.encode() == _reference_csv(["a", "b", "c"], integers)
+    # a table of levels over a grid: the edge numbers as coordinates, levels and values
+    axes = [np.array(_EDGE_NUMBERS[:4]), np.array(_EDGE_NUMBERS[4:7])]
+    levels = [0.0, 1e308, 5e-324]
+    values = np.resize(np.array(_EDGE_NUMBERS[::-1]), (3, 4, 3))
+    cli._emit_csv(args, "grid", ["x1", "x2", "t", "value"], values, axes=axes, levels=levels)
+    want = _reference_csv(["x1", "x2", "t", "value"],
+                          ([axes[0][i], axes[1][j], t, values[k, i, j]]
+                           for k, t in enumerate(levels) for i in range(4) for j in range(3)))
+    assert capsys.readouterr().out.encode() == want
+
+
 def test_emit_csv_refuses_non_finite_values(capsys):
     with pytest.raises(DomainError, match="non-finite"):
         cli._emit_csv(_parsed("selftest"), "table", ["a", "b"], np.array([[1.0, math.inf]]))
+    assert capsys.readouterr().out == ""
+    # a table of levels over a grid gates its coordinates and levels too
+    for axis, level in (([0.0, math.nan], 0.5), ([0.0, 1.0], -math.inf)):
+        with pytest.raises(DomainError, match="non-finite"):
+            cli._emit_csv(_parsed("selftest"), "grid", ["x1", "t", "value"], np.zeros((1, 2)),
+                          axes=[np.array(axis)], levels=[level])
     assert capsys.readouterr().out == ""
 
 
@@ -541,12 +570,17 @@ _MALFORMED_NUMBERS = {
     "extend ragged row": ("extend", "x1,value\n0,1\n3.14\n", "--t-levels", "0,0.5", "u.csv"),
     "extend one column": ("extend", "value\n1\n2\n", "--t-levels", "0,0.5", "u.csv"),
     "extend one point": ("extend", "x1,value\n0,1\n", "--t-levels", "0,0.5", "u.csv"),
+    # loadtxt reads nan and inf as numbers; the line count includes the blank line
+    "extend nan coordinate": ("extend", "x1,value\n0,1\n\nnan,2\n", "--t-levels", "0,0.5",
+                              "u.csv: line 4 holds a value that is not finite"),
     "t-levels non-numeric": ("extend", None, "--t-levels", "0,x", "--t-levels"),
     "t-levels nan": ("extend", None, "--t-levels", "0,nan", "finite"),
     "t-levels inf": ("extend", None, "--t-levels", "0,inf", "finite"),
     "fit non-numeric cell": ("fit", "lambda,phi,phi_tilde\n0.3,1,x\n", "--sigma-candidates", "0,1",
                              "u.csv"),
     "fit ragged row": ("fit", "lambda,phi,phi_tilde\n0.3,1\n", "--sigma-candidates", "0,1", "u.csv"),
+    "fit inf sample": ("fit", "lambda,phi,phi_tilde\n0.3,1,0.5\n0.2,-inf,0.1\n",
+                       "--sigma-candidates", "0,1", "u.csv: line 3 holds a value that is not finite"),
     "sigma-candidates non-numeric": ("fit", None, "--sigma-candidates", "0,x", "--sigma-candidates"),
     "sigma-candidates empty": ("fit", None, "--sigma-candidates", ",", "--sigma-candidates"),
     "sigma-candidates nan": ("fit", None, "--sigma-candidates", "0,nan", "finite"),

@@ -183,6 +183,12 @@ _MALFORMED = {
     "eigs-refinements-negative": lambda: hemisphere.hemisphere_eigs(_P, refinements=-1),
     "schedule-per-decade-nan": lambda: almgren.radius_schedule(1.0, per_decade=math.nan),
     "schedule-decades-nan": lambda: almgren.radius_schedule(1.0, decades=math.nan),
+    # per_decade * decades past the float range: a raw OverflowError, and no radius is built
+    "schedule-decades-huge": lambda: almgren.radius_schedule(1.0, decades=1e308),
+    "schedule-per-decade-huge": lambda: almgren.radius_schedule(1.0, per_decade=10 ** 400),
+    # a bottom radius that underflows to 0: a raw ValueError from geomspace
+    "schedule-bottom-underflows": lambda: almgren.radius_schedule(1.0, per_decade=1,
+                                                                 decades=400.0),
     # a top radius not positive and finite gave negative, NaN or inf radii (0: a bare ValueError)
     "schedule-negative-R": lambda: almgren.radius_schedule(-1.0, per_decade=2, decades=1.0),
     "schedule-zero-R": lambda: almgren.radius_schedule(0.0),
