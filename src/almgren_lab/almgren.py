@@ -32,7 +32,10 @@ from .core import (
     UnmatchedExponentError,
     VanishingDenominatorError,
     WeightParams,
-    _int_at_least,
+    _count,
+    _finite,
+    _number,
+    _radius,
 )
 from .synthesis import SeparableSolution, gauss_nodes, _radial_parts
 
@@ -154,12 +157,11 @@ def _angular_pairs(sol: SeparableSolution):
 def _pieces(sol: SeparableSolution, radii, method: str) -> _TermPieces:
     """The pieces at every radius of a schedule, in one call of either path.
 
-    The one gate of every frequency operation: it raises for the first radius
-    outside (0, R] (`SeparableSolution._check_radii`), for an unknown method,
-    for pieces that are not finite and for the first radius where H is not
-    positive.
+    The radii are gated by the caller (`core._radius`, at most R); this
+    raises for an unknown method, for pieces that are not finite and for the
+    first radius where H is not positive.
     """
-    r = sol._check_radii(radii)
+    r = np.asarray(radii, dtype=float)
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
@@ -222,14 +224,14 @@ def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
 
 def compute_DH(sol: SeparableSolution, r: float, method: str = "closed") -> tuple[float, float]:
     """Scaled energy D(r) and boundary mass H(r) of the solution pair."""
-    p = sol.params
+    p, r = sol.params, _radius(r, at_most=sol.R)
     D, H = _DH(_pieces(sol, [r], method), r, p.N + p.b)
     return float(D[0]), float(H[0])
 
 
 def frequency(sol: SeparableSolution, r: float, method: str = "closed") -> float:
     """Frequency quotient N(r) = D(r) / H(r)."""
-    p = sol.params
+    p, r = sol.params, _radius(r, at_most=sol.R)
     D, H = _DH(_pieces(sol, [r], method), r, p.N + p.b)
     return float(D[0]) / float(H[0])
 
@@ -265,20 +267,13 @@ class FrequencyTrace:
 
 def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
                     r_max: float | None = None) -> np.ndarray:
-    if not (_int_at_least(per_decade, 1) and 0.0 < decades < np.inf):
-        raise DomainError(f"need an integer per_decade >= 1 and finite decades > 0, "
-                          f"got {per_decade!r}, {decades!r}")
-    top = r_max if r_max is not None else R / 2.0
-    if not 0.0 < top < np.inf:
-        raise DomainError(f"the top radius must be positive and finite, got {top!r}")
+    top = _radius(_radius(R, "R") / 2.0 if r_max is None else r_max, "top radius")
+    per_decade, decades = _count(per_decade, "per_decade"), _number(decades, "decades", 0.0)
     try:   # a product past the float range has no point count
         count = int(round(per_decade * decades)) + 1
     except OverflowError:
         raise DomainError("per_decade * decades must be a finite number of radii") from None
-    bottom = top * 10.0 ** (-decades)
-    if not bottom > 0.0:
-        raise DomainError(f"the bottom radius {top!r} * 10^-{decades!r} underflows to 0")
-    return np.geomspace(top, bottom, count)
+    return np.geomspace(top, _radius(top * 10.0 ** (-decades), "bottom radius"), count)
 
 
 def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> FrequencyTrace:
@@ -287,9 +282,8 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> Frequen
     The quadrature path's angular Gauss node count follows `gauss_nodes` of
     the largest sigma_plus of the synthesis.
     """
-    radii = np.asarray(radius_schedule(sol.R) if radii is None else radii, dtype=float)
-    if radii.ndim != 1:
-        raise InputError(f"radii must be a 1-D schedule, got shape {radii.shape}")
+    radii = radius_schedule(sol.R) if radii is None else _radius(
+        _finite(radii, "radii", shape=(None,), nonfinite=False), at_most=sol.R, array=True)
     pieces = _pieces(sol, radii, method)
     D, H = _DH(pieces, radii, sol.params.N + sol.params.b)
     nu1, nu2 = _nu(sol, pieces, radii, method)
@@ -300,7 +294,7 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> Frequen
 def nu_decomposition(sol: SeparableSolution, r: float,
                      method: str = "closed") -> tuple[float, float]:
     """The two components of N'(r): boundary Cauchy-Schwarz bracket and the rest."""
-    radii = np.array([r], dtype=float)
+    radii = np.array([_radius(r, at_most=sol.R)])
     nu1, nu2 = _nu(sol, _pieces(sol, radii, method), radii, method)
     return float(nu1[0]), float(nu2[0])
 
@@ -343,7 +337,7 @@ def check_H_derivative(target, method: str = "closed") -> float:
 def check_pohozaev(sol: SeparableSolution, r: float,
                    method: str = "closed") -> tuple[float, float]:
     """Relative residuals of the two radial-multiplier integral identities."""
-    p = sol.params
+    p, r = sol.params, _radius(r, at_most=sol.R)
     beta = p.N + p.b
     pc = _pieces(sol, [r], method)
     lhs1 = pc.ball_grad + pc.ball_uv
@@ -410,11 +404,15 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
     trace of `sol` whose schedule reaches below R/200; by default it forms
     D and H of the closed path on `radius_schedule(sol.R)`, with no nu.
     """
+    if candidates is not None:
+        candidates = _finite(candidates, "candidates", shape=(None,))
+        if candidates.size == 0:
+            raise InputError("candidates must be a non-empty list of finite exponents")
     if frequency_trace is None:
         r = radius_schedule(sol.R)
         D, H = _DH(_pieces(sol, r, "closed"), r, sol.params.N + sol.params.b)
-    elif frequency_trace.params != sol.params:
-        raise InputError(f"the trace is of {frequency_trace.params}, "
+    elif getattr(frequency_trace, "params", None) != sol.params:
+        raise InputError(f"the trace is of {getattr(frequency_trace, 'params', frequency_trace)}, "
                          f"not of the solution's {sol.params}")
     else:
         r, D, H = frequency_trace.r, frequency_trace.D, frequency_trace.H
@@ -422,10 +420,6 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
         raise DomainError("schedule must reach radii below R/200")
     if candidates is None:
         candidates = sorted({t.sigma for t in sol.terms})
-    candidates = np.asarray(candidates, dtype=float)
-    if candidates.ndim != 1 or candidates.size == 0 or not np.all(np.isfinite(candidates)):
-        raise InputError(f"candidates must be a non-empty list of finite exponents, "
-                         f"got {candidates.tolist()}")
     a = _fit_exponents(sol)
     A = (r[:, None] / np.max(r)) ** (a - a[0])
     Y = np.column_stack([D, H]) * r[:, None] ** -a[0]

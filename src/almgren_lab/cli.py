@@ -27,7 +27,7 @@ import numpy as np
 
 from . import almgren as almgren_mod
 from . import core, cylinder, hemisphere, inequalities, profile, synthesis
-from .core import AlmgrenLabError, DomainError, InputError, WeightParams
+from .core import AlmgrenLabError, DomainError, InputError, WeightParams, _count, _number
 
 SCHEMA = "almgren-lab/1"
 _NUMERIC_FAILURES = (
@@ -151,8 +151,8 @@ def _cmd_cylinder_spectrum(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    if args.b is None and not 1.0 < args.s < 2.0:
-        raise DomainError(f"--s must lie in (1, 2), got {args.s}")
+    if args.b is None:
+        _number(args.s, "--s", 1.0, 2.0)
     # --b round-trips through s as WeightParams.from_b does; solve_profile checks its range
     s = args.s if args.b is None else (3.0 - args.b) / 2.0
     sol = profile.solve_profile(3.0 - 2.0 * s, T_max=args.t_max, resolution=args.resolution)
@@ -233,12 +233,6 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _spec_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InputError(f"{what} must be a finite real number, got {value!r}")
-    return float(value)
-
-
 def _read_spec(path: str, args):
     """Parameters and (l, c1, d1) terms of a JSON spec, checked before any eigensolve."""
     with open(path) as fh:
@@ -248,9 +242,7 @@ def _read_spec(path: str, args):
     p = spec.get("params", {})
     if not isinstance(p, dict):
         raise InputError("spec params must be a JSON object")
-    params = WeightParams(s=_spec_number(p.get("s", args.s), "params.s"),
-                          N=p.get("N", args.N),
-                          R=_spec_number(p.get("R", args.R), "params.R"))
+    params = WeightParams(s=p.get("s", args.s), N=p.get("N", args.N), R=p.get("R", args.R))
     entries = spec.get("terms")
     if not isinstance(entries, list) or not entries:
         raise InputError("spec needs a non-empty list of terms")
@@ -258,14 +250,9 @@ def _read_spec(path: str, args):
     for i, t in enumerate(entries):
         if not isinstance(t, dict):
             raise InputError(f"term {i} must be a JSON object")
-        ell = t.get("l")
-        if isinstance(ell, bool) or not isinstance(ell, int) or ell < 0:
-            raise InputError(f"term {i}: l must be a non-negative integer, got {ell!r}")
-        if ell >= hemisphere.MAX_MODES:
-            raise InputError(f"term {i}: l = {ell} is past the last mode position "
-                             f"{hemisphere.MAX_MODES - 1}")
-        terms.append((ell, _spec_number(t.get("c1", 0.0), f"term {i}: c1"),
-                      _spec_number(t.get("d1", 0.0), f"term {i}: d1")))
+        terms.append((_count(t.get("l"), f"term {i}: l, which may not be past the last mode "
+                             "position,", 0, hemisphere.MAX_MODES - 1, InputError),
+                      *(_number(t.get(c, 0.0), f"term {i}: {c}") for c in ("c1", "d1"))))
     return params, terms
 
 
@@ -309,8 +296,6 @@ def _cmd_fit(args) -> int:
 def _cmd_almgren(args) -> int:
     modes, sol = _spec_solution(args.spec, args)
     tr = almgren_mod.trace(sol)
-    rows = np.column_stack([tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2])
-    _emit_csv(args, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
     # gamma is matched against the sigma+ of every degree up to 3 n - 2
     # (N >= 2) or n - 1 (N = 1), n = max(4, modes the spec indexes), so a
     # limit that misses the spec's own degrees still finds its nearest rival
@@ -319,6 +304,9 @@ def _cmd_almgren(args) -> int:
     candidates = sorted({hemisphere._exact_sigma_plus(sol.params, sigma)
                          for sigma in range(top + 1)})
     limit = almgren_mod.frequency_limit(sol, candidates=candidates, frequency_trace=tr)
+    # the trace is written once the limit is found: a failed request writes nothing
+    rows = np.column_stack([tr.r, tr.D, tr.H, tr.N, tr.nu1, tr.nu2])
+    _emit_csv(args, "almgren_trace", ["r", "D", "H", "N", "nu1", "nu2"], rows)
     payload = {
         "params": _params_dict(sol.params),
         "gamma": limit.gamma,

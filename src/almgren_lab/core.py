@@ -18,12 +18,16 @@ never evaluated at 0 and smooth integrands converge spectrally.
 rest with Gauss-Legendre, so a new exponent costs a small head only.
 
 Sampled fields are integrated over B_r^+ and S_r^+ by one private tensor
-rule, `_HalfBallRule` (a radial rule times an `AngularGrid1D`), behind the
-radius gate `_check_radius` and the sample gate `_finite`:
+rule, `_HalfBallRule` (a radial rule times an `AngularGrid1D`):
 `integrate_halfball`, `integrate_halfsphere` and the inequality margins.
 
-Every count or index argument of the package (node counts, mode indices,
-resolutions) is tested by one predicate, `_int_at_least`.
+Every argument of a public entry point passes one of four raising
+predicates at entry, each returning the converted value: `_number` (a real
+scalar in a stated range), `_count` (an integer, not a bool, at or above a
+floor), `_radius` (positive, with its powers in the float range, optionally
+at most R) and `_finite` (a finite float array of a stated ndim or shape).
+A scalar of the wrong type or range raises `DomainError`; a wrong shape or
+a bad entry of an array raises `InputError`.
 
 The finite-volume cross-checks interpolate their samples with one private
 not-a-knot spline, `_CubicSpline`.
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -49,6 +54,9 @@ DEFAULT_ANGULAR_NODES = 128
 # `gauss_jacobi` builds the dense Jacobi matrix and all its eigenvectors
 # (16 n^2 bytes, 64 MiB at n = 2048), so its node count is capped.
 MAX_GAUSS_NODES = 2048
+# Largest Jacobi exponent p of a rule or moment: (2k + p)^2 and log Gamma of
+# the exponents stay in the float range.
+_MAX_EXPONENT = 1e150
 # `split_gauss_jacobi`: the Jacobi-weighted head panel [0, SPLIT_POINT] and
 # its node count, the only part of that rule that depends on the exponent.
 SPLIT_POINT = 0.25
@@ -95,9 +103,96 @@ class TraceProportionalityError(AlmgrenLabError):
     """Frequency-wise trace ratio is not constant within tolerance."""
 
 
-def _check_weight_exponent(b: float) -> None:
-    if not (_real(b) and -1.0 < b < 1.0):
-        raise DomainError(f"weight exponent b must be a real number in (-1, 1), got {b!r}")
+# |log r| below this keeps r and 1/r in the float range, normal numbers included
+_LOG_RANGE = math.log(sys.float_info.max) - 1.0
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _values(x, name: str, array: bool):
+    """x as a float, NaN if it is not a real number; with `array`, as a float array."""
+    if array:
+        return _finite(x, name, nonfinite=False)
+    return float(x) if _is_real(x) else math.nan
+
+
+def _first_outside(x, v, ok):
+    """The value to name in a refusal: the first entry of an array v not `ok`, or x."""
+    return float(v.flat[np.argmin(ok)]) if isinstance(v, np.ndarray) else (
+        v if _is_real(x) else x)
+
+
+def _number(x, name: str, low: float = -math.inf, high: float = math.inf, ends: str = "()",
+            array: bool = False):
+    """x as a float in the interval from low to high with the given `ends` ("()", "[)",
+    "(]" or "[]"); with `array`, an array of such numbers is a float array.
+
+    A value that is not a real number (or is a bool) or lies outside raises
+    `DomainError`; an array entry that is not a real number, `InputError`."""
+    v = _values(x, name, array)
+    ok = (low <= v if ends[0] == "[" else low < v) & (v <= high if ends[1] == "]" else v < high)
+    if not np.all(ok):
+        kind = "a real number" if ends[1] == "]" and high == math.inf else "a finite real number"
+        bounded = -low < math.inf or high < math.inf
+        where = f" in {ends[0]}{low:g}, {high:g}{ends[1]}" if bounded else ""
+        raise DomainError(f"{name} must be {kind}{where}, got {_first_outside(x, v, ok)!r}")
+    return v
+
+
+def _count(n, name: str, low: int = 1, high: int | None = None, error=DomainError) -> int:
+    """n as an int: an integer (Python or numpy, not a bool) of at least low, at most high.
+
+    Anything else raises `error`, `DomainError` unless the caller names another."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
+            and (high is None or n <= high)):
+        cap = "" if high is None else f", within the cap of {high}"
+        raise error(f"{name} must be an integer of at least {low}{cap}, got {n!r}")
+    return int(n)
+
+
+def _radius(r, name: str = "radius", at_most: float | None = None, power: float = 1.0,
+            array: bool = False):
+    """r as a float, positive with r^+-power in the float range and, if `at_most` is
+    given, at most it (to roundoff); with `array`, an array of radii is a float array.
+
+    Refusals are `DomainError`s, as for `_number`; with `at_most` the message
+    names the first radius outside (0, at_most]."""
+    x = _values(r, name, array)
+    span = _LOG_RANGE / power
+    ok = (x > math.exp(-span)) & (x < math.exp(span))
+    if at_most is not None:
+        ok &= x <= at_most * (1 + 1e-12)
+    if not np.all(ok):
+        bad = _first_outside(r, x, ok)
+        if at_most is not None:
+            raise DomainError(f"{name} {bad} outside (0, {at_most}]")
+        raise DomainError(f"{name} must be positive and finite, its +-{power:g} powers "
+                          f"within the float range, got {bad!r}")
+    return x
+
+
+def _finite(values, name: str = "field sample", shape: tuple | None = None,
+            nonfinite: bool = True) -> np.ndarray:
+    """`values` as a float array of real numbers, of `shape` if given (None matches any
+    length), and finite.
+
+    Every refusal is an `InputError`: entries that are not real numbers, a
+    wrong shape, or (unless `nonfinite` is False) a NaN or infinite entry."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:   # a ragged nest of lists
+        raise InputError(f"{name} must be an array of real numbers") from None
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"{name} must be an array of real numbers, got {arr.dtype} entries")
+    if shape is not None and arr.shape != shape and not (
+            arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))):
+        raise InputError(f"{name} has the wrong shape {arr.shape}")
+    arr = arr.astype(float, copy=False)
+    if nonfinite and not np.all(np.isfinite(arr)):
+        raise InputError(f"non-finite {name}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -114,18 +209,13 @@ class WeightParams:
     R: float = 1.0
 
     def __post_init__(self):
-        if not (_real(self.s) and 1.0 < self.s < 2.0):
-            raise DomainError(f"order s must lie in (1, 2), got {self.s!r}")
-        if not _int_at_least(self.N, 1):
-            raise DomainError(f"dimension N must be an integer >= 1, got {self.N!r}")
-        if not (_real(self.R) and self.R > 0 and math.isfinite(self.R)):
-            raise DomainError(f"reference radius R must be positive and finite, got {self.R!r}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "s", _number(self.s, "order s", 1.0, 2.0))
+        object.__setattr__(self, "N", _count(self.N, "dimension N"))
+        object.__setattr__(self, "R", _radius(self.R, "reference radius R"))
 
     @classmethod
     def from_b(cls, b: float, N: int, R: float = 1.0) -> "WeightParams":
-        _check_weight_exponent(b)
-        return cls(s=(3.0 - b) / 2.0, N=N, R=R)
+        return cls(s=(3.0 - _number(b, "weight exponent b", -1.0, 1.0)) / 2.0, N=N, R=R)
 
     @property
     def b(self) -> float:
@@ -169,36 +259,19 @@ def _log_gamma_ratio(x: float, y: float, d: float | None = None) -> float:
     return math.lgamma(x) - math.lgamma(y)
 
 
-def _int_at_least(n, low: int) -> bool:
-    """True iff n is an integer (Python or numpy, not a bool) and n >= low."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
-
-
-def _real(x) -> bool:
-    """True iff x is a real number (Python or numpy, not a bool); it may be NaN."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def unit_sphere_area(dim: int) -> float:
     """Surface measure of the unit sphere S^dim embedded in R^{dim+1}."""
-    if not _int_at_least(dim, 0):
-        raise DomainError(f"sphere dimension must be an integer >= 0, got {dim!r}")
+    dim = _count(dim, "sphere dimension", 0)
     return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
 
 
 def weighted_angular_moment(exp_sin: float, exp_cos: float) -> float:
     """Closed form of the quarter-period moment int_0^{pi/2} sin^a cos^c dpsi."""
-    if not (-1.0 < exp_sin < math.inf and -1.0 < exp_cos < math.inf):
-        raise DomainError(f"moment exponents must be finite and exceed -1, "
-                          f"got {exp_sin!r}, {exp_cos!r}")
-    x, y = (exp_sin + 1) / 2.0, (exp_cos + 1) / 2.0
-    return 0.5 * math.exp(_log_gamma_ratio(x, x + y) + _log_gamma_ratio(y, 1.0))
+    x = (_number(exp_sin, "moment exponent", -1.0, _MAX_EXPONENT) + 1) / 2.0
+    y = (_number(exp_cos, "moment exponent", -1.0, _MAX_EXPONENT) + 1) / 2.0
+    return 0.5 * math.exp(_log_gamma_ratio(x, x + y, -y) + _log_gamma_ratio(y, 1.0))
 
 
-# An inequality margin at a fresh s adds two 32-node rules.  With 32 entries
-# that stream evicted the Sobolev trace rule gauss_jacobi(64, N - 1) between
-# uses: 74-81 rebuilds in a 960-margin `inequality_sweep` plan, 4-6 with 128.
-@lru_cache(maxsize=128, typed=True)   # typed: True must not hit the entry of 1
 def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule with n nodes for int_0^1 x^p f(x) dx (read-only arrays).
 
@@ -208,16 +281,19 @@ def gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     the squared first eigenvector components times int_0^1 x^p dx.  Unlike
     `scipy.special.roots_jacobi`, whose weights lose digits as p nears -1
     (moment errors 8e-10 at n = 192, p = -0.9), this keeps the moments to
-    roundoff.  Requires 1 <= n <= MAX_GAUSS_NODES and p > -1.  The
+    roundoff.  Requires 1 <= n <= MAX_GAUSS_NODES and -1 < p < 1e150.  The
     symmetric Jacobi matrix is built dense and solved by `np.linalg.eigh`,
-    so the rules load no scipy.
+    so the rules load no scipy.  The gate runs before the cache lookup.
     """
-    if not _int_at_least(n, 1):
-        raise DomainError(f"Gauss node count must be an integer >= 1, got {n!r}")
-    if n > MAX_GAUSS_NODES:
-        raise DomainError(f"Gauss node count {n} exceeds the cap of {MAX_GAUSS_NODES}")
-    if not p > -1.0:
-        raise DomainError(f"exponent p = {p} is not integrable at 0")
+    return _gauss_jacobi(_count(n, "Gauss node count", 1, MAX_GAUSS_NODES),
+                         _number(p, "exponent p", -1.0, _MAX_EXPONENT))
+
+
+# An inequality margin at a fresh s adds two 32-node rules.  With 32 entries
+# that stream evicted the Sobolev trace rule gauss_jacobi(64, N - 1) between
+# uses: 74-81 rebuilds in a 960-margin `inequality_sweep` plan, 4-6 with 128.
+@lru_cache(maxsize=128)
+def _gauss_jacobi(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n, dtype=float)
     c = 2.0 * k + p
     diag = np.empty(n)
@@ -278,7 +354,7 @@ class _CubicSpline:
     def __init__(self, x, y):
         from scipy.linalg import solve_banded
 
-        x, y = _finite(x), _finite(y)
+        x, y = _finite(x, "spline data"), _finite(y, "spline data")
         if x.ndim != 1 or y.shape != x.shape or x.size < 4:
             raise InputError(f"a cubic spline needs 1-D x and y of one length >= 4, "
                              f"got shapes {x.shape} and {y.shape}")
@@ -341,7 +417,6 @@ class AngularGrid1D:
         return 1.0 if self.N == 1 else unit_sphere_area(self.N - 1)
 
     @classmethod
-    @lru_cache(maxsize=64, typed=True)
     def gauss(cls, N: int, b: float, n: int) -> "AngularGrid1D":
         """Gauss-Jacobi grid: n nodes per quarter period in u = pi/2 - psi.
 
@@ -349,8 +424,15 @@ class AngularGrid1D:
         N >= 2, sin^{N-1}(psi) go into the weights, so smooth axisymmetric
         integrands converge spectrally.  For N = 1 the arc (0, pi) is covered
         by two mirrored halves, u = phi and u = pi - phi, with n nodes each.
+        The arguments are gated before the cache lookup.
         """
-        x, w = gauss_jacobi(n, b)
+        return cls._gauss(_count(N, "dimension N"), _number(b, "weight exponent b", -1.0, 1.0),
+                          _count(n, "Gauss node count", 1, MAX_GAUSS_NODES))
+
+    @classmethod
+    @lru_cache(maxsize=64)
+    def _gauss(cls, N: int, b: float, n: int) -> "AngularGrid1D":
+        x, w = _gauss_jacobi(n, b)
         half = math.pi / 2.0
         u = half * x
         wu = w * half ** (b + 1.0) * _sinc_ratio(u) ** b
@@ -362,7 +444,7 @@ class AngularGrid1D:
 
     def integrate_bare(self, values: np.ndarray) -> float:
         """The bare integral of `values` on the nodes, gated by `_finite`."""
-        return float(self.weights @ _finite(values, self.nodes.shape))
+        return float(self.weights @ _finite(values, shape=self.nodes.shape))
 
 
 class _Points(NamedTuple):
@@ -377,27 +459,12 @@ class _Points(NamedTuple):
     t: np.ndarray
 
 
-def _check_radius(r: float) -> None:
-    if not (r > 0 and math.isfinite(r)):
-        raise DomainError(f"radius must be positive and finite, got {r}")
-
-
-def _finite(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """`values` as a float array, refused unless finite (and of `shape`, if given)."""
-    values = np.asarray(values, dtype=float)
-    if shape is not None and values.shape != shape:
-        raise InputError("field sample has wrong shape")
-    if not np.all(np.isfinite(values)):
-        raise InputError("non-finite field sample")
-    return values
-
-
 class _HalfBallRule:
     """Tensor rule on B_r^+ and S_r^+ and the polar point sets fields are sampled on.
 
     `radial` is a rule for int_0^1 x^p f(x) dx in rho / r, so `ball` integrates
     t^b rho^{p-N-b} times a sample; `sphere` needs no radial rule.  Callers
-    check r with `_check_radius` first."""
+    gate r with `_radius` first."""
 
     def __init__(self, params: WeightParams, r: float, angular: AngularGrid1D,
                  radial: tuple[np.ndarray, np.ndarray] | None = None, p: float = 0.0):
@@ -419,7 +486,8 @@ class _HalfBallRule:
         """int_{B_r^+} t^b rho^{p - N - b + rho_power} values dz, `values` on the ball points."""
         if rho_power:
             values = values * self.rho ** rho_power
-        inner = _finite(values, (self.rho.size, self.angular.nodes.size)) @ self.angular.weights
+        shape = (self.rho.size, self.angular.nodes.size)
+        inner = _finite(values, shape=shape) @ self.angular.weights
         return float(self.angular.area_factor * self.r ** (self.p + 1.0)
                      * (self.radial_weights @ inner))
 
@@ -447,7 +515,7 @@ def integrate_halfball(
     `gauss_jacobi(n_radial, N+b)` in rho / r and `AngularGrid1D.gauss(N, b,
     n_angular)`.
     """
-    _check_radius(r)
+    r = _radius(r, power=params.N + 3)
     beta = params.N + params.b
     radial = gauss_jacobi(n_radial, beta)
     rule = _HalfBallRule(params, r, AngularGrid1D.gauss(params.N, params.b, n_angular),
@@ -469,7 +537,7 @@ def integrate_halfsphere(
     rule is the sphere sum of `_HalfBallRule` on `AngularGrid1D.gauss(N, b,
     n_angular)`; g's values broadcast to the nodes.
     """
-    _check_radius(r)
+    r = _radius(r, power=params.N + 3)
     grid = AngularGrid1D.gauss(params.N, params.b, n_angular)
     values = np.asarray(g(grid.nodes), dtype=float)
     if values.shape != grid.nodes.shape:
@@ -483,8 +551,7 @@ def angle_to_xt(params: WeightParams, r, angle):
     q is the signed horizontal coordinate for N = 1 and the horizontal radius
     |x| for N >= 2; t is the vertical coordinate.
     """
-    r = np.asarray(r, dtype=float)
-    angle = np.asarray(angle, dtype=float)
+    r, angle = _finite(r, "r"), _finite(angle, "angle")
     if params.N == 1:
         return r * np.cos(angle), r * np.sin(angle)
     return r * np.sin(angle), r * np.cos(angle)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, WeightParams, _int_at_least
+from .core import DomainError, WeightParams, _count, _radius
 from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_zeros,
                                 _radial_norm_at_zero)
 
@@ -79,10 +79,8 @@ def _disk_zeros(count: int) -> list[tuple[int, int, float]]:
 
 def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
     """Closed-form Dirichlet spectra for the interval (N = 1) and disk (N = 2)."""
-    if not _int_at_least(count, 1):
-        raise DomainError(f"count must be an integer >= 1, got {count!r}")
-    if not (R > 0 and math.isfinite(R)):
-        raise DomainError(f"ball radius R must be positive and finite, got {R}")
+    N, count = _count(N, "dimension N"), _count(count, "count")
+    R = _radius(R, "ball radius R", power=2.0)
     if N == 1:
         a = 2.0 * R
         norm = 1.0 / math.sqrt(a)
@@ -158,8 +156,7 @@ def cylinder_mode(params: WeightParams, n: int, m: int) -> CylinderMode:
     One mode solves its own n Dirichlet eigenvalues and its one zero j_m;
     `cylinder_spectrum` is the batch path for many modes of one params.
     """
-    if not (_int_at_least(n, 1) and _int_at_least(m, 1)):
-        raise DomainError(f"mode indices n, m must be integers >= 1, got {n!r}, {m!r}")
+    n, m = _count(n, "mode index n"), _count(m, "mode index m")
     return _mode(params, dirichlet_eigs(params.N, params.R, n), n, m,
                  bessel_zero(-params.alpha, m))
 

@@ -53,8 +53,9 @@ from .core import (
     ResolutionError,
     WeightParams,
     _CubicSpline,
-    _int_at_least,
+    _count,
     _log_gamma_ratio,
+    _number,
     _sinc_ratio,
     unit_sphere_area,
 )
@@ -66,13 +67,10 @@ _LN2 = math.log(2.0)
 
 
 def sigma_exponents(params: WeightParams, mu: float) -> tuple[float, float]:
-    """Characteristic exponents, the two roots of sigma (sigma + N + b - 1) = mu."""
-    if not math.isfinite(mu):
-        raise DomainError(f"eigenvalue mu must be finite, got {mu!r}")
-    if mu < 0:
-        if mu < -1e-9:
-            raise DomainError(f"eigenvalue mu must be nonnegative, got {mu}")
-        mu = 0.0
+    """Characteristic exponents, the two roots of sigma (sigma + N + b - 1) = mu.
+
+    A finite mu >= -1e-9 is accepted; a negative one (roundoff) is read as 0."""
+    mu = max(_number(mu, "eigenvalue mu", -1e-9, ends="[)"), 0.0)
     half = 0.5 * (params.N + params.b - 1.0)
     root = math.sqrt(half * half + mu)
     return -half + root, -half - root
@@ -258,11 +256,8 @@ def hemisphere_eigs(
     `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)` and positive at the
     equator.
     """
-    if not (_int_at_least(resolution, 0) and _int_at_least(per_k, 1)
-            and _int_at_least(k_max, 0) and _int_at_least(refinements, 0)):
-        raise DomainError("need integers resolution >= 64, per_k >= 1, k_max >= 0 and "
-                          f"refinements >= 0, got {resolution!r}, {per_k!r}, {k_max!r}, "
-                          f"{refinements!r}")
+    resolution, per_k = _count(resolution, "resolution", 0), _count(per_k, "per_k")
+    k_max, refinements = _count(k_max, "k_max", 0), _count(refinements, "refinements", 0)
     if resolution < 64:
         raise ResolutionError(
             f"resolution {resolution} too low; use at least 64 (and >= 8*per_k)"
@@ -382,13 +377,10 @@ def polynomial_mode(params: WeightParams, sigma: int, k: int | None = None) -> S
     quarter arcs.  A normalizes the mode and orients it positive at the
     equator; d/dx P_j^{(alpha,beta)} = (j+alpha+beta+1)/2 P_{j-1}^{(alpha+1,beta+1)}.
     """
-    N = params.N
-    if not _int_at_least(sigma, 0):
-        raise DomainError(f"sigma must be a non-negative integer, got {sigma!r}")
-    sigma = int(sigma)
+    N, sigma = params.N, _count(sigma, "sigma", 0)
     sectors = [0] if N == 1 else range(sigma % 2, sigma + 1, 2)
-    label = sectors[0] if k is None else k
-    if not (_int_at_least(label, 0) and label in sectors):
+    label = sectors[0] if k is None else _count(k, "sector k", 0)
+    if label not in sectors:
         raise DomainError(f"no mode of degree sigma={sigma} in sector k={k} at N={N}")
     # N = 1 takes sector sigma mod 2 over two quarter arcs in psi = pi/2 - phi: sin psi =
     # cos phi, cos psi = sin phi, cos 2 psi = -cos 2 phi, sin 2 psi = sin 2 phi, d/dphi = -d/dpsi
@@ -425,10 +417,9 @@ def hemisphere_modes(params: WeightParams, count: int, k_max: int | None = None)
     k > k_max are left out; every mode still reports the full multiplicity
     M_sigma.  `count` lies in [1, MAX_MODES].
     """
-    if not _int_at_least(count, 1) or count > MAX_MODES:
-        raise InputError(f"mode count must be an integer in [1, {MAX_MODES}], got {count!r}")
-    if k_max is not None and not _int_at_least(k_max, 0):
-        raise InputError(f"k_max must be a non-negative integer, got {k_max!r}")
+    count = _count(count, "mode count", 1, MAX_MODES, error=InputError)
+    if k_max is not None:   # a position into the mode list, so InputError as the count
+        k_max = _count(k_max, "k_max", 0, error=InputError)
     keys = ((sigma, k) for sigma in itertools.count()
             for k in ([0] if params.N == 1 else range(sigma % 2, sigma + 1, 2))
             if k_max is None or k <= k_max)

@@ -6,8 +6,9 @@ separable mode, quadratic polynomials under a smooth radial cutoff), so the
 quadrature is the only approximation entering a margin.  Families are
 generated reproducibly from a seed.
 
-A margin builds `core`'s sampled half-ball rule once, with its radius and
-sample gates, takes one polar point set per radius from it and samples each
+A margin gates its radius and node counts with `core`'s predicates, builds
+the sampled half-ball rule once (its sums refuse non-finite samples), takes
+one polar point set per radius from it and samples each
 field once on it.  A built-in field evaluates U, grad U and D_b U in one pass,
 sharing its exponentials, and its `value`, `grad` and `lap_b` are views of
 that pass.  Any other object with `value` and `grad` (and `lap_b` for
@@ -28,12 +29,12 @@ from .core import (
     DomainError,
     RegimeError,
     WeightParams,
-    _check_radius,
+    _count,
     _finite,
     _HalfBallRule,
-    _int_at_least,
+    _number,
     _Points,
-    _real,
+    _radius,
     gauss_jacobi,
     split_gauss_jacobi,
 )
@@ -98,11 +99,8 @@ class GaussianBumps(_Field):
     """
 
     def __init__(self, components, mirrored: bool = False):
-        self.components = [(float(a), float(c), float(w)) for a, c, w in components]
-        if not all(math.isfinite(a) and math.isfinite(c) and 0.0 < w < math.inf
-                   for a, c, w in self.components):
-            raise DomainError(f"bump amplitudes and centres must be finite and widths "
-                              f"positive and finite, got {self.components}")
+        self.components = [(a, c, _radius(w, "bump width", power=2.0)) for a, c, w in
+                           _finite(components, "bump components", shape=(None, 3)).tolist()]
         self.mirrored = mirrored
 
     def _eval(self, points, params=None):
@@ -161,7 +159,7 @@ class QuadraticField(_Field):
     """Quadratic polynomial a0 + a1 q^2 + a2 t^2 (meant to sit under a cutoff)."""
 
     def __init__(self, a0, a1, a2):
-        self.a = (a0, a1, a2)
+        self.a = tuple(_number(a, "coefficient") for a in (a0, a1, a2))
 
     def _eval(self, points, params=None):
         a0, a1, a2 = self.a
@@ -177,9 +175,7 @@ class CutoffField(_Field):
 
     def __init__(self, inner, rho0: float):
         self.inner = inner
-        self.rho0 = float(rho0)
-        if not 0.0 < self.rho0 < math.inf:
-            raise DomainError(f"cutoff radius must be positive and finite, got {rho0!r}")
+        self.rho0 = _radius(rho0, "cutoff radius", power=2.0)
 
     def _eval(self, points, params=None):
         f, fq, ft, lap_f = _sample(self.inner, points, params)
@@ -211,7 +207,7 @@ class SeparableModeField(_Field):
         # axisymmetric means sector k = 0: an odd sigma at N >= 2 raises DomainError
         self.mode = polynomial_mode(params, sigma, k=0)
         self.sigma = float(sigma)
-        self.c1 = float(c1)
+        self.c1 = _number(c1, "coefficient c1")
         term = Term(replace(self.mode, sigma_plus=self.sigma),
                     self.c1 / sphere_harmonic_value(params.N, 0), 0.0)
         self._solution = SeparableSolution(params, (term,))
@@ -251,13 +247,10 @@ class TestFamily:
     def __post_init__(self):
         if self.kind not in ("bumps", "modes", "poly"):
             raise DomainError(f"unknown family kind {self.kind!r}")
-        if not (_int_at_least(self.count, 1) and _int_at_least(self.seed, 0)):
-            raise DomainError(f"need integers count >= 1 and seed >= 0, "
-                              f"got {self.count!r}, {self.seed!r}")
-        if not (self.cutoff_radius is None
-                or (_real(self.cutoff_radius) and 0.0 < self.cutoff_radius < math.inf)):
-            raise DomainError(f"cutoff radius must be positive and finite, "
-                              f"got {self.cutoff_radius!r}")
+        _count(self.count, "count")
+        _count(self.seed, "seed", 0)
+        if self.cutoff_radius is not None:
+            _radius(self.cutoff_radius, "cutoff radius", power=2.0)
 
     def fields(self):
         rng = np.random.default_rng(self.seed)
@@ -316,7 +309,7 @@ def check_hardy_trace(params: WeightParams, field, r: float,
     Gauss-Legendre body nodes of the radial rule (`split_gauss_jacobi`, whose
     32-node head adds to it) and `n_angular` the angular Gauss-Jacobi nodes.
     """
-    _check_radius(r)
+    r = _radius(r, power=params.N + 3)
     k = (params.N + params.b - 1.0) / (2.0 * r)
     rules = _margin_rule(params, 0.0, n_radial, n_angular, r)
     with np.errstate(**_QUIET):
@@ -340,7 +333,7 @@ def check_hardy_rellich(params: WeightParams, field, support_radius: float,
     """
     if not params.paper_regime:
         raise RegimeError(f"Hardy-Rellich requires N > 2s (N = {params.N}, s = {params.s})")
-    _check_radius(support_radius)
+    support_radius = _radius(support_radius, power=params.N + 3)
     gap = params.N - 2.0 * params.s
     rules = _margin_rule(params, -4.0, n_radial, n_angular, support_radius)
     with np.errstate(**_QUIET):
@@ -365,7 +358,7 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     counts the Gauss-Jacobi nodes of the trace norm.  The point sets are
     built once per family.
     """
-    _check_radius(r)
+    r, n_trace = _radius(r, power=params.N + 3), _count(n_trace, "n_trace")
     qstar = critical_exponent(params)
     k = (params.N + params.b - 1.0) / (2.0 * r)
     eps = 1e-3 * r

@@ -28,8 +28,8 @@ use, not with the module.
 The extension of a torus sample u is built frequency-wise as
 Uhat(xi, t) = uhat(xi) phi(|xi| t).  `build_extension`,
 `extension_energy_identity` and `trace_laplacian_check` share one preamble,
-`_fourier_sample`, which gates the sample (finite), the box length
-(positive and finite) and the band limit, then builds the |xi| grid.
+`_fourier_sample`, which gates the sample and the box length with `core`'s
+predicates and the band limit, then builds the |xi| grid.
 """
 
 from __future__ import annotations
@@ -41,15 +41,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (
-    DomainError,
     InputError,
     SolverError,
     TraceProportionalityError,
     WeightParams,
+    _count,
     _CubicSpline,
-    _check_weight_exponent,
-    _int_at_least,
-    _real,
+    _finite,
+    _number,
+    _radius,
     gauss_jacobi,
 )
 
@@ -63,14 +63,6 @@ MAX_PROFILE_CELLS = 2 ** 15
 # from C_b as h grows (b = 0: J = 1.837 at h = 1.37 and 1.966 at h = 0.39,
 # against C_b = 2).  The README defaults and the tests use h <= 30/512.
 MAX_PROFILE_STEP = 1.0 / 16.0
-
-
-def _profile_argument(tau) -> np.ndarray:
-    """tau as a float array, refused with `DomainError` where negative or NaN."""
-    t = np.asarray(tau, dtype=float)
-    if not np.all(t >= 0.0):
-        raise DomainError("profile argument must be nonnegative and not NaN")
-    return t
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class ProfileSolution:
 
     def _on_grid(self, spline, tau):
         """The spline on [0, T_max] and 0 past it."""
-        t = _profile_argument(tau)
+        t = _number(tau, "profile argument", 0.0, math.inf, "[]", array=True)
         out = np.where(t <= self.T_max, spline(np.minimum(t, self.T_max)), 0.0)
         return out if out.ndim else float(out)
 
@@ -132,7 +124,10 @@ def _limit_at_zero(ts: np.ndarray, zs: np.ndarray, alpha: float) -> float:
     At b = 0 (2 alpha = 1) the basis is plain quadratic extrapolation.
     """
     A = np.column_stack([np.ones(3), ts ** (2.0 * alpha), ts ** 2])
-    return float(np.linalg.solve(A, zs)[0])
+    try:
+        return float(np.linalg.solve(A, zs)[0])
+    except np.linalg.LinAlgError:   # samples so close to 0 that the basis is singular
+        raise SolverError(f"the fit at t = {ts.tolist()} is singular") from None
 
 
 def _power_bessel(order: float, tau, coef: float, at_zero: float):
@@ -142,7 +137,7 @@ def _power_bessel(order: float, tau, coef: float, at_zero: float):
     """
     from scipy.special import kv
 
-    t = _profile_argument(tau)
+    t = _number(tau, "profile argument", 0.0, math.inf, "[]", array=True)
     with np.errstate(over="ignore", invalid="ignore"):
         out = coef * t ** order * kv(order, t)
     out = np.where(np.isfinite(out), out, np.where(t < 1.0, at_zero, 0.0))
@@ -161,7 +156,7 @@ class BesselProfile:
     b: float
 
     def __post_init__(self):
-        _check_weight_exponent(self.b)
+        object.__setattr__(self, "b", _number(self.b, "weight exponent b", -1.0, 1.0))
 
     @property
     def alpha(self) -> float:
@@ -323,18 +318,11 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     is refused, with `DomainError`, above MAX_PROFILE_CELLS cells or a step
     T_max / resolution above MAX_PROFILE_STEP.
     """
-    _check_weight_exponent(b)
-    if not (_real(T_max) and math.isfinite(T_max) and T_max >= 20.0):
-        raise DomainError(f"T_max must be a finite real of at least 20, got {T_max!r}")
-    if not _int_at_least(resolution, 512):
-        raise DomainError(f"resolution must be an integer of at least 512, got {resolution!r}")
-    if resolution > MAX_PROFILE_CELLS:
-        raise DomainError(f"resolution {resolution} exceeds the cap of {MAX_PROFILE_CELLS}")
-    n = int(resolution)
+    b = _number(b, "weight exponent b", -1.0, 1.0)
+    n = _count(resolution, "resolution", 512, MAX_PROFILE_CELLS)
+    T_max = _number(T_max, f"T_max (at most resolution x the step cap {MAX_PROFILE_STEP})",
+                    20.0, n * MAX_PROFILE_STEP, "[]")
     h = T_max / n
-    if h > MAX_PROFILE_STEP:
-        raise DomainError(f"step T_max / resolution = {h:.4g} exceeds the cap of "
-                          f"{MAX_PROFILE_STEP}; raise the resolution or lower T_max")
     t, masses, a_inner = _profile_grid(b, T_max, n)
     hm = h * masses
     a0 = a_inner[0]
@@ -390,17 +378,18 @@ def extension_constant(b: float) -> float:
 def _fourier_sample(u, box_length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, uhat, |xi|) of a torus sample, the preamble of every Fourier-side check.
 
-    Refuses a non-finite sample (`InputError`), a box length that is not
-    positive and finite (`DomainError`) and a sample with energy at the
-    Nyquist shell (`InputError`).
+    Refuses a sample that is empty, non-finite or so large that its energy
+    leaves the float range (`InputError`), a box length whose powers leave
+    it (`DomainError`) and a sample with energy at the Nyquist shell
+    (`InputError`).
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise InputError("non-finite torus sample")
-    if not (box_length > 0 and math.isfinite(box_length)):
-        raise DomainError(f"box length must be positive and finite, got {box_length}")
-    u_hat = np.fft.fftn(u)
-    total = float(np.sum(np.abs(u_hat) ** 2))
+    u = _finite(u, "torus sample")
+    box_length = _radius(box_length, "box length", power=u.ndim + 4)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        u_hat = np.fft.fftn(u) if u.size else u
+        total = float(np.sum(np.abs(u_hat) ** 2))
+    if not (u.ndim and u.size and math.isfinite(total)):
+        raise InputError(f"torus sample of shape {u.shape} is empty or too large")
     mask = np.zeros(u.shape, dtype=bool)
     for axis, n in enumerate(u.shape):
         if n % 2 == 0:
@@ -436,20 +425,16 @@ def build_extension(
     defaults to the closed form `BesselProfile`.  phi is elementwise, so each
     level evaluates it once per distinct |xi| and gathers the multiplier.
     """
+    t_levels = _number(_finite(t_levels, "t levels", shape=(None,), nonfinite=False), "t levels",
+                       0.0, ends="[)", array=True)
     u, u_hat, xi = _fourier_sample(u, box_length)
-    t_levels = np.asarray(t_levels, dtype=float)
-    if t_levels.ndim != 1:
-        raise InputError(f"t levels must be a 1-D list, got shape {t_levels.shape}")
-    if not np.all(np.isfinite(t_levels)):
-        raise DomainError("t levels must be finite")
-    if np.any(t_levels < 0):
-        raise DomainError("t levels must be nonnegative")
     prof = profile or BesselProfile(params.b)
     xi_distinct, where = np.unique(xi, return_inverse=True)
     where = where.reshape(xi.shape)
     out = np.empty((t_levels.size,) + u.shape)
-    for i, tl in enumerate(t_levels):
-        out[i] = np.real(np.fft.ifftn(u_hat * prof.phi_at(xi_distinct * tl)[where]))
+    with np.errstate(over="ignore"):   # |xi| t past the float range: phi(inf) = 0
+        for i, tl in enumerate(t_levels):
+            out[i] = np.real(np.fft.ifftn(u_hat * prof.phi_at(xi_distinct * tl)[where]))
     return out
 
 
@@ -470,12 +455,11 @@ def extension_energy_identity(
     Agreement certifies the isometry property of the construction up to
     torus truncation and quadrature error.
     """
+    t_max = _radius(t_max, "t_max", power=2.0)
+    x, w = gauss_jacobi(n_t, params.b)
     u, u_hat, xi = _fourier_sample(u, box_length)
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise DomainError(f"t_max must be positive and finite, got {t_max}")
     prof = profile or BesselProfile(params.b)
     n_total = u.size
-    x, w = gauss_jacobi(n_t, params.b)
     t_nodes, t_weights = t_max * x, t_max ** (params.b + 1.0) * w
     cell = (box_length / u.shape[0]) ** params.N
     # zeta is elementwise, so it is evaluated once per distinct |xi| and gathered
@@ -511,9 +495,8 @@ def trace_laplacian_check(
     exceeds 5%.  By default it runs on the finite-volume profile: on the
     closed form the check would be exact and would measure nothing.
     """
+    n_shells = _count(n_shells, "shell count")
     u, u_hat, xi = _fourier_sample(u, box_length)
-    if not _int_at_least(n_shells, 1):
-        raise DomainError(f"shell count must be an integer >= 1, got {n_shells!r}")
     prof = profile or _cached_profile(params.b)
     power = np.abs(u_hat) ** 2
     mask = (xi > 0) & (power > 1e-20 * power.max())
@@ -529,8 +512,8 @@ def trace_laplacian_check(
         estimates.append(-zeta0)
     estimates = np.asarray(estimates)
     kappa = float(np.mean(estimates))
-    spread = float((estimates.max() - estimates.min()) / abs(kappa))
-    if spread > 0.05:
+    spread = float((estimates.max() - estimates.min()) / abs(kappa)) if kappa else math.inf
+    if not spread <= 0.05:   # a NaN spread is no agreement
         raise TraceProportionalityError(
             f"trace ratio spread {spread:.2%} exceeds 5%: not proportional"
         )

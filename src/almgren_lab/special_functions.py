@@ -15,30 +15,9 @@ import math
 
 import numpy as np
 
-from .core import DomainError, SolverError, WeightParams, _int_at_least
+from .core import DomainError, SolverError, WeightParams, _count, _number
 
 _SERIES_CUTOFF = 0.5
-
-
-def _order_value(nu) -> float:
-    """nu as a float, refused unless |nu| < 1; the basis order is nu = -alpha = -(1-b)/2."""
-    nu = float(nu)
-    if not abs(nu) < 1.0:
-        raise DomainError(f"Bessel order must satisfy |nu| < 1, got {nu}")
-    return nu
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _argument(t) -> np.ndarray:
-    """t as a float array, refused unless finite and nonnegative."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
-        raise DomainError("argument t must be finite and nonnegative")
-    return t_arr
 
 
 def bessel_j(nu, t):
@@ -49,8 +28,8 @@ def bessel_j(nu, t):
     """
     from scipy.special import jv
 
-    nu = _order_value(nu)
-    t_arr = _argument(t)
+    nu = _number(nu, "Bessel order nu", -1.0, 1.0)
+    t_arr = _number(t, "argument t", 0.0, ends="[)", array=True)
     if nu < 0 and np.any(t_arr == 0.0):
         raise DomainError(
             "J_nu(0) diverges for nu < 0; use bessel_h for the t^alpha-regularized value"
@@ -80,8 +59,8 @@ def bessel_h(alpha: float, t):
     """
     from scipy.special import jv
 
-    _check_alpha(alpha)
-    t_arr = np.atleast_1d(_argument(t))
+    alpha = _number(alpha, "alpha", 0.0, 1.0)
+    t_arr = np.atleast_1d(_number(t, "argument t", 0.0, ends="[)", array=True))
     out = np.empty_like(t_arr)
     small = t_arr < _SERIES_CUTOFF
     if np.any(small):
@@ -96,8 +75,8 @@ def bessel_h_deriv(alpha: float, t):
     """h'(t) = -t^alpha J_{1-alpha}(t); vanishes at t = 0."""
     from scipy.special import jv
 
-    _check_alpha(alpha)
-    t_arr = _argument(t)
+    alpha = _number(alpha, "alpha", 0.0, 1.0)
+    t_arr = _number(t, "argument t", 0.0, ends="[)", array=True)
     out = -(t_arr ** alpha) * jv(1.0 - alpha, t_arr)
     return float(out) if np.isscalar(t) else out
 
@@ -150,10 +129,8 @@ def bessel_zero(nu, m: int) -> float:
     2.2e-15, and zeros are strictly increasing in m.  scipy.special is
     imported on first use.
     """
-    nu = _order_value(nu)
-    if not _int_at_least(m, 1):
-        raise DomainError(f"zero index m must be a positive integer, got {m!r}")
-    return float(_bessel_zeros(nu, [int(m)])[0])
+    return float(_bessel_zeros(_number(nu, "Bessel order nu", -1.0, 1.0),
+                               [_count(m, "zero index m")])[0])
 
 
 def radial_norm_gamma(params: WeightParams, m: int) -> float:

@@ -35,7 +35,10 @@ from .core import (
     DomainError,
     InputError,
     WeightParams,
-    _real,
+    _LOG_RANGE,
+    _finite,
+    _number,
+    _radius,
 )
 from .hemisphere import SpectralMode, sigma_exponents, sphere_harmonic_value
 
@@ -62,7 +65,7 @@ def k_constant(params: WeightParams, mode) -> float:
     """Resonance constant K at sigma_plus of a mode, or of an eigenvalue mu."""
     if isinstance(mode, SpectralMode):
         return _resonance(params, mode.sigma_plus)
-    return _resonance(params, sigma_exponents(params, float(mode))[0])
+    return _resonance(params, sigma_exponents(params, mode)[0])
 
 
 def _radial_parts(coefs, r):
@@ -115,14 +118,6 @@ class SeparableSolution:
         table.flags.writeable = False
         return table
 
-    def _check_radii(self, radii) -> np.ndarray:
-        """The radii as a float array; DomainError for the first outside (0, R] (R to roundoff)."""
-        r = np.asarray(radii, dtype=float)
-        outside = ~((r > 0.0) & (r <= self.R * (1 + 1e-12)))
-        if np.any(outside):
-            raise DomainError(f"radius {r.flat[np.argmax(outside)]} outside (0, {self.R}]")
-        return r
-
 
 def synthesize(params: WeightParams, spec, modes=None) -> SeparableSolution:
     """Build an exact solution pair from (mode, c1, d1) triples.
@@ -136,26 +131,25 @@ def synthesize(params: WeightParams, spec, modes=None) -> SeparableSolution:
     all vanish raises `DomainError`, since the zero solution has no frequency.
     """
     resolved: dict[tuple, Term] = {}
-    for entry in spec:
+    for entry in spec if isinstance(spec, (list, tuple)) else [spec]:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
             raise InputError(f"a synthesis entry is a triple (mode, c1, d1), got {entry!r}")
         mode, c1, d1 = entry
-        if not (_real(c1) and _real(d1) and math.isfinite(c1) and math.isfinite(d1)):
-            raise InputError(f"coefficients must be finite real numbers, got {c1!r}, {d1!r}")
+        c1, d1 = (float(_finite(c, "coefficient", shape=())) for c in (c1, d1))
         if isinstance(mode, (int, np.integer)):
             if modes is None:
                 raise InputError("integer mode references require the modes list")
             if not 0 <= mode < len(modes):
                 raise InputError(f"mode index {mode} is out of range for {len(modes)} modes")
             mode = modes[int(mode)]
-        if mode.params != params:
-            raise InputError("mode parameters do not match the synthesis parameters")
+        if not (isinstance(mode, SpectralMode) and mode.params == params):
+            raise InputError("a synthesis entry's mode is not a mode of the synthesis parameters")
         key = (mode.ell, mode.k, mode.mu)
         if key in resolved:
             prev = resolved[key]
-            resolved[key] = Term(mode=prev.mode, c1=prev.c1 + float(c1), d1=prev.d1 + float(d1))
+            resolved[key] = Term(mode=prev.mode, c1=prev.c1 + c1, d1=prev.d1 + d1)
         else:
-            resolved[key] = Term(mode=mode, c1=float(c1), d1=float(d1))
+            resolved[key] = Term(mode=mode, c1=c1, d1=d1)
     terms = tuple(sorted(resolved.values(), key=lambda t: (t.sigma, t.mode.k)))
     if all(t.c1 == 0.0 and t.d1 == 0.0 for t in terms):
         raise DomainError("all coefficients vanish: the zero solution has no frequency")
@@ -192,10 +186,13 @@ def _point_values(sol: SeparableSolution, rho, angle, chi=0.0):
 
 
 def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0) -> EvalResult:
-    """(U, V) and their gradients (d/dr, (1/r) d/dpsi) at one point: `_point_values`, checked."""
-    sol._check_radii(r)
-    if not all(np.ndim(v) == 0 and np.isfinite(v) for v in (r, psi, chi)):
-        raise InputError(f"the point must be three finite numbers, got {r!r}, {psi!r}, {chi!r}")
+    """(U, V) and their gradients (d/dr, (1/r) d/dpsi) at one point: `_point_values`, checked.
+
+    The angles psi and chi lie in [-2 pi, 2 pi]."""
+    _finite([r, psi, chi], "point (r, psi, chi)", shape=(3,))
+    r = _radius(r, at_most=sol.R)
+    psi, chi = (_number(a, name, -2.0 * math.pi, 2.0 * math.pi, "[]")
+                for a, name in ((psi, "angle psi"), (chi, "angle chi")))
     (U, V), (dUr, dVr), (dUp, dVp) = np.array(_point_values(sol, r, psi, chi), float).tolist()
     return EvalResult(U=U, V=V, grad_U=(dUr, dUp / r), grad_V=(dVr, dVp / r))
 
@@ -211,7 +208,7 @@ def fourier_coefficient(sol: SeparableSolution, mode: SpectralMode,
     from their kept Gauss samples, so the blow-up samples of one synthesis
     evaluate each profile once; only the radial weights change with lam.
     """
-    sol._check_radii(lam)
+    lam = _radius(lam, at_most=sol.R)
     block = [i for i, t in enumerate(sol.terms) if t.mode.k == mode.k]
     terms = [sol.terms[i] for i in block]
     if not terms:
@@ -244,25 +241,23 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
                residual_tol: float = 1e-3) -> CoefficientFit:
     """Least-squares fit of (c1, d1) over candidate exponents; classifies delta.
 
-    `samples` is an iterable of (lambda, phi, phi~) rows covering at least six
-    radii spanning a decade.  For each candidate sigma the model is linear in
+    `samples` is an array of (lambda, phi, phi~) rows covering at least six
+    positive radii spanning a decade.  For each candidate sigma the model is linear in
     (c1, d1/K), with K that of sigma itself; the candidate with minimal
     relative residual wins.  When
     phi~ vanishes on every sample, a fit of phi by lam^sigma alone (d1 = 0)
     is preferred whenever one meets `residual_tol`.  If every
     candidate leaves a relative residual above `residual_tol` a
-    ClassificationError reports the failure.
+    ClassificationError reports the failure.  A candidate whose squared
+    column lam^(2 sigma) or lam^(2 sigma + 4) overflows raises DomainError.
     """
-    data = np.asarray(list(samples), dtype=float)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise InputError("samples must be rows (lambda, phi, phi_tilde)")
-    lam, phi, phit = data[:, 0], data[:, 1], data[:, 2]
-    if lam.size < 6:
+    data = _finite(samples, "samples (lambda, phi, phi_tilde)", shape=(None, 3))
+    if data.shape[0] < 6:
         raise DomainError("need at least 6 radii")
+    lam, phi, phit = _radius(data[:, 0], "sample radius", array=True), data[:, 1], data[:, 2]
     if lam.max() / lam.min() < 9.99:
         raise DomainError("radii must span at least a decade")
-    if not np.all(np.isfinite(data)):
-        raise InputError("non-finite sample")
+    residual_tol = _number(residual_tol, "residual tolerance", 0.0)
     scale = float(np.max(np.abs(np.column_stack([phi, phit]))))
     if scale == 0.0:
         raise DomainError("all samples vanish; nothing to classify")
@@ -270,9 +265,15 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     keep = np.abs(phi) >= 1e-13 * scale
     keep_v = np.abs(phit) >= 1e-13 * scale
     total = float(phi @ phi) + float(phit @ phit)
-    sigmas = np.array(sorted(set(float(s) for s in sigma_candidates)))
-    if sigmas.size == 0 or not np.all(np.isfinite(sigmas)):
-        raise InputError(f"sigma candidates must be finite numbers, got {sigmas.tolist()}")
+    # the squared columns lam^(2 sigma) and lam^(2 sigma + 4) stay below the float range
+    # (a column that underflows to 0 is fitted with coefficient 0)
+    lo, hi = np.log(lam.min()), np.log(lam.max())
+    low = _LOG_RANGE / (2.0 * lo) if lo < 0 else -math.inf
+    high = _LOG_RANGE / (2.0 * hi) - 2.0 if hi > 0 else math.inf
+    sigmas = np.unique(_number(_finite(sigma_candidates, "sigma candidates", shape=(None,)),
+                               "sigma candidates", low, high, array=True))
+    if sigmas.size == 0:
+        raise InputError("sigma candidates must be a non-empty list")
     lam_u, phi_u = lam[keep], phi[keep]
 
     def one_column(a, y):

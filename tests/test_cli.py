@@ -606,6 +606,16 @@ def test_malformed_cli_numbers_exit_2(tmp_path, capsys, case):
     assert captured.err.startswith("error: ") and named in captured.err
 
 
+@pytest.mark.parametrize("which", ["hardy", "rellich", "sobolev"])
+def test_reference_radius_past_the_float_range_exits_2(capsys, which):
+    # the margins' powers of R overflowed: a raw OverflowError and a traceback
+    code = run(["check-inequalities", "--which", which, "--R", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "reference radius R" in captured.err
+
+
 # One fresh interpreter runs these steps in order and records the scipy
 # modules loaded once each has run.  Their footprints nest: the closed forms,
 # the profile solve and the Gauss-Jacobi rules of the inequalities load none,

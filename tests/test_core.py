@@ -232,6 +232,28 @@ _MALFORMED = {
         _P, [(hemisphere.polynomial_mode(_P, 0), "1.0", 0.0)]),
     "input-eval-nan-angle": lambda: synthesis.eval_solution(_solution(), 0.5, math.nan),
     "input-eval-two-radii": lambda: synthesis.eval_solution(_solution(), [0.5, 0.4], 0.3),
+    # radii whose powers leave the float range: raw OverflowErrors, or inf from the sphere sum
+    "halfball-huge-radius": lambda: integrate_halfball(ONE, _P, 1e308),
+    "halfsphere-huge-radius": lambda: integrate_halfsphere(lambda a: np.cos(a), _P, 1e308),
+    "hardy-huge-radius": lambda: inequalities.check_hardy_trace(
+        _P, inequalities.GaussianBumps([(1.0, 0.3, 0.2)]), 1e308),
+    "rellich-huge-radius": lambda: inequalities.check_hardy_rellich(
+        WeightParams(s=1.25, N=3), inequalities.CutoffField(
+            inequalities.GaussianBumps([(1.0, 0.25, 0.18)], mirrored=True), 0.8), 1e308),
+    "sobolev-huge-radius": lambda: inequalities.estimate_sobolev_trace_constant(
+        _P, inequalities.TestFamily(_P, count=1), 1e308),
+    "cutoff-huge-radius": lambda: inequalities.CutoffField(
+        inequalities.QuadraticField(1.0, 0.0, 0.0), 1e308),
+    # huge but finite values: a RuntimeWarning, a raw OverflowError, or a
+    # p = inf that passed the p > -1 gate
+    "eval-huge-angle": lambda: synthesis.eval_solution(_solution(), 0.3, 1e308),
+    "moment-huge-exponent": lambda: weighted_angular_moment(1.0, 1e308),
+    "gauss-jacobi-inf-exponent": lambda: gauss_jacobi(8, math.inf),
+    "angular-grid-inf-exponent": lambda: AngularGrid1D.gauss(1, math.inf, 8),
+    # an empty sample reached the FFT; a huge one overflowed in it
+    "input-extension-empty-sample": lambda: profile.build_extension(_P, [], [0.0]),
+    "input-extension-huge-sample": lambda: profile.build_extension(_P, np.full(8, 1e308),
+                                                                   [0.0]),
 }
 # the weight exponent b in (-1, 1) and the regularized order alpha in (0, 1),
 # each behind one gate: NaN, both infinities and both endpoints fail it

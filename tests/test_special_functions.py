@@ -18,9 +18,10 @@ from almgren_lab.special_functions import bessel_h_deriv
 
 @pytest.mark.parametrize("nu", [1.0, -1.0, 1.5, math.nan])
 def test_order_domain(nu):
-    with pytest.raises(DomainError, match=r"\|nu\| < 1"):
+    refusal = r"Bessel order nu must be a finite real number in \(-1, 1\)"
+    with pytest.raises(DomainError, match=refusal):
         bessel_j(nu, 1.0)
-    with pytest.raises(DomainError, match=r"\|nu\| < 1"):
+    with pytest.raises(DomainError, match=refusal):
         bessel_zero(nu, 1)
 
 
