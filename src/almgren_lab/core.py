@@ -118,26 +118,30 @@ def _values(x, name: str, array: bool):
     return float(x) if _is_real(x) else math.nan
 
 
-def _first_outside(x, v, ok):
-    """The value to name in a refusal: the first entry of an array v not `ok`, or x."""
-    return float(v.flat[np.argmin(ok)]) if isinstance(v, np.ndarray) else (
-        v if _is_real(x) else x)
+def _outside(x, v, ok) -> str | None:
+    """None if every entry is `ok`, else the repr to name in the refusal: of the first
+    entry of an array v not `ok`, or of x."""
+    if isinstance(v, np.ndarray):
+        return None if ok.all() else repr(float(v.flat[np.argmin(ok)]))
+    return None if ok else repr(v if _is_real(x) else x)
 
 
 def _number(x, name: str, low: float = -math.inf, high: float = math.inf, ends: str = "()",
-            array: bool = False):
+            array: bool = False, error=DomainError):
     """x as a float in the interval from low to high with the given `ends` ("()", "[)",
     "(]" or "[]"); with `array`, an array of such numbers is a float array.
 
     A value that is not a real number (or is a bool) or lies outside raises
-    `DomainError`; an array entry that is not a real number, `InputError`."""
+    `error`, `DomainError` unless the caller names another; an array entry
+    that is not a real number, `InputError`."""
     v = _values(x, name, array)
     ok = (low <= v if ends[0] == "[" else low < v) & (v <= high if ends[1] == "]" else v < high)
-    if not np.all(ok):
+    bad = _outside(x, v, ok)
+    if bad is not None:
         kind = "a real number" if ends[1] == "]" and high == math.inf else "a finite real number"
         bounded = -low < math.inf or high < math.inf
         where = f" in {ends[0]}{low:g}, {high:g}{ends[1]}" if bounded else ""
-        raise DomainError(f"{name} must be {kind}{where}, got {_first_outside(x, v, ok)!r}")
+        raise error(f"{name} must be {kind}{where}, got {bad}")
     return v
 
 
@@ -164,12 +168,12 @@ def _radius(r, name: str = "radius", at_most: float | None = None, power: float 
     ok = (x > math.exp(-span)) & (x < math.exp(span))
     if at_most is not None:
         ok &= x <= at_most * (1 + 1e-12)
-    if not np.all(ok):
-        bad = _first_outside(r, x, ok)
+    bad = _outside(r, x, ok)
+    if bad is not None:
         if at_most is not None:
             raise DomainError(f"{name} {bad} outside (0, {at_most}]")
         raise DomainError(f"{name} must be positive and finite, its +-{power:g} powers "
-                          f"within the float range, got {bad!r}")
+                          f"within the float range, got {bad}")
     return x
 
 
@@ -185,12 +189,12 @@ def _finite(values, name: str = "field sample", shape: tuple | None = None,
     except ValueError:   # a ragged nest of lists
         raise InputError(f"{name} must be an array of real numbers") from None
     if arr.dtype.kind not in "iuf":
-        raise InputError(f"{name} must be an array of real numbers, got {arr.dtype} entries")
+        raise InputError(f"{name} must hold real numbers, got entries of dtype {arr.dtype}")
     if shape is not None and arr.shape != shape and not (
             arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))):
         raise InputError(f"{name} has the wrong shape {arr.shape}")
     arr = arr.astype(float, copy=False)
-    if nonfinite and not np.all(np.isfinite(arr)):
+    if nonfinite and not np.isfinite(arr).all():
         raise InputError(f"non-finite {name}")
     return arr
 

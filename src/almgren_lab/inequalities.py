@@ -99,8 +99,10 @@ class GaussianBumps(_Field):
     """
 
     def __init__(self, components, mirrored: bool = False):
-        self.components = [(a, c, _radius(w, "bump width", power=2.0)) for a, c, w in
-                           _finite(components, "bump components", shape=(None, 3)).tolist()]
+        self.components = [
+            (_number(a, "bump amplitude"), _number(c, "bump centre"),
+             _radius(w, "bump width", power=2.0))
+            for a, c, w in _finite(components, "bump components", (None, 3), False).tolist()]
         self.mirrored = mirrored
 
     def _eval(self, points, params=None):

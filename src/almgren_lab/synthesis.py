@@ -135,7 +135,7 @@ def synthesize(params: WeightParams, spec, modes=None) -> SeparableSolution:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
             raise InputError(f"a synthesis entry is a triple (mode, c1, d1), got {entry!r}")
         mode, c1, d1 = entry
-        c1, d1 = (float(_finite(c, "coefficient", shape=())) for c in (c1, d1))
+        c1, d1 = (_number(c, "coefficient", error=InputError) for c in (c1, d1))
         if isinstance(mode, (int, np.integer)):
             if modes is None:
                 raise InputError("integer mode references require the modes list")
@@ -189,8 +189,8 @@ def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0
     """(U, V) and their gradients (d/dr, (1/r) d/dpsi) at one point: `_point_values`, checked.
 
     The angles psi and chi lie in [-2 pi, 2 pi]."""
-    _finite([r, psi, chi], "point (r, psi, chi)", shape=(3,))
-    r = _radius(r, at_most=sol.R)
+    r = _radius(r, at_most=sol.R, array=True)   # more than one radius fails the point's shape
+    r = float(_finite([r, psi, chi], "point (r, psi, chi)", shape=(3,))[0])
     psi, chi = (_number(a, name, -2.0 * math.pi, 2.0 * math.pi, "[]")
                 for a, name in ((psi, "angle psi"), (chi, "angle chi")))
     (U, V), (dUr, dVr), (dUp, dVp) = np.array(_point_values(sol, r, psi, chi), float).tolist()
