@@ -25,9 +25,9 @@ Every argument of a public entry point passes one of four raising
 predicates at entry, each returning the converted value: `_number` (a real
 scalar in a stated range), `_count` (an integer, not a bool, at or above a
 floor), `_radius` (positive, with its powers in the float range, optionally
-at most R) and `_finite` (a finite float array of a stated ndim or shape).
-A scalar of the wrong type or range raises `DomainError`; a wrong shape or
-a bad entry of an array raises `InputError`.
+at most R) and `_finite` (a finite float array of a stated shape).  A
+scalar of the wrong type or range raises `DomainError`; a wrong shape or a
+bad entry of an array, list or file raises `InputError`.
 
 The finite-volume cross-checks interpolate their samples with one private
 not-a-knot spline, `_CubicSpline`.

@@ -296,7 +296,7 @@ def _finite_output(text: str) -> bool:
 @example(case=("check-inequalities", ["--which", "hardy", "--R", "1e308"], None))
 @example(case=("check-inequalities", ["--which", "rellich", "--R", "1e308"], None))
 @example(case=("check-inequalities", ["--which", "sobolev", "--R", "1e308"], None))
-def test_every_command_line_exits_0_with_finite_output_or_2_with_one_error_line(cli_files, case):
+def test_every_command_line_exits_0_with_finite_output_or_refuses_in_one_line(cli_files, case):
     command, tail, config = case
     tail = [str(cli_files / a[1:]) if a.startswith("@") else a for a in tail]
     if config is not None:
