@@ -38,24 +38,13 @@ _NUMERIC_FAILURES = (
 )
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than `low`."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    parse.__name__ = "int"   # argparse names the type in "invalid int value"
-    return parse
-
-
 # The options a config file may set, keyed by name; each is the flag --name.
 _OPTIONS = {
     "s": {"type": float, "default": 1.5, "help": "order s in (1, 2)"},
     "N": {"type": int, "default": 1, "help": "spatial dimension"},
     "R": {"type": float, "default": 1.0, "help": "reference radius"},
     "resolution": {"type": int, "default": 16384, "help": "profile grid cells"},
-    "seed": {"type": _int_at_least(0), "default": 0, "help": "test-family seed"},
+    "seed": {"type": int, "default": 0, "help": "test-family seed"},
     "out": {"help": "output directory"},
 }
 
@@ -151,6 +140,7 @@ def _cmd_cylinder_spectrum(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    _count(args.samples, "--samples")
     if args.b is None:
         _number(args.s, "--s", 1.0, 2.0)
     # --b round-trips through s as WeightParams.from_b does; solve_profile checks its range
@@ -320,6 +310,7 @@ def _cmd_almgren(args) -> int:
 
 
 def _cmd_check_inequalities(args) -> int:
+    _count(args.count, "--count")
     params = WeightParams(s=args.s, N=args.N, R=args.R)
     if args.which == "hardy":
         family = inequalities.TestFamily(params=params, kind="bumps",
@@ -347,6 +338,7 @@ def _cmd_check_inequalities(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    _count(args.seed, "--seed", 0)   # before any check prints
     checks = []
 
     def record(name, ok, detail=""):
@@ -412,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--b", type=float, default=None,
                        help="weight exponent b = 3 - 2s (instead of --s)")
     p.add_argument("--t-max", type=float, default=24.0)
-    p.add_argument("--samples", type=_int_at_least(1), default=64)
+    p.add_argument("--samples", type=int, default=64)
 
     p = command("extend", _cmd_extend, "extend a torus sample from CSV", "s")
     _add_options(p, "N", default=None, help="spatial dimension: the CSV's coordinate columns")
@@ -432,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check-inequalities", _cmd_check_inequalities, "verify weighted inequalities",
                 "s", "N", "R", "seed")
     p.add_argument("--which", choices=["hardy", "rellich", "sobolev"], required=True)
-    p.add_argument("--count", type=_int_at_least(1), default=20)
+    p.add_argument("--count", type=int, default=20)
 
     command("selftest", _cmd_selftest, "run the quick invariant suite", "seed")
     return parser
