@@ -244,6 +244,10 @@ _MALFORMED = {
         _P, inequalities.TestFamily(_P, count=1), 1e308),
     "cutoff-huge-radius": lambda: inequalities.CutoffField(
         inequalities.QuadraticField(1.0, 0.0, 0.0), 1e308),
+    # finite radii whose powers overflow: r^(N + b + 1) past the float range
+    "halfball-overflowing-radius": lambda: integrate_halfball(ONE, _P, 1e200),
+    "hardy-overflowing-radius": lambda: inequalities.check_hardy_trace(
+        _P, inequalities.GaussianBumps([(1.0, 0.3, 0.2)]), 1e200),
     # huge but finite values: a RuntimeWarning, a raw OverflowError, or a
     # p = inf that passed the p > -1 gate
     "eval-huge-angle": lambda: synthesis.eval_solution(_solution(), 0.3, 1e308),
@@ -254,6 +258,8 @@ _MALFORMED = {
     "input-extension-empty-sample": lambda: profile.build_extension(_P, [], [0.0]),
     "input-extension-huge-sample": lambda: profile.build_extension(_P, np.full(8, 1e308),
                                                                    [0.0]),
+    # a string argument was read as the number it spells
+    "input-bessel-string-argument": lambda: special_functions.bessel_j(0.5, "1"),
 }
 # the weight exponent b in (-1, 1) and the regularized order alpha in (0, 1),
 # each behind one gate: NaN, both infinities and both endpoints fail it
