@@ -61,6 +61,14 @@ _MAX_EXPONENT = 1e150
 # its node count, the only part of that rule that depends on the exponent.
 SPLIT_POINT = 0.25
 SPLIT_HEAD_NODES = 32
+# `_Tridiagonal`: the most unknowns whose Schur complement it diagonalizes
+# densely, once a shift has made its pivots indefinite.
+_COARSE_UNKNOWNS = 512
+_DOMINANCE = 0.5
+# ... and the least pivot size there, in units of its scaled rows.
+_LEAST_PIVOT = float(np.finfo(float).eps) ** 2
+# `_CubicSpline`: the slopes at each end it solves row by row, as LAPACK does.
+_SPLINE_END_ROWS = 16
 
 
 class AlmgrenLabError(Exception):
@@ -344,42 +352,214 @@ def _sinc_ratio(u: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Tridiagonal:
+    """Tridiagonal T, one per row of a leading batch axis, factored by odd-even cyclic reduction.
+
+    Row i of T is lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1]; lower[0]
+    and upper[-1] must be 0.  `lower` and `upper` broadcast against `diag`,
+    of shape (n,) or (batch, n).  Each level eliminates the even-numbered
+    unknowns, whose diagonals are the level's pivots, and leaves the odd ones
+    a tridiagonal Schur complement: odd row o takes
+    diag[o] - a_o upper[o-1] - c_o lower[o+1] and the couplings
+    -a_o lower[o-1] and -c_o upper[o+1], with the multipliers
+    a_o = lower[o] / diag[o-1] and c_o = upper[o] / diag[o+1].
+    floor(log2 n) + 1 levels eliminate all, and each keeps its pivots and
+    multipliers.  This is Gaussian elimination without pivoting in the
+    levels' order: stable while the pivots are positive, as for a diagonally
+    dominant T with a positive diagonal or a positive definite one (Cholesky
+    in that order).  For a symmetric T it is the congruence L D L^T, so by
+    Sylvester's law of inertia `negatives` is the count of negative
+    eigenvalues (Parlett, The Symmetric Eigenvalue Problem, 3.3).
+
+    A symmetric T shifted into its spectrum is indefinite: a pivot can come
+    near 0 (a shift near an eigenvalue of the unknowns eliminated so far) and
+    blow up the levels after it.  So once at most _COARSE_UNKNOWNS unknowns
+    are left and a level's pivots do not all exceed _DOMINANCE times their
+    rows' couplings (which bounds its multipliers by 1 / _DOMINANCE), the
+    Schur complement left, scaled symmetrically by its rows' absolute sums,
+    is solved row by row with partial pivoting (`_eliminate_rows`) and its
+    inertia counted by the Sturm recurrence.  In both a pivot below eps^2 in
+    size is taken as -eps^2, as LAPACK's bisection and inverse iteration
+    perturb theirs, so a shift at an eigenvalue gives a large finite
+    solution, not a division by zero.
+    """
+
+    def __init__(self, lower, diag, upper):
+        self.levels = []
+        self.coarse = None
+        while diag.shape[-1]:
+            pivots, odd = diag[..., 0::2], diag[..., 1::2]
+            low, up = lower[..., 0::2], upper[..., 0::2]
+            if diag.shape[-1] <= _COARSE_UNKNOWNS and not np.all(
+                    pivots > _DOMINANCE * (np.abs(low) + np.abs(up))):
+                sums = np.abs(lower) + np.abs(diag) + np.abs(upper)
+                scale = 1.0 / np.sqrt(np.where(sums > 0.0, sums, 1.0))
+                self.coarse = (lower * scale * np.roll(scale, 1, axis=-1), diag * scale * scale,
+                               upper * scale * np.roll(scale, -1, axis=-1), scale)
+                break
+            m, k = odd.shape[-1], pivots.shape[-1] - 1     # odd rows; those with a right pivot
+            a = lower[..., 1::2] / pivots[..., :m]
+            c = upper[..., 1:2 * k:2] / pivots[..., 1:]
+            diag = odd - a * up[..., :m]
+            diag[..., :k] -= c * low[..., 1:]
+            lower = -a * low[..., :m]
+            upper = np.zeros_like(diag)
+            upper[..., :k] = -c * up[..., 1:]
+            self.levels.append((pivots, low, up, a, c))
+
+    @property
+    def negatives(self) -> np.ndarray:
+        """The count of negative eigenvalues of a symmetric T, per batch row."""
+        count = sum(np.count_nonzero(pivots < 0.0, axis=-1) for pivots, *_ in self.levels)
+        if self.coarse is not None:
+            lower, diag, upper, _ = self.coarse
+            d = diag[..., 0]
+            for i in range(diag.shape[-1]):
+                if i:
+                    d = diag[..., i] - lower[..., i] * upper[..., i - 1] / d
+                d = np.where(np.abs(d) < _LEAST_PIVOT, -_LEAST_PIVOT, d)
+                count = count + (d < 0.0)
+        return count
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with T x = r, for r broadcasting against T's batch shape."""
+        down = []
+        for pivots, _, _, a, c in self.levels:
+            z = r[..., 0::2]
+            r = r[..., 1::2] - a * z[..., :a.shape[-1]]
+            r[..., :c.shape[-1]] -= c * z[..., 1:]
+            down.append(z)
+        x = r
+        if self.coarse is not None:
+            *rows, scale = (np.broadcast_to(v, r.shape).reshape(-1, r.shape[-1])
+                            for v in self.coarse)
+            x = scale * [_eliminate_rows(*row, least=_LEAST_PIVOT)
+                         for row in zip(*rows, (scale * r.reshape(scale.shape)))]
+            x = x.reshape(r.shape)
+        # pivot e: x_e = (z_e - lower[e] x_odd[e-1] - upper[e] x_odd[e]) / pivot_e
+        for (pivots, low, up, a, _), z in zip(reversed(self.levels), reversed(down)):
+            m, k = a.shape[-1], pivots.shape[-1] - 1
+            full = np.empty(z.shape[:-1] + (k + 1 + m,))
+            xe = full[..., 0::2]
+            xe[...] = z
+            xe[..., :m] -= up[..., :m] * x
+            xe[..., 1:] -= low[..., 1:] * x[..., :k]
+            xe /= pivots
+            full[..., 1::2] = x
+            x = full
+        return x
+
+
+def _eliminate_rows(lower, diag, upper, rhs, least: float = 0.0) -> list[float]:
+    """x with T x = rhs for one short tridiagonal T, row by row with partial pivoting.
+
+    The operations, and so the rounding, of LAPACK's gtsv: a row swap when
+    the subdiagonal entry outweighs the pivot, whose fill-in takes the place
+    of the eliminated subdiagonal entry.  Rows as in `_Tridiagonal`.  A
+    pivot below `least` in size is taken as -least.
+    """
+    low, d, up, b = lower[1:].tolist(), diag.tolist(), upper[:-1].tolist(), rhs.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(low[i]):
+            fact = low[i] / d[i] if low[i] else 0.0     # 0 / 0 in a decoupled row
+            d[i + 1] -= fact * up[i]
+            b[i + 1] -= fact * b[i]
+            low[i] = 0.0
+        else:                       # rows i and i + 1 change places
+            fact = d[i] / low[i]
+            d[i], d_next = low[i], d[i + 1]
+            d[i + 1] = up[i] - fact * d_next
+            if i < n - 2:
+                low[i] = up[i + 1]
+                up[i + 1] = -fact * low[i]
+            up[i] = d_next
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if least:
+        d = [v if abs(v) >= least else -least for v in d]
+    b[-1] /= d[-1]
+    if n > 1:
+        b[-2] = (b[-2] - up[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - up[i] * b[i + 1] - low[i] * b[i + 2]) / d[i]
+    return b
+
+
 class _CubicSpline:
     """Not-a-knot cubic spline through (x, y), the default of scipy's `CubicSpline`.
 
     The knot slopes solve the tridiagonal system for a continuous second
     derivative, closed at each end by a continuous third derivative across
     the second and last-but-one knots (de Boor, A Practical Guide to Splines,
-    ch. IV), in one `scipy.linalg.solve_banded` call.  Piece i is
+    ch. IV).  Those two end rows are not diagonally dominant, so each is
+    subtracted from its neighbour first: the interior rows left are strictly
+    dominant, and `_Tridiagonal` solves them without pivoting.
+
+    An end piece amplifies the rounding of its two slopes by 1/h^2 in its
+    cubic coefficient, and extrapolating it carries that out, so the
+    _SPLINE_END_ROWS slopes at each end are solved again row by row
+    (`_eliminate_rows`, LAPACK's gtsv as scipy's spline solves them) on
+    twice as many rows, the neighbour beyond taken from the reduction: that
+    neighbour's rounding dies out along the rows, and the end cubics round
+    as scipy's do.  Shorter systems are solved row by row alone.  Piece i is
     c[0] h^3 + c[1] h^2 + c[2] h + c[3] in h = x - x_i; the end pieces extend
     beyond the data.  The spline is linear in y, so scaling `c` scales it.
+    A 2-D y builds one spline per row on one factorization; index the result
+    for each.
     """
 
     def __init__(self, x, y):
-        from scipy.linalg import solve_banded
-
         x, y = _finite(x, "spline data"), _finite(y, "spline data")
-        if x.ndim != 1 or y.shape != x.shape or x.size < 4:
-            raise InputError(f"a cubic spline needs 1-D x and y of one length >= 4, "
+        if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != x.size or x.size < 4:
+            raise InputError(f"a cubic spline needs 1-D x and y (or rows y) of one length >= 4, "
                              f"got shapes {x.shape} and {y.shape}")
         dx = np.diff(x)
         if not np.all(dx > 0):
             raise InputError("spline abscissae must increase strictly")
         slope = np.diff(y) / dx
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        bands = np.zeros((3, x.size))       # upper, main and lower diagonal
-        bands[0, 1], bands[0, 2:] = d0, dx[:-1]
-        bands[1, 0], bands[1, 1:-1], bands[1, -1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
-        bands[2, :-2], bands[2, -2] = dx[1:], d1
-        rhs = np.empty(x.size)
-        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        s = solve_banded((1, 1), bands, rhs, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
-        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        n, d0, d1 = x.size, x[2] - x[0], x[-1] - x[-3]
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower, diag, upper, rhs = np.zeros(n), np.empty(n), np.zeros(n), np.empty(y.shape)
+        lower[1:-1], lower[-1] = dx[1:], d1
+        diag[0], diag[1:-1], diag[-1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
+        upper[0], upper[1:-1] = d0, dx[:-1]
+        rhs[..., 0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[..., 0]
+                       + dx[0] ** 2 * slope[..., 1]) / d0
+        rhs[..., 1:-1] = 3.0 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
+        rhs[..., -1] = (dx[-1] ** 2 * slope[..., -2]
+                        + (2.0 * d1 + dx[-1]) * dx[-2] * slope[..., -1]) / d1
+        rows, ends = 2 * _SPLINE_END_ROWS, _SPLINE_END_ROWS
+        s = np.empty(y.shape)
+        if n <= 2 * rows:
+            for b, out in zip(rhs.reshape(-1, n), s.reshape(-1, n)):
+                out[:] = _eliminate_rows(lower, diag, upper, b)
+        else:
+            # rows 1 and -2 less the end rows (multiplier 1): the diagonals
+            # 2 (dx[0] + dx[1]) - d0 = d0 and d1, and no end coupling
+            inner = diag[1:-1].copy()
+            inner[0], inner[-1] = d0, d1
+            b = rhs[..., 1:-1].copy()
+            b[..., 0] -= rhs[..., 0]
+            b[..., -1] -= rhs[..., -1]
+            s[..., 1:-1] = _Tridiagonal(np.append(0.0, lower[2:-1]), inner,
+                                        np.append(upper[1:-2], 0.0)).solve(b)
+            for b, out in zip(rhs.reshape(-1, n), s.reshape(-1, n)):
+                head, tail = b[:rows].copy(), b[-rows:].copy()
+                head[-1] -= upper[rows - 1] * out[rows]
+                tail[0] -= lower[-rows] * out[-rows - 1]
+                out[:ends] = _eliminate_rows(lower[:rows], diag[:rows], upper[:rows],
+                                             head)[:ends]
+                out[-ends:] = _eliminate_rows(lower[-rows:], diag[-rows:], upper[-rows:],
+                                              tail)[-ends:]
+        t = (s[..., :-1] + s[..., 1:] - 2.0 * slope) / dx
         self.x = x
-        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+        self.c = np.stack([t / dx, (slope - s[..., :-1]) / dx - t, s[..., :-1], y[..., :-1]])
+
+    def __getitem__(self, j: int) -> "_CubicSpline":
+        """Spline j of those built on the rows of a 2-D y."""
+        one = object.__new__(_CubicSpline)
+        one.x, one.c = self.x, self.c[:, j].copy()
+        return one
 
     def __call__(self, xp, nu: int = 0):
         """The value (nu = 0) or first derivative (nu = 1) at xp, by Horner on its piece."""
