@@ -265,6 +265,11 @@ class FrequencyTrace:
         return float(np.min(self.N + self.r ** 2 / (beta - 1.0)))
 
 
+# Most radii `radius_schedule` lays out: 8 MB of them.  Ten to the ninth per
+# decade asked numpy for 22.4 GiB and raised a raw MemoryError.
+_MAX_RADII = 10 ** 6
+
+
 def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
                     r_max: float | None = None) -> np.ndarray:
     top = _radius(_radius(R, "R") / 2.0 if r_max is None else r_max, "top radius")
@@ -273,6 +278,7 @@ def radius_schedule(R: float, per_decade: int = 64, decades: float = 3.0,
         count = int(round(per_decade * decades)) + 1
     except OverflowError:
         raise DomainError("per_decade * decades must be a finite number of radii") from None
+    count = _count(count, "radius count per_decade * decades + 1", 1, _MAX_RADII)
     return np.geomspace(top, _radius(top * 10.0 ** (-decades), "bottom radius"), count)
 
 

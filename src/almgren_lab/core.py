@@ -30,11 +30,12 @@ scalar of the wrong type or range raises `DomainError`; a wrong shape or a
 bad entry of an array, list or file raises `InputError`.
 
 The finite-volume cross-checks interpolate their samples with one private
-not-a-knot spline, `_CubicSpline`.
+not-a-knot spline, `_CubicSpline`, and solve their sector eigenproblems with
+one private batched tridiagonal kernel, `_Tridiagonal` (odd-even cyclic
+reduction that keeps its pivots, so a symmetric matrix's inertia too).
 
 The Gamma functions come from `math` (`_log_gamma_ratio`) and the Gauss
-rules from numpy's `eigh`; only `_CubicSpline` imports `scipy.linalg`, on its
-first spline, so importing this, or building a rule, loads no scipy.
+rules from numpy's `eigh`; the module imports no scipy.
 Rules are not changed after construction and every operation is pure.
 """
 
@@ -57,6 +58,8 @@ MAX_GAUSS_NODES = 2048
 # Largest Jacobi exponent p of a rule or moment: (2k + p)^2 and log Gamma of
 # the exponents stay in the float range.
 _MAX_EXPONENT = 1e150
+# `unit_sphere_area` takes the log-Gamma form past this dimension.
+_LOG_AREA_DIMENSION = 300
 # `split_gauss_jacobi`: the Jacobi-weighted head panel [0, SPLIT_POINT] and
 # its node count, the only part of that rule that depends on the exponent.
 SPLIT_POINT = 0.25
@@ -67,8 +70,8 @@ _COARSE_UNKNOWNS = 512
 _DOMINANCE = 0.5
 # ... and the least pivot size there, in units of its scaled rows.
 _LEAST_PIVOT = float(np.finfo(float).eps) ** 2
-# `_CubicSpline`: the slopes at each end it solves row by row, as LAPACK does.
-_SPLINE_END_ROWS = 16
+# `_CubicSpline`: the most knots whose slopes it solves row by row, as LAPACK does.
+_SPLINE_ROWS = 64
 
 
 class AlmgrenLabError(Exception):
@@ -113,6 +116,7 @@ class TraceProportionalityError(AlmgrenLabError):
 
 # |log r| below this keeps r and 1/r in the float range, normal numbers included
 _LOG_RANGE = math.log(sys.float_info.max) - 1.0
+_LN2 = math.log(2.0)
 
 
 def _is_real(x) -> bool:
@@ -272,9 +276,22 @@ def _log_gamma_ratio(x: float, y: float, d: float | None = None) -> float:
 
 
 def unit_sphere_area(dim: int) -> float:
-    """Surface measure of the unit sphere S^dim embedded in R^{dim+1}."""
+    """Surface measure of the unit sphere S^dim embedded in R^{dim+1}.
+
+    2 pi^h / Gamma(h), h = (dim + 1) / 2; past dimension _LOG_AREA_DIMENSION,
+    where Gamma(h) nears the float range (it overflows from dimension 343),
+    the exponential of its log-Gamma form.  From dimension 438 on the area is
+    below the normal float range, and the dimension raises `DomainError`.
+    """
     dim = _count(dim, "sphere dimension", 0)
-    return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
+    half = (dim + 1) / 2.0
+    if dim <= _LOG_AREA_DIMENSION:
+        return 2.0 * math.pi ** half / math.gamma(half)
+    log_area = _LN2 + half * math.log(math.pi) - math.lgamma(half)
+    if log_area < -_LOG_RANGE:
+        raise DomainError(f"the area of the unit sphere S^{dim}, e^{log_area:.1f}, "
+                          f"is below the float range")
+    return math.exp(log_area)
 
 
 def weighted_angular_moment(exp_sin: float, exp_cos: float) -> float:
@@ -493,15 +510,11 @@ class _CubicSpline:
     the second and last-but-one knots (de Boor, A Practical Guide to Splines,
     ch. IV).  Those two end rows are not diagonally dominant, so each is
     subtracted from its neighbour first: the interior rows left are strictly
-    dominant, and `_Tridiagonal` solves them without pivoting.
-
-    An end piece amplifies the rounding of its two slopes by 1/h^2 in its
-    cubic coefficient, and extrapolating it carries that out, so the
-    _SPLINE_END_ROWS slopes at each end are solved again row by row
-    (`_eliminate_rows`, LAPACK's gtsv as scipy's spline solves them) on
-    twice as many rows, the neighbour beyond taken from the reduction: that
-    neighbour's rounding dies out along the rows, and the end cubics round
-    as scipy's do.  Shorter systems are solved row by row alone.  Piece i is
+    dominant, `_Tridiagonal` solves them without pivoting, and the end slopes
+    follow from the end rows.  Systems of at most _SPLINE_ROWS knots are
+    solved row by row instead (`_eliminate_rows`, LAPACK's gtsv, as scipy's
+    spline solves them): on a few unevenly spaced knots the end rows
+    amplify rounding, so there the slopes round as scipy's do.  Piece i is
     c[0] h^3 + c[1] h^2 + c[2] h + c[3] in h = x - x_i; the end pieces extend
     beyond the data.  The spline is linear in y, so scaling `c` scales it.
     A 2-D y builds one spline per row on one factorization; index the result
@@ -528,9 +541,8 @@ class _CubicSpline:
         rhs[..., 1:-1] = 3.0 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
         rhs[..., -1] = (dx[-1] ** 2 * slope[..., -2]
                         + (2.0 * d1 + dx[-1]) * dx[-2] * slope[..., -1]) / d1
-        rows, ends = 2 * _SPLINE_END_ROWS, _SPLINE_END_ROWS
         s = np.empty(y.shape)
-        if n <= 2 * rows:
+        if n <= _SPLINE_ROWS:
             for b, out in zip(rhs.reshape(-1, n), s.reshape(-1, n)):
                 out[:] = _eliminate_rows(lower, diag, upper, b)
         else:
@@ -543,14 +555,8 @@ class _CubicSpline:
             b[..., -1] -= rhs[..., -1]
             s[..., 1:-1] = _Tridiagonal(np.append(0.0, lower[2:-1]), inner,
                                         np.append(upper[1:-2], 0.0)).solve(b)
-            for b, out in zip(rhs.reshape(-1, n), s.reshape(-1, n)):
-                head, tail = b[:rows].copy(), b[-rows:].copy()
-                head[-1] -= upper[rows - 1] * out[rows]
-                tail[0] -= lower[-rows] * out[-rows - 1]
-                out[:ends] = _eliminate_rows(lower[:rows], diag[:rows], upper[:rows],
-                                             head)[:ends]
-                out[-ends:] = _eliminate_rows(lower[-rows:], diag[-rows:], upper[-rows:],
-                                              tail)[-ends:]
+            s[..., 0] = (rhs[..., 0] - upper[0] * s[..., 1]) / diag[0]
+            s[..., -1] = (rhs[..., -1] - lower[-1] * s[..., -2]) / diag[-1]
         t = (s[..., :-1] + s[..., 1:] - 2.0 * slope) / dx
         self.x = x
         self.c = np.stack([t / dx, (slope - s[..., :-1]) / dx - t, s[..., :-1], y[..., :-1]])

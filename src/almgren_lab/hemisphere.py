@@ -19,21 +19,21 @@ singular-potential reduction into a regular Sturm-Liouville problem for Q
 with weight sin^{2k+N-1}(psi) cos^b(psi), natural boundary conditions at both
 ends, and eigenvalue shift k (k + N + b - 1).  Each sector is discretized by
 conservative (flux-form) second-order finite volumes on a uniform grid and
-solved as a symmetric tridiagonal eigenproblem (bisection + inverse
-iteration); cell masses integrate the degenerate factor in closed form, so
-the weight is never evaluated at the equator.  N = 1 is solved the same way:
-its even and odd functions are sectors 0 and 1, mirrored onto the arc.  The
-sector spectra are those of the closed form, so eigenpair j of sector k is
-named (sigma, k) = (k + 2j, k) before any eigenvalue is compared.  Each
-sampled profile is normalized on the Gauss-Jacobi rule
-`AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the rule family of every
-angular integral that later checks it.
+solved as a symmetric tridiagonal pencil by shifted inverse iteration from
+the closed-form eigenvalues, each index certified by inertia
+(`_lowest_eigenpairs`); cell masses integrate the degenerate factor in
+closed form, so the weight is never evaluated at the equator.  N = 1 is
+solved the same way: its even and odd functions are sectors 0 and 1,
+mirrored onto the arc.  The sector spectra are those of the closed form, so
+eigenpair j of sector k is named (sigma, k) = (k + 2j, k) before any
+eigenvalue is compared.  Each sampled profile is normalized on the
+Gauss-Jacobi rule `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the
+rule family of every angular integral that later checks it.
 
-The closed forms need numpy and `math` only; the cross-check imports
-`scipy.linalg` on first use, for its sector eigensolves (`_sector_eigs`) and
-its splines (`core._CubicSpline`), the package's only two users of it.  The
-resonance constant K of a separable term belongs to its radial model and is
-formed in `synthesis`, at the exponent itself.
+The closed forms and the cross-check need numpy and `math` only: the sector
+eigensolves and the splines run on `core._Tridiagonal`.  The resonance
+constant K of a separable term belongs to its radial model and is formed in
+`synthesis`, at the exponent itself.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .core import (
     ResolutionError,
     SolverError,
     WeightParams,
+    _LN2,
     _CubicSpline,
     _Tridiagonal,
     _count,
@@ -69,7 +70,6 @@ MAX_MODES = 512
 # its cap on inverse-iteration steps per start.
 _RESIDUAL_EPS = 16.0
 _MAX_ITERATIONS = 8
-_LN2 = math.log(2.0)
 
 
 def sigma_exponents(params: WeightParams, mu: float) -> tuple[float, float]:
@@ -245,9 +245,10 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
     last and guesses[-1]) it has j + 1 negative pivots, and each residual is
     below half its gaps, so eigenvalue j lies within its residual of the
     j-th quotient (Parlett, The Symmetric Eigenvalue Problem, 3.3 and
-    ch. 4).  If that fails, inertia bisection brackets each eigenvalue from
-    the Gershgorin interval and the iteration runs again from the brackets;
-    a pair still not certified raises `SolverError`.  Factored in this form,
+    ch. 4).  If that fails, inertia bisection brackets eigenvalues 0 to
+    len(guesses) - 1 from the Gershgorin interval, and the iteration runs
+    again from the brackets, the last bracket's floor in place of
+    guesses[-1]; a pair still not certified raises `SolverError`.  Factored in this form,
     not in A's, the solve's rounding is relative to the entries of K and M:
     at 8192 cells and s = 1.99 the eigenvectors come within 1e-11 of an
     extended-precision solve of the pencil, LAPACK's within 2e-10.
@@ -281,8 +282,8 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
                 break
         return q, theta, res
 
-    def certified(theta, res):
-        tops = np.append(theta[1:], guesses[-1])
+    def certified(theta, res, top):
+        tops = np.append(theta[1:], top)
         mids = 0.5 * (theta + tops)
         negatives = _Tridiagonal(lower, stiff - mids[:, None] * masses, upper).negatives
         gaps = np.minimum(tops - theta, np.append(np.inf, np.diff(theta)))
@@ -290,16 +291,17 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
                 and bool(np.all(res <= tol)) and bool(np.all(2.0 * res < gaps)))
 
     q, theta, res = iterate(guesses[:-1])
-    if certified(theta, res):
+    if certified(theta, res, guesses[-1]):
         return theta, q
-    lo, hi = np.zeros(count), np.full(count, norm)
-    index = np.arange(count)
+    # bracket eigenvalues 0 .. count; the last bracket's floor replaces guesses[-1]
+    lo, hi = np.zeros(count + 1), np.full(count + 1, norm)
+    index = np.arange(count + 1)
     while np.any(hi - lo > tol):
         mid = 0.5 * (lo + hi)
         below = _Tridiagonal(lower, stiff - mid[:, None] * masses, upper).negatives <= index
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    q, theta, res = iterate(0.5 * (lo + hi))
-    if certified(theta, res):
+    q, theta, res = iterate(0.5 * (lo + hi)[:-1])
+    if certified(theta, res, lo[-1]):
         return theta, q
     raise SolverError(
         f"inverse iteration did not certify the {count} lowest eigenpairs "
@@ -376,8 +378,8 @@ def hemisphere_eigs(
         for j, mu in enumerate(mus):
             sigma = k + 2 * j
             # the constants span sector 0's discrete kernel: the solver's mu
-            # and samples for them carry roundoff (mu grows like n^2, 1e-8 at
-            # n = 8192), so the mode is built exact, with a slope of exactly 0
+            # and samples for them carry roundoff, so the mode is built exact
+            # (samples set to 1 above), with a slope of exactly 0
             mu = 0.0 if sigma == 0 else float(mu)
             spline = splines[j]
             # normalize on the Gauss-Jacobi rule and orient at the equator; a

@@ -21,9 +21,9 @@ The minimizer also has a closed form (R. Yang, arXiv:1302.4413): with
 s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
 `BesselProfile` evaluates it and is the profile the extension uses;
 `solve_profile` stays as the independent finite-volume cross-check; its
-solve runs on numpy alone.  `scipy.special` (for K_s) and `scipy.linalg`
-(for the interpolating splines, `core._CubicSpline`) are imported on first
-use, not with the module.
+solve and its interpolating splines (`core._CubicSpline`) run on numpy
+alone.  `scipy.special` (for K_s) is imported on first use, not with the
+module.
 
 The extension of a torus sample u is built frequency-wise as
 Uhat(xi, t) = uhat(xi) phi(|xi| t).  `build_extension`,

@@ -618,10 +618,10 @@ def test_reference_radius_past_the_float_range_exits_2(capsys, which):
 
 # One fresh interpreter runs these steps in order and records the scipy
 # modules loaded once each has run.  Their footprints nest: the closed forms,
-# the profile solve and the Gauss-Jacobi rules of the inequalities load none,
-# the finite-volume eigensolves and splines add scipy.linalg, selftest adds
-# scipy.special.  So a step's record bounds what it loads, and a step that adds
-# a module to its predecessors' loads it itself.
+# the profile solve, the Gauss-Jacobi rules of the inequalities and the
+# finite-volume eigensolves and splines load none, selftest adds scipy.special.
+# So a step's record bounds what it loads, and a step that adds a module to its
+# predecessors' loads it itself.
 _CLOSED_FORM_STEPS = ["import almgren_lab", "import almgren_lab.cli",
                       "import almgren_lab.inequalities", "spectrum hemisphere", "synthesize",
                       "almgren", "fit", "profile", "check-inequalities hardy",
@@ -630,12 +630,12 @@ _FV_FOOTPRINTS = {   # what runs, and the public scipy modules loaded once it ha
     "hemisphere_eigs": ("from almgren_lab import WeightParams, hemisphere_eigs\n"
                         "mode = hemisphere_eigs(WeightParams(s=1.25, N=3), k_max=2, per_k=3,\n"
                         "                       resolution=128)[4]\n"
-                        "mode.profile(0.5), mode.profile.deriv(0.5)\n", ["linalg"]),
+                        "mode.profile(0.5), mode.profile.deriv(0.5)\n", []),
     "solve_profile": ("from almgren_lab import solve_profile\n"
                       "sol = solve_profile(0.4, resolution=512)\n"
-                      "sol.phi_at(1.0), sol.zeta_at(1.0)\n", ["linalg"]),
+                      "sol.phi_at(1.0), sol.zeta_at(1.0)\n", []),
     "selftest": ("import almgren_lab.cli as cli\nassert cli.run(['selftest']) == 0\n",
-                 ["linalg", "special"]),
+                 ["special"]),
 }
 
 
@@ -711,10 +711,10 @@ def test_cylinder_and_extend_commands_load_only_scipy_special(tmp_path):
 
 
 @pytest.mark.parametrize("what", sorted(_FV_FOOTPRINTS))
-def test_fv_cross_checks_and_selftest_load_scipy_linalg_and_no_interpolate(what, scipy_footprints):
-    # the finite-volume splines are solved on scipy.linalg, which the
-    # hemisphere eigensolves load anyway; selftest's Bessel zero adds
-    # scipy.special.  scipy.version and private modules are not counted
+def test_fv_cross_checks_load_no_scipy_and_selftest_only_special(what, scipy_footprints):
+    # the finite-volume eigensolves and splines run on core's tridiagonal
+    # cyclic reduction; selftest's Bessel zero adds scipy.special.
+    # scipy.version and private modules are not counted
     code, err, loaded = scipy_footprints
     assert code == 0, err
     public = {m.split(".")[1] for m in loaded[what] if m.startswith("scipy.")}

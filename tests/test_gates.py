@@ -170,6 +170,10 @@ def _with_examples(*cases):
 @settings(max_examples=150)
 @given(slot=st.sampled_from(_SLOTS), value=st.one_of(st.sampled_from(HOSTILE), st.floats()))
 @_with_examples(*((slot, value) for slot in _SLOTS for value in HOSTILE))
+# Gamma of half the dimension overflowed from S^343 on: a raw OverflowError
+@example(slot=("unit_sphere_area", "dim"), value=400)
+# 3e9 radii asked numpy for 22.4 GiB: a raw MemoryError
+@example(slot=("radius_schedule", "per_decade"), value=10 ** 9)
 def test_every_entry_point_refuses_hostile_arguments_or_returns_finite_values(slot, value):
     row, name = slot
     call, valid = _ROWS[row]

@@ -1,6 +1,6 @@
-"""Every name a package module imports is referenced in that module; none is scipy.interpolate
-or scipy.special's gamma, and scipy.linalg is imported only by the finite-volume eigensolve and
-the spline.  The finite-volume profile solve references nothing of the closed form."""
+"""Every name a package module imports is referenced in that module; none is scipy.interpolate,
+scipy.linalg or scipy.special's gamma.  The finite-volume profile solve references nothing of the
+closed form."""
 
 import ast
 import pathlib
@@ -89,13 +89,13 @@ def test_the_check_sees_where_scipy_linalg_is_imported():
     assert _scipy_linalg_importers(source) == [None, "f", "C"]
 
 
-def test_scipy_linalg_is_imported_only_by_the_fv_eigensolve_and_the_spline():
-    # the Gauss-Jacobi rules run on numpy's eigh and the profile solve on the
-    # package's tridiagonal cyclic reduction, so scipy.linalg stays off their
-    # command paths
+def test_no_module_imports_scipy_linalg():
+    # the Gauss-Jacobi rules run on numpy's eigh, and the profile solve, the
+    # finite-volume sector eigensolves and the splines on the package's
+    # tridiagonal cyclic reductions
     found = {(path.stem, name) for path in MODULES + [PACKAGE / "__init__.py"]
              for name in _scipy_linalg_importers(path.read_text())}
-    assert found == {("hemisphere", "_sector_eigs"), ("core", "_CubicSpline")}
+    assert found == set()
 
 
 # the finite-volume profile solve, the cross-check of the closed form c t^s K_s(t)
