@@ -30,9 +30,11 @@ scalar of the wrong type or range raises `DomainError`; a wrong shape or a
 bad entry of an array, list or file raises `InputError`.
 
 The finite-volume cross-checks interpolate their samples with one private
-not-a-knot spline, `_CubicSpline`, and solve their sector eigenproblems with
-one private batched tridiagonal kernel, `_Tridiagonal` (odd-even cyclic
-reduction that keeps its pivots, so a symmetric matrix's inertia too).
+not-a-knot spline, `_CubicSpline`, and solve the profile's system and their
+sector eigenproblems with one private batched tridiagonal kernel,
+`_Tridiagonal`: odd-even cyclic reduction on row excesses and couplings,
+which keeps its pivots (so a symmetric matrix's inertia too) and on a
+diagonally dominant M-matrix subtracts nothing.
 
 The Gamma functions come from `math` (`_log_gamma_ratio`) and the Gauss
 rules from numpy's `eigh`; the module imports no scipy.
@@ -372,21 +374,30 @@ def _sinc_ratio(u: np.ndarray) -> np.ndarray:
 class _Tridiagonal:
     """Tridiagonal T, one per row of a leading batch axis, factored by odd-even cyclic reduction.
 
-    Row i of T is lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1]; lower[0]
-    and upper[-1] must be 0.  `lower` and `upper` broadcast against `diag`,
-    of shape (n,) or (batch, n).  Each level eliminates the even-numbered
-    unknowns, whose diagonals are the level's pivots, and leaves the odd ones
-    a tridiagonal Schur complement: odd row o takes
-    diag[o] - a_o upper[o-1] - c_o lower[o+1] and the couplings
-    -a_o lower[o-1] and -c_o upper[o+1], with the multipliers
-    a_o = lower[o] / diag[o-1] and c_o = upper[o] / diag[o+1].
-    floor(log2 n) + 1 levels eliminate all, and each keeps its pivots and
-    multipliers.  This is Gaussian elimination without pivoting in the
-    levels' order: stable while the pivots are positive, as for a diagonally
-    dominant T with a positive diagonal or a positive definite one (Cholesky
-    in that order).  For a symmetric T it is the congruence L D L^T, so by
-    Sylvester's law of inertia `negatives` is the count of negative
-    eigenvalues (Parlett, The Symmetric Eigenvalue Problem, 3.3).
+    T is given by each row's excess (its row sum) and the couplings of its
+    edges: T[i, i] = excess[i] + lower[i - 1] + upper[i],
+    T[i + 1, i] = -lower[i] and T[i, i + 1] = -upper[i]; a symmetric T has
+    lower = upper.  `excess` has shape (n,) or (batch, n), and `lower` and
+    `upper`, n - 1 long, broadcast against it.  Each level eliminates the
+    even-numbered unknowns, whose diagonals excess + couplings are the
+    level's pivots, and leaves the odd ones a matrix of the same form: odd
+    unknown o takes the multipliers a_o = lower[o - 1] / pivot[o - 1] and
+    c_o = upper[o] / pivot[o + 1], the excess
+    excess[o] + c_o excess[o + 1] + a_o excess[o - 1] (the row sums of the
+    Schur complement) and the couplings a_o lower[o - 2] and
+    c_o upper[o + 1] to its odd neighbours; every step adds the right
+    neighbour's term before the left's.  floor(log2 n) + 1 levels
+    eliminate all, and each keeps its pivots and multipliers.  This is
+    Gaussian elimination without pivoting in the levels' order: stable while
+    the pivots are positive, as for a diagonally dominant T with a positive
+    diagonal or a positive definite one (Cholesky in that order).  With
+    nonnegative excesses and couplings (a diagonally dominant M-matrix)
+    every step adds nonnegative terms, as in the GTH algorithm for Markov
+    chains, so the factor, and x = T^-1 r for r >= 0, are accurate entry by
+    entry to a few eps, whatever T's condition number.  For a symmetric T it
+    is the congruence L D L^T, so by Sylvester's law of inertia `negatives`
+    is the count of negative eigenvalues (Parlett, The Symmetric Eigenvalue
+    Problem, 3.3).
 
     A symmetric T shifted into its spectrum is indefinite: a pivot can come
     near 0 (a shift near an eigenvalue of the unknowns eliminated so far) and
@@ -401,28 +412,40 @@ class _Tridiagonal:
     solution, not a division by zero.
     """
 
-    def __init__(self, lower, diag, upper):
+    def __init__(self, excess, lower, upper):
         self.levels = []
         self.coarse = None
-        while diag.shape[-1]:
-            pivots, odd = diag[..., 0::2], diag[..., 1::2]
-            low, up = lower[..., 0::2], upper[..., 0::2]
-            if diag.shape[-1] <= _COARSE_UNKNOWNS and not np.all(
-                    pivots > _DOMINANCE * (np.abs(low) + np.abs(up))):
-                sums = np.abs(lower) + np.abs(diag) + np.abs(upper)
-                scale = 1.0 / np.sqrt(np.where(sums > 0.0, sums, 1.0))
-                self.coarse = (lower * scale * np.roll(scale, 1, axis=-1), diag * scale * scale,
-                               upper * scale * np.roll(scale, -1, axis=-1), scale)
-                break
-            m, k = odd.shape[-1], pivots.shape[-1] - 1     # odd rows; those with a right pivot
-            a = lower[..., 1::2] / pivots[..., :m]
-            c = upper[..., 1:2 * k:2] / pivots[..., 1:]
-            diag = odd - a * up[..., :m]
-            diag[..., :k] -= c * low[..., 1:]
-            lower = -a * low[..., :m]
-            upper = np.zeros_like(diag)
-            upper[..., :k] = -c * up[..., 1:]
-            self.levels.append((pivots, low, up, a, c))
+        while excess.shape[-1]:
+            m = excess.shape[-1] // 2                   # odd unknowns
+            left, right = lower[..., 1::2], upper[..., 0::2]   # each pivot's, to its odd neighbours
+            pivots = excess[..., 0::2].copy()
+            pivots[..., :m] += right
+            pivots[..., 1:] += left
+            if excess.shape[-1] <= _COARSE_UNKNOWNS:
+                bound = np.zeros(pivots.shape)
+                bound[..., :m] += np.abs(right)
+                bound[..., 1:] += np.abs(left)
+                if not np.all(pivots > _DOMINANCE * bound):
+                    # T's rows, lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1]
+                    diag = excess.copy()
+                    diag[..., 1:] += lower
+                    diag[..., :-1] += upper
+                    low, up = np.zeros(diag.shape), np.zeros(diag.shape)
+                    low[..., 1:], up[..., :-1] = -lower, -upper
+                    sums = np.abs(low) + np.abs(diag) + np.abs(up)
+                    scale = 1.0 / np.sqrt(np.where(sums > 0.0, sums, 1.0))
+                    self.coarse = (low * scale * np.roll(scale, 1, axis=-1), diag * scale * scale,
+                                   up * scale * np.roll(scale, -1, axis=-1), scale)
+                    break
+            k = pivots.shape[-1] - 1                    # odd unknowns with a right pivot
+            a = lower[..., 0::2] / pivots[..., :m]
+            c = upper[..., 1::2] / pivots[..., 1:]
+            pivot_excess = excess[..., 0::2]
+            excess = excess[..., 1::2].copy()
+            excess[..., :k] += c * pivot_excess[..., 1:]
+            excess += a * pivot_excess[..., :m]
+            lower, upper = a[..., 1:] * left[..., :m - 1], c[..., :m - 1] * right[..., 1:]
+            self.levels.append((pivots, left, right, a, c))
 
     @property
     def negatives(self) -> np.ndarray:
@@ -441,10 +464,11 @@ class _Tridiagonal:
     def solve(self, r: np.ndarray) -> np.ndarray:
         """x with T x = r, for r broadcasting against T's batch shape."""
         down = []
-        for pivots, _, _, a, c in self.levels:
+        for _, _, _, a, c in self.levels:
             z = r[..., 0::2]
-            r = r[..., 1::2] - a * z[..., :a.shape[-1]]
-            r[..., :c.shape[-1]] -= c * z[..., 1:]
+            r = r[..., 1::2].copy()
+            r[..., :c.shape[-1]] += c * z[..., 1:]
+            r += a * z[..., :a.shape[-1]]
             down.append(z)
         x = r
         if self.coarse is not None:
@@ -453,14 +477,14 @@ class _Tridiagonal:
             x = scale * [_eliminate_rows(*row, least=_LEAST_PIVOT)
                          for row in zip(*rows, (scale * r.reshape(scale.shape)))]
             x = x.reshape(r.shape)
-        # pivot e: x_e = (z_e - lower[e] x_odd[e-1] - upper[e] x_odd[e]) / pivot_e
-        for (pivots, low, up, a, _), z in zip(reversed(self.levels), reversed(down)):
+        # pivot p: x_p = (z_p + left[p-1] x_odd[p-1] + right[p] x_odd[p]) / pivot_p
+        for (pivots, left, right, a, _), z in zip(reversed(self.levels), reversed(down)):
             m, k = a.shape[-1], pivots.shape[-1] - 1
             full = np.empty(z.shape[:-1] + (k + 1 + m,))
             xe = full[..., 0::2]
             xe[...] = z
-            xe[..., :m] -= up[..., :m] * x
-            xe[..., 1:] -= low[..., 1:] * x[..., :k]
+            xe[..., :m] += right * x
+            xe[..., 1:] += left[..., :k] * x[..., :k]
             xe /= pivots
             full[..., 1::2] = x
             x = full
@@ -548,13 +572,15 @@ class _CubicSpline:
         else:
             # rows 1 and -2 less the end rows (multiplier 1): the diagonals
             # 2 (dx[0] + dx[1]) - d0 = d0 and d1, and no end coupling
-            inner = diag[1:-1].copy()
-            inner[0], inner[-1] = d0, d1
+            excess = diag[1:-1].copy()
+            excess[0], excess[-1] = d0, d1
+            dx_l, dx_u = lower[2:-1], upper[1:-2]      # T[i + 1, i] and T[i, i + 1]
+            excess[1:] += dx_l
+            excess[:-1] += dx_u
             b = rhs[..., 1:-1].copy()
             b[..., 0] -= rhs[..., 0]
             b[..., -1] -= rhs[..., -1]
-            s[..., 1:-1] = _Tridiagonal(np.append(0.0, lower[2:-1]), inner,
-                                        np.append(upper[1:-2], 0.0)).solve(b)
+            s[..., 1:-1] = _Tridiagonal(excess, -dx_l, -dx_u).solve(b)
             s[..., 0] = (rhs[..., 0] - upper[0] * s[..., 1]) / diag[0]
             s[..., -1] = (rhs[..., -1] - lower[-1] * s[..., -2]) / diag[-1]
         t = (s[..., :-1] + s[..., 1:] - 2.0 * slope) / dx

@@ -31,8 +31,9 @@ Gauss-Jacobi rule `AngularGrid1D.gauss(N, b, DEFAULT_ANGULAR_NODES)`, the
 rule family of every angular integral that later checks it.
 
 The closed forms and the cross-check need numpy and `math` only: the sector
-eigensolves and the splines run on `core._Tridiagonal`.  The resonance
-constant K of a separable term belongs to its radial model and is formed in
+eigensolves and the splines run on `core._Tridiagonal`, which takes the
+shifted pencil K - theta M as row excesses -theta m and face couplings.
+The resonance constant K of a separable term belongs to its radial model and is formed in
 `synthesis`, at the exponent itself.
 """
 
@@ -64,8 +65,13 @@ from .core import (
 )
 
 # Longest closed-form mode list (and so the largest spec position + 1): the
-# profiles stay orthonormal to ~1e-12 at this degree.
+# profiles stay orthonormal to ~1e-12 at this degree.  `cylinder_spectrum`
+# takes the same cap.
 MAX_MODES = 512
+# Most unknowns per_k x resolution x 2^refinements of one sector's batched
+# eigensolve in `hemisphere_eigs`: at the cap one sector took 0.35-0.6 s and
+# a peak of 175-190 MiB (2 cores, per_k from 4 to 128).
+MAX_SECTOR_UNKNOWNS = 2 ** 20
 # `_lowest_eigenpairs`: the residual it iterates to, in units of eps ||A||, and
 # its cap on inverse-iteration steps per start.
 _RESIDUAL_EPS = 16.0
@@ -237,9 +243,10 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
     of nonnegative terms, so the constants' 0 comes out as roundoff squared.
 
     Shifted inverse iteration on `core._Tridiagonal` factors K - theta M
-    from theta = the guesses, then goes on with Rayleigh-quotient shifts
-    until every residual is at most _RESIDUAL_EPS eps ||A|| (A = M^-1/2 K
-    M^-1/2, the residual measured in A's norm; ||A|| by Gershgorin).  The
+    (row excesses -theta m, couplings c) from theta = the guesses, then goes
+    on with Rayleigh-quotient shifts until every residual is at most
+    _RESIDUAL_EPS eps ||A|| (A = M^-1/2 K M^-1/2, the residual measured in
+    A's norm; ||A|| by Gershgorin).  The
     indices are then certified by Sylvester's law, as K - x M is congruent
     to A - x: at the midpoint between eigenvalues j and j + 1 (between the
     last and guesses[-1]) it has j + 1 negative pivots, and each residual is
@@ -248,17 +255,18 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
     ch. 4).  If that fails, inertia bisection brackets eigenvalues 0 to
     len(guesses) - 1 from the Gershgorin interval, and the iteration runs
     again from the brackets, the last bracket's floor in place of
-    guesses[-1]; a pair still not certified raises `SolverError`.  Factored in this form,
-    not in A's, the solve's rounding is relative to the entries of K and M:
-    at 8192 cells and s = 1.99 the eigenvectors come within 1e-11 of an
-    extended-precision solve of the pencil, LAPACK's within 2e-10.
+    guesses[-1]; a pair still not certified raises `SolverError`.  Factored
+    in this form, not in A's, and from excesses, not from a diagonal
+    c_l + c_r - theta m, the solve cancels nothing: one step at a computed
+    pair lands within a few eps of the pencil's eigenvector, so the residual
+    rule sets the vectors' error (at 8192 cells and s = 1.99, 5e-15 against
+    a 30-digit solve; from a diagonal 2e-11, LAPACK's 2e-10).
     """
     count = guesses.size - 1
     root = np.sqrt(masses)
-    lower, upper = -np.append(0.0, couplings), -np.append(couplings, 0.0)
-    stiff = -(lower + upper)
     off = couplings / (root[:-1] * root[1:])
-    norm = float(np.max(stiff / masses + np.append(0.0, off) + np.append(off, 0.0)))
+    degree = np.append(0.0, couplings) + np.append(couplings, 0.0)      # K's diagonal
+    norm = float(np.max(degree / masses + np.append(0.0, off) + np.append(off, 0.0)))
     tol = _RESIDUAL_EPS * np.finfo(float).eps * norm
 
     def quotients(q):
@@ -275,7 +283,7 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
     def iterate(theta):
         q = np.tile(start, (count, 1))
         for _ in range(_MAX_ITERATIONS):
-            q = _Tridiagonal(lower, stiff - theta[:, None] * masses, upper).solve(masses * q)
+            q = _Tridiagonal(-theta[:, None] * masses, couplings, couplings).solve(masses * q)
             q /= np.sqrt(q ** 2 @ masses)[:, None]
             theta, res = quotients(q)
             if np.all(res <= tol):
@@ -285,7 +293,7 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
     def certified(theta, res, top):
         tops = np.append(theta[1:], top)
         mids = 0.5 * (theta + tops)
-        negatives = _Tridiagonal(lower, stiff - mids[:, None] * masses, upper).negatives
+        negatives = _Tridiagonal(-mids[:, None] * masses, couplings, couplings).negatives
         gaps = np.minimum(tops - theta, np.append(np.inf, np.diff(theta)))
         return (np.array_equal(negatives, np.arange(1, count + 1))
                 and bool(np.all(res <= tol)) and bool(np.all(2.0 * res < gaps)))
@@ -298,7 +306,7 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
     index = np.arange(count + 1)
     while np.any(hi - lo > tol):
         mid = 0.5 * (lo + hi)
-        below = _Tridiagonal(lower, stiff - mid[:, None] * masses, upper).negatives <= index
+        below = _Tridiagonal(-mid[:, None] * masses, couplings, couplings).negatives <= index
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     q, theta, res = iterate(0.5 * (lo + hi)[:-1])
     if certified(theta, res, lo[-1]):
@@ -330,7 +338,9 @@ def hemisphere_eigs(
     """Lowest eigenmodes by finite volumes, named (sigma, k): the cross-check.
 
     Each sector is solved on `resolution` cells of (0, pi/2) times 2^j for
-    j = 0..refinements, and its eigenvalues are Richardson extrapolated.
+    j = 0..refinements, and its eigenvalues are Richardson extrapolated;
+    per_k x resolution x 2^refinements above MAX_SECTOR_UNKNOWNS is refused
+    with `DomainError` before any solve.
     Eigenpair j of sector k is the mode of degree sigma = k + 2j, so each
     mode carries ell = sigma and the full multiplicity M_sigma, and the list
     is in (sigma, k) order as in `hemisphere_modes`, whatever the roundoff in
@@ -346,6 +356,11 @@ def hemisphere_eigs(
     """
     resolution, per_k = _count(resolution, "resolution", 0), _count(per_k, "per_k")
     k_max, refinements = _count(k_max, "k_max", 0), _count(refinements, "refinements", 0)
+    if per_k * resolution << min(refinements, 64) > MAX_SECTOR_UNKNOWNS:
+        raise DomainError(
+            f"per_k x resolution x 2^refinements = {per_k} x {resolution} x 2^{refinements} "
+            f"unknowns per sector is above the cap MAX_SECTOR_UNKNOWNS = {MAX_SECTOR_UNKNOWNS}"
+        )
     if resolution < 64:
         raise ResolutionError(
             f"resolution {resolution} too low; use at least 64 (and >= 8*per_k)"

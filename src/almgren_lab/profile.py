@@ -11,11 +11,11 @@ accepted T_max = 20, so J on the step h = 1/512 agrees between
 T_max = 20 and 24 to 1e-12.  Past T_max the profile is 0.  D has one row
 more than it has unknowns (phi(0) = 1 is fixed), and its square part is a
 row-scaled symmetric negative definite tridiagonal matrix; so the minimizer
-is one bordered solve: `_SPDTridiagonal` factors that matrix once by
-odd-even cyclic reduction on numpy, and two solves give phi (see
-`solve_profile`).  No normal equations are formed and no step cancels, so
-phi is the discrete minimizer to roundoff, and J converges at h^2 past the
-grid cap.
+is one bordered solve: `core._Tridiagonal` factors that matrix once from
+its row excesses, by odd-even cyclic reduction on numpy, and two solves
+give phi (see `solve_profile`).  No normal equations are formed and no
+step cancels, so phi is the discrete minimizer to roundoff, and J
+converges at h^2 past the grid cap.
 
 The minimizer also has a closed form (R. Yang, arXiv:1302.4413): with
 s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
@@ -47,6 +47,7 @@ from .core import (
     WeightParams,
     _count,
     _CubicSpline,
+    _Tridiagonal,
     _finite,
     _number,
     _radius,
@@ -85,7 +86,6 @@ class ProfileSolution:
     phi: np.ndarray
     zeta: np.ndarray
     J: float
-    grad_energy: float
     ode_residual: float
 
     def __post_init__(self):
@@ -240,63 +240,6 @@ def _profile_grid(b: float, T_max: float, n: int) -> tuple[np.ndarray, np.ndarra
     return t, _cell_masses_tb(b, faces), faces[1:-1] ** b
 
 
-class _SPDTridiagonal:
-    """T = diag(excess) + the path Laplacian of `couplings`, factored by odd-even cyclic reduction.
-
-    T[i, i] = excess[i] + c[i - 1] + c[i] and T[i, i + 1] = -c[i], so
-    `excess` is each row's diagonal less its couplings.  Each level
-    eliminates the even-numbered unknowns (the pivots, diagonals d) and
-    leaves the odd ones a matrix of the same form: odd unknown k, coupled by
-    l_k to pivot k and by r_k to pivot k + 1, takes the excess
-    s_k + w_k s_k' + v_k s_{k+1}' from the pivots' excesses s', with the
-    multipliers w_k = l_k / d_k and v_k = r_k / d_{k+1}, and the coupling
-    v_k l_{k+1} to odd unknown k + 1.  This is LDL^T on the matrix in
-    elimination order, so it needs no pivoting; floor(log2 n) + 1 levels
-    eliminate all, and a level keeps its pivots and multipliers.  With
-    nonnegative excesses and couplings (a diagonally dominant M-matrix)
-    every step adds nonnegative terms, as in the GTH algorithm for Markov
-    chains: the factor, and x = T^-1 r for r >= 0, are accurate entry by
-    entry to a few eps, whatever T's condition number.  A pivot that is not
-    positive raises `SolverError`.
-    """
-
-    def __init__(self, excess: np.ndarray, couplings: np.ndarray):
-        self.levels = []
-        while excess.size:
-            left, right = couplings[0::2], couplings[1::2]    # each odd unknown's, to its pivots
-            pivot_excess = excess[0::2]
-            pivots = pivot_excess.copy()
-            pivots[:left.size] += left
-            pivots[1:] += right
-            if not pivots.min() > 0.0:
-                raise SolverError("tridiagonal solve failed: a pivot is not positive")
-            w, v = left / pivots[:left.size], right / pivots[1:right.size + 1]
-            excess = excess[1::2] + w * pivot_excess[:w.size]
-            excess[:v.size] += v * pivot_excess[1:v.size + 1]
-            couplings = v[:left.size - 1] * left[1:]
-            self.levels.append((pivots, w, v))
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """x with T x = r."""
-        down = []
-        for _, w, v in self.levels:
-            z = r[0::2]
-            r = r[1::2] + w * z[:w.size]
-            r[:v.size] += v * z[1:v.size + 1]
-            down.append(z)
-        x = r
-        # pivot k: x_k = z_k / d_k + w_k x_odd[k] + v_{k-1} x_odd[k-1]
-        for (pivots, w, v), z in zip(reversed(self.levels), reversed(down)):
-            up = np.empty(z.size + x.size)
-            x_pivots = up[0::2]
-            np.divide(z, pivots, out=x_pivots)
-            x_pivots[:w.size] += w * x
-            x_pivots[1:v.size + 1] += v * x[:v.size]
-            up[1::2] = x
-            x = up
-        return x
-
-
 def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> ProfileSolution:
     """Discrete minimizer of J over the grid functions with phi(0) = 1.
 
@@ -308,8 +251,9 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     delta its value at e = 0, and J = m_0 (delta + g.e)^2 + sum m_i e_i^2
     is least at the rank-one
     e = -a_0 delta u / (1 + a_0^2 sum m_i u_i^2 / m_0).  So -S is factored
-    once (`_SPDTridiagonal`, from its row excesses h m and couplings) and
+    once (`core._Tridiagonal`, from its row excesses h m and couplings) and
     solved twice, for u and then for phi; no normal equations are formed.
+    A negative pivot, which an M-matrix cannot have, raises `SolverError`.
     Both right-hand sides have one sign, and delta takes 1 + a_0 u_1 as
     -sum h m u (the row sums of -S), so nothing cancels and phi is right to
     a few eps (8e-16 against an extended-precision solve at the grid cap).
@@ -330,7 +274,9 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     # whose face to node 0 is not a coupling of -S
     excess = hm[1:].copy()
     excess[0] += a0
-    factor = _SPDTridiagonal(excess, a_inner[1:])
+    factor = _Tridiagonal(excess, a_inner[1:], a_inner[1:])
+    if factor.negatives:
+        raise SolverError("tridiagonal solve failed: a pivot is not positive")
     r = np.zeros(n)
     r[0] = 1.0
     x = factor.solve(r)                                 # -S^-1 e_1 = -u >= 0
@@ -353,15 +299,12 @@ def solve_profile(b: float, T_max: float = 24.0, resolution: int = 16384) -> Pro
     zeta = _apply_D(a_inner, hm, phi)
     weighted = masses * zeta
     J = float(weighted @ zeta)
-    dphi = np.diff(phi)
-    grad_energy = float((a_inner * dphi) @ dphi) / h
     resid = _apply_D(a_inner, hm, zeta)[1:]  # L zeta - zeta on the free nodes
     num = math.sqrt(float((masses[1:] * resid) @ resid))
     den = math.sqrt(float(weighted[1:] @ zeta[1:]))
     ode_residual = num / den if den > 0 else 0.0
     return ProfileSolution(
-        b=b, T_max=T_max, t=t, phi=phi, zeta=zeta, J=J,
-        grad_energy=grad_energy, ode_residual=ode_residual,
+        b=b, T_max=T_max, t=t, phi=phi, zeta=zeta, J=J, ode_residual=ode_residual,
     )
 
 

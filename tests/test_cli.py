@@ -193,6 +193,19 @@ def test_hemisphere_count_outside_the_cap_exits_2(capsys, count):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("count", [hemisphere.MAX_MODES + 1, 10 ** 5])
+def test_cylinder_count_outside_the_cap_exits_2(capsys, count):
+    # the list is built from count^2 candidates: 100000 would run without end
+    start = time.perf_counter()
+    code = run(["spectrum", "cylinder", "--s", "1.5", "--N", "2", "--count", str(count)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"cap of {hemisphere.MAX_MODES}" in captured.err
+    assert time.perf_counter() - start < 1.0
+
+
 def _hemisphere_listing(capsys, *argv):
     code, out = run_capture(capsys, ["spectrum", "hemisphere", *argv])
     assert code == 0

@@ -174,6 +174,12 @@ def _with_examples(*cases):
 @example(slot=("unit_sphere_area", "dim"), value=400)
 # 3e9 radii asked numpy for 22.4 GiB: a raw MemoryError
 @example(slot=("radius_schedule", "per_decade"), value=10 ** 9)
+# a sector grid of 10^13 cells was a raw MemoryError, and 2^40 refinements of
+# 64 cells walked through ever finer grids: both are above MAX_SECTOR_UNKNOWNS
+@example(slot=("hemisphere_eigs", "resolution"), value=10 ** 13)
+@example(slot=("hemisphere_eigs", "refinements"), value=40)
+# count^2 candidate modes: 10^5 ran without end, now above the MAX_MODES cap
+@example(slot=("cylinder_spectrum", "count"), value=10 ** 5)
 def test_every_entry_point_refuses_hostile_arguments_or_returns_finite_values(slot, value):
     row, name = slot
     call, valid = _ROWS[row]

@@ -91,16 +91,15 @@ def test_the_check_sees_where_scipy_linalg_is_imported():
 
 def test_no_module_imports_scipy_linalg():
     # the Gauss-Jacobi rules run on numpy's eigh, and the profile solve, the
-    # finite-volume sector eigensolves and the splines on the package's
-    # tridiagonal cyclic reductions
+    # finite-volume sector eigensolves and the splines on the package's one
+    # tridiagonal cyclic reduction, core._Tridiagonal
     found = {(path.stem, name) for path in MODULES + [PACKAGE / "__init__.py"]
              for name in _scipy_linalg_importers(path.read_text())}
     assert found == set()
 
 
 # the finite-volume profile solve, the cross-check of the closed form c t^s K_s(t)
-FV_SOLVE_ROOTS = ("solve_profile", "_profile_grid", "_SPDTridiagonal", "_cell_masses_tb",
-                  "_apply_D")
+FV_SOLVE_ROOTS = ("solve_profile", "_profile_grid", "_cell_masses_tb", "_apply_D")
 # the closed form and its large-t asymptotics; np.expm1 of the cell masses is allowed
 CLOSED_FORM_NAMES = {"exp", "kv", "BesselProfile", "_power_bessel"}
 

@@ -21,7 +21,7 @@ from almgren_lab import (
     trace_laplacian_check,
 )
 from almgren_lab import profile
-from almgren_lab.core import gauss_jacobi
+from almgren_lab.core import _Tridiagonal, gauss_jacobi
 from almgren_lab.profile import (
     MAX_PROFILE_CELLS,
     MAX_PROFILE_STEP,
@@ -29,7 +29,6 @@ from almgren_lab.profile import (
     _cached_profile,
     _cell_masses_tb,
     _frequency_grid,
-    _SPDTridiagonal,
     extension_energy_identity,
 )
 
@@ -128,7 +127,10 @@ def test_J_equals_quadratic_form(sol_b0):
         ** (sol_b0.b + 1.0)
     ) / (sol_b0.b + 1.0)
     lap = sol_b0.zeta + sol_b0.phi
-    J2 = float(masses @ (lap ** 2)) + 2.0 * sol_b0.grad_energy \
+    h = sol_b0.T_max / (sol_b0.t.size - 1)
+    dphi = np.diff(sol_b0.phi)
+    grad_energy = float(((sol_b0.t[:-1] + h / 2.0) ** sol_b0.b * dphi) @ dphi) / h
+    J2 = float(masses @ (lap ** 2)) + 2.0 * grad_energy \
         + float(masses @ (sol_b0.phi ** 2))
     assert abs(J2 - sol_b0.J) / sol_b0.J < 1e-14
 
@@ -447,7 +449,6 @@ def test_trace_spread_guard():
     bad_zeta = prof.zeta * np.cos(40.0 * prof.t)
     bad = ProfileSolution(b=prof.b, T_max=prof.T_max, t=prof.t.copy(),
                           phi=prof.phi.copy(), zeta=bad_zeta, J=prof.J,
-                          grad_energy=prof.grad_energy,
                           ode_residual=prof.ode_residual)
     n = 32
     x = np.arange(n) * 2 * math.pi / n
@@ -668,7 +669,7 @@ def test_block_cholesky_matches_a_dense_solve(size):
     # odd-even cyclic reduction is the block Cholesky (LDL^T) of the matrix
     # in odd-even order, one diagonal pivot block per level
     A, excess, couplings = _tridiagonal_system(size, seed=size)
-    factor = _SPDTridiagonal(excess, couplings)
+    factor = _Tridiagonal(excess, couplings, couplings)
     rs = np.random.default_rng(100).standard_normal((3, size))
     want = np.linalg.solve(A, rs.T).T
     for r, x in zip(rs, want):
@@ -685,7 +686,7 @@ def test_cyclic_reduction_is_accurate_entry_by_entry_on_an_m_matrix():
     rng = np.random.default_rng(5)
     couplings = rng.uniform(0.5, 2.0, n - 1)
     excess = 10.0 ** rng.uniform(-14.0, -8.0, n)
-    factor = _SPDTridiagonal(excess, couplings)
+    factor = _Tridiagonal(excess, couplings, couplings)
     for r in (np.eye(n)[0], rng.uniform(0.0, 1.0, n)):
         got = factor.solve(r)
         with mpmath.workdps(50):
@@ -704,20 +705,16 @@ def test_cyclic_reduction_is_accurate_entry_by_entry_on_an_m_matrix():
 
 
 def test_block_cholesky_refuses_a_non_positive_pivot(monkeypatch):
-    # an indefinite matrix, and solve_profile on -S negated, raise SolverError
-    _, excess, couplings = _tridiagonal_system(11, seed=1)
-    excess[4] -= 10.0
-    with pytest.raises(SolverError, match="pivot"):
-        _SPDTridiagonal(excess, couplings)
-    real = profile._SPDTridiagonal
-    monkeypatch.setattr(profile, "_SPDTridiagonal",
-                        lambda excess, couplings: real(-excess, -couplings))
+    # solve_profile on -S negated, whose pivots are all negative, raises SolverError
+    real = profile._Tridiagonal
+    monkeypatch.setattr(profile, "_Tridiagonal",
+                        lambda excess, lower, upper: real(-excess, -lower, -upper))
     with pytest.raises(SolverError, match="pivot"):
         solve_profile(0.2, resolution=512)
 
 
 def test_solve_profile_refuses_a_non_finite_minimizer(monkeypatch):
-    monkeypatch.setattr(profile._SPDTridiagonal, "solve", lambda self, r: np.full_like(r, np.nan))
+    monkeypatch.setattr(profile._Tridiagonal, "solve", lambda self, r: np.full_like(r, np.nan))
     with pytest.raises(SolverError, match="non-finite minimizer"):
         solve_profile(0.2, resolution=512)
 

@@ -16,8 +16,12 @@ linalg = pytest.importorskip("scipy.linalg")
 EPS = np.finfo(float).eps
 
 
-def _dense(lower, diag, upper):
-    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+def _dense(excess, lower, upper):
+    """T of `_Tridiagonal(excess, lower, upper)`: row sums `excess`, couplings -lower, -upper."""
+    diag = excess.copy()
+    diag[1:] += lower
+    diag[:-1] += upper
+    return np.diag(diag) - np.diag(lower, -1) - np.diag(upper, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 31, 64, 100, 513])
@@ -26,15 +30,17 @@ def test_kernel_solves_batched_dominant_systems(n):
     # (broadcast) or not; the right side may carry more rows than T
     rng = np.random.default_rng(n)
     diag = rng.uniform(2.5, 4.0, (3, n))
-    lower, upper = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (3, n))
-    lower[0] = upper[:, -1] = 0.0
+    lower, upper = rng.uniform(-1.0, 1.0, n)[1:], rng.uniform(-1.0, 1.0, (3, n))[:, :-1]
+    excess = diag.copy()
+    excess[:, 1:] -= lower
+    excess[:, :-1] -= upper
     r = rng.standard_normal((3, n))
-    x = _Tridiagonal(lower, diag, upper).solve(r)
+    x = _Tridiagonal(excess, lower, upper).solve(r)
     for b in range(3):
-        want = np.linalg.solve(_dense(lower, diag[b], upper[b]), r[b])
+        want = np.linalg.solve(_dense(excess[b], lower, upper[b]), r[b])
         assert np.max(np.abs(x[b] - want)) <= 1e-14 * np.max(np.abs(want))
-    one = _Tridiagonal(lower, diag[0], upper[0]).solve(r)
-    assert np.array_equal(one[0], _Tridiagonal(lower, diag[0], upper[0]).solve(r[0]))
+    one = _Tridiagonal(excess[0], lower, upper[0]).solve(r)
+    assert np.array_equal(one[0], _Tridiagonal(excess[0], lower, upper[0]).solve(r[0]))
 
 
 @pytest.mark.parametrize("n", [7, 64, 300, 1000])
@@ -43,18 +49,19 @@ def test_kernel_counts_negative_eigenvalues_and_solves_indefinite_shifts(n):
     # just off them: the inertia is exact and the solve backward stable
     rng = np.random.default_rng(n)
     diag, off = rng.uniform(-1.0, 3.0, n), rng.uniform(0.2, 1.0, n - 1)
-    lower, upper = np.append(0.0, off), np.append(off, 0.0)
-    values = np.linalg.eigvalsh(_dense(lower, diag, upper))
+    excess = diag.copy()
+    excess[1:] -= off
+    excess[:-1] -= off
+    T = _dense(excess, off, off)
+    values = np.linalg.eigvalsh(T)
     index = np.arange(0, n - 1, max(1, n // 16))
     shifts = np.concatenate([0.5 * (values[index] + values[index + 1]),
                              values[index] * (1.0 + 1e-9) + 1e-9])
-    factor = _Tridiagonal(lower, diag - shifts[:, None], upper)
+    factor = _Tridiagonal(excess - shifts[:, None], off, off)
     assert np.array_equal(factor.negatives, np.searchsorted(values, shifts))
     r = rng.standard_normal((shifts.size, n))
     x = factor.solve(r)
-    residual = (diag - shifts[:, None]) * x - r
-    residual[:, 1:] += lower[1:] * x[:, :-1]
-    residual[:, :-1] += upper[:-1] * x[:, 1:]
+    residual = x @ T - shifts[:, None] * x - r
     assert np.all(np.linalg.norm(residual, axis=1) <= 1e-12 * 4.0 * np.linalg.norm(x, axis=1))
 
 
@@ -62,9 +69,7 @@ def test_kernel_shift_at_an_exact_eigenvalue_gives_a_finite_null_vector():
     # the path Laplacian with unit couplings is singular, its null vector the
     # constants, and its elimination exact in binary: the last pivot is 0.0
     n = 64
-    lower, upper = -np.append(0.0, np.ones(n - 1)), -np.append(np.ones(n - 1), 0.0)
-    diag = -(lower + upper)
-    factor = _Tridiagonal(lower, diag, upper)
+    factor = _Tridiagonal(np.zeros(n), np.ones(n - 1), np.ones(n - 1))
     x = factor.solve(np.linspace(1.0, 2.0, n))
     assert np.all(np.isfinite(x))
     assert np.max(np.abs(x / x[0] - 1.0)) < 1e-12
@@ -190,3 +195,41 @@ def test_pairs_closer_than_their_residuals_raise_solver_error():
     couplings[31] = 1e-300
     with pytest.raises(SolverError, match="certify"):
         _lowest_eigenpairs(couplings, masses, np.array([0.0, 0.01, 0.02, 0.04, 0.08]))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_inverse_iteration_step_matches_a_30_digit_solve(k):
+    # the pencil K - theta M goes to the kernel as excesses -theta m and
+    # couplings, so no diagonal c_l + c_r - theta m is formed and cancelled:
+    # one solve at a computed eigenpair gives the pencil's own eigenvector
+    # to 3e-15 (the diagonal form's came 1.1e-13 to 7e-13 off); the
+    # reference is two such steps in 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    params, n = WeightParams(s=1.99, N=3), 2048
+    masses, coeffs, centers = _sector_tridiag(params, k, n)
+    couplings = coeffs[1:-1] / (centers[1] - centers[0])
+    vals, q, _, _ = _sector_eigs(params, k, n, 4)
+    theta = vals - k * (k + 3 + params.b - 1.0)
+    step = _Tridiagonal(-theta[:, None] * masses, couplings, couplings).solve(masses * q.T)
+    step /= np.sqrt(step ** 2 @ masses)[:, None]
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(v) for v in couplings] + [mpmath.mpf(0)]
+        m = [mpmath.mpf(v) for v in masses]
+        for j, got in enumerate(step):
+            shift = mpmath.mpf(theta[j]) + mpmath.mpf(10) ** -20 * max(1.0, theta[j])
+            x = [mpmath.mpf(v) for v in q[:, j]]
+            for _ in range(2):              # Thomas on (K - shift M) x = M x
+                d = [c[i] + (c[i - 1] if i else 0) - shift * m[i] for i in range(n)]
+                rhs = [xi * mi for xi, mi in zip(x, m)]
+                for i in range(1, n):
+                    f = c[i - 1] / d[i - 1]
+                    d[i] -= f * c[i - 1]
+                    rhs[i] += f * rhs[i - 1]
+                x[-1] = rhs[-1] / d[-1]
+                for i in reversed(range(n - 1)):
+                    x[i] = (rhs[i] + c[i] * x[i + 1]) / d[i]
+                norm = mpmath.sqrt(mpmath.fsum(mi * xi * xi for xi, mi in zip(x, m)))
+                x = [xi / norm for xi in x]
+            want = np.array([float(v) for v in x])
+            got = got * np.sign(got @ (masses * want))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (j, k)
