@@ -1,22 +1,27 @@
 """Frequency function machinery: D, H, N, derivative identities and limits.
 
 Every quantity is available through two independent paths.  Both read the
-radial parts of the terms from `synthesis`: the solution's (sigma, c1, e, d1)
-table `SeparableSolution.coefs` and the power law `_radial_parts`.  Both sum
-the pieces over term pairs in one assembly, `_assemble`: the ball integrand
-of a pair is a sum of power laws whose radial integrals are taken in closed
-form, so neither path runs a radial rule.  They differ in where the angular
-pair integrals come from.  The closed path takes them from mode
-orthonormality: only the diagonal pairs, with <P_i, P_i> = 1 and the
-eigenvalue mu_i; its bracket of nu1 is a Lagrange sum of squares, so
-nu1 >= 0 exactly.  The quadrature path reduces the horizontal sphere exactly
-(harmonic orthogonality is structural) and integrates every pair of a block
-on the angular Gauss rule `AngularGrid1D.gauss(N, b, n)` over the sampled
-profiles, n from `gauss_nodes` of the largest degree, so it stays an
-independent check of the closed path's orthonormality and of finite-volume
-profiles.  The exponents need not be integers: the constant mode at
-N + b < 1 is served by both paths.  Both take a whole radius schedule in one
-numpy pass.  Derivative identities are checked, never used as shortcuts.
+radial parts of the terms from the solution's (sigma, c1, e, d1) table
+`SeparableSolution.coefs`, and both sum the pieces over term pairs: every
+piece of a pair is r^{s_i} r^{s_j} times a quadratic in r^2, so the ball
+integrals are power laws taken in closed form and neither path runs a
+radial rule.  The radius-independent part of that sum is a plan, `_Plan`
+(the pair list and each piece's coefficients, the ball's divided by their
+exponents), which the solution keeps from the first evaluation of a path
+on (`SeparableSolution._table`); an evaluation then forms r^sigma once per
+term and every piece from it, over a whole radius schedule in one numpy
+pass.  The paths differ in where the angular pair integrals come from.  The
+closed path takes them from mode orthonormality: only the diagonal pairs,
+with <P_i, P_i> = 1 and the eigenvalue mu_i; its bracket of nu1 is a
+Lagrange sum of squares, whose pair table `_Bracket` is kept alike, so
+nu1 >= 0 exactly.  The quadrature path reduces the horizontal sphere
+exactly (harmonic orthogonality is structural) and integrates every pair of
+a block on the angular Gauss rule `AngularGrid1D.gauss(N, b, n)` over the
+sampled profiles, n from `gauss_nodes` of the largest degree, so it stays
+an independent check of the closed path's orthonormality and of
+finite-volume profiles.  The exponents need not be integers: the constant
+mode at N + b < 1 is served by both paths.  Derivative identities are
+checked, never used as shortcuts.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .core import (
     _number,
     _radius,
 )
-from .synthesis import SeparableSolution, gauss_nodes, _radial_parts
+from .synthesis import SeparableSolution, gauss_nodes
 
 
 @dataclass(frozen=True)
@@ -57,76 +62,143 @@ class _TermPieces:
 # ---------------------------------------------------------------------------
 # the frequency pieces
 
+# The pieces as sums over the products of the radial parts (phi, phi~, r phi', r phi~')
+# of a pair's terms, each weighted by a = <P_i, P_j> (`_BY_A`) or by
+# m = <P_i', P_j'> + k (k + N - 2) <P_i, P_j / sin^2 psi> (`_BY_M`).  The
+# products are phi phi, phi~ phi~, phi r phi', phi~ r phi~', r phi' r phi',
+# r phi~' r phi~', phi phi~ and phi~ r phi'; the pieces are those of `_TermPieces`.
+_LEFT, _RIGHT = [0, 1, 0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 2, 3, 1, 2]
+_BY_A = np.array([[0, 0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1],
+                  [1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 0, 0],
+                  [0, 0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]], dtype=float)
+_BY_M = np.array([[1, 1, 0, 0, 0, 0, 0, 0]] + [[0] * 8] * 4
+                 + [[1, 1, 0, 0, 0, 0, 0, 0]] + [[0] * 8] * 2, dtype=float)
 
-def _bracket(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """|a|^2 |b|^2 - (a.b)^2 for a = (phi_i, phi~_i), b = a', summed over pairs.
 
-    Lagrange's identity makes it sum_{i<j} (a_i b_j - a_j b_i)^2.  Every
-    entry is C0 r^S + C2 r^{S+2}, so each determinant is r^{S_i+S_j-1} times
-    a quadratic in r^2 whose coefficients carry the exponent gaps: equal
-    powers cancel exactly, before any rounding.  Entries phi~_i = 0 are left out.
+@dataclass(frozen=True)
+class _Plan:
+    """Radius-independent tables of one path on one synthesis, kept by the solution.
+
+    Every piece is a sum over term pairs (i, j) of r^{s_i} r^{s_j} times a
+    quadratic in r^2, times a power of r common to the piece: r^{beta - 1}
+    for the ball pieces, r^beta {1, 1/r, 1/r^2, 1/r^2, 1} for the sphere
+    pieces.  `weights[n, piece, pair]` is the coefficient of r^{2n}.  The
+    radial parts of a term are r^sigma times (c1 + e r^2, d1) and, for
+    r phi' and r phi~', (c1 s + e (s + 2) r^2, d1 s), so the sphere weights
+    are pair products of these against a and m (`_BY_A`, `_BY_M`).  The ball
+    integrands are the sphere's integrands at rho times rho^beta, and their
+    radial integrals are C r^q / q over the exponents
+    q = s_i + s_j + beta - 1 + 2n, n = 0, 1, 2: the ball weights are C / q.
+    Pairs whose weights all vanish are left out, so an inactive piece adds
+    exactly 0.
     """
-    s, c1, e, d1 = coefs
-    live = d1 != 0.0
-    S = np.concatenate([s, s[live]])
-    C0 = np.concatenate([c1, d1[live]])
-    C2 = np.concatenate([e, np.zeros(np.count_nonzero(live))])
-    i, j = np.triu_indices(S.size, 1)
-    gap = S[j] - S[i]
-    quad = np.stack([C0[i] * C0[j] * gap,
-                     C0[i] * C2[j] * (gap + 2.0) + C2[i] * C0[j] * (gap - 2.0),
-                     C2[i] * C2[j] * gap])
-    r2 = r * r
-    rs = r ** S[:, None]
-    det = (quad.T @ np.stack([np.ones_like(r), r2, r2 * r2])) * (rs[i] * rs[j])
-    return np.einsum("pn,pn->n", det, det) / r2
+
+    sigma: np.ndarray     # (T, 1) exponents of the terms
+    i: np.ndarray         # (P,) terms of each pair
+    j: np.ndarray
+    weights: np.ndarray   # (3 * 8, P)
 
 
-def _assemble(coefs: np.ndarray, pairs, r: np.ndarray, beta: float) -> np.ndarray:
-    """Rows of `_TermPieces` summed over term pairs, in one numpy pass over them.
-
-    `pairs` is (i, j, a, m): the terms of each pair (index arrays, or
-    slice(None) twice for the diagonal i = j) and the arrays of the pairs'
-    angular integrals a = <P_i, P_j> and
-    m = <P_i', P_j'> + k (k + N - 2) <P_i, P_j / sin^2 psi>.
-    The ball integrands of a pair are power laws, so each ball piece is a sum
-    of C[n, piece, pair] r^q / q over the exponents q = s_i + s_j + N + b - 1
-    + 2n, n = 0, 1, 2; the sphere pieces pair the radial parts at r alike.
-    """
-    i, j, a, m = pairs
-    s, c1, e, d1 = coefs
-    si, sj, ci, cj, ei, ej, di, dj = s[i], s[j], c1[i], c1[j], e[i], e[j], d1[i], d1[j]
-    ti, tj, cej, ecj = si + 2.0, sj + 2.0, ci * ej, ei * cj
-    # the pieces are ball_grad, ball_uv and ball_v_zgrad
-    zero = np.zeros_like(si)
-    C = np.array([
-        [(ci * cj + di * dj) * (a * si * sj + m), zero, zero],
-        [a * (cej * si * tj + ecj * ti * sj) + m * (cej + ecj), a * ci * dj, a * di * cj * sj],
-        [ei * ej * (a * ti * tj + m), a * ei * dj, a * di * ej * tj],
-    ])
-    Q = si + sj + beta + np.array([[-1.0], [1.0], [3.0]])
-    active = (C != 0.0).any(axis=1)
+def _make_plan(sol: SeparableSolution, method: str) -> _Plan:
+    """The plan of a path: the diagonal pairs (a = 1, m = mu) for the closed path,
+    `_angular_pairs` for the quadrature path.  A divergent ball integral raises."""
+    s, c1, e, d1 = sol.coefs
+    if method == "closed":   # orthonormal modes
+        i = j = np.arange(s.size)
+        a, m = np.ones(s.size), np.array([t.mode.mu for t in sol.terms], dtype=float)
+    else:
+        i, j, a, m = _angular_pairs(sol)
+    parts = np.zeros((4, 2, s.size))   # coefficients of r^sigma and r^{sigma+2}
+    parts[0], parts[1, 0], parts[2], parts[3, 0] = (c1, e), d1, (c1 * s, e * (s + 2.0)), d1 * s
+    left, right = parts[_LEFT][:, :, i], parts[_RIGHT][:, :, j]
+    products = np.stack([left[:, 0] * right[:, 0],
+                         left[:, 0] * right[:, 1] + left[:, 1] * right[:, 0],
+                         left[:, 1] * right[:, 1]])
+    W = a * (_BY_A @ products) + m * (_BY_M @ products)   # [n, piece, pair]
+    # ball_uv and ball_v_zgrad integrate phi phi~ and phi~ r phi' against rho^{beta + 1},
+    # r^2 above the gradients' rho^{beta - 1}: one power of r^2 up (their r^4 term is 0)
+    W[:, 1:3] = W[[2, 0, 1], 1:3]
+    Q = s[i] + s[j] + sol.params.N + sol.params.b + np.array([[-1.0], [1.0], [3.0]])
+    active = (W[:, :3] != 0.0).any(axis=1)
     divergent = active & (Q <= 0.0)
     if divergent.any():
         raise DomainError(
             f"radial integral of exponent {Q[divergent][0] - 1} diverges at 0; "
             "this synthesis is outside the integrable range"
         )
-    Q = np.where(active, Q, 1.0)[:, :, None]
-    ball = np.einsum("jkt,jtn->kn", C, np.where(active[:, :, None], r ** Q / Q, 0.0))
-    # the radial parts on the sphere S_r^+, one row per term, paired as the ball
-    phi, dphi, phit, dphit = _radial_parts(coefs[:, :, None], r)
-    u2 = phi[i] * phi[j] + phit[i] * phit[j]
-    du2 = a @ (dphi[i] * dphi[j] + dphit[i] * dphit[j])
+    W[:, :3] /= np.where(active, Q, 1.0)[:, None, :]
+    keep = (W != 0.0).any(axis=(0, 1))
+    plan = _Plan(sigma=s[:, None], i=i[keep], j=j[keep], weights=W[:, :, keep].reshape(24, -1))
+    for arr in vars(plan).values():
+        arr.flags.writeable = False
+    return plan
+
+
+def _evaluate(plan: _Plan, r: np.ndarray, beta: float) -> np.ndarray:
+    """Rows of `_TermPieces` at the radii r, from r^sigma of each term."""
+    rs = r ** plan.sigma
+    Y = (plan.weights @ (rs[plan.i] * rs[plan.j])).reshape(3, 8, r.size)
+    r2 = r * r
     rb = r ** beta
-    return np.vstack([
-        ball,
-        rb * (a @ u2),
-        rb * (a @ (phi[i] * dphi[j] + phit[i] * dphit[j])),
-        rb * (du2 + (m @ u2) / r ** 2),
-        rb * du2,
-        rb * (a @ (phi[i] * phit[j])),
-    ])
+    rb1 = rb / r
+    rb2 = rb1 / r
+    return (Y[0] + r2 * (Y[1] + r2 * Y[2])) * np.array([rb1, rb1, rb1, rb, rb1, rb2, rb2, rb])
+
+
+@dataclass(frozen=True)
+class _Bracket:
+    """Radius-independent tables of `_bracket`, kept by the solution.
+
+    Entry k of a = (phi_i, phi~_i) is r^{S_k} (C0_k + C2_k r^2), with
+    S_k = `shift` + sigma of term `term[k]`; phi~_i = 0 is left out.  Pair
+    (i, j), i < j, of entries has the determinant a_i b_j - a_j b_i =
+    r^{S_i + S_j - 1} times `quad` . (1, r^2, r^4).
+    """
+
+    shift: np.ndarray   # (T, 1) exponents, less the smallest of a live term
+    term: np.ndarray
+    C0: np.ndarray      # (K, 1)
+    C2: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    quad: np.ndarray    # (pairs, 3)
+
+
+def _make_bracket(sol: SeparableSolution) -> _Bracket:
+    """The bracket's tables; S_min is the smallest exponent of a live term."""
+    s, c1, e, d1 = sol.coefs
+    live = (c1 != 0.0) | (d1 != 0.0)
+    S = s - (s[live].min() if live.any() else 0.0)
+    term = np.concatenate([np.arange(s.size), np.flatnonzero(d1 != 0.0)])
+    C0 = np.concatenate([c1, d1[d1 != 0.0]])
+    C2 = np.concatenate([e, np.zeros(term.size - s.size)])
+    i, j = np.triu_indices(term.size, 1)
+    gap = S[term[j]] - S[term[i]]
+    quad = np.column_stack([C0[i] * C0[j] * gap,
+                            C0[i] * C2[j] * (gap + 2.0) + C2[i] * C0[j] * (gap - 2.0),
+                            C2[i] * C2[j] * gap])
+    table = _Bracket(shift=S[:, None], term=term, C0=C0[:, None], C2=C2[:, None], i=i, j=j,
+                     quad=quad)
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
+
+
+def _bracket(sol: SeparableSolution, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|a|^2 |b|^2 - (a.b)^2 for a = (phi_i, phi~_i), b = a', summed over pairs, and |a|^2,
+    both with the radial factors divided by r^{S_min}.
+
+    Lagrange's identity makes it sum_{i<j} (a_i b_j - a_j b_i)^2.  Every
+    entry is C0 r^S + C2 r^{S+2}, so each determinant is r^{S_i+S_j-1} times
+    a quadratic in r^2 whose coefficients carry the exponent gaps: equal
+    powers cancel exactly, before any rounding.
+    """
+    bt = sol._table("bracket", _make_bracket)
+    r2 = r * r
+    rs = (r ** bt.shift)[bt.term]
+    det = (bt.quad @ np.stack([np.ones_like(r), r2, r2 * r2])) * (rs[bt.i] * rs[bt.j])
+    a = rs * (bt.C0 + bt.C2 * r2)
+    return np.einsum("pn,pn->n", det, det) / r2, np.einsum("kn,kn->n", a, a)
 
 
 def _angular_pairs(sol: SeparableSolution):
@@ -165,22 +237,17 @@ def _pieces(sol: SeparableSolution, radii, method: str) -> _TermPieces:
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown method {method!r}; use 'closed' or 'quadrature'")
     with np.errstate(over="ignore", invalid="ignore"):   # reported below
-        if method == "closed":   # orthonormal modes: the diagonal, a = 1 and m = mu
-            mu = np.array([t.mode.mu for t in sol.terms], dtype=float)
-            pairs = (slice(None), slice(None), np.ones_like(mu), mu)
-        else:
-            pairs = _angular_pairs(sol)
-        acc = _assemble(sol.coefs, pairs, r, sol.params.N + sol.params.b)
-    bad = ~np.all(np.isfinite(acc), axis=0)
-    if np.any(bad):
+        plan = sol._table(method, lambda sol: _make_plan(sol, method))
+        acc = _evaluate(plan, r, sol.params.N + sol.params.b)
+    finite = np.isfinite(acc).all(axis=0)
+    if not finite.all():
         raise DomainError(
-            f"frequency pieces are not finite at radius {r[np.argmax(bad)]}; "
+            f"frequency pieces are not finite at radius {r[np.argmin(finite)]}; "
             "the radius or the coefficients are out of range"
         )
     pieces = _TermPieces(*acc)
-    vanishing = pieces.s_u2 <= 0.0
-    if np.any(vanishing):
-        raise VanishingDenominatorError(f"H({r[np.argmax(vanishing)]}) is not positive")
+    if not (pieces.s_u2 > 0.0).all():
+        raise VanishingDenominatorError(f"H({r[np.argmin(pieces.s_u2 > 0.0)]}) is not positive")
     return pieces
 
 
@@ -204,13 +271,8 @@ def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
     """
     beta = sol.params.N + sol.params.b
     if method == "closed":
-        s, c1, _, d1 = sol.coefs
-        live = (c1 != 0.0) | (d1 != 0.0)
-        scaled = sol.coefs.copy()
-        scaled[0] -= s[live].min() if live.any() else 0.0
-        phi, _, phit, _ = _radial_parts(scaled[:, :, None], r)
-        u2 = (phi * phi + phit * phit).sum(axis=0)
-        nu1 = 2.0 * r * _bracket(scaled, r) / u2 ** 2
+        bracket, u2 = _bracket(sol, r)
+        nu1 = 2.0 * r * bracket / u2 ** 2
     else:
         ratio = pc.s_uu / pc.s_u2
         nu1 = 2.0 * r * (pc.s_nu / pc.s_u2 - ratio * ratio)
@@ -346,15 +408,14 @@ def check_pohozaev(sol: SeparableSolution, r: float,
     p, r = sol.params, _radius(r, at_most=sol.R)
     beta = p.N + p.b
     pc = _pieces(sol, [r], method)
-    lhs1 = pc.ball_grad + pc.ball_uv
-    rhs1 = pc.s_uu
-    scale1 = np.max([np.abs(lhs1), np.abs(rhs1), pc.ball_grad, [1e-300]], axis=0)
-    res1 = np.abs(lhs1 - rhs1) / scale1
-    lhs2 = -(beta - 1.0) / 2.0 * pc.ball_grad + pc.ball_v_zgrad + 0.5 * r * pc.s_grad
-    rhs2 = r * pc.s_nu
-    scale2 = np.max([np.abs(lhs2), np.abs(rhs2), 0.5 * r * pc.s_grad, [1e-300]], axis=0)
-    res2 = np.abs(lhs2 - rhs2) / scale2
-    return float(res1[0]), float(res2[0])
+    grad, uv, v_zgrad, uu, s_grad, s_nu = (float(getattr(pc, name)[0]) for name in (
+        "ball_grad", "ball_uv", "ball_v_zgrad", "s_uu", "s_grad", "s_nu"))
+    lhs1 = grad + uv
+    res1 = abs(lhs1 - uu) / max(abs(lhs1), abs(uu), grad, 1e-300)
+    lhs2 = -(beta - 1.0) / 2.0 * grad + v_zgrad + 0.5 * r * s_grad
+    rhs2 = r * s_nu
+    res2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 0.5 * r * s_grad, 1e-300)
+    return res1, res2
 
 
 @dataclass(frozen=True)
@@ -384,7 +445,7 @@ def _fit_exponents(sol: SeparableSolution) -> np.ndarray:
     A power within EXPONENT_MERGE_TOL of the last one kept is merged into it."""
     sigma = np.array([t.sigma for t in sol.terms if t.c1 != 0.0 or t.d1 != 0.0])
     kept = []
-    for a in np.unique(2.0 * sigma[:, None] + np.array([0.0, 2.0, 4.0])):
+    for a in np.unique(2.0 * sigma[:, None] + np.array([0.0, 2.0, 4.0])).tolist():
         if not kept or a - kept[-1] > EXPONENT_MERGE_TOL:
             kept.append(a)
     return np.array(kept)

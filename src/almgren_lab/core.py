@@ -729,14 +729,20 @@ def integrate_halfball(
     polar coordinates the measure splits into rho^{N+b} d(rho) times the
     angular weight, so the rule is `_HalfBallRule` with the radial pair
     `gauss_jacobi(n_radial, N+b)` in rho / r and `AngularGrid1D.gauss(N, b,
-    n_angular)`.
+    n_angular)`.  A nonzero rule sum that the measure's factors scale below
+    the float range raises `DomainError` rather than returning 0.0.
     """
     r = _radius(r, power=params.N + 3)
     beta = params.N + params.b
     radial = gauss_jacobi(n_radial, beta)
     rule = _HalfBallRule(params, r, AngularGrid1D.gauss(params.N, params.b, n_angular),
                          radial, beta)
-    return rule.ball(f(rule.rho, rule.angular.nodes[None, :]))
+    values = f(rule.rho, rule.angular.nodes[None, :])
+    total = rule.ball(values)
+    if total == 0.0:
+        _refuse_underflow(rule.radial_weights @ (np.asarray(values, dtype=float)
+                                                 @ rule.angular.weights), "half-ball", r)
+    return total
 
 
 def integrate_halfsphere(
@@ -751,14 +757,25 @@ def integrate_halfsphere(
     The point associated with angle a on the sphere of radius r is
     r*(sin(a) w, cos(a)) for N >= 2 and r*(cos(a), sin(a)) for N = 1.  The
     rule is the sphere sum of `_HalfBallRule` on `AngularGrid1D.gauss(N, b,
-    n_angular)`; g's values broadcast to the nodes.
+    n_angular)`; g's values broadcast to the nodes.  A nonzero rule sum that
+    underflows on scaling raises `DomainError`, as in `integrate_halfball`.
     """
     r = _radius(r, power=params.N + 3)
     grid = AngularGrid1D.gauss(params.N, params.b, n_angular)
     values = np.asarray(g(grid.nodes), dtype=float)
     if values.shape != grid.nodes.shape:
         values = np.broadcast_to(values, grid.nodes.shape).astype(float)
-    return _HalfBallRule(params, r, grid).sphere(values)
+    total = _HalfBallRule(params, r, grid).sphere(values)
+    if total == 0.0:
+        _refuse_underflow(grid.weights @ values, "half-sphere", r)
+    return total
+
+
+def _refuse_underflow(weighted_sum: float, where: str, r: float) -> None:
+    """Raise when a nonzero rule sum became 0.0 on scaling by the measure's factors."""
+    if weighted_sum != 0.0:
+        raise DomainError(f"the {where} integral underflows: its rule sum {weighted_sum:.3g} "
+                          f"scaled by the measure at r = {r} is below the float range")
 
 
 def angle_to_xt(params: WeightParams, r, angle):

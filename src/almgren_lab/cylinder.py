@@ -79,8 +79,11 @@ def _disk_zeros(count: int) -> list[tuple[int, int, float]]:
 
 
 def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
-    """Closed-form Dirichlet spectra for the interval (N = 1) and disk (N = 2)."""
-    N, count = _count(N, "dimension N"), _count(count, "count")
+    """Closed-form Dirichlet spectra for the interval (N = 1) and disk (N = 2).
+
+    One evaluator closure per eigenvalue: `count` is capped at MAX_MODES
+    (`DomainError`), as in `cylinder_spectrum`."""
+    N, count = _count(N, "dimension N"), _count(count, "count", 1, MAX_MODES)
     R = _radius(R, "ball radius R", power=2.0)
     if N == 1:
         a = 2.0 * R
@@ -154,10 +157,11 @@ class CylinderMode:
 def cylinder_mode(params: WeightParams, n: int, m: int) -> CylinderMode:
     """Assemble the (n, m) eigenmode; eigenvalue mu_n + j_m^2/(2R)^2.
 
-    One mode solves its own n Dirichlet eigenvalues and its one zero j_m;
-    `cylinder_spectrum` is the batch path for many modes of one params.
+    One mode solves its own n Dirichlet eigenvalues and its one zero j_m, so
+    n is capped at MAX_MODES (`DomainError`); `cylinder_spectrum` is the
+    batch path for many modes of one params.
     """
-    n, m = _count(n, "mode index n"), _count(m, "mode index m")
+    n, m = _count(n, "mode index n", 1, MAX_MODES), _count(m, "mode index m")
     return _mode(params, dirichlet_eigs(params.N, params.R, n), n, m,
                  bessel_zero(-params.alpha, m))
 

@@ -12,13 +12,18 @@ e = d1 / K, where the resonance constant
              = 2 (2 sigma + N + b + 1) >= 2
 
 is formed in its short form at the exponent itself.  This module is the one
-home of that model: `_radial_parts` evaluates it on a table of (sigma, c1, e,
-d1) rows, `SeparableSolution.coefs` is the table of a synthesis, and the
-Almgren machinery, the Fourier coefficients and the point evaluator read
-them (`_point_values` on points); the blow-up fitter takes K at each
-candidate exponent.  The angular factor is the mode profile times the
-normalized representative harmonic of its sector, so modes are orthonormal
-on the weighted half sphere and all quadratic functionals decouple.
+home of that model: `SeparableSolution.coefs` is the table of (sigma, c1, e,
+d1) rows of a synthesis, which the Almgren machinery and the Fourier
+coefficients read and `_radial_parts` evaluates for the point evaluator
+(`_point_values` on points); the blow-up fitter takes K at each candidate
+exponent.  A solution also keeps, from their first use, the
+tables of its later calls that do not depend on the radius
+(`SeparableSolution._table`): the Almgren plans and, per mode, the Fourier
+projections (`_projection`).  The blow-up fit of phi is a two-column least
+squares solved by modified Gram-Schmidt for every candidate at once.  The
+angular factor is the mode profile times the normalized representative
+harmonic of its sector, so modes are orthonormal on the weighted half
+sphere and all quadratic functionals decouple.
 """
 
 from __future__ import annotations
@@ -118,6 +123,19 @@ class SeparableSolution:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def _tables(self) -> dict:
+        """The tables `_table` keeps, by key; they go with the solution."""
+        return {}
+
+    def _table(self, key, build):
+        """The radius-independent table `key`, made by `build(self)` on first use and kept
+        with the solution, as `coefs` is: the Almgren plans and the Fourier projections."""
+        try:
+            return self._tables[key]
+        except KeyError:
+            return self._tables.setdefault(key, build(self))
+
 
 def synthesize(params: WeightParams, spec, modes=None) -> SeparableSolution:
     """Build an exact solution pair from (mode, c1, d1) triples.
@@ -197,31 +215,87 @@ def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0
     return EvalResult(U=U, V=V, grad_U=(dUr, dUp / r), grad_V=(dVr, dVp / r))
 
 
+def _projection(sol: SeparableSolution, mode: SpectralMode) -> tuple[np.ndarray, np.ndarray]:
+    """The (sigma, c1, e, d1) columns of the mode's block and their angular integrals g_i.
+
+    g_i = int P_i P_mode on the Gauss-Jacobi grid of `gauss_nodes` of the
+    largest degree among the mode and the block's terms, from the profiles'
+    kept Gauss samples; both arrays are read-only.
+    """
+    block = [i for i, t in enumerate(sol.terms) if t.mode.k == mode.k]
+    g = np.zeros(len(block))
+    if block:
+        N, b = sol.params.N, sol.params.b
+        n = gauss_nodes(max(mode.sigma_plus, *(sol.terms[i].sigma for i in block)))
+        P = np.array([sol.terms[i].mode.profile._on_gauss(N, b, n)[0] for i in block])
+        g = P @ (AngularGrid1D.gauss(N, b, n).weights * mode.profile._on_gauss(N, b, n)[0])
+    table = (sol.coefs[:, block], g)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def fourier_coefficient(sol: SeparableSolution, mode: SpectralMode,
                         lam: float) -> tuple[float, float]:
     """Weighted angular coefficients (phi, phi~) of (U, V) against a mode at radius lam.
 
     Blocks with a wavenumber different from the mode's integrate to zero
-    exactly by horizontal-harmonic orthogonality; the polar integral is
-    numerical quadrature on the Gauss-Jacobi grid of `gauss_nodes` of the
-    largest degree among the mode and the block's terms.  The profiles come
-    from their kept Gauss samples, so the blow-up samples of one synthesis
-    evaluate each profile once; only the radial weights change with lam.
+    exactly by horizontal-harmonic orthogonality; the polar integrals
+    g_i = int P_i P_mode of the block's terms are numerical quadrature on the
+    Gauss-Jacobi grid of `gauss_nodes` of the largest degree among the mode
+    and the block's terms.  The solution keeps them, with the block's
+    coefficient columns, per mode on first use (`_projection`), so each
+    blow-up sample is one radial evaluation at lam and two dot products.  A
+    coefficient that is not finite raises `InputError`.
     """
     lam = _radius(lam, at_most=sol.R)
-    block = [i for i, t in enumerate(sol.terms) if t.mode.k == mode.k]
-    terms = [sol.terms[i] for i in block]
-    if not terms:
-        return 0.0, 0.0
-    N, b = sol.params.N, sol.params.b
-    n = gauss_nodes(max(mode.sigma_plus, *(t.sigma for t in terms)))
-    grid = AngularGrid1D.gauss(N, b, n)
-    P = np.array([t.mode.profile._on_gauss(N, b, n)[0] for t in terms])
-    p_mode = mode.profile._on_gauss(N, b, n)[0]
-    # rows (phi(lam), phi~(lam)) of the radial weights, one column per term
-    phi, _, phit, _ = _radial_parts(sol.coefs[:, block], lam)
-    f_u, f_v = (np.array([phi, phit]) @ P) * p_mode
-    return float(grid.integrate_bare(f_u)), float(grid.integrate_bare(f_v))
+    (s, c1, e, d1), g = sol._table(("fourier", mode), lambda sol: _projection(sol, mode))
+    rs = lam ** s
+    phi, phit = float((c1 + e * (lam * lam)) * rs @ g), float(d1 * rs @ g)
+    if not (math.isfinite(phi) and math.isfinite(phit)):
+        raise InputError("non-finite field sample")
+    return phi, phit
+
+
+# Squared column norms below this leave the sums of squares to subnormal roundoff
+_NORM2_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _two_column_fit(lam: np.ndarray, y: np.ndarray, sigmas: np.ndarray):
+    """Least squares of y by (lam^sigma, lam^(sigma+2)) for every candidate sigma at once.
+
+    Modified Gram-Schmidt on the two columns with y as a third column
+    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996, 2.4):
+    rows (c1, e) of coefficients and the residuals, one row per candidate.
+    Where fewer than two samples are kept, a column's squared norm leaves the
+    normal range, or the triangular factor is singular to pinv's 1e-15, the
+    candidate gets pinv's minimum-norm answer on a QR of its columns.
+    """
+    a1 = lam ** sigmas[:, None]
+    a2 = a1 * (lam * lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n11 = np.einsum("cm,cm->c", a1, a1)
+        r11 = np.sqrt(n11)
+        q1 = a1 / r11[:, None]
+        r12 = np.einsum("cm,cm->c", q1, a2)
+        a2 -= r12[:, None] * q1
+        n22 = np.einsum("cm,cm->c", a2, a2)
+        r22 = np.sqrt(n22)
+        q2 = a2 / r22[:, None]
+        z1 = q1 @ y
+        res = y - z1[:, None] * q1
+        z2 = np.einsum("cm,cm->c", q2, res)
+        res -= z2[:, None] * q2
+        e = z2 / r22
+        coef = np.column_stack([(z1 - r12 * e) / r11, e])
+    odd = ~((n11 >= _NORM2_FLOOR) & (n22 >= _NORM2_FLOOR)
+            & (r11 * r22 > 1e-14 * (n11 + r12 * r12 + n22)))
+    if np.any(odd):
+        A = lam[None, :, None] ** (sigmas[odd][:, None, None] + np.array([0.0, 2.0]))
+        Q, R = np.linalg.qr(A)
+        coef[odd] = (np.linalg.pinv(R) @ (np.swapaxes(Q, 1, 2) @ y[:, None]))[..., 0]
+        res[odd] = y - (A @ coef[odd][..., None])[..., 0]
+    return coef, res
 
 
 @dataclass(frozen=True)
@@ -242,14 +316,17 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     """Least-squares fit of (c1, d1) over candidate exponents; classifies delta.
 
     `samples` is an array of (lambda, phi, phi~) rows covering at least six
-    positive radii spanning a decade.  For each candidate sigma the model is linear in
-    (c1, d1/K), with K that of sigma itself; the candidate with minimal
-    relative residual wins.  When
-    phi~ vanishes on every sample, a fit of phi by lam^sigma alone (d1 = 0)
-    is preferred whenever one meets `residual_tol`.  If every
-    candidate leaves a relative residual above `residual_tol` a
-    ClassificationError reports the failure.  A candidate whose squared
-    column lam^(2 sigma) or lam^(2 sigma + 4) overflows raises DomainError.
+    positive radii spanning a decade.  For each candidate sigma the model is
+    linear in (c1, d1/K), with K that of sigma itself: phi is fitted by the
+    two columns lam^sigma and lam^(sigma+2) in one modified Gram-Schmidt pass
+    over every candidate (`_two_column_fit`, with pinv's minimum-norm answer
+    where the columns are degenerate), phi~ by lam^sigma alone.  The
+    candidate with minimal relative residual wins.  When phi~ vanishes on
+    every sample, a fit of phi by lam^sigma alone (d1 = 0) is preferred
+    whenever one meets `residual_tol`.  If every candidate leaves a relative
+    residual above `residual_tol` a ClassificationError reports the failure.
+    A candidate whose squared column lam^(2 sigma) or lam^(2 sigma + 4)
+    overflows raises DomainError.
     """
     data = _finite(samples, "samples (lambda, phi, phi_tilde)", shape=(None, 3))
     if data.shape[0] < 6:
@@ -286,13 +363,7 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
         res = y - a * coef[:, None]
         return coef, np.sum(res * res, axis=1)
 
-    # phi = c1 lam^sigma + e lam^{sigma+2}: one stacked QR of the (candidate,
-    # sample, 2) design; pinv(R) is the minimum-norm solve when fewer than two
-    # samples are kept
-    A = lam_u[None, :, None] ** (sigmas[:, None, None] + np.array([0.0, 2.0]))
-    Q, R = np.linalg.qr(A)
-    coef = (np.linalg.pinv(R) @ (np.swapaxes(Q, 1, 2) @ phi_u[:, None]))[..., 0]
-    res_u = phi_u - (A @ coef[..., None])[..., 0]
+    coef, res_u = _two_column_fit(lam_u, phi_u, sigmas)
     if np.any(keep_v):
         d1, ss_v = one_column(lam[keep_v] ** sigmas[:, None], phit[keep_v])
     else:

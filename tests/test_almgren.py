@@ -750,3 +750,95 @@ def test_pohozaev_identities_on_random_exact_syntheses(N, data):
     r = data.draw(st.floats(min_value=0.01, max_value=0.95), label="r")
     assert max(check_pohozaev(sol, r)) <= 1e-12
     assert max(check_pohozaev(sol, r, method="quadrature")) <= 1e-10
+
+
+def _assembled(coefs, pairs, r, beta):
+    """The pieces summed term pair by term pair, each ball piece as C r^q / q.
+
+    The per-pair assembly the stored plans replace, kept as their oracle:
+    `pairs` is (i, j, a, m); with |coefficients|, |a| and |m| it gives each
+    piece's scale, the sum of its contributions' sizes.
+    """
+    from almgren_lab.synthesis import _radial_parts
+
+    i, j, a, m = pairs
+    s, c1, e, d1 = coefs
+    si, sj, ci, cj, ei, ej, di, dj = s[i], s[j], c1[i], c1[j], e[i], e[j], d1[i], d1[j]
+    ti, tj, cej, ecj = si + 2.0, sj + 2.0, ci * ej, ei * cj
+    zero = np.zeros_like(si)
+    C = np.array([
+        [(ci * cj + di * dj) * (a * si * sj + m), zero, zero],
+        [a * (cej * si * tj + ecj * ti * sj) + m * (cej + ecj), a * ci * dj, a * di * cj * sj],
+        [ei * ej * (a * ti * tj + m), a * ei * dj, a * di * ej * tj],
+    ])
+    Q = si + sj + beta + np.array([[-1.0], [1.0], [3.0]])
+    active = (C != 0.0).any(axis=1)
+    Q = np.where(active, Q, 1.0)[:, :, None]
+    ball = np.einsum("jkt,jtn->kn", C, np.where(active[:, :, None], r ** Q / Q, 0.0))
+    phi, dphi, phit, dphit = _radial_parts(coefs[:, :, None], r)
+    u2 = phi[i] * phi[j] + phit[i] * phit[j]
+    du2 = a @ (dphi[i] * dphi[j] + dphit[i] * dphit[j])
+    rb = r ** beta
+    return np.vstack([ball, rb * (a @ u2), rb * (a @ (phi[i] * dphi[j] + phit[i] * dphit[j])),
+                      rb * (du2 + (m @ u2) / r ** 2), rb * du2, rb * (a @ (phi[i] * phit[j]))])
+
+
+def _check_planned_pieces(sol, radii):
+    beta = sol.params.N + sol.params.b
+    n = len(sol.terms)
+    mu = np.array([t.mode.mu for t in sol.terms])
+    for method, pairs in (("closed", (np.arange(n), np.arange(n), np.ones(n), mu)),
+                          ("quadrature", almgren._angular_pairs(sol))):
+        pc = almgren._pieces(sol, radii, method)
+        got = np.array([getattr(pc, f.name) for f in dataclasses.fields(pc)])
+        want = _assembled(sol.coefs, pairs, radii, beta)
+        i, j, a, m = pairs
+        scale = _assembled(np.abs(sol.coefs), (i, j, np.abs(a), np.abs(m)), radii, beta)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), method
+
+
+@settings(max_examples=40)
+@given(N=st.integers(min_value=1, max_value=6), data=st.data())
+def test_planned_pieces_match_the_pair_by_pair_assembly(N, data):
+    # N + b < 1 (N = 1, s > 3/2) and terms with d1 = 0 included
+    s = data.draw(st.floats(min_value=1.0, max_value=1.999, exclude_min=True), label="s")
+    p, spec = _exact_synthesis(data.draw, N, s)
+    assume(any(c1 != 0.0 or d1 != 0.0 for _, c1, d1 in spec))
+    _check_planned_pieces(synthesize(p, spec), np.geomspace(0.9, 0.01, 6))
+
+
+def test_planned_pieces_serve_the_constant_mode_below_n_plus_b_one():
+    p = WeightParams(s=1.6, N=1)   # N + b = 0.8: the constant mode has sigma+ = 0.2
+    sol = synthesize(p, [(polynomial_mode(p, 0), 0.9, 0.0), (polynomial_mode(p, 1), 0.0, 0.6),
+                         (polynomial_mode(p, 3), -0.4, 0.0), (polynomial_mode(p, 6), 0.3, 0.2)])
+    assert sol.terms[0].sigma > 0.0
+    _check_planned_pieces(sol, np.geomspace(0.9, 0.001, 7))
+
+
+def _bits(x):
+    """Every number in x (arrays, floats, tuples and dataclass fields) as its exact bits."""
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return x.hex() if isinstance(x, float) else x
+
+
+def test_stored_tables_give_the_same_bits_in_any_order(p3):
+    spec = [(polynomial_mode(p3, 1), 0.7, 0.4), (polynomial_mode(p3, 2, k=0), -0.3, 0.0),
+            (polynomial_mode(p3, 3, k=1), 0.5, -0.8)]
+
+    def run(order):
+        sol = synthesize(p3, spec)
+        steps = {"trace": lambda: trace(sol, [0.45, 0.1, 0.01]),
+                 "quadrature": lambda: trace(sol, [0.45, 0.1], method="quadrature"),
+                 "limit": lambda: frequency_limit(sol),
+                 "pohozaev": lambda: (check_pohozaev(sol, 0.3),
+                                      check_pohozaev(sol, 0.3, method="quadrature"))}
+        out = {name: steps[name]() for name in order}
+        return [_bits(out[name]) for name in sorted(out)]
+
+    forward = run(["trace", "quadrature", "limit", "pohozaev"])
+    assert run(["pohozaev", "limit", "quadrature", "trace"]) == forward

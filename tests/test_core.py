@@ -148,6 +148,21 @@ def test_halfball_rule_beyond_R_and_on_a_given_grid(params_n1, params_n3):
     assert_allclose(ball, sphere / (p.N + p.b + 1), rtol=1e-14)
 
 
+@pytest.mark.parametrize("which", ["ball", "sphere"])
+def test_half_ball_sums_refuse_an_underflow_and_keep_the_bits_above_it(which):
+    # a positive integrand at N = 342, r = 0.5: the rule sum times the measure's
+    # factors (the unit sphere's area about 1e-222) underflowed to 0.0
+    def run(N):
+        p = WeightParams(s=1.5, N=N)
+        if which == "ball":
+            return integrate_halfball(ONE, p, 0.5)
+        return integrate_halfsphere(lambda a: np.ones_like(a), p, 0.5)
+
+    with pytest.raises(DomainError, match=f"half-{which} integral underflows"):
+        run(342)
+    assert run(300) == {"ball": 1.15871006656144e-280, "sphere": 6.975434600699865e-278}[which]
+
+
 _P = WeightParams(s=1.5, N=2)
 
 

@@ -271,3 +271,12 @@ def test_cylinder_spectrum_is_the_sorted_head_of_the_mode_table(N):
     for a, b in zip(got, table):
         assert (a.mu_n, a.zero_m, a.gamma_m, a.eigenvalue) == (b.mu_n, b.zero_m, b.gamma_m,
                                                                b.eigenvalue)
+
+
+@pytest.mark.parametrize("call", [lambda: dirichlet_eigs(1, 1.0, 10 ** 9),
+                                  lambda: dirichlet_eigs(2, 1.0, 513),
+                                  lambda: cylinder_mode(WeightParams(s=1.5, N=1), 10 ** 9, 1)])
+def test_dirichlet_counts_are_capped_at_max_modes(call):
+    # one evaluator closure per eigenvalue: the cap refuses before any is made
+    with pytest.raises(DomainError, match="within the cap of 512"):
+        call()

@@ -63,11 +63,12 @@ _ROWS = {
     "WeightParams.from_b": (WeightParams.from_b, {"b": 0.2, "N": 2, "R": 1.0}),
     "AngularGrid1D.gauss": (core.AngularGrid1D.gauss, {"N": 2, "b": 0.2, "n": 8}),
     "AngularGrid1D.integrate_bare": (_GRID.integrate_bare, {"values": np.ones(8)}),
-    "integrate_halfball": (lambda r, n_radial, n_angular: core.integrate_halfball(
-        _ONE, _P, r, n_radial=n_radial, n_angular=n_angular),
-        {"r": 1.0, "n_radial": 16, "n_angular": 16}),
-    "integrate_halfsphere": (lambda r, n_angular: core.integrate_halfsphere(
-        lambda a: np.cos(a), _P, r, n_angular=n_angular), {"r": 1.0, "n_angular": 16}),
+    "integrate_halfball": (lambda r, n_radial, n_angular, N: core.integrate_halfball(
+        _ONE, WeightParams(s=1.5, N=N), r, n_radial=n_radial, n_angular=n_angular),
+        {"r": 0.5, "n_radial": 16, "n_angular": 16, "N": 2}),
+    "integrate_halfsphere": (lambda r, n_angular, N: core.integrate_halfsphere(
+        lambda a: np.cos(a), WeightParams(s=1.5, N=N), r, n_angular=n_angular),
+        {"r": 0.5, "n_angular": 16, "N": 2}),
     "angle_to_xt": (lambda r, angle: core.angle_to_xt(_P, r, angle), {"r": 0.5, "angle": 0.3}),
     "gauss_jacobi": (core.gauss_jacobi, {"n": 8, "p": 0.5}),
     "split_gauss_jacobi": (core.split_gauss_jacobi, {"n": 8, "p": 0.5}),
@@ -180,6 +181,11 @@ def _with_examples(*cases):
 @example(slot=("hemisphere_eigs", "refinements"), value=40)
 # count^2 candidate modes: 10^5 ran without end, now above the MAX_MODES cap
 @example(slot=("cylinder_spectrum", "count"), value=10 ** 5)
+# one closure per Dirichlet eigenvalue: refused at the MAX_MODES cap before any is made
+@example(slot=("dirichlet_eigs", "count"), value=10 ** 9)
+@example(slot=("cylinder_mode", "n"), value=10 ** 9)
+# a positive integrand's sums scaled below the float range returned 0.0
+@example(slot=("integrate_halfball", "N"), value=342)
 def test_every_entry_point_refuses_hostile_arguments_or_returns_finite_values(slot, value):
     row, name = slot
     call, valid = _ROWS[row]

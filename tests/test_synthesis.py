@@ -360,3 +360,32 @@ def test_batched_fit_matches_per_candidate_lstsq(p3, rng):
         assert fit.residual == pytest.approx(rel, rel=1e-8)
         assert fit.c1_hat == pytest.approx(c1_ref, rel=1e-10)
         assert fit.d1_hat == pytest.approx(d1_ref, rel=1e-10)
+
+
+def test_one_mode_in_two_syntheses_reads_each_synthesis(p3):
+    # the projections are kept by each solution, not by the mode
+    mode, other = polynomial_mode(p3, 1), polynomial_mode(p3, 3, k=1)
+    first = synthesize(p3, [(mode, 0.9, -1.2), (other, 0.5, 0.0)])
+    second = synthesize(p3, [(mode, -0.3, 0.7), (other, 0.5, 0.0)])
+    K = k_constant(p3, mode)
+    for lam in (0.4, 0.1, 0.4):
+        for sol, c1, d1 in ((first, 0.9, -1.2), (second, -0.3, 0.7), (first, 0.9, -1.2)):
+            f, ft = fourier_coefficient(sol, mode, lam)
+            assert f == pytest.approx(c1 * lam + d1 / K * lam ** 3, rel=1e-8)
+            assert ft == pytest.approx(d1 * lam, rel=1e-8)
+
+
+def test_fit_with_one_kept_phi_sample_is_pinvs_minimum_norm_answer(p3):
+    # phi is below 1e-13 of the scale on all samples but one: the two columns
+    # meet one equation, and (c1, e) is the minimum-norm solution pinv gives
+    lam = np.geomspace(0.3, 0.02, 8)
+    phi = np.zeros_like(lam)
+    phi[2] = 0.05
+    phit = 0.8 * lam
+    fit = fit_blowup(np.column_stack([lam, phi, phit]), [1.0, 2.0], p3)
+    assert fit.sigma_used == 1.0
+    row = np.array([[lam[2], lam[2] ** 3]])
+    c1, e = np.linalg.pinv(row) @ [phi[2]]
+    assert fit.c1_hat == pytest.approx(c1, rel=1e-14)
+    assert fit.d1_hat == pytest.approx(0.8, rel=1e-14)
+    assert fit.branch == "sigma_plus" and fit.residual <= 1e-15
