@@ -835,10 +835,9 @@ def test_stored_tables_give_the_same_bits_in_any_order(p3):
         steps = {"trace": lambda: trace(sol, [0.45, 0.1, 0.01]),
                  "quadrature": lambda: trace(sol, [0.45, 0.1], method="quadrature"),
                  "limit": lambda: frequency_limit(sol),
-                 "pohozaev": lambda: (check_pohozaev(sol, 0.3),
-                                      check_pohozaev(sol, 0.3, method="quadrature"))}
+                 "pohozaev": lambda: check_pohozaev(sol, 0.3)}
         out = {name: steps[name]() for name in order}
         return [_bits(out[name]) for name in sorted(out)]
 
-    forward = run(["trace", "quadrature", "limit", "pohozaev"])
-    assert run(["pohozaev", "limit", "quadrature", "trace"]) == forward
+    order = ["trace", "limit", "pohozaev", "quadrature"]
+    assert run(order[::-1]) == run(order)
