@@ -62,17 +62,23 @@ class _TermPieces:
 # ---------------------------------------------------------------------------
 # the frequency pieces
 
-# The pieces as sums over the products of the radial parts (phi, phi~, r phi', r phi~')
-# of a pair's terms, each weighted by a = <P_i, P_j> (`_BY_A`) or by
-# m = <P_i', P_j'> + k (k + N - 2) <P_i, P_j / sin^2 psi> (`_BY_M`).  The
-# products are phi phi, phi~ phi~, phi r phi', phi~ r phi~', r phi' r phi',
-# r phi~' r phi~', phi phi~ and phi~ r phi'; the pieces are those of `_TermPieces`.
+# The pieces as sums over products of the radial parts (phi, phi~, r phi', r phi~')
+# of a pair's terms: left part x right part of `_LEFT` and `_RIGHT`, summed against
+# a = <P_i, P_j> by `_BY_A` and against m = <P_i', P_j'> + k (k + N - 2) <P_i, P_j / sin^2 psi>
+# by `_BY_M`, one row per piece of `_TermPieces`.
 _LEFT, _RIGHT = [0, 1, 0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 2, 3, 1, 2]
-_BY_A = np.array([[0, 0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1],
-                  [1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 0, 0],
-                  [0, 0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]], dtype=float)
-_BY_M = np.array([[1, 1, 0, 0, 0, 0, 0, 0]] + [[0] * 8] * 4
-                 + [[1, 1, 0, 0, 0, 0, 0, 0]] + [[0] * 8] * 2, dtype=float)
+_BY_A = np.array([
+    [0, 0, 0, 0, 1, 1, 0, 0],   # ball_grad: r phi' r phi' + r phi~' r phi~'
+    [0, 0, 0, 0, 0, 0, 1, 0],   # ball_uv: phi phi~
+    [0, 0, 0, 0, 0, 0, 0, 1],   # ball_v_zgrad: phi~ r phi'
+    [1, 1, 0, 0, 0, 0, 0, 0],   # s_u2: phi phi + phi~ phi~
+    [0, 0, 1, 1, 0, 0, 0, 0],   # s_uu: phi r phi' + phi~ r phi~'
+    [0, 0, 0, 0, 1, 1, 0, 0],   # s_grad
+    [0, 0, 0, 0, 1, 1, 0, 0],   # s_nu
+    [0, 0, 0, 0, 0, 0, 1, 0],   # s_uv
+], dtype=float)
+_BY_M = np.zeros((8, 8))
+_BY_M[[0, 5], :2] = 1.0         # the angular gradients of ball_grad and s_grad
 
 
 @dataclass(frozen=True)
