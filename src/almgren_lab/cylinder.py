@@ -4,8 +4,10 @@ Modes are products of Dirichlet eigenfunctions of the horizontal ball of
 radius 2R (closed forms for N = 1 and N = 2) with the regularized Bessel
 radial factor t^alpha J_{-alpha}(j_m t / (2R)); the eigenvalue splits as
 lambda_{n,m} = mu_n + j_m^2 / (2R)^2.  The horizontal center is fixed at
-the origin.  The Bessel kernels (`scipy.special`) are imported on first use,
-not with the module; the zeros j_m come from one `_bessel_zeros` call.
+the origin.  Bessel values and zeros come from the numpy kernels of
+`special_functions`: the zeros j_m from one `_bessel_zeros` call, their
+norms from one kernel call, and the disk's integer-order zeros from the
+interlacing table `_jn_zeros`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from .core import DomainError, WeightParams, _count, _radius
 from .hemisphere import MAX_MODES
-from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_zeros,
-                                _radial_norm_at_zero)
+from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_j, _bessel_zeros,
+                                _jn_zeros, _radial_norm_at_zero)
 
 
 @dataclass(frozen=True)
@@ -44,36 +46,37 @@ class DirichletSpectrum:
         return self.mus[n - 1]
 
 
-def _disk_zeros(count: int) -> list[tuple[int, int, float]]:
-    """(k, p, j_{k,p}) of the `count` smallest disk eigenvalues, in spectrum order.
+def _disk_zeros(count: int) -> list[tuple[int, int, float, float]]:
+    """(k, p, j_{k,p}, J_{k+1}(j_{k,p})) of the `count` smallest disk eigenvalues, in spectrum order.
 
     Each zero with k >= 1 carries a cos/sin pair.  Zeros increase with k at
     fixed p (j_{k,p} < j_{k+1,p}), so order k needs no more zeros than order
     k - 1 has below the running cut (the count-th smallest eigenvalue found
     so far), and the sweep stops at the first order with none below it.
-    Ties keep the order (k, p) of the sweep, cos before sin.
+    Ties keep the order (k, p) of the sweep, cos before sin.  The zeros come
+    from `_jn_zeros`.
     """
-    from scipy.special import jn_zeros
-
-    found: list[tuple[float, int, int]] = []
+    found: list[tuple[float, int, int, float]] = []
     cut = math.inf
     wanted = count
     k = 0
     while wanted > 0:
-        zeros = jn_zeros(k, wanted)
-        zeros = zeros[zeros <= cut]
-        found.extend((float(j), k, p) for p, j in enumerate(zeros, start=1))
-        copies = sorted(j for j, kk, _ in found for _ in range(1 if kk == 0 else 2))
+        zeros, slopes = _jn_zeros(k, wanted)
+        below = zeros <= cut
+        zeros = zeros[below]
+        found.extend((float(j), k, p, float(d))
+                     for p, (j, d) in enumerate(zip(zeros, slopes[below]), start=1))
+        copies = sorted(j for j, kk, _, _ in found for _ in range(1 if kk == 0 else 2))
         if len(copies) >= count:
             cut = copies[count - 1]
         wanted = int(np.count_nonzero(zeros <= cut))
         k += 1
     found.sort(key=lambda e: e[0])     # stable: equal zeros keep the sweep order
     kept, entries = [], 0
-    for j, k, p in found:
+    for j, k, p, d in found:
         if entries >= count:
             break
-        kept.append((k, p, j))
+        kept.append((k, p, j, d))
         entries += 1 if k == 0 else 2
     return kept
 
@@ -97,20 +100,19 @@ def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
                     norm * np.sin(n * math.pi * (np.asarray(x, dtype=float) + a) / (2 * a)),
             ))
     elif N == 2:
-        from scipy.special import jv
-
         a = 2.0 * R
         entries = []
-        for k, p, j in _disk_zeros(count):
+        for k, p, j, slope in _disk_zeros(count):
             mu = (j / a) ** 2
-            c = 1.0 / (math.sqrt(math.pi) * a * abs(jv(k + 1, j)))
+            c = 1.0 / (math.sqrt(math.pi) * a * abs(slope))
             c_k = c if k == 0 else math.sqrt(2.0) * c
             # k = 0 has the cosine member only, cos(0 phi) = 1
             for parity, trig in (("cos", np.cos), ("sin", np.sin))[:1 if k == 0 else 2]:
                 entries.append((
                     mu, (k, p, parity),
                     lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k, trig=trig:
-                        c * jv(k, j * np.asarray(rho, dtype=float) / a) * trig(k * np.asarray(phi)),
+                        c * _bessel_j((float(k),), j * np.asarray(rho, dtype=float) / a)[0]
+                        * trig(k * np.asarray(phi)),
                 ))
         entries = entries[:count]      # the last pair may straddle the count
     else:
@@ -167,25 +169,30 @@ def cylinder_mode(params: WeightParams, n: int, m: int) -> CylinderMode:
 
 
 def _mode(params: WeightParams, spectrum: DirichletSpectrum, n: int, m: int,
-          zero: float) -> CylinderMode:
+          zero: float, gamma: float | None = None) -> CylinderMode:
     return CylinderMode(params=params, n=n, m=m, mu_n=spectrum.mu(n), zero_m=zero,
-                        gamma_m=_radial_norm_at_zero(params, zero),
+                        gamma_m=_radial_norm_at_zero(params, zero) if gamma is None else gamma,
                         _horizontal=spectrum.evaluator(n))
 
 
 def cylinder_spectrum(params: WeightParams, count: int) -> list[CylinderMode]:
     """The `count` lowest modes (n, m), ordered by eigenvalue, ties by (n, m).
 
-    lambda grows in both n and m, so they all have n, m <= count; the zeros
-    j_m, m <= count, are solved together in one `_bessel_zeros` call.  The
-    count^2 candidates cap `count` at MAX_MODES (`DomainError`): 512 modes
-    took 1.6 s and a peak of 116 MiB (2 cores, N = 1 and 2).
+    lambda grows in both n and m, so they all have n, m <= count.  The zeros
+    j_m, m <= count, are solved together in one `_bessel_zeros` call and
+    their norms in one kernel call; the eigenvalues are the outer sum
+    mu_n + (j_m / 2R)^2, and a stable sort of that row-major table keeps
+    equal eigenvalues in (n, m) order.  Only the kept modes are built.
+    `count` is capped at MAX_MODES (`DomainError`), as in `dirichlet_eigs`.
     """
     count = _count(count, "mode count", 1, MAX_MODES)
     spectrum = dirichlet_eigs(params.N, params.R, count)
-    zeros = _bessel_zeros(-params.alpha, np.arange(1, count + 1)).tolist()
-    modes = [_mode(params, spectrum, n, m, zeros[m - 1])
-             for n in range(1, count + 1) for m in range(1, count + 1)]
-    modes.sort(key=lambda mode: mode.eigenvalue)
-    return modes[:count]
-
+    zeros = _bessel_zeros(-params.alpha, np.arange(1, count + 1))
+    gammas = _radial_norm_at_zero(params, zeros).tolist()
+    table = np.add.outer(np.array(spectrum.mus), (zeros / (2.0 * params.R)) ** 2)
+    zeros = zeros.tolist()
+    modes = []
+    for i in np.argsort(table, axis=None, kind="stable")[:count].tolist():
+        n, m = divmod(i, count)
+        modes.append(_mode(params, spectrum, n + 1, m + 1, zeros[m], gammas[m]))
+    return modes

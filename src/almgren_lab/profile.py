@@ -22,8 +22,8 @@ s = (3 - b)/2 and c = 2^{1-s} / Gamma(s), phi(t) = c t^s K_s(t).
 `BesselProfile` evaluates it and is the profile the extension uses;
 `solve_profile` stays as the independent finite-volume cross-check; its
 solve and its interpolating splines (`core._CubicSpline`) run on numpy
-alone.  `scipy.special` (for K_s) is imported on first use, not with the
-module.
+alone, and so does the closed form: t^nu K_nu(t) comes from
+`special_functions._power_bessel_k`.
 
 The extension of a torus sample u is built frequency-wise as
 Uhat(xi, t) = uhat(xi) phi(|xi| t).  `build_extension`,
@@ -53,6 +53,7 @@ from .core import (
     _radius,
     gauss_jacobi,
 )
+from .special_functions import _power_bessel_k
 
 # Finest grid `solve_profile` accepts.  J converges at h^2 well past it (b = 0,
 # T_max = 24: |J / C_b - 1| = 6.7e-8 at 2^15 cells, 4.2e-9 at 2^17), but the
@@ -135,12 +136,12 @@ def _power_bessel(order: float, tau, coef: float, at_zero: float):
 
     A negative or NaN t raises `DomainError`; t = inf gives 0.
     """
-    from scipy.special import kv
-
     t = _number(tau, "profile argument", 0.0, math.inf, "[]", array=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = coef * t ** order * kv(order, t)
-    out = np.where(np.isfinite(out), out, np.where(t < 1.0, at_zero, 0.0))
+    flat = t.ravel()
+    positive = flat > 0.0
+    out = np.full(flat.shape, at_zero)
+    out[positive] = coef * _power_bessel_k(order, flat[positive])
+    out = out.reshape(t.shape)
     return out if out.ndim else float(out)
 
 

@@ -630,25 +630,24 @@ def test_reference_radius_past_the_float_range_exits_2(capsys, which):
 
 
 # One fresh interpreter runs these steps in order and records the scipy
-# modules loaded once each has run.  Their footprints nest: the closed forms,
-# the profile solve, the Gauss-Jacobi rules of the inequalities and the
-# finite-volume eigensolves and splines load none, selftest adds scipy.special.
-# So a step's record bounds what it loads, and a step that adds a module to its
-# predecessors' loads it itself.
+# modules loaded once each has run.  None loads any: the closed forms, the
+# profile solve, the Gauss-Jacobi rules of the inequalities, the
+# finite-volume eigensolves and splines and selftest's Bessel zero all run on
+# numpy.  A step's record covers its predecessors too, so a step that loaded
+# a module would show it.
 _CLOSED_FORM_STEPS = ["import almgren_lab", "import almgren_lab.cli",
                       "import almgren_lab.inequalities", "spectrum hemisphere", "synthesize",
                       "almgren", "fit", "profile", "check-inequalities hardy",
                       "check-inequalities rellich", "check-inequalities sobolev"]
-_FV_FOOTPRINTS = {   # what runs, and the public scipy modules loaded once it has run
+_FV_STEPS = {   # what runs
     "hemisphere_eigs": ("from almgren_lab import WeightParams, hemisphere_eigs\n"
                         "mode = hemisphere_eigs(WeightParams(s=1.25, N=3), k_max=2, per_k=3,\n"
                         "                       resolution=128)[4]\n"
-                        "mode.profile(0.5), mode.profile.deriv(0.5)\n", []),
+                        "mode.profile(0.5), mode.profile.deriv(0.5)\n"),
     "solve_profile": ("from almgren_lab import solve_profile\n"
                       "sol = solve_profile(0.4, resolution=512)\n"
-                      "sol.phi_at(1.0), sol.zeta_at(1.0)\n", []),
-    "selftest": ("import almgren_lab.cli as cli\nassert cli.run(['selftest']) == 0\n",
-                 ["special"]),
+                      "sol.phi_at(1.0), sol.zeta_at(1.0)\n"),
+    "selftest": "import almgren_lab.cli as cli\nassert cli.run(['selftest']) == 0\n",
 }
 
 
@@ -674,7 +673,7 @@ def scipy_footprints(tmp_path_factory):
     steps = [(what, what + "\n" if what.startswith("import") else
               f"import almgren_lab.cli as cli\nassert cli.run({commands[what]!r}) == 0\n")
              for what in _CLOSED_FORM_STEPS]
-    steps += [(what, body) for what, (body, _) in _FV_FOOTPRINTS.items()]
+    steps += list(_FV_STEPS.items())
     src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
     code = (f"import sys; sys.path.insert(0, {src_dir!r})\n"
             "import contextlib, io, json\n"
@@ -698,41 +697,44 @@ def test_import_and_closed_form_commands_load_no_scipy(scipy_footprints):
         [(what, []) for what in _CLOSED_FORM_STEPS]
 
 
-def test_cylinder_and_extend_commands_load_only_scipy_special(tmp_path):
-    # the Bessel zeros are solved on scipy.special alone, and extend's K_s
-    # needs nothing more; scipy.version and private modules are not counted
+def test_cylinder_and_extend_commands_load_no_scipy(tmp_path):
+    # the Bessel zeros, norms and radial factors and extend's K_s run on the
+    # numpy kernels of special_functions: no scipy module, private ones included
     samples = _torus_csv(tmp_path / "u.csv", 1, 16)
     src_dir = os.path.dirname(os.path.dirname(almgren_lab.__file__))
-    steps = [("spectrum cylinder --N 1", ["spectrum", "cylinder", "--N", "1", "--count", "6"]),
-             ("spectrum cylinder --N 2", ["spectrum", "cylinder", "--N", "2", "--count", "6"]),
-             ("extend", ["extend", "--input", str(samples), "--t-levels", "0,0.5"])]
+    commands = [("spectrum cylinder --N 1", ["spectrum", "cylinder", "--N", "1", "--count", "6"]),
+                ("spectrum cylinder --N 2", ["spectrum", "cylinder", "--N", "2", "--count", "6"]),
+                ("extend", ["extend", "--input", str(samples), "--t-levels", "0,0.5"])]
+    steps = [(what, f"assert cli.run({argv!r}) == 0\n") for what, argv in commands]
+    steps += [("extension_energy_identity",
+               "import numpy as np\nfrom almgren_lab import WeightParams\n"
+               "from almgren_lab.profile import extension_energy_identity\n"
+               "x = np.arange(16) * 2 * np.pi / 16\n"
+               "extension_energy_identity(WeightParams(s=1.4, N=1), np.cos(x) + 0.2 * np.sin(3 * x))\n"),
+              ("cylinder_mode(...).radial",
+               "from almgren_lab import WeightParams, cylinder_mode\n"
+               "cylinder_mode(WeightParams(s=1.3, N=2), 3, 2).radial([0.0, 0.4, 1.7])\n")]
     code = (f"import sys; sys.path.insert(0, {src_dir!r})\n"
             "import contextlib, io\n"
             "import almgren_lab.cli as cli\n"
-            f"for what, argv in {steps!r}:\n"
+            f"for what, body in {steps!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.run(argv) == 0, what\n"
-            "    print(what, '|', sorted({m.split('.')[1] for m in sys.modules\n"
-            "                             if m.startswith('scipy.')\n"
-            "                             and not m.split('.')[1].startswith('_')}\n"
-            "                            - {'version'}))")
+            "        exec(body, {'cli': cli})\n"
+            "    print(what, '|', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
-    assert lines == [f"{what} | ['special']" for what, _ in steps]
+    assert lines == [f"{what} | []" for what, _ in steps]
 
 
-@pytest.mark.parametrize("what", sorted(_FV_FOOTPRINTS))
-def test_fv_cross_checks_load_no_scipy_and_selftest_only_special(what, scipy_footprints):
+@pytest.mark.parametrize("what", sorted(_FV_STEPS))
+def test_fv_cross_checks_and_selftest_load_no_scipy(what, scipy_footprints):
     # the finite-volume eigensolves and splines run on core's tridiagonal
-    # cyclic reduction; selftest's Bessel zero adds scipy.special.
-    # scipy.version and private modules are not counted
+    # cyclic reduction, and selftest's Bessel zero on special_functions
     code, err, loaded = scipy_footprints
     assert code == 0, err
-    public = {m.split(".")[1] for m in loaded[what] if m.startswith("scipy.")}
-    assert sorted({m for m in public if not m.startswith("_")} - {"version"}) == \
-        _FV_FOOTPRINTS[what][1]
+    assert loaded[what] == []
 
 
 def test_json_artifact_is_compact_and_the_file_holds_the_printed_payload(tmp_path, capsys):

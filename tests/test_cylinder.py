@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jn_zeros, jv, roots_legendre
+from scipy.special import roots_legendre
 
 from almgren_lab import (
     DomainError,
     WeightParams,
+    cylinder,
     cylinder_mode,
     cylinder_spectrum,
     dirichlet_eigs,
+    special_functions,
 )
 from almgren_lab.core import gauss_jacobi
+from almgren_lab.special_functions import _bessel_j, _jn_zeros
 
 
 @pytest.fixture(scope="module")
@@ -66,28 +69,27 @@ def _full_disk_table(R, count):
     a = 2.0 * R
     entries = []
     for k in range(count + 2):
-        for p, j in enumerate(jn_zeros(k, count + 2), start=1):
-            c = 1.0 / (math.sqrt(math.pi) * a * abs(jv(k + 1, j)))
+        zeros, slopes = _jn_zeros(k, count + 2)
+        for p, (j, d) in enumerate(zip(zeros.tolist(), slopes), start=1):
+            c = 1.0 / (math.sqrt(math.pi) * a * abs(d))
             if k == 0:
                 entries.append(((j / a) ** 2, (0, p, "cos"),
-                                lambda rho, phi, j=j, c=c: c * jv(0, j * rho / a)))
+                                lambda rho, phi, j=j, c=c: c * _bessel_j((0.0,), j * rho / a)[0]))
                 continue
             c_k = math.sqrt(2.0) * c
             for parity, trig in (("cos", np.cos), ("sin", np.sin)):
                 entries.append(((j / a) ** 2, (k, p, parity),
                                 lambda rho, phi, j=j, c=c_k, k=k, trig=trig:
-                                    c * jv(k, j * rho / a) * trig(k * phi)))
+                                    c * _bessel_j((float(k),), j * rho / a)[0] * trig(k * phi)))
     entries.sort(key=lambda e: e[0])
     return entries[:count]
 
 
 @pytest.mark.parametrize("R", [0.5, 1.3])
 def test_disk_spectrum_equals_the_full_table(R, monkeypatch):
-    import scipy.special
-
     asked = []
-    # cylinder imports jn_zeros on first use, so the patch on scipy.special reaches it
-    monkeypatch.setattr(scipy.special, "jn_zeros", lambda k, n: asked.append(n) or jn_zeros(k, n))
+    # the sweep asks cylinder's _jn_zeros; each count starts from an empty table
+    monkeypatch.setattr(cylinder, "_jn_zeros", lambda k, n: asked.append(n) or _jn_zeros(k, n))
     rho = np.array([0.0, 0.2, 0.7, 1.0]) * 2.0 * R
     phi = np.array([0.0, 0.4, 2.5, -1.1])
     # every zero left out of a shorter table lies above the 40 smallest, so
@@ -95,6 +97,7 @@ def test_disk_spectrum_equals_the_full_table(R, monkeypatch):
     full = _full_disk_table(R, 40)
     for count in range(1, 41):
         asked.clear()
+        monkeypatch.setattr(special_functions, "_JN_TABLE", [])
         spec = dirichlet_eigs(2, R, count)
         assert sum(asked) <= 4 * count        # the full table asks for (count + 2)^2 zeros
         table = full[:count]

@@ -1,6 +1,6 @@
-"""Every name a package module imports is referenced in that module; none is scipy.interpolate,
-scipy.linalg or scipy.special's gamma.  The finite-volume profile solve references nothing of the
-closed form."""
+"""Every name a package module imports is referenced in that module; no module imports scipy in
+any form (scipy.interpolate and scipy.special's gamma keep their own checks).  The finite-volume
+profile solve references nothing of the closed form."""
 
 import ast
 import pathlib
@@ -74,34 +74,36 @@ def test_no_module_imports_gamma_from_scipy_special(path):
     assert "scipy.special.gamma" not in _imported_modules(path.read_text())
 
 
-def _scipy_linalg_importers(source: str) -> list[str | None]:
-    """The top-level functions and classes whose bodies import scipy.linalg; None for the module."""
+def _scipy_importers(source: str) -> list[str | None]:
+    """The top-level functions and classes whose bodies import scipy in any form; None for the module."""
     return [getattr(top, "name", None) for top in ast.parse(source).body
-            if any(m == "scipy.linalg" or m.startswith("scipy.linalg.")
-                   for m in _imported_modules(top))]
+            if any(m == "scipy" or m.startswith("scipy.") for m in _imported_modules(top))]
 
 
-def test_the_check_sees_where_scipy_linalg_is_imported():
+def test_the_check_sees_where_scipy_is_imported():
     source = ("import scipy.linalg as sl\n"
               "def f():\n    from scipy.linalg import eigh_tridiagonal\n"
               "class C:\n    def m(self):\n        from scipy import linalg\n"
-              "def g():\n    import scipy.special\n")
-    assert _scipy_linalg_importers(source) == [None, "f", "C"]
+              "def g():\n    import scipy.special\n"
+              "def h():\n    import numpy, scipy as sp\n"
+              "def k():\n    from scipy.special import jv as bessel\n"
+              "def quiet():\n    import numpy\n    from scipyx import y\n")
+    assert _scipy_importers(source) == [None, "f", "C", "g", "h", "k"]
 
 
-def test_no_module_imports_scipy_linalg():
-    # the Gauss-Jacobi rules run on numpy's eigh, and the profile solve, the
-    # finite-volume sector eigensolves and the splines on the package's one
-    # tridiagonal cyclic reduction, core._Tridiagonal
+def test_no_module_imports_scipy():
+    # the package runs on numpy and math: the Gauss-Jacobi rules on numpy's
+    # eigh, the tridiagonal solves on core._Tridiagonal, the Bessel functions
+    # on special_functions' kernels.  scipy is a test dependency only
     found = {(path.stem, name) for path in MODULES + [PACKAGE / "__init__.py"]
-             for name in _scipy_linalg_importers(path.read_text())}
+             for name in _scipy_importers(path.read_text())}
     assert found == set()
 
 
 # the finite-volume profile solve, the cross-check of the closed form c t^s K_s(t)
 FV_SOLVE_ROOTS = ("solve_profile", "_profile_grid", "_cell_masses_tb", "_apply_D")
-# the closed form and its large-t asymptotics; np.expm1 of the cell masses is allowed
-CLOSED_FORM_NAMES = {"exp", "kv", "BesselProfile", "_power_bessel"}
+# the closed form, its kernel and its large-t asymptotics; np.expm1 of the cell masses is allowed
+CLOSED_FORM_NAMES = {"exp", "kv", "_power_bessel_k", "BesselProfile", "_power_bessel"}
 
 
 def _referenced_names(node) -> set[str]:
