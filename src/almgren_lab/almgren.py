@@ -39,6 +39,7 @@ from .core import (
     WeightParams,
     _count,
     _finite,
+    _instance,
     _number,
     _radius,
 )
@@ -292,6 +293,7 @@ def _nu(sol: SeparableSolution, pc: _TermPieces, r: np.ndarray, method: str):
 
 def compute_DH(sol: SeparableSolution, r: float, method: str = "closed") -> tuple[float, float]:
     """Scaled energy D(r) and boundary mass H(r) of the solution pair."""
+    sol = _instance(sol, SeparableSolution, "solution")
     p, r = sol.params, _radius(r, at_most=sol.R)
     D, H = _DH(_pieces(sol, [r], method), r, p.N + p.b)
     return float(D[0]), float(H[0])
@@ -299,6 +301,7 @@ def compute_DH(sol: SeparableSolution, r: float, method: str = "closed") -> tupl
 
 def frequency(sol: SeparableSolution, r: float, method: str = "closed") -> float:
     """Frequency quotient N(r) = D(r) / H(r)."""
+    sol = _instance(sol, SeparableSolution, "solution")
     p, r = sol.params, _radius(r, at_most=sol.R)
     D, H = _DH(_pieces(sol, [r], method), r, p.N + p.b)
     return float(D[0]) / float(H[0])
@@ -356,6 +359,7 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> Frequen
     The quadrature path's angular Gauss node count follows `gauss_nodes` of
     the largest sigma_plus of the synthesis.
     """
+    sol = _instance(sol, SeparableSolution, "solution")
     radii = radius_schedule(sol.R) if radii is None else _radius(
         _finite(radii, "radii", shape=(None,), nonfinite=False), at_most=sol.R, array=True)
     pieces = _pieces(sol, radii, method)
@@ -368,6 +372,7 @@ def trace(sol: SeparableSolution, radii=None, method: str = "closed") -> Frequen
 def nu_decomposition(sol: SeparableSolution, r: float,
                      method: str = "closed") -> tuple[float, float]:
     """The two components of N'(r): boundary Cauchy-Schwarz bracket and the rest."""
+    sol = _instance(sol, SeparableSolution, "solution")
     radii = np.array([_radius(r, at_most=sol.R)])
     nu1, nu2 = _nu(sol, _pieces(sol, radii, method), radii, method)
     return float(nu1[0]), float(nu2[0])
@@ -385,7 +390,7 @@ def check_H_derivative(target, method: str = "closed") -> float:
     schedule, which converge at second order under schedule refinement.
     A solution is checked at 20 radii from R/2 down to R/16.
     """
-    if isinstance(target, FrequencyTrace):
+    if isinstance(_instance(target, (SeparableSolution, FrequencyTrace), "target"), FrequencyTrace):
         r, H, D = target.r, target.H, target.D
         if r.size < 5:
             raise DomainError("trace needs at least 5 radii")
@@ -411,6 +416,7 @@ def check_H_derivative(target, method: str = "closed") -> float:
 def check_pohozaev(sol: SeparableSolution, r: float,
                    method: str = "closed") -> tuple[float, float]:
     """Relative residuals of the two radial-multiplier integral identities."""
+    sol = _instance(sol, SeparableSolution, "solution")
     p, r = sol.params, _radius(r, at_most=sol.R)
     beta = p.N + p.b
     pc = _pieces(sol, [r], method)
@@ -477,6 +483,7 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
     trace of `sol` whose schedule reaches below R/200; by default it forms
     D and H of the closed path on `radius_schedule(sol.R)`, with no nu.
     """
+    sol = _instance(sol, SeparableSolution, "solution")
     if candidates is not None:
         candidates = _finite(candidates, "candidates", shape=(None,))
         if candidates.size == 0:

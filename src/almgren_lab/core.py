@@ -21,13 +21,15 @@ Sampled fields are integrated over B_r^+ and S_r^+ by one private tensor
 rule, `_HalfBallRule` (a radial rule times an `AngularGrid1D`):
 `integrate_halfball`, `integrate_halfsphere` and the inequality margins.
 
-Every argument of a public entry point passes one of four raising
+Every argument of a public entry point passes one of five raising
 predicates at entry, each returning the converted value: `_number` (a real
 scalar in a stated range), `_count` (an integer, not a bool, at or above a
 floor), `_radius` (positive, with its powers in the float range, optionally
-at most R) and `_finite` (a finite float array of a stated shape).  A
-scalar of the wrong type or range raises `DomainError`; a wrong shape or a
-bad entry of an array, list or file raises `InputError`.
+at most R), `_finite` (a finite float array of a stated shape) and
+`_instance` (an object of the lab's own classes, such as a solution or a
+mode).  A scalar of the wrong type or range raises `DomainError`; a wrong
+shape or a bad entry of an array, list or file, or an object of the wrong
+class, raises `InputError`.
 
 The finite-volume cross-checks interpolate their samples with one private
 not-a-knot spline, `_CubicSpline`, and solve the profile's system and their
@@ -188,6 +190,15 @@ def _radius(r, name: str = "radius", at_most: float | None = None, power: float 
             raise DomainError(f"{name} {bad} outside (0, {at_most}]")
         raise DomainError(f"{name} must be positive and finite, its +-{power:g} powers "
                           f"within the float range, got {bad}")
+    return x
+
+
+def _instance(x, cls, name: str):
+    """x itself if it is an instance of `cls` (a class or a tuple of classes); anything
+    else raises `InputError` naming the argument."""
+    if not isinstance(x, cls):
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise InputError(f"{name} must be a {kinds}, got {type(x).__name__}")
     return x
 
 

@@ -5,9 +5,9 @@ radius 2R (closed forms for N = 1 and N = 2) with the regularized Bessel
 radial factor t^alpha J_{-alpha}(j_m t / (2R)); the eigenvalue splits as
 lambda_{n,m} = mu_n + j_m^2 / (2R)^2.  The horizontal center is fixed at
 the origin.  Bessel values and zeros come from the numpy kernels of
-`special_functions`: the zeros j_m from one `_bessel_zeros` call, their
-norms from one kernel call, and the disk's integer-order zeros from the
-interlacing table `_jn_zeros`.
+`special_functions`: the zeros j_m, with J_{1-alpha} at them for their
+norms, from one `_bessel_zeros` call, and the disk's integer-order zeros
+from the table `_jn_zeros`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import DomainError, WeightParams, _count, _radius
 from .hemisphere import MAX_MODES
-from .special_functions import (bessel_h, bessel_h_deriv, bessel_zero, _bessel_j, _bessel_zeros,
-                                _jn_zeros, _radial_norm_at_zero)
+from .special_functions import (bessel_h, bessel_h_deriv, _bessel_j, _bessel_zeros, _jn_zeros,
+                                _radial_norm)
 
 
 @dataclass(frozen=True)
@@ -164,31 +164,31 @@ def cylinder_mode(params: WeightParams, n: int, m: int) -> CylinderMode:
     batch path for many modes of one params.
     """
     n, m = _count(n, "mode index n", 1, MAX_MODES), _count(m, "mode index m")
-    return _mode(params, dirichlet_eigs(params.N, params.R, n), n, m,
-                 bessel_zero(-params.alpha, m))
+    zero, slope = _bessel_zeros(-params.alpha, [m])
+    return _mode(params, dirichlet_eigs(params.N, params.R, n), n, m, float(zero[0]),
+                 float(_radial_norm(params, slope)[0]))
 
 
 def _mode(params: WeightParams, spectrum: DirichletSpectrum, n: int, m: int,
-          zero: float, gamma: float | None = None) -> CylinderMode:
+          zero: float, gamma: float) -> CylinderMode:
     return CylinderMode(params=params, n=n, m=m, mu_n=spectrum.mu(n), zero_m=zero,
-                        gamma_m=_radial_norm_at_zero(params, zero) if gamma is None else gamma,
-                        _horizontal=spectrum.evaluator(n))
+                        gamma_m=gamma, _horizontal=spectrum.evaluator(n))
 
 
 def cylinder_spectrum(params: WeightParams, count: int) -> list[CylinderMode]:
     """The `count` lowest modes (n, m), ordered by eigenvalue, ties by (n, m).
 
     lambda grows in both n and m, so they all have n, m <= count.  The zeros
-    j_m, m <= count, are solved together in one `_bessel_zeros` call and
-    their norms in one kernel call; the eigenvalues are the outer sum
+    j_m, m <= count, and J_{1-alpha} at them, for their norms, come from one
+    `_bessel_zeros` call; the eigenvalues are the outer sum
     mu_n + (j_m / 2R)^2, and a stable sort of that row-major table keeps
     equal eigenvalues in (n, m) order.  Only the kept modes are built.
     `count` is capped at MAX_MODES (`DomainError`), as in `dirichlet_eigs`.
     """
     count = _count(count, "mode count", 1, MAX_MODES)
     spectrum = dirichlet_eigs(params.N, params.R, count)
-    zeros = _bessel_zeros(-params.alpha, np.arange(1, count + 1))
-    gammas = _radial_norm_at_zero(params, zeros).tolist()
+    zeros, slopes = _bessel_zeros(-params.alpha, np.arange(1, count + 1))
+    gammas = _radial_norm(params, slopes).tolist()
     table = np.add.outer(np.array(spectrum.mus), (zeros / (2.0 * params.R)) ** 2)
     zeros = zeros.tolist()
     modes = []

@@ -27,11 +27,13 @@ import numpy as np
 from .core import (
     AngularGrid1D,
     DomainError,
+    InputError,
     RegimeError,
     WeightParams,
     _count,
     _finite,
     _HalfBallRule,
+    _instance,
     _number,
     _Points,
     _radius,
@@ -51,7 +53,13 @@ MARGIN_ANGULAR_NODES = 32
 
 
 def _scattered(q, t) -> _Points:
-    q, t = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(t, dtype=float))
+    """Scattered points (q, t): finite real arrays that broadcast together, else `InputError`."""
+    q, t = _finite(q, "field point q"), _finite(t, "field point t")
+    try:
+        q, t = np.broadcast_arrays(q, t)
+    except ValueError:
+        raise InputError(f"field points q and t of shapes {q.shape} and {t.shape} "
+                         "do not broadcast together") from None
     return _Points(np.hypot(q, t), None, q, t)
 
 
@@ -59,17 +67,27 @@ class _Field:
     """A built-in test field: `value`, `grad` and `lap_b` are views of `_eval`.
 
     `_eval(points, params=None)` returns (U, U_q, U_t, D_b U) on a `_Points`
-    set in one pass, D_b U only when `params` is given (else None).
+    set in one pass, D_b U only when `params` is given (else None).  The
+    views gate their points (`_scattered`) and refuse a non-finite result
+    with `DomainError`; the margins sample rule points through `_eval`
+    directly, with neither check.
     """
 
+    def _at(self, q, t, parts: slice, params: WeightParams | None = None):
+        with np.errstate(all="ignore"):     # a non-finite result is refused below
+            out = self._eval(_scattered(q, t), params)[parts]
+        if not all(np.isfinite(v).all() for v in out):
+            raise DomainError("the field is not finite at these points; they lie out of its range")
+        return out
+
     def value(self, q, t):
-        return self._eval(_scattered(q, t))[0]
+        return self._at(q, t, slice(0, 1))[0]
 
     def grad(self, q, t):
-        return self._eval(_scattered(q, t))[1:3]
+        return self._at(q, t, slice(1, 3))
 
     def lap_b(self, q, t, params: WeightParams):
-        return self._eval(_scattered(q, t), params)[3]
+        return self._at(q, t, slice(3, 4), _instance(params, WeightParams, "params"))[0]
 
 
 def _sample(field, points: _Points, params: WeightParams | None = None):

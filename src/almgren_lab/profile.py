@@ -137,11 +137,14 @@ def _power_bessel(order: float, tau, coef: float, at_zero: float):
     A negative or NaN t raises `DomainError`; t = inf gives 0.
     """
     t = _number(tau, "profile argument", 0.0, math.inf, "[]", array=True)
-    flat = t.ravel()
-    positive = flat > 0.0
-    out = np.full(flat.shape, at_zero)
-    out[positive] = coef * _power_bessel_k(order, flat[positive])
-    out = out.reshape(t.shape)
+    positive = t > 0.0
+    if positive.all():
+        out = coef * _power_bessel_k(order, t.ravel()).reshape(t.shape)
+    elif positive.any():                             # 1 stands in for 0, which gives at_zero
+        flat = np.where(positive, t, 1.0).ravel()
+        out = np.where(positive, coef * _power_bessel_k(order, flat).reshape(t.shape), at_zero)
+    else:
+        out = np.full(t.shape, at_zero)
     return out if out.ndim else float(out)
 
 

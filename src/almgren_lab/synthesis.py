@@ -42,6 +42,7 @@ from .core import (
     WeightParams,
     _LOG_RANGE,
     _finite,
+    _instance,
     _number,
     _radius,
 )
@@ -207,6 +208,7 @@ def eval_solution(sol: SeparableSolution, r: float, psi: float, chi: float = 0.0
     """(U, V) and their gradients (d/dr, (1/r) d/dpsi) at one point: `_point_values`, checked.
 
     The angles psi and chi lie in [-2 pi, 2 pi]."""
+    sol = _instance(sol, SeparableSolution, "solution")
     r = _radius(r, at_most=sol.R, array=True)   # more than one radius fails the point's shape
     r = float(_finite([r, psi, chi], "point (r, psi, chi)", shape=(3,))[0])
     psi, chi = (_number(a, name, -2.0 * math.pi, 2.0 * math.pi, "[]")
@@ -248,6 +250,8 @@ def fourier_coefficient(sol: SeparableSolution, mode: SpectralMode,
     blow-up sample is one radial evaluation at lam and two dot products.  A
     coefficient that is not finite raises `InputError`.
     """
+    sol = _instance(sol, SeparableSolution, "solution")
+    mode = _instance(mode, SpectralMode, "mode")
     lam = _radius(lam, at_most=sol.R)
     (s, c1, e, d1), g = sol._table(("fourier", mode), lambda sol: _projection(sol, mode))
     rs = lam ** s
@@ -328,6 +332,7 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     A candidate whose squared column lam^(2 sigma) or lam^(2 sigma + 4)
     overflows raises DomainError.
     """
+    params = _instance(params, WeightParams, "params")
     data = _finite(samples, "samples (lambda, phi, phi_tilde)", shape=(None, 3))
     if data.shape[0] < 6:
         raise DomainError("need at least 6 radii")

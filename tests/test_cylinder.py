@@ -107,6 +107,23 @@ def test_disk_spectrum_equals_the_full_table(R, monkeypatch):
             assert np.array_equal(spec.evaluator(n)(rho, phi), f(rho, phi))
 
 
+def test_disk_table_of_512_against_mpmath_zeros():
+    # every eigenvalue of the capped disk table, and the zero under it, against
+    # mpmath's j_{k,p}; the zeros reach order 39, index 14 and j = 46.2
+    mpmath = pytest.importorskip("mpmath")
+    R = 0.7
+    spec = dirichlet_eigs(2, R, 512)
+    zeros = {(k, p): j for k, p, j, _ in cylinder._disk_zeros(512)}
+    assert set(zeros) == {label[:2] for label in spec.labels}
+    with mpmath.workdps(20):
+        want = {key: mpmath.besseljzero(*key) for key in zeros}
+        for key, j in zeros.items():
+            assert abs(mpmath.mpf(j) - want[key]) <= 5e-15 * want[key], key
+        for mu, label in zip(spec.mus, spec.labels):
+            exact = (want[label[:2]] / (2 * R)) ** 2
+            assert abs(mpmath.mpf(mu) - exact) <= 5e-15 * exact, label
+
+
 def test_unsupported_dimension():
     with pytest.raises(DomainError, match="desk-scale"):
         dirichlet_eigs(3, 0.5, 2)

@@ -103,24 +103,20 @@ _ROWS = {
     "trace_laplacian_check": (lambda **kw: profile.trace_laplacian_check(_P1, **kw),
                               {"u": _TORUS, "box_length": 2 * math.pi, "n_shells": 2}),
     "synthesize": (lambda spec: sy.synthesize(_P, spec), {"spec": [(_MODE, 1.0, 0.5)]}),
-    "eval_solution": (lambda **kw: sy.eval_solution(_SOL, **kw),
-                      {"r": 0.3, "psi": 0.2, "chi": 0.0}),
-    "fourier_coefficient": (lambda lam: sy.fourier_coefficient(_SOL, _MODE, lam), {"lam": 0.3}),
+    "eval_solution": (sy.eval_solution, {"sol": _SOL, "r": 0.3, "psi": 0.2, "chi": 0.0}),
+    "fourier_coefficient": (sy.fourier_coefficient, {"sol": _SOL, "mode": _MODE, "lam": 0.3}),
     "k_constant": (lambda mode: sy.k_constant(_P, mode), {"mode": 2.0}),
-    "fit_blowup": (lambda **kw: sy.fit_blowup(params=_P, **kw),
-                   {"samples": _SAMPLES, "sigma_candidates": [1.0, 2.0], "residual_tol": 1e-3}),
-    "compute_DH": (lambda **kw: am.compute_DH(_SOL, **kw), {"r": 0.3, "method": "closed"}),
-    "frequency": (lambda **kw: am.frequency(_SOL, **kw), {"r": 0.3, "method": "closed"}),
-    "nu_decomposition": (lambda **kw: am.nu_decomposition(_SOL, **kw),
-                         {"r": 0.3, "method": "quadrature"}),
-    "check_pohozaev": (lambda **kw: am.check_pohozaev(_SOL, **kw), {"r": 0.3, "method": "closed"}),
-    "check_H_derivative": (lambda method: am.check_H_derivative(_SOL, method),
-                           {"method": "closed"}),
-    "trace": (lambda **kw: am.trace(_SOL, **kw), {"radii": [0.3, 0.2, 0.1], "method": "closed"}),
+    "fit_blowup": (sy.fit_blowup, {"samples": _SAMPLES, "sigma_candidates": [1.0, 2.0],
+                                   "params": _P, "residual_tol": 1e-3}),
+    "compute_DH": (am.compute_DH, {"sol": _SOL, "r": 0.3, "method": "closed"}),
+    "frequency": (am.frequency, {"sol": _SOL, "r": 0.3, "method": "closed"}),
+    "nu_decomposition": (am.nu_decomposition, {"sol": _SOL, "r": 0.3, "method": "quadrature"}),
+    "check_pohozaev": (am.check_pohozaev, {"sol": _SOL, "r": 0.3, "method": "closed"}),
+    "check_H_derivative": (am.check_H_derivative, {"target": _SOL, "method": "closed"}),
+    "trace": (am.trace, {"sol": _SOL, "radii": [0.3, 0.2, 0.1], "method": "closed"}),
     "radius_schedule": (am.radius_schedule,
                         {"R": 1.0, "per_decade": 8, "decades": 2.0, "r_max": 0.5}),
-    "frequency_limit": (lambda candidates: am.frequency_limit(_SOL, candidates),
-                        {"candidates": [1.0, 3.0]}),
+    "frequency_limit": (am.frequency_limit, {"sol": _SOL, "candidates": [1.0, 3.0]}),
     "GaussianBumps": (lambda components: _hardy(inequalities.GaussianBumps(components)),
                       {"components": [(1.0, 0.3, 0.2)]}),
     "QuadraticField": (lambda a0, a1, a2: _hardy(inequalities.CutoffField(
@@ -128,6 +124,12 @@ _ROWS = {
     "CutoffField": (lambda rho0: _hardy(inequalities.CutoffField(_BUMP, rho0)), {"rho0": 0.8}),
     "SeparableModeField": (lambda sigma, c1: _hardy(inequalities.SeparableModeField(
         _P, sigma, c1)), {"sigma": 2, "c1": 1.0}),
+    # a field's own views take scattered points: finite, broadcasting, with a finite result
+    "GaussianBumps.value": (_BUMP.value, {"q": [0.3, 0.4], "t": [0.5, 0.6]}),
+    "GaussianBumps.grad": (_BUMP.grad, {"q": 0.3, "t": 0.5}),
+    "GaussianBumps.lap_b": (_BUMP.lap_b, {"q": 0.3, "t": 0.5, "params": _P}),
+    "SeparableModeField.value": (inequalities.SeparableModeField(_P, 2, 1.0).value,
+                                 {"q": 0.3, "t": 0.5}),
     "TestFamily": (lambda **kw: [_hardy(f) for f in inequalities.TestFamily(_P, **kw).fields()],
                    {"count": 2, "seed": 1, "cutoff_radius": 0.8}),
     "critical_exponent": (lambda s, N: inequalities.critical_exponent(WeightParams(s, N)),
@@ -186,6 +188,10 @@ def _with_examples(*cases):
 @example(slot=("cylinder_mode", "n"), value=10 ** 9)
 # a positive integrand's sums scaled below the float range returned 0.0
 @example(slot=("integrate_halfball", "N"), value=342)
+# points whose shapes do not broadcast were a raw ValueError
+@example(slot=("GaussianBumps.value", "q"), value=[0.1, 0.2, 0.3])
+# a mode field far out overflowed to NaN after three RuntimeWarnings
+@example(slot=("SeparableModeField.value", "q"), value=1e200)
 def test_every_entry_point_refuses_hostile_arguments_or_returns_finite_values(slot, value):
     row, name = slot
     call, valid = _ROWS[row]

@@ -130,7 +130,7 @@ def test_zeros_against_40_digit_oracle(nu):
     mpmath = pytest.importorskip("mpmath")
     from almgren_lab.special_functions import _bessel_zeros
 
-    zeros = _bessel_zeros(nu, _ORACLE_INDICES)
+    zeros, _ = _bessel_zeros(nu, _ORACLE_INDICES)
     assert np.all(np.diff(zeros) > 0)
     with mpmath.workdps(40):
         order = mpmath.mpf(nu)
@@ -184,3 +184,84 @@ def test_radial_norm_gamma_radius_scaling():
     for m in (1, 2, 5):
         assert_allclose(radial_norm_gamma(pb, m), radial_norm_gamma(pa, m) / 2,
                         rtol=1e-12)
+
+
+# -- the numpy kernels against mpmath ----------------------------------------
+
+_RNG = np.random.default_rng(20261020)
+# every region of `_bessel_j` and both sides of each switch (x = 2, 30 and nu^2)
+_J_POINTS = np.sort(np.concatenate([
+    [1e-300, 1e-8, 0.01, 1.0, 2.0, 2.0000001, 4.0, 29.9999, 30.0, 30.0001, 60.0],
+    _RNG.uniform(0.0, 60.0, 29)]))
+
+
+def _envelope_errors(nu, x, got):
+    """|got - J_nu(x)| / max(|J_nu(x)|, sqrt(2 / (pi x))), J from 30-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(t)))) for t in x])
+    with np.errstate(divide="ignore"):
+        envelope = np.maximum(np.abs(want), np.sqrt(2.0 / (math.pi * x)))
+    return np.abs(got - want) / envelope
+
+
+@pytest.mark.parametrize("nu", [-0.999, -0.9, -0.63, -0.5, -0.31, -0.02, 0.17, 0.5, 0.88,
+                                0.999, 1.001, 1.37, 1.5, 1.82, 1.999])
+def test_bessel_j_kernel_fractional_orders_against_mpmath(nu):
+    from almgren_lab.special_functions import _bessel_j
+
+    x = _J_POINTS[_J_POINTS > 0]
+    assert np.max(_envelope_errors(nu, x, _bessel_j((nu,), x)[0])) <= 1e-14
+
+
+@pytest.mark.parametrize("n", list(range(0, 65, 3)) + [64])
+def test_bessel_j_kernel_integer_orders_against_mpmath(n):
+    # the disk's orders: the trapezoid rule up to x = 30, Miller's recurrence
+    # beyond (Hankel's expansion only for x >= max(30, n^2))
+    from almgren_lab.special_functions import _bessel_j
+
+    x = np.concatenate([[0.0], _J_POINTS])
+    assert np.max(_envelope_errors(n, x, _bessel_j((float(n),), x)[0])) <= 1e-14
+
+
+def test_bessel_j_kernel_values_do_not_depend_on_the_other_points():
+    # every method works point by point, so a zero solved alone equals its
+    # entry of a batch (`bessel_zero` relies on it)
+    from almgren_lab.special_functions import _bessel_j
+
+    for orders in ((-0.37, 0.63), (3.0, 4.0)):
+        whole = _bessel_j(orders, _J_POINTS)
+        for i in range(0, _J_POINTS.size, 7):
+            assert np.array_equal(_bessel_j(orders, _J_POINTS[i:i + 3]), whole[:, i:i + 3])
+
+
+@pytest.mark.parametrize("nu", [0.001, 0.13, 0.5, 0.76, 0.999, 1.001, 1.25, 1.5, 1.71, 1.999])
+def test_power_bessel_k_kernel_against_mpmath(nu):
+    # t^nu K_nu(t) to 1e-14 relative on [1e-8, 50], across the trapezoid
+    # rule's node-count regions and the switch to DLMF 10.40.2 at 30
+    mpmath = pytest.importorskip("mpmath")
+    from almgren_lab.special_functions import _power_bessel_k
+
+    t = np.concatenate([np.geomspace(1e-8, 50.0, 18), [2.0777, 2.0778, 29.999, 30.0]])
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.mpf(float(x)) ** nu * mpmath.besselk(nu, mpmath.mpf(float(x))))
+                         for x in t])
+    assert np.max(np.abs(_power_bessel_k(nu, t) / want - 1.0)) <= 1e-14
+
+
+def test_power_bessel_edges():
+    # the limit at 0 exactly, the limit's approach below 1e-140, 0 past
+    # underflow and at infinity, refusals for a negative or NaN argument
+    from almgren_lab.profile import BesselProfile, _power_bessel
+
+    prof = BesselProfile(0.2)
+    limit = 2.0 ** (prof.s - 1.0) * math.gamma(prof.s) * prof.c
+    assert _power_bessel(prof.s, 0.0, prof.c, 1.0) == 1.0
+    assert _power_bessel(prof.s, 1e-300, prof.c, 1.0) == pytest.approx(limit, rel=1e-15)
+    assert _power_bessel(prof.s, 1e-139, prof.c, 1.0) == pytest.approx(limit, rel=1e-15)
+    assert prof.zeta_at(1e-300) == pytest.approx(prof.zeta_at_zero(), rel=1e-6)
+    far = prof.phi_at(np.array([700.0, 749.0, 750.0, 1e300, math.inf]))
+    assert 0.0 < far[0] < 1e-290 and np.all(far[2:] == 0.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            prof.phi_at(bad)
