@@ -7,13 +7,14 @@ lambda_{n,m} = mu_n + j_m^2 / (2R)^2.  The horizontal center is fixed at
 the origin.  Bessel values and zeros come from the numpy kernels of
 `special_functions`: the zeros j_m, with J_{1-alpha} at them for their
 norms, from one `_bessel_zeros` call, and the disk's integer-order zeros
-from the table `_jn_zeros`.
+order by order from `_jn_zeros`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,26 +47,28 @@ class DirichletSpectrum:
         return self.mus[n - 1]
 
 
-def _disk_zeros(count: int) -> list[tuple[int, int, float, float]]:
+@lru_cache(maxsize=32)
+def _disk_zeros(count: int) -> tuple[tuple[int, int, float, float], ...]:
     """(k, p, j_{k,p}, J_{k+1}(j_{k,p})) of the `count` smallest disk eigenvalues, in spectrum order.
 
     Each zero with k >= 1 carries a cos/sin pair.  Zeros increase with k at
     fixed p (j_{k,p} < j_{k+1,p}), so order k needs no more zeros than order
     k - 1 has below the running cut (the count-th smallest eigenvalue found
     so far), and the sweep stops at the first order with none below it.
-    Ties keep the order (k, p) of the sweep, cos before sin.  The zeros come
-    from `_jn_zeros`.
+    Ties keep the order (k, p) of the sweep, cos before sin.  Each order's
+    zeros come from the order below (`_jn_zeros`).  The table depends on
+    `count` alone, so the last 32 are kept.
     """
     found: list[tuple[float, int, int, float]] = []
     cut = math.inf
     wanted = count
     k = 0
+    zeros = None
     while wanted > 0:
-        zeros, slopes = _jn_zeros(k, wanted)
+        zeros, slopes = _jn_zeros(k, wanted, zeros)
         below = zeros <= cut
-        zeros = zeros[below]
         found.extend((float(j), k, p, float(d))
-                     for p, (j, d) in enumerate(zip(zeros, slopes[below]), start=1))
+                     for p, (j, d) in enumerate(zip(zeros[below], slopes[below]), start=1))
         copies = sorted(j for j, kk, _, _ in found for _ in range(1 if kk == 0 else 2))
         if len(copies) >= count:
             cut = copies[count - 1]
@@ -78,7 +81,7 @@ def _disk_zeros(count: int) -> list[tuple[int, int, float, float]]:
             break
         kept.append((k, p, j, d))
         entries += 1 if k == 0 else 2
-    return kept
+    return tuple(kept)
 
 
 def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:

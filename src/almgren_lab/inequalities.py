@@ -393,13 +393,14 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
     xw = r ** params.N * w
     # the three smallest t-levels, one row each
     level_q, level_t = np.broadcast_arrays(r * x, eps * np.arange(1.0, 4.0)[:, None])
+    levels = _Points(np.hypot(level_q, level_t), None, level_q, level_t)
     for field in family.fields():
         with np.errstate(**_QUIET):
             _, uq, ut, _ = _sample(field, ball)
             us = _sample(field, sphere)[0]
             numerator = rules.ball(uq * uq + ut * ut) + k * rules.sphere(us * us)
             # quadratic extrapolation of U to the t = 0 slice
-            v = field.value(level_q, level_t)
+            v = _sample(field, levels)[0]
             u = np.abs(_finite(3.0 * v[0] - 3.0 * v[1] + v[2]))
         # ||u||_q = M (int (|u|/M)^q)^{1/q} with M = max|u|: q* grows without
         # bound as N nears 2(s-1), and the unscaled |u|^{q*} underflows to 0

@@ -467,43 +467,25 @@ def _bessel_zeros(nu: float, m) -> tuple[np.ndarray, np.ndarray]:
                          "McMahon's guesses")
 
 
-# The zeros of J_k found so far and J_{k+1} at them, by integer order k (`_jn_zeros`)
-_JN_TABLE: list[tuple[np.ndarray, np.ndarray]] = []
+def _jn_zeros(k: int, n: int, below: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The first n zeros j_{k,p} of J_k, integer k >= 0, and J_{k+1} at them.
 
-
-def _jn_zeros(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first n zeros j_{k,p} of J_k, integer k >= 0, and J_{k+1} at them (read-only).
-
-    Order 0 comes from `_bessel_zeros`.  For k >= 1 each zero is solved
-    (`_newton_zeros`) on the bracket (j_{k-1,p}, j_{k-1,p} + pi) of one zero
-    of J_{k-1}, which holds j_{k,p} and no other zero of J_k: the zeros
-    interlace, j_{k-1,p} < j_{k,p} < j_{k-1,p+1} (DLMF 10.21(i)); j_{k,p}
-    exceeds j_{k-1,p} by less than pi/2; and zeros of J_{k-1} are more than
-    pi apart for k > 1 (Watson, Bessel Functions, 15.81), while
-    j_{1,p+1} - j_{0,p} > 4.5.  The sign check at both ends of every bracket
-    confirms it.  The start is the first Newton step of J_k at j_{k-1,p},
-    j_{k-1,p} (1 + 1/k), or j_{k-1,p} + pi/2 if that is nearer.  So n zeros
-    of J_k take n of J_{k-1}, and each zero depends only on its bracket, not
-    on how the table grew.  The table is kept for the process and grows on
-    demand: the zeros are constants.
+    Order 0 comes from `_bessel_zeros`.  For k >= 1, `below` holds the first
+    n (or more) zeros of J_{k-1}, and each zero is solved (`_newton_zeros`)
+    on the bracket (j_{k-1,p}, j_{k-1,p} + pi), which holds j_{k,p} and no
+    other zero of J_k: the zeros interlace, j_{k-1,p} < j_{k,p} < j_{k-1,p+1}
+    (DLMF 10.21(i)); j_{k,p} exceeds j_{k-1,p} by less than pi/2; and zeros
+    of J_{k-1} are more than pi apart for k > 1 (Watson, Bessel Functions,
+    15.81), while j_{1,p+1} - j_{0,p} > 4.5.  The sign check at both ends of
+    every bracket confirms it.  The start is the first Newton step of J_k at
+    j_{k-1,p}, j_{k-1,p} (1 + 1/k), or j_{k-1,p} + pi/2 if that is nearer.
+    So each zero depends only on the zeros below it, not on n.
     """
-    while len(_JN_TABLE) <= k:
-        _JN_TABLE.append((np.empty(0), np.empty(0)))
-    zeros, slopes = _JN_TABLE[k]
-    if zeros.size < n:
-        if k == 0:
-            new, new_slopes = _bessel_zeros(0.0, np.arange(zeros.size + 1, n + 1))
-        else:
-            lo = _jn_zeros(k - 1, n)[0][zeros.size:]
-            new, new_slopes = _newton_zeros(
-                float(k), np.minimum(lo * (1.0 + 1.0 / k), lo + math.pi / 2), lo, lo + math.pi,
-                f"the zeros of J_{k - 1}")
-        zeros = np.concatenate([zeros, new])
-        slopes = np.concatenate([slopes, new_slopes])
-        zeros.flags.writeable = False
-        slopes.flags.writeable = False
-        _JN_TABLE[k] = (zeros, slopes)
-    return zeros[:n], slopes[:n]
+    if k == 0:
+        return _bessel_zeros(0.0, np.arange(1, n + 1))
+    lo = below[:n]
+    return _newton_zeros(float(k), np.minimum(lo * (1.0 + 1.0 / k), lo + math.pi / 2),
+                         lo, lo + math.pi, f"the zeros of J_{k - 1}")
 
 
 def bessel_zero(nu, m: int) -> float:
@@ -568,6 +550,16 @@ def _k_weights(nu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return fall, w
 
 
+@lru_cache(maxsize=64)
+def _k_asymptotic_coefficients(nu: float) -> np.ndarray:
+    """a_k(nu) = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (k! 8^k) of DLMF 10.40.2, 30 terms (read-only)."""
+    a = np.ones(_K_TERMS)
+    for k in range(1, _K_TERMS):
+        a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+    a.flags.writeable = False
+    return a
+
+
 def _k_region(nu: float, r: int, x: np.ndarray) -> np.ndarray:
     """x^nu K_nu(x) on the points of region r of `_k_regions`."""
     counts = _k_regions()[1]
@@ -580,10 +572,8 @@ def _k_region(nu: float, r: int, x: np.ndarray) -> np.ndarray:
         np.maximum(exponent, -700.0, out=exponent)  # e^-700 adds nothing, and no exp underflows
         return x ** nu * np.exp(-x) * np.einsum("ij,j->i", np.exp(exponent, out=exponent), w)
     if r == len(counts) + 1:
-        a = np.ones(_K_TERMS)
-        for k in range(1, _K_TERMS):
-            a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
-        series = np.einsum("ik,k->i", (1.0 / x)[:, None] ** np.arange(_K_TERMS), a)
+        series = np.einsum("ik,k->i", (1.0 / x)[:, None] ** np.arange(_K_TERMS),
+                           _k_asymptotic_coefficients(nu))
         return x ** nu * np.exp(-x) * np.sqrt(math.pi / (2.0 * x)) * series
     return np.zeros(x.size)
 
@@ -598,7 +588,8 @@ def _power_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
       t_j = j h, h = 1/8: the trapezoid rule on DLMF 10.32.9, whose
       integrand is analytic in the strip |Im t| < pi/2, so its error is about
       e^{x - pi^2 / h}; the sum, of positive terms, runs at least to
-      x (cosh t - 1) = 48, on a power of two of nodes (`_k_regions`).
+      x (cosh t - 1) = 48, on the node count of the point's region
+      (`_k_regions`).
     - x >= 30: DLMF 10.40.2 with 30 terms; 0 from x = 750, where e^{-x} underflows.
     Each point's value does not depend on the other points.
     """

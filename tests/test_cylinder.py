@@ -11,7 +11,6 @@ from almgren_lab import (
     cylinder_mode,
     cylinder_spectrum,
     dirichlet_eigs,
-    special_functions,
 )
 from almgren_lab.core import gauss_jacobi
 from almgren_lab.special_functions import _bessel_j, _jn_zeros
@@ -68,8 +67,9 @@ def _full_disk_table(R, count):
     """Every (k, p) with k, p < count + 2, sorted stably by mu and cut to count."""
     a = 2.0 * R
     entries = []
+    zeros = None
     for k in range(count + 2):
-        zeros, slopes = _jn_zeros(k, count + 2)
+        zeros, slopes = _jn_zeros(k, count + 2, zeros)
         for p, (j, d) in enumerate(zip(zeros.tolist(), slopes), start=1):
             c = 1.0 / (math.sqrt(math.pi) * a * abs(d))
             if k == 0:
@@ -88,8 +88,9 @@ def _full_disk_table(R, count):
 @pytest.mark.parametrize("R", [0.5, 1.3])
 def test_disk_spectrum_equals_the_full_table(R, monkeypatch):
     asked = []
-    # the sweep asks cylinder's _jn_zeros; each count starts from an empty table
-    monkeypatch.setattr(cylinder, "_jn_zeros", lambda k, n: asked.append(n) or _jn_zeros(k, n))
+    # the sweep asks cylinder's _jn_zeros; each count runs it afresh
+    monkeypatch.setattr(cylinder, "_jn_zeros",
+                        lambda k, n, below: asked.append(n) or _jn_zeros(k, n, below))
     rho = np.array([0.0, 0.2, 0.7, 1.0]) * 2.0 * R
     phi = np.array([0.0, 0.4, 2.5, -1.1])
     # every zero left out of a shorter table lies above the 40 smallest, so
@@ -97,7 +98,7 @@ def test_disk_spectrum_equals_the_full_table(R, monkeypatch):
     full = _full_disk_table(R, 40)
     for count in range(1, 41):
         asked.clear()
-        monkeypatch.setattr(special_functions, "_JN_TABLE", [])
+        cylinder._disk_zeros.cache_clear()
         spec = dirichlet_eigs(2, R, count)
         assert sum(asked) <= 4 * count        # the full table asks for (count + 2)^2 zeros
         table = full[:count]
