@@ -390,7 +390,8 @@ def check_H_derivative(target, method: str = "closed") -> float:
     schedule, which converge at second order under schedule refinement.
     A solution is checked at 20 radii from R/2 down to R/16.
     """
-    if isinstance(_instance(target, (SeparableSolution, FrequencyTrace), "target"), FrequencyTrace):
+    target = _instance(target, (SeparableSolution, FrequencyTrace), "target")
+    if isinstance(target, FrequencyTrace):
         r, H, D = target.r, target.H, target.D
         if r.size < 5:
             raise DomainError("trace needs at least 5 radii")

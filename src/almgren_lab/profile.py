@@ -138,11 +138,9 @@ def _power_bessel(order: float, tau, coef: float, at_zero: float):
     """
     t = _number(tau, "profile argument", 0.0, math.inf, "[]", array=True)
     positive = t > 0.0
-    if positive.all():
-        out = coef * _power_bessel_k(order, t.ravel()).reshape(t.shape)
-    elif positive.any():                             # 1 stands in for 0, which gives at_zero
-        flat = np.where(positive, t, 1.0).ravel()
-        out = np.where(positive, coef * _power_bessel_k(order, flat).reshape(t.shape), at_zero)
+    if positive.any():                               # 1 stands in for 0, which gives at_zero
+        k = _power_bessel_k(order, np.where(positive, t, 1.0).ravel()).reshape(t.shape)
+        out = np.where(positive, coef * k, at_zero)
     else:
         out = np.full(t.shape, at_zero)
     return out if out.ndim else float(out)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -63,14 +64,22 @@ def test_disk_spectrum(params):
     assert spec.labels[2][:2] == (1, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _all_disk_zeros(count):
+    """(k, zeros, slopes) of J_k for every k < count + 2, count + 2 zeros each."""
+    table, zeros = [], None
+    for k in range(count + 2):
+        zeros, slopes = _jn_zeros(k, count + 2, zeros)
+        table.append((k, zeros.tolist(), slopes.tolist()))
+    return table
+
+
 def _full_disk_table(R, count):
     """Every (k, p) with k, p < count + 2, sorted stably by mu and cut to count."""
     a = 2.0 * R
     entries = []
-    zeros = None
-    for k in range(count + 2):
-        zeros, slopes = _jn_zeros(k, count + 2, zeros)
-        for p, (j, d) in enumerate(zip(zeros.tolist(), slopes), start=1):
+    for k, zeros, slopes in _all_disk_zeros(count):
+        for p, (j, d) in enumerate(zip(zeros, slopes), start=1):
             c = 1.0 / (math.sqrt(math.pi) * a * abs(d))
             if k == 0:
                 entries.append(((j / a) ** 2, (0, p, "cos"),
