@@ -192,13 +192,13 @@ _RNG = np.random.default_rng(20261020)
 # every region of `_bessel_j` and both sides of each switch (x = 2, 30 and nu^2)
 _J_POINTS = np.sort(np.concatenate([
     [1e-300, 1e-8, 0.01, 1.0, 2.0, 2.0000001, 4.0, 29.9999, 30.0, 30.0001, 60.0],
-    _RNG.uniform(0.0, 60.0, 29)]))
+    _RNG.uniform(0.0, 60.0, 13)]))
 
 
 def _envelope_errors(nu, x, got):
-    """|got - J_nu(x)| / max(|J_nu(x)|, sqrt(2 / (pi x))), J from 30-digit mpmath."""
+    """|got - J_nu(x)| / max(|J_nu(x)|, sqrt(2 / (pi x))), J from 25-digit mpmath."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
+    with mpmath.workdps(25):
         want = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(t)))) for t in x])
     with np.errstate(divide="ignore"):
         envelope = np.maximum(np.abs(want), np.sqrt(2.0 / (math.pi * x)))
@@ -214,7 +214,7 @@ def test_bessel_j_kernel_fractional_orders_against_mpmath(nu):
     assert np.max(_envelope_errors(nu, x, _bessel_j((nu,), x)[0])) <= 1e-14
 
 
-@pytest.mark.parametrize("n", list(range(0, 65, 3)) + [64])
+@pytest.mark.parametrize("n", list(range(0, 65, 2)) + [1, 3, 5, 7, 63])
 def test_bessel_j_kernel_integer_orders_against_mpmath(n):
     # the disk's orders: the trapezoid rule up to x = 30, Miller's recurrence
     # beyond (Hankel's expansion only for x >= max(30, n^2))
