@@ -53,7 +53,7 @@ _SERIES_TERMS = 14          # (x^2/4)^14 / (14!)^2 < 1e-21 at x = 2
 _HANKEL_START = 30.0        # J: Hankel's expansion for x >= max(30, nu^2)
 _HANKEL_TERMS = 20          # at x = 30 the 20th term is below 1e-17
 _INTEGRAL_NODES = 64        # Gauss-Legendre nodes of Bessel's integral, fractional orders
-_INTEGRAL_TAIL = 50.0       # the second integral stops where x sinh t = 50
+_INTEGRAL_SPAN = math.asinh(25.0)  # the second integral on [0, T]: x sinh T = 50 at x = 2
 _K_STEP = 1.0 / 8.0         # K: trapezoid step in t
 _K_TAIL = 48.0              # K: the sum stops where x (cosh t - 1) = 48
 _K_ASYMPTOTIC_START = 30.0  # K: DLMF 10.40.2 beyond x = 30, with 30 terms
@@ -160,36 +160,40 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _integral_angles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """On the lower half of the angles pi u of `_legendre_rule(n)`: t - pi/2, sin t and the
-    weights; and all of the rule's nodes, negated."""
-    nodes, weights = _legendre_rule(n)
-    low = math.pi * nodes[:n // 2]
-    out = (low - math.pi / 2, np.sin(low), weights[:n // 2], -nodes)
+def _integral_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The order-free parts of Bessel's integral on the `_INTEGRAL_NODES` rule (read-only):
+    on the lower half of the angles t = pi u, t - pi/2 and sin t; the nodes
+    t_j = T u of the second integral on [0, T]; and -sinh t_j."""
+    nodes, _ = _legendre_rule(_INTEGRAL_NODES)
+    low = math.pi * nodes[:_INTEGRAL_NODES // 2]
+    tail = _INTEGRAL_SPAN * nodes
+    out = (low - math.pi / 2, np.sin(low), tail, -np.sinh(tail))
     for a in out:
         a.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=256)
-def _integral_tables(orders: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """sin t on the lower half of the first integral's angles, the weights of [cos, sin] of
-    the phase there (orders, 2 * half), and sin(nu pi) / pi and nu as columns (read-only).
+def _integral_tables(orders: tuple) -> np.ndarray:
+    """The weights (orders, 128) of Bessel's integral against [cos, sin] of the phase
+    x sin t on the lower half of the angles, then e^{-x sinh t_j} (read-only).
 
     t and pi - t share sin t, so the mirrored node's weight is folded into its
     partner's: cos(nu t) + cos(nu (pi - t)) = 2 cos(nu pi / 2) cos(nu (t - pi/2)),
-    and the sines likewise with 2 sin(nu pi / 2).
+    and the sines likewise with 2 sin(nu pi / 2).  The second integral's
+    weights carry -sin(nu pi) / pi, T and e^{-nu t_j}.
     """
-    shifted, sines, w, _ = _integral_angles(_INTEGRAL_NODES)
+    shifted, _, tail, _ = _integral_nodes()
+    w = _legendre_rule(_INTEGRAL_NODES)[1]
     nus = np.array(orders, dtype=float)[:, None]
-    folded = w * np.cos(nus * shifted)
+    folded = w[:_INTEGRAL_NODES // 2] * np.cos(nus * shifted)
+    factor = np.array([0.0 if float(nu).is_integer() else -math.sin(nu * math.pi) / math.pi
+                       for nu in orders])[:, None]
     table = np.concatenate([2.0 * np.cos(nus * (math.pi / 2)) * folded,
-                            2.0 * np.sin(nus * (math.pi / 2)) * folded], axis=1)
-    tail = np.array([0.0 if float(nu).is_integer() else math.sin(nu * math.pi) / math.pi
-                     for nu in orders])[:, None]
-    for a in (table, tail, nus):
-        a.flags.writeable = False
-    return sines, table, tail, nus
+                            2.0 * np.sin(nus * (math.pi / 2)) * folded,
+                            factor * _INTEGRAL_SPAN * w * np.exp(-nus * tail)], axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _j_integral(orders: tuple, x: np.ndarray) -> np.ndarray:
@@ -197,19 +201,16 @@ def _j_integral(orders: tuple, x: np.ndarray) -> np.ndarray:
 
     J_nu(x) = (1/pi) int_0^pi cos(x sin t - nu t) dt
               - (sin(nu pi) / pi) int_0^inf e^{-x sinh t - nu t} dt,
-    both on the 64-node `_legendre_rule`, the first on the angles pi u
-    (`_integral_tables`), the second scaled to [0, T] with x sinh T = 50.
+    both on the 64-node `_legendre_rule`: the first on the angles pi u, the
+    second on [0, T] with 2 sinh T = 50, where the tail is below e^{-46} at
+    every x > 2, and the analytic integrand keeps the rule to roundoff up to
+    x = 30.  One contraction against `_integral_tables` gives every order.
     """
-    weights = _legendre_rule(_INTEGRAL_NODES)[1]
-    negated = _integral_angles(_INTEGRAL_NODES)[3]
-    sines, table, tail_factor, nus = _integral_tables(orders)
+    _, sines, _, fall = _integral_nodes()
     phase = x[:, None] * sines
-    first = np.einsum("oj,ij->oi", table, np.concatenate([np.cos(phase), np.sin(phase)], axis=1))
-    span = np.arcsinh(_INTEGRAL_TAIL / x)
-    t = span[:, None] * negated                    # -t, so the exponent needs no negation
-    exponent = x[:, None] * np.sinh(t) + nus[:, :, None] * t
-    second = np.einsum("oij,j->oi", np.exp(exponent, out=exponent), weights)
-    return first - tail_factor * span * second
+    decay = np.exp(np.multiply.outer(x, fall))
+    return np.einsum("oj,ij->oi", _integral_tables(orders),
+                     np.concatenate([np.cos(phase), np.sin(phase), decay], axis=1))
 
 
 @lru_cache(maxsize=256)
