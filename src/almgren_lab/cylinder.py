@@ -84,6 +84,13 @@ def _disk_zeros(count: int) -> tuple[tuple[int, int, float, float], ...]:
     return tuple(kept)
 
 
+def _disk_radial(k: int, x):
+    """J_k(x), with J_k(-x) = (-1)^k J_k(x) for a negative argument."""
+    x = np.asarray(x, dtype=float)
+    value = _bessel_j((float(k),), np.abs(x))[0]
+    return value * np.sign(x) if k % 2 else value
+
+
 def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
     """Closed-form Dirichlet spectra for the interval (N = 1) and disk (N = 2).
 
@@ -114,7 +121,7 @@ def dirichlet_eigs(N: int, R: float, count: int) -> DirichletSpectrum:
                 entries.append((
                     mu, (k, p, parity),
                     lambda rho, phi=0.0, j=j, a=a, c=c_k, k=k, trig=trig:
-                        c * _bessel_j((float(k),), j * np.asarray(rho, dtype=float) / a)[0]
+                        c * _disk_radial(k, j * np.asarray(rho, dtype=float) / a)
                         * trig(k * np.asarray(phi)),
                 ))
         entries = entries[:count]      # the last pair may straddle the count

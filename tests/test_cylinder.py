@@ -14,7 +14,7 @@ from almgren_lab import (
     dirichlet_eigs,
 )
 from almgren_lab.core import gauss_jacobi
-from almgren_lab.special_functions import _bessel_j, _jn_zeros
+from almgren_lab.special_functions import _jn_zeros
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +83,13 @@ def _full_disk_table(R, count):
             c = 1.0 / (math.sqrt(math.pi) * a * abs(d))
             if k == 0:
                 entries.append(((j / a) ** 2, (0, p, "cos"),
-                                lambda rho, phi, j=j, c=c: c * _bessel_j((0.0,), j * rho / a)[0]))
+                                lambda rho, phi, j=j, c=c: c * cylinder._disk_radial(0, j * rho / a)))
                 continue
             c_k = math.sqrt(2.0) * c
             for parity, trig in (("cos", np.cos), ("sin", np.sin)):
                 entries.append(((j / a) ** 2, (k, p, parity),
                                 lambda rho, phi, j=j, c=c_k, k=k, trig=trig:
-                                    c * _bessel_j((float(k),), j * rho / a)[0] * trig(k * phi)))
+                                    c * cylinder._disk_radial(k, j * rho / a) * trig(k * phi)))
     entries.sort(key=lambda e: e[0])
     return entries[:count]
 
@@ -132,6 +132,15 @@ def test_disk_table_of_512_against_mpmath_zeros():
         for mu, label in zip(spec.mus, spec.labels):
             exact = (want[label[:2]] / (2 * R)) ** 2
             assert abs(mpmath.mpf(mu) - exact) <= 5e-15 * exact, label
+
+
+def test_disk_evaluators_continue_to_negative_radii():
+    # J_k(-x) = (-1)^k J_k(x): a point at -rho is the point at rho turned by pi
+    spec = dirichlet_eigs(2, 0.5, 12)
+    rho = np.array([0.1, 0.45, 0.8, 1.0])
+    for n, (k, _, parity) in enumerate(spec.labels, start=1):
+        f = spec.evaluator(n)
+        assert np.allclose(f(-rho, 0.3), f(rho, 0.3 + math.pi), rtol=0, atol=1e-14), (k, parity)
 
 
 def test_unsupported_dimension():
