@@ -41,6 +41,7 @@ from .core import (
     _finite,
     _instance,
     _number,
+    _power_fit,
     _radius,
 )
 from .synthesis import SeparableSolution, gauss_nodes
@@ -469,12 +470,12 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
     """Vanishing order gamma = lim N(r), read off an exact-exponent fit.
 
     D and H of a finite synthesis are sums of the powers r^{a_k} of
-    `_fit_exponents` (cross terms vanish by orthonormality).  One lstsq fits
-    r^{-a_0} (D, H) with columns (r / r_max)^{a_k - a_0}: gamma = d_0 / h_0
-    and h_limit = h_0.  The residual certifies the fit: roundoff for a
-    complete basis, under delta ln(r_max / r_min) < 7e-6 for powers delta
-    apart merged (near-equal columns leave the fit near rank-deficient),
-    O(1) for a missing term.
+    `_fit_exponents` (cross terms vanish by orthonormality).  One
+    `core._power_fit` fits r^{-a_0} (D, H) on the powers a_k - a_0 of
+    r / r_max: gamma = d_0 / h_0 and h_limit = h_0.  The residual certifies
+    the fit: roundoff for a complete basis, under delta ln(r_max / r_min) <
+    7e-6 for powers delta apart merged (near-equal columns leave the fit
+    near rank-deficient), O(1) for a missing term.
     UnmatchedExponentError is raised for a residual above FIT_RESIDUAL_BOUND,
     for h_0 <= 0, and for a gamma farther than MATCH_TOL from every candidate
     sigma_plus and sigma_plus + 2 (default: the terms' sigma).  `h_band`
@@ -502,10 +503,9 @@ def frequency_limit(sol: SeparableSolution, candidates=None,
     if candidates is None:
         candidates = sorted({t.sigma for t in sol.terms})
     a = _fit_exponents(sol)
-    A = (r[:, None] / np.max(r)) ** (a - a[0])
     Y = np.column_stack([D, H]) * r[:, None] ** -a[0]
-    coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
-    residual = float(np.max(np.abs(A @ coef - Y)) / np.max(np.abs(Y)))
+    coef, res = _power_fit(r / np.max(r), Y, a - a[0])
+    residual = float(np.max(np.abs(res)) / np.max(np.abs(Y)))
     if not residual <= FIT_RESIDUAL_BOUND:   # a NaN residual certifies nothing
         raise UnmatchedExponentError(f"D and H do not fit the powers of the synthesis: "
                                      f"residual {residual:.2e} above {FIT_RESIDUAL_BOUND}")

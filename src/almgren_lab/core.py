@@ -537,6 +537,64 @@ def _eliminate_rows(lower, diag, upper, rhs, least: float = 0.0) -> list[float]:
     return b
 
 
+def _power_fit(x, y, exponents):
+    """Least squares of y on the powers x^e: (coefficients of x^e, residual y - fit).
+
+    x holds m positive samples, y one column of m values or m rows of columns,
+    and the last axis of `exponents` a fit's n powers; its leading axes batch
+    fits, each on every column of y.  `_power_design` factors a design once;
+    a call solves R c = Q^T y.  A fit's values are the same alone as in a
+    batch.  The caller keeps x^e in the float range."""
+    x, y, e = (np.asarray(v, dtype=float) for v in (x, y, exponents))
+    qt, r, size, design, deficient = _power_design(x.tobytes(), e.tobytes(), e.shape)
+    Y = y[:, None] if y.ndim == 1 else y
+    coef = np.linalg.solve(r, qt @ Y) / size[..., None]
+    if deficient is not None:
+        coef[deficient[0]] = deficient[1] @ Y
+    res = Y - design @ coef
+    return (coef[..., 0], res[..., 0]) if y.ndim == 1 else (coef, res)
+
+
+@lru_cache(maxsize=32)
+def _power_design(x_bytes: bytes, e_bytes: bytes, shape: tuple):
+    """Q^T, R, the column norms, the columns x^e and the rank-deficient fits (None, or
+    their mask and pinv) of `_power_fit`'s design.
+
+    Each column x^e over its largest entry, (x / max x)^e or (x / min x)^e
+    for e < 0, neither overflows nor underflows as a whole; scaled to unit
+    norm, the design is factored by one Householder QR (`np.linalg.qr`):
+    column-scaled QR least squares (Bjorck, Numerical Methods for Least
+    Squares Problems, SIAM 1996, 2.4).  Rank rule: a fit with fewer samples
+    than powers, a diagonal entry of R at or below max(m, n) eps (lstsq's
+    default cut-off) or a column x^e of squared norm below tiny / eps (it
+    underflows) gets pinv's minimum-norm answer on its columns x^e, an
+    underflowing one read as zeros, so that it gets coefficient 0."""
+    x, e = np.frombuffer(x_bytes), np.frombuffer(e_bytes).reshape(shape)
+    m, n = x.size, shape[-1]
+    ref = (np.where(e < 0.0, x.min(), x.max()) if e.min() < 0.0 else x.max()) if m else np.ones(1)
+    scale = ref ** e
+    # each exponent repeated along the samples: a lone exponent would take
+    # numpy's scalar-exponent shortcuts, and a fit's bits would depend on its batch
+    rows = (x / ref[..., None]) ** np.repeat(e[..., None], m, axis=-1)
+    design = (rows * scale[..., None]).swapaxes(-1, -2)
+    norm = np.sqrt((rows * rows).sum(axis=-1))
+    size = norm * scale
+    under = size * size < np.finfo(float).tiny / np.finfo(float).eps
+    full, qt, r = np.array(False), np.zeros(shape[:-1] + (n, m)), np.zeros(shape[:-1] + (n, n))
+    if m >= n:
+        q, r = np.linalg.qr((rows / norm[..., None]).swapaxes(-1, -2))
+        full = ((np.abs(r.diagonal(0, -2, -1)) > max(m, n) * np.finfo(float).eps)
+                & ~under).all(axis=-1)
+        qt = np.ascontiguousarray(q.swapaxes(-1, -2))   # a transposed view loses digits in Q^T y
+    flagged, deficient = np.array(~np.broadcast_to(full, shape[:-1])), None
+    if flagged.any():
+        r[flagged], size[flagged] = np.eye(n), 1.0      # a placeholder solve
+        deficient = (flagged, np.linalg.pinv(np.where(under[..., None, :], 0.0, design)[flagged]))
+    for arr in (qt, r, size, design) + (deficient or ()):
+        arr.flags.writeable = False
+    return qt, r, size, design, deficient
+
+
 class _CubicSpline:
     """Not-a-knot cubic spline through (x, y), the default of scipy's `CubicSpline`.
 

@@ -60,6 +60,7 @@ from .core import (
     _count,
     _log_gamma_ratio,
     _number,
+    _power_fit,
     _sinc_ratio,
     unit_sphere_area,
 )
@@ -317,17 +318,6 @@ def _lowest_eigenpairs(couplings: np.ndarray, masses: np.ndarray, guesses: np.nd
     )
 
 
-def _richardson(levels: list[np.ndarray]) -> np.ndarray:
-    """Repeated order-2 Richardson extrapolation across grid doublings."""
-    table = [np.asarray(v, dtype=float) for v in levels]
-    order = 2.0
-    while len(table) > 1:
-        fac = 2.0 ** order
-        table = [(fac * b - a) / (fac - 1.0) for a, b in zip(table[:-1], table[1:])]
-        order += 2.0
-    return table[0]
-
-
 def hemisphere_eigs(
     params: WeightParams,
     k_max: int = 4,
@@ -338,7 +328,9 @@ def hemisphere_eigs(
     """Lowest eigenmodes by finite volumes, named (sigma, k): the cross-check.
 
     Each sector is solved on `resolution` cells of (0, pi/2) times 2^j for
-    j = 0..refinements, and its eigenvalues are Richardson extrapolated;
+    j = 0..refinements; an eigenvalue is the value at h = 0 of the fit of its
+    levels on h^{0, 2, ..., 2 refinements}, h = 2^-j (`core._power_fit`, as
+    repeated Richardson extrapolation would give);
     per_k x resolution x 2^refinements above MAX_SECTOR_UNKNOWNS is refused
     with `DomainError` before any solve.
     Eigenpair j of sector k is the mode of degree sigma = k + 2j, so each
@@ -381,7 +373,8 @@ def hemisphere_eigs(
             continue
         levels = [_sector_eigs(params, k, resolution * 2 ** j, count)
                   for j in range(refinements + 1)]
-        mus = _richardson([lv[0] for lv in levels])
+        powers = np.arange(refinements + 1)
+        mus = _power_fit(0.5 ** powers, np.array([lv[0] for lv in levels]), 2.0 * powers)[0][0]
         _, qvecs, _, centers = levels[-1]
         samples = np.sin(centers)[:, None] ** k * qvecs
         if N == 1:

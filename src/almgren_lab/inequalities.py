@@ -399,7 +399,7 @@ def estimate_sobolev_trace_constant(params: WeightParams, family: TestFamily, r:
             _, uq, ut, _ = _sample(field, ball)
             us = _sample(field, sphere)[0]
             numerator = rules.ball(uq * uq + ut * ut) + k * rules.sphere(us * us)
-            # quadratic extrapolation of U to the t = 0 slice
+            # U at t = 0: `core._power_fit` on t^{0, 1, 2} at t = eps {1, 2, 3}, in closed form
             v = _sample(field, levels)[0]
             u = np.abs(_finite(3.0 * v[0] - 3.0 * v[1] + v[2]))
         # ||u||_q = M (int (|u|/M)^q)^{1/q} with M = max|u|: q* grows without

@@ -50,6 +50,7 @@ from .core import (
     _Tridiagonal,
     _finite,
     _number,
+    _power_fit,
     _radius,
     gauss_jacobi,
 )
@@ -117,18 +118,6 @@ class ProfileSolution:
 
     def zeta_at(self, tau):
         return self._on_grid(self._zeta_spline, tau)
-
-
-def _limit_at_zero(ts: np.ndarray, zs: np.ndarray, alpha: float) -> float:
-    """Value at 0 of the fit of three samples in the basis {1, t^{2 alpha}, t^2}.
-
-    At b = 0 (2 alpha = 1) the basis is plain quadratic extrapolation.
-    """
-    A = np.column_stack([np.ones(3), ts ** (2.0 * alpha), ts ** 2])
-    try:
-        return float(np.linalg.solve(A, zs)[0])
-    except np.linalg.LinAlgError:   # samples so close to 0 that the basis is singular
-        raise SolverError(f"the fit at t = {ts.tolist()} is singular") from None
 
 
 def _power_bessel(order: float, tau, coef: float, at_zero: float):
@@ -434,9 +423,10 @@ def trace_laplacian_check(
 
     V = D_b U at t -> 0 has symbol uhat |xi|^2 zeta(0+); dividing by the
     symbol of Laplace u gives a frequency-independent constant whenever the
-    construction is exact.  The limit is taken per frequency by extrapolating
-    zeta(|xi| t) from three small positive t levels, so the reported spread
-    measures genuine profile-interpolation error.  Raises when the spread
+    construction is exact.  Per frequency shell s, zeta(0+) is the value at
+    0 of the fit of zeta at tau = s h {1, 2, 3} (h the profile's step) on
+    tau^{0, 2 alpha, 2}, one `core._power_fit` for every shell, so the
+    reported spread measures genuine profile-interpolation error.  Raises when the spread
     exceeds 5%.  By default it runs on the finite-volume profile: on the
     closed form the check would be exact and would measure nothing.
     """
@@ -449,13 +439,11 @@ def trace_laplacian_check(
         raise InputError("sample has no usable nonzero frequencies")
     shells = np.unique(np.round(xi[mask], 9))[:n_shells]
     h = prof.t[1] - prof.t[0]
-    estimates = []
-    for s in shells:
-        taus = s * h * np.array([1.0, 2.0, 3.0])
-        zeta0 = _limit_at_zero(taus, prof.zeta_at(taus), prof.alpha)
-        # V-hat at t->0 is uhat s^2 zeta0; Laplace u has symbol -s^2 uhat.
-        estimates.append(-zeta0)
-    estimates = np.asarray(estimates)
+    steps = np.array([1.0, 2.0, 3.0])
+    zetas = prof.zeta_at((shells * h)[None, :] * steps[:, None])
+    # the value at 0 ignores the scale of tau: every shell is a column on one design.
+    # V-hat at t->0 is uhat s^2 zeta0; Laplace u has symbol -s^2 uhat.
+    estimates = -_power_fit(steps, zetas, np.array([0.0, 2.0 * prof.alpha, 2.0]))[0][0]
     kappa = float(np.mean(estimates))
     spread = float((estimates.max() - estimates.min()) / abs(kappa)) if kappa else math.inf
     if not spread <= 0.05:   # a NaN spread is no agreement

@@ -19,9 +19,8 @@ coefficients read and `_radial_parts` evaluates for the point evaluator
 exponent.  A solution also keeps, from their first use, the
 tables of its later calls that do not depend on the radius
 (`SeparableSolution._table`): the Almgren plans and, per mode, the Fourier
-projections (`_projection`).  The blow-up fit of phi is a two-column least
-squares solved by modified Gram-Schmidt for every candidate at once.  The
-angular factor is the mode profile times the normalized representative
+projections (`_projection`).  The blow-up fit of phi is one `core._power_fit`
+on two powers for every candidate at once.  The angular factor is the mode profile times the normalized representative
 harmonic of its sector, so modes are orthonormal on the weighted half
 sphere and all quadratic functionals decouple.
 """
@@ -44,6 +43,7 @@ from .core import (
     _finite,
     _instance,
     _number,
+    _power_fit,
     _radius,
 )
 from .hemisphere import SpectralMode, sigma_exponents, sphere_harmonic_value
@@ -261,47 +261,6 @@ def fourier_coefficient(sol: SeparableSolution, mode: SpectralMode,
     return phi, phit
 
 
-# Squared column norms below this leave the sums of squares to subnormal roundoff
-_NORM2_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
-
-
-def _two_column_fit(lam: np.ndarray, y: np.ndarray, sigmas: np.ndarray):
-    """Least squares of y by (lam^sigma, lam^(sigma+2)) for every candidate sigma at once.
-
-    Modified Gram-Schmidt on the two columns with y as a third column
-    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996, 2.4):
-    rows (c1, e) of coefficients and the residuals, one row per candidate.
-    Where fewer than two samples are kept, a column's squared norm leaves the
-    normal range, or the triangular factor is singular to pinv's 1e-15, the
-    candidate gets pinv's minimum-norm answer on a QR of its columns.
-    """
-    a1 = lam ** sigmas[:, None]
-    a2 = a1 * (lam * lam)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n11 = np.einsum("cm,cm->c", a1, a1)
-        r11 = np.sqrt(n11)
-        q1 = a1 / r11[:, None]
-        r12 = np.einsum("cm,cm->c", q1, a2)
-        a2 -= r12[:, None] * q1
-        n22 = np.einsum("cm,cm->c", a2, a2)
-        r22 = np.sqrt(n22)
-        q2 = a2 / r22[:, None]
-        z1 = q1 @ y
-        res = y - z1[:, None] * q1
-        z2 = np.einsum("cm,cm->c", q2, res)
-        res -= z2[:, None] * q2
-        e = z2 / r22
-        coef = np.column_stack([(z1 - r12 * e) / r11, e])
-    odd = ~((n11 >= _NORM2_FLOOR) & (n22 >= _NORM2_FLOOR)
-            & (r11 * r22 > 1e-14 * (n11 + r12 * r12 + n22)))
-    if np.any(odd):
-        A = lam[None, :, None] ** (sigmas[odd][:, None, None] + np.array([0.0, 2.0]))
-        Q, R = np.linalg.qr(A)
-        coef[odd] = (np.linalg.pinv(R) @ (np.swapaxes(Q, 1, 2) @ y[:, None]))[..., 0]
-        res[odd] = y - (A @ coef[odd][..., None])[..., 0]
-    return coef, res
-
-
 @dataclass(frozen=True)
 class CoefficientFit:
     """Result of fitting radial samples to the two-exponent separable model."""
@@ -321,14 +280,14 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
 
     `samples` is an array of (lambda, phi, phi~) rows covering at least six
     positive radii spanning a decade.  For each candidate sigma the model is
-    linear in (c1, d1/K), with K that of sigma itself: phi is fitted by the
-    two columns lam^sigma and lam^(sigma+2) in one modified Gram-Schmidt pass
-    over every candidate (`_two_column_fit`, with pinv's minimum-norm answer
-    where the columns are degenerate), phi~ by lam^sigma alone.  The
-    candidate with minimal relative residual wins.  When phi~ vanishes on
-    every sample, a fit of phi by lam^sigma alone (d1 = 0) is preferred
-    whenever one meets `residual_tol`.  If every candidate leaves a relative
-    residual above `residual_tol` a ClassificationError reports the failure.
+    linear in (c1, d1/K), with K that of sigma itself: phi is fitted on the
+    powers {sigma, sigma + 2} of lam and phi~ on {sigma}, each by one
+    `core._power_fit` over every candidate (pinv's minimum-norm answer where
+    a candidate's columns are degenerate or underflow).  The candidate with
+    minimal relative residual wins.  When phi~ vanishes on every sample, a
+    fit of phi on {sigma} alone (d1 = 0) is preferred whenever one meets
+    `residual_tol`.  If every candidate leaves a relative residual above
+    `residual_tol` a ClassificationError reports the failure.
     A candidate whose squared column lam^(2 sigma) or lam^(2 sigma + 4)
     overflows raises DomainError.
     """
@@ -357,20 +316,10 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
     if sigmas.size == 0:
         raise InputError("sigma candidates must be a non-empty list")
     lam_u, phi_u = lam[keep], phi[keep]
-
-    def one_column(a, y):
-        """Per-candidate fit of y by the single column a[c]: coefficients, squared residuals.
-
-        A column that underflows to zero gets the minimum-norm coefficient 0.
-        """
-        norm = np.sum(a * a, axis=1)
-        coef = np.divide(a @ y, norm, out=np.zeros_like(norm), where=norm > 0.0)
-        res = y - a * coef[:, None]
-        return coef, np.sum(res * res, axis=1)
-
-    coef, res_u = _two_column_fit(lam_u, phi_u, sigmas)
+    coef, res_u = _power_fit(lam_u, phi_u, sigmas[:, None] + np.array([0.0, 2.0]))
     if np.any(keep_v):
-        d1, ss_v = one_column(lam[keep_v] ** sigmas[:, None], phit[keep_v])
+        d1, res_v = _power_fit(lam[keep_v], phit[keep_v], sigmas[:, None])
+        d1, ss_v = d1[:, 0], np.sum(res_v * res_v, axis=1)
     else:
         d1, ss_v = coef[:, 1] * _resonance(params, sigmas), 0.0
     rel = np.sqrt((np.sum(res_u * res_u, axis=1) + ss_v) / total)
@@ -381,11 +330,11 @@ def fit_blowup(samples, sigma_candidates, params: WeightParams,
         # lam^sigma alone explains phi.  Only when no candidate does are the
         # samples read as the U layer alone, with d1 = e K from the
         # lam^{sigma+2} coefficient.
-        c1, ss_u = one_column(lam_u ** sigmas[:, None], phi_u)
-        rel = np.sqrt(ss_u / total)
+        c1, res = _power_fit(lam_u, phi_u, sigmas[:, None])
+        rel = np.sqrt(np.sum(res * res, axis=1) / total)
         j = int(np.argmin(rel))
         if rel[j] <= residual_tol:
-            best = (float(rel[j]), float(sigmas[j]), float(c1[j]), 0.0, 0.0)
+            best = (float(rel[j]), float(sigmas[j]), float(c1[j, 0]), 0.0, 0.0)
     rel, sigma, c1, e_coef, d1 = best
     if not rel <= residual_tol:
         raise ClassificationError(

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -30,6 +32,7 @@ from almgren_lab.core import (
     SPLIT_HEAD_NODES,
     SPLIT_POINT,
     _CubicSpline,
+    _power_fit,
     gauss_jacobi,
     split_gauss_jacobi,
     unit_sphere_area,
@@ -525,3 +528,81 @@ def test_cubic_spline_derivative_orders_beyond_one_raise():
     assert spline(1.5, nu=1) == pytest.approx(3.0 * 1.5 ** 2, rel=1e-15)
     with pytest.raises(DomainError):
         spline(1.5, nu=2)
+
+
+# `_power_fit`: exponent sets at least 0.5 apart, from -2 up, on 1 to 3 powers
+_EXPONENTS = st.tuples(st.floats(-2.0, 3.0), st.lists(st.floats(0.5, 2.0), max_size=2)).map(
+    lambda sg: np.cumsum([sg[0]] + sg[1]))
+_SAMPLES = st.tuples(st.floats(-3.0, 3.0), st.floats(0.5, 2.0), st.integers(0, 20)).map(
+    lambda lsm: np.geomspace(10.0 ** lsm[0], 10.0 ** (lsm[0] + lsm[1]), 4 + lsm[2]))
+
+
+def _coefficients(data, n):
+    return np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))) \
+        * np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150)
+@given(_EXPONENTS, _SAMPLES, st.data())
+def test_power_fit_returns_the_coefficients_of_exact_power_sums(e, x, data):
+    # each coefficient to 1e-12 of the data it carries: a term far below the
+    # others on every sample is as uncertain as roundoff in the sum makes it
+    # (on 1e4 random draws the worst was 2.6e-13)
+    c = _coefficients(data, e.size)
+    columns = x[:, None] ** e
+    y = columns @ c
+    coef, res = _power_fit(x, y, e)
+    assert np.max(np.abs(coef - c) * columns.max(axis=0)) <= 1e-12 * np.max(np.abs(y))
+    assert np.max(np.abs(res)) <= 1e-13 * np.max(np.abs(y))
+
+
+@settings(max_examples=100)
+@given(_EXPONENTS, _SAMPLES, st.integers(-30, 30), st.data())
+def test_power_fit_scales_its_coefficients_with_x(e, x, k, data):
+    # x -> lam x with lam = 2^k leaves the scaled design (x / max x)^e as it
+    # is: each coefficient takes the factor lam^-e and the residual stays
+    lam = 2.0 ** k
+    y = (x[:, None] ** e) @ _coefficients(data, e.size) + 1e-3 * np.sin(7.0 * x / x.max())
+    coef, res = _power_fit(x, y, e)
+    coef_lam, res_lam = _power_fit(lam * x, y, e)
+    assert_allclose(coef_lam * lam ** e, coef, rtol=1e-14, atol=0.0)
+    terms = np.abs(x[:, None] ** e) @ np.abs(coef)     # the fit's terms, summed in size
+    assert np.max(np.abs(res_lam - res)) <= 1e-14 * np.max(terms)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 2), _SAMPLES, st.data())
+def test_power_fit_batch_entries_equal_lone_fits_bit_for_bit(batch, n, k, x, data):
+    # no value of a fit depends on the other fits of its batch, rank-deficient
+    # ones included (a repeated power, or more powers than samples)
+    x = x[:data.draw(st.integers(max(1, n - 1), x.size))]
+    e = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 7.0]),
+                                                  min_size=n, max_size=n),
+                                    min_size=batch, max_size=batch)))
+    y = np.cos(np.outer(x / x.max(), np.arange(1.0, k + 1.0)))
+    coef, res = _power_fit(x, y, e)
+    for i in range(batch):
+        alone = _power_fit(x, y, e[i])
+        assert np.array_equal(alone[0], coef[i]) and np.array_equal(alone[1], res[i])
+
+
+@settings(max_examples=50)
+@given(st.floats(-6.0, -2.0), st.floats(150.0, 300.0), st.floats(0.5, 3.0))
+def test_power_fit_gives_an_underflowing_column_coefficient_zero(log_top, big, small):
+    # the column x^big of samples below 10^log_top has a squared norm below
+    # tiny / eps, or is 0: it gets coefficient 0, and y is fitted on x^small
+    x = np.geomspace(10.0 ** (log_top - 1.0), 10.0 ** log_top, 8)
+    y = 1.5 * x ** small + 1e-3 * x ** (small + 1.0)
+    coef, res = _power_fit(x, y, [small, big])
+    lone, lone_res = _power_fit(x, y, [small])
+    assert coef[1] == 0.0
+    assert coef[0] == pytest.approx(lone[0], rel=1e-14)
+    assert np.max(np.abs(res - lone_res)) <= 1e-14 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.37, 1.0, 2.0 ** -30])
+def test_power_fit_value_at_zero_on_three_equal_steps_is_three_minus_three_one(eps):
+    # the trace extrapolation of `estimate_sobolev_trace_constant` takes
+    # 3 v0 - 3 v1 + v2: the value at 0 of the fit on t^{0, 1, 2} at t = eps {1, 2, 3}
+    coef, _ = _power_fit(eps * np.array([1.0, 2.0, 3.0]), np.eye(3), [0.0, 1.0, 2.0])
+    assert_allclose(coef[0], [3.0, -3.0, 1.0], rtol=0.0, atol=1e-14)

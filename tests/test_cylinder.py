@@ -319,3 +319,22 @@ def test_dirichlet_counts_are_capped_at_max_modes(call):
     # one evaluator closure per eigenvalue: the cap refuses before any is made
     with pytest.raises(DomainError, match="within the cap of 512"):
         call()
+
+
+def test_exact_ties_at_alpha_one_half_keep_the_n_m_order():
+    # N = 1, s = 1.5: the zeros are (m - 1/2) pi, so lambda_{n,m} is
+    # (pi / 4R)^2 (n^2 + (2m - 1)^2) and ties such as lambda_{1,2} = lambda_{3,1}
+    # are exact; formed as one float times that integer they are bit-equal,
+    # so each count lists the integer order with (n, m) on ties, and the
+    # eigenvalues never decrease
+    p = WeightParams(s=1.5, N=1, R=0.7)
+    order = sorted(((n, m) for n in range(1, 201) for m in range(1, 201)),
+                   key=lambda nm: (nm[0] ** 2 + (2 * nm[1] - 1) ** 2, nm))
+    for count in range(1, 201):
+        modes = cylinder_spectrum(p, count)
+        assert [(m.n, m.m) for m in modes] == order[:count], count
+        lam = [m.eigenvalue for m in modes]
+        assert lam == sorted(lam), count
+    for mode in cylinder_spectrum(p, 12):
+        closed = mode.mu_n + (mode.zero_m / (2.0 * p.R)) ** 2
+        assert mode.eigenvalue == pytest.approx(closed, rel=4e-16)

@@ -17,12 +17,16 @@ from almgren_lab import (
     polynomial_mode,
     sigma_exponents,
 )
-from almgren_lab.core import DEFAULT_ANGULAR_NODES, unit_sphere_area, weighted_angular_moment
+from almgren_lab.core import (
+    DEFAULT_ANGULAR_NODES,
+    _power_fit,
+    unit_sphere_area,
+    weighted_angular_moment,
+)
 from almgren_lab.hemisphere import (
     MAX_MODES,
     _jacobi,
     _log_jacobi_norm2,
-    _richardson,
     _sector_eigs,
     exact_mu,
     hemisphere_modes,
@@ -171,17 +175,22 @@ def test_k_constant_never_degenerate_in_range(params_n1, params_n3, params_n4):
 
 
 def test_richardson_convergence_order(params_n3):
-    # order >= 2 on a genuinely converging eigenvalue (the sigma = 2, k = 0 one)
+    # order >= 2 on a genuinely converging eigenvalue (the sigma = 2, k = 0
+    # one), which the fit on h^{0, 2} and then h^{0, 2, 4} lowers level by level
     p = params_n3
     target = sigma_to_mu(p, 2)
-    errs = []
+    mus = []
     for n in (128, 256, 512):
         vals, *_ = _sector_eigs(p, 0, n, 3)
-        mu = vals[np.argmin(np.abs(vals - target))]
-        errs.append(abs(mu - target))
+        mus.append(vals[np.argmin(np.abs(vals - target))])
+    errs = np.abs(np.array(mus) - target)
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
     assert order1 > 1.8 and order2 > 1.8
+    h = np.array([1.0, 0.5, 0.25])
+    fit2 = _power_fit(h[1:], np.array(mus[1:]), [0.0, 2.0])[0][0]
+    fit3 = _power_fit(h, np.array(mus), [0.0, 2.0, 4.0])[0][0]
+    assert abs(fit3 - target) < abs(fit2 - target) < errs[2]
 
 
 def test_exact_modes_are_discretely_exact(params_n3):
@@ -260,7 +269,8 @@ def test_high_sector_eigenvalues_match_the_closed_form(params_n3, k):
     # test_finite_volumes_match_the_closed_form.
     levels = [_sector_eigs(params_n3, k, n, 3)[0] for n in (1024, 2048)]
     want = [exact_mu(params_n3, k + 2 * j) for j in range(3)]
-    assert_allclose(_richardson(levels), want, rtol=1e-6, atol=0.0)
+    mus = _power_fit([1.0, 0.5], np.array(levels), [0.0, 2.0])[0][0]
+    assert_allclose(mus, want, rtol=1e-6, atol=0.0)
 
 
 def test_polynomial_modes_match_numerics(params_n3, modes_n3):

@@ -1,6 +1,7 @@
 """Every name a package module imports is referenced in that module; no module imports scipy in
 any form (scipy.interpolate and scipy.special's gamma keep their own checks).  The finite-volume
-profile solve references nothing of the closed form."""
+profile solve references nothing of the closed form.  Only `core` calls numpy's least-squares and
+linear-solve routines, so every fit goes through `core._power_fit`."""
 
 import ast
 import pathlib
@@ -149,3 +150,46 @@ def test_fv_profile_solve_stays_independent_of_the_closed_form():
     # modelled on the closed form's large-t expansion t^{alpha -/+ 1/2} e^{-t}
     names = _reachable_names((PACKAGE / "profile.py").read_text(), FV_SOLVE_ROOTS)
     assert names & CLOSED_FORM_NAMES == set()
+
+
+# numpy.linalg's solvers and factorizations that a least-squares fit is made of
+FIT_ROUTINES = {"lstsq", "pinv", "qr", "solve"}
+
+
+def _linalg_fit_references(source: str) -> set[str]:
+    """The names of FIT_ROUTINES that `source` takes from numpy.linalg, however it is imported."""
+    tree = ast.parse(source)
+    aliases, found = {"linalg"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.name == "numpy.linalg" and alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "linalg")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.update(alias.name for alias in node.names if alias.name in FIT_ROUTINES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FIT_ROUTINES:
+            base = node.value
+            name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            if name in aliases:
+                found.add(node.attr)
+    return found
+
+
+def test_the_check_sees_every_form_of_a_linalg_fit_routine():
+    source = ("import numpy as np\nimport numpy.linalg as nla\nfrom numpy import linalg as L\n"
+              "from numpy.linalg import pinv\n"
+              "a = np.linalg.lstsq\nb = nla.qr\nc = L.solve\n"
+              "d = np.linalg.eigh\ne = np.linalg.norm\nf = spline.solve\n")
+    assert _linalg_fit_references(source) == {"lstsq", "pinv", "qr", "solve"}
+    assert _linalg_fit_references("x = _Tridiagonal(d, l, u).solve(r)\n") == set()
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.stem)
+def test_only_core_calls_numpys_fit_routines(path):
+    # a second fitting routine outside core._power_fit would show here;
+    # eigh and norm stay wherever they are used
+    found = _linalg_fit_references(path.read_text())
+    assert found == set() or path.name == "core.py", found
