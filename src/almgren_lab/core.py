@@ -567,8 +567,8 @@ def _power_design(x_bytes: bytes, e_bytes: bytes, shape: tuple):
     Squares Problems, SIAM 1996, 2.4).  Rank rule: a fit with fewer samples
     than powers, a diagonal entry of R at or below max(m, n) eps (lstsq's
     default cut-off) or a column x^e of squared norm below tiny / eps (it
-    underflows) gets pinv's minimum-norm answer on its columns x^e, an
-    underflowing one read as zeros, so that it gets coefficient 0."""
+    underflows) gets pinv's minimum-norm answer on its columns x^e, each
+    underflowing one read as zeros, which so gets coefficient 0."""
     x, e = np.frombuffer(x_bytes), np.frombuffer(e_bytes).reshape(shape)
     m, n = x.size, shape[-1]
     ref = (np.where(e < 0.0, x.min(), x.max()) if e.min() < 0.0 else x.max()) if m else np.ones(1)
@@ -579,14 +579,16 @@ def _power_design(x_bytes: bytes, e_bytes: bytes, shape: tuple):
     design = (rows * scale[..., None]).swapaxes(-1, -2)
     norm = np.sqrt((rows * rows).sum(axis=-1))
     size = norm * scale
-    under = size * size < np.finfo(float).tiny / np.finfo(float).eps
-    full, qt, r = np.array(False), np.zeros(shape[:-1] + (n, m)), np.zeros(shape[:-1] + (n, n))
-    if m >= n:
+    under = size * size < sys.float_info.min / sys.float_info.epsilon
+    if m < n:
+        full = np.zeros(shape[:-1], bool)
+        qt, r = np.zeros(shape[:-1] + (n, m)), np.zeros(shape[:-1] + (n, n))
+    else:
         q, r = np.linalg.qr((rows / norm[..., None]).swapaxes(-1, -2))
-        full = ((np.abs(r.diagonal(0, -2, -1)) > max(m, n) * np.finfo(float).eps)
+        full = ((np.abs(r.diagonal(0, -2, -1)) > max(m, n) * sys.float_info.epsilon)
                 & ~under).all(axis=-1)
         qt = np.ascontiguousarray(q.swapaxes(-1, -2))   # a transposed view loses digits in Q^T y
-    flagged, deficient = np.array(~np.broadcast_to(full, shape[:-1])), None
+    flagged, deficient = np.array(~full), None
     if flagged.any():
         r[flagged], size[flagged] = np.eye(n), 1.0      # a placeholder solve
         deficient = (flagged, np.linalg.pinv(np.where(under[..., None, :], 0.0, design)[flagged]))

@@ -148,9 +148,7 @@ class CylinderMode:
 
     @property
     def eigenvalue(self) -> float:
-        unit = _tie_unit(self.params)
-        return (unit * (self.n ** 2 + (2 * self.m - 1) ** 2) if unit
-                else self.mu_n + (self.zero_m / (2.0 * self.params.R)) ** 2)
+        return _eigenvalues(self.params, self.n, self.m, self.mu_n, self.zero_m)
 
     def radial(self, t):
         """Vertical factor gamma_m t^alpha J_{-alpha}(j_m t / (2R)), smooth at 0."""
@@ -168,10 +166,12 @@ class CylinderMode:
         return self._horizontal(x)
 
 
-def _tie_unit(params: WeightParams) -> float:
-    """(pi / 4R)^2 at N = 1, alpha = 1/2, where the zeros are (m - 1/2) pi (DLMF 10.16.1)
-    and lambda_{n,m} is that times n^2 + (2m - 1)^2, so that ties are bit-equal; else 0."""
-    return (math.pi / (4.0 * params.R)) ** 2 if params.N == 1 and params.alpha == 0.5 else 0.0
+def _eigenvalues(params: WeightParams, n, m, mu, zero):
+    """lambda_{n,m} = mu_n + (j_m / 2R)^2; at N = 1, alpha = 1/2, where the zeros are
+    (m - 1/2) pi (DLMF 10.16.1), one float times n^2 + (2m - 1)^2, so ties are bit-equal."""
+    if params.N == 1 and params.alpha == 0.5:
+        return (math.pi / (4.0 * params.R)) ** 2 * (n ** 2 + (2 * m - 1) ** 2)
+    return mu + (zero / (2.0 * params.R)) ** 2
 
 
 def cylinder_mode(params: WeightParams, n: int, m: int) -> CylinderMode:
@@ -199,18 +199,16 @@ def cylinder_spectrum(params: WeightParams, count: int) -> list[CylinderMode]:
     lambda grows in both n and m, so they all have n, m <= count.  The zeros
     j_m, m <= count, and J_{1-alpha} at them, for their norms, come from one
     `_bessel_zeros` call; the eigenvalues are the outer sum
-    mu_n + (j_m / 2R)^2 (exact integers times `_tie_unit` where it is not 0),
-    and a stable sort of that row-major table keeps equal eigenvalues in
-    (n, m) order.  Only the kept modes are built.
+    mu_n + (j_m / 2R)^2 (`_eigenvalues`), and a stable sort of that row-major
+    table keeps equal eigenvalues in (n, m) order.  Only the kept modes are built.
     `count` is capped at MAX_MODES (`DomainError`), as in `dirichlet_eigs`.
     """
     count = _count(count, "mode count", 1, MAX_MODES)
     spectrum = dirichlet_eigs(params.N, params.R, count)
     zeros, slopes = _bessel_zeros(-params.alpha, np.arange(1, count + 1))
     gammas = _radial_norm(params, slopes).tolist()
-    unit, index = _tie_unit(params), np.arange(1, count + 1)
-    table = (unit * np.add.outer(index ** 2, (2 * index - 1) ** 2) if unit
-             else np.add.outer(np.array(spectrum.mus), (zeros / (2.0 * params.R)) ** 2))
+    index = np.arange(1, count + 1)
+    table = _eigenvalues(params, index[:, None], index, np.array(spectrum.mus)[:, None], zeros)
     zeros = zeros.tolist()
     modes = []
     for i in np.argsort(table, axis=None, kind="stable")[:count].tolist():
