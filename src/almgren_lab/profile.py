@@ -425,8 +425,8 @@ def trace_laplacian_check(
     symbol of Laplace u gives a frequency-independent constant whenever the
     construction is exact.  Per frequency shell s, zeta(0+) is the value at
     0 of the fit of zeta at tau = s h {1, 2, 3} (h the profile's step) on
-    tau^{0, 2 alpha, 2}, one `core._power_fit` for every shell, so the
-    reported spread measures genuine profile-interpolation error.  Raises when the spread
+    tau^{0, 2 alpha, 2}, one `core._power_fit` for every shell, so the reported
+    spread measures genuine profile-interpolation error.  Raises when the spread
     exceeds 5%.  By default it runs on the finite-volume profile: on the
     closed form the check would be exact and would measure nothing.
     """

@@ -20,9 +20,9 @@ exponent.  A solution also keeps, from their first use, the
 tables of its later calls that do not depend on the radius
 (`SeparableSolution._table`): the Almgren plans and, per mode, the Fourier
 projections (`_projection`).  The blow-up fit of phi is one `core._power_fit`
-on two powers for every candidate at once.  The angular factor is the mode profile times the normalized representative
-harmonic of its sector, so modes are orthonormal on the weighted half
-sphere and all quadratic functionals decouple.
+on two powers for every candidate at once.  The angular factor is the mode
+profile times the normalized representative harmonic of its sector, so modes
+are orthonormal on the weighted half sphere and all quadratic functionals decouple.
 """
 
 from __future__ import annotations

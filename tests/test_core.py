@@ -600,6 +600,18 @@ def test_power_fit_gives_an_underflowing_column_coefficient_zero(log_top, big, s
     assert np.max(np.abs(res - lone_res)) <= 1e-14 * np.max(np.abs(y))
 
 
+@settings(max_examples=50)
+@given(_SAMPLES, st.floats(-2.0, 4.0), st.floats(0.5, 2.0))
+def test_power_fit_splits_a_repeated_power_as_pinv_does(x, e, c):
+    # two equal columns: R is singular, and the minimum-norm answer gives each
+    # half of the one-column coefficient
+    y = c * x ** e + 1e-3 * np.cos(5.0 * x / x.max())
+    coef, res = _power_fit(x, y, [e, e])
+    lone, lone_res = _power_fit(x, y, [e])
+    assert_allclose(coef, [lone[0] / 2.0, lone[0] / 2.0], rtol=1e-13, atol=0.0)
+    assert np.max(np.abs(res - lone_res)) <= 1e-13 * np.max(np.abs(y))
+
+
 @pytest.mark.parametrize("eps", [1e-3, 0.37, 1.0, 2.0 ** -30])
 def test_power_fit_value_at_zero_on_three_equal_steps_is_three_minus_three_one(eps):
     # the trace extrapolation of `estimate_sobolev_trace_constant` takes
