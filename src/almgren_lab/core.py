@@ -542,9 +542,10 @@ def _power_fit(x, y, exponents):
 
     x holds m positive samples, y one column of m values or m rows of columns,
     and the last axis of `exponents` a fit's n powers; its leading axes batch
-    fits, each on every column of y.  `_power_design` factors a design once;
+    fits, each on every column of y.  `_power_design` factors a design once
+    (its rank rule gives a rank-deficient fit pinv's minimum-norm answer), and
     a call solves R c = Q^T y.  A fit's values are the same alone as in a
-    batch.  The caller keeps x^e in the float range."""
+    batch; the caller keeps x^e in the float range."""
     x, y, e = (np.asarray(v, dtype=float) for v in (x, y, exponents))
     qt, r, size, design, deficient = _power_design(x.tobytes(), e.tobytes(), e.shape)
     Y = y[:, None] if y.ndim == 1 else y
@@ -571,10 +572,9 @@ def _power_design(x_bytes: bytes, e_bytes: bytes, shape: tuple):
     underflowing one read as zeros, which so gets coefficient 0."""
     x, e = np.frombuffer(x_bytes), np.frombuffer(e_bytes).reshape(shape)
     m, n = x.size, shape[-1]
-    ref = (np.where(e < 0.0, x.min(), x.max()) if e.min() < 0.0 else x.max()) if m else np.ones(1)
+    ref = np.where(e < 0.0, x.min(), x.max()) if m else np.ones(shape)   # where x^e is largest
     scale = ref ** e
-    # each exponent repeated along the samples: a lone exponent would take
-    # numpy's scalar-exponent shortcuts, and a fit's bits would depend on its batch
+    # one exponent per entry: numpy's scalar-exponent shortcut would tie a fit's bits to its batch
     rows = (x / ref[..., None]) ** np.repeat(e[..., None], m, axis=-1)
     design = (rows * scale[..., None]).swapaxes(-1, -2)
     norm = np.sqrt((rows * rows).sum(axis=-1))
