@@ -38,9 +38,9 @@ sector eigenproblems with one private batched tridiagonal kernel,
 which keeps its pivots (so a symmetric matrix's inertia too) and on a
 diagonally dominant M-matrix subtracts nothing.
 
-The Gamma functions come from `math` (`_log_gamma_ratio`) and the Gauss
-rules from numpy's `eigh`; the module imports no scipy.
-Rules are not changed after construction and every operation is pure.
+The Gamma functions come from `math` (`_log_gamma_ratio`), the Gauss rules
+from `eigh` and the power fits (`_power_fit`) from `qr`, both numpy's; no
+scipy.  Rules are not changed after construction and every operation is pure.
 """
 
 from __future__ import annotations
