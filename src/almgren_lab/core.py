@@ -561,15 +561,15 @@ def _power_design(x_bytes: bytes, e_bytes: bytes, shape: tuple):
     """Q^T, R, the column norms, the columns x^e and the rank-deficient fits (None, or
     their mask and pinv) of `_power_fit`'s design.
 
-    Each column x^e over its largest entry, (x / max x)^e or (x / min x)^e
-    for e < 0, neither overflows nor underflows as a whole; scaled to unit
-    norm, the design is factored by one Householder QR (`np.linalg.qr`):
-    column-scaled QR least squares (Bjorck, Numerical Methods for Least
-    Squares Problems, SIAM 1996, 2.4).  Rank rule: a fit with fewer samples
-    than powers, a diagonal entry of R at or below max(m, n) eps (lstsq's
-    default cut-off) or a column x^e of squared norm below tiny / eps (it
-    underflows) gets pinv's minimum-norm answer on its columns x^e, each
-    underflowing one read as zeros, which so gets coefficient 0."""
+    Each column x^e divided by its largest entry, (x / max x)^e or
+    (x / min x)^e for e < 0, can neither overflow nor underflow as a whole;
+    scaled to unit norm, the design is factored by one Householder QR
+    (`np.linalg.qr`): column-scaled QR least squares (Bjorck, Numerical
+    Methods for Least Squares Problems, SIAM 1996, 2.4).  Rank rule: a fit
+    with fewer samples than powers, a diagonal entry of R at or below
+    max(m, n) eps (lstsq's default cut-off) or a column x^e of squared norm
+    below tiny / eps (it underflows) gets pinv's minimum-norm answer on its
+    columns x^e, underflowing ones read as zeros, whose coefficients are 0."""
     x, e = np.frombuffer(x_bytes), np.frombuffer(e_bytes).reshape(shape)
     m, n = x.size, shape[-1]
     ref = np.where(e < 0.0, x.min(), x.max()) if m else np.ones(shape)   # where x^e is largest
