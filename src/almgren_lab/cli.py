@@ -204,9 +204,20 @@ def _read_field_csv(path: str):
         raise DomainError("CSV sample is not a full tensor grid")
     if shape[0] < 2:
         raise InputError(f"{path}: need at least two samples along x1")
+    length = float(axes[0][1] - axes[0][0]) * shape[0]
+    # the FFT reads a uniform grid on a cube; printed coordinates agree to about 1e-15
+    for d, axis in enumerate(axes):
+        if axis.size < 2:
+            continue
+        steps = np.diff(axis)
+        step = float(np.mean(steps))
+        if np.max(np.abs(steps - step)) > 1e-9 * step:
+            raise InputError(f"{path}: x{d + 1} is not evenly spaced")
+        if abs(step * axis.size - length) > 1e-9 * length:
+            raise InputError(f"{path}: x{d + 1} spans a box of length {step * axis.size:.17g}, "
+                             f"x1 one of {length:.17g}; the grid must be a cube")
     order = np.lexsort([coords[:, d] for d in reversed(range(dim))])
     grid = values[order].reshape(shape)
-    length = float(axes[0][1] - axes[0][0]) * shape[0]
     return grid, length, axes
 
 

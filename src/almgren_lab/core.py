@@ -10,12 +10,18 @@ Geometry conventions used throughout the package:
 * For N = 1 the half circle is parameterized by a single angle phi in (0, pi),
   the point being (cos(phi), sin(phi)); the weight along the arc is sin(phi)^b.
 
-Every quadrature in the package runs on one family of rules, `gauss_jacobi`
-(the finite-volume cross-checks integrate with their own cell masses): the
+Every integral of a field runs on Gauss-Jacobi rules, `gauss_jacobi` (the
+finite-volume cross-checks integrate with their own cell masses): the
 degenerate power of the integration variable is the Jacobi weight, so it is
 never evaluated at 0 and smooth integrands converge spectrally.
 `split_gauss_jacobi` puts that weight on a short head panel and covers the
-rest with Gauss-Legendre, so a new exponent costs a small head only.
+rest with Gauss-Legendre, so a new exponent costs a small head only.  The
+Bessel kernels of `special_functions` keep their own rules.  Bessel's
+integral runs on a Gauss-Legendre rule solved by Newton
+(`special_functions._legendre_rule`): at 64 nodes its weights are within
+1.4e-14 of 40-digit ones, where `gauss_jacobi(64, 0)`'s are 6.0e-14 off, and
+on the latter J_nu reached 1.4e-14 of its envelope against a 1e-14 gate.
+K_nu runs on the trapezoid rule.
 
 Sampled fields are integrated over B_r^+ and S_r^+ by one private tensor
 rule, `_HalfBallRule` (a radial rule times an `AngularGrid1D`):

@@ -7,10 +7,10 @@ one kernel, `_bessel_j` and `_power_bessel_k`, on numpy and `math` alone;
 their rules and per-order tables are built on first use and cached, so
 importing the module builds nothing.
 
-`_bessel_j` picks its method per point.  The errors below are the largest
-seen against mpmath, relative to the envelope max(|J_nu(x)|, sqrt(2/(pi x))),
-on random points of each region for 24 orders in (-1, 2) and 37 integer
-orders up to 64:
+`_bessel_j` picks one of four methods per point.  The errors below are the
+largest seen against mpmath, relative to the envelope
+max(|J_nu(x)|, sqrt(2/(pi x))), on random points of each region for 24
+orders in (-1, 2) and 37 integer orders up to 64:
 - x <= 2: the power series (DLMF 10.2.2), 14 terms, relative to J itself
   near 0: <= 9e-16;
 - x >= max(30, nu^2): Hankel's expansion (DLMF 10.17.3), 20 terms, with
@@ -19,11 +19,10 @@ orders up to 64:
 - between, for fractional orders, Bessel's integral (DLMF 10.9.6) on a
   64-node Gauss-Legendre rule (`_legendre_rule`) for both integrals: <= 8e-15,
   the rounding of the phase x sin t, about x eps per node;
-- between, for integer orders, the trapezoid rule on the periodic
-  integral of DLMF 10.9.2 up to x = 30, its node count set per point from
-  x and the largest order: <= 6.5e-15; beyond 30, Miller's backward
-  recurrence (DLMF 3.6(vi)) normalized by J_0 + 2 sum J_2k = 1 (DLMF
-  10.12.4): <= 6.1e-15.  (The trapezoid rule reached 1.4e-14 on (30, 60].)
+- between, for integer orders, Miller's backward recurrence (DLMF 3.6(vi))
+  normalized by J_0 + 2 sum J_2k = 1 (DLMF 10.12.4): <= 2.9e-15 on (2, 30]
+  and <= 6.5e-15 on (30, 60]; past 60 (orders above 7) its rounding grows
+  with x, to 1.6e-14 on (60, 200] and 2.7e-13 on (200, 4096].
 Every method works point by point, so a value does not depend on the other
 points of the call.  The regularized h(t) = t^alpha J_{-alpha}(t) is
 2^alpha times the series' entire part up to t = 2, so it is smooth at 0.
@@ -213,58 +212,21 @@ def _j_integral(orders: tuple, x: np.ndarray) -> np.ndarray:
                      np.concatenate([np.cos(phase), np.sin(phase), decay], axis=1))
 
 
-@lru_cache(maxsize=256)
-def _trapezoid_weights(orders: tuple, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin t_j and the weights of [cos, sin] of the phase (orders, 2 nodes), t_j = 2 pi j / m, j <= m/2.
-
-    The integrand at t and 2 pi - t agree, so the half period carries the
-    sum; cos(n t_j) and sin(n t_j) are read at the exact index n j mod m.
-    """
-    angle = 2.0 * math.pi * np.arange(m) / m
-    cos_t, sin_t = np.cos(angle), np.sin(angle)
-    j = np.arange(m // 2 + 1)
-    w = np.full(j.size, 2.0 / m)
-    w[0] = w[-1] = 1.0 / m
-    r = np.outer(np.array(orders, dtype=int), j) % m
-    table = np.concatenate([w * cos_t[r], w * sin_t[r]], axis=1)
-    sines = sin_t[j]
-    table.flags.writeable = False
-    sines.flags.writeable = False
-    return sines, table
-
-
-def _j_trapezoid(orders: tuple, x: np.ndarray) -> np.ndarray:
-    """J_n(x) for integer orders by the trapezoid rule on (1/2pi) int_0^2pi cos(n t - x sin t) dt.
-
-    The integrand is periodic, so m nodes are exact up to J_{m-n}(x); each
-    point takes m >= n + x + 11.5 x^(1/3) + 8 (a multiple of 16), where
-    J_{m-n}(x) < 1e-17.
-    """
-    sizes = 16 * np.ceil((max(orders) + x + 11.5 * np.cbrt(x) + 8.0) / 16.0)
-    out = np.empty((len(orders), x.size))
-    for m in np.unique(sizes).astype(int).tolist():
-        pick = sizes == m
-        sines, table = _trapezoid_weights(orders, m)
-        phase = x[pick, None] * sines
-        out[:, pick] = np.einsum("oj,ij->oi", table,
-                                 np.concatenate([np.cos(phase), np.sin(phase)], axis=1))
-    return out
-
-
 def _j_miller(orders: tuple, x: np.ndarray) -> np.ndarray:
     """J_n(x) for integer orders by Miller's backward recurrence, normalized by J_0 + 2 sum J_2k = 1.
 
-    Each point starts at its own even index N >= max(n, x) + 12 x^(1/3) + 30,
-    so its value does not depend on the other points; the running values are
+    Each point starts at its own even index N >= max(n, x) + 10 x^(1/3) + 20,
+    so its value does not depend on the other points (a start at
+    6 x^(1/3) + 12 lost digits, 6.5e-9 by x = 4096); the running values are
     rescaled before they can overflow.
     """
     want = {int(n): i for i, n in enumerate(orders)}
-    start = 2 * np.ceil((np.maximum(max(want), x) + 12.0 * np.cbrt(x) + 30.0) / 2.0)
+    start = 2 * np.ceil((np.maximum(max(want), x) + 10.0 * np.cbrt(x) + 20.0) / 2.0)
     starts = set(start.tolist())
     inv_x = 1.0 / x
     out = np.zeros((len(orders), x.size))
     above, here = np.zeros(x.size), np.zeros(x.size)     # J_{k+1}, J_k
-    norm = np.zeros(x.size)
+    even = np.zeros(x.size)                               # sum of J_2k, k >= 1
     for k in range(int(start.max()), 0, -1):
         if k in starts:
             here[start == k] = 1e-250
@@ -273,35 +235,21 @@ def _j_miller(orders: tuple, x: np.ndarray) -> np.ndarray:
         below -= above
         if k - 1 in want:
             out[want[k - 1]] = below
-        if (k - 1) % 2 == 0:
-            norm += below if k == 1 else 2.0 * below
+        if k % 2 and k > 1:
+            even += below
         above, here = here, below
         if k % 16 == 0:
             scale = np.where(np.abs(here) > 1e200, 1e-200, 1.0)
             above *= scale
             here *= scale
             out *= scale
-            norm *= scale
-    return out / norm
+            even *= scale
+    return out / (2.0 * even + here)                     # here holds J_0
 
 
 def _j_series(orders: tuple, x: np.ndarray) -> np.ndarray:
     """J_nu(x) = (x/2)^nu times the entire part, for x <= 2."""
     return (x / 2.0) ** _series_coefficients(orders)[0] * _j_entire(orders, x)
-
-
-def _j_between(orders: tuple, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) between the series and Hankel's expansion: Bessel's integral for
-    fractional orders, the trapezoid rule (x <= 30) or Miller's recurrence for integer ones."""
-    if not all(float(nu).is_integer() for nu in orders):
-        return _j_integral(orders, x)
-    far = x > _HANKEL_START
-    if not far.any():
-        return _j_trapezoid(orders, x)
-    out = np.empty((len(orders), x.size))
-    out[:, ~far] = _j_trapezoid(orders, x[~far])
-    out[:, far] = _j_miller(orders, x[far])
-    return out
 
 
 def _bessel_j(orders: tuple, x) -> np.ndarray:
@@ -310,8 +258,9 @@ def _bessel_j(orders: tuple, x) -> np.ndarray:
     The orders are all integers (0 <= n < 170) or all in (-1, 2).  Each point
     takes the method of its region (module docstring): the series for
     x <= 2 and for NaN, which gives NaN, Hankel's expansion beyond
-    max(30, nu^2) and `_j_between` in between.  x = inf gives 0 and x = 0
-    the limit (callers keep x > 0 for nu < 0).
+    max(30, nu^2), and in between Bessel's integral (`_j_integral`) for
+    fractional orders or Miller's recurrence (`_j_miller`) for integer ones.
+    x = inf gives 0 and x = 0 the limit (callers keep x > 0 for nu < 0).
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -323,8 +272,9 @@ def _bessel_j(orders: tuple, x) -> np.ndarray:
     elif n_large == flat.size:
         out = _j_hankel(orders, flat)
     else:
-        # the other regions' points sit at x = 4 meanwhile, which every method takes
-        out = _j_between(orders, np.where(small | large, 4.0, flat) if n_small or n_large else flat)
+        # the other regions' points sit at x = 4 meanwhile, which both methods take
+        between = _j_miller if all(float(nu).is_integer() for nu in orders) else _j_integral
+        out = between(orders, np.where(small | large, 4.0, flat) if n_small or n_large else flat)
         if n_small:
             out[:, small] = _j_series(orders, flat[small])
         if n_large:

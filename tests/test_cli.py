@@ -457,6 +457,33 @@ def test_extend_accepts_one_sample_along_a_higher_axis(tmp_path, capsys):
     assert len(out.splitlines()) == 1 + 2 * 16
 
 
+_NOT_A_UNIFORM_CUBE = {
+    # x1 = 0.1 i with a 0.9 gap after the fifth sample: the box length came from
+    # the first step alone, and the values were read as a uniform grid's
+    "uneven x1": ("x1,value\n" + "".join(
+        f"{0.1 * i + 0.8 * (i >= 5):.17g},{math.cos(2 * math.pi * i / 16):.17g}\n"
+        for i in range(16)), "x1"),
+    # step 0.5 on both axes and 4 x 8 samples: the box length 2 of x1 was used
+    # for x2 too, whose data span 4
+    "x2 spans another box": ("x1,x2,value\n" + "".join(
+        f"{0.5 * i:.17g},{0.5 * j:.17g},{math.cos(i + 2 * j):.17g}\n"
+        for i in range(4) for j in range(8)), "x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_UNIFORM_CUBE))
+def test_extend_refuses_a_grid_that_is_not_a_uniform_cube(tmp_path, capsys, case):
+    text, axis = _NOT_A_UNIFORM_CUBE[case]
+    path = tmp_path / "u.csv"
+    path.write_text(text)
+    code = run(["extend", "--input", str(path), "--t-levels", "0,0.5", "--s", "1.42"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {axis} ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_almgren_csv_matches_a_per_row_writer(tmp_path, capsys):
     spec = {"params": {"s": 1.25, "N": 3}, "terms": [{"l": 1, "c1": 1.0, "d1": 0.5},
                                                     {"l": 3, "c1": -0.4, "d1": 0.2}]}

@@ -216,20 +216,32 @@ def test_bessel_j_kernel_fractional_orders_against_mpmath(nu):
 
 @pytest.mark.parametrize("n", list(range(0, 65, 2)) + [1, 3, 5, 7, 63])
 def test_bessel_j_kernel_integer_orders_against_mpmath(n):
-    # the disk's orders: the trapezoid rule up to x = 30, Miller's recurrence
-    # beyond (Hankel's expansion only for x >= max(30, n^2))
+    # the disk's orders: the series up to x = 2, Miller's recurrence beyond
+    # (Hankel's expansion only for x > max(30, n^2))
     from almgren_lab.special_functions import _bessel_j
 
     x = np.concatenate([[0.0], _J_POINTS])
     assert np.max(_envelope_errors(n, x, _bessel_j((float(n),), x)[0])) <= 1e-14
 
 
-def test_bessel_j_kernel_values_do_not_depend_on_the_other_points():
-    # every method works point by point, so a zero solved alone equals its
-    # entry of a batch (`bessel_zero` relies on it)
+def test_bessel_j_kernel_integer_orders_between_the_series_and_30():
+    # Miller's recurrence on (2, 30]: within 2.9e-15 of the envelope
     from almgren_lab.special_functions import _bessel_j
 
-    for orders in ((-0.37, 0.63), (3.0, 4.0)):
+    x = np.concatenate([_J_POINTS[(_J_POINTS > 2.0) & (_J_POINTS <= 30.0)],
+                        np.random.default_rng(20261022).uniform(2.0, 30.0, 48)])
+    worst = max(np.max(_envelope_errors(n, x, _bessel_j((float(n),), x)[0]))
+                for n in list(range(0, 65, 2)) + [1, 3, 5, 7, 63])
+    assert worst <= 4e-15
+
+
+def test_bessel_j_kernel_values_do_not_depend_on_the_other_points():
+    # every method works point by point, so a zero solved alone equals its
+    # entry of a batch (`bessel_zero` relies on it); orders 6 and 7 take
+    # Miller's recurrence on all of (2, 49], where its starts span x = 30
+    from almgren_lab.special_functions import _bessel_j
+
+    for orders in ((-0.37, 0.63), (3.0, 4.0), (6.0, 7.0)):
         whole = _bessel_j(orders, _J_POINTS)
         for i in range(0, _J_POINTS.size, 7):
             assert np.array_equal(_bessel_j(orders, _J_POINTS[i:i + 3]), whole[:, i:i + 3])
